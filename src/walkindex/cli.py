@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .decoupling import gentle_decoupling
 from .errors import WalkIndexError
 from .finite import certify_boundary_modes, crossover_sweep
@@ -33,6 +31,7 @@ from .serialize import (
     tiwalk_from_json,
     walk_from_spec,
 )
+from .symmetry import unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import TIWalk, berry_phase, ti_gap_margin, validate_ti, winding_number
 
@@ -90,9 +89,7 @@ def cmd_index(args, tol: Tolerances) -> int:
     op = operator_from_spec(_load_spec(args.spec), tol)
     cut = args.cut if args.cut is not None else op.cells.n_cells // 2
     si_l, si_r = si_left_right(op, cut, tol=tol)
-    unitarity = float(
-        np.linalg.norm(op.matrix.conj().T @ op.matrix - np.eye(op.dim), 2)
-    )
+    unitarity = unitarity_defect(op.matrix)
     report = check_admissible(op.matrix, op.rep(), kind="walk", tol=tol, strict=False)
     out = {
         "si_left": index_value_to_json(si_l),
@@ -117,7 +114,7 @@ def cmd_index(args, tol: Tolerances) -> int:
     return 0
 
 
-def _ti_from_args(args, tol: Tolerances) -> TIWalk:
+def _ti_from_args(args) -> TIWalk:
     spec = _load_spec(args.spec)
     kind = spec.get("type", spec.get("kind"))
     if kind != "ti":
@@ -125,8 +122,10 @@ def _ti_from_args(args, tol: Tolerances) -> TIWalk:
     return tiwalk_from_json(spec)
 
 
-def cmd_winding(args, tol: Tolerances) -> int:
-    report = winding_number(_ti_from_args(args, tol), n_k=args.n_k, tol=tol)
+def cmd_invariant(args, tol: Tolerances) -> int:
+    """``winding`` and ``berry``; a residual above ``tol.integer_residual`` raises (exit 4)."""
+    invariant = winding_number if args.command == "winding" else berry_phase
+    report = invariant(_ti_from_args(args), n_k=args.n_k, tol=tol)
     _emit(
         {
             "value": index_value_to_json(report.value),
@@ -135,32 +134,18 @@ def cmd_winding(args, tol: Tolerances) -> int:
             "n_k": report.n_k,
         }
     )
-    return 4 if report.residual > 0.01 else 0
-
-
-def cmd_berry(args, tol: Tolerances) -> int:
-    report = berry_phase(_ti_from_args(args, tol), n_k=args.n_k, tol=tol)
-    _emit(
-        {
-            "value": index_value_to_json(report.value),
-            "raw": report.raw,
-            "residual": report.residual,
-            "n_k": report.n_k,
-        }
-    )
-    return 4 if report.residual > 0.01 else 0
+    return 0
 
 
 def cmd_decouple(args, tol: Tolerances) -> int:
     op = operator_from_spec(_load_spec(args.spec), tol)
     cut = args.cut if args.cut is not None else 0
     result = gentle_decoupling(op, cut, second_cut=args.second_cut, steps=args.steps, tol=tol)
+    rep = op.rep()
     samples = []
     for sample in result.path:
-        d = sample.shape[0]
-        unit = float(np.linalg.norm(sample.conj().T @ sample - np.eye(d), 2))
-        rep = check_admissible(sample, op.rep(), kind="walk", tol=tol, strict=False)
-        samples.append({"unitarity": unit, "admissibility": rep.max_residual})
+        report = check_admissible(sample, rep, kind="walk", tol=tol, strict=False)
+        samples.append({"unitarity": unitarity_defect(sample), "admissibility": report.max_residual})
     path_report = {
         "commutator_norm": result.commutator_norm,
         "transfer_counts": {str(b): list(c) for b, c in result.transfer_counts.items()},
@@ -265,9 +250,7 @@ def cmd_validate(args, tol: Tolerances) -> int:
         }
     else:
         op: LatticeOperator = obj
-        unitarity = float(
-            np.linalg.norm(op.matrix.conj().T @ op.matrix - np.eye(op.dim), 2)
-        )
+        unitarity = unitarity_defect(op.matrix)
         rep = op.rep()
         adm = (
             check_admissible(op.matrix, rep, kind="walk", tol=tol, strict=False).max_residual
@@ -317,12 +300,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("winding", parents=[common], help="chiral winding number")
     p.add_argument("spec")
     p.add_argument("--n-k", type=int, default=256, help="initial momentum samples")
-    p.set_defaults(func=cmd_winding)
+    p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("berry", parents=[common], help="phase index (classes D, DIII)")
     p.add_argument("spec")
     p.add_argument("--n-k", type=int, default=256)
-    p.set_defaults(func=cmd_berry)
+    p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("decouple", parents=[common], help="canonical gentle decoupling")
     p.add_argument("spec")

@@ -49,7 +49,6 @@ from .lattice import (
     cells_near_bond,
     compress,
     half_space_projection,
-    measured_band,
     split_by_weight,
 )
 from .operators import (
@@ -58,7 +57,7 @@ from .operators import (
     check_unitary,
     polar_isometry,
 )
-from .symmetry import IndexValue, SymmetryClass, SymmetryRep
+from .symmetry import IndexValue, SymmetryClass, SymmetryRep, spectral_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -83,10 +82,6 @@ TRANSFER_GUARD = 1e-3
 _MIN_SEED_WEIGHT = 1e-6
 
 _SEED_RNG = 20260815
-
-
-def _norm2(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -137,12 +132,12 @@ class ProjectionPair:
         pq = self.p @ self.q
         vals = np.linalg.eigvals(x)
         return {
-            "anticommutator": _norm2(a @ b + b @ a),
-            "pythagoras": _norm2(a @ a + b @ b - eye),
-            "align_into": _norm2(x @ self.q - pq),
-            "align_out_of": _norm2(self.p @ x - pq),
-            "reflection_product": _norm2((eye - 2 * self.p) @ (eye - 2 * self.q) - (2 * x - eye)),
-            "normality": _norm2(x @ x.conj().T - x.conj().T @ x),
+            "anticommutator": spectral_norm(a @ b + b @ a),
+            "pythagoras": spectral_norm(a @ a + b @ b - eye),
+            "align_into": spectral_norm(x @ self.q - pq),
+            "align_out_of": spectral_norm(self.p @ x - pq),
+            "reflection_product": spectral_norm((eye - 2 * self.p) @ (eye - 2 * self.q) - (2 * x - eye)),
+            "normality": spectral_norm(x @ x.conj().T - x.conj().T @ x),
             "spectral_circle": float(np.max(np.abs(np.abs(vals - 0.5) - 0.5))) if vals.size else 0.0,
         }
 
@@ -416,7 +411,7 @@ def gentle_decoupling(
         raise DecouplingFailed(f"correction is not unitary: {exc}") from exc
     w2 = v @ m
     p = proj.matrix
-    commutator = _norm2(p @ w2 - w2 @ p)
+    commutator = spectral_norm(p @ w2 - w2 @ p)
     if commutator > 10 * tol.unit:
         raise DecouplingFailed(f"residual coupling {commutator:.3e} after correction")
     report = check_admissible(w2, rep, kind="walk", tol=tol, strict=False)
@@ -427,8 +422,7 @@ def gentle_decoupling(
 
     path = [sample @ m for sample in contract_perturbation(v, trep, steps=steps, tol=tol)]
 
-    probe = LatticeOperator(w2, op.cells, op.band, op.local_rep, dict(op.meta))
-    w2_op = LatticeOperator(w2, op.cells, measured_band(probe, tol), op.local_rep, dict(op.meta))
+    w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep, dict(op.meta), tol)
     si_b = si_left_right(op, cut, second_cut=resolved_second, tol=tol)
     si_a = si_left_right(w2_op, cut, second_cut=resolved_second, tol=tol)
     return DecouplingResult(
@@ -469,5 +463,4 @@ def decouple_segment(
         "transfer_counts": result.transfer_counts,
         "parent_cells": seg.meta.get("parent_cells"),
     }
-    probe = LatticeOperator(seg.matrix, cells, ring.band, seg.local_rep, meta)
-    return LatticeOperator(seg.matrix, cells, measured_band(probe, tol), seg.local_rep, meta)
+    return LatticeOperator.with_measured_band(seg.matrix, cells, seg.local_rep, meta, tol)

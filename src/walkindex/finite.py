@@ -30,17 +30,11 @@ from .errors import (
     IncompatibleCells,
     NotAdmissible,
     NotEnoughModes,
-    NotNormal,
     TooShort,
 )
-from .lattice import (
-    CellStructure,
-    LatticeOperator,
-    LocalSymmetryRep,
-    mass_profile,
-    measured_band,
-)
-from .operators import check_admissible, check_unitary, eig_unitary
+from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
+from .operators import check_admissible, check_normal, check_unitary, eig_unitary
+from .symmetry import block_diagonal
 from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import ShiftFactor, TIWalk, factor_matrices, skeletons_match, ti_gap_margin, truncate_ti
 
@@ -74,16 +68,6 @@ class TempleKatoCertificate:
     r_min: float
     valid: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "theta": self.theta,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "r_min": self.r_min,
-            "valid": self.valid,
-        }
-
 
 def _column_matrix(vectors) -> np.ndarray:
     arr = np.asarray(vectors, dtype=complex)
@@ -109,9 +93,7 @@ def temple_kato(
     radius is certified and ``r_min`` is infinite.
     """
     u = np.asarray(u, dtype=complex)
-    defect = float(np.linalg.norm(u @ u.conj().T - u.conj().T @ u, 2))
-    if defect > 10 * tol.unit:
-        raise NotNormal(f"operator is not normal: ||[U, U*]|| = {defect:.3e}")
+    check_normal(u, tol)
     phi = _column_matrix(vectors)
     if phi.shape[0] != u.shape[0]:
         raise DimensionMismatch(
@@ -128,7 +110,7 @@ def temple_kato(
     return TempleKatoCertificate(k, complex(theta), eps1, eps2, float(r_min), valid)
 
 
-def count_in_disk(u: np.ndarray, theta: complex, radius: float, tol: Tolerances = DEFAULT_TOL) -> int:
+def count_in_disk(u: np.ndarray, theta: complex, radius: float) -> int:
     """Directly counted eigenvalues of a normal operator in a closed disk."""
     vals = np.linalg.eigvals(np.asarray(u, dtype=complex))
     return int(np.sum(np.abs(vals - theta) <= radius))
@@ -203,8 +185,7 @@ def _assemble_join(
     mats = factor_matrices(_join_factors(left, right, side), cells)
     w = reduce(lambda acc, m: m @ acc, mats, np.eye(cells.total_dim, dtype=complex))
     local = LocalSymmetryRep.uniform(left.cell_rep, n)
-    probe = LatticeOperator(w, cells, max(left.band, right.band), local)
-    return LatticeOperator(w, cells, measured_band(probe, tol), local)
+    return LatticeOperator.with_measured_band(w, cells, local, tol=tol)
 
 
 def join_crossover(
@@ -273,10 +254,7 @@ def join_crossover(
 
     left_seg = truncate_ti(left, n_left, "decoupled_unitary", tol)
     right_seg = truncate_ti(right, n_right, "decoupled_unitary", tol)
-    w = np.zeros((left_seg.matrix.shape[0] + right_seg.matrix.shape[0],) * 2, dtype=complex)
-    dl = left_seg.matrix.shape[0]
-    w[:dl, :dl] = left_seg.matrix
-    w[dl:, dl:] = right_seg.matrix
+    w = block_diagonal((left_seg.matrix, right_seg.matrix))
     cells = CellStructure(
         left_seg.cells.cell_dims + right_seg.cells.cell_dims,
         topology,
@@ -292,8 +270,7 @@ def join_crossover(
         "boundary": "decoupled_unitary",
         "interface_style": "decoupled",
     }
-    probe = LatticeOperator(w, cells, band, local, meta)
-    return LatticeOperator(w, cells, measured_band(probe, tol), local, meta)
+    return LatticeOperator.with_measured_band(w, cells, local, meta, tol)
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -340,7 +317,10 @@ def localization_profile(vec: np.ndarray, cells: CellStructure) -> np.ndarray:
     total = float(np.vdot(v, v).real)
     if total <= 0.0:
         raise DimensionMismatch("cannot profile the zero vector")
-    return mass_profile(v, cells) / total
+    weights = np.empty(cells.n_cells)
+    for i in range(cells.n_cells):
+        weights[i] = float(np.sum(np.abs(v[cells.cell_slice(i)]) ** 2))
+    return weights / total
 
 
 def _radius_for_mass(

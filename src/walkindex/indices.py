@@ -59,12 +59,14 @@ from .operators import (
     kernel_basis,
 )
 from .symmetry import (
+    ADMISSIBILITY,
     IndexValue,
     SymmetryClass,
     SymmetryOperator,
     SymmetryRep,
     balanced_hamiltonian,
     rep_index,
+    spectral_norm,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import TIWalk, berry_phase, ti_gap_margin, winding_number
@@ -204,7 +206,7 @@ def _drop_window(
         proj = inside @ inside.conj().T
         if dropped is None:
             kept, dropped = outside, proj
-        elif np.linalg.norm(proj - dropped, 2) > 1e-8:
+        elif spectral_norm(proj - dropped) > 1e-8:
             raise WindowAmbiguous(
                 f"attribution of {what} modes to the proxy ends depends on "
                 f"the window radius (radii {r_lo}..{r_hi})"
@@ -421,10 +423,8 @@ def twiddle_rep(w, rep: SymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL
     check_admissible(m, r, kind="walk", tol=tol)
     ops = {}
     for name, op in r.ops.items():
-        if name == "eta":
-            ops[name] = op
-        else:
-            ops[name] = SymmetryOperator(m @ op.matrix, op.antiunitary)
+        adjoint, _ = ADMISSIBILITY[name]
+        ops[name] = SymmetryOperator(m @ op.matrix, op.antiunitary) if adjoint else op
     out = SymmetryRep(r.cls, ops, r.dim)
     out.validate(tol, strict=True)
     return out
@@ -687,7 +687,7 @@ def index_matrix(
     if not isinstance(w, LatticeOperator) or w.cells.topology != "line":
         raise IncompatibleCells("the index table needs a decoupled line segment")
     p = w.cells.index_mask(range(a, w.cells.n_cells)).astype(float)
-    comm = float(np.linalg.norm(w.matrix * p[None, :] - p[:, None] * w.matrix, 2))
+    comm = spectral_norm(w.matrix * p[None, :] - p[:, None] * w.matrix)
     if comm > max(tol.band, 1e-11):
         raise NotDecoupled(
             f"walk does not commute with the half-space projection at {a}: "

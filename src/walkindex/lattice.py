@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CutOutOfRange, IncompatibleCells, TooShort
-from .symmetry import SymmetryClass, SymmetryRep
+from .symmetry import SymmetryClass, SymmetryRep, spectral_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -34,9 +34,12 @@ __all__ = [
     "measured_band",
     "cells_near_bond",
     "split_by_weight",
-    "mass_profile",
-    "localization_radius",
 ]
+
+# split_by_weight: a column belongs inside at weight >= SPLIT_THRESHOLD and is
+# ambiguous strictly between the AMBIGUOUS_WEIGHTS bounds.
+SPLIT_THRESHOLD = 0.5
+AMBIGUOUS_WEIGHTS = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -134,10 +137,8 @@ class LocalSymmetryRep:
         return sum(r.dim for r in self.per_cell)
 
     def assembled(self) -> SymmetryRep:
-        rep = self.per_cell[0]
-        for r in self.per_cell[1:]:
-            rep = rep.direct_sum(r)
-        return rep
+        """The dense representation on all cells; cells must share one class."""
+        return self.per_cell[0].direct_sum(*self.per_cell[1:])
 
     def restrict_cells(self, members: Sequence[int]) -> "LocalSymmetryRep":
         return LocalSymmetryRep(self.cls, tuple(self.per_cell[i] for i in members))
@@ -164,6 +165,20 @@ class LatticeOperator:
             raise IncompatibleCells(f"matrix shape {self.matrix.shape} != cell total {(d, d)}")
         if self.local_rep is not None and self.local_rep.total_dim != d:
             raise IncompatibleCells("local representation does not match cell dimensions")
+
+    @classmethod
+    def with_measured_band(
+        cls,
+        matrix: np.ndarray,
+        cells: CellStructure,
+        local_rep: LocalSymmetryRep | None = None,
+        meta: dict | None = None,
+        tol: Tolerances = DEFAULT_TOL,
+    ) -> "LatticeOperator":
+        """An operator whose declared band is its measured bandwidth."""
+        op = cls(matrix, cells, 0, local_rep, {} if meta is None else meta)
+        op.band = measured_band(op, tol)
+        return op
 
     @property
     def dim(self) -> int:
@@ -296,7 +311,7 @@ def compress(op: LatticeOperator, proj: CellProjection) -> LatticeOperator:
     return LatticeOperator(sub, cells, op.band, local_rep, meta)
 
 
-def locality_profile(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> dict[int, float]:
+def locality_profile(op: LatticeOperator) -> dict[int, float]:
     """Largest block norm at each hopping distance.
 
     Distances are signed cell offsets; on a circle they wrap to the shorter
@@ -312,14 +327,13 @@ def locality_profile(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> dict
                     d -= n
             else:
                 d = i - j
-            norm = float(np.linalg.norm(op.block(i, j), 2)) if op.block(i, j).size else 0.0
-            out[d] = max(out.get(d, 0.0), norm)
+            out[d] = max(out.get(d, 0.0), spectral_norm(op.block(i, j)))
     return dict(sorted(out.items()))
 
 
 def measured_band(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> int:
     """Largest |offset| whose blocks exceed the bandwidth tolerance."""
-    profile = locality_profile(op, tol)
+    profile = locality_profile(op)
     live = [abs(d) for d, v in profile.items() if v > tol.band]
     return max(live) if live else 0
 
@@ -333,13 +347,11 @@ def split_by_weight(
     basis: np.ndarray,
     cells: CellStructure,
     members: Iterable[int],
-    threshold: float = 0.5,
-    ambiguous_range: tuple[float, float] = (0.1, 0.9),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Split a subspace by weight inside a cell region.
 
     Diagonalizes the compression of the region projection onto the span and
-    splits at ``threshold``.  Returns (inside, outside, weights, n_ambiguous);
+    splits at ``SPLIT_THRESHOLD``.  Returns (inside, outside, weights, n_ambiguous);
     the rotated basis columns are eigenvectors of the weight operator, so for
     cell-local symmetries the two parts remain symmetry invariant whenever the
     weights are exactly 0/1.
@@ -351,35 +363,11 @@ def split_by_weight(
     w_op = (w_op + w_op.conj().T) / 2
     vals, u = np.linalg.eigh(w_op)
     rotated = basis @ u
-    inside = rotated[:, vals >= threshold]
-    outside = rotated[:, vals < threshold]
-    lo, hi = ambiguous_range
+    inside = rotated[:, vals >= SPLIT_THRESHOLD]
+    outside = rotated[:, vals < SPLIT_THRESHOLD]
+    lo, hi = AMBIGUOUS_WEIGHTS
     n_amb = int(np.sum((vals > lo) & (vals < hi)))
     return inside, outside, vals, n_amb
-
-
-def mass_profile(vec: np.ndarray, cells: CellStructure) -> np.ndarray:
-    """Per-cell probability weights of a normalized vector."""
-    out = np.empty(cells.n_cells)
-    for i in range(cells.n_cells):
-        out[i] = float(np.sum(np.abs(vec[cells.cell_slice(i)]) ** 2))
-    return out
-
-
-def localization_radius(
-    vec: np.ndarray,
-    cells: CellStructure,
-    bond: int,
-    mass: float = 0.9,
-) -> int:
-    """Smallest window radius around a bond capturing the given mass."""
-    profile = mass_profile(vec, cells)
-    total = float(profile.sum())
-    for r in range(1, cells.n_cells + 1):
-        window = cells_near_bond(cells, bond, r)
-        if profile[list(window)].sum() >= mass * total:
-            return r
-    return cells.n_cells
 
 
 def require_length(piece: CellStructure, needed: int, what: str) -> None:

@@ -22,23 +22,14 @@ from .errors import (
     NotUnitary,
     WindowAmbiguous,
 )
-from .symmetry import SymmetryRep
+from .symmetry import ADMISSIBILITY, SymmetryRep, spectral_norm, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerances
-
-
-def _norm(x: np.ndarray) -> float:
-    """Spectral norm; matrices here are small and O(1)."""
-    if x.size == 0:
-        return 0.0
-    return float(np.linalg.norm(x, 2))
 
 __all__ = [
     "UnitaryEigen",
     "eig_unitary",
     "kernel_basis",
     "polar_isometry",
-    "hermitian_part",
-    "antihermitian_part",
     "imaginary_part",
     "check_unitary",
     "check_admissible",
@@ -54,8 +45,7 @@ __all__ = [
 
 def check_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "operator") -> float:
     """Return the unitarity defect, raising ``NotUnitary`` above tolerance."""
-    d = w.shape[0]
-    defect = _norm(w.conj().T @ w - np.eye(d))
+    defect = unitarity_defect(w)
     if defect > tol.unit:
         raise NotUnitary(f"{what} has unitarity defect {defect:.3e} > {tol.unit}")
     return defect
@@ -101,10 +91,10 @@ def eig_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> UnitaryEigen:
     order = np.argsort(np.angle(values), kind="stable")
     values = values[order]
     v = v[:, order]
-    residual = _norm(w @ v - v * values[None, :])
+    residual = spectral_norm(w @ v - v * values[None, :])
     if residual > max(tol.eig, 1e-12 * d):
         raise EigenFailure(f"eigendecomposition residual {residual:.3e}")
-    orth = _norm(v.conj().T @ v - np.eye(d))
+    orth = unitarity_defect(v)
     if orth > tol.orth:
         raise EigenFailure(f"eigenbasis orthonormality defect {orth:.3e}")
     return UnitaryEigen(values, v, residual)
@@ -136,14 +126,6 @@ def polar_isometry(x: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return u[:, keep] @ vh[keep, :]
 
 
-def hermitian_part(w: np.ndarray) -> np.ndarray:
-    return (w + w.conj().T) / 2
-
-
-def antihermitian_part(w: np.ndarray) -> np.ndarray:
-    return (w - w.conj().T) / 2
-
-
 def imaginary_part(w: np.ndarray) -> np.ndarray:
     """The Hermitian operator ``(W - W*)/2i``."""
     return (w - w.conj().T) / 2j
@@ -173,12 +155,12 @@ def check_admissible(
     w = np.asarray(w, dtype=complex)
     res: dict[str, float] = {}
     for name, op in rep.ops.items():
-        moved = op.conjugate(w)
+        adjoint, sign = ADMISSIBILITY[name]
         if kind == "walk":
-            target = w if name == "eta" else w.conj().T
+            target = w.conj().T if adjoint else w
         else:
-            target = {"eta": -w, "tau": w, "gamma": -w}[name]
-        res[name] = _norm(moved - target)
+            target = sign * w
+        res[name] = spectral_norm(op.conjugate(w) - target)
     worst = max(res.values(), default=0.0)
     ok = worst <= tol.adm
     if strict and not ok:
@@ -296,16 +278,16 @@ def admissible_hamiltonian_projection(k: np.ndarray, rep: SymmetryRep) -> np.nda
     operators are cell-local.
     """
     h = (np.asarray(k, dtype=complex) + np.asarray(k, dtype=complex).conj().T) / 2
-    signs = {"eta": -1, "tau": +1, "gamma": -1}
     for name, op in rep.ops.items():
-        h = (h + signs[name] * op.conjugate(h)) / 2
+        _, sign = ADMISSIBILITY[name]
+        h = (h + sign * op.conjugate(h)) / 2
     return h
 
 
 def check_normal(w: np.ndarray, tol: Tolerances = DEFAULT_TOL, strict: bool = True) -> float:
     """Commutator defect ``||W W* - W* W||`` of normality."""
     w = np.asarray(w, dtype=complex)
-    defect = _norm(w @ w.conj().T - w.conj().T @ w)
+    defect = spectral_norm(w @ w.conj().T - w.conj().T @ w)
     if strict and defect > tol.unit * 10:
         raise NotNormal(f"operator is not normal: defect {defect:.3e}")
     return defect

@@ -19,18 +19,7 @@ from .finite import SweepRecord, TempleKatoCertificate, join_crossover
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
 from .symmetry import IndexValue, SymmetryClass, SymmetryRep
 from .tolerances import DEFAULT_TOL, Tolerances
-from .walks import (
-    CoinFactor,
-    ShiftFactor,
-    TIWalk,
-    build_lattice,
-    make_doubled,
-    make_generating_example,
-    make_shift,
-    make_split_step,
-    make_trivial,
-    truncate_ti,
-)
+from .walks import CoinFactor, ShiftFactor, TIWalk, build_lattice, builtin_walk, truncate_ti
 
 __all__ = [
     "dumps_canonical",
@@ -174,7 +163,9 @@ def _meta_to_json(meta: Mapping) -> dict:
 
 
 def lattice_operator_to_json(op: LatticeOperator) -> dict:
+    """An ``explicit`` walk spec: readable back by :func:`walk_from_spec`."""
     out = {
+        "type": "explicit",
         "matrix": matrix_to_json(op.matrix),
         "cells": cells_to_json(op.cells),
         "band": op.band,
@@ -205,15 +196,6 @@ def lattice_operator_from_json(data: Mapping) -> LatticeOperator:
 
 
 # -- walk specs ---------------------------------------------------------------------
-
-
-_BUILTINS = {
-    "generating": lambda p: make_generating_example(bool(p.get("inverse", False))),
-    "trivial": lambda p: make_trivial(),
-    "shift": lambda p: make_shift(),
-    "split_step": lambda p: make_split_step(float(p["theta1"]), float(p["theta2"])),
-    "doubled": lambda p: make_doubled(str(p["variant"]), bool(p.get("inverse", False))),
-}
 
 
 def _factor_to_json(f) -> dict:
@@ -247,15 +229,7 @@ def tiwalk_to_json(ti: TIWalk) -> dict:
 
 def tiwalk_from_json(data: Mapping) -> TIWalk:
     if "builtin" in data:
-        name = data["builtin"]
-        if name not in _BUILTINS:
-            raise ValueError(
-                f"unknown builtin walk {name!r}; known: {sorted(_BUILTINS)}"
-            )
-        try:
-            return _BUILTINS[name](data.get("coin_params", {}))
-        except KeyError as exc:
-            raise ValueError(f"builtin {name!r} is missing coin parameter {exc}") from exc
+        return builtin_walk(data["builtin"], **data.get("coin_params", {}))
     if "blocks" not in data:
         raise ValueError("a ti walk spec needs either 'builtin' or 'blocks'")
     if "rep" not in data:

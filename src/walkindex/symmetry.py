@@ -35,8 +35,8 @@ class D, and the dimension mod 4 for class DIII.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +58,10 @@ __all__ = [
     "SymmetryOperator",
     "SymmetryRep",
     "RepReport",
+    "ADMISSIBILITY",
+    "spectral_norm",
+    "unitarity_defect",
+    "block_diagonal",
     "rep_index",
     "forget_index",
     "forget_rep",
@@ -191,12 +195,39 @@ _CLASS_GROUPS: dict[SymmetryClass, IndexGroup] = {
 # Antiunitary flags of the three operator slots.
 _ANTIUNITARY = {"eta": True, "tau": True, "gamma": False}
 
+# Admissibility conditions per operator slot: whether ``sigma W sigma^-1``
+# must equal ``W*`` (else ``W``) for a walk, and the sign ``s`` in
+# ``sigma H sigma^-1 = s H`` for a Hamiltonian.
+ADMISSIBILITY: dict[str, tuple[bool, int]] = {
+    "eta": (False, -1),
+    "tau": (True, +1),
+    "gamma": (True, -1),
+}
 
-def _norm(x: np.ndarray) -> float:
-    """Spectral norm; matrices here are small and O(1)."""
+
+def spectral_norm(x: np.ndarray) -> float:
+    """Spectral norm (largest singular value); zero for an empty matrix."""
     if x.size == 0:
         return 0.0
     return float(np.linalg.norm(x, 2))
+
+
+def unitarity_defect(m: np.ndarray) -> float:
+    """``||M* M - 1||``."""
+    return spectral_norm(m.conj().T @ m - np.eye(m.shape[0]))
+
+
+def block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Complex block-diagonal matrix with the given (possibly rectangular) blocks."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -246,17 +277,13 @@ class SymmetryOperator:
     def invariance_defect(self, basis: np.ndarray) -> float:
         """Norm of the part of ``sigma(basis)`` leaving the span."""
         image = self.apply(basis)
-        return _norm(image - basis @ (basis.conj().T @ image))
+        return spectral_norm(image - basis @ (basis.conj().T @ image))
 
     def conjugated(self, u: np.ndarray) -> "SymmetryOperator":
         """The operator ``u sigma u^-1`` for unitary ``u``."""
         if self.antiunitary:
             return SymmetryOperator(u @ self.matrix @ u.T, True)
         return SymmetryOperator(u @ self.matrix @ u.conj().T, False)
-
-    def unitarity_defect(self) -> float:
-        m = self.matrix
-        return _norm(m.conj().T @ m - np.eye(self.dim))
 
 
 @dataclass(frozen=True)
@@ -313,18 +340,18 @@ class SymmetryRep:
                 raise RelationViolation(f"{name} has shape {op.matrix.shape}, expected {(self.dim, self.dim)}")
             if op.antiunitary != _ANTIUNITARY[name]:
                 raise RelationViolation(f"{name} has wrong antiunitary flag")
-            res[f"unitary:{name}"] = op.unitarity_defect()
+            res[f"unitary:{name}"] = unitarity_defect(op.matrix)
             sign = self.cls.squares[name]
-            res[f"square:{name}"] = _norm(op.square() - sign * np.eye(self.dim))
+            res[f"square:{name}"] = spectral_norm(op.square() - sign * np.eye(self.dim))
         names = sorted(self.ops)
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 ab = self.ops[a].compose(self.ops[b]).matrix
                 ba = self.ops[b].compose(self.ops[a]).matrix
-                res[f"commute:{a},{b}"] = _norm(ab - ba)
+                res[f"commute:{a},{b}"] = spectral_norm(ab - ba)
         if len(self.ops) == 3:
             prod = self.ops["eta"].compose(self.ops["tau"]).matrix
-            res["product:eta tau = gamma"] = _norm(prod - self.ops["gamma"].matrix)
+            res["product:eta tau = gamma"] = spectral_norm(prod - self.ops["gamma"].matrix)
         worst = max(res.values(), default=0.0)
         if strict and worst > tol.adm:
             key = max(res, key=res.get)
@@ -346,23 +373,20 @@ class SymmetryRep:
         ops = {name: op.restrict(basis) for name, op in self.ops.items()}
         return SymmetryRep(self.cls, ops, basis.shape[1])
 
-    def direct_sum(self, other: "SymmetryRep") -> "SymmetryRep":
-        if other.cls is not self.cls:
-            raise RelationViolation(f"cannot sum classes {self.cls.value} and {other.cls.value}")
-        d1, d2 = self.dim, other.dim
-        ops = {}
-        for name in self.ops:
-            m = np.zeros((d1 + d2, d1 + d2), dtype=complex)
-            m[:d1, :d1] = self.ops[name].matrix
-            m[d1:, d1:] = other.ops[name].matrix
-            ops[name] = SymmetryOperator(m, self.ops[name].antiunitary)
-        return SymmetryRep(self.cls, ops, d1 + d2)
+    def direct_sum(self, *others: "SymmetryRep") -> "SymmetryRep":
+        """Block-diagonal sum of this representation and ``others``, in order."""
+        for other in others:
+            if other.cls is not self.cls:
+                raise RelationViolation(f"cannot sum classes {self.cls.value} and {other.cls.value}")
+        reps = (self, *others)
+        ops = {
+            name: SymmetryOperator(block_diagonal([r.ops[name].matrix for r in reps]), op.antiunitary)
+            for name, op in self.ops.items()
+        }
+        return SymmetryRep(self.cls, ops, sum(r.dim for r in reps))
 
     def conjugated(self, u: np.ndarray) -> "SymmetryRep":
         return SymmetryRep(self.cls, {n: op.conjugated(u) for n, op in self.ops.items()}, self.dim)
-
-    def index(self, tol: Tolerances = DEFAULT_TOL) -> IndexValue:
-        return rep_index(self, tol)
 
 
 def rep_index(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL, validate: bool = True) -> IndexValue:
@@ -482,7 +506,7 @@ def fixed_point_basis(
         vecs.append(w)
         rem = _project_out(rem, w[:, None])
     out = np.column_stack(vecs) if vecs else np.zeros((basis.shape[0], 0), dtype=complex)
-    if _norm(op.apply(out) - out) > 1e-6:
+    if spectral_norm(op.apply(out) - out) > 1e-6:
         raise RelationViolation("fixed-point basis construction failed; is sigma^2 = +1?")
     return out
 
@@ -636,12 +660,12 @@ def balanced_gapped_unitary(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -> 
 def _verify_balanced(rep: SymmetryRep, h: np.ndarray, tol: Tolerances) -> None:
     d = rep.dim
     checks = {
-        "hermitian": _norm(h - h.conj().T),
-        "involutive": _norm(h @ h - np.eye(d)),
+        "hermitian": spectral_norm(h - h.conj().T),
+        "involutive": spectral_norm(h @ h - np.eye(d)),
     }
-    signs = {"eta": -1, "tau": +1, "gamma": -1}
     for name, op in rep.ops.items():
-        checks[f"admissible:{name}"] = _norm(op.conjugate(h) - signs[name] * h)
+        _, sign = ADMISSIBILITY[name]
+        checks[f"admissible:{name}"] = spectral_norm(op.conjugate(h) - sign * h)
     worst = max(checks.values())
     if worst > max(tol.adm, 1e-7):
         key = max(checks, key=checks.get)

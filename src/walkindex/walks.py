@@ -28,14 +28,17 @@ from .errors import (
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
 from .operators import check_admissible, check_unitary, eig_unitary
 from .symmetry import (
+    ADMISSIBILITY,
     IndexGroup,
     IndexValue,
     SymmetryClass,
     SymmetryOperator,
     SymmetryRep,
+    block_diagonal,
     chiral_sectors,
     forget_rep,
     kramers_pairs,
+    spectral_norm,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -238,8 +241,8 @@ def make_doubled(variant: str, inverse: bool = False) -> TIWalk:
     e = PAULI_Z  # base eta matrix
     zero = np.zeros((2, 2))
     if variant == "CII":
-        blocks = {j: _blkdiag(b, b) for j, b in base.blocks.items()}
-        gamma = _blkdiag(PAULI_Z, PAULI_Z)
+        blocks = {j: block_diagonal((b, b)) for j, b in base.blocks.items()}
+        gamma = block_diagonal((PAULI_Z, PAULI_Z))
         eta = np.block([[zero, -e], [e, zero]])
         factors = tuple(_double_factor(f) for f in base.factors)
         cls = SymmetryClass.CII
@@ -249,9 +252,9 @@ def make_doubled(variant: str, inverse: bool = False) -> TIWalk:
         for j in set(base.blocks) | set(blocks_inv):
             top = base.blocks.get(j, zero)
             bot = blocks_inv.get(j, zero)
-            blocks[j] = _blkdiag(top, bot)
+            blocks[j] = block_diagonal((top, bot))
         gamma = np.block([[zero, -np.eye(2)], [np.eye(2), zero]])
-        eta = _blkdiag(e, e)
+        eta = block_diagonal((e, e))
         factors = None
         cls = SymmetryClass.DIII
     else:
@@ -266,34 +269,34 @@ def make_doubled(variant: str, inverse: bool = False) -> TIWalk:
     return TIWalk(f"doubled_{variant.lower()}", cls, 4, blocks, rep, factors, {"inverse": float(inverse)})
 
 
-def _blkdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
-
-
 def _double_factor(f: Factor) -> Factor:
     if isinstance(f, CoinFactor):
-        return CoinFactor(_blkdiag(f.matrix, f.matrix))
+        return CoinFactor(block_diagonal((f.matrix, f.matrix)))
     return ShiftFactor(tuple(list(f.components) + [c + 2 for c in f.components]), f.step)
 
 
-def builtin_walk(name: str, **params: float) -> TIWalk:
-    """Look up a builtin family by name."""
-    if name == "generating":
-        return make_generating_example(bool(params.get("inverse", 0)))
-    if name == "trivial":
-        return make_trivial()
-    if name == "split_step":
-        return make_split_step(params["theta1"], params["theta2"])
-    if name == "shift":
-        return make_shift()
-    if name == "doubled_cii":
-        return make_doubled("CII", bool(params.get("inverse", 0)))
-    if name == "doubled_diii":
-        return make_doubled("DIII", bool(params.get("inverse", 0)))
-    raise ValueError(f"unknown builtin walk {name!r}")
+# Builtin families by name; each entry reads its coin parameters from a dict.
+# The doubled walks answer both to ``doubled`` with a ``variant`` parameter
+# and to ``doubled_cii`` / ``doubled_diii``.
+_BUILTINS = {
+    "generating": lambda p: make_generating_example(bool(p.get("inverse", False))),
+    "trivial": lambda p: make_trivial(),
+    "shift": lambda p: make_shift(),
+    "split_step": lambda p: make_split_step(float(p["theta1"]), float(p["theta2"])),
+    "doubled": lambda p: make_doubled(str(p["variant"]), bool(p.get("inverse", False))),
+    "doubled_cii": lambda p: make_doubled("CII", bool(p.get("inverse", False))),
+    "doubled_diii": lambda p: make_doubled("DIII", bool(p.get("inverse", False))),
+}
+
+
+def builtin_walk(name: str, /, **params) -> TIWalk:
+    """Look up a builtin family by name, with its coin parameters."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin walk {name!r}; known: {sorted(_BUILTINS)}")
+    try:
+        return _BUILTINS[name](params)
+    except KeyError as exc:
+        raise ValueError(f"builtin {name!r} is missing coin parameter {exc}") from exc
 
 
 def validate_ti(ti: TIWalk, n_k: int = 17, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -309,14 +312,9 @@ def validate_ti(ti: TIWalk, n_k: int = 17, tol: Tolerances = DEFAULT_TOL) -> flo
         worst = max(worst, check_unitary(wk, tol, what=f"W({k:.3f})"))
         wmk = ti.bloch(-k)
         for name, op in ti.cell_rep.ops.items():
-            m = op.matrix
-            if name == "eta":
-                res = m @ np.conj(wmk) @ m.conj().T - wk
-            elif name == "tau":
-                res = m @ np.conj(wmk) @ m.conj().T - wk.conj().T
-            else:
-                res = m @ wk @ m.conj().T - wk.conj().T
-            worst = max(worst, float(np.linalg.norm(res, 2)))
+            adjoint, _ = ADMISSIBILITY[name]
+            moved = op.conjugate(wmk if op.antiunitary else wk)
+            worst = max(worst, spectral_norm(moved - (wk.conj().T if adjoint else wk)))
     if worst > tol.adm:
         raise RelationViolation(f"momentum-space symmetry residual {worst:.3e}")
     return worst
@@ -338,7 +336,7 @@ def direct_sum_ti(a: TIWalk, b: TIWalk, name: str | None = None) -> TIWalk:
     zb = np.zeros((b.cell_dim, b.cell_dim))
     blocks = {}
     for j in set(a.blocks) | set(b.blocks):
-        blocks[j] = _blkdiag(a.blocks.get(j, za), b.blocks.get(j, zb))
+        blocks[j] = block_diagonal((a.blocks.get(j, za), b.blocks.get(j, zb)))
     return TIWalk(
         name or f"{a.name}+{b.name}",
         a.cls,

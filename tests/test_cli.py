@@ -8,6 +8,8 @@ import pytest
 
 from walkindex.cli import main
 from walkindex.serialize import lattice_operator_from_json, matrix_from_json
+from walkindex.symmetry import IndexGroup, IndexValue
+from walkindex.walks import InvariantReport
 
 GEN = {"type": "ti", "builtin": "generating"}
 GEN_LINE = {**GEN, "geometry": {"n_cells": 20, "topology": "line", "boundary": "compress"}}
@@ -122,6 +124,24 @@ def test_berry_wrong_class_exits_1(tmp_path, capsys):
     assert code == 1 and data["error"] == "NotChiral"
 
 
+def test_invariant_residual_within_tolerance_exits_0(tmp_path, capsys, monkeypatch):
+    # the library owns the integer gate (NonIntegerInvariant above
+    # tol.integer_residual); the CLI adds no threshold of its own
+    def fake(value):
+        return lambda ti, n_k, tol: InvariantReport(value, float(value.value) + 0.02, 0.02, n_k)
+
+    monkeypatch.setattr("walkindex.cli.winding_number", fake(IndexValue(IndexGroup.Z, 1)))
+    monkeypatch.setattr("walkindex.cli.berry_phase", fake(IndexValue(IndexGroup.TWO_Z2, 2)))
+    for command, spec in (
+        ("winding", GEN),
+        ("berry", {"type": "ti", "builtin": "doubled", "coin_params": {"variant": "DIII"}}),
+    ):
+        path = write_spec(tmp_path, f"{command}.json", spec)
+        code, data = run_json(capsys, [command, path, "--tol-integer-residual", "0.05"])
+        assert code == 0, command
+        assert data["residual"] == pytest.approx(0.02)
+
+
 # -- decouple ------------------------------------------------------------------------
 
 
@@ -142,6 +162,9 @@ def test_decouple_writes_artifacts(tmp_path, capsys):
     assert all(s["admissibility"] < 1e-8 for s in report["path_samples"])
     # circles get a default antipodal second cut, so two bonds carry transfer
     assert report["transfer_counts"] == {"0": [1, 1], "8": [1, 1]}
+    # Wprime.json is an explicit walk spec that every command reads back
+    code, data = run_json(capsys, ["validate", str(out_dir / "Wprime.json")])
+    assert code == 0 and data["ok"] is True and data["n_cells"] == 16
 
 
 def test_decouple_compressed_line_refused(tmp_path, capsys):
@@ -191,6 +214,9 @@ def test_join_to_file(tmp_path, capsys):
     assert code == 0 and data["n_cells"] == 16
     op = lattice_operator_from_json(json.loads(out.read_text()))
     assert op.cells.topology == "circle"
+    code, data = run_json(capsys, ["index", str(out)])
+    assert code == 0 and data["residuals"]["unitarity"] <= 1e-10
+    assert data["si_minus"]["value"] + data["si_plus"]["value"] == 0
 
 
 def test_join_incompatible_exits_1(tmp_path, capsys):

@@ -12,6 +12,7 @@ from walkindex.errors import (
     TooShort,
 )
 from walkindex.finite import (
+    _radius_for_mass,
     certify_boundary_modes,
     count_in_disk,
     crossover_sweep,
@@ -452,3 +453,17 @@ def test_localization_profile_rejects_bad_vectors():
         localization_profile(np.ones(5), cells)
     with pytest.raises(DimensionMismatch):
         localization_profile(np.zeros(4), cells)
+
+
+def test_localization_profile_and_radius_for_mass():
+    cells = CellStructure.uniform(10, 1)
+    vec = np.zeros(10, dtype=complex)
+    vec[4] = np.sqrt(0.7)
+    vec[5] = np.sqrt(0.25)
+    vec[9] = np.sqrt(0.05)
+    profile = localization_profile(vec, cells)
+    assert profile[4] == pytest.approx(0.7)
+    assert profile.sum() == pytest.approx(1.0)
+    # bond 5 separates cells 4 and 5; radius 1 already holds 95% of the mass
+    assert _radius_for_mass(profile, cells, (5,), mass=0.9) == 1
+    assert _radius_for_mass(profile, cells, (5,), mass=0.99) == 5

@@ -16,9 +16,7 @@ from walkindex.lattice import (
     cells_near_bond,
     compress,
     half_space_projection,
-    localization_radius,
     locality_profile,
-    mass_profile,
     measured_band,
     require_length,
     split_by_weight,
@@ -275,20 +273,6 @@ def test_split_by_weight_empty_basis():
     basis = np.zeros((2, 0), dtype=complex)
     inside, outside, weights, n_amb = split_by_weight(basis, cells, [0])
     assert inside.shape[1] == 0 and outside.shape[1] == 0 and n_amb == 0
-
-
-def test_mass_profile_and_localization_radius():
-    cells = CellStructure.uniform(10, 1)
-    vec = np.zeros(10, dtype=complex)
-    vec[4] = np.sqrt(0.7)
-    vec[5] = np.sqrt(0.25)
-    vec[9] = np.sqrt(0.05)
-    profile = mass_profile(vec, cells)
-    assert profile[4] == pytest.approx(0.7)
-    assert profile.sum() == pytest.approx(1.0)
-    # bond 5 separates cells 4 and 5; radius 1 already holds 95% of the mass
-    assert localization_radius(vec, cells, bond=5, mass=0.9) == 1
-    assert localization_radius(vec, cells, bond=5, mass=0.99) == 5
 
 
 def test_require_length_raises_too_short():

@@ -16,6 +16,7 @@ from walkindex.errors import (
     TooShort,
 )
 from walkindex.lattice import measured_band
+from walkindex.serialize import tiwalk_from_json, tiwalk_to_json
 from walkindex.symmetry import SymmetryClass
 from walkindex.walks import (
     CoinFactor,
@@ -115,6 +116,36 @@ def test_all_builtins_validate():
 def test_builtin_walk_unknown_name():
     with pytest.raises(ValueError):
         builtin_walk("levitating")
+
+
+@pytest.mark.parametrize(
+    "name, params, twin",
+    [
+        ("generating", {"inverse": True}, None),
+        ("trivial", {}, None),
+        ("shift", {}, None),
+        ("split_step", {"theta1": THETA_A[0], "theta2": THETA_A[1]}, None),
+        ("doubled", {"variant": "CII"}, "doubled_cii"),
+        ("doubled", {"variant": "DIII", "inverse": True}, "doubled_diii"),
+        ("doubled_cii", {"inverse": True}, None),
+        ("doubled_diii", {}, None),
+    ],
+)
+def test_builtin_spec_and_lookup_agree(name, params, twin):
+    # the JSON form lists name, class, blocks, rep and factors with exact floats
+    walk = tiwalk_to_json(builtin_walk(name, **params))
+    spec = {"type": "ti", "builtin": name, "coin_params": params}
+    assert tiwalk_to_json(tiwalk_from_json(spec)) == walk
+    if twin is not None:
+        rest = {k: v for k, v in params.items() if k != "variant"}
+        assert tiwalk_to_json(builtin_walk(twin, **rest)) == walk
+
+
+def test_builtin_missing_parameter_is_named():
+    with pytest.raises(ValueError, match="theta1"):
+        builtin_walk("split_step")
+    with pytest.raises(ValueError, match="variant"):
+        tiwalk_from_json({"type": "ti", "builtin": "doubled"})
 
 
 def test_validate_rejects_wrong_rep():

@@ -90,7 +90,8 @@ def cmd_index(args, tol: Tolerances) -> int:
     cut = args.cut if args.cut is not None else op.cells.n_cells // 2
     si_l, si_r = si_left_right(op, cut, tol=tol)
     unitarity = unitarity_defect(op.matrix)
-    report = check_admissible(op.matrix, op.rep(), kind="walk", tol=tol, strict=False)
+    rep = op.rep()
+    report = check_admissible(op.matrix, rep, kind="walk", tol=tol, strict=False)
     out = {
         "si_left": index_value_to_json(si_l),
         "si_right": index_value_to_json(si_r),
@@ -102,7 +103,7 @@ def cmd_index(args, tol: Tolerances) -> int:
     }
     if unitarity <= tol.unit:
         window = args.window if args.window is not None else tol.exact
-        minus, plus = si_pm(op, window=window, tol=tol)
+        minus, plus = si_pm(op, rep, window=window, tol=tol)
         out["si_minus"] = index_value_to_json(minus)
         out["si_plus"] = index_value_to_json(plus)
     else:
@@ -114,18 +115,18 @@ def cmd_index(args, tol: Tolerances) -> int:
     return 0
 
 
-def _ti_from_args(args) -> TIWalk:
+def _ti_from_args(args, tol: Tolerances) -> TIWalk:
     spec = _load_spec(args.spec)
     kind = spec.get("type", spec.get("kind"))
     if kind != "ti":
         raise ValueError("this command needs a translation-invariant walk spec (type 'ti')")
-    return tiwalk_from_json(spec)
+    return tiwalk_from_json(spec, tol)
 
 
 def cmd_invariant(args, tol: Tolerances) -> int:
     """``winding`` and ``berry``; a residual above ``tol.integer_residual`` raises (exit 4)."""
     invariant = winding_number if args.command == "winding" else berry_phase
-    report = invariant(_ti_from_args(args), n_k=args.n_k, tol=tol)
+    report = invariant(_ti_from_args(args, tol), n_k=args.n_k, tol=tol)
     _emit(
         {
             "value": index_value_to_json(report.value),
@@ -209,8 +210,8 @@ def _parse_sizes(items: list[str]) -> list[tuple[int, int]]:
 
 
 def cmd_sweep(args, tol: Tolerances) -> int:
-    left = tiwalk_from_json(_load_spec(args.left))
-    right = tiwalk_from_json(_load_spec(args.right))
+    left = tiwalk_from_json(_load_spec(args.left), tol)
+    right = tiwalk_from_json(_load_spec(args.right), tol)
     records = crossover_sweep(left, right, _parse_sizes(args.size), args.topology, tol)
     text = sweep_csv(records)
     if args.out:

@@ -383,8 +383,8 @@ def gentle_decoupling(
     if rep is None:
         raise NotAdmissible("operator carries no local symmetry representation")
     m = np.asarray(op.matrix, dtype=complex)
-    check_unitary(m, tol, "walk")
-    check_admissible(m, rep, kind="walk", tol=tol)
+    # twiddle_rep checks that the walk is unitary and admissible
+    trep = twiddle_rep(m, rep, tol)
     proj, resolved_second = _resolve_region(op, cut, second_cut)
 
     pair = ProjectionPair.from_walk(m, proj)
@@ -397,7 +397,6 @@ def gentle_decoupling(
                 "no local correction can close this cut"
             )
 
-    trep = twiddle_rep(m, rep, tol)
     basis_d = modes.basis()
     v = direct_rotation(pair, tol, transfer_basis=basis_d)
     if basis_d.shape[1]:
@@ -446,7 +445,9 @@ def decouple_segment(
     Decouples the arc ``[0, n_cells)`` and extracts its block.  Both ends
     are marked as proxy ends: the pinned boundary eigenvectors stand in
     for the infinite continuation, so index computations skip them just as
-    they skip the defective corners of a plain compression.
+    they skip the defective corners of a plain compression.  A decoupling
+    whose certificate fails (changed half-space indices or a residual
+    commutator) raises ``DecouplingFailed``.
     """
     if ring.cells.topology != "circle":
         raise IncompatibleCells("segment extraction needs a circle to cut")
@@ -454,6 +455,13 @@ def decouple_segment(
     if not 0 < n_cells < n:
         raise CutOutOfRange(f"segment length {n_cells} outside (0, {n})")
     result = gentle_decoupling(ring, 0, second_cut=n_cells, tol=tol)
+    if not result.ok:
+        before = [int(x) for x in result.si_before]
+        after = [int(x) for x in result.si_after]
+        raise DecouplingFailed(
+            f"segment decoupling is not certified: half-space indices {before} -> {after}, "
+            f"commutator {result.commutator_norm:.3e}"
+        )
     seg = compress(result.w_prime, arc_projection(ring.cells, 0, n_cells))
     cells = CellStructure(
         seg.cells.cell_dims, "line", seg.cells.x_min, frozenset({"left", "right"})

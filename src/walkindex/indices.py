@@ -135,32 +135,15 @@ def _matrix_rep(w, rep: SymmetryRep | None) -> tuple[np.ndarray, SymmetryRep]:
     return m, r
 
 
-def _proxy_members(cells: CellStructure, band: int, radius: int | None = None) -> tuple[int, ...]:
-    """Cells inside the exclusion window of each proxy end."""
-    r = band + 1 if radius is None else radius
+def _proxy_members(cells: CellStructure, radius: int) -> tuple[int, ...]:
+    """Cells inside the exclusion window of the given radius at each proxy end."""
     n = cells.n_cells
     members: set[int] = set()
     if "left" in cells.proxy_ends:
-        members.update(range(min(r, n)))
+        members.update(range(min(radius, n)))
     if "right" in cells.proxy_ends:
-        members.update(range(max(0, n - r), n))
+        members.update(range(max(0, n - radius), n))
     return tuple(sorted(members))
-
-
-def _split_once(
-    basis: np.ndarray,
-    cells: CellStructure,
-    members: tuple[int, ...],
-    what: str,
-) -> np.ndarray:
-    """Split a subspace by weight in the given cells and keep the outside part."""
-    inside, outside, weights, n_amb = split_by_weight(basis, cells, members)
-    if n_amb:
-        raise WindowAmbiguous(
-            f"{n_amb} {what} mode(s) straddle the proxy window "
-            f"(weights {np.round(weights, 3).tolist()})"
-        )
-    return outside
 
 
 def _drop_window(
@@ -168,26 +151,20 @@ def _drop_window(
     cells: CellStructure,
     band: int,
     what: str,
-    radius: int | None = None,
 ) -> np.ndarray:
     """Drop the part of a subspace attributed to the proxy ends.
 
     Boundary modes of generic gapped walks decay on a localization length
     that can exceed the band, so no fixed window is safe: too narrow leaves
     part of an end mode outside, too wide can bisect a balanced pair created
-    by a perturbation deeper in the segment.  With ``radius`` unset the
-    window therefore scans from ``band + 1`` cells to half the segment and
-    every radius with an unambiguous split must yield the same dropped
-    subspace.  End modes resolve once the window contains their tail and
-    the split then stays put, while a subspace straddling some window edge
-    changes the split between radii and is refused rather than cut.
+    by a perturbation deeper in the segment.  The window therefore scans
+    from ``band + 1`` cells to half the segment and every radius with an
+    unambiguous split must yield the same dropped subspace.  End modes
+    resolve once the window contains their tail and the split then stays
+    put, while a subspace straddling some window edge changes the split
+    between radii and is refused rather than cut.
     """
-    if basis.shape[1] == 0:
-        return basis
-    if radius is not None:
-        members = _proxy_members(cells, band, radius)
-        return _split_once(basis, cells, members, what) if members else basis
-    if not _proxy_members(cells, band):
+    if basis.shape[1] == 0 or not cells.proxy_ends:
         return basis
     n = cells.n_cells
     r_lo = band + 1
@@ -195,11 +172,17 @@ def _drop_window(
     # or modes legitimately living in the middle would be absorbed
     r_hi = (n - 1) // 2 if len(cells.proxy_ends) == 2 else (n + 1) // 2
     if r_hi < r_lo:
-        return _split_once(basis, cells, _proxy_members(cells, band), what)
+        _, outside, weights, n_amb = split_by_weight(basis, cells, _proxy_members(cells, r_lo))
+        if n_amb:
+            raise WindowAmbiguous(
+                f"{n_amb} {what} mode(s) straddle the proxy window "
+                f"(weights {np.round(weights, 3).tolist()})"
+            )
+        return outside
     kept: np.ndarray | None = None
     dropped: np.ndarray | None = None
     for r in range(r_lo, r_hi + 1):
-        members = _proxy_members(cells, band, r)
+        members = _proxy_members(cells, r)
         inside, outside, weights, n_amb = split_by_weight(basis, cells, members)
         if n_amb:
             continue
@@ -243,9 +226,8 @@ def si_pm(
     class D.
     """
     m, r = _matrix_rep(w, rep)
-    check_unitary(m, tol)
-    check_admissible(m, r, kind="walk", tol=tol)
     eig = eig_unitary(m, tol)
+    check_admissible(m, r, kind="walk", tol=tol)
     minus = eigenspace_at(m, -1.0, window, tol, eig)
     plus = eigenspace_at(m, 1.0, window, tol, eig)
     si_minus = _restricted_index(r, minus, tol)
@@ -272,9 +254,7 @@ def si_pm(
 def si_total(
     w,
     rep: SymmetryRep | None = None,
-    ker_tol: float | None = None,
     exclude_proxy: bool = True,
-    window_radius: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IndexValue:
     """Symmetry index of an essentially unitary operator.
@@ -284,24 +264,20 @@ def si_total(
     the proxy windows are truncation artifacts and are excluded (disable with
     ``exclude_proxy=False``).
 
-    By default the kernel is detected by the essential-gap rule (see the
-    module docstring), so boundary modes whose tails are clipped by a finite
-    truncation are still counted.  Passing ``ker_tol`` replaces that rule
-    with a plain singular-value threshold.
+    The kernel is detected by the essential-gap rule (see the module
+    docstring), so boundary modes whose tails are clipped by a finite
+    truncation are still counted.
     """
     m, r = _matrix_rep(w, rep)
     check_admissible(m, r, kind="walk", tol=tol)
-    if ker_tol is None:
-        ker = _essential_kernel(imaginary_part(m), tol)
-    else:
-        ker = kernel_basis(imaginary_part(m), ker_tol)
+    ker = _essential_kernel(imaginary_part(m), tol)
     if (
         exclude_proxy
         and isinstance(w, LatticeOperator)
         and w.cells.proxy_ends
         and ker.shape[1]
     ):
-        ker = _drop_window(ker, w.cells, w.band, "kernel", window_radius)
+        ker = _drop_window(ker, w.cells, w.band, "kernel")
     return _restricted_index(r, ker, tol)
 
 
@@ -310,7 +286,6 @@ def si_left_right(
     a: int,
     rep: SymmetryRep | None = None,
     second_cut: int | None = None,
-    ker_tol: float | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[IndexValue, IndexValue]:
     """Left and right half-space indices of a banded walk at the cut ``a``.
@@ -339,8 +314,8 @@ def si_left_right(
                 f"half-space piece of {piece.cells.n_cells} cells cannot separate "
                 f"the cut from the proxy window (band {w.band})"
             )
-    si_left = si_total(left, rep, ker_tol=ker_tol, tol=tol)
-    si_right = si_total(right, rep, ker_tol=ker_tol, tol=tol)
+    si_left = si_total(left, rep, tol=tol)
+    si_right = si_total(right, rep, tol=tol)
     return si_left, si_right
 
 
@@ -375,7 +350,6 @@ class FredholmReport:
 def fredholm_index(
     w: LatticeOperator,
     a: int,
-    ker_tol: float | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> FredholmReport:
     """Index of the compression of a unitary walk to the half space ``>= a``.
@@ -388,10 +362,9 @@ def fredholm_index(
     if not isinstance(w, LatticeOperator) or w.cells.topology != "line":
         raise IncompatibleCells("the Fredholm index needs a line segment")
     piece = compress(w, half_space_projection(w.cells, a, side="geq"))
-    kt = tol.ker if ker_tol is None else ker_tol
     dims = []
     for m in (piece.matrix, piece.matrix.conj().T):
-        ker = _drop_window(kernel_basis(m, kt), piece.cells, w.band, "kernel")
+        ker = _drop_window(kernel_basis(m, tol.ker), piece.cells, w.band, "kernel")
         dims.append(ker.shape[1])
     kernel_dim, cokernel_dim = dims
     index = kernel_dim - cokernel_dim
@@ -419,7 +392,7 @@ def twiddle_rep(w, rep: SymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL
     ``VW`` is admissible for the original.
     """
     m, r = _matrix_rep(w, rep)
-    check_unitary(m, tol)
+    check_unitary(m, tol, "walk")
     check_admissible(m, r, kind="walk", tol=tol)
     ops = {}
     for name, op in r.ops.items():
@@ -511,22 +484,22 @@ def contract_perturbation(
     Returns ``steps + 1`` samples, each verified unitary and admissible.
     """
     m = np.asarray(v, dtype=complex)
-    check_unitary(m, tol)
-    check_admissible(m, trep, kind="walk", tol=tol)
     eig = eig_unitary(m, tol)
+    check_admissible(m, trep, kind="walk", tol=tol)
     phases = np.angle(eig.values)
     at_minus = np.abs(np.abs(phases) - np.pi) <= window
     minus_basis = eig.vectors[:, at_minus]
     rotating = eig.vectors[:, ~at_minus]
     rot_phases = phases[~at_minus]
 
-    obstruction = _restricted_index(trep, minus_basis, tol)
-    if int(obstruction) != 0:
-        raise Obstructed(
-            f"-1-eigenspace carries index {obstruction}; no admissible contraction exists"
-        )
     if minus_basis.shape[1]:
-        h_small = balanced_hamiltonian(trep.restrict(minus_basis, tol), tol)
+        minus_rep = trep.restrict(minus_basis, tol)
+        obstruction = rep_index(minus_rep, tol)
+        if int(obstruction) != 0:
+            raise Obstructed(
+                f"-1-eigenspace carries index {obstruction}; no admissible contraction exists"
+            )
+        h_small = balanced_hamiltonian(minus_rep, tol)
     else:
         h_small = np.zeros((0, 0), dtype=complex)
 
@@ -612,9 +585,8 @@ def verify_bulk_boundary(
     expected = sir_right - sir_left
 
     m, r = _matrix_rep(joined, rep)
-    check_unitary(m, tol)
-    check_admissible(m, r, kind="walk", tol=tol)
     eig = eig_unitary(m, tol)
+    check_admissible(m, r, kind="walk", tol=tol)
     phases = np.angle(eig.values)
     near = (np.abs(phases) <= window) | (np.abs(np.abs(phases) - np.pi) <= window)
     basis = eig.vectors[:, near]
@@ -700,7 +672,7 @@ def index_matrix(
     local = w.local_rep
     entries: dict[str, IndexValue] = {}
     for side, piece in pieces.items():
-        check_unitary(piece.matrix, tol, what=f"{side} block")
+        eig = eig_unitary(piece.matrix, tol)
         prep = (
             local.restrict_cells(piece.meta["parent_cells"]).assembled()
             if local is not None
@@ -708,7 +680,6 @@ def index_matrix(
         )
         if prep is None:
             raise NotAdmissible("the index table needs a cell-local representation")
-        eig = eig_unitary(piece.matrix, tol)
         for name, target in (("minus", -1.0), ("plus", 1.0)):
             basis = eigenspace_at(piece.matrix, target, window, tol, eig)
             basis = _drop_window(basis, piece.cells, w.band, f"{side} {name}")

@@ -14,6 +14,8 @@ cut under study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,12 +91,9 @@ class CellStructure:
     def x_max(self) -> int:
         return self.x_min + self.n_cells - 1
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for d in self.cell_dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        return tuple(accumulate(self.cell_dims, initial=0))
 
     def cell_slice(self, i: int) -> slice:
         off = self.offsets

@@ -109,7 +109,8 @@ def rep_to_json(rep: SymmetryRep) -> dict:
     }
 
 
-def rep_from_json(data: Mapping) -> SymmetryRep:
+def rep_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> SymmetryRep:
+    """Read a representation and validate its class relations (``RelationViolation``)."""
     try:
         cls = SymmetryClass(data["class"])
     except (KeyError, ValueError) as exc:
@@ -123,6 +124,7 @@ def rep_from_json(data: Mapping) -> SymmetryRep:
     for name, entry in ops.items():
         if "antiunitary" in entry and bool(entry["antiunitary"]) != rep.ops[name].antiunitary:
             raise ValueError(f"operator {name} has the wrong antiunitarity flag")
+    rep.validate(tol, strict=True)
     return rep
 
 
@@ -179,13 +181,20 @@ def lattice_operator_to_json(op: LatticeOperator) -> dict:
     return out
 
 
-def lattice_operator_from_json(data: Mapping) -> LatticeOperator:
+def lattice_operator_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> LatticeOperator:
     cells = cells_from_json(data["cells"])
     local = None
     if data.get("local_rep") is not None:
         entry = data["local_rep"]
-        per_cell = tuple(rep_from_json(r) for r in entry["per_cell"])
-        local = LocalSymmetryRep(SymmetryClass(entry["class"]), per_cell)
+        # stored lattices repeat one cell rep; read and validate each distinct entry once
+        distinct: dict[str, SymmetryRep] = {}
+        per_cell = []
+        for r in entry["per_cell"]:
+            key = json.dumps(r, sort_keys=True)
+            if key not in distinct:
+                distinct[key] = rep_from_json(r, tol)
+            per_cell.append(distinct[key])
+        local = LocalSymmetryRep(SymmetryClass(entry["class"]), tuple(per_cell))
     return LatticeOperator(
         matrix_from_json(data["matrix"]),
         cells,
@@ -227,14 +236,14 @@ def tiwalk_to_json(ti: TIWalk) -> dict:
     return out
 
 
-def tiwalk_from_json(data: Mapping) -> TIWalk:
+def tiwalk_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> TIWalk:
     if "builtin" in data:
         return builtin_walk(data["builtin"], **data.get("coin_params", {}))
     if "blocks" not in data:
         raise ValueError("a ti walk spec needs either 'builtin' or 'blocks'")
     if "rep" not in data:
         raise ValueError("a ti walk spec with explicit blocks needs 'rep'")
-    rep = rep_from_json(data["rep"])
+    rep = rep_from_json(data["rep"], tol)
     blocks = {int(off): matrix_from_json(b) for off, b in data["blocks"].items()}
     factors = None
     if data.get("factors") is not None:
@@ -261,13 +270,13 @@ def walk_from_spec(data: Mapping, tol: Tolerances = DEFAULT_TOL):
         raise ValueError("walk spec must be a JSON object")
     kind = data.get("type", data.get("kind"))
     if kind == "ti":
-        return tiwalk_from_json(data)
+        return tiwalk_from_json(data, tol)
     if kind == "explicit":
-        return lattice_operator_from_json(data)
+        return lattice_operator_from_json(data, tol)
     if kind == "join":
         geometry = data.get("geometry", {})
-        left = tiwalk_from_json(data["left"])
-        right = tiwalk_from_json(data["right"])
+        left = tiwalk_from_json(data["left"], tol)
+        right = tiwalk_from_json(data["right"], tol)
         return join_crossover(
             left,
             right,

@@ -45,7 +45,6 @@ from .errors import (
     IllegalForget,
     NonIntegerTrace,
     NotAdmissible,
-    OddDimensionAII,
     RelationViolation,
     Unbalanced,
 )
@@ -358,18 +357,12 @@ class SymmetryRep:
             raise RelationViolation(f"relation {key} violated: residual {res[key]:.3e}")
         return RepReport(res, worst)
 
-    def restrict(
-        self,
-        basis: np.ndarray,
-        tol: Tolerances = DEFAULT_TOL,
-        require_invariant: bool = True,
-    ) -> "SymmetryRep":
+    def restrict(self, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> "SymmetryRep":
         """Restriction to an invariant subspace given by orthonormal columns."""
-        if require_invariant:
-            for name, op in self.ops.items():
-                defect = op.invariance_defect(basis)
-                if defect > tol.adm:
-                    raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
+        for name, op in self.ops.items():
+            defect = op.invariance_defect(basis)
+            if defect > tol.adm:
+                raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
         ops = {name: op.restrict(basis) for name, op in self.ops.items()}
         return SymmetryRep(self.cls, ops, basis.shape[1])
 
@@ -389,14 +382,13 @@ class SymmetryRep:
         return SymmetryRep(self.cls, {n: op.conjugated(u) for n, op in self.ops.items()}, self.dim)
 
 
-def rep_index(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL, validate: bool = True) -> IndexValue:
-    """Symmetry index of a representation.
+def rep_index(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -> IndexValue:
+    """Symmetry index of a representation, which is validated first.
 
     ``tr(gamma)`` for AIII/BDI/CII (even for CII), ``dim mod 2`` for D,
     ``dim mod 4`` for DIII; zero element for the trivial-group classes.
     """
-    if validate:
-        rep.validate(tol, strict=True)
+    rep.validate(tol, strict=True)
     group = rep.cls.index_group
     if group is IndexGroup.TRIVIAL:
         return IndexValue.zero(group)
@@ -515,7 +507,6 @@ def kramers_pairs(
     op: SymmetryOperator,
     basis: np.ndarray,
     tol: Tolerances = DEFAULT_TOL,
-    odd_error: type[Exception] = RelationViolation,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split ``span(basis)`` into pairs ``(v_j, sigma v_j)``.
 
@@ -524,7 +515,7 @@ def kramers_pairs(
     columns with ``W = sigma(V)`` and ``[V W]`` orthonormal.
     """
     if basis.shape[1] % 2:
-        raise odd_error(f"Kramers pairing needs even dimension, got {basis.shape[1]}")
+        raise RelationViolation(f"Kramers pairing needs even dimension, got {basis.shape[1]}")
     defect = op.invariance_defect(basis)
     if defect > 1e-6:
         raise NotAdmissible(f"span not invariant: defect {defect:.3e}")
@@ -594,9 +585,9 @@ def balanced_hamiltonian(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -> np.
     otherwise).  Admissibility means ``eta H eta^-1 = -H``,
     ``tau H tau^-1 = H``, ``gamma H gamma^-1 = -H`` for the present operators.
     """
-    rep.validate(tol, strict=True)
-    if int(rep_index(rep, tol, validate=False)) != 0:
-        raise Unbalanced(f"index {rep_index(rep, tol, validate=False)} admits no gapped generator")
+    index = rep_index(rep, tol)
+    if int(index) != 0:
+        raise Unbalanced(f"index {index} admits no gapped generator")
     d = rep.dim
     cls = rep.cls
     eye = np.eye(d, dtype=complex)

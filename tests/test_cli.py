@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from walkindex.cli import main
-from walkindex.serialize import lattice_operator_from_json, matrix_from_json
+from walkindex.serialize import (
+    lattice_operator_from_json,
+    lattice_operator_to_json,
+    matrix_from_json,
+    tiwalk_to_json,
+)
 from walkindex.symmetry import IndexGroup, IndexValue
-from walkindex.walks import InvariantReport
+from walkindex.walks import InvariantReport, build_lattice, make_split_step
 
 GEN = {"type": "ti", "builtin": "generating"}
 GEN_LINE = {**GEN, "geometry": {"n_cells": 20, "topology": "line", "boundary": "compress"}}
@@ -328,6 +333,36 @@ def test_validate_finite_operator(tmp_path, capsys):
     code, data = run_json(capsys, ["validate", spec])
     assert code == 0 and data["ok"] is True and data["kind"] == "operator"
     assert data["n_cells"] == 10 and data["unitarity"] <= 1e-10
+
+
+def _negate_gamma(rep_json: dict) -> None:
+    gamma = rep_json["operators"]["gamma"]
+    gamma["matrix"] = (-np.asarray(gamma["matrix"])).tolist()
+
+
+def test_broken_rep_is_refused_when_read(tmp_path, capsys):
+    # negating gamma breaks gamma = eta tau (residual 2)
+    walk = make_split_step(0.4, 1.2)
+    ti = tiwalk_to_json(walk)
+    _negate_gamma(ti["rep"])
+    stored = lattice_operator_to_json(build_lattice(walk, 8, "circle"))
+    _negate_gamma(stored["local_rep"]["per_cell"][3])
+    specs = {
+        "ti": write_spec(tmp_path, "ti.json", ti),
+        "ti_circle": write_spec(
+            tmp_path, "ti_circle.json", {**ti, "geometry": {"n_cells": 16, "topology": "circle"}}
+        ),
+        "explicit": write_spec(tmp_path, "explicit.json", stored),
+    }
+    for argv in (
+        ["validate", specs["ti"]],
+        ["index", specs["ti_circle"]],
+        ["validate", specs["explicit"]],
+        ["index", specs["explicit"]],
+    ):
+        code, data = run_json(capsys, argv)
+        assert code == 2 and data["error"] == "RelationViolation", argv
+        assert "eta tau = gamma" in data["message"]
 
 
 # -- plumbing ------------------------------------------------------------------------

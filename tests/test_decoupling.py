@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import walkindex.decoupling
 from walkindex.decoupling import (
     ProjectionPair,
     TransferModes,
@@ -30,6 +31,7 @@ from walkindex.errors import (
 from walkindex.indices import si_left_right
 from walkindex.lattice import LatticeOperator, arc_projection, half_space_projection
 from walkindex.operators import check_admissible, check_unitary
+from walkindex.symmetry import IndexGroup, IndexValue
 from walkindex.walks import (
     build_lattice,
     make_doubled,
@@ -268,6 +270,19 @@ def test_decouple_segment_argument_errors():
         decouple_segment(gen_ring(12), 12)
     with pytest.raises(CutOutOfRange):
         decouple_segment(gen_ring(12), 0)
+
+
+def test_decouple_segment_refuses_changed_indices(monkeypatch):
+    calls = []
+
+    def drifting_indices(op, cut, **kwargs):
+        calls.append(cut)
+        z = IndexValue(IndexGroup.Z, len(calls))
+        return -z, z
+
+    monkeypatch.setattr(walkindex.decoupling, "si_left_right", drifting_indices)
+    with pytest.raises(DecouplingFailed, match=r"\[-1, 1\] -> \[-2, 2\]"):
+        decouple_segment(gen_ring(16), 12)
 
 
 def test_truncate_ti_decoupled_matches_segment_extraction():

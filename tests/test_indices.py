@@ -137,6 +137,26 @@ def test_si_pm_requires_unitary():
         si_pm(seg)
 
 
+# a phase breaks gamma W gamma^-1 = W*, so neither input below is admissible
+CHECKED_ENTRY_POINTS = {
+    "si_pm": lambda op: si_pm(op),
+    "twiddle_rep": lambda op: twiddle_rep(op),
+    "contract_perturbation": lambda op: contract_perturbation(op.matrix, op.rep()),
+    "verify_bulk_boundary": lambda op: verify_bulk_boundary(make_trivial(), make_trivial(), op),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CHECKED_ENTRY_POINTS))
+def test_unitarity_is_checked_before_admissibility(entry):
+    seg = truncate_ti(make_trivial(), 6, "compress")
+    phase = np.exp(0.3j) * np.eye(seg.dim)
+    call = CHECKED_ENTRY_POINTS[entry]
+    with pytest.raises(NotUnitary):
+        call(LatticeOperator(1.5 * phase, seg.cells, 0, seg.local_rep))
+    with pytest.raises(NotAdmissible):
+        call(LatticeOperator(phase, seg.cells, 0, seg.local_rep))
+
+
 def test_si_pm_window_guard():
     eps = 1.05e-7
     w = np.diag([np.exp(1j * eps), np.exp(-1j * eps)])

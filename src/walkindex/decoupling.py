@@ -14,7 +14,14 @@ projection pair ``(P, Q)``:
   region that the walk brought in from outside, and images of inside
   states that left.  These are swapped pairwise by ``i`` times a unitary
   involution built from an admissible Hamiltonian, so that factor has
-  eigenvalues ``+-i``.
+  eigenvalues ``+-i``.  The involution has one seed: ``-i`` times the
+  adjoint of the polar factor of the walk's outgoing <- incoming block,
+  projected onto the admissible Hamiltonians.  Where the walk carries an
+  incoming state onto an outgoing one with phase ``phi``, the swap carries
+  it back with phase ``-phi``, so ``V W`` fixes that state and an isolated
+  transfer pair is parked at eigenvalue +1.  A projected seed that loses
+  rank, or a swap that is not admissible, is refused (``DecouplingFailed``)
+  rather than replaced by another guess.
 
 ``V`` therefore never has eigenvalue ``-1`` and contracts to the identity
 through admissible unitaries: the decoupling is gentle, and every
@@ -49,6 +56,7 @@ from .lattice import (
     cells_near_bond,
     compress,
     half_space_projection,
+    second_bond,
     split_by_weight,
 )
 from .operators import (
@@ -77,11 +85,9 @@ __all__ = [
 TRANSFER_MEMBERSHIP = 1e-7
 TRANSFER_GUARD = 1e-3
 
-# A projected swap seed whose smallest singular value falls below this is
-# outside the admissible sector; try the next seed.
+# A projected swap seed whose smallest singular value falls below this times
+# max(1, its largest) has left the admissible sector.
 _MIN_SEED_WEIGHT = 1e-6
-
-_SEED_RNG = 20260815
 
 
 @dataclass(frozen=True)
@@ -245,41 +251,6 @@ def direct_rotation(
     return v
 
 
-def _swap_seeds(
-    m: np.ndarray,
-    trep_d: SymmetryRep,
-    modes: TransferModes,
-) -> list[np.ndarray]:
-    """Candidate pairings g: outgoing -> incoming coordinates, best first.
-
-    The leading seed undoes the walk's own crossing phase, so an isolated
-    transfer pair of ``W' = V W`` is parked at eigenvalue +1.  The chiral
-    pairing and seeded random matrices follow as fallbacks for classes
-    whose admissible sector is oriented differently.
-    """
-    n_in = modes.incoming.shape[1]
-    seeds: list[np.ndarray] = []
-
-    out_from_in = modes.outgoing.conj().T @ m @ modes.incoming
-    u_w = polar_isometry(out_from_in)
-    if u_w.shape == out_from_in.shape:
-        for phase in (-1j, 1j, 1.0, -1.0):
-            seeds.append(phase * u_w.conj().T)
-
-    if "gamma" in trep_d.ops:
-        in_from_out = trep_d.ops["gamma"].matrix[:n_in, n_in:]
-        u_g = polar_isometry(in_from_out)
-        if u_g.shape == in_from_out.shape:
-            for phase in (-1j, 1j, 1.0, -1.0):
-                seeds.append(phase * u_g)
-
-    gen = np.random.default_rng(_SEED_RNG)
-    for _ in range(4):
-        z = gen.normal(size=(n_in, n_in)) + 1j * gen.normal(size=(n_in, n_in))
-        seeds.extend([z, 1j * z])
-    return seeds
-
-
 def _transfer_swap(
     m: np.ndarray,
     trep_d: SymmetryRep,
@@ -291,7 +262,9 @@ def _transfer_swap(
 
     Returns ``i G`` for a Hermitian admissible involution ``G`` that is
     off-diagonal with respect to (incoming, outgoing), so the result has
-    eigenvalues +-i and squares to minus the identity.
+    eigenvalues +-i and squares to minus the identity.  Raises
+    ``DecouplingFailed`` naming the gate when the projected seed is
+    singular or the swap is not admissible.
     """
     n_in, n_out = modes.dims
     if n_in != n_out:
@@ -301,27 +274,29 @@ def _transfer_swap(
     if cls is SymmetryClass.AII and n_in % 2:
         raise OddDimensionAII(f"{n_in} transfer modes cannot form Kramers pairs")
     d = n_in + n_out
-    for g0 in _swap_seeds(m, trep_d, modes):
-        k0 = np.zeros((d, d), dtype=complex)
-        k0[:n_in, n_in:] = g0
-        k0[n_in:, :n_in] = g0.conj().T
-        projected = admissible_hamiltonian_projection(k0, trep_d)
-        g1 = projected[:n_in, n_in:]
-        svals = np.linalg.svd(g1, compute_uv=False)
-        if svals.size == 0 or svals[-1] <= _MIN_SEED_WEIGHT * max(1.0, svals[0]):
-            continue
-        u = polar_isometry(g1)
-        swap = np.zeros((d, d), dtype=complex)
-        swap[:n_in, n_in:] = u
-        swap[n_in:, :n_in] = u.conj().T
-        v01 = 1j * swap
-        report = check_admissible(v01, trep_d, kind="walk", tol=tol, strict=False)
-        if report.max_residual <= tol.adm:
-            return v01
-    raise DecouplingFailed(
-        "no admissible transfer swap found; the symmetry sector of the "
-        "pairing space is degenerate"
-    )
+    u_w = polar_isometry(modes.outgoing.conj().T @ m @ modes.incoming)
+    g0 = -1j * u_w.conj().T
+    k0 = np.zeros((d, d), dtype=complex)
+    k0[:n_in, n_in:] = g0
+    k0[n_in:, :n_in] = g0.conj().T
+    g1 = admissible_hamiltonian_projection(k0, trep_d)[:n_in, n_in:]
+    svals = np.linalg.svd(g1, compute_uv=False)
+    if svals[-1] <= _MIN_SEED_WEIGHT * max(1.0, svals[0]):
+        raise DecouplingFailed(
+            f"projected swap seed is singular: smallest singular value {svals[-1]:.3e} "
+            f"<= {_MIN_SEED_WEIGHT:g} x max(1, {svals[0]:.3e})"
+        )
+    u = polar_isometry(g1)
+    swap = np.zeros((d, d), dtype=complex)
+    swap[:n_in, n_in:] = u
+    swap[n_in:, :n_in] = u.conj().T
+    v01 = 1j * swap
+    report = check_admissible(v01, trep_d, kind="walk", tol=tol, strict=False)
+    if not report.ok:
+        raise DecouplingFailed(
+            f"transfer swap is not admissible: residual {report.max_residual:.3e} > {tol.adm:g}"
+        )
+    return v01
 
 
 @dataclass(frozen=True)
@@ -350,20 +325,6 @@ class DecouplingResult:
         return self.si_preserved and self.commutator_norm <= 1e-9
 
 
-def _resolve_region(
-    op: LatticeOperator, cut: int, second_cut: int | None
-) -> tuple[CellProjection, int | None]:
-    if op.cells.topology == "line":
-        if second_cut is not None:
-            raise CutOutOfRange("a line is cut at a single bond; drop the second cut")
-        return half_space_projection(op.cells, cut), None
-    n = op.cells.n_cells
-    b = (cut + n // 2) % n if second_cut is None else second_cut % n
-    if b == cut % n:
-        raise CutOutOfRange("the two cuts of a circle must differ")
-    return arc_projection(op.cells, cut, b), b
-
-
 def gentle_decoupling(
     op: LatticeOperator,
     cut: int,
@@ -385,7 +346,11 @@ def gentle_decoupling(
     m = np.asarray(op.matrix, dtype=complex)
     # twiddle_rep checks that the walk is unitary and admissible
     trep = twiddle_rep(m, rep, tol)
-    proj, resolved_second = _resolve_region(op, cut, second_cut)
+    second = second_bond(op.cells, cut, second_cut)
+    if second is None:
+        proj = half_space_projection(op.cells, cut)
+    else:
+        proj = arc_projection(op.cells, cut, second)
 
     pair = ProjectionPair.from_walk(m, proj)
     modes = split_transfer_modes(pair, tol)
@@ -422,8 +387,8 @@ def gentle_decoupling(
     path = [sample @ m for sample in contract_perturbation(v, trep, steps=steps, tol=tol)]
 
     w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep, dict(op.meta), tol)
-    si_b = si_left_right(op, cut, second_cut=resolved_second, tol=tol)
-    si_a = si_left_right(w2_op, cut, second_cut=resolved_second, tol=tol)
+    si_b = si_left_right(op, cut, second_cut=second, tol=tol)
+    si_a = si_left_right(w2_op, cut, second_cut=second, tol=tol)
     return DecouplingResult(
         v=v,
         w_prime=w2_op,

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CutOutOfRange,
     IncompatibleCells,
     NonIntegerInvariant,
     NonIntegerTrace,
@@ -39,6 +38,7 @@ from .errors import (
     NotDecoupled,
     Obstructed,
     TooShort,
+    Unbalanced,
     WindowAmbiguous,
 )
 from .lattice import (
@@ -48,6 +48,7 @@ from .lattice import (
     cells_near_bond,
     compress,
     half_space_projection,
+    second_bond,
     split_by_weight,
 )
 from .operators import (
@@ -170,20 +171,13 @@ def _drop_window(
     r_lo = band + 1
     # with proxies at both ends the windows must never tile the whole piece,
     # or modes legitimately living in the middle would be absorbed
-    r_hi = (n - 1) // 2 if len(cells.proxy_ends) == 2 else (n + 1) // 2
-    if r_hi < r_lo:
-        _, outside, weights, n_amb = split_by_weight(basis, cells, _proxy_members(cells, r_lo))
-        if n_amb:
-            raise WindowAmbiguous(
-                f"{n_amb} {what} mode(s) straddle the proxy window "
-                f"(weights {np.round(weights, 3).tolist()})"
-            )
-        return outside
+    # a piece too short to scan is tried at the band radius alone
+    r_hi = max(r_lo, (n - 1) // 2 if len(cells.proxy_ends) == 2 else (n + 1) // 2)
     kept: np.ndarray | None = None
     dropped: np.ndarray | None = None
     for r in range(r_lo, r_hi + 1):
         members = _proxy_members(cells, r)
-        inside, outside, weights, n_amb = split_by_weight(basis, cells, members)
+        inside, outside, _, n_amb = split_by_weight(basis, cells, members)
         if n_amb:
             continue
         proj = inside @ inside.conj().T
@@ -284,7 +278,6 @@ def si_total(
 def si_left_right(
     w: LatticeOperator,
     a: int,
-    rep: SymmetryRep | None = None,
     second_cut: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[IndexValue, IndexValue]:
@@ -292,20 +285,18 @@ def si_left_right(
 
     Each half space is compressed and measured by :func:`si_total`, so modes
     at the far (proxy) end of each piece are excluded and only modes created
-    at the cut count.  On a circle a second cut (default: antipodal) makes
-    the pieces finite; its two ends are marked as proxies.
+    at the cut count.  On a circle a second cut (default: antipodal, see
+    :func:`~walkindex.lattice.second_bond`) makes the pieces finite; its two
+    ends are marked as proxies.  A line takes no second cut.
     """
     if not isinstance(w, LatticeOperator):
         raise IncompatibleCells("half-space indices need a cell-structured operator")
     cells = w.cells
-    n = cells.n_cells
-    if cells.topology == "line":
+    b = second_bond(cells, a, second_cut)
+    if b is None:
         left = compress(w, half_space_projection(cells, a, side="lt"))
         right = compress(w, half_space_projection(cells, a, side="geq"))
     else:
-        b = (a + n // 2) % n if second_cut is None else second_cut % n
-        if b == a % n:
-            raise CutOutOfRange("second cut coincides with the first")
         right = _mark_proxy(compress(w, arc_projection(cells, a, b)), {"right"})
         left = _mark_proxy(compress(w, arc_projection(cells, b, a)), {"left"})
     for piece in (left, right):
@@ -314,9 +305,7 @@ def si_left_right(
                 f"half-space piece of {piece.cells.n_cells} cells cannot separate "
                 f"the cut from the proxy window (band {w.band})"
             )
-    si_left = si_total(left, rep, tol=tol)
-    si_right = si_total(right, rep, tol=tol)
-    return si_left, si_right
+    return si_total(left, tol=tol), si_total(right, tol=tol)
 
 
 def _mark_proxy(op: LatticeOperator, ends: set[str]) -> LatticeOperator:
@@ -399,7 +388,7 @@ def twiddle_rep(w, rep: SymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL
         adjoint, _ = ADMISSIBILITY[name]
         ops[name] = SymmetryOperator(m @ op.matrix, op.antiunitary) if adjoint else op
     out = SymmetryRep(r.cls, ops, r.dim)
-    out.validate(tol, strict=True)
+    out.validate(tol)
     return out
 
 
@@ -493,13 +482,12 @@ def contract_perturbation(
     rot_phases = phases[~at_minus]
 
     if minus_basis.shape[1]:
-        minus_rep = trep.restrict(minus_basis, tol)
-        obstruction = rep_index(minus_rep, tol)
-        if int(obstruction) != 0:
+        try:
+            h_small = balanced_hamiltonian(trep.restrict(minus_basis, tol), tol)
+        except Unbalanced as exc:
             raise Obstructed(
-                f"-1-eigenspace carries index {obstruction}; no admissible contraction exists"
-            )
-        h_small = balanced_hamiltonian(minus_rep, tol)
+                f"-1-eigenspace: {exc}; no admissible contraction exists"
+            ) from exc
     else:
         h_small = np.zeros((0, 0), dtype=complex)
 
@@ -559,7 +547,6 @@ def verify_bulk_boundary(
     left: TIWalk,
     right: TIWalk,
     joined: LatticeOperator,
-    rep: SymmetryRep | None = None,
     window: float = 1e-7,
     tol: Tolerances = DEFAULT_TOL,
 ) -> BulkBoundaryReport:
@@ -584,7 +571,7 @@ def verify_bulk_boundary(
     sir_right = bulk_right_index(right, tol)
     expected = sir_right - sir_left
 
-    m, r = _matrix_rep(joined, rep)
+    m, r = _matrix_rep(joined, None)
     eig = eig_unitary(m, tol)
     check_admissible(m, r, kind="walk", tol=tol)
     phases = np.angle(eig.values)
@@ -669,15 +656,10 @@ def index_matrix(
         "left": compress(w, half_space_projection(w.cells, a, side="lt")),
         "right": compress(w, half_space_projection(w.cells, a, side="geq")),
     }
-    local = w.local_rep
     entries: dict[str, IndexValue] = {}
     for side, piece in pieces.items():
         eig = eig_unitary(piece.matrix, tol)
-        prep = (
-            local.restrict_cells(piece.meta["parent_cells"]).assembled()
-            if local is not None
-            else None
-        )
+        prep = piece.rep()
         if prep is None:
             raise NotAdmissible("the index table needs a cell-local representation")
         for name, target in (("minus", -1.0), ("plus", 1.0)):

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CutOutOfRange, IncompatibleCells, TooShort
+from .errors import CutOutOfRange, IncompatibleCells
 from .symmetry import SymmetryClass, SymmetryRep, spectral_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -31,6 +31,7 @@ __all__ = [
     "CellProjection",
     "half_space_projection",
     "arc_projection",
+    "second_bond",
     "compress",
     "locality_profile",
     "measured_band",
@@ -87,10 +88,6 @@ class CellStructure:
     def total_dim(self) -> int:
         return sum(self.cell_dims)
 
-    @property
-    def x_max(self) -> int:
-        return self.x_min + self.n_cells - 1
-
     @cached_property
     def offsets(self) -> tuple[int, ...]:
         return tuple(accumulate(self.cell_dims, initial=0))
@@ -98,10 +95,6 @@ class CellStructure:
     def cell_slice(self, i: int) -> slice:
         off = self.offsets
         return slice(off[i], off[i + 1])
-
-    def cell_of_index(self, idx: int) -> int:
-        off = self.offsets
-        return int(np.searchsorted(off, idx, side="right") - 1)
 
     def index_mask(self, members: Iterable[int]) -> np.ndarray:
         """Boolean mask over the total dimension selecting the given cells."""
@@ -141,11 +134,6 @@ class LocalSymmetryRep:
 
     def restrict_cells(self, members: Sequence[int]) -> "LocalSymmetryRep":
         return LocalSymmetryRep(self.cls, tuple(self.per_cell[i] for i in members))
-
-    def replace_cell(self, i: int, rep: SymmetryRep) -> "LocalSymmetryRep":
-        per_cell = list(self.per_cell)
-        per_cell[i] = rep
-        return LocalSymmetryRep(self.cls, tuple(per_cell))
 
 
 @dataclass(eq=False)
@@ -205,10 +193,6 @@ class CellProjection:
     def mask(self) -> np.ndarray:
         return self.cells.index_mask(self.members)
 
-    def complement(self) -> "CellProjection":
-        other = tuple(i for i in range(self.cells.n_cells) if i not in set(self.members))
-        return CellProjection(self.cells, other)
-
     def cut_bonds(self) -> tuple[int, ...]:
         """Bonds (positions b between cells b-1 and b) where membership flips.
 
@@ -256,6 +240,24 @@ def arc_projection(cells: CellStructure, start: int, stop: int) -> CellProjectio
             raise CutOutOfRange(f"segment [{start}, {stop}) outside [0, {n}]")
         members = tuple(range(start, stop))
     return CellProjection(cells, members)
+
+
+def second_bond(cells: CellStructure, cut: int, second_cut: int | None = None) -> int | None:
+    """The second bond of a cut at ``cut``: none on a line, a bond on a circle.
+
+    A line is cut at a single bond, so a ``second_cut`` there is refused.  On
+    a circle the second bond defaults to the antipode of ``cut`` and must
+    differ from it.  Both refusals raise ``CutOutOfRange``.
+    """
+    if cells.topology == "line":
+        if second_cut is not None:
+            raise CutOutOfRange("a line is cut at a single bond; drop the second cut")
+        return None
+    n = cells.n_cells
+    bond = (cut + n // 2) % n if second_cut is None else second_cut % n
+    if bond == cut % n:
+        raise CutOutOfRange("the two cuts of a circle must differ")
+    return bond
 
 
 def compress(op: LatticeOperator, proj: CellProjection) -> LatticeOperator:
@@ -367,8 +369,3 @@ def split_by_weight(
     lo, hi = AMBIGUOUS_WEIGHTS
     n_amb = int(np.sum((vals > lo) & (vals < hi)))
     return inside, outside, vals, n_amb
-
-
-def require_length(piece: CellStructure, needed: int, what: str) -> None:
-    if piece.n_cells < needed:
-        raise TooShort(f"{what} needs at least {needed} cells, got {piece.n_cells}")

@@ -63,9 +63,6 @@ class UnitaryEigen:
     vectors: np.ndarray
     residual: float
 
-    def phases(self) -> np.ndarray:
-        return np.angle(self.values)
-
 
 def eig_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> UnitaryEigen:
     """Orthonormal eigendecomposition of a unitary matrix."""
@@ -284,10 +281,10 @@ def admissible_hamiltonian_projection(k: np.ndarray, rep: SymmetryRep) -> np.nda
     return h
 
 
-def check_normal(w: np.ndarray, tol: Tolerances = DEFAULT_TOL, strict: bool = True) -> float:
-    """Commutator defect ``||W W* - W* W||`` of normality."""
+def check_normal(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Commutator defect ``||W W* - W* W||``, raising ``NotNormal`` above ``10 tol.unit``."""
     w = np.asarray(w, dtype=complex)
     defect = spectral_norm(w @ w.conj().T - w.conj().T @ w)
-    if strict and defect > tol.unit * 10:
+    if defect > tol.unit * 10:
         raise NotNormal(f"operator is not normal: defect {defect:.3e}")
     return defect

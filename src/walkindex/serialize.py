@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import RelationViolation
 from .finite import SweepRecord, TempleKatoCertificate, join_crossover
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
 from .symmetry import IndexValue, SymmetryClass, SymmetryRep
@@ -124,7 +125,7 @@ def rep_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> SymmetryRep:
     for name, entry in ops.items():
         if "antiunitary" in entry and bool(entry["antiunitary"]) != rep.ops[name].antiunitary:
             raise ValueError(f"operator {name} has the wrong antiunitarity flag")
-    rep.validate(tol, strict=True)
+    rep.validate(tol)
     return rep
 
 
@@ -182,6 +183,7 @@ def lattice_operator_to_json(op: LatticeOperator) -> dict:
 
 
 def lattice_operator_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> LatticeOperator:
+    """Read a stored operator; its per-cell reps must be valid and of the declared class."""
     cells = cells_from_json(data["cells"])
     local = None
     if data.get("local_rep") is not None:
@@ -194,7 +196,13 @@ def lattice_operator_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> 
             if key not in distinct:
                 distinct[key] = rep_from_json(r, tol)
             per_cell.append(distinct[key])
-        local = LocalSymmetryRep(SymmetryClass(entry["class"]), tuple(per_cell))
+        cls = SymmetryClass(entry["class"])
+        other = sorted({r.cls.value for r in distinct.values()} - {cls.value})
+        if other:
+            raise RelationViolation(
+                f"local_rep class {cls.value} disagrees with per-cell class(es) {other}"
+            )
+        local = LocalSymmetryRep(cls, tuple(per_cell))
     return LatticeOperator(
         matrix_from_json(data["matrix"]),
         cells,

@@ -240,10 +240,6 @@ class SymmetryOperator:
     matrix: np.ndarray
     antiunitary: bool
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Apply to a vector, or columnwise to a matrix of vectors."""
         return self.matrix @ (np.conj(psi) if self.antiunitary else psi)
@@ -292,10 +288,6 @@ class RepReport:
     residuals: dict[str, float]
     max_residual: float
 
-    @property
-    def ok(self) -> bool:
-        return bool(np.isfinite(self.max_residual))
-
 
 @dataclass(frozen=True)
 class SymmetryRep:
@@ -323,10 +315,11 @@ class SymmetryRep:
         }
         return cls(sym_class, ops, dim)
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL, strict: bool = True) -> RepReport:
+    def validate(self, tol: Tolerances = DEFAULT_TOL) -> RepReport:
         """Check shapes, unitarity, squares, commutation and gamma = eta tau.
 
-        With ``strict`` the worst violation raises ``RelationViolation``.
+        A violation above ``tol.adm`` raises ``RelationViolation`` naming the
+        worst relation.
         """
         res: dict[str, float] = {}
         expected = self.cls.ops_present
@@ -352,7 +345,7 @@ class SymmetryRep:
             prod = self.ops["eta"].compose(self.ops["tau"]).matrix
             res["product:eta tau = gamma"] = spectral_norm(prod - self.ops["gamma"].matrix)
         worst = max(res.values(), default=0.0)
-        if strict and worst > tol.adm:
+        if worst > tol.adm:
             key = max(res, key=res.get)
             raise RelationViolation(f"relation {key} violated: residual {res[key]:.3e}")
         return RepReport(res, worst)
@@ -388,7 +381,7 @@ def rep_index(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -> IndexValue:
     ``tr(gamma)`` for AIII/BDI/CII (even for CII), ``dim mod 2`` for D,
     ``dim mod 4`` for DIII; zero element for the trivial-group classes.
     """
-    rep.validate(tol, strict=True)
+    rep.validate(tol)
     group = rep.cls.index_group
     if group is IndexGroup.TRIVIAL:
         return IndexValue.zero(group)
@@ -467,7 +460,7 @@ def forget_rep(rep: SymmetryRep, target: SymmetryClass, tol: Tolerances = DEFAUL
             op = SymmetryOperator(1j * op.matrix, False)
         ops[name] = op
     out = SymmetryRep(target, ops, rep.dim)
-    out.validate(tol, strict=True)
+    out.validate(tol)
     return out
 
 

@@ -347,22 +347,28 @@ def test_broken_rep_is_refused_when_read(tmp_path, capsys):
     _negate_gamma(ti["rep"])
     stored = lattice_operator_to_json(build_lattice(walk, 8, "circle"))
     _negate_gamma(stored["local_rep"]["per_cell"][3])
+    # valid BDI cell reps under a declared class they do not have
+    relabelled = lattice_operator_to_json(build_lattice(make_split_step(1.2, 0.4), 8, "circle"))
+    relabelled["local_rep"]["class"] = "AIII"
     specs = {
         "ti": write_spec(tmp_path, "ti.json", ti),
         "ti_circle": write_spec(
             tmp_path, "ti_circle.json", {**ti, "geometry": {"n_cells": 16, "topology": "circle"}}
         ),
         "explicit": write_spec(tmp_path, "explicit.json", stored),
+        "relabelled": write_spec(tmp_path, "relabelled.json", relabelled),
     }
-    for argv in (
-        ["validate", specs["ti"]],
-        ["index", specs["ti_circle"]],
-        ["validate", specs["explicit"]],
-        ["index", specs["explicit"]],
+    for argv, message in (
+        (["validate", specs["ti"]], "eta tau = gamma"),
+        (["index", specs["ti_circle"]], "eta tau = gamma"),
+        (["validate", specs["explicit"]], "eta tau = gamma"),
+        (["index", specs["explicit"]], "eta tau = gamma"),
+        (["validate", specs["relabelled"]], "class AIII disagrees with per-cell class(es) ['BDI']"),
+        (["index", specs["relabelled"]], "class AIII disagrees with per-cell class(es) ['BDI']"),
     ):
         code, data = run_json(capsys, argv)
         assert code == 2 and data["error"] == "RelationViolation", argv
-        assert "eta tau = gamma" in data["message"]
+        assert message in data["message"]
 
 
 # -- plumbing ------------------------------------------------------------------------

@@ -245,6 +245,30 @@ def test_gentle_decoupling_argument_errors():
         gentle_decoupling(bare, 0)
 
 
+def test_half_space_indices_resolve_cuts_like_decoupling():
+    line = truncate_ti(make_split_step(1.2, 0.4), 24)
+    with pytest.raises(CutOutOfRange, match="single bond"):
+        si_left_right(line, 12, second_cut=3)
+    r = gen_ring(12)
+    messages = set()
+    for cut_walk in (si_left_right, gentle_decoupling):
+        with pytest.raises(CutOutOfRange) as info:
+            cut_walk(r, 3, second_cut=15)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+def test_gentle_decoupling_refuses_singular_swap_seed(monkeypatch):
+    # the swap has one seed; when its projection loses rank there is no fallback
+    monkeypatch.setattr(
+        walkindex.decoupling,
+        "admissible_hamiltonian_projection",
+        lambda k, rep: np.zeros_like(k),
+    )
+    with pytest.raises(DecouplingFailed, match="swap seed is singular"):
+        gentle_decoupling(gen_ring(12), 0)
+
+
 # -- segment extraction ------------------------------------------------------------
 
 

@@ -343,7 +343,7 @@ def test_twiddle_rep_generating_ring():
     assert trep.cls is C.BDI
     tau = ring.rep().ops["tau"].matrix
     assert np.allclose(trep.ops["tau"].matrix, ring.matrix @ tau)
-    report = trep.validate(strict=False)
+    report = trep.validate()
     assert report.max_residual < 1e-10
 
 
@@ -352,7 +352,7 @@ def test_twiddle_rep_split_step_ring():
 
     ring = build_lattice(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 10, "circle")
     trep = twiddle_rep(ring)
-    assert trep.validate(strict=False).max_residual < 1e-10
+    assert trep.validate().max_residual < 1e-10
 
 
 def test_relative_index_identity_perturbation():
@@ -447,10 +447,26 @@ def test_contract_balanced_minus_block():
         assert np.min(np.abs(np.linalg.eigvals(sample) + 1)) > 0.1
 
 
+def test_contract_validates_minus_rep_once(monkeypatch):
+    rep = SymmetryRep.from_matrices(C.AIII, 2, gamma=np.diag([1.0, -1.0]))
+    validated = []
+    validate = SymmetryRep.validate
+
+    def counting_validate(self, *args, **kwargs):
+        validated.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SymmetryRep, "validate", counting_validate)
+    contract_perturbation(-np.eye(2, dtype=complex), rep, steps=2)
+    assert len(validated) == 1
+    assert validated[0] is not rep and validated[0].dim == 2
+
+
 def test_contract_obstructed():
-    rep = SymmetryRep.from_matrices(C.AIII, 1, gamma=np.eye(1))
-    with pytest.raises(Obstructed):
-        contract_perturbation(-np.eye(1, dtype=complex), rep)
+    for d in (1, 2):
+        rep = SymmetryRep.from_matrices(C.AIII, d, gamma=np.eye(d))
+        with pytest.raises(Obstructed, match=f"index {d} in Z"):
+            contract_perturbation(-np.eye(d, dtype=complex), rep)
 
 
 # -- bulk-boundary correspondence ------------------------------------------------------

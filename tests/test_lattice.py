@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import SIGMA_X, SIGMA_Z, haar_unitary, normal_form_rep, rng
-from walkindex.errors import CutOutOfRange, IncompatibleCells, TooShort
+from helpers import haar_unitary, normal_form_rep, rng
+from walkindex.errors import CutOutOfRange, IncompatibleCells
 from walkindex.lattice import (
     CellProjection,
     CellStructure,
@@ -18,7 +18,6 @@ from walkindex.lattice import (
     half_space_projection,
     locality_profile,
     measured_band,
-    require_length,
     split_by_weight,
 )
 from walkindex.symmetry import SymmetryClass
@@ -42,8 +41,6 @@ def test_cell_structure_offsets_and_slices():
     assert cells.total_dim == 6
     assert cells.offsets == (0, 2, 5, 6)
     assert cells.cell_slice(1) == slice(2, 5)
-    assert [cells.cell_of_index(i) for i in range(6)] == [0, 0, 1, 1, 1, 2]
-    assert cells.x_max == 2
 
 
 def test_cell_structure_uniform_defaults():
@@ -120,9 +117,6 @@ def test_projection_matrix_and_complement():
     cells = CellStructure((1, 2, 1), "line")
     proj = CellProjection(cells, (1,))
     assert np.allclose(proj.matrix, np.diag([0, 1, 1, 0]).astype(float))
-    comp = proj.complement()
-    assert comp.members == (0, 2)
-    assert np.allclose(proj.matrix + comp.matrix, np.eye(4))
 
 
 def test_cut_bonds_line_ignores_outer_edges():
@@ -130,7 +124,7 @@ def test_cut_bonds_line_ignores_outer_edges():
     proj = half_space_projection(cells, 2, side="geq")
     assert proj.members == (2, 3, 4, 5)
     assert proj.cut_bonds() == (2,)
-    assert proj.complement().cut_bonds() == (2,)
+    assert CellProjection(cells, (0, 1)).cut_bonds() == (2,)
 
 
 def test_cut_bonds_circle_arc_has_two():
@@ -273,20 +267,3 @@ def test_split_by_weight_empty_basis():
     basis = np.zeros((2, 0), dtype=complex)
     inside, outside, weights, n_amb = split_by_weight(basis, cells, [0])
     assert inside.shape[1] == 0 and outside.shape[1] == 0 and n_amb == 0
-
-
-def test_require_length_raises_too_short():
-    cells = CellStructure.uniform(3, 1)
-    with pytest.raises(TooShort):
-        require_length(cells, 4, "segment")
-    require_length(cells, 3, "segment")
-
-
-def test_replace_cell_changes_one_block():
-    rep = normal_form_rep(SymmetryClass.AIII)
-    local = LocalSymmetryRep.uniform(rep, 3)
-    other = rep.conjugated(np.asarray(1j * SIGMA_X @ SIGMA_Z, dtype=complex))
-    swapped = local.replace_cell(1, other)
-    assert swapped.per_cell[0] is rep
-    assert swapped.per_cell[1] is other
-    assert swapped.total_dim == 6

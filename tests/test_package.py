@@ -1,10 +1,14 @@
 """Import-path guards: what a fresh ``import walkindex`` loads and exports."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import walkindex
 
@@ -38,3 +42,36 @@ def test_fresh_import_loads_no_scipy_and_exports_resolve():
     result = _probe()
     assert result["scipy"] is False
     assert result["stale"] == []
+
+
+def _traced_names() -> dict:
+    """``LAYERS`` and ``COUNTED`` of the benchmark tracer, read without importing it."""
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    if not spans.is_file():
+        pytest.skip("no benchmark tracer in this checkout")
+    names: dict[str, list[str]] = {}
+    for node in ast.parse(spans.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("LAYERS", "COUNTED") for t in node.targets
+        ):
+            for layer, qualnames in ast.literal_eval(node.value).items():
+                names.setdefault(layer, []).extend(qualnames)
+    return names
+
+
+def test_benchmark_traced_names_resolve():
+    # the tracer patches these by name; a renamed or deleted one would only
+    # fail when a traced benchmark run is made
+    missing = []
+    for layer, qualnames in _traced_names().items():
+        module = importlib.import_module(f"walkindex.{layer}")
+        for qualname in qualnames:
+            owner_name, _, method = qualname.rpartition(".")
+            if owner_name:
+                owner = getattr(module, owner_name, None)
+                found = owner is not None and method in vars(owner)
+            else:
+                found = callable(getattr(module, qualname, None))
+            if not found:
+                missing.append(f"{layer}.{qualname}")
+    assert missing == []

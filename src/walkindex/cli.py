@@ -102,8 +102,7 @@ def cmd_index(args, tol: Tolerances) -> int:
         "tolerances": _tol_json(tol),
     }
     if unitarity <= tol.unit:
-        window = args.window if args.window is not None else tol.exact
-        minus, plus = si_pm(op, rep, window=window, tol=tol)
+        minus, plus = si_pm(op, rep, window=args.window, tol=tol)
         out["si_minus"] = index_value_to_json(minus)
         out["si_plus"] = index_value_to_json(plus)
     else:
@@ -117,8 +116,7 @@ def cmd_index(args, tol: Tolerances) -> int:
 
 def _ti_from_args(args, tol: Tolerances) -> TIWalk:
     spec = _load_spec(args.spec)
-    kind = spec.get("type", spec.get("kind"))
-    if kind != "ti":
+    if spec.get("type") != "ti":
         raise ValueError("this command needs a translation-invariant walk spec (type 'ti')")
     return tiwalk_from_json(spec, tol)
 
@@ -202,7 +200,7 @@ def cmd_join(args, tol: Tolerances) -> int:
 def _parse_sizes(items: list[str]) -> list[tuple[int, int]]:
     sizes = []
     for item in items:
-        parts = item.replace("x", ",").split(",")
+        parts = item.split(",")
         if len(parts) != 2:
             raise ValueError(f"size must be 'nA,nB', got {item!r}")
         sizes.append((int(parts[0]), int(parts[1])))
@@ -295,7 +293,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("index", parents=[common], help="half-space and +-1 eigenspace indices")
     p.add_argument("spec", help="walk spec JSON file, or - for stdin")
     p.add_argument("--cut", type=int, default=None, help="cut bond (default: middle)")
-    p.add_argument("--window", type=float, default=None, help="+-1 eigenvalue window")
+    p.add_argument(
+        "--window", type=float, default=None, help="+-1 eigenvalue window (default: tol.exact)"
+    )
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("winding", parents=[common], help="chiral winding number")

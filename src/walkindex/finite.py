@@ -17,7 +17,7 @@ proxy for the infinite-volume index statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -26,7 +26,6 @@ import numpy as np
 from .decoupling import decouple_segment
 from .errors import (
     DimensionMismatch,
-    Gapless,
     IncompatibleCells,
     NotAdmissible,
     NotEnoughModes,
@@ -294,7 +293,6 @@ class SweepRecord:
     count_near_plus: int
     count_near_minus: int
     max_localization_radius: int
-    profiles: tuple[tuple[float, ...], ...] = field(repr=False, default=())
 
     def as_row(self) -> dict:
         return {
@@ -345,12 +343,11 @@ def crossover_sweep(
 ) -> list[SweepRecord]:
     """Sweep crossover systems over segment sizes and record the spectra.
 
-    Requires both bulks gapped; the near-anchor window is half the smaller
-    bulk gap margin over sqrt(2), so bulk states can never enter it.
+    Requires both bulks gapped (``ti_gap_margin`` raises ``Gapless``); the
+    near-anchor window is half the smaller bulk gap margin over sqrt(2), so
+    bulk states can never enter it.
     """
     margin = min(ti_gap_margin(left, tol=tol), ti_gap_margin(right, tol=tol))
-    if margin <= tol.gap:
-        raise Gapless(f"bulk gap margin {margin:.3e} too small for a sweep")
     window = margin / np.sqrt(2.0)
     records = []
     for n_a, n_b in sizes:
@@ -362,7 +359,7 @@ def crossover_sweep(
         near = (np.abs(eig.values - 1.0) < window) | (np.abs(eig.values + 1.0) < window)
         idx = np.flatnonzero(near)
         interfaces = joined.meta.get("interfaces", (0,))
-        profiles = [localization_profile(eig.vectors[:, j], joined.cells) for j in idx]
+        profiles = (localization_profile(eig.vectors[:, j], joined.cells) for j in idx)
         radius = max(
             (_radius_for_mass(p, joined.cells, interfaces) for p in profiles), default=0
         )
@@ -375,7 +372,6 @@ def crossover_sweep(
                 count_near_plus=int(np.sum(np.abs(eig.values - 1.0) < window)),
                 count_near_minus=int(np.sum(np.abs(eig.values + 1.0) < window)),
                 max_localization_radius=int(radius),
-                profiles=tuple(tuple(map(float, p)) for p in profiles),
             )
         )
     return records

@@ -44,11 +44,8 @@ from .errors import (
 from .lattice import (
     CellStructure,
     LatticeOperator,
-    arc_projection,
     cells_near_bond,
-    compress,
-    half_space_projection,
-    second_bond,
+    half_spaces,
     split_by_weight,
 )
 from .operators import (
@@ -58,6 +55,7 @@ from .operators import (
     eigenspace_at,
     imaginary_part,
     kernel_basis,
+    phase_window,
 )
 from .symmetry import (
     ADMISSIBILITY,
@@ -209,15 +207,16 @@ def _restricted_index(
 def si_pm(
     w,
     rep: SymmetryRep | None = None,
-    window: float = 1e-7,
+    window: float | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[IndexValue, IndexValue]:
     """Symmetry indices of the -1 and +1 eigenspaces of a unitary walk.
 
-    Returns ``(si_minus, si_plus)``.  Cross-checked against the closed forms
-    available per class: ``si_pm = tr(gamma (1 +- W))/2`` for the unitary
-    chiral classes and the determinant parity ``det W = (-1)^{si_minus}`` in
-    class D.
+    Returns ``(si_minus, si_plus)``; ``window`` is the eigenphase radius of
+    each eigenspace (default ``tol.exact``).  Cross-checked against the
+    closed forms available per class: ``si_pm = tr(gamma (1 +- W))/2`` for
+    the unitary chiral classes and the determinant parity
+    ``det W = (-1)^{si_minus}`` in class D.
     """
     m, r = _matrix_rep(w, rep)
     eig = eig_unitary(m, tol)
@@ -283,22 +282,15 @@ def si_left_right(
 ) -> tuple[IndexValue, IndexValue]:
     """Left and right half-space indices of a banded walk at the cut ``a``.
 
-    Each half space is compressed and measured by :func:`si_total`, so modes
-    at the far (proxy) end of each piece are excluded and only modes created
-    at the cut count.  On a circle a second cut (default: antipodal, see
-    :func:`~walkindex.lattice.second_bond`) makes the pieces finite; its two
-    ends are marked as proxies.  A line takes no second cut.
+    Each half space (see :func:`~walkindex.lattice.half_spaces`) is measured
+    by :func:`si_total`, so modes at the far (proxy) end of each piece are
+    excluded and only modes created at the cut count.  On a circle a second
+    cut (default: antipodal) makes the pieces finite.  A line takes no
+    second cut.
     """
     if not isinstance(w, LatticeOperator):
         raise IncompatibleCells("half-space indices need a cell-structured operator")
-    cells = w.cells
-    b = second_bond(cells, a, second_cut)
-    if b is None:
-        left = compress(w, half_space_projection(cells, a, side="lt"))
-        right = compress(w, half_space_projection(cells, a, side="geq"))
-    else:
-        right = _mark_proxy(compress(w, arc_projection(cells, a, b)), {"right"})
-        left = _mark_proxy(compress(w, arc_projection(cells, b, a)), {"left"})
+    left, right = half_spaces(w, a, second_cut)
     for piece in (left, right):
         if piece.cells.n_cells < w.band + 2:
             raise TooShort(
@@ -306,17 +298,6 @@ def si_left_right(
                 f"the cut from the proxy window (band {w.band})"
             )
     return si_total(left, tol=tol), si_total(right, tol=tol)
-
-
-def _mark_proxy(op: LatticeOperator, ends: set[str]) -> LatticeOperator:
-    cells = op.cells
-    marked = CellStructure(
-        cells.cell_dims,
-        cells.topology,
-        cells.x_min,
-        frozenset(set(cells.proxy_ends) | ends),
-    )
-    return LatticeOperator(op.matrix, marked, op.band, op.local_rep, dict(op.meta))
 
 
 # -- Fredholm index ----------------------------------------------------------------
@@ -350,7 +331,7 @@ def fredholm_index(
     """
     if not isinstance(w, LatticeOperator) or w.cells.topology != "line":
         raise IncompatibleCells("the Fredholm index needs a line segment")
-    piece = compress(w, half_space_projection(w.cells, a, side="geq"))
+    _, piece = half_spaces(w, a)
     dims = []
     for m in (piece.matrix, piece.matrix.conj().T):
         ker = _drop_window(kernel_basis(m, tol.ker), piece.cells, w.band, "kernel")
@@ -396,7 +377,6 @@ def relative_index(
     w,
     w_prime,
     rep: SymmetryRep | None = None,
-    window: float = 1e-7,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IndexValue:
     """Index of a gentle perturbation ``W -> W'``.
@@ -411,7 +391,7 @@ def relative_index(
     check_admissible(mp, r, kind="walk", tol=tol)
     trep = twiddle_rep(m, r, tol)
     v = mp @ m.conj().T
-    minus = eigenspace_at(v, -1.0, window, tol)
+    minus = eigenspace_at(v, -1.0, tol=tol)
     return _restricted_index(trep, minus, tol)
 
 
@@ -442,7 +422,6 @@ def verify_locpert(
     w,
     w_prime,
     rep: SymmetryRep | None = None,
-    window: float = 1e-7,
     tol: Tolerances = DEFAULT_TOL,
 ) -> PerturbationReport:
     """Check that the relative index matches the change of si_pm.
@@ -451,9 +430,9 @@ def verify_locpert(
     and ``-(si_plus(W') - si_plus(W))``, as exact group identities.
     """
     _, r = _matrix_rep(w, rep)
-    rel = relative_index(w, w_prime, r, window, tol)
-    m_before, p_before = si_pm(w, r, window, tol)
-    m_after, p_after = si_pm(w_prime, r, window, tol)
+    rel = relative_index(w, w_prime, r, tol)
+    m_before, p_before = si_pm(w, r, tol=tol)
+    m_after, p_after = si_pm(w_prime, r, tol=tol)
     return PerturbationReport(rel, m_before, m_after, p_before, p_after)
 
 
@@ -461,22 +440,22 @@ def contract_perturbation(
     v,
     trep: SymmetryRep,
     steps: int = 16,
-    window: float = 1e-7,
     tol: Tolerances = DEFAULT_TOL,
 ) -> list[np.ndarray]:
     """A path of admissible unitaries from ``V`` to the identity.
 
-    Requires the index of ``trep`` on the -1-eigenspace of ``V`` to vanish
-    (``Obstructed`` otherwise).  Conjugate eigenvalue pairs rotate along the
-    shorter arc to +1; the balanced -1-eigenspace moves through ``exp(i pi
-    (1-t) H)`` with ``H`` a gapped admissible generator, staying clear of -1.
+    Requires the index of ``trep`` on the -1-eigenspace of ``V`` (selected by
+    :func:`~walkindex.operators.phase_window`) to vanish (``Obstructed``
+    otherwise).  Conjugate eigenvalue pairs rotate along the shorter arc to
+    +1; the balanced -1-eigenspace moves through ``exp(i pi (1-t) H)`` with
+    ``H`` a gapped admissible generator, staying clear of -1.
     Returns ``steps + 1`` samples, each verified unitary and admissible.
     """
     m = np.asarray(v, dtype=complex)
     eig = eig_unitary(m, tol)
     check_admissible(m, trep, kind="walk", tol=tol)
     phases = np.angle(eig.values)
-    at_minus = np.abs(np.abs(phases) - np.pi) <= window
+    at_minus = phase_window(eig, -1.0, tol=tol)
     minus_basis = eig.vectors[:, at_minus]
     rotating = eig.vectors[:, ~at_minus]
     rot_phases = phases[~at_minus]
@@ -547,7 +526,6 @@ def verify_bulk_boundary(
     left: TIWalk,
     right: TIWalk,
     joined: LatticeOperator,
-    window: float = 1e-7,
     tol: Tolerances = DEFAULT_TOL,
 ) -> BulkBoundaryReport:
     """Compare the interface index of a joined walk with its bulk prediction.
@@ -556,8 +534,10 @@ def verify_bulk_boundary(
     ``si_right(right bulk) - si_right(left bulk)``; the joined operator is a
     segment whose outer ends are proxies, so near-(+-1) modes inside the
     proxy windows are excluded and the rest are attributed to the interface.
-    ``window`` is the eigenphase radius counted as protected; widen it for
-    finite systems whose boundary eigenvalues have not fully converged.
+    The eigenphase radius counted as protected is ``tol.exact``; widen
+    ``tol.exact`` for finite systems whose boundary eigenvalues have not
+    fully converged.  An eigenvalue at the edge of that radius raises
+    ``WindowAmbiguous``.
     """
     if left.cls is not right.cls:
         raise IncompatibleCells(
@@ -574,13 +554,12 @@ def verify_bulk_boundary(
     m, r = _matrix_rep(joined, None)
     eig = eig_unitary(m, tol)
     check_admissible(m, r, kind="walk", tol=tol)
-    phases = np.angle(eig.values)
-    near = (np.abs(phases) <= window) | (np.abs(np.abs(phases) - np.pi) <= window)
+    near = phase_window(eig, 1.0, tol=tol) | phase_window(eig, -1.0, tol=tol)
     basis = eig.vectors[:, near]
     basis = _drop_window(basis, joined.cells, joined.band, "protected")
     measured = _restricted_index(r, basis, tol)
     return BulkBoundaryReport(
-        sir_left, sir_right, expected, measured, basis.shape[1], window
+        sir_left, sir_right, expected, measured, basis.shape[1], tol.exact
     )
 
 
@@ -633,7 +612,6 @@ class IndexMatrix:
 def index_matrix(
     w: LatticeOperator,
     a: int,
-    window: float = 1e-7,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IndexMatrix:
     """The 2x2 table of indices of a walk that is decoupled at cut ``a``.
@@ -652,18 +630,14 @@ def index_matrix(
             f"walk does not commute with the half-space projection at {a}: "
             f"residual {comm:.3e}"
         )
-    pieces = {
-        "left": compress(w, half_space_projection(w.cells, a, side="lt")),
-        "right": compress(w, half_space_projection(w.cells, a, side="geq")),
-    }
     entries: dict[str, IndexValue] = {}
-    for side, piece in pieces.items():
+    for side, piece in zip(("left", "right"), half_spaces(w, a)):
         eig = eig_unitary(piece.matrix, tol)
         prep = piece.rep()
         if prep is None:
             raise NotAdmissible("the index table needs a cell-local representation")
         for name, target in (("minus", -1.0), ("plus", 1.0)):
-            basis = eigenspace_at(piece.matrix, target, window, tol, eig)
+            basis = eigenspace_at(piece.matrix, target, tol=tol, eig=eig)
             basis = _drop_window(basis, piece.cells, w.band, f"{side} {name}")
             entries[f"{name}_{side}"] = _restricted_index(prep, basis, tol)
     return IndexMatrix(

@@ -13,7 +13,7 @@ cut under study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -32,6 +32,7 @@ __all__ = [
     "half_space_projection",
     "arc_projection",
     "second_bond",
+    "half_spaces",
     "compress",
     "locality_profile",
     "measured_band",
@@ -68,17 +69,10 @@ class CellStructure:
             raise ValueError(f"unknown proxy ends {sorted(bad)}")
 
     @classmethod
-    def uniform(
-        cls,
-        n_cells: int,
-        cell_dim: int,
-        topology: str = "line",
-        x_min: int = 0,
-        proxy_ends: Iterable[str] | None = None,
-    ) -> "CellStructure":
-        if proxy_ends is None:
-            proxy_ends = ("left", "right") if topology == "line" else ()
-        return cls((cell_dim,) * n_cells, topology, x_min, frozenset(proxy_ends))
+    def uniform(cls, n_cells: int, cell_dim: int, topology: str = "line") -> "CellStructure":
+        """Equal cells from position 0; both ends of a line are proxy ends."""
+        proxy_ends = ("left", "right") if topology == "line" else ()
+        return cls((cell_dim,) * n_cells, topology, 0, frozenset(proxy_ends))
 
     @property
     def n_cells(self) -> int:
@@ -258,6 +252,32 @@ def second_bond(cells: CellStructure, cut: int, second_cut: int | None = None) -
     if bond == cut % n:
         raise CutOutOfRange("the two cuts of a circle must differ")
     return bond
+
+
+def half_spaces(
+    op: LatticeOperator, cut: int, second_cut: int | None = None
+) -> tuple[LatticeOperator, LatticeOperator]:
+    """The pieces ``(left, right)`` of an operator cut at the bond ``cut``.
+
+    On a line these are the compressions to the cells below ``cut`` and from
+    ``cut`` on.  On a circle the :func:`second_bond` closes the arcs
+    ``[second, cut)`` and ``[cut, second)``, and the end of each arc at the
+    second bond is marked as a proxy end, so only the cut at ``cut`` counts.
+    """
+    cells = op.cells
+    second = second_bond(cells, cut, second_cut)
+    if second is None:
+        return (
+            compress(op, half_space_projection(cells, cut, side="lt")),
+            compress(op, half_space_projection(cells, cut, side="geq")),
+        )
+    # arcs of a circle come out of compress with no proxy ends
+    left = compress(op, arc_projection(cells, second, cut))
+    right = compress(op, arc_projection(cells, cut, second))
+    return (
+        replace(left, cells=replace(left.cells, proxy_ends=frozenset({"left"}))),
+        replace(right, cells=replace(right.cells, proxy_ends=frozenset({"right"}))),
+    )
 
 
 def compress(op: LatticeOperator, proj: CellProjection) -> LatticeOperator:

@@ -37,6 +37,7 @@ __all__ = [
     "gap_margin",
     "GapReport",
     "spectral_flatten",
+    "phase_window",
     "eigenspace_at",
     "check_normal",
     "admissible_hamiltonian_projection",
@@ -180,16 +181,12 @@ class GapReport:
     exact_count: int
 
 
-def gap_margin(
-    w: np.ndarray,
-    targets: tuple[complex, ...] = (1.0 + 0j, -1.0 + 0j),
-    tol: Tolerances = DEFAULT_TOL,
-) -> dict[complex, GapReport]:
-    """Spectral distance of a unitary from each target phase."""
+def gap_margin(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> dict[complex, GapReport]:
+    """Spectral distance of a unitary from +1 and -1, keyed by the target."""
     check_unitary(np.asarray(w, dtype=complex), tol)
     vals = np.linalg.eigvals(np.asarray(w, dtype=complex))
     out: dict[complex, GapReport] = {}
-    for t in targets:
+    for t in (1.0 + 0j, -1.0 + 0j):
         dist = np.abs(vals - t)
         exact = dist <= tol.exact
         rest = dist[~exact]
@@ -236,34 +233,46 @@ def spectral_flatten(
     return v @ (flat[:, None] * v.conj().T), counts
 
 
-def eigenspace_at(
-    w: np.ndarray,
+def phase_window(
+    eig: UnitaryEigen,
     target: complex,
-    window: float = 1e-7,
+    window: float | None = None,
     tol: Tolerances = DEFAULT_TOL,
-    eig: UnitaryEigen | None = None,
 ) -> np.ndarray:
-    """Orthonormal basis of the eigenspace within ``window`` radians of a phase.
+    """Mask of the eigenvalues within ``window`` radians of a phase.
 
-    Raises ``WindowAmbiguous`` if some eigenvalue sits within ``10 * tol.eig``
-    of the window edge, where membership is numerically undecidable.
+    ``window`` defaults to ``tol.exact``.  Raises ``WindowAmbiguous`` if some
+    eigenvalue sits within ``10 * tol.eig`` of the window edge, where
+    membership is numerically undecidable.
     """
-    if eig is None:
-        eig = eig_unitary(w, tol)
+    if window is None:
+        window = tol.exact
     t = complex(target)
     if abs(abs(t) - 1) > 1e-9:
         raise ValueError(f"target {t} is not on the unit circle")
-    delta = np.angle(eig.values * np.conj(t))
-    inside = np.abs(delta) <= window
-    edge = np.abs(np.abs(delta) - window)
+    delta = np.abs(np.angle(eig.values * np.conj(t)))
+    edge = np.abs(delta - window)
     guard = 10 * tol.eig
-    risky = (edge < guard) & (np.abs(delta) > guard)
+    risky = (edge < guard) & (delta > guard)
     if np.any(risky):
         worst = float(np.min(edge[risky]))
         raise WindowAmbiguous(
             f"eigenvalue within {worst:.3e} rad of the selection window edge at {t:.3g}"
         )
-    return eig.vectors[:, inside]
+    return delta <= window
+
+
+def eigenspace_at(
+    w: np.ndarray,
+    target: complex,
+    window: float | None = None,
+    tol: Tolerances = DEFAULT_TOL,
+    eig: UnitaryEigen | None = None,
+) -> np.ndarray:
+    """Orthonormal basis of the eigenspace selected by :func:`phase_window`."""
+    if eig is None:
+        eig = eig_unitary(w, tol)
+    return eig.vectors[:, phase_window(eig, target, window, tol)]
 
 
 def admissible_hamiltonian_projection(k: np.ndarray, rep: SymmetryRep) -> np.ndarray:

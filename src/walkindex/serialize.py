@@ -150,21 +150,6 @@ def cells_from_json(data: Mapping) -> CellStructure:
     )
 
 
-def _meta_to_json(meta: Mapping) -> dict:
-    def conv(v):
-        if isinstance(v, Mapping):
-            return {str(k): conv(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [conv(x) for x in v]
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        return v
-
-    return {str(k): conv(v) for k, v in meta.items()}
-
-
 def lattice_operator_to_json(op: LatticeOperator) -> dict:
     """An ``explicit`` walk spec: readable back by :func:`walk_from_spec`."""
     out = {
@@ -172,7 +157,7 @@ def lattice_operator_to_json(op: LatticeOperator) -> dict:
         "matrix": matrix_to_json(op.matrix),
         "cells": cells_to_json(op.cells),
         "band": op.band,
-        "meta": _meta_to_json(op.meta),
+        "meta": dict(op.meta),
     }
     if op.local_rep is not None:
         out["local_rep"] = {
@@ -270,13 +255,13 @@ def tiwalk_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> TIWalk:
 def walk_from_spec(data: Mapping, tol: Tolerances = DEFAULT_TOL):
     """Parse a walk spec into a ``TIWalk`` or ``LatticeOperator``.
 
-    ``type`` (alias ``kind``) selects: ``ti`` (translation invariant, optionally
-    realized by ``geometry``), ``explicit`` (a stored lattice operator), or
-    ``join`` (two bulks on one finite lattice).
+    ``type`` selects: ``ti`` (translation invariant, optionally realized by
+    ``geometry``), ``explicit`` (a stored lattice operator), or ``join`` (two
+    bulks on one finite lattice).
     """
     if not isinstance(data, Mapping):
         raise ValueError("walk spec must be a JSON object")
-    kind = data.get("type", data.get("kind"))
+    kind = data.get("type")
     if kind == "ti":
         return tiwalk_from_json(data, tol)
     if kind == "explicit":

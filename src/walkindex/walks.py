@@ -299,15 +299,15 @@ def builtin_walk(name: str, /, **params) -> TIWalk:
         raise ValueError(f"builtin {name!r} is missing coin parameter {exc}") from exc
 
 
-def validate_ti(ti: TIWalk, n_k: int = 17, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Check unitarity and the momentum-space symmetry conditions.
+def validate_ti(ti: TIWalk, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Check unitarity and the momentum-space symmetry conditions on 17 momenta.
 
     Antiunitary symmetries relate ``W(k)`` and ``W(-k)``:
     ``E conj(W(-k)) E* = W(k)``, ``T conj(W(-k)) T* = W(k)*``,
     ``G W(k) G* = W(k)*``.  Returns the worst residual.
     """
     worst = 0.0
-    for k in np.linspace(-np.pi, np.pi, n_k):
+    for k in np.linspace(-np.pi, np.pi, 17):
         wk = ti.bloch(k)
         worst = max(worst, check_unitary(wk, tol, what=f"W({k:.3f})"))
         wmk = ti.bloch(-k)
@@ -320,15 +320,15 @@ def validate_ti(ti: TIWalk, n_k: int = 17, tol: Tolerances = DEFAULT_TOL) -> flo
     return worst
 
 
-def conjugate_ti(ti: TIWalk, u: np.ndarray, name: str | None = None) -> TIWalk:
+def conjugate_ti(ti: TIWalk, u: np.ndarray) -> TIWalk:
     """Conjugate every cell by the same unitary (preserves all invariants)."""
     blocks = {j: u @ b @ u.conj().T for j, b in ti.blocks.items()}
     return TIWalk(
-        name or f"{ti.name}~", ti.cls, ti.cell_dim, blocks, ti.cell_rep.conjugated(u), None, dict(ti.params)
+        f"{ti.name}~", ti.cls, ti.cell_dim, blocks, ti.cell_rep.conjugated(u), None, dict(ti.params)
     )
 
 
-def direct_sum_ti(a: TIWalk, b: TIWalk, name: str | None = None) -> TIWalk:
+def direct_sum_ti(a: TIWalk, b: TIWalk) -> TIWalk:
     """Cellwise direct sum of two walks of the same class."""
     if a.cls is not b.cls:
         raise RelationViolation(f"cannot sum classes {a.cls.value} and {b.cls.value}")
@@ -338,7 +338,7 @@ def direct_sum_ti(a: TIWalk, b: TIWalk, name: str | None = None) -> TIWalk:
     for j in set(a.blocks) | set(b.blocks):
         blocks[j] = block_diagonal((a.blocks.get(j, za), b.blocks.get(j, zb)))
     return TIWalk(
-        name or f"{a.name}+{b.name}",
+        f"{a.name}+{b.name}",
         a.cls,
         a.cell_dim + b.cell_dim,
         blocks,
@@ -499,18 +499,13 @@ def _kramers_frame(tau: SymmetryOperator, basis: np.ndarray) -> np.ndarray:
     return basis @ np.column_stack(cols)
 
 
-def ti_gap_margin(
-    ti: TIWalk,
-    n_k: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
-    strict: bool = True,
-) -> float:
+def ti_gap_margin(ti: TIWalk, tol: Tolerances = DEFAULT_TOL, strict: bool = True) -> float:
     """Distance of the Bloch spectrum from {+1, -1} over the momentum grid.
 
-    The grid is doubled until the margin stabilizes to 1%; raises Gapless
-    below ``tol.gap`` unless ``strict=False``.
+    The grid starts at 256 momenta and is doubled until the margin
+    stabilizes to 1%; raises Gapless below ``tol.gap`` unless ``strict=False``.
     """
-    n = max(n_k, 64)
+    n = 256
     prev: float | None = None
     while True:
         margin = np.inf

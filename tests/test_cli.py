@@ -263,8 +263,9 @@ def test_sweep_to_file_and_gapless_refusal(tmp_path, capsys):
 
 def test_sweep_rejects_malformed_size(tmp_path, capsys):
     left = write_spec(tmp_path, "a.json", SPLIT_A)
-    code, data = run_json(capsys, ["sweep", left, left, "--size", "10"])
-    assert code == 1 and data["error"] == "ValueError"
+    for size in ("10", "10x10"):
+        code, data = run_json(capsys, ["sweep", left, left, "--size", size])
+        assert code == 1 and data["error"] == "ValueError"
 
 
 # -- temple-kato ---------------------------------------------------------------------
@@ -390,6 +391,10 @@ def test_non_object_spec_exits_1(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1,2,3]", encoding="utf-8")
     code, data = run_json(capsys, ["winding", str(path)])
+    assert code == 1 and data["error"] == "ValueError"
+    # a spec names its kind with "type"; a "kind" key is not read
+    path = write_spec(tmp_path, "kind.json", {"kind": "ti", "builtin": "trivial"})
+    code, data = run_json(capsys, ["validate", path])
     assert code == 1 and data["error"] == "ValueError"
 
 

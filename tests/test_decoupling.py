@@ -13,8 +13,8 @@ import pytest
 
 import walkindex.decoupling
 from walkindex.decoupling import (
+    DecouplingResult,
     ProjectionPair,
-    TransferModes,
     attribute_transfers,
     decouple_segment,
     direct_rotation,
@@ -307,6 +307,14 @@ def test_decouple_segment_refuses_changed_indices(monkeypatch):
     monkeypatch.setattr(walkindex.decoupling, "si_left_right", drifting_indices)
     with pytest.raises(DecouplingFailed, match=r"\[-1, 1\] -> \[-2, 2\]"):
         decouple_segment(gen_ring(16), 12)
+
+
+def test_result_ok_is_index_preservation():
+    # gentle_decoupling gates the commutator at 10 * tol.unit; ok does not re-gate it
+    si = (IndexValue(IndexGroup.Z, -1), IndexValue(IndexGroup.Z, 1))
+    result = DecouplingResult(None, None, [], 5e-9, {}, si, si)
+    assert result.ok
+    assert not DecouplingResult(None, None, [], 0.0, {}, si, si[::-1]).ok
 
 
 def test_truncate_ti_decoupled_matches_segment_extraction():

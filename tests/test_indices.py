@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import (
-    haar_unitary,
     normal_form_rep,
     random_admissible_walk,
     random_rep,
@@ -23,7 +22,6 @@ from walkindex.errors import (
     WindowAmbiguous,
 )
 from walkindex.indices import (
-    BulkBoundaryReport,
     bulk_right_index,
     contract_perturbation,
     fredholm_index,
@@ -44,7 +42,8 @@ from walkindex.lattice import (
     half_space_projection,
 )
 from walkindex.operators import admissible_hamiltonian_projection, gap_margin
-from walkindex.symmetry import IndexGroup, IndexValue, SymmetryClass, SymmetryRep
+from walkindex.symmetry import IndexGroup, SymmetryClass, SymmetryRep
+from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
     TIWalk,
     build_lattice,
@@ -462,6 +461,17 @@ def test_contract_validates_minus_rep_once(monkeypatch):
     assert validated[0] is not rep and validated[0].dim == 2
 
 
+def test_contract_refuses_edge_eigenvalue():
+    # the pair sits 1e-10 rad inside the -1 window edge: its side is undecidable
+    rep = SymmetryRep.from_matrices(
+        C.AIII, 2, gamma=np.array([[0, 1], [1, 0]], dtype=complex)
+    )
+    phi = np.pi - 0.999e-7
+    v = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
+    with pytest.raises(WindowAmbiguous, match="window edge"):
+        contract_perturbation(v, rep, steps=2)
+
+
 def test_contract_obstructed():
     for d in (1, 2):
         rep = SymmetryRep.from_matrices(C.AIII, d, gamma=np.eye(d))
@@ -516,6 +526,22 @@ def test_verify_bulk_boundary_identical_bulks():
     assert int(report.measured) == 0
     # the interface hosts a balanced pair, allowed but not required
     assert report.protected_dim == 2
+
+
+def test_verify_bulk_boundary_reads_window_from_tol_exact():
+    gen_w = make_generating_example()
+    triv = make_trivial()
+    left_m = truncate_ti(triv, 8, "compress").matrix
+    right_m = decoupled_generating_segment(8).matrix
+    joined = join_blockdiag(left_m, right_m, gen_w.cell_rep)
+    report = verify_bulk_boundary(triv, gen_w, joined, tol=DEFAULT_TOL.with_(exact=1e-6))
+    assert report.window == 1e-6 and report.ok
+    # a window whose edge sits on an unprotected eigenvalue is refused
+    phases = np.abs(np.angle(np.linalg.eigvals(joined.matrix)))
+    dist = np.sort(np.minimum(phases, np.pi - phases))
+    edge = float(dist[dist > 0.1][0])
+    with pytest.raises(WindowAmbiguous, match="window edge"):
+        verify_bulk_boundary(triv, gen_w, joined, tol=DEFAULT_TOL.with_(exact=edge))
 
 
 def test_verify_bulk_boundary_rejects_mixed_classes():

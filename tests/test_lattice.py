@@ -16,6 +16,7 @@ from walkindex.lattice import (
     cells_near_bond,
     compress,
     half_space_projection,
+    half_spaces,
     locality_profile,
     measured_band,
     split_by_weight,
@@ -181,6 +182,28 @@ def test_compress_circle_arc_has_two_cut_ends():
     # the wrapped submatrix keeps the hop 7 -> 0 but cuts 1 -> 2 and 5 -> 6
     expect = shift_matrix(4, 1, "line")
     assert np.allclose(sub.matrix, expect)
+
+
+def test_half_spaces_line_and_circle():
+    cells = CellStructure.uniform(6, 1)
+    line = LatticeOperator(shift_matrix(6, 1, "line"), cells, band=1)
+    left, right = half_spaces(line, 2)
+    assert (left.cells.n_cells, right.cells.n_cells) == (2, 4)
+    assert left.cells.proxy_ends == frozenset({"left"})
+    assert right.cells.proxy_ends == frozenset({"right"})
+    with pytest.raises(CutOutOfRange):
+        half_spaces(line, 2, second_cut=4)
+    ring = LatticeOperator(shift_matrix(8, 1), CellStructure.uniform(8, 1, "circle"), band=1)
+    # default second bond is the antipode; the ends there become proxy ends
+    left, right = half_spaces(ring, 2)
+    assert left.meta["parent_cells"] == (6, 7, 0, 1)
+    assert right.meta["parent_cells"] == (2, 3, 4, 5)
+    assert left.cells.proxy_ends == frozenset({"left"})
+    assert right.cells.proxy_ends == frozenset({"right"})
+    assert left.meta["end_bonds"] == {"left": 6, "right": 2}
+    left, right = half_spaces(ring, 2, second_cut=3)
+    assert (left.cells.n_cells, right.cells.n_cells) == (7, 1)
+    assert np.allclose(right.matrix, ring.matrix[2:3, 2:3])
 
 
 def test_compress_matrix_entries_match_parent():

@@ -13,7 +13,6 @@ from helpers import (
     rng,
 )
 from walkindex.errors import (
-    EigenFailure,
     GapViolation,
     NotAdmissible,
     NotNormal,
@@ -30,10 +29,12 @@ from walkindex.operators import (
     gap_margin,
     imaginary_part,
     kernel_basis,
+    phase_window,
     polar_isometry,
     spectral_flatten,
 )
 from walkindex.symmetry import SymmetryClass
+from walkindex.tolerances import DEFAULT_TOL
 
 C = SymmetryClass
 
@@ -202,6 +203,18 @@ def test_eigenspace_at_picks_target_window():
     minus = eigenspace_at(w, -1.0)
     assert plus.shape[1] == 2 and minus.shape[1] == 1
     assert np.linalg.norm(w @ plus - plus) < 1e-9
+
+
+def test_phase_window_defaults_to_tol_exact():
+    # eig_unitary sorts by phase, so the mask follows the order given here
+    eig = eig_unitary(np.diag(np.exp(1j * np.array([5e-8, 0.5, np.pi - 5e-7]))))
+    assert phase_window(eig, 1.0).tolist() == [True, False, False]
+    assert phase_window(eig, -1.0).tolist() == [False, False, False]
+    wide = DEFAULT_TOL.with_(exact=1e-6)
+    assert phase_window(eig, -1.0, tol=wide).tolist() == [False, False, True]
+    assert phase_window(eig, -1.0, window=1e-6).tolist() == [False, False, True]
+    with pytest.raises(WindowAmbiguous):
+        phase_window(eig, 1.0, tol=DEFAULT_TOL.with_(exact=5e-8 + 1e-10))
 
 
 def test_eigenspace_at_flags_window_edge():

@@ -75,3 +75,37 @@ def test_benchmark_traced_names_resolve():
             if not found:
                 missing.append(f"{layer}.{qualname}")
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import binds that no code loads and ``__all__`` does not list."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+        if name not in loaded and name not in exported
+    ]
+
+
+def test_no_unused_imports():
+    # no linter runs on this tree; an import left behind by a deletion would
+    # otherwise go unnoticed
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "walkindex").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py")
+    )
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert unused == []

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     ALL_CLASSES,
-    CHIRAL_PLUS,
     SIGMA_X,
     SIGMA_Z,
     haar_unitary,
-    normal_form_rep,
     random_rep,
     rng,
 )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SIGMA_X, SIGMA_Z, haar_unitary, rng
+from helpers import SIGMA_X, haar_unitary, rng
 from walkindex.errors import (
     Gapless,
     NotChiral,
@@ -19,8 +19,6 @@ from walkindex.lattice import measured_band
 from walkindex.serialize import tiwalk_from_json, tiwalk_to_json
 from walkindex.symmetry import SymmetryClass
 from walkindex.walks import (
-    CoinFactor,
-    ShiftFactor,
     TIWalk,
     berry_phase,
     build_lattice,
@@ -230,6 +228,14 @@ def test_winding_split_step_phase_diagram():
         checked += 1
 
 
+def test_winding_refines_coarse_grid():
+    # near the gap closing |t1| = |t2| the phase steps of 32 and 64 samples
+    # exceed pi/2, so the grid doubles twice
+    report = winding_number(make_split_step(0.8, 0.799), n_k=32)
+    assert int(report.value) == 1
+    assert report.n_k == 128
+
+
 def test_winding_doubled_cii_is_two():
     report = winding_number(make_doubled("CII"))
     assert int(report.value) == 2
@@ -299,6 +305,13 @@ def test_berry_doubled_diii_is_two():
     assert int(report.value) == 2
     assert report.value.group.name == "TWO_Z2"
     assert report.residual < 1e-6
+
+
+def test_berry_refines_coarse_grid():
+    # two momenta leave a frame overlap below the refinement threshold
+    report = berry_phase(forget_ti(make_split_step(1.2, 0.4), C.D), n_k=2)
+    assert int(report.value) == 1 and report.value.group.name == "Z2"
+    assert report.n_k == 4
 
 
 def test_berry_needs_class_d_or_diii():

@@ -335,7 +335,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("temple-kato", parents=[common], help="boundary-mode count certificate")
     p.add_argument("spec")
-    p.add_argument("--theta", required=True, help="target point, python complex syntax")
+    p.add_argument(
+        "--theta",
+        required=True,
+        help="target point, python complex syntax; attach a negative one with '=': --theta=-1+0j",
+    )
     p.add_argument("--k", type=int, required=True, help="modes to certify")
     p.add_argument("--window", required=True, help="cell window 'lo:hi'")
     p.add_argument("--select-radius", type=float, default=None, help="eigenvalue selection radius")

@@ -34,7 +34,6 @@ __all__ = [
     "second_bond",
     "half_spaces",
     "compress",
-    "locality_profile",
     "measured_band",
     "cells_near_bond",
     "split_by_weight",
@@ -332,31 +331,54 @@ def compress(op: LatticeOperator, proj: CellProjection) -> LatticeOperator:
     return LatticeOperator(sub, cells, op.band, local_rep, meta)
 
 
-def locality_profile(op: LatticeOperator) -> dict[int, float]:
-    """Largest block norm at each hopping distance.
+def _cell_block_reduce(
+    ufunc: np.ufunc, x: np.ndarray, owner: np.ndarray, n_cells: int
+) -> np.ndarray:
+    """``ufunc`` reduced over each cell-pair block of ``x``; ``owner`` maps indices to cells."""
+    rows = np.zeros((n_cells, x.shape[1]))
+    ufunc.at(rows, owner, x)
+    out = np.zeros((n_cells, n_cells))
+    ufunc.at(out.T, owner, rows.T)
+    return out
 
-    Distances are signed cell offsets; on a circle they wrap to the shorter
-    direction, ties going to the positive side.
-    """
-    n = op.cells.n_cells
-    out: dict[int, float] = {}
-    for i in range(n):
-        for j in range(n):
-            if op.cells.topology == "circle":
-                d = (i - j) % n
-                if d > n // 2:
-                    d -= n
-            else:
-                d = i - j
-            out[d] = max(out.get(d, 0.0), spectral_norm(op.block(i, j)))
-    return dict(sorted(out.items()))
+
+# block-norm bounds within this relative distance of tol.band are settled by an SVD
+BAND_SCREEN_SLACK = 1e-12
 
 
 def measured_band(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Largest |offset| whose blocks exceed the bandwidth tolerance."""
-    profile = locality_profile(op)
-    live = [abs(d) for d, v in profile.items() if v > tol.band]
-    return max(live) if live else 0
+    """Largest |offset| whose blocks exceed the bandwidth tolerance.
+
+    The block ``B`` of cells ``(i, j)`` sits at offset ``i - j``, wrapped on a
+    circle to the shorter direction, and is live when ``||B||_2 > tol.band``.
+    The spectral norm is screened by ``m <= ||B||_2 <= f``, with ``m`` the
+    largest entry modulus of ``B`` and ``f`` its Frobenius norm: a block with
+    ``m > tol.band`` is live and one with ``f <= tol.band`` is dead.  Only the
+    blocks in between, or with a bound within ``BAND_SCREEN_SLACK`` of
+    ``tol.band``, get a :func:`spectral_norm`, taken by decreasing |offset| and
+    only beyond the band the screen already certified, so the verdict is the
+    SVD one.
+    """
+    cells = op.cells
+    n = cells.n_cells
+    owner = np.repeat(np.arange(n), cells.cell_dims)
+    a = np.abs(op.matrix)
+    big = _cell_block_reduce(np.maximum, a, owner, n)
+    # squares of entries scaled by their block maximum cannot underflow to a false zero
+    scale = np.where(big > 0, big, 1.0)[owner][:, owner]
+    frob = big * np.sqrt(_cell_block_reduce(np.add, (a / scale) ** 2, owner, n))
+    cell = np.arange(n)
+    dist = np.abs(cell[:, None] - cell[None, :])
+    if cells.topology == "circle":
+        dist = np.minimum(dist, n - dist)
+    live = big > tol.band * (1 + BAND_SCREEN_SLACK)
+    band = int(dist[live].max(initial=0))
+    # a nan bound is not dead either: the SVD decides it
+    unsure = ~live & ~(frob <= tol.band * (1 - BAND_SCREEN_SLACK)) & (dist > band)
+    for i, j in sorted(zip(*np.nonzero(unsure)), key=lambda ij: -dist[ij]):
+        if spectral_norm(op.block(i, j)) > tol.band:
+            return int(dist[i, j])
+    return band
 
 
 def cells_near_bond(cells: CellStructure, bond: int, radius: int) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,7 +47,7 @@ __all__ = [
 
 
 def _float_text(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         return json.dumps(str(x))
     text = format(float(x), ".12g")
     # "%.12g" of an integral value has no decimal point; that is still a
@@ -55,6 +56,13 @@ def _float_text(x: float) -> str:
 
 
 def _encode(obj) -> str:
+    # matrices arrive as nested lists of float pairs: test those exact types
+    # before the slower abstract-base-class checks
+    kind = type(obj)
+    if kind is float:
+        return _float_text(obj)
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_encode(v) for v in obj]) + "]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, bool) or obj is None:

@@ -35,8 +35,6 @@ class Tolerances:
         Chiral block determinants below this are singular.
     gap : float
         Spectral gaps below this count as closed.
-    subspace : float
-        Threshold for +-1 eigenvalues of difference projections.
     integer_residual : float
         Largest accepted distance of winding/phase sums from an integer.
     """
@@ -51,7 +49,6 @@ class Tolerances:
     ker: float = 1e-8
     det: float = 1e-8
     gap: float = 1e-6
-    subspace: float = 1e-8
     integer_residual: float = 1e-2
 
     def with_(self, **kwargs: float) -> "Tolerances":

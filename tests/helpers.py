@@ -1,17 +1,24 @@
-"""Construction helpers shared across the test suite.
+"""Construction helpers and slow reference oracles shared across the test suite.
 
 Random representations are produced by conjugating a hand-checked normal form
 with a Haar unitary, which preserves the defining relations and the index
-exactly.
+exactly.  ``locality_profile`` and ``reference_dumps`` are the plain
+implementations that the fast band measurement and canonical JSON encoder
+are compared against.
 """
 
 from __future__ import annotations
 
+import enum
+import json
+from typing import Mapping, Sequence
+
 import numpy as np
 from scipy.linalg import expm
 
+from walkindex.lattice import LatticeOperator
 from walkindex.operators import admissible_hamiltonian_projection
-from walkindex.symmetry import SymmetryClass, SymmetryRep
+from walkindex.symmetry import SymmetryClass, SymmetryRep, spectral_norm
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,3 +104,63 @@ def random_admissible_walk(rep: SymmetryRep, gen: np.random.Generator, scale: fl
 ALL_CLASSES = list(SymmetryClass)
 
 CHIRAL_PLUS = [SymmetryClass.AIII, SymmetryClass.BDI, SymmetryClass.CII]
+
+
+# -- reference oracles ------------------------------------------------------------
+
+
+def locality_profile(op: LatticeOperator) -> dict[int, float]:
+    """Largest block spectral norm at each hopping distance, one SVD per block.
+
+    Distances are signed cell offsets; on a circle they wrap to the shorter
+    direction, ties going to the positive side.
+    """
+    n = op.cells.n_cells
+    out: dict[int, float] = {}
+    for i in range(n):
+        for j in range(n):
+            if op.cells.topology == "circle":
+                d = (i - j) % n
+                if d > n // 2:
+                    d -= n
+            else:
+                d = i - j
+            out[d] = max(out.get(d, 0.0), spectral_norm(op.block(i, j)))
+    return dict(sorted(out.items()))
+
+
+def profile_band(op: LatticeOperator, band_tol: float) -> int:
+    """The band read off :func:`locality_profile`: largest |offset| above ``band_tol``."""
+    live = [abs(d) for d, v in locality_profile(op).items() if v > band_tol]
+    return max(live) if live else 0
+
+
+def _reference_float(x: float) -> str:
+    if not np.isfinite(x):
+        return json.dumps(str(x))
+    return format(float(x), ".12g")
+
+
+def reference_dumps(obj) -> str:
+    """Canonical JSON by plain recursion over abstract types, one check per entry."""
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, enum.Enum):
+        return reference_dumps(obj.value)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{_reference_float(obj.real)},{_reference_float(obj.imag)}]"
+    if isinstance(obj, np.ndarray):
+        return reference_dumps(obj.tolist())
+    if isinstance(obj, Mapping):
+        items = sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
+        body = ",".join(f"{json.dumps(k)}:{reference_dumps(v)}" for k, v in items)
+        return "{" + body + "}"
+    if isinstance(obj, Sequence):
+        return "[" + ",".join(reference_dumps(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -414,6 +414,14 @@ def test_tolerance_precedence(tmp_path, capsys):
         capsys, ["index", spec, "--config", str(cfg), "--tol-idx", "1e-4"]
     )
     assert data["tolerances"]["idx"] == 1e-04
+    assert "subspace" not in data["tolerances"]
+
+
+def test_tol_subspace_flag_is_gone(tmp_path):
+    spec = write_spec(tmp_path, "gen_line.json", GEN_LINE)
+    with pytest.raises(SystemExit) as exc:
+        main(["index", spec, "--tol-subspace", "1e-8"])
+    assert exc.value.code == 1
 
 
 def test_winding_on_finite_spec_exits_1(tmp_path, capsys):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import haar_unitary, normal_form_rep, rng
+import walkindex.lattice as lattice_module
+from helpers import haar_unitary, locality_profile, normal_form_rep, profile_band, rng
 from walkindex.errors import CutOutOfRange, IncompatibleCells
 from walkindex.lattice import (
     CellProjection,
@@ -17,11 +18,12 @@ from walkindex.lattice import (
     compress,
     half_space_projection,
     half_spaces,
-    locality_profile,
     measured_band,
     split_by_weight,
 )
-from walkindex.symmetry import SymmetryClass
+from walkindex.symmetry import SymmetryClass, spectral_norm
+from walkindex.tolerances import DEFAULT_TOL
+from walkindex.walks import build_lattice, make_split_step
 
 
 def shift_matrix(n: int, step: int, topology: str = "circle") -> np.ndarray:
@@ -241,6 +243,80 @@ def test_measured_band_identity_is_zero():
     cells = CellStructure.uniform(4, 2)
     op = LatticeOperator(np.eye(8, dtype=complex), cells, band=1)
     assert measured_band(op) == 0
+
+
+def _offset(cells: CellStructure, i: int, j: int) -> int:
+    n = cells.n_cells
+    d = abs(i - j)
+    return min(d, n - d) if cells.topology == "circle" else d
+
+
+def _random_block(gen, rows: int, cols: int, norm: float) -> np.ndarray:
+    b = gen.normal(size=(rows, cols)) + 1j * gen.normal(size=(rows, cols))
+    return norm * b / spectral_norm(b)
+
+
+# block spectral norms beyond the intended band, as multiples of the band
+# tolerance: mostly at or below it, now and then just or far above it
+_QUIET_MULTIPLES = (0.0, 1e-3, 0.5, 0.999999, 1.0)
+_LOUD_MULTIPLES = (1.000001, 2.0, 1e6)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_measured_band_matches_svd_oracle(seed):
+    gen = rng(2000 + seed)
+    topology = ("line", "circle")[seed % 2]
+    n = int(gen.integers(3, 10))
+    cells = CellStructure(tuple(int(d) for d in gen.integers(1, 4, size=n)), topology)
+    band_tol = (1e-12, 1e-6, 0.25)[seed % 3]
+    intended = int(gen.integers(0, n // 2 + 1))
+    m = np.zeros((cells.total_dim, cells.total_dim), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            multiples = _LOUD_MULTIPLES if gen.random() < 0.05 else _QUIET_MULTIPLES
+            norm = band_tol * multiples[gen.integers(len(multiples))]
+            if _offset(cells, i, j) <= intended:
+                norm = 1.0
+            m[cells.cell_slice(i), cells.cell_slice(j)] = _random_block(
+                gen, cells.cell_dims[i], cells.cell_dims[j], norm
+            )
+    op = LatticeOperator(m, cells, band=0)
+    tol = DEFAULT_TOL.with_(band=band_tol)
+    assert measured_band(op, tol) == profile_band(op, band_tol)
+
+
+@pytest.mark.parametrize("topology", ["line", "circle"])
+@pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9])
+def test_measured_band_settles_screen_gap_by_svd(topology, factor):
+    # blocks at offset 3 have largest entry <= tol.band < Frobenius norm, and
+    # a spectral norm just above or just below tol.band
+    band_tol = 1e-6
+    cells = CellStructure((2,) * 8, topology)
+    m = np.eye(16, dtype=complex)
+    for i in range(7):
+        m[cells.cell_slice(i + 1), cells.cell_slice(i)] = 0.5
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    gap_block = factor * band_tol * hadamard
+    for i in range(8 - 3):
+        m[cells.cell_slice(i + 3), cells.cell_slice(i)] = gap_block
+    op = LatticeOperator(m, cells, band=0)
+    assert np.abs(gap_block).max() <= band_tol < np.linalg.norm(gap_block)
+    tol = DEFAULT_TOL.with_(band=band_tol)
+    expected = 3 if factor > 1 else 1
+    assert measured_band(op, tol) == profile_band(op, band_tol) == expected
+
+
+def test_measured_band_split_step_circle_takes_no_svd(monkeypatch):
+    ring = build_lattice(make_split_step(1.2, 0.4), 256, "circle")
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return spectral_norm(x)
+
+    monkeypatch.setattr(lattice_module, "spectral_norm", counted)
+    assert measured_band(ring) == ring.band == 1
+    assert calls == []
 
 
 def test_cells_near_bond_radius():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import reference_dumps, rng
 from walkindex.errors import IncompatibleCells
 from walkindex.finite import SweepRecord, temple_kato
 from walkindex.lattice import CellStructure, LatticeOperator
@@ -82,6 +83,66 @@ def test_canonical_json_enum_uses_value():
 def test_canonical_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps_canonical(object())
+
+
+_SPECIAL_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e-300, 1e300)
+
+
+def _random_float(gen) -> float:
+    if gen.random() < 0.3:
+        return _SPECIAL_FLOATS[gen.integers(len(_SPECIAL_FLOATS))]
+    return float(gen.normal() * 10.0 ** gen.integers(-20, 20))
+
+
+def _random_leaf(gen):
+    choice = gen.integers(9)
+    if choice == 0:
+        return _random_float(gen)
+    if choice == 1:
+        return np.float64(_random_float(gen))
+    if choice == 2:
+        return np.complex128(complex(_random_float(gen), _random_float(gen)))
+    if choice == 3:
+        return complex(_random_float(gen), _random_float(gen))
+    if choice == 4:
+        return [1.0, True, None, 3, np.int64(-4), "x"]
+    if choice == 5:
+        return SymmetryClass.BDI
+    if choice == 6:
+        return [_random_float(gen) for _ in range(gen.integers(0, 5))]
+    if choice == 7:
+        return tuple(_random_float(gen) for _ in range(gen.integers(0, 5)))
+    n = int(gen.integers(1, 5))
+    m = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+    m.flat[gen.integers(n * n)] = complex(_random_float(gen), _random_float(gen))
+    return matrix_to_json(m)
+
+
+def _random_payload(gen, depth: int = 0):
+    if depth >= 3 or gen.random() < 0.3:
+        return _random_leaf(gen)
+    children = [_random_payload(gen, depth + 1) for _ in range(gen.integers(0, 4))]
+    shape = gen.integers(3)
+    if shape == 0:
+        return children
+    if shape == 1:
+        return tuple(children)
+    keys = [7, "b", SymmetryClass.AIII, 2.5, "a", (1, 2)]
+    return {keys[k]: child for k, child in zip(gen.permutation(len(keys)), children)}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_canonical_json_matches_reference_encoder(seed):
+    payload = _random_payload(rng(3000 + seed))
+    assert dumps_canonical(payload) == reference_dumps(payload)
+
+
+def test_canonical_json_matrices_match_reference_encoder():
+    gen = rng(7)
+    m = gen.normal(size=(24, 24)) + 1j * gen.normal(size=(24, 24))
+    m[0, :8] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, complex(-0.0, np.nan), 0.0]
+    payload = {"matrix": matrix_to_json(m), "empty": [], "nested": [[], [[]]]}
+    assert dumps_canonical(payload) == reference_dumps(payload)
 
 
 # -- matrices ------------------------------------------------------------------------

@@ -139,12 +139,7 @@ def cmd_invariant(args, tol: Tolerances) -> int:
 def cmd_decouple(args, tol: Tolerances) -> int:
     op = operator_from_spec(_load_spec(args.spec), tol)
     cut = args.cut if args.cut is not None else 0
-    result = gentle_decoupling(op, cut, second_cut=args.second_cut, steps=args.steps, tol=tol)
-    rep = op.rep()
-    samples = []
-    for sample in result.path:
-        report = check_admissible(sample, rep, kind="walk", tol=tol, strict=False)
-        samples.append({"unitarity": unitarity_defect(sample), "admissibility": report.max_residual})
+    result = gentle_decoupling(op, cut, second_cut=args.second_cut, tol=tol)
     path_report = {
         "commutator_norm": result.commutator_norm,
         "transfer_counts": {str(b): list(c) for b, c in result.transfer_counts.items()},
@@ -152,7 +147,6 @@ def cmd_decouple(args, tol: Tolerances) -> int:
         "si_after": [index_value_to_json(v) for v in result.si_after],
         "si_preserved": result.si_preserved,
         "ok": result.ok,
-        "path_samples": samples,
     }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,7 +306,6 @@ def _build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--cut", type=int, default=None, help="cut bond (default: 0)")
     p.add_argument("--second-cut", type=int, default=None, help="second bond (circles)")
-    p.add_argument("--steps", type=int, default=8, help="path samples")
     p.add_argument("--out-dir", required=True, help="directory for V/Wprime/path_report")
     p.set_defaults(func=cmd_decouple)
 

@@ -303,14 +303,17 @@ def _transfer_swap(
 class DecouplingResult:
     """Outcome of a gentle decoupling.
 
-    ``path`` samples an admissible homotopy of walks from the decoupled
-    ``w_prime`` back to the original; its existence is what makes the
-    decoupling gentle, so both half-space indices are preserved.
+    ``generator`` is the admissible Hermitian ``K`` with ``exp(iK) = V``
+    (see :func:`~walkindex.indices.contract_perturbation`).  The walks
+    ``exp(i(1-t)K) W`` form a norm-continuous admissible path from the
+    decoupled ``w_prime`` (``t = 0``) back to the original (``t = 1``); its
+    existence is what makes the decoupling gentle, so both half-space indices
+    are preserved.
     """
 
     v: np.ndarray
     w_prime: LatticeOperator
-    path: list[np.ndarray]
+    generator: np.ndarray
     commutator_norm: float
     transfer_counts: dict[int, tuple[int, int]]
     si_before: tuple[IndexValue, IndexValue]
@@ -330,16 +333,16 @@ def gentle_decoupling(
     op: LatticeOperator,
     cut: int,
     second_cut: int | None = None,
-    steps: int = 8,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DecouplingResult:
     """Decouple a walk at a bond (line) or a pair of bonds (circle).
 
     Builds the canonical correction ``V`` (direct rotation plus transfer
     swap), returns ``W' = V W`` with ``[P, W'] = 0``, and certifies
-    gentleness with an admissible contraction path and the half-space
-    indices before and after.  Raises ``Obstructed`` when a cut bond has
-    a nonzero net transfer count.
+    gentleness with the admissible generator of the contraction path and the
+    half-space indices before and after.  Each full-size matrix is checked
+    once: the walk (in ``twiddle_rep``), ``W'`` and the generator.  Raises
+    ``Obstructed`` when a cut bond has a nonzero net transfer count.
     """
     rep = op.rep()
     if rep is None:
@@ -385,7 +388,7 @@ def gentle_decoupling(
             f"decoupled walk violates admissibility: {report.max_residual:.3e}"
         )
 
-    path = [sample @ m for sample in contract_perturbation(v, trep, steps=steps, tol=tol)]
+    generator = contract_perturbation(v, trep, tol)
 
     w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep, dict(op.meta), tol)
     si_b = si_left_right(op, cut, second_cut=second, tol=tol)
@@ -393,7 +396,7 @@ def gentle_decoupling(
     return DecouplingResult(
         v=v,
         w_prime=w2_op,
-        path=path,
+        generator=generator,
         commutator_norm=commutator,
         transfer_counts=counts,
         si_before=si_b,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .decoupling import decouple_segment
 from .errors import (
+    CutOutOfRange,
     DimensionMismatch,
     IncompatibleCells,
     NotAdmissible,
@@ -131,8 +132,15 @@ def certify_boundary_modes(
     decay of the modes: a window containing their localization region gives
     small ``eps1``/``eps2`` and a tight radius, a distant window gives a
     vacuous one.  The same truncated vectors certify any larger system that
-    contains the window unchanged.
+    contains the window unchanged.  An empty window, or one naming a cell
+    outside ``[0, n_cells)``, is refused with ``CutOutOfRange``.
     """
+    cells = tuple(window)
+    n = big.cells.n_cells
+    if not cells:
+        raise CutOutOfRange("the cell window is empty")
+    if min(cells) < 0 or max(cells) >= n:
+        raise CutOutOfRange(f"window cells {min(cells)}..{max(cells)} outside [0, {n})")
     eig = eig_unitary(big.matrix, tol)
     dist = np.abs(eig.values - theta)
     radius = tol.exact if select_radius is None else select_radius
@@ -146,7 +154,7 @@ def certify_boundary_modes(
     # localized combinations; otherwise a hybridized pair straddling two
     # boundaries truncates to two parallel vectors.
     span = eig.vectors[:, eligible]
-    mask = big.cells.index_mask(tuple(window)).astype(float)
+    mask = big.cells.index_mask(cells).astype(float)
     w_op = span.conj().T @ (mask[:, None] * span)
     vals, u = np.linalg.eigh((w_op + w_op.conj().T) / 2)
     chosen = (span @ u)[:, np.argsort(vals)[::-1][:k_expected]]

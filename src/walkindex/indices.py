@@ -247,15 +247,14 @@ def si_pm(
 def si_total(
     w,
     rep: SymmetryRep | None = None,
-    exclude_proxy: bool = True,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IndexValue:
     """Symmetry index of an essentially unitary operator.
 
     The index of the representation restricted to the kernel of the imaginary
     part.  For a ``LatticeOperator`` with proxy ends, kernel modes living in
-    the proxy windows are truncation artifacts and are excluded (disable with
-    ``exclude_proxy=False``).
+    the proxy windows are truncation artifacts and are excluded; a plain
+    matrix has no proxy ends, so every kernel mode counts.
 
     The kernel is detected by the essential-gap rule (see the module
     docstring), so boundary modes whose tails are clipped by a finite
@@ -264,12 +263,7 @@ def si_total(
     m, r = _matrix_rep(w, rep)
     check_admissible(m, r, kind="walk", tol=tol)
     ker = _essential_kernel(imaginary_part(m), tol)
-    if (
-        exclude_proxy
-        and isinstance(w, LatticeOperator)
-        and w.cells.proxy_ends
-        and ker.shape[1]
-    ):
+    if isinstance(w, LatticeOperator) and w.cells.proxy_ends and ker.shape[1]:
         ker = _drop_window(ker, w.cells, w.band, "kernel")
     return _restricted_index(r, ker, tol)
 
@@ -439,27 +433,26 @@ def verify_locpert(
 def contract_perturbation(
     v,
     trep: SymmetryRep,
-    steps: int = 16,
     tol: Tolerances = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """A path of admissible unitaries from ``V`` to the identity.
+) -> np.ndarray:
+    """Admissible Hermitian generator ``K`` with ``exp(iK) = V``.
 
-    Requires the index of ``trep`` on the -1-eigenspace of ``V`` (selected by
-    :func:`~walkindex.operators.phase_window`) to vanish (``Obstructed``
-    otherwise).  Conjugate eigenvalue pairs rotate along the shorter arc to
-    +1; the balanced -1-eigenspace moves through ``exp(i pi (1-t) H)`` with
-    ``H`` a gapped admissible generator, staying clear of -1.
-    Returns ``steps + 1`` samples, each verified unitary and admissible.
+    ``t -> exp(i(1-t)K)`` is then a norm-continuous path of admissible
+    unitaries from ``V`` to the identity.  Conjugate eigenvalue pairs rotate
+    along the shorter arc to +1; the -1-eigenspace (selected by
+    :func:`~walkindex.operators.phase_window`) moves through
+    ``exp(i pi (1-t) H)`` with ``H`` a gapped admissible generator, so it
+    stays clear of -1.  Such an ``H`` exists exactly when the index of
+    ``trep`` on that eigenspace vanishes (``Obstructed`` otherwise).  ``K``
+    is checked once as a Hamiltonian for ``trep``; it is admissible exactly
+    when ``V`` is, since the principal logarithm meets no eigenvalue at -1
+    outside the balanced block.
     """
-    m = np.asarray(v, dtype=complex)
-    eig = eig_unitary(m, tol)
-    check_admissible(m, trep, kind="walk", tol=tol)
-    phases = np.angle(eig.values)
+    eig = eig_unitary(v, tol)
     at_minus = phase_window(eig, -1.0, tol=tol)
-    minus_basis = eig.vectors[:, at_minus]
     rotating = eig.vectors[:, ~at_minus]
-    rot_phases = phases[~at_minus]
-
+    k = rotating @ (np.angle(eig.values[~at_minus])[:, None] * rotating.conj().T)
+    minus_basis = eig.vectors[:, at_minus]
     if minus_basis.shape[1]:
         try:
             h_small = balanced_hamiltonian(trep.restrict(minus_basis, tol), tol)
@@ -467,21 +460,10 @@ def contract_perturbation(
             raise Obstructed(
                 f"-1-eigenspace: {exc}; no admissible contraction exists"
             ) from exc
-    else:
-        h_small = np.zeros((0, 0), dtype=complex)
-
-    path = []
-    for t in np.linspace(0.0, 1.0, steps + 1):
-        sample = rotating @ (np.exp(1j * (1 - t) * rot_phases)[:, None] * rotating.conj().T)
-        if minus_basis.shape[1]:
-            d = minus_basis.shape[1]
-            block_angle = np.pi * (1 - t)
-            block = np.cos(block_angle) * np.eye(d) + 1j * np.sin(block_angle) * h_small
-            sample = sample + minus_basis @ block @ minus_basis.conj().T
-        check_unitary(sample, tol, what=f"path sample t={t:.3f}")
-        check_admissible(sample, trep, kind="walk", tol=tol)
-        path.append(sample)
-    return path
+        k = k + np.pi * (minus_basis @ h_small @ minus_basis.conj().T)
+    k = (k + k.conj().T) / 2
+    check_admissible(k, trep, kind="hamiltonian", tol=tol)
+    return k
 
 
 # -- bulk-boundary correspondence ----------------------------------------------------

@@ -2,9 +2,9 @@
 
 Random representations are produced by conjugating a hand-checked normal form
 with a Haar unitary, which preserves the defining relations and the index
-exactly.  ``locality_profile`` and ``reference_dumps`` are the plain
-implementations that the fast band measurement and canonical JSON encoder
-are compared against.
+exactly.  ``locality_profile``, ``reference_dumps`` and ``contraction_path``
+are the plain implementations that the fast band measurement, the canonical
+JSON encoder and the contraction generator are compared against.
 """
 
 from __future__ import annotations
@@ -99,6 +99,15 @@ def random_admissible_hamiltonian(rep: SymmetryRep, gen: np.random.Generator, sc
 def random_admissible_walk(rep: SymmetryRep, gen: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """A random admissible unitary, gapless in general."""
     return expm(1j * random_admissible_hamiltonian(rep, gen, scale))
+
+
+def contraction_path(generator: np.ndarray, steps: int) -> list[np.ndarray]:
+    """``exp(i(1-t)K)`` at ``steps + 1`` even times ``t`` in [0, 1], by scipy ``expm``.
+
+    The reference for the contraction path that a generator from
+    ``contract_perturbation`` stands for: sample 0 is ``V``, the last is 1.
+    """
+    return [expm(1j * (1 - t) * generator) for t in np.linspace(0.0, 1.0, steps + 1)]
 
 
 ALL_CLASSES = list(SymmetryClass)

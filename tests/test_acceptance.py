@@ -1,8 +1,9 @@
 """End-to-end acceptance checks for the shipped guarantees.
 
-Nine checks; each prints a single [PASS] line (on the real stderr, past any
-capture) with its measured figures, and enforces its runtime budget where one
-is stated.  All randomness is seeded, so the suite is deterministic.
+Nine numbered checks; each prints a single [PASS] line (on the real stderr,
+past any capture) with its measured figures, and enforces its runtime budget
+where one is stated.  Check 6 has a companion fuzz of the contraction
+generator itself.  All randomness is seeded, so the suite is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
-from helpers import haar_unitary, random_admissible_walk, random_rep, rng
+from helpers import contraction_path, haar_unitary, random_admissible_walk, random_rep, rng
 from walkindex.cli import main
 from walkindex.decoupling import ProjectionPair, gentle_decoupling
 from walkindex.errors import Obstructed, WindowAmbiguous
@@ -346,7 +347,8 @@ def test_06_gentle_decoupling_suite():
         assert re_floor >= -1e-9
         rep = op.rep()
         eye = np.eye(op.dim)
-        for sample in res.path:
+        for v_t in contraction_path(res.generator, 8):
+            sample = v_t @ op.matrix
             unit = float(np.linalg.norm(sample.conj().T @ sample - eye, 2))
             adm = check_admissible(sample, rep, kind="walk", strict=False).max_residual
             worst_unit = max(worst_unit, unit)
@@ -364,6 +366,21 @@ def test_06_gentle_decoupling_suite():
         f"{max(worst_unit, worst_adm):.1e}, indices preserved; pure shift obstructed "
         f"({elapsed:.1f} s)",
     )
+
+
+def test_06_contraction_generator_fuzz():
+    # the generator behind every gentle decoupling is an admissible
+    # Hamiltonian for the companion rep, and exp(iK) gives back V
+    gen = rng(20261018)
+    for t in range(2 * len(FAMILIES)):
+        ti, (lo, hi) = FAMILIES[t % len(FAMILIES)]
+        n = int(gen.integers(lo, hi + 1))
+        op = conjugated_ring(ti, n, gen)
+        res = gentle_decoupling(op, int(gen.integers(0, n)))
+        k = res.generator
+        assert np.linalg.norm(k - k.conj().T, 2) <= 1e-12
+        check_admissible(k, twiddle_rep(op), kind="hamiltonian")
+        assert np.linalg.norm(expm(1j * k) - res.v, 2) <= 1e-10
 
 
 # -- 7: half-space index consistency ---------------------------------------------------

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import walkindex
 import walkindex.decoupling
+from helpers import contraction_path
 from walkindex.decoupling import (
     DecouplingResult,
     ProjectionPair,
@@ -178,13 +180,34 @@ def test_gentle_decoupling_generating_ring():
 def test_gentle_decoupling_path_is_admissible_homotopy():
     r = gen_ring(12)
     rep = r.rep()
-    res = gentle_decoupling(r, 0, steps=8)
-    assert len(res.path) == 9
-    assert np.linalg.norm(res.path[0] - res.w_prime.matrix) <= 1e-12
-    assert np.linalg.norm(res.path[-1] - r.matrix) <= 1e-12
-    for sample in res.path:
+    res = gentle_decoupling(r, 0)
+    path = [sample @ r.matrix for sample in contraction_path(res.generator, 8)]
+    assert len(path) == 9
+    assert np.linalg.norm(path[0] - res.w_prime.matrix) <= 1e-12
+    assert np.linalg.norm(path[-1] - r.matrix) <= 1e-12
+    for sample in path:
         check_unitary(sample)
         assert check_admissible(sample, rep, kind="walk", strict=False).max_residual <= 1e-8
+
+
+def test_gentle_decoupling_checks_each_matrix_once(monkeypatch):
+    # the walk (in twiddle_rep), the decoupled walk and the generator
+    r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 24)
+    calls = {"check_admissible": [], "check_unitary": []}
+    for name, seen in calls.items():
+        original = getattr(walkindex.operators, name)
+
+        def counting(m, *args, _original=original, _seen=seen, **kwargs):
+            _seen.append(np.shape(m))
+            return _original(m, *args, **kwargs)
+
+        for module in vars(walkindex).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    gentle_decoupling(r, 0)
+    full = {name: sum(shape == (r.dim, r.dim) for shape in seen) for name, seen in calls.items()}
+    assert full["check_admissible"] == 3
+    assert full["check_unitary"] <= 3
 
 
 def test_gentle_decoupling_trivial_needs_no_correction():
@@ -312,9 +335,9 @@ def test_decouple_segment_refuses_changed_indices(monkeypatch):
 def test_result_ok_is_index_preservation():
     # gentle_decoupling gates the commutator at 10 * tol.unit; ok does not re-gate it
     si = (IndexValue(IndexGroup.Z, -1), IndexValue(IndexGroup.Z, 1))
-    result = DecouplingResult(None, None, [], 5e-9, {}, si, si)
+    result = DecouplingResult(None, None, None, 5e-9, {}, si, si)
     assert result.ok
-    assert not DecouplingResult(None, None, [], 0.0, {}, si, si[::-1]).ok
+    assert not DecouplingResult(None, None, None, 0.0, {}, si, si[::-1]).ok
 
 
 def test_truncate_ti_decoupled_matches_segment_extraction():

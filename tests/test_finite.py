@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from walkindex.errors import (
+    CutOutOfRange,
     DimensionMismatch,
     Gapless,
     IncompatibleCells,
@@ -214,6 +215,15 @@ def test_off_interface_window_is_vacuous(line_join_80, bulk_margin):
 def test_zero_weight_window_refused(line_join_80):
     with pytest.raises(NotEnoughModes):
         certify_boundary_modes(line_join_80, range(0, 20), 1.0, 1, select_radius=1e-3)
+
+
+@pytest.mark.parametrize(
+    "window", [range(0, 1000), range(-3, 4), range(16, 8)], ids=["past-end", "negative", "empty"]
+)
+def test_window_outside_lattice_refused(split_a, split_b, window):
+    circle = join_crossover(split_a, split_b, 12, 12, "circle")
+    with pytest.raises(CutOutOfRange):
+        certify_boundary_modes(circle, window, 1.0, 1, select_radius=1e-3)
 
 
 def test_too_few_near_eigenvalues_refused(line_join_80):

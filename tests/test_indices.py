@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import (
+    contraction_path,
     normal_form_rep,
     random_admissible_walk,
     random_rep,
@@ -186,8 +187,8 @@ def test_si_total_one_sided_compression():
     seg = truncate_ti(make_generating_example(), 12, "compress")
     right = compress(seg, half_space_projection(seg.cells, 4, side="geq"))
     assert int(si_total(right)) == 1
-    # without proxy exclusion the far-end mode cancels the cut mode
-    assert int(si_total(right, exclude_proxy=False)) == 0
+    # a plain matrix has no proxy ends: the far-end mode cancels the cut mode
+    assert int(si_total(right.matrix, right.rep())) == 0
 
 
 def test_si_left_right_generating_segment():
@@ -417,7 +418,7 @@ def test_relative_index_fuzz_locpert():
 
 def test_contract_identity_is_constant():
     rep = normal_form_rep(C.BDI, 1, 1)
-    path = contract_perturbation(np.eye(2, dtype=complex), rep, steps=4)
+    path = contraction_path(contract_perturbation(np.eye(2, dtype=complex), rep), 4)
     assert len(path) == 5
     for sample in path:
         assert np.allclose(sample, np.eye(2))
@@ -428,7 +429,7 @@ def test_contract_conjugate_pair():
         C.AIII, 2, gamma=np.array([[0, 1], [1, 0]], dtype=complex)
     )
     v = np.diag([np.exp(0.9j), np.exp(-0.9j)])
-    path = contract_perturbation(v, rep, steps=8)
+    path = contraction_path(contract_perturbation(v, rep), 8)
     assert len(path) == 9
     assert np.allclose(path[0], v, atol=1e-10)
     assert np.allclose(path[-1], np.eye(2), atol=1e-12)
@@ -439,7 +440,7 @@ def test_contract_conjugate_pair():
 
 def test_contract_balanced_minus_block():
     rep = SymmetryRep.from_matrices(C.AIII, 2, gamma=np.diag([1.0, -1.0]))
-    path = contract_perturbation(-np.eye(2, dtype=complex), rep, steps=6)
+    path = contraction_path(contract_perturbation(-np.eye(2, dtype=complex), rep), 6)
     assert np.allclose(path[-1], np.eye(2), atol=1e-12)
     # interior samples stay away from -1
     for sample in path[1:]:
@@ -456,7 +457,7 @@ def test_contract_validates_minus_rep_once(monkeypatch):
         return validate(self, *args, **kwargs)
 
     monkeypatch.setattr(SymmetryRep, "validate", counting_validate)
-    contract_perturbation(-np.eye(2, dtype=complex), rep, steps=2)
+    contract_perturbation(-np.eye(2, dtype=complex), rep)
     assert len(validated) == 1
     assert validated[0] is not rep and validated[0].dim == 2
 
@@ -469,7 +470,7 @@ def test_contract_refuses_edge_eigenvalue():
     phi = np.pi - 0.999e-7
     v = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
     with pytest.raises(WindowAmbiguous, match="window edge"):
-        contract_perturbation(v, rep, steps=2)
+        contract_perturbation(v, rep)
 
 
 def test_contract_obstructed():

@@ -17,7 +17,7 @@ from pathlib import Path
 from .decoupling import gentle_decoupling
 from .errors import WalkIndexError
 from .finite import certify_boundary_modes, crossover_sweep
-from .indices import si_left_right, si_pm
+from .indices import ESSENTIAL_KERNEL_CEILING, si_left_right, si_pm
 from .lattice import LatticeOperator
 from .operators import check_admissible
 from .serialize import (
@@ -102,7 +102,7 @@ def cmd_index(args, tol: Tolerances) -> int:
         "tolerances": _tol_json(tol),
     }
     if unitarity <= tol.unit:
-        minus, plus = si_pm(op, rep, window=args.window, tol=tol)
+        minus, plus = si_pm(op, rep, ceiling=args.window, tol=tol)
         out["si_minus"] = index_value_to_json(minus)
         out["si_plus"] = index_value_to_json(plus)
     else:
@@ -288,7 +288,10 @@ def _build_parser() -> _Parser:
     p.add_argument("spec", help="walk spec JSON file, or - for stdin")
     p.add_argument("--cut", type=int, default=None, help="cut bond (default: middle)")
     p.add_argument(
-        "--window", type=float, default=None, help="+-1 eigenvalue window (default: tol.exact)"
+        "--window",
+        type=float,
+        default=ESSENTIAL_KERNEL_CEILING,
+        help="ceiling of the +-1 eigenvalue cluster in |Im lambda| (default: %(default)s)",
     )
     p.set_defaults(func=cmd_index)
 

@@ -133,8 +133,11 @@ def certify_boundary_modes(
     small ``eps1``/``eps2`` and a tight radius, a distant window gives a
     vacuous one.  The same truncated vectors certify any larger system that
     contains the window unchanged.  An empty window, or one naming a cell
-    outside ``[0, n_cells)``, is refused with ``CutOutOfRange``.
+    outside ``[0, n_cells)``, is refused with ``CutOutOfRange``, and a
+    ``k_expected`` below 1 with ``NotEnoughModes``.
     """
+    if k_expected < 1:
+        raise NotEnoughModes(f"need at least one mode to certify, got k = {k_expected}")
     cells = tuple(window)
     n = big.cells.n_cells
     if not cells:

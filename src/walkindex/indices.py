@@ -3,9 +3,9 @@
 The central quantity is the symmetry index of the kernel of the imaginary
 part ``(W - W*)/2i`` of an essentially unitary operator.  For an exactly
 unitary walk that kernel is the direct sum of the eigenspaces at +1 and -1,
-giving the pair ``si_pm``; compressing to a half space and excluding modes
-attributed to proxy (truncation) ends gives the left/right half-space
-indices.
+split by the sign of the real part ``(W + W*)/2``, giving the pair
+``si_pm``; compressing to a half space and excluding modes attributed to
+proxy (truncation) ends gives the left/right half-space indices.
 
 Finite segments stand in for half-infinite systems.  Every function that
 attributes modes to a cut does so by diagonalizing the weight of the mode
@@ -21,7 +21,8 @@ magnitude cluster separated from the remaining spectrum by a large ratio and
 lying under an absolute ceiling.  Symmetry makes this safe: every admissible
 symmetry pairs the +e and -e eigenspaces of the imaginary part, a magnitude
 sort can never split such a pair, and a fully included balanced pair
-contributes zero to the index.
+contributes zero to the index.  Every index here takes the +-1 eigenspaces
+of a unitary walk from the same cluster (``_pm_eigenspaces``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EigenFailure,
     IncompatibleCells,
     NonIntegerInvariant,
     NonIntegerTrace,
@@ -52,7 +54,6 @@ from .operators import (
     check_admissible,
     check_unitary,
     eig_unitary,
-    eigenspace_at,
     imaginary_part,
     kernel_basis,
     phase_window,
@@ -97,12 +98,14 @@ ESSENTIAL_KERNEL_CEILING = 0.1
 ESSENTIAL_KERNEL_RATIO = 5.0
 
 
-def _essential_kernel(h: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _essential_kernel(
+    h: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
+) -> np.ndarray:
     """Eigenvectors of a Hermitian matrix converging to its half-space kernel.
 
     Hard zeros (below ``tol.ker`` relative to scale) always count.  On top of
-    those, the largest magnitude cluster below ``ESSENTIAL_KERNEL_CEILING``
-    that is separated from the rest of the spectrum by a factor of at least
+    those, the largest magnitude cluster below ``ceiling`` that is separated
+    from the rest of the spectrum by a factor of at least
     ``ESSENTIAL_KERNEL_RATIO`` is accepted as the finite-size image of an
     exact kernel whose tails leak through the truncation end.
     """
@@ -114,12 +117,32 @@ def _essential_kernel(h: np.ndarray, tol: Tolerances) -> np.ndarray:
     scale = max(1.0, float(mag[-1])) if n else 1.0
     count = int(np.sum(mag <= tol.ker * scale))
     for j in range(n - 1, count, -1):
-        if mag[j - 1] > ESSENTIAL_KERNEL_CEILING:
+        if mag[j - 1] > ceiling:
             continue
         if mag[j] >= ESSENTIAL_KERNEL_RATIO * max(mag[j - 1], tol.ker * scale):
             count = j
             break
     return vecs[:, order[:count]]
+
+
+def _pm_eigenspaces(
+    m: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the -1 and +1 eigenspaces of a unitary matrix.
+
+    The essential kernel of ``Im W`` (``ceiling`` in ``|Im lambda|``) split by
+    the sign of the compressed ``Re W``; a span that ``W`` does not map into
+    itself within ``max(tol.eig, 1e-12 d)`` raises ``EigenFailure``.
+    """
+    ker = _essential_kernel(imaginary_part(m), tol, ceiling)
+    c = ker.conj().T @ m @ ker
+    re, u = np.linalg.eigh((c + c.conj().T) / 2)
+    spaces = ker @ u[:, re < 0], ker @ u[:, re > 0]
+    for b in spaces:
+        residual = spectral_norm(m @ b - b @ (b.conj().T @ m @ b))
+        if residual > max(tol.eig, 1e-12 * m.shape[0]):
+            raise EigenFailure(f"+-1 eigenspace invariance residual {residual:.3e}")
+    return spaces
 
 
 def _matrix_rep(w, rep: SymmetryRep | None) -> tuple[np.ndarray, SymmetryRep]:
@@ -207,22 +230,21 @@ def _restricted_index(
 def si_pm(
     w,
     rep: SymmetryRep | None = None,
-    window: float | None = None,
+    ceiling: float = ESSENTIAL_KERNEL_CEILING,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[IndexValue, IndexValue]:
     """Symmetry indices of the -1 and +1 eigenspaces of a unitary walk.
 
-    Returns ``(si_minus, si_plus)``; ``window`` is the eigenphase radius of
-    each eigenspace (default ``tol.exact``).  Cross-checked against the
+    Returns ``(si_minus, si_plus)`` of the cluster of ``Im W`` under
+    ``ceiling`` (see :func:`_pm_eigenspaces`).  Cross-checked against the
     closed forms available per class: ``si_pm = tr(gamma (1 +- W))/2`` for
     the unitary chiral classes and the determinant parity
-    ``det W = (-1)^{si_minus}`` in class D.
+    ``det W = (-1)^{si_minus}`` in class D, both within ``tol.idx``.
     """
     m, r = _matrix_rep(w, rep)
-    eig = eig_unitary(m, tol)
+    check_unitary(m, tol)
     check_admissible(m, r, kind="walk", tol=tol)
-    minus = eigenspace_at(m, -1.0, window, tol, eig)
-    plus = eigenspace_at(m, 1.0, window, tol, eig)
+    minus, plus = _pm_eigenspaces(m, tol, ceiling)
     si_minus = _restricted_index(r, minus, tol)
     si_plus = _restricted_index(r, plus, tol)
     if r.cls in CHIRAL_UNITARY:
@@ -237,7 +259,7 @@ def si_pm(
                 )
     elif r.cls is SymmetryClass.D:
         det = complex(np.linalg.det(m))
-        if abs(det - (-1.0) ** int(si_minus)) > 1e-6:
+        if abs(det - (-1.0) ** int(si_minus)) > tol.idx:
             raise NonIntegerTrace(
                 f"det W = {det:.6g} disagrees with parity of si_minus = {int(si_minus)}"
             )
@@ -385,7 +407,8 @@ def relative_index(
     check_admissible(mp, r, kind="walk", tol=tol)
     trep = twiddle_rep(m, r, tol)
     v = mp @ m.conj().T
-    minus = eigenspace_at(v, -1.0, tol=tol)
+    check_unitary(v, tol)
+    minus, _ = _pm_eigenspaces(v, tol)
     return _restricted_index(trep, minus, tol)
 
 
@@ -493,7 +516,6 @@ class BulkBoundaryReport:
     expected: IndexValue
     measured: IndexValue
     protected_dim: int
-    window: float
 
     @property
     def dimension_bound_ok(self) -> bool:
@@ -516,10 +538,9 @@ def verify_bulk_boundary(
     ``si_right(right bulk) - si_right(left bulk)``; the joined operator is a
     segment whose outer ends are proxies, so near-(+-1) modes inside the
     proxy windows are excluded and the rest are attributed to the interface.
-    The eigenphase radius counted as protected is ``tol.exact``; widen
-    ``tol.exact`` for finite systems whose boundary eigenvalues have not
-    fully converged.  An eigenvalue at the edge of that radius raises
-    ``WindowAmbiguous``.
+    The near-(+-1) modes are the essential-gap cluster of ``Im W`` (see the
+    module docstring), so boundary eigenvalues that a finite system splits
+    slightly off +-1 still count.
     """
     if left.cls is not right.cls:
         raise IncompatibleCells(
@@ -534,15 +555,12 @@ def verify_bulk_boundary(
     expected = sir_right - sir_left
 
     m, r = _matrix_rep(joined, None)
-    eig = eig_unitary(m, tol)
+    check_unitary(m, tol)
     check_admissible(m, r, kind="walk", tol=tol)
-    near = phase_window(eig, 1.0, tol=tol) | phase_window(eig, -1.0, tol=tol)
-    basis = eig.vectors[:, near]
+    basis = np.hstack(_pm_eigenspaces(m, tol))
     basis = _drop_window(basis, joined.cells, joined.band, "protected")
     measured = _restricted_index(r, basis, tol)
-    return BulkBoundaryReport(
-        sir_left, sir_right, expected, measured, basis.shape[1], tol.exact
-    )
+    return BulkBoundaryReport(sir_left, sir_right, expected, measured, basis.shape[1])
 
 
 # -- the 2x2 index table of a decoupled walk -----------------------------------------
@@ -614,17 +632,11 @@ def index_matrix(
         )
     entries: dict[str, IndexValue] = {}
     for side, piece in zip(("left", "right"), half_spaces(w, a)):
-        eig = eig_unitary(piece.matrix, tol)
+        check_unitary(piece.matrix, tol)
         prep = piece.rep()
         if prep is None:
             raise NotAdmissible("the index table needs a cell-local representation")
-        for name, target in (("minus", -1.0), ("plus", 1.0)):
-            basis = eigenspace_at(piece.matrix, target, tol=tol, eig=eig)
+        for name, basis in zip(("minus", "plus"), _pm_eigenspaces(piece.matrix, tol)):
             basis = _drop_window(basis, piece.cells, w.band, f"{side} {name}")
-            entries[f"{name}_{side}"] = _restricted_index(prep, basis, tol)
-    return IndexMatrix(
-        entries["minus_left"],
-        entries["minus_right"],
-        entries["plus_left"],
-        entries["plus_right"],
-    )
+            entries[f"si_{name}_{side}"] = _restricted_index(prep, basis, tol)
+    return IndexMatrix(**entries)

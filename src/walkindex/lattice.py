@@ -140,6 +140,8 @@ class LatticeOperator:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.band < 0:
+            raise IncompatibleCells(f"declared band {self.band} is negative")
         d = self.cells.total_dim
         if self.matrix.shape != (d, d):
             raise IncompatibleCells(f"matrix shape {self.matrix.shape} != cell total {(d, d)}")

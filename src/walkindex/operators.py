@@ -38,7 +38,6 @@ __all__ = [
     "GapReport",
     "spectral_flatten",
     "phase_window",
-    "eigenspace_at",
     "check_normal",
     "admissible_hamiltonian_projection",
 ]
@@ -236,22 +235,18 @@ def spectral_flatten(
 def phase_window(
     eig: UnitaryEigen,
     target: complex,
-    window: float | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Mask of the eigenvalues within ``window`` radians of a phase.
+    """Mask of the eigenvalues within ``tol.exact`` radians of a phase.
 
-    ``window`` defaults to ``tol.exact``.  Raises ``WindowAmbiguous`` if some
-    eigenvalue sits within ``10 * tol.eig`` of the window edge, where
-    membership is numerically undecidable.
+    Raises ``WindowAmbiguous`` if some eigenvalue sits within ``10 * tol.eig``
+    of the window edge, where membership is numerically undecidable.
     """
-    if window is None:
-        window = tol.exact
     t = complex(target)
     if abs(abs(t) - 1) > 1e-9:
         raise ValueError(f"target {t} is not on the unit circle")
     delta = np.abs(np.angle(eig.values * np.conj(t)))
-    edge = np.abs(delta - window)
+    edge = np.abs(delta - tol.exact)
     guard = 10 * tol.eig
     risky = (edge < guard) & (delta > guard)
     if np.any(risky):
@@ -259,20 +254,7 @@ def phase_window(
         raise WindowAmbiguous(
             f"eigenvalue within {worst:.3e} rad of the selection window edge at {t:.3g}"
         )
-    return delta <= window
-
-
-def eigenspace_at(
-    w: np.ndarray,
-    target: complex,
-    window: float | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    eig: UnitaryEigen | None = None,
-) -> np.ndarray:
-    """Orthonormal basis of the eigenspace selected by :func:`phase_window`."""
-    if eig is None:
-        eig = eig_unitary(w, tol)
-    return eig.vectors[:, phase_window(eig, target, window, tol)]
+    return delta <= tol.exact
 
 
 def admissible_hamiltonian_projection(k: np.ndarray, rep: SymmetryRep) -> np.ndarray:

@@ -369,7 +369,9 @@ def winding_number(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) ->
 
     Equals the right half-space index for the classes with ``gamma^2 = +1``
     (AIII, BDI, CII).  The grid is doubled until phase increments are small
-    and the sum is within ``tol.integer_residual`` of an integer.
+    and the sum is within ``tol.integer_residual`` of an integer.  The ``m x m``
+    block determinant winds at most ``m band`` times, so ``n_k <= 2 m band``
+    can alias it and is refused (``ValueError``).
     """
     if ti.cls not in (SymmetryClass.AIII, SymmetryClass.BDI, SymmetryClass.CII):
         raise NotChiral(f"winding number needs gamma^2 = +1, class {ti.cls.value} does not provide it")
@@ -377,6 +379,9 @@ def winding_number(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) ->
     plus, minus = chiral_sectors(ti.cell_rep, tol)
     if plus.shape[1] != minus.shape[1]:
         raise SingularBlock("chiral sectors of unequal dimension have no unitary off-diagonal block")
+    floor = 2 * plus.shape[1] * ti.band
+    if n_k <= floor:
+        raise ValueError(f"n_k = {n_k} can alias the winding: need n_k > 2 m band = {floor}")
     n = n_k
     while True:
         ks = -np.pi + 2 * np.pi * np.arange(n) / n
@@ -423,10 +428,13 @@ def berry_phase(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) -> In
     half-space index).  Class DIII: half interval [0, pi] with time-reversal
     Kramers-pinned frames at both endpoints, value in {0, 2} mod 4.  Pinned
     endpoint frames are unique up to determinant-one (quaternionic) gauges,
-    so the product of frame overlaps is gauge invariant.
+    so the product of frame overlaps is gauge invariant.  ``n_k < 2`` is
+    refused (``ValueError``).
     """
     if ti.cls not in (SymmetryClass.D, SymmetryClass.DIII):
         raise NotChiral(f"phase index is defined for classes D and DIII, not {ti.cls.value}")
+    if n_k < 2:
+        raise ValueError(f"n_k = {n_k} is below the phase-index floor of 2 samples")
     validate_ti(ti, tol=tol)
     n = n_k
     while True:

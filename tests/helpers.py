@@ -4,7 +4,9 @@ Random representations are produced by conjugating a hand-checked normal form
 with a Haar unitary, which preserves the defining relations and the index
 exactly.  ``locality_profile``, ``reference_dumps`` and ``contraction_path``
 are the plain implementations that the fast band measurement, the canonical
-JSON encoder and the contraction generator are compared against.
+JSON encoder and the contraction generator are compared against;
+``window_eigenspaces`` is the fixed-radius +-1 selection that the
+essential-gap cluster of ``si_pm`` is compared against.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from walkindex.lattice import LatticeOperator
-from walkindex.operators import admissible_hamiltonian_projection
+from walkindex.operators import admissible_hamiltonian_projection, eig_unitary, phase_window
 from walkindex.symmetry import SymmetryClass, SymmetryRep, spectral_norm
+from walkindex.tolerances import DEFAULT_TOL
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -99,6 +102,18 @@ def random_admissible_hamiltonian(rep: SymmetryRep, gen: np.random.Generator, sc
 def random_admissible_walk(rep: SymmetryRep, gen: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """A random admissible unitary, gapless in general."""
     return expm(1j * random_admissible_hamiltonian(rep, gen, scale))
+
+
+def window_eigenspaces(w: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of the -1 and +1 eigenspaces within ``window`` radians of +-1.
+
+    ``eig_unitary`` plus a fixed eigenphase radius; an eigenvalue on the
+    window edge raises ``WindowAmbiguous``, so this oracle does not answer
+    there.
+    """
+    tol = DEFAULT_TOL.with_(exact=window)
+    eig = eig_unitary(w, tol)
+    return tuple(eig.vectors[:, phase_window(eig, t, tol=tol)] for t in (-1.0, 1.0))
 
 
 def contraction_path(generator: np.ndarray, steps: int) -> list[np.ndarray]:

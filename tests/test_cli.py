@@ -51,6 +51,22 @@ def run_json(capsys, argv):
 # -- index ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_index_decoupled_segment_end_pair_needs_no_window(tmp_path, capsys, n):
+    # the end-mode pair sits exp(-n/xi) from +1: at 24 cells on the edge of
+    # the old fixed 1e-7 radius, which refused the balanced pair
+    spec = {
+        "type": "ti",
+        "builtin": "split_step",
+        "coin_params": {"theta1": 0.90495, "theta2": -0.38464},
+        "geometry": {"n_cells": n, "topology": "line", "boundary": "decoupled_unitary"},
+    }
+    code, data = run_json(capsys, ["index", write_spec(tmp_path, "seg.json", spec)])
+    assert code == 0, data
+    assert data["si_left"]["value"] == -1 and data["si_right"]["value"] == 1
+    assert data["si_minus"]["value"] + data["si_plus"]["value"] == 0
+
+
 def test_index_compressed_line(tmp_path, capsys):
     spec = write_spec(tmp_path, "gen_line.json", GEN_LINE)
     code, data = run_json(capsys, ["index", spec])
@@ -121,6 +137,21 @@ def test_winding_gapless_exits_3(tmp_path, capsys):
     )
     code, data = run_json(capsys, ["winding", spec])
     assert code == 3 and data["error"] == "SingularBlock"
+
+
+@pytest.mark.parametrize(
+    "spec, n_k, floor",
+    [
+        (SPLIT_A, 2, 2),
+        (GEN, 1, 2),
+        ({"type": "ti", "builtin": "doubled", "coin_params": {"variant": "CII"}}, 2, 4),
+    ],
+)
+def test_winding_aliasing_grid_exits_1(tmp_path, capsys, spec, n_k, floor):
+    path = write_spec(tmp_path, "walk.json", spec)
+    code, data = run_json(capsys, ["winding", path, "--n-k", str(n_k)])
+    assert code == 1 and data["error"] == "ValueError"
+    assert f"need n_k > 2 m band = {floor}" in data["message"]
 
 
 def test_berry_wrong_class_exits_1(tmp_path, capsys):
@@ -310,6 +341,28 @@ def test_temple_kato_too_many_modes_exits_1(tmp_path, capsys):
     assert code == 1 and data["error"] == "NotEnoughModes"
 
 
+def test_temple_kato_negative_k_exits_1(tmp_path, capsys):
+    # used to exit 0 with a one-mode certificate
+    spec = write_spec(
+        tmp_path,
+        "join.json",
+        {
+            "type": "join",
+            "left": SPLIT_A,
+            "right": SPLIT_B,
+            "geometry": {"n_left": 24, "n_right": 24, "topology": "circle"},
+        },
+    )
+    code, data = run_json(
+        capsys,
+        [
+            "temple-kato", spec, "--theta=1+0j", "--k", "-1", "--window", "18:30",
+            "--select-radius", "0.05",
+        ],
+    )
+    assert code == 1 and data["error"] == "NotEnoughModes"
+
+
 @pytest.mark.parametrize("window", ["0:1000", "-3:4", "16:8"])
 def test_temple_kato_window_outside_lattice_exits_1(tmp_path, capsys, window):
     # with the interface pair selected, these windows used to crash with an
@@ -368,6 +421,16 @@ def test_validate_finite_operator(tmp_path, capsys):
     code, data = run_json(capsys, ["validate", spec])
     assert code == 0 and data["ok"] is True and data["kind"] == "operator"
     assert data["n_cells"] == 10 and data["unitarity"] <= 1e-10
+
+
+def test_negative_declared_band_exits_1(tmp_path, capsys):
+    stored = lattice_operator_to_json(build_lattice(make_split_step(1.2, 0.4), 8, "circle"))
+    stored["band"] = -1
+    spec = write_spec(tmp_path, "stored.json", stored)
+    for command in ("validate", "index"):
+        code, data = run_json(capsys, [command, spec])
+        assert code == 1 and data["error"] == "IncompatibleCells", command
+        assert "band -1 is negative" in data["message"]
 
 
 def _negate_gamma(rep_json: dict) -> None:

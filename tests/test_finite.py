@@ -226,6 +226,15 @@ def test_window_outside_lattice_refused(split_a, split_b, window):
         certify_boundary_modes(circle, window, 1.0, 1, select_radius=1e-3)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_nonpositive_mode_count_refused_before_eigensolve(split_a, split_b, monkeypatch, k):
+    # k = -1 used to certify one mode through the [:-1] slice
+    circle = join_crossover(split_a, split_b, 24, 24, "circle")
+    monkeypatch.setattr("walkindex.finite.eig_unitary", None)
+    with pytest.raises(NotEnoughModes, match=f"got k = {k}"):
+        certify_boundary_modes(circle, range(18, 30), 1.0, k, select_radius=0.05)
+
+
 def test_too_few_near_eigenvalues_refused(line_join_80):
     with pytest.raises(NotEnoughModes):
         certify_boundary_modes(line_join_80, range(80), 1.0, 5, select_radius=1e-3)

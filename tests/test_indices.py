@@ -8,13 +8,16 @@ from scipy.linalg import expm
 
 from helpers import (
     contraction_path,
+    haar_unitary,
     normal_form_rep,
     random_admissible_walk,
     random_rep,
     rng,
 )
 from walkindex.errors import (
+    EigenFailure,
     IncompatibleCells,
+    NonIntegerTrace,
     NotAdmissible,
     NotDecoupled,
     NotUnitary,
@@ -23,6 +26,8 @@ from walkindex.errors import (
     WindowAmbiguous,
 )
 from walkindex.indices import (
+    ESSENTIAL_KERNEL_CEILING,
+    _pm_eigenspaces,
     bulk_right_index,
     contract_perturbation,
     fredholm_index,
@@ -157,12 +162,45 @@ def test_unitarity_is_checked_before_admissibility(entry):
         call(LatticeOperator(phase, seg.cells, 0, seg.local_rep))
 
 
+def test_pm_eigenspaces_pick_target():
+    gen = rng(14)
+    u = haar_unitary(gen, 5)
+    w = u @ np.diag([1.0, 1.0, -1.0, 1j, -1j]) @ u.conj().T
+    minus, plus = _pm_eigenspaces(w, DEFAULT_TOL)
+    assert plus.shape[1] == 2 and minus.shape[1] == 1
+    assert np.linalg.norm(w @ plus - plus) < 1e-9
+
+
+def test_si_pm_refuses_non_invariant_span():
+    # a non-normal matrix let through by a loose unitarity tolerance: W does
+    # not map the kernel vector of Im W into its span
+    w = np.diag([1.0, 1j, -1j])
+    w[0, 1] = 0.01
+    loose = DEFAULT_TOL.with_(unit=0.1)
+    with pytest.raises(EigenFailure, match="invariance residual"):
+        si_pm(w, SymmetryRep.from_matrices(C.A, 3), tol=loose)
+
+
 def test_si_pm_window_guard():
+    # the pair sits just past the old fixed 1e-7 radius; it is balanced, so
+    # every ceiling gives the same indices
     eps = 1.05e-7
     w = np.diag([np.exp(1j * eps), np.exp(-1j * eps)])
     rep = SymmetryRep.from_matrices(C.AIII, 2, gamma=np.array([[0, 1], [1, 0]], dtype=complex))
-    with pytest.raises(WindowAmbiguous):
-        si_pm(w, rep, window=1e-7)
+    for ceiling in (1e-7, 1e-3, ESSENTIAL_KERNEL_CEILING):
+        minus, plus = si_pm(w, rep, ceiling=ceiling)
+        assert (int(minus), int(plus)) == (0, 0)
+
+
+def test_si_pm_class_d_parity_reads_tol_idx():
+    # det W of a random class-D walk is +-1 only to rounding; a tiny tol.idx
+    # must reach the parity gate
+    gen = rng(31)
+    rep = random_rep(C.D, gen, p=6)
+    w = random_admissible_walk(rep, gen)
+    si_pm(w, rep)
+    with pytest.raises(NonIntegerTrace, match="det W"):
+        si_pm(w, rep, tol=DEFAULT_TOL.with_(idx=1e-18))
 
 
 def test_si_total_gapped_coin_is_zero():
@@ -176,10 +214,7 @@ def test_si_total_equals_si_pm_sum_random():
         for _ in range(5):
             rep = random_rep(cls, gen, p=2, q=2)
             w = random_admissible_walk(rep, gen)
-            try:
-                minus, plus = si_pm(w, rep)
-            except WindowAmbiguous:
-                continue
+            minus, plus = si_pm(w, rep)
             assert int(si_total(w, rep)) == int(minus + plus)
 
 
@@ -529,20 +564,22 @@ def test_verify_bulk_boundary_identical_bulks():
     assert report.protected_dim == 2
 
 
-def test_verify_bulk_boundary_reads_window_from_tol_exact():
+def test_verify_bulk_boundary_does_not_read_tol_exact():
     gen_w = make_generating_example()
     triv = make_trivial()
     left_m = truncate_ti(triv, 8, "compress").matrix
     right_m = decoupled_generating_segment(8).matrix
     joined = join_blockdiag(left_m, right_m, gen_w.cell_rep)
-    report = verify_bulk_boundary(triv, gen_w, joined, tol=DEFAULT_TOL.with_(exact=1e-6))
-    assert report.window == 1e-6 and report.ok
-    # a window whose edge sits on an unprotected eigenvalue is refused
+    report = verify_bulk_boundary(triv, gen_w, joined)
+    assert report.ok
+    # tol.exact at 1e-6 or at the first unprotected eigenphase, which a fixed
+    # eigenphase radius used to refuse, leaves the report unchanged
     phases = np.abs(np.angle(np.linalg.eigvals(joined.matrix)))
     dist = np.sort(np.minimum(phases, np.pi - phases))
     edge = float(dist[dist > 0.1][0])
-    with pytest.raises(WindowAmbiguous, match="window edge"):
-        verify_bulk_boundary(triv, gen_w, joined, tol=DEFAULT_TOL.with_(exact=edge))
+    for exact in (1e-6, edge):
+        tol = DEFAULT_TOL.with_(exact=exact)
+        assert verify_bulk_boundary(triv, gen_w, joined, tol=tol) == report
 
 
 def test_verify_bulk_boundary_rejects_mixed_classes():

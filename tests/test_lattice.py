@@ -108,6 +108,11 @@ def test_lattice_operator_validates_shape():
         LatticeOperator(np.eye(6), cells, band=1, local_rep=local)
 
 
+def test_lattice_operator_refuses_negative_band():
+    with pytest.raises(IncompatibleCells, match="band -1 is negative"):
+        LatticeOperator(np.eye(6), CellStructure.uniform(3, 2), band=-1)
+
+
 def test_lattice_operator_blocks():
     cells = CellStructure.uniform(4, 1, topology="circle")
     op = LatticeOperator(shift_matrix(4, 1), cells, band=1)

@@ -25,7 +25,6 @@ from walkindex.operators import (
     check_normal,
     check_unitary,
     eig_unitary,
-    eigenspace_at,
     gap_margin,
     imaginary_part,
     kernel_basis,
@@ -195,16 +194,6 @@ def test_spectral_flatten_raises_in_gap_region():
         spectral_flatten(w, eps=1e-5)
 
 
-def test_eigenspace_at_picks_target_window():
-    gen = rng(14)
-    u = haar_unitary(gen, 5)
-    w = u @ np.diag([1.0, 1.0, -1.0, 1j, -1j]) @ u.conj().T
-    plus = eigenspace_at(w, 1.0)
-    minus = eigenspace_at(w, -1.0)
-    assert plus.shape[1] == 2 and minus.shape[1] == 1
-    assert np.linalg.norm(w @ plus - plus) < 1e-9
-
-
 def test_phase_window_defaults_to_tol_exact():
     # eig_unitary sorts by phase, so the mask follows the order given here
     eig = eig_unitary(np.diag(np.exp(1j * np.array([5e-8, 0.5, np.pi - 5e-7]))))
@@ -212,17 +201,16 @@ def test_phase_window_defaults_to_tol_exact():
     assert phase_window(eig, -1.0).tolist() == [False, False, False]
     wide = DEFAULT_TOL.with_(exact=1e-6)
     assert phase_window(eig, -1.0, tol=wide).tolist() == [False, False, True]
-    assert phase_window(eig, -1.0, window=1e-6).tolist() == [False, False, True]
     with pytest.raises(WindowAmbiguous):
         phase_window(eig, 1.0, tol=DEFAULT_TOL.with_(exact=5e-8 + 1e-10))
 
 
-def test_eigenspace_at_flags_window_edge():
+def test_phase_window_flags_edge():
     gen = rng(15)
     u = haar_unitary(gen, 2)
     w = u @ np.diag([np.exp(1e-7j * 0.999), -1.0]) @ u.conj().T
     with pytest.raises(WindowAmbiguous):
-        eigenspace_at(w, 1.0, window=1e-7)
+        phase_window(eig_unitary(w), 1.0, tol=DEFAULT_TOL.with_(exact=1e-7))
 
 
 def test_check_normal_accepts_unitary_rejects_jordanish():

@@ -236,6 +236,20 @@ def test_winding_refines_coarse_grid():
     assert report.n_k == 128
 
 
+def test_winding_refuses_aliasing_grid():
+    # the off-diagonal determinant winds at most m * band times; coarser grids
+    # returned 0 here with no refinement
+    for ti, floor in (
+        (make_split_step(1.1, 0.3), 2),
+        (make_generating_example(), 2),
+        (make_doubled("CII"), 4),
+    ):
+        for n_k in (1, floor):
+            with pytest.raises(ValueError, match=f"n_k > 2 m band = {floor}"):
+                winding_number(ti, n_k=n_k)
+        assert winding_number(ti, n_k=floor + 1).value == winding_number(ti).value
+
+
 def test_winding_doubled_cii_is_two():
     report = winding_number(make_doubled("CII"))
     assert int(report.value) == 2
@@ -312,6 +326,14 @@ def test_berry_refines_coarse_grid():
     report = berry_phase(forget_ti(make_split_step(1.2, 0.4), C.D), n_k=2)
     assert int(report.value) == 1 and report.value.group.name == "Z2"
     assert report.n_k == 4
+
+
+def test_berry_refuses_single_sample():
+    walk = forget_ti(make_split_step(1.1, 0.3), C.D)
+    for n_k in (0, 1):
+        with pytest.raises(ValueError, match="floor of 2 samples"):
+            berry_phase(walk, n_k=n_k)
+    assert int(berry_phase(walk, n_k=2).value) == 1
 
 
 def test_berry_needs_class_d_or_diii():

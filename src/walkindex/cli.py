@@ -90,8 +90,7 @@ def cmd_index(args, tol: Tolerances) -> int:
     cut = args.cut if args.cut is not None else op.cells.n_cells // 2
     si_l, si_r = si_left_right(op, cut, tol=tol)
     unitarity = unitarity_defect(op.matrix)
-    rep = op.rep()
-    report = check_admissible(op.matrix, rep, kind="walk", tol=tol, strict=False)
+    report = check_admissible(op.matrix, op.local_rep, kind="walk", tol=tol, strict=False)
     out = {
         "si_left": index_value_to_json(si_l),
         "si_right": index_value_to_json(si_r),
@@ -102,7 +101,7 @@ def cmd_index(args, tol: Tolerances) -> int:
         "tolerances": _tol_json(tol),
     }
     if unitarity <= tol.unit:
-        minus, plus = si_pm(op, rep, ceiling=args.window, tol=tol)
+        minus, plus = si_pm(op, ceiling=args.window, tol=tol)
         out["si_minus"] = index_value_to_json(minus)
         out["si_plus"] = index_value_to_json(plus)
     else:
@@ -244,10 +243,9 @@ def cmd_validate(args, tol: Tolerances) -> int:
     else:
         op: LatticeOperator = obj
         unitarity = unitarity_defect(op.matrix)
-        rep = op.rep()
         adm = (
-            check_admissible(op.matrix, rep, kind="walk", tol=tol, strict=False).max_residual
-            if rep is not None
+            check_admissible(op.matrix, op.local_rep, kind="walk", tol=tol, strict=False).max_residual
+            if op.local_rep is not None
             else None
         )
         out = {

@@ -344,12 +344,11 @@ def gentle_decoupling(
     once: the walk (in ``twiddle_rep``), ``W'`` and the generator.  Raises
     ``Obstructed`` when a cut bond has a nonzero net transfer count.
     """
-    rep = op.rep()
-    if rep is None:
+    if op.local_rep is None:
         raise NotAdmissible("operator carries no local symmetry representation")
     m = np.asarray(op.matrix, dtype=complex)
     # twiddle_rep checks that the walk is unitary and admissible
-    trep = twiddle_rep(m, rep, tol)
+    trep = twiddle_rep(m, op.local_rep, tol)
     second = second_bond(op.cells, cut, second_cut)
     if second is None:
         proj = half_space_projection(op.cells, cut)
@@ -370,7 +369,7 @@ def gentle_decoupling(
     v = direct_rotation(pair, tol, transfer_basis=basis_d)
     if basis_d.shape[1]:
         trep_d = trep.restrict(basis_d, tol)
-        v01 = _transfer_swap(m, trep_d, modes, rep.cls, tol)
+        v01 = _transfer_swap(m, trep_d, modes, op.local_rep.cls, tol)
         v = v + basis_d @ v01 @ basis_d.conj().T
 
     try:
@@ -382,7 +381,7 @@ def gentle_decoupling(
     commutator = spectral_norm(p @ w2 - w2 @ p)
     if commutator > 10 * tol.unit:
         raise DecouplingFailed(f"residual coupling {commutator:.3e} after correction")
-    report = check_admissible(w2, rep, kind="walk", tol=tol, strict=False)
+    report = check_admissible(w2, op.local_rep, kind="walk", tol=tol, strict=False)
     if not report.ok:
         raise DecouplingFailed(
             f"decoupled walk violates admissibility: {report.max_residual:.3e}"

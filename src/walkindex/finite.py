@@ -251,7 +251,7 @@ def join_crossover(
         check_unitary(op.matrix, tol, "crossover join")
         admissible = True
         try:
-            check_admissible(op.matrix, op.rep(), kind="walk", tol=tol)
+            check_admissible(op.matrix, op.local_rep, kind="walk", tol=tol)
         except NotAdmissible:
             admissible = False
         if admissible:

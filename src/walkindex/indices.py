@@ -46,6 +46,7 @@ from .errors import (
 from .lattice import (
     CellStructure,
     LatticeOperator,
+    LocalSymmetryRep,
     cells_near_bond,
     half_spaces,
     split_by_weight,
@@ -97,6 +98,10 @@ CHIRAL_UNITARY = (SymmetryClass.AIII, SymmetryClass.BDI, SymmetryClass.CII)
 ESSENTIAL_KERNEL_CEILING = 0.1
 ESSENTIAL_KERNEL_RATIO = 5.0
 
+# Proxy-window radii agree when the projections onto their dropped subspaces
+# differ by at most this in spectral norm.
+WINDOW_AGREEMENT = 1e-8
+
 
 def _essential_kernel(
     h: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
@@ -145,10 +150,13 @@ def _pm_eigenspaces(
     return spaces
 
 
-def _matrix_rep(w, rep: SymmetryRep | None) -> tuple[np.ndarray, SymmetryRep]:
+def _matrix_rep(
+    w, rep: SymmetryRep | LocalSymmetryRep | None
+) -> tuple[np.ndarray, SymmetryRep | LocalSymmetryRep]:
+    """The matrix of ``w`` and its rep: ``rep``, else the cell-local one of ``w``."""
     if isinstance(w, LatticeOperator):
         m = w.matrix
-        r = rep if rep is not None else w.rep()
+        r = rep if rep is not None else w.local_rep
     else:
         m = np.asarray(w, dtype=complex)
         r = rep
@@ -185,6 +193,11 @@ def _drop_window(
     resolve once the window contains their tail and the split then stays
     put, while a subspace straddling some window edge changes the split
     between radii and is refused rather than cut.
+
+    Radii agree when their dropped subspaces differ by at most
+    ``WINDOW_AGREEMENT``.  The dropped part is kept as an orthonormal basis:
+    bases ``A`` and ``B`` of equal rank span subspaces with
+    ``||P_A - P_B|| = ||B - A A* B||``, and a rank change disagrees.
     """
     if basis.shape[1] == 0 or not cells.proxy_ends:
         return basis
@@ -201,10 +214,12 @@ def _drop_window(
         inside, outside, _, n_amb = split_by_weight(basis, cells, members)
         if n_amb:
             continue
-        proj = inside @ inside.conj().T
         if dropped is None:
-            kept, dropped = outside, proj
-        elif spectral_norm(proj - dropped) > 1e-8:
+            kept, dropped = outside, inside
+        elif (
+            inside.shape[1] != dropped.shape[1]
+            or spectral_norm(inside - dropped @ (dropped.conj().T @ inside)) > WINDOW_AGREEMENT
+        ):
             raise WindowAmbiguous(
                 f"attribution of {what} modes to the proxy ends depends on "
                 f"the window radius (radii {r_lo}..{r_hi})"
@@ -216,12 +231,16 @@ def _drop_window(
     return kept
 
 
+def _dense(rep: SymmetryRep | LocalSymmetryRep) -> SymmetryRep:
+    return rep.assembled() if isinstance(rep, LocalSymmetryRep) else rep
+
+
 def _restricted_index(
-    rep: SymmetryRep, basis: np.ndarray, tol: Tolerances
+    rep: SymmetryRep | LocalSymmetryRep, basis: np.ndarray, tol: Tolerances
 ) -> IndexValue:
     if basis.shape[1] == 0:
         return IndexValue.zero(rep.cls.index_group)
-    return rep_index(rep.restrict(basis, tol), tol)
+    return rep_index(_dense(rep).restrict(basis, tol), tol)
 
 
 # -- si of eigenspaces -------------------------------------------------------------
@@ -229,7 +248,7 @@ def _restricted_index(
 
 def si_pm(
     w,
-    rep: SymmetryRep | None = None,
+    rep: SymmetryRep | LocalSymmetryRep | None = None,
     ceiling: float = ESSENTIAL_KERNEL_CEILING,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[IndexValue, IndexValue]:
@@ -238,20 +257,23 @@ def si_pm(
     Returns ``(si_minus, si_plus)`` of the cluster of ``Im W`` under
     ``ceiling`` (see :func:`_pm_eigenspaces`).  Cross-checked against the
     closed forms available per class: ``si_pm = tr(gamma (1 +- W))/2`` for
-    the unitary chiral classes and the determinant parity
-    ``det W = (-1)^{si_minus}`` in class D, both within ``tol.idx``.
+    the unitary chiral classes (as ``(tr gamma +- sum_ij gamma_ij W_ji)/2``)
+    and the determinant parity ``det W = (-1)^{si_minus}`` in class D, both
+    within ``tol.idx``.
     """
     m, r = _matrix_rep(w, rep)
     check_unitary(m, tol)
     check_admissible(m, r, kind="walk", tol=tol)
     minus, plus = _pm_eigenspaces(m, tol, ceiling)
+    r = _dense(r)
     si_minus = _restricted_index(r, minus, tol)
     si_plus = _restricted_index(r, plus, tol)
     if r.cls in CHIRAL_UNITARY:
         g = r.ops["gamma"].matrix
-        eye = np.eye(m.shape[0])
+        trace_g = complex(np.trace(g))
+        trace_gw = complex(np.einsum("ij,ji->", g, m))
         for sign, got in ((-1.0, si_minus), (+1.0, si_plus)):
-            t = complex(np.trace(g @ (eye + sign * m))) / 2
+            t = (trace_g + sign * trace_gw) / 2
             if abs(t - int(got)) > tol.idx:
                 raise NonIntegerTrace(
                     f"eigenspace index {int(got)} disagrees with "
@@ -268,7 +290,7 @@ def si_pm(
 
 def si_total(
     w,
-    rep: SymmetryRep | None = None,
+    rep: SymmetryRep | LocalSymmetryRep | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IndexValue:
     """Symmetry index of an essentially unitary operator.
@@ -369,7 +391,9 @@ def fredholm_index(
 # -- relative index of perturbations ------------------------------------------------
 
 
-def twiddle_rep(w, rep: SymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL) -> SymmetryRep:
+def twiddle_rep(
+    w, rep: SymmetryRep | LocalSymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL
+) -> SymmetryRep:
     """The companion representation with the walk folded into the operators.
 
     Keeps ``eta`` and replaces ``tau -> W tau``, ``gamma -> W gamma``; the
@@ -380,6 +404,7 @@ def twiddle_rep(w, rep: SymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL
     m, r = _matrix_rep(w, rep)
     check_unitary(m, tol, "walk")
     check_admissible(m, r, kind="walk", tol=tol)
+    r = _dense(r)
     ops = {}
     for name, op in r.ops.items():
         adjoint, _ = ADMISSIBILITY[name]
@@ -392,7 +417,7 @@ def twiddle_rep(w, rep: SymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL
 def relative_index(
     w,
     w_prime,
-    rep: SymmetryRep | None = None,
+    rep: SymmetryRep | LocalSymmetryRep | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IndexValue:
     """Index of a gentle perturbation ``W -> W'``.
@@ -438,7 +463,7 @@ class PerturbationReport:
 def verify_locpert(
     w,
     w_prime,
-    rep: SymmetryRep | None = None,
+    rep: SymmetryRep | LocalSymmetryRep | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> PerturbationReport:
     """Check that the relative index matches the change of si_pm.

@@ -125,6 +125,20 @@ class LocalSymmetryRep:
         """The dense representation on all cells; cells must share one class."""
         return self.per_cell[0].direct_sum(*self.per_cell[1:])
 
+    def runs(self) -> list[tuple[int, int, SymmetryRep]]:
+        """``(first index, cell count, cell rep)`` of each maximal run of
+        consecutive cells that share one cell-rep object."""
+        out: list[tuple[int, int, SymmetryRep]] = []
+        start = 0
+        for rep in self.per_cell:
+            if out and out[-1][2] is rep:
+                first, count, _ = out[-1]
+                out[-1] = (first, count + 1, rep)
+            else:
+                out.append((start, 1, rep))
+            start += rep.dim
+        return out
+
     def restrict_cells(self, members: Sequence[int]) -> "LocalSymmetryRep":
         return LocalSymmetryRep(self.cls, tuple(self.per_cell[i] for i in members))
 

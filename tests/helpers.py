@@ -6,7 +6,11 @@ exactly.  ``locality_profile``, ``reference_dumps`` and ``contraction_path``
 are the plain implementations that the fast band measurement, the canonical
 JSON encoder and the contraction generator are compared against;
 ``window_eigenspaces`` is the fixed-radius +-1 selection that the
-essential-gap cluster of ``si_pm`` is compared against.
+essential-gap cluster of ``si_pm`` is compared against.  The dense routes
+that the cell-local, screened admissibility check, the thin-basis proxy
+window and the batched gap margin replaced are kept as
+``dense_admissibility``, ``drop_window_projectors`` and
+``gap_margin_per_momentum``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,13 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from walkindex.lattice import LatticeOperator
+from walkindex.errors import WindowAmbiguous
+from walkindex.indices import WINDOW_AGREEMENT, _proxy_members
+from walkindex.lattice import CellStructure, LatticeOperator, split_by_weight
 from walkindex.operators import admissible_hamiltonian_projection, eig_unitary, phase_window
-from walkindex.symmetry import SymmetryClass, SymmetryRep, spectral_norm
+from walkindex.symmetry import ADMISSIBILITY, SymmetryClass, SymmetryRep, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
+from walkindex.walks import MAX_MOMENTUM_SAMPLES, TIWalk
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -188,3 +195,61 @@ def reference_dumps(obj) -> str:
     if isinstance(obj, Sequence):
         return "[" + ",".join(reference_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dense_admissibility(w: np.ndarray, rep: SymmetryRep, kind: str = "walk") -> dict[str, float]:
+    """Spectral norm of each symmetry residual, conjugating by the dense N x N operators."""
+    res = {}
+    for name, op in rep.ops.items():
+        adjoint, sign = ADMISSIBILITY[name]
+        target = (w.conj().T if adjoint else w) if kind == "walk" else sign * w
+        res[name] = spectral_norm(op.conjugate(w) - target)
+    return res
+
+
+def drop_window_projectors(
+    basis: np.ndarray, cells: CellStructure, band: int, what: str
+) -> np.ndarray:
+    """Proxy-window attribution comparing the N x N projectors of the dropped parts.
+
+    The same radius scan as ``indices._drop_window``; two radii agree when
+    ``||P_r - P_s|| <= WINDOW_AGREEMENT``.
+    """
+    if basis.shape[1] == 0 or not cells.proxy_ends:
+        return basis
+    n = cells.n_cells
+    r_lo = band + 1
+    r_hi = max(r_lo, (n - 1) // 2 if len(cells.proxy_ends) == 2 else (n + 1) // 2)
+    kept = dropped = None
+    for r in range(r_lo, r_hi + 1):
+        inside, outside, _, n_amb = split_by_weight(basis, cells, _proxy_members(cells, r))
+        if n_amb:
+            continue
+        proj = inside @ inside.conj().T
+        if dropped is None:
+            kept, dropped = outside, proj
+        elif spectral_norm(proj - dropped) > WINDOW_AGREEMENT:
+            raise WindowAmbiguous(
+                f"attribution of {what} modes to the proxy ends depends on "
+                f"the window radius (radii {r_lo}..{r_hi})"
+            )
+    if kept is None:
+        raise WindowAmbiguous(
+            f"{what} modes straddle every proxy window (radii {r_lo}..{r_hi})"
+        )
+    return kept
+
+
+def gap_margin_per_momentum(ti: TIWalk) -> float:
+    """``walks.ti_gap_margin`` (not strict) with one ``eigvals`` call per momentum."""
+    n = 256
+    prev = None
+    while True:
+        margin = np.inf
+        for k in -np.pi + 2 * np.pi * np.arange(n) / n:
+            vals = np.linalg.eigvals(ti.bloch(k))
+            margin = min(margin, float(np.min(np.abs(vals - 1))), float(np.min(np.abs(vals + 1))))
+        if prev is not None and (abs(margin - prev) <= 0.01 * max(prev, 1e-12) or n >= MAX_MOMENTUM_SAMPLES):
+            return margin
+        prev = margin
+        n *= 2

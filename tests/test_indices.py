@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from helpers import (
     contraction_path,
+    drop_window_projectors,
     haar_unitary,
     normal_form_rep,
     random_admissible_walk,
@@ -27,6 +28,9 @@ from walkindex.errors import (
 )
 from walkindex.indices import (
     ESSENTIAL_KERNEL_CEILING,
+    WINDOW_AGREEMENT,
+    _drop_window,
+    _essential_kernel,
     _pm_eigenspaces,
     bulk_right_index,
     contract_perturbation,
@@ -46,8 +50,10 @@ from walkindex.lattice import (
     LocalSymmetryRep,
     compress,
     half_space_projection,
+    half_spaces,
+    split_by_weight,
 )
-from walkindex.operators import admissible_hamiltonian_projection, gap_margin
+from walkindex.operators import admissible_hamiltonian_projection, gap_margin, imaginary_part
 from walkindex.symmetry import IndexGroup, SymmetryClass, SymmetryRep
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
@@ -672,3 +678,110 @@ def test_winding_equals_right_half_space_index(ti):
         sl, sr = si_left_right(seg, cut)
         assert int(sr) == w
         assert int(sl) == -w
+
+
+# -- proxy-window attribution: thin bases against the projector oracle --------------
+
+
+def _window_outcome(drop, basis, cells, band):
+    try:
+        return drop(basis, cells, band, "kernel")
+    except WindowAmbiguous as exc:
+        return str(exc)
+
+
+def _assert_same_window(basis, cells, band) -> bool:
+    """Both routes keep the same columns or refuse alike; True when they keep."""
+    got = _window_outcome(_drop_window, basis, cells, band)
+    want = _window_outcome(drop_window_projectors, basis, cells, band)
+    if isinstance(want, str):
+        assert got == want
+        return False
+    assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    return True
+
+
+WINDOW_FAMILIES = (
+    make_generating_example(),
+    make_generating_example(True),
+    make_split_step(9 * np.pi / 32, 7 * np.pi / 32),
+    make_split_step(-5 * np.pi / 16, 2 * np.pi / 16),
+    make_split_step(0.6507, -0.3411),
+    make_trivial(),
+    make_doubled("CII"),
+    make_doubled("DIII"),
+)
+
+
+@pytest.mark.parametrize("ti", WINDOW_FAMILIES, ids=lambda ti: ti.name)
+def test_drop_window_matches_projector_oracle_on_family_segments(ti):
+    gen = rng(5200 + len(ti.name))
+    kept = 0
+    for n in (12, 17, 24):
+        pieces = [truncate_ti(ti, n, "compress")]
+        ring = build_lattice(ti, n, "circle")
+        pieces += list(half_spaces(ring, int(gen.integers(0, n))))
+        for piece in pieces:
+            ker = _essential_kernel(imaginary_part(piece.matrix), DEFAULT_TOL)
+            # a random rotation inside the span must not change the attribution
+            rotated = ker @ haar_unitary(gen, ker.shape[1]) if ker.shape[1] else ker
+            for basis in (ker, rotated):
+                kept += _assert_same_window(basis, piece.cells, piece.band)
+    assert kept
+
+
+def _localized_column(gen, cells, center, decay) -> np.ndarray:
+    x = np.repeat(np.arange(cells.n_cells), cells.cell_dims)
+    phases = np.exp(2j * np.pi * gen.random(x.size))
+    return np.exp(-np.abs(x - center) / decay) * phases
+
+
+def test_drop_window_matches_projector_oracle_on_random_bases():
+    gen = rng(5300)
+    outcomes = {True: 0, False: 0}
+    for t in range(150):
+        n = int(gen.integers(8, 25))
+        ends = [("left",), ("right",), ("left", "right")][t % 3]
+        cells = CellStructure(tuple(gen.integers(1, 3, size=n)), "line", 0, frozenset(ends))
+        k = int(gen.integers(1, 5))
+        cols = [
+            _localized_column(gen, cells, gen.choice([0, n - 1, gen.integers(0, n)]), gen.uniform(0.2, 3))
+            for _ in range(k)
+        ]
+        basis, _ = np.linalg.qr(np.stack(cols, axis=1))
+        outcomes[_assert_same_window(basis, cells, int(gen.integers(0, 3)))] += 1
+    assert min(outcomes.values()) >= 20
+
+
+def _near_miss_basis(eps: float, delta: float, far: int) -> np.ndarray:
+    """An end mode with tail ``eps`` in cell 1 and a mode at cell ``far`` with tail ``delta`` there.
+
+    The radius-1 and radius-2 windows then drop subspaces at an angle of
+    order ``eps * delta``.
+    """
+    v = np.zeros((12, 2), dtype=complex)
+    v[0, 0], v[1, 0] = 1.0, eps
+    v[far, 1], v[1, 1] = 1.0, 1j * delta
+    return np.linalg.qr(v)[0]
+
+
+def _dropped_distance(basis, cells) -> float:
+    """``||P_1 - P_2||`` of the parts dropped at radii 1 and 2."""
+    a, b = (split_by_weight(basis, cells, range(r))[0] for r in (1, 2))
+    return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2))
+
+
+def test_drop_window_equal_rank_near_misses_match_projector_oracle():
+    cells = CellStructure((1,) * 12, "line", 0, frozenset({"left"}))
+    eps, delta0 = 1e-3, 1e-5
+    scale = delta0 / _dropped_distance(_near_miss_basis(eps, delta0, 9), cells)
+    for ratio in (0.5, 1 - 1e-3, 1 - 1e-5, 1 + 1e-5, 1 + 1e-3, 2.0):
+        basis = _near_miss_basis(eps, ratio * WINDOW_AGREEMENT * scale, 9)
+        distance = _dropped_distance(basis, cells)
+        assert distance == pytest.approx(ratio * WINDOW_AGREEMENT, rel=1e-4)
+        assert _assert_same_window(basis, cells, 0) == (ratio < 1)
+    # a mode entering the window at radius 4 changes the rank: always a disagreement
+    rank_change = _near_miss_basis(eps, 0.0, 3)
+    assert not _assert_same_window(rank_change, cells, 0)
+    with pytest.raises(WindowAmbiguous, match="depends on the window radius"):
+        _drop_window(rank_change, cells, 0, "kernel")

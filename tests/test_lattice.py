@@ -371,3 +371,14 @@ def test_split_by_weight_empty_basis():
     basis = np.zeros((2, 0), dtype=complex)
     inside, outside, weights, n_amb = split_by_weight(basis, cells, [0])
     assert inside.shape[1] == 0 and outside.shape[1] == 0 and n_amb == 0
+
+
+def test_local_rep_runs_group_consecutive_shared_cell_reps():
+    a = normal_form_rep(SymmetryClass.AIII, 1, 1)
+    b = normal_form_rep(SymmetryClass.AIII, 2, 1)
+    a_copy = normal_form_rep(SymmetryClass.AIII, 1, 1)
+    local = LocalSymmetryRep(SymmetryClass.AIII, (a, a, b, b, b, a_copy, a))
+    # runs follow object identity, so an equal but distinct cell rep starts a run
+    assert local.runs() == [(0, 2, a), (4, 3, b), (13, 1, a_copy), (15, 1, a)]
+    assert LocalSymmetryRep.uniform(a, 5).runs() == [(0, 5, a)]
+    assert local.restrict_cells([2, 3]).runs() == [(0, 2, b)]

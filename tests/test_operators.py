@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import walkindex.operators as operators_module
 from helpers import (
     ALL_CLASSES,
+    dense_admissibility,
     haar_unitary,
+    normal_form_rep,
+    random_admissible_hamiltonian,
     random_admissible_walk,
     random_rep,
     rng,
@@ -32,8 +36,10 @@ from walkindex.operators import (
     polar_isometry,
     spectral_flatten,
 )
-from walkindex.symmetry import SymmetryClass
+from walkindex.lattice import LocalSymmetryRep
+from walkindex.symmetry import SymmetryClass, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
+from walkindex.walks import build_lattice, make_split_step
 
 C = SymmetryClass
 
@@ -219,3 +225,107 @@ def test_check_normal_accepts_unitary_rejects_jordanish():
     bad = np.eye(3) + np.diag([1.0, 1.0], k=1)
     with pytest.raises(NotNormal):
         check_normal(bad)
+
+
+# -- cell-local, screened admissibility against the dense-SVD oracle ----------------
+
+
+def _monomial(gen: np.random.Generator, d: int) -> np.ndarray:
+    """A permutation with phases in {1, i, -1, -i}; conjugating by it keeps entries exact."""
+    u = np.zeros((d, d), dtype=complex)
+    u[gen.permutation(d), np.arange(d)] = 1j ** gen.integers(0, 4, size=d)
+    return u
+
+
+def _cell_layouts(cls, gen, exact: bool) -> dict[str, tuple]:
+    """Per-cell reps: one run, two runs of equal dims, and three runs of mixed dims.
+
+    ``exact`` conjugates the normal forms by monomials, so every product in a
+    conjugation is exact and both routes round identically; otherwise by
+    Haar unitaries.
+    """
+
+    def conjugated(p):
+        base = normal_form_rep(cls, p, 1)
+        u = _monomial(gen, base.dim) if exact else haar_unitary(gen, base.dim)
+        return base.conjugated(u)
+
+    a, a2, b = conjugated(1), conjugated(1), conjugated(2)
+    n = int(gen.integers(3, 7))
+    return {
+        "uniform": (a,) * n,
+        "two_runs": (a,) * 2 + (a2,) * n,
+        "mixed_dims": (a, a, b, b, b, a),
+    }
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
+def test_cell_local_screened_check_matches_dense_oracle(cls):
+    gen = rng(4100 + ALL_CLASSES.index(cls))
+    tol = DEFAULT_TOL
+    straddled = 0
+    for exact in (True, False):
+        for layout, per_cell in _cell_layouts(cls, gen, exact).items():
+            local = LocalSymmetryRep(cls, per_cell)
+            dense = local.assembled()
+            n = dense.dim
+            for kind in ("walk", "hamiltonian"):
+                if kind == "walk":
+                    base = random_admissible_walk(dense, gen)
+                else:
+                    base = random_admissible_hamiltonian(dense, gen)
+                e = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+                unit = max(dense_admissibility(e, dense, kind).values(), default=1.0)
+                # R(W + sE) = R(W) + s R(E): the worst spectral norm lands at factor * tol.adm
+                for factor in (0.0, 1e-3, 1 - 1e-3, 1 + 1e-3, 10.0):
+                    w = base + factor * tol.adm / unit * e
+                    oracle = dense_admissibility(w, dense, kind)
+                    worst = max(oracle.values(), default=0.0)
+                    ok = worst <= tol.adm
+                    for rep in (local, dense):
+                        report = check_admissible(w, rep, kind=kind, tol=tol, strict=False)
+                        assert list(report.residuals) == list(oracle)
+                        assert report.ok == ok
+                        if exact:
+                            assert report.residuals == oracle
+                        else:
+                            for name, value in oracle.items():
+                                assert report.residuals[name] == pytest.approx(value, rel=1e-6, abs=1e-13)
+                        if not ok:
+                            with pytest.raises(NotAdmissible) as err:
+                                check_admissible(w, rep, kind=kind, tol=tol)
+                            key = max(oracle, key=oracle.get)
+                            assert f"for {key} violated" in str(err.value)
+                            if exact:
+                                assert f"residual {worst:.3e}" in str(err.value)
+                            continue
+                        screened = check_admissible(w, rep, kind=kind, tol=tol)
+                        assert screened.ok
+                        for name, value in screened.residuals.items():
+                            assert value <= tol.adm
+                            if value == report.residuals[name]:
+                                continue  # taken by an SVD: the exact spectral norm
+                            # screened: the Frobenius bound, never below the spectral norm
+                            assert value >= oracle[name] * (1 - 1e-9)
+                        if oracle and factor == 1 - 1e-3:
+                            # ||R||_F > tol.adm >= ||R||_2: the screen passes it to the SVD
+                            key = max(oracle, key=oracle.get)
+                            straddled += screened.residuals[key] == report.residuals[key]
+    if cls is not SymmetryClass.A:
+        assert straddled >= 8
+
+
+def test_strict_check_of_split_step_circle_takes_no_svd(monkeypatch):
+    ring = build_lattice(make_split_step(1.2, 0.4), 192, "circle")
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return spectral_norm(x)
+
+    monkeypatch.setattr(operators_module, "spectral_norm", counted)
+    assert check_admissible(ring.matrix, ring.local_rep).ok
+    assert calls == []
+    # a report (strict=False) prints its residuals, so each one is a spectral norm
+    report = check_admissible(ring.matrix, ring.local_rep, strict=False)
+    assert len(calls) == len(report.residuals) == 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SIGMA_X, haar_unitary, rng
+from helpers import SIGMA_X, gap_margin_per_momentum, haar_unitary, rng
 from walkindex.errors import (
     Gapless,
     NotChiral,
@@ -447,3 +447,14 @@ def test_doubled_walks_have_expected_squares():
     assert np.allclose(tau.square(), -np.eye(4))
     assert validate_ti(cii) < 1e-12
     assert validate_ti(diii) < 1e-12
+
+
+def test_batched_gap_margin_is_bitwise_the_per_momentum_loop():
+    gen = rng(5400)
+    walks = [make_split_step(*gen.uniform(-np.pi, np.pi, 2)) for _ in range(6)]
+    walks += [make_generating_example(), make_doubled("CII"), make_doubled("DIII", True)]
+    walks += [conjugate_ti(ti, haar_unitary(gen, ti.cell_dim)) for ti in walks[:3] + walks[-2:]]
+    for ti in walks:
+        ks = -np.pi + 2 * np.pi * np.arange(64) / 64
+        assert np.array_equal(ti.bloch_stack(ks), np.stack([ti.bloch(k) for k in ks]))
+        assert ti_gap_margin(ti, strict=False) == gap_margin_per_momentum(ti)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -264,7 +265,9 @@ def cmd_validate(args, tol: Tolerances) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file with a 'tolerances' table")
     for name in _TOL_FIELDS:

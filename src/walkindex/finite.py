@@ -326,23 +326,33 @@ def localization_profile(vec: np.ndarray, cells: CellStructure) -> np.ndarray:
     total = float(np.vdot(v, v).real)
     if total <= 0.0:
         raise DimensionMismatch("cannot profile the zero vector")
-    weights = np.empty(cells.n_cells)
-    for i in range(cells.n_cells):
-        weights[i] = float(np.sum(np.abs(v[cells.cell_slice(i)]) ** 2))
+    # one reduceat over the cell offsets; an empty cell would read its
+    # neighbour's first entry there, so it keeps weight 0
+    live = np.array(cells.cell_dims) > 0
+    weights = np.zeros(cells.n_cells)
+    weights[live] = np.add.reduceat(np.abs(v) ** 2, np.array(cells.offsets[:-1])[live])
     return weights / total
 
 
 def _radius_for_mass(
-    profile: np.ndarray, cells: CellStructure, interfaces: Sequence[int], mass: float = 0.9
+    profiles: np.ndarray, cells: CellStructure, interfaces: Sequence[int], mass: float = 0.9
 ) -> int:
+    """Smallest radius around the interfaces holding ``mass`` of every profile.
+
+    ``profiles`` is one profile or a stack of them as rows; 0 for no rows.
+    """
     # radius r covers cells with bond distance < r, matching cells_near_bond
     dist = np.array(
         [min(cells.bond_distance(c, b) for b in interfaces) for c in range(cells.n_cells)]
     )
-    for r in range(1, int(dist.max()) + 2):
-        if float(np.sum(profile[dist < r])) >= mass:
-            return r
-    return int(dist.max()) + 1
+    top = int(dist.max()) + 1
+    return max(
+        (
+            next((r for r in range(1, top + 1) if float(np.sum(p[dist < r])) >= mass), top)
+            for p in np.reshape(profiles, (-1, cells.n_cells))
+        ),
+        default=0,
+    )
 
 
 def crossover_sweep(
@@ -370,10 +380,8 @@ def crossover_sweep(
         near = (np.abs(eig.values - 1.0) < window) | (np.abs(eig.values + 1.0) < window)
         idx = np.flatnonzero(near)
         interfaces = joined.meta.get("interfaces", (0,))
-        profiles = (localization_profile(eig.vectors[:, j], joined.cells) for j in idx)
-        radius = max(
-            (_radius_for_mass(p, joined.cells, interfaces) for p in profiles), default=0
-        )
+        profiles = [localization_profile(eig.vectors[:, j], joined.cells) for j in idx]
+        radius = _radius_for_mass(profiles, joined.cells, interfaces)
         records.append(
             SweepRecord(
                 n_a=n_a,

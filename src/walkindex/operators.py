@@ -125,8 +125,8 @@ def polar_isometry(x: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def imaginary_part(w: np.ndarray) -> np.ndarray:
-    """The Hermitian operator ``(W - W*)/2i``."""
-    return (w - w.conj().T) / 2j
+    """The Hermitian operator ``(W - W*)/2i``, of each matrix of a stack."""
+    return (w - w.conj().swapaxes(-1, -2)) / 2j
 
 
 @dataclass(frozen=True)

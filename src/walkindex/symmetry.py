@@ -204,16 +204,19 @@ ADMISSIBILITY: dict[str, tuple[bool, int]] = {
 }
 
 
-def spectral_norm(x: np.ndarray) -> float:
-    """Spectral norm (largest singular value); zero for an empty matrix."""
-    if x.size == 0:
-        return 0.0
-    return float(np.linalg.norm(x, 2))
+def spectral_norm(x: np.ndarray) -> float | np.ndarray:
+    """Spectral norm (largest singular value); zero for an empty matrix.
+
+    A stack of matrices over the last two axes gets one batched SVD and an
+    array of norms.
+    """
+    norms = np.linalg.norm(x, 2, axis=(-2, -1)) if x.size else np.zeros(x.shape[:-2])
+    return float(norms) if x.ndim == 2 else norms
 
 
-def unitarity_defect(m: np.ndarray) -> float:
-    """``||M* M - 1||``."""
-    return spectral_norm(m.conj().T @ m - np.eye(m.shape[0]))
+def unitarity_defect(m: np.ndarray) -> float | np.ndarray:
+    """``||M* M - 1||``, of each matrix of a stack over the last two axes."""
+    return spectral_norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))
 
 
 def block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:

@@ -17,16 +17,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    EigenFailure,
     Gapless,
     NonIntegerInvariant,
     NotChiral,
+    NotUnitary,
     RankJump,
     RelationViolation,
     SingularBlock,
     TooShort,
 )
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
-from .operators import check_admissible, check_unitary, eig_unitary
+from .operators import check_admissible, check_unitary, imaginary_part
 from .symmetry import (
     ADMISSIBILITY,
     IndexGroup,
@@ -39,6 +41,7 @@ from .symmetry import (
     forget_rep,
     kramers_pairs,
     spectral_norm,
+    unitarity_defect,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -135,10 +138,7 @@ class TIWalk:
         return max((abs(j) for j in self.blocks), default=0)
 
     def bloch(self, k: float) -> np.ndarray:
-        w = np.zeros((self.cell_dim, self.cell_dim), dtype=complex)
-        for j, b in self.blocks.items():
-            w += b * np.exp(1j * j * k)
-        return w
+        return self.bloch_stack(np.array([k]))[0]
 
     def bloch_stack(self, ks: np.ndarray) -> np.ndarray:
         """``bloch(k)`` for each momentum of ``ks``, stacked along axis 0."""
@@ -306,22 +306,39 @@ def builtin_walk(name: str, /, **params) -> TIWalk:
         raise ValueError(f"builtin {name!r} is missing coin parameter {exc}") from exc
 
 
+def _unitary_bloch_stack(
+    ti: TIWalk, ks: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bloch_stack(ks)`` and its unitarity defects, from one batched norm.
+
+    Raises ``NotUnitary`` naming the first momentum above ``tol.unit``.
+    """
+    w = ti.bloch_stack(ks)
+    defects = unitarity_defect(w)
+    bad = np.flatnonzero(defects > tol.unit)
+    if bad.size:
+        i = bad[0]
+        raise NotUnitary(f"W({ks[i]:.3f}) has unitarity defect {defects[i]:.3e} > {tol.unit}")
+    return w, defects
+
+
 def validate_ti(ti: TIWalk, tol: Tolerances = DEFAULT_TOL) -> float:
     """Check unitarity and the momentum-space symmetry conditions on 17 momenta.
 
     Antiunitary symmetries relate ``W(k)`` and ``W(-k)``:
     ``E conj(W(-k)) E* = W(k)``, ``T conj(W(-k)) T* = W(k)*``,
-    ``G W(k) G* = W(k)*``.  Returns the worst residual.
+    ``G W(k) G* = W(k)*``.  Each quantity is one batched product and norm
+    over the grid.  Returns the worst residual.
     """
-    worst = 0.0
-    for k in np.linspace(-np.pi, np.pi, 17):
-        wk = ti.bloch(k)
-        worst = max(worst, check_unitary(wk, tol, what=f"W({k:.3f})"))
-        wmk = ti.bloch(-k)
-        for name, op in ti.cell_rep.ops.items():
-            adjoint, _ = ADMISSIBILITY[name]
-            moved = op.conjugate(wmk if op.antiunitary else wk)
-            worst = max(worst, spectral_norm(moved - (wk.conj().T if adjoint else wk)))
+    ks = np.linspace(-np.pi, np.pi, 17)
+    wk, defects = _unitary_bloch_stack(ti, ks, tol)
+    wmk = ti.bloch_stack(-ks)
+    worst = float(defects.max())
+    for name, op in ti.cell_rep.ops.items():
+        adjoint, _ = ADMISSIBILITY[name]
+        moved = op.conjugate(wmk if op.antiunitary else wk)
+        target = wk.conj().swapaxes(-1, -2) if adjoint else wk
+        worst = max(worst, float(spectral_norm(moved - target).max()))
     if worst > tol.adm:
         raise RelationViolation(f"momentum-space symmetry residual {worst:.3e}")
     return worst
@@ -392,10 +409,7 @@ def winding_number(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) ->
     n = n_k
     while True:
         ks = -np.pi + 2 * np.pi * np.arange(n) / n
-        dets = np.empty(n, dtype=complex)
-        for i, k in enumerate(ks):
-            a = plus.conj().T @ ti.bloch(k) @ minus
-            dets[i] = np.linalg.det(a)
+        dets = np.linalg.det(plus.conj().T @ ti.bloch_stack(ks) @ minus)
         if np.min(np.abs(dets)) < tol.det:
             raise SingularBlock(
                 f"off-diagonal block determinant {np.min(np.abs(dets)):.3e} at some momentum; gap closed"
@@ -416,16 +430,6 @@ def winding_number(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) ->
                 f"winding {total:.6f} not within {tol.integer_residual} of an integer at {n} samples"
             )
         n *= 2
-
-
-def _band_basis(ti: TIWalk, k: float, rank: int | None, tol: Tolerances) -> np.ndarray:
-    eig = eig_unitary(ti.bloch(k), tol)
-    if np.min(np.abs(eig.values.imag)) < tol.gap:
-        raise Gapless(f"eigenvalue {eig.values[np.argmin(np.abs(eig.values.imag))]:.6g} at k={k:.4f} is near the real axis")
-    upper = eig.vectors[:, eig.values.imag > 0]
-    if rank is not None and upper.shape[1] != rank:
-        raise RankJump(f"upper band rank {upper.shape[1]} != {rank} at k={k:.4f}")
-    return upper
 
 
 def berry_phase(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
@@ -459,32 +463,53 @@ class _Refine(Exception):
     pass
 
 
+def _band_frames(ti: TIWalk, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Orthonormal frames of the upper band at each momentum, stacked along axis 0.
+
+    For a unitary ``W(k)`` the eigenvalues of ``Im W(k)`` are the
+    ``Im lambda``, so the upper band is its positive eigenspace: one ``eigh``
+    for the whole grid.  Refused: a ``W(k)`` that is not unitary
+    (``NotUnitary``), an eigenvalue within ``tol.gap`` of the real axis
+    (``Gapless``), a band rank that changes over the grid (``RankJump``) and
+    a frame that ``W(k)`` does not map into itself within
+    ``max(tol.eig, 1e-12 d)`` (``EigenFailure``); each names the momentum.
+    """
+    w, _ = _unitary_bloch_stack(ti, ks, tol)
+    im, vectors = np.linalg.eigh(imaginary_part(w))
+    near = np.abs(im)
+    low = np.flatnonzero(near.min(axis=1) < tol.gap)
+    if low.size:
+        i = low[0]
+        raise Gapless(
+            f"eigenvalue with Im lambda {im[i, np.argmin(near[i])]:.6g} "
+            f"at k={ks[i]:.4f} is near the real axis"
+        )
+    ranks = np.count_nonzero(im > 0, axis=1)
+    if np.any(ranks != ranks[0]):
+        raise RankJump("upper band rank changes across the momentum grid")
+    frames = vectors[:, :, ti.cell_dim - ranks[0] :]
+    image = w @ frames
+    residual = spectral_norm(image - frames @ (frames.conj().swapaxes(-1, -2) @ image))
+    i = int(np.argmax(residual))
+    if residual[i] > max(tol.eig, 1e-12 * ti.cell_dim):
+        raise EigenFailure(f"band frame invariance residual {residual[i]:.3e} at k={ks[i]:.4f}")
+    return frames
+
+
 def _berry_once(ti: TIWalk, n: int, tol: Tolerances) -> tuple[IndexValue, float, float]:
     if ti.cls is SymmetryClass.D:
-        ks = -np.pi + 2 * np.pi * np.arange(n) / n
-        bases = [_band_basis(ti, k, None, tol) for k in ks]
-        rank = bases[0].shape[1]
-        for b in bases:
-            if b.shape[1] != rank:
-                raise RankJump("upper band rank changes across the momentum grid")
-        bases.append(bases[0])  # closed loop; shared frame cancels its gauge
+        frames = _band_frames(ti, -np.pi + 2 * np.pi * np.arange(n) / n, tol)
+        frames = np.concatenate([frames, frames[:1]])  # closed loop; shared frame cancels its gauge
     else:
-        ks = np.pi * np.arange(n + 1) / n
-        bases = [_band_basis(ti, k, None, tol) for k in ks]
-        rank = bases[0].shape[1]
-        for b in bases:
-            if b.shape[1] != rank:
-                raise RankJump("upper band rank changes across the momentum grid")
+        frames = _band_frames(ti, np.pi * np.arange(n + 1) / n, tol)
         tau = ti.cell_rep.ops["tau"]
-        bases[0] = _kramers_frame(tau, bases[0])
-        bases[-1] = _kramers_frame(tau, bases[-1])
-    prod = 1.0 + 0j
-    for b0, b1 in zip(bases[:-1], bases[1:]):
-        d = np.linalg.det(b0.conj().T @ b1)
-        if abs(d) < 0.3:
-            raise _Refine
-        prod *= d / abs(d)
-    phase = float(np.angle(prod))
+        frames[0] = _kramers_frame(tau, frames[0])
+        frames[-1] = _kramers_frame(tau, frames[-1])
+    overlaps = np.linalg.det(frames[:-1].conj().swapaxes(-1, -2) @ frames[1:])
+    size = np.abs(overlaps)
+    if np.min(size) < 0.3:
+        raise _Refine
+    phase = float(np.angle(np.prod(overlaps / size)))
     if ti.cls is SymmetryClass.D:
         raw = phase / np.pi
         nearest = round(raw)

@@ -10,7 +10,10 @@ essential-gap cluster of ``si_pm`` is compared against.  The dense routes
 that the cell-local, screened admissibility check, the thin-basis proxy
 window and the batched gap margin replaced are kept as
 ``dense_admissibility``, ``drop_window_projectors`` and
-``gap_margin_per_momentum``.
+``gap_margin_per_momentum``; the per-momentum loops that the batched
+momentum grids replaced are ``bloch_per_momentum``,
+``validate_per_momentum``, ``winding_per_momentum`` and
+``berry_per_momentum`` (band frames from ``eig_unitary``).
 """
 
 from __future__ import annotations
@@ -22,13 +25,33 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from walkindex.errors import WindowAmbiguous
+from walkindex.errors import (
+    Gapless,
+    NonIntegerInvariant,
+    RankJump,
+    RelationViolation,
+    SingularBlock,
+    WindowAmbiguous,
+)
 from walkindex.indices import WINDOW_AGREEMENT, _proxy_members
 from walkindex.lattice import CellStructure, LatticeOperator, split_by_weight
-from walkindex.operators import admissible_hamiltonian_projection, eig_unitary, phase_window
-from walkindex.symmetry import ADMISSIBILITY, SymmetryClass, SymmetryRep, spectral_norm
-from walkindex.tolerances import DEFAULT_TOL
-from walkindex.walks import MAX_MOMENTUM_SAMPLES, TIWalk
+from walkindex.operators import (
+    admissible_hamiltonian_projection,
+    check_unitary,
+    eig_unitary,
+    phase_window,
+)
+from walkindex.symmetry import (
+    ADMISSIBILITY,
+    IndexGroup,
+    IndexValue,
+    SymmetryClass,
+    SymmetryRep,
+    chiral_sectors,
+    spectral_norm,
+)
+from walkindex.tolerances import DEFAULT_TOL, Tolerances
+from walkindex.walks import MAX_MOMENTUM_SAMPLES, InvariantReport, TIWalk, _kramers_frame
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -253,3 +276,93 @@ def gap_margin_per_momentum(ti: TIWalk) -> float:
             return margin
         prev = margin
         n *= 2
+
+
+def bloch_per_momentum(ti: TIWalk, k: float) -> np.ndarray:
+    """``W(k)`` accumulated block by block with a scalar phase per block."""
+    w = np.zeros((ti.cell_dim, ti.cell_dim), dtype=complex)
+    for j, b in ti.blocks.items():
+        w += b * np.exp(1j * j * k)
+    return w
+
+
+def validate_per_momentum(ti: TIWalk, tol: Tolerances = DEFAULT_TOL) -> float:
+    """``walks.validate_ti`` with one unitarity check and one norm per momentum and operator."""
+    worst = 0.0
+    for k in np.linspace(-np.pi, np.pi, 17):
+        wk = bloch_per_momentum(ti, k)
+        worst = max(worst, check_unitary(wk, tol, what=f"W({k:.3f})"))
+        wmk = bloch_per_momentum(ti, -k)
+        for name, op in ti.cell_rep.ops.items():
+            adjoint, _ = ADMISSIBILITY[name]
+            moved = op.conjugate(wmk if op.antiunitary else wk)
+            worst = max(worst, spectral_norm(moved - (wk.conj().T if adjoint else wk)))
+    if worst > tol.adm:
+        raise RelationViolation(f"momentum-space symmetry residual {worst:.3e}")
+    return worst
+
+
+def winding_per_momentum(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
+    """``walks.winding_number`` (chiral classes, unaliased ``n_k``) with one ``det`` per momentum."""
+    validate_per_momentum(ti, tol)
+    plus, minus = chiral_sectors(ti.cell_rep, tol)
+    n = n_k
+    while True:
+        ks = -np.pi + 2 * np.pi * np.arange(n) / n
+        dets = np.empty(n, dtype=complex)
+        for i, k in enumerate(ks):
+            dets[i] = np.linalg.det(plus.conj().T @ bloch_per_momentum(ti, k) @ minus)
+        if np.min(np.abs(dets)) < tol.det:
+            raise SingularBlock(
+                f"off-diagonal block determinant {np.min(np.abs(dets)):.3e} at some momentum; gap closed"
+            )
+        incr = np.angle(np.roll(dets, -1) / dets)
+        total = float(np.sum(incr) / (2 * np.pi))
+        nearest = round(total)
+        if np.max(np.abs(incr)) < np.pi / 2 and abs(total - nearest) <= tol.integer_residual:
+            return InvariantReport(IndexValue(ti.cls.index_group, nearest), total, abs(total - nearest), n)
+        if n >= MAX_MOMENTUM_SAMPLES:
+            raise NonIntegerInvariant(f"winding {total:.6f} at {n} samples")
+        n *= 2
+
+
+def _band_basis_per_momentum(ti: TIWalk, k: float, tol: Tolerances) -> np.ndarray:
+    eig = eig_unitary(bloch_per_momentum(ti, k), tol)
+    if np.min(np.abs(eig.values.imag)) < tol.gap:
+        raise Gapless(f"eigenvalue {eig.values[np.argmin(np.abs(eig.values.imag))]:.6g} at k={k:.4f}")
+    return eig.vectors[:, eig.values.imag > 0]
+
+
+def berry_per_momentum(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
+    """``walks.berry_phase`` (classes D, DIII), one ``eig_unitary`` and overlap ``det`` per momentum."""
+    validate_per_momentum(ti, tol)
+    n = n_k
+    while n <= MAX_MOMENTUM_SAMPLES:
+        if ti.cls is SymmetryClass.D:
+            ks = -np.pi + 2 * np.pi * np.arange(n) / n
+        else:
+            ks = np.pi * np.arange(n + 1) / n
+        bases = [_band_basis_per_momentum(ti, k, tol) for k in ks]
+        if len({b.shape[1] for b in bases}) > 1:
+            raise RankJump("upper band rank changes across the momentum grid")
+        if ti.cls is SymmetryClass.D:
+            bases.append(bases[0])
+        else:
+            tau = ti.cell_rep.ops["tau"]
+            bases[0] = _kramers_frame(tau, bases[0])
+            bases[-1] = _kramers_frame(tau, bases[-1])
+        overlaps = [np.linalg.det(b0.conj().T @ b1) for b0, b1 in zip(bases[:-1], bases[1:])]
+        if min(abs(d) for d in overlaps) >= 0.3:
+            prod = 1.0 + 0j
+            for d in overlaps:
+                prod *= d / abs(d)
+            phase = float(np.angle(prod))
+            if ti.cls is SymmetryClass.D:
+                raw, group, period = phase / np.pi, IndexGroup.Z2, 1
+            else:
+                raw, group, period = 2 * phase / np.pi, IndexGroup.TWO_Z2, 2
+            nearest = period * round(raw / period)
+            if abs(raw - nearest) <= tol.integer_residual:
+                return InvariantReport(IndexValue(group, nearest % (2 * period)), raw, abs(raw - nearest), n)
+        n *= 2
+    raise NonIntegerInvariant(f"phase index did not stabilize at {n // 2} samples")

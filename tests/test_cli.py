@@ -534,3 +534,21 @@ def test_winding_on_finite_spec_exits_1(tmp_path, capsys):
     })
     code, data = run_json(capsys, ["winding", join])
     assert code == 1 and data["error"] == "ValueError"
+
+
+def test_successive_calls_share_no_parser_state(tmp_path, capsys):
+    # the parser is built once per process; overrides and usage errors of
+    # one call must not reach the next
+    spec = write_spec(tmp_path, "gen_line.json", GEN_LINE)
+    _, plain = run_json(capsys, ["index", spec])
+    _, loose = run_json(capsys, ["index", spec, "--tol-unit", "1e-3", "--cut", "4"])
+    assert loose["tolerances"]["unit"] == 1e-3 and loose["cut"] == 4
+    _, again = run_json(capsys, ["index", spec])
+    assert again == plain
+    assert again["tolerances"]["unit"] == 1e-10 and again["cut"] == 10
+    with pytest.raises(SystemExit) as exc:
+        main(["index", spec, "--cut", "middle"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, after = run_json(capsys, ["index", spec])
+    assert code == 0 and after == plain

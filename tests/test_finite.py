@@ -486,3 +486,33 @@ def test_localization_profile_and_radius_for_mass():
     # bond 5 separates cells 4 and 5; radius 1 already holds 95% of the mass
     assert _radius_for_mass(profile, cells, (5,), mass=0.9) == 1
     assert _radius_for_mass(profile, cells, (5,), mass=0.99) == 5
+
+
+def test_localization_profile_is_the_per_cell_sum():
+    # one reduceat over the offsets against a sum per cell slice, on mixed
+    # cell dimensions with empty cells at both ends and inside; reduceat
+    # adds three or more entries in another order than sum, so only cells
+    # of at most two components agree bit for bit
+    gen = np.random.default_rng(2300)
+    for dims in ((2,) * 16, (1, 2, 1, 1), (0, 1, 3, 0, 0, 2, 9, 4, 0), (4, 1, 7, 8, 2, 0)):
+        cells = CellStructure(dims)
+        for _ in range(5):
+            v = gen.normal(size=cells.total_dim) + 1j * gen.normal(size=cells.total_dim)
+            expect = np.array(
+                [float(np.sum(np.abs(v[cells.cell_slice(i)]) ** 2)) for i in range(cells.n_cells)]
+            ) / float(np.vdot(v, v).real)
+            got = localization_profile(v, cells)
+            if max(dims) <= 2:
+                assert np.array_equal(got, expect)
+            np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
+
+
+def test_radius_for_mass_takes_the_widest_of_stacked_profiles():
+    cells = CellStructure.uniform(10, 1, "circle")
+    gen = np.random.default_rng(2301)
+    profiles = gen.random((6, 10)) ** 8
+    profiles /= profiles.sum(axis=1, keepdims=True)
+    for interfaces in ((5,), (0, 5), (3, 7)):
+        each = [_radius_for_mass(p, cells, interfaces) for p in profiles]
+        assert _radius_for_mass(profiles, cells, interfaces) == max(each)
+        assert _radius_for_mass([], cells, interfaces) == 0

@@ -109,3 +109,25 @@ def test_no_unused_imports():
     )
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _duplicate_test_names(path: Path) -> list[str]:
+    """Module-level ``test_*`` functions defined more than once; the last one hides the others."""
+    seen: dict[str, int] = {}
+    duplicates = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("test_"):
+            if node.name in seen:
+                duplicates.append(f"{path.name}:{node.lineno}: {node.name} (first at line {seen[node.name]})")
+            else:
+                seen[node.name] = node.lineno
+    return duplicates
+
+
+def test_no_duplicate_test_names():
+    # a second definition silently replaces the first, whose assertions
+    # then never run
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "tests").glob("*.py"))
+    duplicates = [entry for path in files for entry in _duplicate_test_names(path)]
+    assert duplicates == []

@@ -7,10 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SIGMA_X, gap_margin_per_momentum, haar_unitary, rng
+from helpers import (
+    SIGMA_X,
+    berry_per_momentum,
+    bloch_per_momentum,
+    gap_margin_per_momentum,
+    haar_unitary,
+    rng,
+    validate_per_momentum,
+    winding_per_momentum,
+)
 from walkindex.errors import (
+    EigenFailure,
     Gapless,
     NotChiral,
+    NotUnitary,
+    RankJump,
     RelationViolation,
     SingularBlock,
     TooShort,
@@ -18,8 +30,10 @@ from walkindex.errors import (
 from walkindex.lattice import measured_band
 from walkindex.serialize import tiwalk_from_json, tiwalk_to_json
 from walkindex.symmetry import SymmetryClass
+from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
     TIWalk,
+    _band_frames,
     berry_phase,
     build_lattice,
     builtin_walk,
@@ -288,7 +302,7 @@ def test_winding_needs_chiral_square_plus_one():
         winding_number(forget_ti(make_generating_example(), C.D))
 
 
-def test_winding_refines_coarse_grid():
+def test_winding_answers_on_eight_momenta():
     report = winding_number(make_split_step(*THETA_A), n_k=8)
     assert int(report.value) == 1
     assert report.residual < 1e-2
@@ -458,3 +472,134 @@ def test_batched_gap_margin_is_bitwise_the_per_momentum_loop():
         ks = -np.pi + 2 * np.pi * np.arange(64) / 64
         assert np.array_equal(ti.bloch_stack(ks), np.stack([ti.bloch(k) for k in ks]))
         assert ti_gap_margin(ti, strict=False) == gap_margin_per_momentum(ti)
+
+
+# -- batched momentum grids against the per-momentum loops -----------------------------
+
+
+def _chiral_oracle_walks() -> list[tuple[TIWalk, int]]:
+    """Walks of classes AIII/BDI/CII with the initial grid each is checked on."""
+    gen = rng(1300)
+    walks = [(make_split_step(1.1, 0.3), 256), (make_split_step(0.3, 1.1), 256)]
+    walks += [(make_split_step(-1.1, 0.3), 256), (make_split_step(*THETA_B), 256)]
+    # within 1e-3 rad of the gap edge: the grid doubles from 32
+    walks += [(make_split_step(0.8, 0.799), 32), (make_split_step(-1.0, 0.9995), 32)]
+    walks += [(make_generating_example(inv), 256) for inv in (False, True)]
+    walks += [(make_doubled("CII", inv), 256) for inv in (False, True)]
+    walks += [(make_trivial(), 256)]
+    walks += [(conjugate_ti(ti, haar_unitary(gen, ti.cell_dim)), n) for ti, n in walks[::2]]
+    walks += [(forget_ti(make_doubled("CII"), C.AIII), 256)]
+    walks += [(direct_sum_ti(make_generating_example(), make_split_step(-1.1, 0.3)), 256)]
+    walks += [(direct_sum_ti(make_generating_example(True), make_trivial()), 256)]
+    return walks
+
+
+def _phase_oracle_walks() -> list[tuple[TIWalk, int]]:
+    """Walks of classes D and DIII with the initial grid each is checked on."""
+    gen = rng(1301)
+    phases = ((1.1, 0.3), (0.3, 1.1), (-1.1, 0.3))
+    walks = [(forget_ti(make_split_step(t1, t2), C.D), 256) for t1, t2 in phases]
+    # two momenta leave an overlap below the refinement threshold
+    walks += [(forget_ti(make_split_step(1.2, 0.4), C.D), 2)]
+    walks += [(forget_ti(make_generating_example(inv), C.D), 256) for inv in (False, True)]
+    walks += [(forget_ti(make_trivial(), C.D), 16)]
+    walks += [(make_doubled("DIII", inv), 256) for inv in (False, True)]
+    walks += [(make_doubled("DIII", True), 4)]
+    walks += [(conjugate_ti(ti, haar_unitary(gen, ti.cell_dim)), n) for ti, n in walks[::2]]
+    walks += [(direct_sum_ti(make_doubled("DIII"), make_doubled("DIII", True)), 256)]
+    gen_d = forget_ti(make_generating_example(), C.D)
+    walks += [(direct_sum_ti(gen_d, forget_ti(make_split_step(1.1, 0.3), C.D)), 256)]
+    return walks
+
+
+def test_bloch_stack_is_the_scalar_accumulation():
+    ks = -np.pi + 2 * np.pi * np.arange(97) / 97
+    for ti, _ in _chiral_oracle_walks() + _phase_oracle_walks():
+        assert np.array_equal(ti.bloch_stack(ks), np.stack([bloch_per_momentum(ti, k) for k in ks]))
+
+
+def test_batched_validate_is_bitwise_the_per_momentum_loop():
+    for ti, _ in _chiral_oracle_walks() + _phase_oracle_walks():
+        assert validate_ti(ti) == validate_per_momentum(ti)
+
+
+def test_batched_winding_is_bitwise_the_per_momentum_loop():
+    refined = 0
+    for ti, n_k in _chiral_oracle_walks():
+        report = winding_number(ti, n_k=n_k)
+        assert report == winding_per_momentum(ti, n_k=n_k)
+        refined += report.n_k > n_k
+    assert refined >= 3
+
+
+def test_batched_berry_matches_the_per_momentum_loop():
+    refined = 0
+    for ti, n_k in _phase_oracle_walks():
+        report = berry_per_momentum(ti, n_k=n_k)
+        batched = berry_phase(ti, n_k=n_k)
+        assert (batched.value, batched.n_k) == (report.value, report.n_k)
+        # raw is a phase: at the branch cut rounding may land it on either
+        # end, -1 or 1 in class D (period 2), -2 or 2 in DIII (period 4)
+        period = 2 if ti.cls is C.D else 4
+        gap = (batched.raw - report.raw) % period
+        assert min(gap, period - gap) <= 1e-12
+        assert abs(batched.residual - report.residual) <= 1e-12
+        refined += report.n_k > n_k
+    assert refined >= 1
+
+
+def _swelling(ti: TIWalk, a: float) -> TIWalk:
+    """``(1 + a (1 + cos k) / 2) W(k)``: not unitary, worst at k = 0."""
+    blocks = {j: (1 + a / 2) * b for j, b in ti.blocks.items()}
+    for step in (-1, 1):
+        for j, b in ti.blocks.items():
+            blocks[j + step] = blocks.get(j + step, 0) + (a / 4) * b
+    return TIWalk(f"{ti.name}-swollen", ti.cls, ti.cell_dim, blocks, ti.cell_rep)
+
+
+def test_non_unitary_bloch_matrix_is_refused_at_its_momentum():
+    # a = 1e-10 / 1.96: of the 17 momenta only k = 0 has a defect above
+    # 1e-10; a = 2e-10: all |k| < 2 pi / 3 do, and the first is named
+    for a, named in (
+        (1e-10 / 1.96, r"0\.000\) has unitarity defect 1\.0\d\d"),
+        (2e-10, r"-1\.963\) has unitarity defect 1\.23\d"),
+    ):
+        ti = _swelling(make_trivial(), a)
+        for walk in (ti, forget_ti(ti, C.D)):
+            invariant = winding_number if walk.cls is C.BDI else berry_phase
+            for check in (validate_ti, invariant):
+                with pytest.raises(NotUnitary, match=rf"^W\({named}e-10 > 1e-10$"):
+                    check(walk)
+
+
+def test_band_frames_refuse_at_the_named_momentum():
+    walk = forget_ti(_swelling(make_trivial(), 1e-10 / 1.96), C.D)
+    with pytest.raises(NotUnitary, match=r"^W\(0\.000\) "):
+        _band_frames(walk, np.array([-1.0, 0.0, 1.0]), DEFAULT_TOL)
+    assert _band_frames(walk, np.array([-1.0, 1.0]), DEFAULT_TOL).shape == (2, 2, 1)
+    # the frames span the eigenvectors with Im lambda > 0
+    ks = np.linspace(-3, 3, 7)
+    for ti in (forget_ti(make_split_step(1.1, 0.3), C.D), make_doubled("DIII", True)):
+        frames = _band_frames(ti, ks, DEFAULT_TOL)
+        for w, b in zip(ti.bloch_stack(ks), frames):
+            assert np.all(np.linalg.eigvalsh(b.conj().T @ ((w - w.conj().T) / 2j) @ b) > 0.1)
+    gapless = forget_ti(make_split_step(np.pi / 4, np.pi / 4), C.D)
+    with pytest.raises(Gapless, match=r"at k=-3\.1416 is near the real axis"):
+        _band_frames(gapless, np.array([0.5, -np.pi]), DEFAULT_TOL)
+    # the shift's band e^{-ik} crosses the real axis between the momenta
+    with pytest.raises(RankJump, match="rank changes across the momentum grid"):
+        _band_frames(make_shift(), np.array([-1.0, 1.0]), DEFAULT_TOL)
+    # a non-normal W(k) let through a loose unitarity gate: the positive
+    # eigenspace of Im W is not W-invariant
+    skew = TIWalk("skew", C.D, 2, {0: np.array([[1j, 0.5], [0, -1j]])}, walk.cell_rep)
+    with pytest.raises(EigenFailure, match=r"invariance residual \S+ at k=-1\.0000"):
+        _band_frames(skew, np.array([-1.0]), DEFAULT_TOL.with_(unit=10.0))
+
+
+def test_berry_refuses_gap_closing_class_d_walk():
+    # the last walk closes the gap of one of its two bands only
+    for t in (np.pi / 4, -np.pi / 4):
+        closed = make_split_step(t, t)
+        for walk in (closed, direct_sum_ti(closed, make_generating_example())):
+            with pytest.raises(Gapless, match=r"at k=-3\.1416 is near the real axis"):
+                berry_phase(forget_ti(walk, C.D))

@@ -37,7 +37,7 @@ from .indices import (
     verify_locpert,
 )
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
-from .operators import check_admissible, check_unitary, eig_unitary, gap_margin
+from .operators import check_admissible, check_unitary, eig_unitary
 from .serialize import (
     dumps_canonical,
     operator_from_spec,
@@ -107,7 +107,6 @@ __all__ = [
     "fredholm_index",
     "forget_index",
     "forget_rep",
-    "gap_margin",
     "gentle_decoupling",
     "index_matrix",
     "join_crossover",

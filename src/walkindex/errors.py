@@ -40,10 +40,6 @@ class Gapless(WalkIndexError):
     exit_code = 3
 
 
-class GapViolation(WalkIndexError):
-    exit_code = 3
-
-
 class SingularBlock(WalkIndexError):
     """Chiral off-diagonal Bloch block is singular at some momentum."""
 

@@ -68,6 +68,8 @@ from .symmetry import (
     balanced_hamiltonian,
     rep_index,
     spectral_norm,
+    times_runs,
+    trace_runs,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import TIWalk, berry_phase, ti_gap_margin, winding_number
@@ -101,6 +103,10 @@ ESSENTIAL_KERNEL_RATIO = 5.0
 # Proxy-window radii agree when the projections onto their dropped subspaces
 # differ by at most this in spectral norm.
 WINDOW_AGREEMENT = 1e-8
+
+# index_matrix takes a walk as decoupled at a cut when its commutator with the
+# half-space projection is at most max(tol.band, DECOUPLED_FLOOR).
+DECOUPLED_FLOOR = 1e-11
 
 
 def _essential_kernel(
@@ -231,16 +237,12 @@ def _drop_window(
     return kept
 
 
-def _dense(rep: SymmetryRep | LocalSymmetryRep) -> SymmetryRep:
-    return rep.assembled() if isinstance(rep, LocalSymmetryRep) else rep
-
-
 def _restricted_index(
     rep: SymmetryRep | LocalSymmetryRep, basis: np.ndarray, tol: Tolerances
 ) -> IndexValue:
     if basis.shape[1] == 0:
         return IndexValue.zero(rep.cls.index_group)
-    return rep_index(_dense(rep).restrict(basis, tol), tol)
+    return rep_index(rep.restrict(basis, tol), tol)
 
 
 # -- si of eigenspaces -------------------------------------------------------------
@@ -257,21 +259,20 @@ def si_pm(
     Returns ``(si_minus, si_plus)`` of the cluster of ``Im W`` under
     ``ceiling`` (see :func:`_pm_eigenspaces`).  Cross-checked against the
     closed forms available per class: ``si_pm = tr(gamma (1 +- W))/2`` for
-    the unitary chiral classes (as ``(tr gamma +- sum_ij gamma_ij W_ji)/2``)
-    and the determinant parity ``det W = (-1)^{si_minus}`` in class D, both
-    within ``tol.idx``.
+    the unitary chiral classes (``gamma`` being cell-local, ``tr(gamma W)``
+    reads only the diagonal cell blocks of ``W``) and the determinant parity
+    ``det W = (-1)^{si_minus}`` in class D, both within ``tol.idx``.
     """
     m, r = _matrix_rep(w, rep)
     check_unitary(m, tol)
     check_admissible(m, r, kind="walk", tol=tol)
     minus, plus = _pm_eigenspaces(m, tol, ceiling)
-    r = _dense(r)
     si_minus = _restricted_index(r, minus, tol)
     si_plus = _restricted_index(r, plus, tol)
     if r.cls in CHIRAL_UNITARY:
-        g = r.ops["gamma"].matrix
-        trace_g = complex(np.trace(g))
-        trace_gw = complex(np.einsum("ij,ji->", g, m))
+        runs = r.runs()
+        trace_g = trace_runs(runs, "gamma")
+        trace_gw = trace_runs(runs, "gamma", m)
         for sign, got in ((-1.0, si_minus), (+1.0, si_plus)):
             t = (trace_g + sign * trace_gw) / 2
             if abs(t - int(got)) > tol.idx:
@@ -399,17 +400,19 @@ def twiddle_rep(
     Keeps ``eta`` and replaces ``tau -> W tau``, ``gamma -> W gamma``; the
     result is a representation of the same class, and a unitary ``V``
     commuting with ``W`` up to finite rank is admissible for it whenever
-    ``VW`` is admissible for the original.
+    ``VW`` is admissible for the original.  Each dense matrix is ``W M`` (or
+    ``1 M`` for ``eta``), one column pass per run of cells.
     """
     m, r = _matrix_rep(w, rep)
     check_unitary(m, tol, "walk")
     check_admissible(m, r, kind="walk", tol=tol)
-    r = _dense(r)
+    runs = r.runs()
     ops = {}
-    for name, op in r.ops.items():
+    for name, op in runs[0][2].ops.items():
         adjoint, _ = ADMISSIBILITY[name]
-        ops[name] = SymmetryOperator(m @ op.matrix, op.antiunitary) if adjoint else op
-    out = SymmetryRep(r.cls, ops, r.dim)
+        x = m if adjoint else np.eye(len(m))
+        ops[name] = SymmetryOperator(times_runs(x, runs, name), op.antiunitary)
+    out = SymmetryRep(r.cls, ops, m.shape[0])
     out.validate(tol)
     return out
 
@@ -650,7 +653,7 @@ def index_matrix(
         raise IncompatibleCells("the index table needs a decoupled line segment")
     p = w.cells.index_mask(range(a, w.cells.n_cells)).astype(float)
     comm = spectral_norm(w.matrix * p[None, :] - p[:, None] * w.matrix)
-    if comm > max(tol.band, 1e-11):
+    if comm > max(tol.band, DECOUPLED_FLOOR):
         raise NotDecoupled(
             f"walk does not commute with the half-space projection at {a}: "
             f"residual {comm:.3e}"
@@ -658,10 +661,9 @@ def index_matrix(
     entries: dict[str, IndexValue] = {}
     for side, piece in zip(("left", "right"), half_spaces(w, a)):
         check_unitary(piece.matrix, tol)
-        prep = piece.rep()
-        if prep is None:
+        if piece.local_rep is None:
             raise NotAdmissible("the index table needs a cell-local representation")
         for name, basis in zip(("minus", "plus"), _pm_eigenspaces(piece.matrix, tol)):
             basis = _drop_window(basis, piece.cells, w.band, f"{side} {name}")
-            entries[f"si_{name}_{side}"] = _restricted_index(prep, basis, tol)
+            entries[f"si_{name}_{side}"] = _restricted_index(piece.local_rep, basis, tol)
     return IndexMatrix(**entries)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CutOutOfRange, IncompatibleCells
-from .symmetry import SymmetryClass, SymmetryRep, spectral_norm
+from .symmetry import SymmetryClass, SymmetryRep, restrict_runs, spectral_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -122,12 +122,12 @@ class LocalSymmetryRep:
         return sum(r.dim for r in self.per_cell)
 
     def assembled(self) -> SymmetryRep:
-        """The dense representation on all cells; cells must share one class."""
+        """The dense rep on all cells, the reference for the action by :meth:`runs`."""
         return self.per_cell[0].direct_sum(*self.per_cell[1:])
 
     def runs(self) -> list[tuple[int, int, SymmetryRep]]:
         """``(first index, cell count, cell rep)`` of each maximal run of
-        consecutive cells that share one cell-rep object."""
+        consecutive cells that share one cell-rep object: the rep acts run by run."""
         out: list[tuple[int, int, SymmetryRep]] = []
         start = 0
         for rep in self.per_cell:
@@ -141,6 +141,10 @@ class LocalSymmetryRep:
 
     def restrict_cells(self, members: Sequence[int]) -> "LocalSymmetryRep":
         return LocalSymmetryRep(self.cls, tuple(self.per_cell[i] for i in members))
+
+    def restrict(self, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SymmetryRep:
+        """Restriction to an invariant subspace given by orthonormal columns."""
+        return restrict_runs(self.cls, self.runs(), basis, tol)
 
 
 @dataclass(eq=False)
@@ -183,9 +187,6 @@ class LatticeOperator:
     def block(self, i: int, j: int) -> np.ndarray:
         """The (cell i <- cell j) block."""
         return self.matrix[self.cells.cell_slice(i), self.cells.cell_slice(j)]
-
-    def rep(self) -> SymmetryRep | None:
-        return None if self.local_rep is None else self.local_rep.assembled()
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,21 @@ import numpy as np
 
 from .errors import (
     EigenFailure,
-    GapViolation,
     NotAdmissible,
     NotNormal,
     NotUnitary,
     WindowAmbiguous,
 )
 from .lattice import LocalSymmetryRep
-from .symmetry import ADMISSIBILITY, SymmetryRep, spectral_norm, unitarity_defect
+from .symmetry import (
+    ADMISSIBILITY,
+    Runs,
+    SymmetryRep,
+    conjugate_runs,
+    screened_norm,
+    spectral_norm,
+    unitarity_defect,
+)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -35,9 +42,6 @@ __all__ = [
     "check_unitary",
     "check_admissible",
     "AdmissibilityReport",
-    "gap_margin",
-    "GapReport",
-    "spectral_flatten",
     "phase_window",
     "check_normal",
     "admissible_hamiltonian_projection",
@@ -136,71 +140,20 @@ class AdmissibilityReport:
     ok: bool
 
 
-def _conjugated(x: np.ndarray, runs: list[tuple[int, int, SymmetryRep]], name: str) -> np.ndarray:
-    """``sigma X sigma^-1`` for the operator ``name``, one run of cells at a time.
+def _residual_norm(w: np.ndarray, runs: Runs, name: str, kind: str, bound: float | None) -> float:
+    """Norm of the residual of one symmetry condition, screened by ``bound``.
 
-    Each run of ``count`` cells of dimension ``d`` sharing the cell matrix
-    ``M`` takes one batched product per side: its rows as ``(count, d, N)``
-    times ``M``, then its columns times ``M*``.  Antiunitary operators
-    conjugate ``X`` first.
-    """
-    n = x.shape[0]
-    if runs[0][2].ops[name].antiunitary:
-        x = np.conj(x)
-    rows = np.empty_like(x)
-    for start, count, cell in runs:
-        m = cell.ops[name].matrix
-        d = m.shape[0]
-        stop = start + count * d
-        np.matmul(m, x[start:stop].reshape(count, d, n), out=rows[start:stop].reshape(count, d, n))
-    del x  # a conjugated copy is freed before the column pass allocates
-    out = np.empty_like(rows)
-    for start, count, cell in runs:
-        m = cell.ops[name].matrix
-        d = m.shape[0]
-        stop = start + count * d
-        np.matmul(
-            rows[:, start:stop].reshape(n, count, d).transpose(1, 0, 2),
-            m.conj().T,
-            out=out[:, start:stop].reshape(n, count, d).transpose(1, 0, 2),
-        )
-    return out
-
-
-# a residual passes the Frobenius screen only this far (relatively) under
-# tol.adm, so rounding in either norm cannot change the spectral-norm verdict
-ADMISSIBILITY_SCREEN_SLACK = 1e-6
-
-
-def _residual_norm(
-    w: np.ndarray,
-    runs: list[tuple[int, int, SymmetryRep]],
-    name: str,
-    kind: str,
-    bound: float | None,
-) -> float:
-    """Spectral norm of the residual of one symmetry condition.
-
-    With a ``bound``, a residual whose Frobenius norm is at most ``bound``
-    returns that Frobenius norm (an upper bound on the spectral norm) and
-    takes no SVD.  The residual is local here, so no N x N array outlives
-    the call.
+    The residual is local here, so no N x N array outlives the call.
     """
     adjoint, sign = ADMISSIBILITY[name]
-    r = _conjugated(w, runs, name)
+    r = conjugate_runs(runs, name, w)
     if kind == "walk":
         r -= w.conj().T if adjoint else w
     elif sign > 0:
         r -= w
     else:
         r += w
-    if bound is not None:
-        # a real or imaginary part whose square underflows loses less than
-        # tiny from the sum, so the padding keeps this above ||R||_F
-        frob = float(np.sqrt(np.vdot(r, r).real + 2 * r.size * np.finfo(float).tiny))
-        if frob <= bound:
-            return frob
-    return spectral_norm(r)
+    return screened_norm(r, bound)
 
 
 def check_admissible(
@@ -217,17 +170,17 @@ def check_admissible(
 
     ``rep`` is cell-local or dense (one run of one cell); the operators are
     applied one run of equal cells at a time, never assembled.  A strict
-    check decides with the Frobenius norm ``||R||_F >= ||R||_2`` first: a
-    residual with ``||R||_F <= tol.adm`` (less ``ADMISSIBILITY_SCREEN_SLACK``)
-    passes without an SVD and is reported as that bound.  Every other
-    residual, and every residual of a ``strict=False`` report, is the
-    spectral norm, so a failing residual is always exact.
+    check screens each residual against ``tol.adm`` with its Frobenius norm
+    (:func:`~walkindex.symmetry.screened_norm`): one that passes the screen
+    takes no SVD and is reported as that bound.  Every other residual, and
+    every residual of a ``strict=False`` report, is the spectral norm, so a
+    failing residual is always exact.
     """
     if kind not in ("walk", "hamiltonian"):
         raise ValueError(f"kind must be 'walk' or 'hamiltonian', got {kind!r}")
     w = np.asarray(w, dtype=complex)
-    runs = rep.runs() if isinstance(rep, LocalSymmetryRep) else [(0, 1, rep)]
-    bound = tol.adm * (1 - ADMISSIBILITY_SCREEN_SLACK) if strict else None
+    runs = rep.runs()
+    bound = tol.adm if strict else None
     res = {name: _residual_norm(w, runs, name, kind, bound) for name in runs[0][2].ops}
     worst = max(res.values(), default=0.0)
     ok = worst <= tol.adm
@@ -235,72 +188,6 @@ def check_admissible(
         key = max(res, key=res.get)
         raise NotAdmissible(f"symmetry condition for {key} violated: residual {res[key]:.3e}")
     return AdmissibilityReport(res, worst, ok)
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Distance of the spectrum from a target phase.
-
-    ``margin`` is the smallest ``|lambda - target|`` over eigenvalues that are
-    not exactly at the target (within ``tol.exact``); ``exact_count`` is the
-    number of those excluded eigenvalues.
-    """
-
-    target: complex
-    margin: float
-    exact_count: int
-
-
-def gap_margin(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> dict[complex, GapReport]:
-    """Spectral distance of a unitary from +1 and -1, keyed by the target."""
-    check_unitary(np.asarray(w, dtype=complex), tol)
-    vals = np.linalg.eigvals(np.asarray(w, dtype=complex))
-    out: dict[complex, GapReport] = {}
-    for t in (1.0 + 0j, -1.0 + 0j):
-        dist = np.abs(vals - t)
-        exact = dist <= tol.exact
-        rest = dist[~exact]
-        margin = float(rest.min()) if rest.size else float(2.0)
-        out[t] = GapReport(t, margin, int(exact.sum()))
-    return out
-
-
-def spectral_flatten(
-    w: np.ndarray,
-    eps: float | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Project all eigenvalues to ``{+1, -1, +i, -i}``.
-
-    Eigenvalues within ``tol.exact`` of +-1 stay there; the rest must have
-    ``|Im lambda| > eps`` (default ``tol.exact``) and move to ``sign(Im) i``.
-    The map commutes with complex conjugation of eigenvalues, so walk
-    admissibility is preserved.
-    """
-    if eps is None:
-        eps = tol.exact
-    eig = eig_unitary(w, tol)
-    flat = np.empty_like(eig.values)
-    counts = {"plus_one": 0, "minus_one": 0, "upper": 0, "lower": 0}
-    for j, lam in enumerate(eig.values):
-        if abs(lam - 1) <= tol.exact:
-            flat[j] = 1.0
-            counts["plus_one"] += 1
-        elif abs(lam + 1) <= tol.exact:
-            flat[j] = -1.0
-            counts["minus_one"] += 1
-        elif lam.imag > eps:
-            flat[j] = 1j
-            counts["upper"] += 1
-        elif lam.imag < -eps:
-            flat[j] = -1j
-            counts["lower"] += 1
-        else:
-            raise GapViolation(
-                f"eigenvalue {lam:.6g} sits in the gap region (|Im| <= {eps:.3g}, not at +-1)"
-            )
-    v = eig.vectors
-    return v @ (flat[:, None] * v.conj().T), counts
 
 
 def phase_window(

@@ -58,15 +58,21 @@ __all__ = [
     "SymmetryRep",
     "RepReport",
     "ADMISSIBILITY",
+    "ADMISSIBILITY_SCREEN_SLACK",
     "spectral_norm",
+    "screened_norm",
     "unitarity_defect",
+    "apply_runs",
+    "times_runs",
+    "conjugate_runs",
+    "trace_runs",
+    "restrict_runs",
     "block_diagonal",
     "rep_index",
     "forget_index",
     "forget_rep",
     "forget_legal",
     "balanced_hamiltonian",
-    "balanced_gapped_unitary",
     "fixed_point_basis",
     "kramers_pairs",
     "chiral_sectors",
@@ -214,9 +220,27 @@ def spectral_norm(x: np.ndarray) -> float | np.ndarray:
     return float(norms) if x.ndim == 2 else norms
 
 
-def unitarity_defect(m: np.ndarray) -> float | np.ndarray:
-    """``||M* M - 1||``, of each matrix of a stack over the last two axes."""
-    return spectral_norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))
+# a residual passes the Frobenius screen only this far (relatively) under its
+# bound, so rounding in either norm cannot change the spectral-norm verdict
+ADMISSIBILITY_SCREEN_SLACK = 1e-6
+
+
+def screened_norm(x: np.ndarray, bound: float | None = None) -> float | np.ndarray:
+    """:func:`spectral_norm`, except that a residual whose Frobenius norm (an
+    upper bound) is at most ``bound`` less ``ADMISSIBILITY_SCREEN_SLACK``
+    returns that bound and takes no SVD; a failing residual is always exact."""
+    if bound is not None:
+        # a real or imaginary part whose square underflows loses less than
+        # tiny from the sum, so the padding keeps this above ||x||_F
+        frob = float(np.sqrt(np.vdot(x, x).real + 2 * x.size * np.finfo(float).tiny))
+        if frob <= bound * (1 - ADMISSIBILITY_SCREEN_SLACK):
+            return frob
+    return spectral_norm(x)
+
+
+def unitarity_defect(m: np.ndarray, bound: float | None = None) -> float | np.ndarray:
+    """``||M* M - 1||`` of each matrix of a stack, or :func:`screened_norm` by ``bound``."""
+    return screened_norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]), bound)
 
 
 def block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -286,7 +310,8 @@ class SymmetryOperator:
 
 @dataclass(frozen=True)
 class RepReport:
-    """Residuals of the defining relations of a representation."""
+    """Residuals of the defining relations of a representation; one that passes
+    may be its Frobenius bound (:func:`screened_norm`) instead of its norm."""
 
     residuals: dict[str, float]
     max_residual: float
@@ -321,8 +346,9 @@ class SymmetryRep:
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> RepReport:
         """Check shapes, unitarity, squares, commutation and gamma = eta tau.
 
-        A violation above ``tol.adm`` raises ``RelationViolation`` naming the
-        worst relation.
+        Each residual is screened against ``tol.adm`` (:func:`screened_norm`);
+        a violation raises ``RelationViolation`` naming the worst relation
+        and its spectral norm.
         """
         res: dict[str, float] = {}
         expected = self.cls.ops_present
@@ -335,32 +361,31 @@ class SymmetryRep:
                 raise RelationViolation(f"{name} has shape {op.matrix.shape}, expected {(self.dim, self.dim)}")
             if op.antiunitary != _ANTIUNITARY[name]:
                 raise RelationViolation(f"{name} has wrong antiunitary flag")
-            res[f"unitary:{name}"] = unitarity_defect(op.matrix)
+            res[f"unitary:{name}"] = unitarity_defect(op.matrix, tol.adm)
             sign = self.cls.squares[name]
-            res[f"square:{name}"] = spectral_norm(op.square() - sign * np.eye(self.dim))
+            res[f"square:{name}"] = screened_norm(op.square() - sign * np.eye(self.dim), tol.adm)
         names = sorted(self.ops)
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 ab = self.ops[a].compose(self.ops[b]).matrix
                 ba = self.ops[b].compose(self.ops[a]).matrix
-                res[f"commute:{a},{b}"] = spectral_norm(ab - ba)
+                res[f"commute:{a},{b}"] = screened_norm(ab - ba, tol.adm)
         if len(self.ops) == 3:
             prod = self.ops["eta"].compose(self.ops["tau"]).matrix
-            res["product:eta tau = gamma"] = spectral_norm(prod - self.ops["gamma"].matrix)
+            res["product:eta tau = gamma"] = screened_norm(prod - self.ops["gamma"].matrix, tol.adm)
         worst = max(res.values(), default=0.0)
         if worst > tol.adm:
             key = max(res, key=res.get)
             raise RelationViolation(f"relation {key} violated: residual {res[key]:.3e}")
         return RepReport(res, worst)
 
+    def runs(self) -> list[tuple[int, int, "SymmetryRep"]]:
+        """The rep as one run of one cell (see :func:`apply_runs`)."""
+        return [(0, 1, self)]
+
     def restrict(self, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> "SymmetryRep":
         """Restriction to an invariant subspace given by orthonormal columns."""
-        for name, op in self.ops.items():
-            defect = op.invariance_defect(basis)
-            if defect > tol.adm:
-                raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
-        ops = {name: op.restrict(basis) for name, op in self.ops.items()}
-        return SymmetryRep(self.cls, ops, basis.shape[1])
+        return restrict_runs(self.cls, self.runs(), basis, tol)
 
     def direct_sum(self, *others: "SymmetryRep") -> "SymmetryRep":
         """Block-diagonal sum of this representation and ``others``, in order."""
@@ -376,6 +401,79 @@ class SymmetryRep:
 
     def conjugated(self, u: np.ndarray) -> "SymmetryRep":
         return SymmetryRep(self.cls, {n: op.conjugated(u) for n, op in self.ops.items()}, self.dim)
+
+
+# -- the action of a rep, one run of equal cells at a time -------------------------
+# A run (start, count, cell) is count consecutive cells from index start that
+# share one cell rep; a dense rep is one run of one cell.  An operator acts as
+# the block-diagonal matrix M of its cell matrices.
+
+Runs = Sequence[tuple[int, int, SymmetryRep]]
+
+
+def _run_blocks(runs: Runs, name: str):
+    """``(start, stop, count, d, matrix)`` of operator ``name`` on each run."""
+    for start, count, cell in runs:
+        m = cell.ops[name].matrix
+        d = m.shape[0]
+        yield start, start + count * d, count, d, m
+
+
+def apply_runs(runs: Runs, name: str, x: np.ndarray) -> np.ndarray:
+    """``sigma`` on each column of ``x`` (``M x``, or ``M conj(x)`` if antiunitary),
+    one batched product per run on its rows of ``x`` as ``(count, d, k)``."""
+    if runs[0][2].ops[name].antiunitary:
+        x = np.conj(x)
+    k = x.shape[1]
+    out = np.empty((x.shape[0], k), dtype=complex)
+    for start, stop, count, d, m in _run_blocks(runs, name):
+        np.matmul(m, x[start:stop].reshape(count, d, k), out=out[start:stop].reshape(count, d, k))
+    return out
+
+
+def times_runs(x: np.ndarray, runs: Runs, name: str, adjoint: bool = False) -> np.ndarray:
+    """``x M`` (``x M*`` when ``adjoint``), one batched product per run on its
+    columns of ``x`` as ``(count, n, d)``, written in place through that view."""
+    n = x.shape[0]
+    out = np.empty((n, x.shape[1]), dtype=complex)
+    for start, stop, count, d, m in _run_blocks(runs, name):
+        np.matmul(
+            x[:, start:stop].reshape(n, count, d).transpose(1, 0, 2),
+            m.conj().T if adjoint else m,
+            out=out[:, start:stop].reshape(n, count, d).transpose(1, 0, 2),
+        )
+    return out
+
+
+def conjugate_runs(runs: Runs, name: str, x: np.ndarray) -> np.ndarray:
+    """Operator conjugation ``sigma X sigma^-1``: a row pass, then a column pass."""
+    return times_runs(apply_runs(runs, name, x), runs, name, adjoint=True)
+
+
+def trace_runs(runs: Runs, name: str, x: np.ndarray | None = None) -> complex:
+    """``tr(M x)`` from the diagonal cell blocks of ``x``; ``tr M`` without ``x``."""
+    total = 0j
+    for start, stop, count, d, m in _run_blocks(runs, name):
+        if x is None:
+            total += count * complex(np.trace(m))
+        else:
+            blocks = x[start:stop, start:stop].reshape(count, d, count, d)
+            total += complex(np.einsum("ij,cjci->", m, blocks))
+    return total
+
+
+def restrict_runs(cls: SymmetryClass, runs: Runs, basis: np.ndarray, tol: Tolerances) -> SymmetryRep:
+    """Compression ``basis* sigma(basis)`` of each operator, applied once; a part
+    of ``sigma(basis)`` above ``tol.adm`` off the span raises ``NotAdmissible``."""
+    ops = {}
+    for name, op in runs[0][2].ops.items():
+        image = apply_runs(runs, name, basis)
+        sub = basis.conj().T @ image
+        defect = spectral_norm(image - basis @ sub)
+        if defect > tol.adm:
+            raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
+        ops[name] = SymmetryOperator(sub, op.antiunitary)
+    return SymmetryRep(cls, ops, basis.shape[1])
 
 
 def rep_index(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -> IndexValue:
@@ -633,15 +731,6 @@ def balanced_hamiltonian(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -> np.
             h = h + h.conj().T
     _verify_balanced(rep, h, tol)
     return h
-
-
-def balanced_gapped_unitary(rep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """``G = i H`` with ``H`` from :func:`balanced_hamiltonian`.
-
-    ``G`` is unitary, admissible for ``rep`` as a walk, and has spectrum
-    ``{+i, -i}``, hence gapped at both +1 and -1.
-    """
-    return 1j * balanced_hamiltonian(rep, tol)
 
 
 def _verify_balanced(rep: SymmetryRep, h: np.ndarray, tol: Tolerances) -> None:

@@ -439,7 +439,9 @@ def berry_phase(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL) -> In
     half-space index).  Class DIII: half interval [0, pi] with time-reversal
     Kramers-pinned frames at both endpoints, value in {0, 2} mod 4.  Pinned
     endpoint frames are unique up to determinant-one (quaternionic) gauges,
-    so the product of frame overlaps is gauge invariant.  ``n_k < 2`` is
+    so the product of frame overlaps is gauge invariant.  ``raw`` is the
+    phase in units of the group generator, taken next to ``value`` (1, not
+    -1, in class D), so ``|raw - value|`` is the residual.  ``n_k < 2`` is
     refused (``ValueError``).
     """
     if ti.cls not in (SymmetryClass.D, SymmetryClass.DIII):
@@ -513,16 +515,17 @@ def _berry_once(ti: TIWalk, n: int, tol: Tolerances) -> tuple[IndexValue, float,
     if ti.cls is SymmetryClass.D:
         raw = phase / np.pi
         nearest = round(raw)
-        residual = abs(raw - nearest)
-        if residual > tol.integer_residual:
-            raise _Refine
-        return IndexValue(IndexGroup.Z2, nearest % 2), raw, residual
-    raw = 2 * phase / np.pi
-    nearest = 2 * round(raw / 2)
+        value = IndexValue(IndexGroup.Z2, nearest % 2)
+    else:
+        raw = 2 * phase / np.pi
+        nearest = 2 * round(raw / 2)
+        value = IndexValue(IndexGroup.TWO_Z2, nearest % 4)
     residual = abs(raw - nearest)
     if residual > tol.integer_residual:
         raise _Refine
-    return IndexValue(IndexGroup.TWO_Z2, nearest % 4), raw, residual
+    # a nontrivial holonomy sits on the branch cut of the phase, where the
+    # sign of raw is rounding noise: report it next to the value instead
+    return value, value.value + (raw - nearest), residual
 
 
 def _kramers_frame(tau: SymmetryOperator, basis: np.ndarray) -> np.ndarray:

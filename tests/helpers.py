@@ -10,8 +10,9 @@ essential-gap cluster of ``si_pm`` is compared against.  The dense routes
 that the cell-local, screened admissibility check, the thin-basis proxy
 window and the batched gap margin replaced are kept as
 ``dense_admissibility``, ``drop_window_projectors`` and
-``gap_margin_per_momentum``; the per-momentum loops that the batched
-momentum grids replaced are ``bloch_per_momentum``,
+``gap_margin_per_momentum``, and the dense rep that the action by runs of
+cells replaced as ``dense_rep`` and ``dense_restrict``; the per-momentum
+loops that the batched momentum grids replaced are ``bloch_per_momentum``,
 ``validate_per_momentum``, ``winding_per_momentum`` and
 ``berry_per_momentum`` (band frames from ``eig_unitary``).
 """
@@ -28,6 +29,7 @@ from scipy.linalg import expm
 from walkindex.errors import (
     Gapless,
     NonIntegerInvariant,
+    NotAdmissible,
     RankJump,
     RelationViolation,
     SingularBlock,
@@ -122,6 +124,39 @@ def normal_form_rep(cls: SymmetryClass, p: int = 1, q: int = 1) -> SymmetryRep:
 def random_rep(cls: SymmetryClass, gen: np.random.Generator, p: int = 1, q: int = 1) -> SymmetryRep:
     base = normal_form_rep(cls, p, q)
     return base.conjugated(haar_unitary(gen, base.dim))
+
+
+def monomial(gen: np.random.Generator, d: int) -> np.ndarray:
+    """A permutation with phases in {1, i, -1, -i}; conjugating by it keeps entries exact."""
+    u = np.zeros((d, d), dtype=complex)
+    u[gen.permutation(d), np.arange(d)] = 1j ** gen.integers(0, 4, size=d)
+    return u
+
+
+def cell_layouts(cls: SymmetryClass, gen: np.random.Generator, cells: str) -> dict[str, tuple]:
+    """Per-cell reps: one run, two runs of equal dims, and three runs of mixed dims.
+
+    ``cells`` picks the cell matrices: ``"signed"`` keeps the normal forms
+    (signed permutations), ``"phase"`` conjugates them by monomials (phase
+    permutations) and ``"haar"`` by Haar unitaries.  With the first two every
+    product by a cell matrix is exact, so a route by runs of cells and the
+    dense route round identically.
+    """
+
+    def cell(p):
+        base = normal_form_rep(cls, p, 1)
+        if cells == "signed":
+            return base
+        u = monomial(gen, base.dim) if cells == "phase" else haar_unitary(gen, base.dim)
+        return base.conjugated(u)
+
+    a, a2, b = cell(1), cell(1), cell(2)
+    n = int(gen.integers(3, 7))
+    return {
+        "uniform": (a,) * n,
+        "two_runs": (a,) * 2 + (a2,) * n,
+        "mixed_dims": (a, a, b, b, b, a),
+    }
 
 
 def random_admissible_hamiltonian(rep: SymmetryRep, gen: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -228,6 +263,32 @@ def dense_admissibility(w: np.ndarray, rep: SymmetryRep, kind: str = "walk") -> 
         target = (w.conj().T if adjoint else w) if kind == "walk" else sign * w
         res[name] = spectral_norm(op.conjugate(w) - target)
     return res
+
+
+def dense_rep(op: LatticeOperator) -> SymmetryRep:
+    """The cell-local rep of a lattice operator as one dense N x N rep."""
+    return op.local_rep.assembled()
+
+
+def dense_restrict(rep: SymmetryRep, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SymmetryRep:
+    """Restriction by the dense operators: every invariance defect first, then the compressions."""
+    for name, op in rep.ops.items():
+        defect = op.invariance_defect(basis)
+        if defect > tol.adm:
+            raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
+    ops = {name: op.restrict(basis) for name, op in rep.ops.items()}
+    return SymmetryRep(rep.cls, ops, basis.shape[1])
+
+
+def pm_one_gap(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Smallest distance from +1 or -1 of an eigenvalue that is not within ``tol.exact`` of it."""
+    vals = np.linalg.eigvals(w)
+    margins = []
+    for target in (1.0, -1.0):
+        dist = np.abs(vals - target)
+        rest = dist[dist > tol.exact]
+        margins.append(float(rest.min()) if rest.size else 2.0)
+    return min(margins)
 
 
 def drop_window_projectors(

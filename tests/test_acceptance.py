@@ -20,6 +20,7 @@ from scipy.linalg import block_diag, expm
 from helpers import (
     ALL_CLASSES,
     contraction_path,
+    dense_rep,
     haar_unitary,
     random_admissible_walk,
     random_rep,
@@ -312,7 +313,7 @@ def test_05_relative_index_identities_fuzz():
         # chain rule
         total = relative_index(ring, r2 @ r1 @ ring.matrix)
         first = relative_index(ring, r1 @ ring.matrix)
-        second = relative_index(r1 @ ring.matrix, r2 @ r1 @ ring.matrix, ring.rep())
+        second = relative_index(r1 @ ring.matrix, r2 @ r1 @ ring.matrix, ring.local_rep)
         assert total == first + second
         # additivity of perturbations with distant supports
         assert int(total) == int(first) + int(relative_index(ring, r2 @ ring.matrix)) == 2
@@ -355,7 +356,7 @@ def test_05_eigen_cluster_matches_window_oracle():
         ti, (lo, hi) = FAMILIES[t % len(FAMILIES)]
         n = int(gen.integers(lo, hi + 1))
         for op in (conjugated_ring(ti, n, gen), conjugated_line(ti, n, gen)):
-            compare(op.matrix, op.rep())
+            compare(op.matrix, dense_rep(op))
     assert answered >= 250
 
 
@@ -379,7 +380,7 @@ def test_06_gentle_decoupling_suite():
         re_floor = float(np.min(np.linalg.eigvals(res.v).real))
         min_re = min(min_re, re_floor)
         assert re_floor >= -1e-9
-        rep = op.rep()
+        rep = op.local_rep
         eye = np.eye(op.dim)
         for v_t in contraction_path(res.generator, 8):
             sample = v_t @ op.matrix

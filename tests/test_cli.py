@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from walkindex.cli import main
+from walkindex.lattice import LocalSymmetryRep
 from walkindex.serialize import (
     lattice_operator_from_json,
     lattice_operator_to_json,
@@ -202,6 +203,27 @@ def test_decouple_writes_artifacts(tmp_path, capsys):
     # Wprime.json is an explicit walk spec that every command reads back
     code, data = run_json(capsys, ["validate", str(out_dir / "Wprime.json")])
     assert code == 0 and data["ok"] is True and data["n_cells"] == 16
+
+
+def test_index_and_decouple_never_assemble_the_dense_rep(tmp_path, capsys, monkeypatch):
+    # every action of a cell-local rep goes run of cells by run of cells
+    calls = []
+    assembled = LocalSymmetryRep.assembled
+
+    def counted(self):
+        calls.append(self.total_dim)
+        return assembled(self)
+
+    monkeypatch.setattr(LocalSymmetryRep, "assembled", counted)
+    circle = write_spec(tmp_path, "c192.json", {**SPLIT_A, "geometry": {"n_cells": 192, "topology": "circle"}})
+    code, data = run_json(capsys, ["index", circle])
+    assert code == 0 and data["si_right"]["value"] == 1
+    circle = write_spec(tmp_path, "c32.json", {**SPLIT_A, "geometry": {"n_cells": 32, "topology": "circle"}})
+    code, data = run_json(capsys, ["decouple", circle, "--out-dir", str(tmp_path / "dec")])
+    assert code == 0 and data["ok"] is True
+    assert calls == []
+    build_lattice(make_split_step(1.2, 0.4), 4, "circle").local_rep.assembled()
+    assert calls == [8]
 
 
 def test_decouple_steps_flag_is_gone(tmp_path):

@@ -179,7 +179,7 @@ def test_gentle_decoupling_generating_ring():
 
 def test_gentle_decoupling_path_is_admissible_homotopy():
     r = gen_ring(12)
-    rep = r.rep()
+    rep = r.local_rep
     res = gentle_decoupling(r, 0)
     path = [sample @ r.matrix for sample in contraction_path(res.generator, 8)]
     assert len(path) == 9
@@ -352,7 +352,7 @@ def test_truncate_ti_decoupled_matches_segment_extraction():
 
 def test_decoupled_segment_admissible():
     seg = truncate_ti(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 14, "decoupled_unitary")
-    rep = seg.rep()
+    rep = seg.local_rep
     assert rep is not None
     assert check_admissible(seg.matrix, rep, kind="walk", strict=False).max_residual <= 1e-8
     dim = seg.matrix.shape[0]

@@ -303,7 +303,7 @@ def test_identical_bulks_spectrum_is_bloch_union():
 def test_split_step_circle_join_has_protected_modes(split_a, split_b):
     joined = join_crossover(split_a, split_b, 30, 30, "circle")
     check_unitary(joined.matrix, what="join")
-    report = check_admissible(joined.matrix, joined.rep(), kind="walk")
+    report = check_admissible(joined.matrix, joined.local_rep, kind="walk")
     assert max(report.residuals.values()) <= 1e-8
     re = np.abs(np.linalg.eigvals(joined.matrix).real)
     assert int(np.sum(re > 1 - 1e-3)) == 4  # one near +-1 pair per interface
@@ -316,7 +316,7 @@ def test_line_join_is_unitary_admissible_with_one_interface(line_join_80):
     assert line_join_80.meta["interfaces"] == (40,)
     assert line_join_80.meta["boundary"] == "decoupled_unitary"
     check_unitary(line_join_80.matrix, what="line join")
-    report = check_admissible(line_join_80.matrix, line_join_80.rep(), kind="walk")
+    report = check_admissible(line_join_80.matrix, line_join_80.local_rep, kind="walk")
     assert max(report.residuals.values()) <= 1e-8
     vals = np.linalg.eigvals(line_join_80.matrix)
     assert int(np.sum(np.abs(vals - 1) <= 1e-9)) == 2
@@ -352,7 +352,7 @@ def test_sign_flipped_coin_pair_falls_back_to_decoupled_glue():
     joined = join_crossover(gen, inv, 8, 8, "line")
     assert joined.meta["interface_style"] == "decoupled"
     check_unitary(joined.matrix, what="fallback join")
-    report = check_admissible(joined.matrix, joined.rep(), kind="walk")
+    report = check_admissible(joined.matrix, joined.local_rep, kind="walk")
     assert max(report.residuals.values()) <= 1e-8
     eig = eig_unitary(joined.matrix)
     pinned = np.flatnonzero(np.abs(eig.values - 1) <= 1e-9)
@@ -370,7 +370,7 @@ def test_different_skeletons_fall_back(split_a):
     joined = join_crossover(gen, make_trivial(), 8, 8, "line")
     assert joined.meta["interface_style"] == "decoupled"
     check_unitary(joined.matrix, what="fallback join")
-    report = check_admissible(joined.matrix, joined.rep(), kind="walk")
+    report = check_admissible(joined.matrix, joined.local_rep, kind="walk")
     assert max(report.residuals.values()) <= 1e-8
     vals = np.linalg.eigvals(joined.matrix)
     assert int(np.sum(np.abs(vals - 1) <= 1e-9)) == 2

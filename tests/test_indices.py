@@ -8,9 +8,11 @@ from scipy.linalg import expm
 
 from helpers import (
     contraction_path,
+    dense_rep,
     drop_window_projectors,
     haar_unitary,
     normal_form_rep,
+    pm_one_gap,
     random_admissible_walk,
     random_rep,
     rng,
@@ -53,7 +55,7 @@ from walkindex.lattice import (
     half_spaces,
     split_by_weight,
 )
-from walkindex.operators import admissible_hamiltonian_projection, gap_margin, imaginary_part
+from walkindex.operators import admissible_hamiltonian_projection, imaginary_part
 from walkindex.symmetry import IndexGroup, SymmetryClass, SymmetryRep
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
@@ -152,7 +154,7 @@ def test_si_pm_requires_unitary():
 CHECKED_ENTRY_POINTS = {
     "si_pm": lambda op: si_pm(op),
     "twiddle_rep": lambda op: twiddle_rep(op),
-    "contract_perturbation": lambda op: contract_perturbation(op.matrix, op.rep()),
+    "contract_perturbation": lambda op: contract_perturbation(op.matrix, dense_rep(op)),
     "verify_bulk_boundary": lambda op: verify_bulk_boundary(make_trivial(), make_trivial(), op),
 }
 
@@ -229,7 +231,7 @@ def test_si_total_one_sided_compression():
     right = compress(seg, half_space_projection(seg.cells, 4, side="geq"))
     assert int(si_total(right)) == 1
     # a plain matrix has no proxy ends: the far-end mode cancels the cut mode
-    assert int(si_total(right.matrix, right.rep())) == 0
+    assert int(si_total(right.matrix, right.local_rep)) == 0
 
 
 def test_si_left_right_generating_segment():
@@ -305,7 +307,7 @@ def test_si_pm_homotopy_stability():
     # perturb an anchored walk admissibly below the gap bound: the
     # unbalanced +-1 eigenvalues cannot move at all
     ring = generating_ring(10)
-    rep = ring.rep()
+    rep = ring.local_rep
     refl, _ = local_reflection(ring, 0)
     wp = refl @ ring.matrix
     assert [int(x) for x in si_pm(wp, rep)] == [1, -1]
@@ -313,8 +315,7 @@ def test_si_pm_homotopy_stability():
     trep = twiddle_rep(wp, rep)
     z = gen.normal(size=(20, 20)) + 1j * gen.normal(size=(20, 20))
     k = admissible_hamiltonian_projection(z, trep)
-    margins = gap_margin(wp)
-    margin = min(m.margin for m in margins.values())
+    margin = pm_one_gap(wp)
     d = 1  # anchored eigenspace dimension per phase
     eps = margin / (2 * (2 * d + 1)) / np.linalg.norm(k, 2) * 0.9
     w1 = expm(1j * eps * k) @ wp
@@ -382,7 +383,7 @@ def test_twiddle_rep_generating_ring():
     ring = generating_ring(10)
     trep = twiddle_rep(ring)
     assert trep.cls is C.BDI
-    tau = ring.rep().ops["tau"].matrix
+    tau = dense_rep(ring).ops["tau"].matrix
     assert np.allclose(trep.ops["tau"].matrix, ring.matrix @ tau)
     report = trep.validate()
     assert report.max_residual < 1e-10
@@ -419,7 +420,7 @@ def test_verify_locpert_reflection():
 
 def test_relative_index_chain_rule():
     ring = generating_ring(14)
-    rep = ring.rep()
+    rep = ring.local_rep
     r1, _ = local_reflection(ring, 2)
     r2, _ = local_reflection(ring, 9)
     w1 = r1 @ ring.matrix

@@ -1,23 +1,22 @@
-"""Unitary eigendecomposition, kernels, polar factors, flattening, windows."""
+"""Unitary eigendecomposition, kernels, polar factors, windows."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-import walkindex.operators as operators_module
+import walkindex.symmetry as symmetry_module
 from helpers import (
     ALL_CLASSES,
+    cell_layouts,
     dense_admissibility,
     haar_unitary,
-    normal_form_rep,
     random_admissible_hamiltonian,
     random_admissible_walk,
     random_rep,
     rng,
 )
 from walkindex.errors import (
-    GapViolation,
     NotAdmissible,
     NotNormal,
     NotUnitary,
@@ -29,12 +28,10 @@ from walkindex.operators import (
     check_normal,
     check_unitary,
     eig_unitary,
-    gap_margin,
     imaginary_part,
     kernel_basis,
     phase_window,
     polar_isometry,
-    spectral_flatten,
 )
 from walkindex.lattice import LocalSymmetryRep
 from walkindex.symmetry import SymmetryClass, spectral_norm
@@ -155,51 +152,6 @@ def test_admissible_projection_is_idempotent_and_admissible():
     check_admissible(h, rep, kind="hamiltonian")
 
 
-def test_gap_margin_reports_exact_and_margin():
-    gen = rng(10)
-    u = haar_unitary(gen, 3)
-    w = u @ np.diag([1.0, 1j, -1.0]) @ u.conj().T
-    reports = gap_margin(w)
-    plus = reports[1.0 + 0j]
-    minus = reports[-1.0 + 0j]
-    assert plus.exact_count == 1 and minus.exact_count == 1
-    assert abs(plus.margin - np.sqrt(2)) < 1e-9
-    assert abs(minus.margin - np.sqrt(2)) < 1e-9
-
-
-def test_spectral_flatten_moves_bulk_to_imaginary_axis():
-    gen = rng(11)
-    u = haar_unitary(gen, 5)
-    lam = np.array([np.exp(0.4j), np.exp(2.0j), np.exp(-0.9j), 1.0, -1.0])
-    w = u @ np.diag(lam) @ u.conj().T
-    flat, counts = spectral_flatten(w)
-    check_unitary(flat)
-    vals = np.sort_complex(np.linalg.eigvals(flat))
-    assert counts == {"plus_one": 1, "minus_one": 1, "upper": 2, "lower": 1}
-    for v in vals:
-        assert min(abs(v - t) for t in (1, -1, 1j, -1j)) < 1e-9
-
-
-def test_spectral_flatten_preserves_admissibility():
-    gen = rng(12)
-    rep = random_rep(C.BDI, gen, p=2, q=2)
-    w = random_admissible_walk(rep, gen, scale=0.7)
-    try:
-        flat, _ = spectral_flatten(w, eps=1e-9)
-    except GapViolation:
-        pytest.skip("random walk happened to be gapless")
-    check_admissible(flat, rep, kind="walk")
-
-
-def test_spectral_flatten_raises_in_gap_region():
-    # eigenvalue further than tol.exact from +1 but below the flatten threshold
-    gen = rng(13)
-    u = haar_unitary(gen, 3)
-    w = u @ np.diag([np.exp(1e-6j), 1j, -1j]) @ u.conj().T
-    with pytest.raises(GapViolation):
-        spectral_flatten(w, eps=1e-5)
-
-
 def test_phase_window_defaults_to_tol_exact():
     # eig_unitary sorts by phase, so the mask follows the order given here
     eig = eig_unitary(np.diag(np.exp(1j * np.array([5e-8, 0.5, np.pi - 5e-7]))))
@@ -230,42 +182,13 @@ def test_check_normal_accepts_unitary_rejects_jordanish():
 # -- cell-local, screened admissibility against the dense-SVD oracle ----------------
 
 
-def _monomial(gen: np.random.Generator, d: int) -> np.ndarray:
-    """A permutation with phases in {1, i, -1, -i}; conjugating by it keeps entries exact."""
-    u = np.zeros((d, d), dtype=complex)
-    u[gen.permutation(d), np.arange(d)] = 1j ** gen.integers(0, 4, size=d)
-    return u
-
-
-def _cell_layouts(cls, gen, exact: bool) -> dict[str, tuple]:
-    """Per-cell reps: one run, two runs of equal dims, and three runs of mixed dims.
-
-    ``exact`` conjugates the normal forms by monomials, so every product in a
-    conjugation is exact and both routes round identically; otherwise by
-    Haar unitaries.
-    """
-
-    def conjugated(p):
-        base = normal_form_rep(cls, p, 1)
-        u = _monomial(gen, base.dim) if exact else haar_unitary(gen, base.dim)
-        return base.conjugated(u)
-
-    a, a2, b = conjugated(1), conjugated(1), conjugated(2)
-    n = int(gen.integers(3, 7))
-    return {
-        "uniform": (a,) * n,
-        "two_runs": (a,) * 2 + (a2,) * n,
-        "mixed_dims": (a, a, b, b, b, a),
-    }
-
-
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
 def test_cell_local_screened_check_matches_dense_oracle(cls):
     gen = rng(4100 + ALL_CLASSES.index(cls))
     tol = DEFAULT_TOL
     straddled = 0
     for exact in (True, False):
-        for layout, per_cell in _cell_layouts(cls, gen, exact).items():
+        for layout, per_cell in cell_layouts(cls, gen, "phase" if exact else "haar").items():
             local = LocalSymmetryRep(cls, per_cell)
             dense = local.assembled()
             n = dense.dim
@@ -323,7 +246,8 @@ def test_strict_check_of_split_step_circle_takes_no_svd(monkeypatch):
         calls.append(x.shape)
         return spectral_norm(x)
 
-    monkeypatch.setattr(operators_module, "spectral_norm", counted)
+    # the screen, and the SVD it falls back on, live in symmetry
+    monkeypatch.setattr(symmetry_module, "spectral_norm", counted)
     assert check_admissible(ring.matrix, ring.local_rep).ok
     assert calls == []
     # a report (strict=False) prints its residuals, so each one is a spectral norm

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import reference_dumps, rng
+from helpers import dense_rep, reference_dumps, rng
 from walkindex.errors import IncompatibleCells
 from walkindex.finite import SweepRecord, temple_kato
 from walkindex.lattice import CellStructure, LatticeOperator
@@ -225,7 +225,7 @@ def test_lattice_operator_round_trip():
     assert back.band == op.band
     assert back.meta["note"] == {"cut": [3, 5]}
     assert back.local_rep is not None
-    assert np.allclose(back.rep().ops["eta"].matrix, op.rep().ops["eta"].matrix)
+    assert np.allclose(dense_rep(back).ops["eta"].matrix, dense_rep(op).ops["eta"].matrix)
 
 
 def test_lattice_operator_round_trip_without_rep():

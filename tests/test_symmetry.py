@@ -11,32 +11,40 @@ from helpers import (
     ALL_CLASSES,
     SIGMA_X,
     SIGMA_Z,
+    cell_layouts,
+    dense_restrict,
     haar_unitary,
+    random_admissible_walk,
     random_rep,
     rng,
 )
 from walkindex.errors import (
     IllegalForget,
     NonIntegerTrace,
+    NotAdmissible,
     RelationViolation,
     Unbalanced,
 )
+from walkindex.indices import twiddle_rep
+from walkindex.lattice import LocalSymmetryRep
 from walkindex.operators import check_admissible, check_unitary
 from walkindex.symmetry import (
+    ADMISSIBILITY,
     IndexGroup,
     IndexValue,
     SymmetryClass,
     SymmetryOperator,
     SymmetryRep,
-    balanced_gapped_unitary,
     balanced_hamiltonian,
     chiral_sectors,
+    conjugate_runs,
     fixed_point_basis,
     forget_index,
     forget_legal,
     forget_rep,
     kramers_pairs,
     rep_index,
+    trace_runs,
 )
 from walkindex.tolerances import DEFAULT_TOL
 
@@ -393,7 +401,7 @@ def test_balanced_hamiltonian_every_class(cls):
     assert np.linalg.norm(h - h.conj().T) < 1e-10
     assert np.linalg.norm(h @ h - np.eye(d)) < 1e-10
     check_admissible(h, rep, kind="hamiltonian")
-    g = balanced_gapped_unitary(rep)
+    g = 1j * h
     check_unitary(g)
     check_admissible(g, rep, kind="walk")
     vals = np.linalg.eigvals(g)
@@ -410,3 +418,96 @@ def test_unbalanced_reps_have_no_gapped_generator(cls, kwargs):
     rep = random_rep(cls, gen, **kwargs)
     with pytest.raises(Unbalanced):
         balanced_hamiltonian(rep)
+
+
+# -- the action by runs of cells against the dense rep -------------------------------
+
+
+def _assert_same(got, want, exact: bool):
+    """Entry for entry equal when every cell product is exact, else within 1e-12."""
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _cells_basis(local: LocalSymmetryRep, gen: np.random.Generator) -> np.ndarray:
+    """An orthonormal basis, rotated at random, of the vectors on a random set of cells."""
+    n = len(local.per_cell)
+    members = np.flatnonzero(gen.random(n) < 0.5)
+    if members.size == 0:
+        members = np.array([int(gen.integers(n))])
+    offsets = np.cumsum([0] + [r.dim for r in local.per_cell])
+    rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
+    basis = np.zeros((offsets[-1], rows.size), dtype=complex)
+    basis[rows, np.arange(rows.size)] = 1.0
+    return basis @ haar_unitary(gen, rows.size)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
+def test_action_by_runs_matches_the_dense_rep(cls):
+    # conjugation, restriction, the chiral trace and the companion rep, each
+    # by runs of cells, against the same operation on the assembled N x N rep
+    gen = rng(7300 + ALL_CLASSES.index(cls))
+    for cells in ("signed", "phase", "haar"):
+        exact = cells != "haar"
+        for layout, per_cell in cell_layouts(cls, gen, cells).items():
+            local = LocalSymmetryRep(cls, per_cell)
+            dense = local.assembled()
+            runs = local.runs()
+            n = dense.dim
+            assert len(runs) == {"uniform": 1, "two_runs": 2, "mixed_dims": 3}[layout]
+            x = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+            for name, op in dense.ops.items():
+                _assert_same(conjugate_runs(runs, name, x), op.conjugate(x), exact)
+
+            basis = _cells_basis(local, gen)
+            oracle = dense_restrict(dense, basis)
+            for rep in (local, dense):
+                got = rep.restrict(basis)
+                assert (got.cls, got.dim, list(got.ops)) == (cls, basis.shape[1], list(oracle.ops))
+                for name, op in oracle.ops.items():
+                    assert got.ops[name].antiunitary == op.antiunitary
+                    _assert_same(got.ops[name].matrix, op.matrix, exact or rep is dense)
+                assert rep_index(got) == rep_index(oracle)
+
+            if "gamma" in dense.ops:
+                g = dense.ops["gamma"].matrix
+                assert trace_runs(runs, "gamma") == pytest.approx(np.trace(g), abs=1e-12)
+                # Gaussian integers keep every sum exact, whatever its order
+                z = gen.integers(-3, 4, size=(n, n)) + 1j * gen.integers(-3, 4, size=(n, n))
+                for m in (z, x):
+                    got, want = trace_runs(runs, "gamma", m), np.einsum("ij,ji->", g, m)
+                    if exact and m is z:
+                        assert got == want
+                    else:
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+            w = random_admissible_walk(dense, gen)
+            trep = twiddle_rep(w, local)
+            assert (trep.cls, trep.dim, list(trep.ops)) == (cls, n, list(dense.ops))
+            for name, op in dense.ops.items():
+                want = w @ op.matrix if ADMISSIBILITY[name][0] else op.matrix
+                assert trep.ops[name].antiunitary == op.antiunitary
+                _assert_same(trep.ops[name].matrix, want, exact)
+
+
+@pytest.mark.parametrize("cls", [c for c in ALL_CLASSES if c is not C.A], ids=lambda c: c.value)
+def test_restriction_by_runs_refuses_what_the_dense_rep_refuses(cls):
+    gen = rng(7400 + ALL_CLASSES.index(cls))
+    for cells in ("signed", "phase", "haar"):
+        for per_cell in cell_layouts(cls, gen, cells).values():
+            local = LocalSymmetryRep(cls, per_cell)
+            dense = local.assembled()
+            n = dense.dim
+            span, _ = np.linalg.qr(gen.normal(size=(n, n // 2)) + 1j * gen.normal(size=(n, n // 2)))
+            with pytest.raises(NotAdmissible) as want:
+                dense_restrict(dense, span)
+            for rep in (local, dense):
+                with pytest.raises(NotAdmissible) as got:
+                    rep.restrict(span)
+                if cells == "haar":
+                    # the defect may round differently in its last printed digit
+                    assert str(got.value).split(": defect")[0] == str(want.value).split(": defect")[0]
+                else:
+                    assert str(got.value) == str(want.value)

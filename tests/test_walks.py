@@ -548,6 +548,18 @@ def test_batched_berry_matches_the_per_momentum_loop():
     assert refined >= 1
 
 
+def test_berry_raw_sits_next_to_its_value():
+    # a nontrivial holonomy lies on the branch cut of the phase, so raw is
+    # reported next to the value it rounds to, never as its negative
+    negative = 0
+    for ti, n_k in _phase_oracle_walks():
+        report = berry_phase(ti, n_k=n_k)
+        # value + (raw - nearest) rounds to the grid around the value
+        assert abs(report.raw - int(report.value)) <= report.residual + np.finfo(float).eps
+        negative += ti.cls is C.D and berry_per_momentum(ti, n_k=n_k).raw < -0.5
+    assert negative >= 1
+
+
 def _swelling(ti: TIWalk, a: float) -> TIWalk:
     """``(1 + a (1 + cos k) / 2) W(k)``: not unitary, worst at k = 0."""
     blocks = {j: (1 + a / 2) * b for j, b in ti.blocks.items()}

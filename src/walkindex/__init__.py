@@ -17,7 +17,6 @@ from .finite import (
     SweepRecord,
     TempleKatoCertificate,
     certify_boundary_modes,
-    count_in_disk,
     crossover_sweep,
     join_crossover,
     localization_profile,
@@ -98,7 +97,6 @@ __all__ = [
     "certify_boundary_modes",
     "check_admissible",
     "check_unitary",
-    "count_in_disk",
     "crossover_sweep",
     "decouple_segment",
     "direct_rotation",

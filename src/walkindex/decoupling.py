@@ -131,22 +131,6 @@ class ProjectionPair:
         eye = np.eye(self.dim)
         return (eye - self.p) @ (eye - self.q) + self.p @ self.q
 
-    def identity_defects(self) -> dict[str, float]:
-        """Residuals of the algebraic identities the pair must satisfy."""
-        a, b, x = self.odd_part(), self.even_part(), self.alignment()
-        eye = np.eye(self.dim)
-        pq = self.p @ self.q
-        vals = np.linalg.eigvals(x)
-        return {
-            "anticommutator": spectral_norm(a @ b + b @ a),
-            "pythagoras": spectral_norm(a @ a + b @ b - eye),
-            "align_into": spectral_norm(x @ self.q - pq),
-            "align_out_of": spectral_norm(self.p @ x - pq),
-            "reflection_product": spectral_norm((eye - 2 * self.p) @ (eye - 2 * self.q) - (2 * x - eye)),
-            "normality": spectral_norm(x @ x.conj().T - x.conj().T @ x),
-            "spectral_circle": float(np.max(np.abs(np.abs(vals - 0.5) - 0.5))) if vals.size else 0.0,
-        }
-
 
 @dataclass(frozen=True)
 class TransferModes:

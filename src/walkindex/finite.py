@@ -32,8 +32,9 @@ from .errors import (
     NotEnoughModes,
     TooShort,
 )
+from .indices import near_spectrum
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
-from .operators import check_admissible, check_normal, check_unitary, eig_unitary
+from .operators import check_admissible, check_normal, check_unitary
 from .symmetry import block_diagonal
 from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import ShiftFactor, TIWalk, factor_matrices, skeletons_match, ti_gap_margin, truncate_ti
@@ -43,7 +44,6 @@ __all__ = [
     "SweepRecord",
     "temple_kato",
     "certify_boundary_modes",
-    "count_in_disk",
     "join_crossover",
     "crossover_sweep",
     "localization_profile",
@@ -110,12 +110,6 @@ def temple_kato(
     return TempleKatoCertificate(k, complex(theta), eps1, eps2, float(r_min), valid)
 
 
-def count_in_disk(u: np.ndarray, theta: complex, radius: float) -> int:
-    """Directly counted eigenvalues of a normal operator in a closed disk."""
-    vals = np.linalg.eigvals(np.asarray(u, dtype=complex))
-    return int(np.sum(np.abs(vals - theta) <= radius))
-
-
 def certify_boundary_modes(
     big: LatticeOperator,
     window: Sequence[int],
@@ -126,9 +120,12 @@ def certify_boundary_modes(
 ) -> TempleKatoCertificate:
     """Certificate for boundary modes from window-truncated eigenvectors.
 
-    Takes the ``k_expected`` eigenvectors of ``big`` closest to ``theta``,
-    truncates them to the window cells, renormalizes, and certifies against
-    ``big`` itself.  The certificate is therefore driven entirely by the
+    Takes the eigenvectors of ``big`` within ``select_radius`` of ``theta``,
+    or else in the essential cluster of ``Im(conj(theta) W)`` on the side of
+    ``theta`` (the rule of ``si_pm``), both by
+    :func:`~walkindex.indices.near_spectrum`.  The ``k_expected`` most
+    localized in the window are truncated to its cells, renormalized, and
+    certified against ``big`` itself.  The certificate is therefore driven entirely by the
     decay of the modes: a window containing their localization region gives
     small ``eps1``/``eps2`` and a tight radius, a distant window gives a
     vacuous one.  The same truncated vectors certify any larger system that
@@ -144,19 +141,22 @@ def certify_boundary_modes(
         raise CutOutOfRange("the cell window is empty")
     if min(cells) < 0 or max(cells) >= n:
         raise CutOutOfRange(f"window cells {min(cells)}..{max(cells)} outside [0, {n})")
-    eig = eig_unitary(big.matrix, tol)
-    dist = np.abs(eig.values - theta)
-    radius = tol.exact if select_radius is None else select_radius
-    eligible = np.flatnonzero(dist <= radius)
+    check_unitary(big.matrix, tol)
+    anchor = theta / abs(theta) if theta else 1.0
+    if select_radius is None:
+        near, _ = near_spectrum(big.matrix, anchor, tol)
+        eligible = np.flatnonzero((np.conj(anchor) * near.values).real > 0)
+    else:  # |lambda - anchor| <= |lambda - theta| + ||theta| - 1|
+        near, _ = near_spectrum(big.matrix, anchor, tol, radius=select_radius + abs(abs(theta) - 1))
+        eligible = np.flatnonzero(np.abs(near.values - theta) <= select_radius)
     if eligible.size < k_expected:
-        raise NotEnoughModes(
-            f"{eligible.size} eigenvalues within {radius:.2e} of {theta}, need {k_expected}"
-        )
+        rule = "in the essential cluster" if select_radius is None else f"within {select_radius:.2e}"
+        raise NotEnoughModes(f"{eligible.size} eigenvalues {rule} of {theta}, need {k_expected}")
     # The basis within a near-degenerate cluster is arbitrary, so rotate the
     # selected span to diagonalize the window weight and keep the k most
     # localized combinations; otherwise a hybridized pair straddling two
     # boundaries truncates to two parallel vectors.
-    span = eig.vectors[:, eligible]
+    span = near.vectors[:, eligible]
     mask = big.cells.index_mask(cells).astype(float)
     w_op = span.conj().T @ (mask[:, None] * span)
     vals, u = np.linalg.eigh((w_op + w_op.conj().T) / 2)
@@ -285,16 +285,22 @@ def join_crossover(
 
 # -- sweeps ------------------------------------------------------------------------
 
+# eigh finds each eigenvalue s of Im W (N x N, norm <= 1) to about N eps, so a
+# sweep reads the smallest |s| as at least N eps: delta >= 2 ln(N eps) - ln 2.
+EIGH_RESOLUTION = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SweepRecord:
     """Spectral summary of one crossover system in a size sweep.
 
     ``delta = log(1 - max |Re lambda|)`` measures how closely the most
-    protected eigenvalue approaches +-1; ``eigenvalues`` lists the spectrum
-    within half a bulk gap (over sqrt(2)) of the anchors, and
-    ``max_localization_radius`` is the largest radius (in cells around the
-    nearest interface) any of those modes needs to hold 90% of its weight.
+    protected eigenvalue approaches +-1, as ``log(s^2 / (1 + sqrt(1 - s^2)))``
+    of the smallest ``s = |Im lambda|`` (floored, see ``EIGH_RESOLUTION``);
+    ``eigenvalues`` lists the spectrum within half a bulk gap (over sqrt(2))
+    of the anchors, and ``max_localization_radius`` is the largest radius (in
+    cells around the nearest interface) any of those modes needs to hold 90%
+    of its weight.
     """
 
     n_a: int
@@ -366,30 +372,29 @@ def crossover_sweep(
 
     Requires both bulks gapped (``ti_gap_margin`` raises ``Gapless``); the
     near-anchor window is half the smaller bulk gap margin over sqrt(2), so
-    bulk states can never enter it.
+    bulk states can never enter it.  Its spectrum is that of
+    :func:`~walkindex.indices.near_spectrum` with the window as chord radius.
     """
     margin = min(ti_gap_margin(left, tol=tol), ti_gap_margin(right, tol=tol))
     window = margin / np.sqrt(2.0)
     records = []
     for n_a, n_b in sizes:
         joined = join_crossover(left, right, n_a, n_b, topology, tol)
-        eig = eig_unitary(joined.matrix, tol)
-        max_re = float(np.max(np.abs(eig.values.real)))
-        with np.errstate(divide="ignore"):
-            delta = float(np.log1p(-min(max_re, 1.0)))
-        near = (np.abs(eig.values - 1.0) < window) | (np.abs(eig.values + 1.0) < window)
-        idx = np.flatnonzero(near)
+        near, min_im = near_spectrum(joined.matrix, 1.0, tol, radius=window)
+        plus, minus = (np.abs(near.values - a) < window for a in (1.0, -1.0))
+        idx = np.flatnonzero(plus | minus)
+        s = min(max(min_im, EIGH_RESOLUTION * joined.dim), 1.0)
         interfaces = joined.meta.get("interfaces", (0,))
-        profiles = [localization_profile(eig.vectors[:, j], joined.cells) for j in idx]
+        profiles = [localization_profile(near.vectors[:, j], joined.cells) for j in idx]
         radius = _radius_for_mass(profiles, joined.cells, interfaces)
         records.append(
             SweepRecord(
                 n_a=n_a,
                 n_b=n_b,
-                delta=delta,
-                eigenvalues=tuple(complex(z) for z in eig.values[idx]),
-                count_near_plus=int(np.sum(np.abs(eig.values - 1.0) < window)),
-                count_near_minus=int(np.sum(np.abs(eig.values + 1.0) < window)),
+                delta=float(np.log(s * s / (1.0 + np.sqrt(1.0 - s * s)))),
+                eigenvalues=tuple(complex(z) for z in near.values[idx]),
+                count_near_plus=int(np.sum(plus)),
+                count_near_minus=int(np.sum(minus)),
                 max_localization_radius=int(radius),
             )
         )

@@ -21,8 +21,8 @@ magnitude cluster separated from the remaining spectrum by a large ratio and
 lying under an absolute ceiling.  Symmetry makes this safe: every admissible
 symmetry pairs the +e and -e eigenspaces of the imaginary part, a magnitude
 sort can never split such a pair, and a fully included balanced pair
-contributes zero to the index.  Every index here takes the +-1 eigenspaces
-of a unitary walk from the same cluster (``_pm_eigenspaces``).
+contributes zero to the index.  Every spectrum near +-1, here and in the
+finite-size sweeps and certificates, comes from :func:`near_spectrum`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from .lattice import (
     split_by_weight,
 )
 from .operators import (
+    INVARIANCE_FLOOR,
+    UnitaryEigen,
     check_admissible,
     check_unitary,
     eig_unitary,
@@ -75,6 +77,7 @@ from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import TIWalk, berry_phase, ti_gap_margin, winding_number
 
 __all__ = [
+    "near_spectrum",
     "si_pm",
     "si_total",
     "si_left_right",
@@ -109,10 +112,8 @@ WINDOW_AGREEMENT = 1e-8
 DECOUPLED_FLOOR = 1e-11
 
 
-def _essential_kernel(
-    h: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
-) -> np.ndarray:
-    """Eigenvectors of a Hermitian matrix converging to its half-space kernel.
+def _kernel_cluster(vals: np.ndarray, tol: Tolerances, ceiling: float) -> np.ndarray:
+    """Positions of the essential kernel among Hermitian eigenvalues, by magnitude.
 
     Hard zeros (below ``tol.ker`` relative to scale) always count.  On top of
     those, the largest magnitude cluster below ``ceiling`` that is separated
@@ -120,7 +121,6 @@ def _essential_kernel(
     ``ESSENTIAL_KERNEL_RATIO`` is accepted as the finite-size image of an
     exact kernel whose tails leak through the truncation end.
     """
-    vals, vecs = np.linalg.eigh(h)
     mag = np.abs(vals)
     order = np.argsort(mag)
     mag = mag[order]
@@ -133,27 +133,60 @@ def _essential_kernel(
         if mag[j] >= ESSENTIAL_KERNEL_RATIO * max(mag[j - 1], tol.ker * scale):
             count = j
             break
-    return vecs[:, order[:count]]
+    return order[:count]
+
+
+def _essential_kernel(
+    h: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
+) -> np.ndarray:
+    """Eigenvectors of a Hermitian matrix converging to its half-space kernel."""
+    vals, vecs = np.linalg.eigh(h)
+    return vecs[:, _kernel_cluster(vals, tol, ceiling)]
+
+
+def near_spectrum(
+    m: np.ndarray,
+    anchor: complex = 1.0,
+    tol: Tolerances = DEFAULT_TOL,
+    radius: float | None = None,
+    ceiling: float = ESSENTIAL_KERNEL_CEILING,
+) -> tuple[UnitaryEigen, float]:
+    """Eigenpairs of a unitary ``W`` near ``+-anchor``, and the smallest ``|s|``.
+
+    One ``eigh`` of ``Im(conj(anchor) W)``, a function of ``W`` that is
+    ``s = Im(conj(anchor) lambda)`` on the eigenvectors of ``lambda``.  Kept is
+    the essential kernel of ``s`` under ``ceiling`` or, for a chord ``radius``
+    r < sqrt 2, ``|s| <= r sqrt(1 - r^2/4)``: the ``lambda`` within r of
+    ``+-anchor``.  One QR makes the kept columns orthonormal (``eigh`` may
+    return near-degenerate ones that are not); ``W`` must map them into their
+    span within ``max(tol.eig, INVARIANCE_FLOOR d)`` (``EigenFailure``), and
+    the eigenpairs are those of the compression of ``W`` onto them.
+    """
+    s, vecs = np.linalg.eigh(imaginary_part(np.conj(anchor) * m))
+    if radius is None:
+        keep = _kernel_cluster(s, tol, ceiling)
+    else:
+        reach = radius * np.sqrt(1.0 - radius**2 / 4) if radius < np.sqrt(2.0) else np.inf
+        keep = np.abs(s) <= reach
+    q, _ = np.linalg.qr(vecs[:, keep])
+    image = m @ q
+    c = q.conj().T @ image
+    residual = spectral_norm(image - q @ c)
+    if residual > max(tol.eig, INVARIANCE_FLOOR * m.shape[0]):
+        raise EigenFailure(f"near-anchor invariance residual {residual:.3e}")
+    eig = eig_unitary(c, tol)
+    # ||W Q u - Q u D|| <= ||W Q - Q C|| + ||C u - u D||
+    near = UnitaryEigen(eig.values, q @ eig.vectors, residual + eig.residual)
+    return near, float(np.min(np.abs(s), initial=np.inf))
 
 
 def _pm_eigenspaces(
     m: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the -1 and +1 eigenspaces of a unitary matrix.
-
-    The essential kernel of ``Im W`` (``ceiling`` in ``|Im lambda|``) split by
-    the sign of the compressed ``Re W``; a span that ``W`` does not map into
-    itself within ``max(tol.eig, 1e-12 d)`` raises ``EigenFailure``.
-    """
-    ker = _essential_kernel(imaginary_part(m), tol, ceiling)
-    c = ker.conj().T @ m @ ker
-    re, u = np.linalg.eigh((c + c.conj().T) / 2)
-    spaces = ker @ u[:, re < 0], ker @ u[:, re > 0]
-    for b in spaces:
-        residual = spectral_norm(m @ b - b @ (b.conj().T @ m @ b))
-        if residual > max(tol.eig, 1e-12 * m.shape[0]):
-            raise EigenFailure(f"+-1 eigenspace invariance residual {residual:.3e}")
-    return spaces
+    """Bases of the -1 and +1 eigenspaces: :func:`near_spectrum` split by ``Re lambda``."""
+    near, _ = near_spectrum(m, 1.0, tol, ceiling=ceiling)
+    minus = near.values.real < 0
+    return near.vectors[:, minus], near.vectors[:, ~minus]
 
 
 def _matrix_rep(
@@ -401,7 +434,8 @@ def twiddle_rep(
     result is a representation of the same class, and a unitary ``V``
     commuting with ``W`` up to finite rank is admissible for it whenever
     ``VW`` is admissible for the original.  Each dense matrix is ``W M`` (or
-    ``1 M`` for ``eta``), one column pass per run of cells.
+    ``1 M`` for ``eta``), one column pass per run of cells.  It is not
+    validated: its relations follow from ``rep``'s and the checks of ``W``.
     """
     m, r = _matrix_rep(w, rep)
     check_unitary(m, tol, "walk")
@@ -412,9 +446,7 @@ def twiddle_rep(
         adjoint, _ = ADMISSIBILITY[name]
         x = m if adjoint else np.eye(len(m))
         ops[name] = SymmetryOperator(times_runs(x, runs, name), op.antiunitary)
-    out = SymmetryRep(r.cls, ops, m.shape[0])
-    out.validate(tol)
-    return out
+    return SymmetryRep(r.cls, ops, m.shape[0])
 
 
 def relative_index(

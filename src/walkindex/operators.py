@@ -47,6 +47,10 @@ __all__ = [
     "admissible_hamiltonian_projection",
 ]
 
+# Eigen and invariance residuals of a d x d matrix pass up to
+# max(tol.eig, INVARIANCE_FLOOR * d): rounding grows like d eps ||W||.
+INVARIANCE_FLOOR = 1e-12
+
 
 def check_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "operator") -> float:
     """Return the unitarity defect, raising ``NotUnitary`` above tolerance."""
@@ -94,7 +98,7 @@ def eig_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> UnitaryEigen:
     values = values[order]
     v = v[:, order]
     residual = spectral_norm(w @ v - v * values[None, :])
-    if residual > max(tol.eig, 1e-12 * d):
+    if residual > max(tol.eig, INVARIANCE_FLOOR * d):
         raise EigenFailure(f"eigendecomposition residual {residual:.3e}")
     orth = unitarity_defect(v)
     if orth > tol.orth:

@@ -28,7 +28,7 @@ from .errors import (
     TooShort,
 )
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
-from .operators import check_admissible, check_unitary, imaginary_part
+from .operators import INVARIANCE_FLOOR, check_admissible, check_unitary, imaginary_part
 from .symmetry import (
     ADMISSIBILITY,
     IndexGroup,
@@ -38,7 +38,6 @@ from .symmetry import (
     SymmetryRep,
     block_diagonal,
     chiral_sectors,
-    forget_rep,
     kramers_pairs,
     spectral_norm,
     unitarity_defect,
@@ -60,9 +59,6 @@ __all__ = [
     "make_doubled",
     "builtin_walk",
     "validate_ti",
-    "conjugate_ti",
-    "direct_sum_ti",
-    "forget_ti",
     "winding_number",
     "berry_phase",
     "InvariantReport",
@@ -344,40 +340,6 @@ def validate_ti(ti: TIWalk, tol: Tolerances = DEFAULT_TOL) -> float:
     return worst
 
 
-def conjugate_ti(ti: TIWalk, u: np.ndarray) -> TIWalk:
-    """Conjugate every cell by the same unitary (preserves all invariants)."""
-    blocks = {j: u @ b @ u.conj().T for j, b in ti.blocks.items()}
-    return TIWalk(
-        f"{ti.name}~", ti.cls, ti.cell_dim, blocks, ti.cell_rep.conjugated(u), None, dict(ti.params)
-    )
-
-
-def direct_sum_ti(a: TIWalk, b: TIWalk) -> TIWalk:
-    """Cellwise direct sum of two walks of the same class."""
-    if a.cls is not b.cls:
-        raise RelationViolation(f"cannot sum classes {a.cls.value} and {b.cls.value}")
-    za = np.zeros((a.cell_dim, a.cell_dim))
-    zb = np.zeros((b.cell_dim, b.cell_dim))
-    blocks = {}
-    for j in set(a.blocks) | set(b.blocks):
-        blocks[j] = block_diagonal((a.blocks.get(j, za), b.blocks.get(j, zb)))
-    return TIWalk(
-        f"{a.name}+{b.name}",
-        a.cls,
-        a.cell_dim + b.cell_dim,
-        blocks,
-        a.cell_rep.direct_sum(b.cell_rep),
-        None,
-        {},
-    )
-
-
-def forget_ti(ti: TIWalk, target: SymmetryClass, tol: Tolerances = DEFAULT_TOL) -> TIWalk:
-    """Reinterpret the walk in a weaker symmetry class."""
-    rep = forget_rep(ti.cell_rep, target, tol)
-    return TIWalk(f"{ti.name}->{target.value}", target, ti.cell_dim, ti.blocks, rep, ti.factors, dict(ti.params))
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """An integer invariant from a momentum-space integral."""
@@ -474,7 +436,7 @@ def _band_frames(ti: TIWalk, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
     (``NotUnitary``), an eigenvalue within ``tol.gap`` of the real axis
     (``Gapless``), a band rank that changes over the grid (``RankJump``) and
     a frame that ``W(k)`` does not map into itself within
-    ``max(tol.eig, 1e-12 d)`` (``EigenFailure``); each names the momentum.
+    ``max(tol.eig, INVARIANCE_FLOOR d)`` (``EigenFailure``); each names the momentum.
     """
     w, _ = _unitary_bloch_stack(ti, ks, tol)
     im, vectors = np.linalg.eigh(imaginary_part(w))
@@ -493,7 +455,7 @@ def _band_frames(ti: TIWalk, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
     image = w @ frames
     residual = spectral_norm(image - frames @ (frames.conj().swapaxes(-1, -2) @ image))
     i = int(np.argmax(residual))
-    if residual[i] > max(tol.eig, 1e-12 * ti.cell_dim):
+    if residual[i] > max(tol.eig, INVARIANCE_FLOOR * ti.cell_dim):
         raise EigenFailure(f"band frame invariance residual {residual[i]:.3e} at k={ks[i]:.4f}")
     return frames
 

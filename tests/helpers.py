@@ -5,6 +5,9 @@ with a Haar unitary, which preserves the defining relations and the index
 exactly.  ``locality_profile``, ``reference_dumps`` and ``contraction_path``
 are the plain implementations that the fast band measurement, the canonical
 JSON encoder and the contraction generator are compared against;
+``dense_near_anchors`` (``eig_unitary`` of the whole walk) is the oracle of
+the one-``eigh`` spectra near +-1 and ``count_in_disk`` (``eigvals``) of the
+Temple-Kato counts;
 ``window_eigenspaces`` is the fixed-radius +-1 selection that the
 essential-gap cluster of ``si_pm`` is compared against.  The dense routes
 that the cell-local, screened admissibility check, the thin-basis proxy
@@ -14,7 +17,9 @@ window and the batched gap margin replaced are kept as
 cells replaced as ``dense_rep`` and ``dense_restrict``; the per-momentum
 loops that the batched momentum grids replaced are ``bloch_per_momentum``,
 ``validate_per_momentum``, ``winding_per_momentum`` and
-``berry_per_momentum`` (band frames from ``eig_unitary``).
+``berry_per_momentum`` (band frames from ``eig_unitary``).  The walk
+constructions ``conjugate_ti``, ``direct_sum_ti`` and ``forget_ti`` and the
+projection-pair check ``identity_defects`` are used by the tests only.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ from walkindex.symmetry import (
     IndexValue,
     SymmetryClass,
     SymmetryRep,
+    block_diagonal,
     chiral_sectors,
+    forget_rep,
     spectral_norm,
 )
 from walkindex.tolerances import DEFAULT_TOL, Tolerances
@@ -179,6 +186,66 @@ def window_eigenspaces(w: np.ndarray, window: float) -> tuple[np.ndarray, np.nda
     tol = DEFAULT_TOL.with_(exact=window)
     eig = eig_unitary(w, tol)
     return tuple(eig.vectors[:, phase_window(eig, t, tol=tol)] for t in (-1.0, 1.0))
+
+
+def dense_near_anchors(w: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs within ``window`` of +1 or -1 from ``eig_unitary`` of the whole matrix.
+
+    The route ``crossover_sweep`` took before ``near_spectrum``; the third
+    value is its ``delta = log1p(-max |Re lambda|)``, rounding noise (or
+    ``-inf``) once that distance falls below about e^-30.
+    """
+    eig = eig_unitary(w)
+    near = (np.abs(eig.values - 1.0) < window) | (np.abs(eig.values + 1.0) < window)
+    with np.errstate(divide="ignore"):
+        delta = float(np.log1p(-min(float(np.max(np.abs(eig.values.real))), 1.0)))
+    return eig.values[near], eig.vectors[:, near], delta
+
+
+def conjugate_ti(ti: TIWalk, u: np.ndarray) -> TIWalk:
+    """Conjugate every cell by the same unitary (preserves all invariants)."""
+    blocks = {j: u @ b @ u.conj().T for j, b in ti.blocks.items()}
+    return TIWalk(f"{ti.name}~", ti.cls, ti.cell_dim, blocks, ti.cell_rep.conjugated(u), None, dict(ti.params))
+
+
+def direct_sum_ti(a: TIWalk, b: TIWalk) -> TIWalk:
+    """Cellwise direct sum of two walks of the same class."""
+    if a.cls is not b.cls:
+        raise RelationViolation(f"cannot sum classes {a.cls.value} and {b.cls.value}")
+    za = np.zeros((a.cell_dim, a.cell_dim))
+    zb = np.zeros((b.cell_dim, b.cell_dim))
+    blocks = {j: block_diagonal((a.blocks.get(j, za), b.blocks.get(j, zb))) for j in set(a.blocks) | set(b.blocks)}
+    rep = a.cell_rep.direct_sum(b.cell_rep)
+    return TIWalk(f"{a.name}+{b.name}", a.cls, a.cell_dim + b.cell_dim, blocks, rep, None, {})
+
+
+def forget_ti(ti: TIWalk, target: SymmetryClass, tol: Tolerances = DEFAULT_TOL) -> TIWalk:
+    """Reinterpret the walk in a weaker symmetry class."""
+    rep = forget_rep(ti.cell_rep, target, tol)
+    return TIWalk(f"{ti.name}->{target.value}", target, ti.cell_dim, ti.blocks, rep, ti.factors, dict(ti.params))
+
+
+def identity_defects(pair) -> dict[str, float]:
+    """Residuals of the algebraic identities a ``decoupling.ProjectionPair`` must satisfy."""
+    a, b, x = pair.odd_part(), pair.even_part(), pair.alignment()
+    eye = np.eye(pair.dim)
+    pq = pair.p @ pair.q
+    vals = np.linalg.eigvals(x)
+    return {
+        "anticommutator": spectral_norm(a @ b + b @ a),
+        "pythagoras": spectral_norm(a @ a + b @ b - eye),
+        "align_into": spectral_norm(x @ pair.q - pq),
+        "align_out_of": spectral_norm(pair.p @ x - pq),
+        "reflection_product": spectral_norm((eye - 2 * pair.p) @ (eye - 2 * pair.q) - (2 * x - eye)),
+        "normality": spectral_norm(x @ x.conj().T - x.conj().T @ x),
+        "spectral_circle": float(np.max(np.abs(np.abs(vals - 0.5) - 0.5))) if vals.size else 0.0,
+    }
+
+
+def count_in_disk(u: np.ndarray, theta: complex, radius: float) -> int:
+    """Eigenvalues of a normal operator in a closed disk, counted from ``eigvals``."""
+    vals = np.linalg.eigvals(np.asarray(u, dtype=complex))
+    return int(np.sum(np.abs(vals - theta) <= radius))
 
 
 def contraction_path(generator: np.ndarray, steps: int) -> list[np.ndarray]:

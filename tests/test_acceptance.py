@@ -20,8 +20,11 @@ from scipy.linalg import block_diag, expm
 from helpers import (
     ALL_CLASSES,
     contraction_path,
+    count_in_disk,
     dense_rep,
+    forget_ti,
     haar_unitary,
+    identity_defects,
     random_admissible_walk,
     random_rep,
     rng,
@@ -30,7 +33,7 @@ from helpers import (
 from walkindex.cli import main
 from walkindex.decoupling import ProjectionPair, gentle_decoupling
 from walkindex.errors import Obstructed, WindowAmbiguous
-from walkindex.finite import count_in_disk, crossover_sweep, temple_kato
+from walkindex.finite import crossover_sweep, temple_kato
 from walkindex.indices import (
     relative_index,
     si_left_right,
@@ -51,7 +54,6 @@ from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
     berry_phase,
     build_lattice,
-    forget_ti,
     make_doubled,
     make_generating_example,
     make_shift,
@@ -532,7 +534,7 @@ def test_09_two_projection_algebra():
 
     worst = 0.0
     for pair in pairs:
-        defects = pair.identity_defects()
+        defects = identity_defects(pair)
         for name, value in defects.items():
             worst = max(worst, value)
             assert value <= 1e-8, name

@@ -354,6 +354,27 @@ def test_temple_kato_interface_certificate(tmp_path, capsys):
     assert data["r_min"] < 0.1
 
 
+@pytest.mark.parametrize("theta", ["1+0j", "-1+0j"])
+def test_temple_kato_selects_the_essential_cluster(tmp_path, capsys, theta):
+    # the interface pairs of this 12+12 join sit 5.8e-5 from +-1, outside any
+    # fixed 1e-7 radius; without --select-radius the cluster of Im W holds them
+    spec = write_spec(
+        tmp_path,
+        "join.json",
+        {
+            "type": "join",
+            "left": SPLIT_A,
+            "right": SPLIT_B,
+            "geometry": {"n_left": 12, "n_right": 12, "topology": "circle"},
+        },
+    )
+    code, data = run_json(
+        capsys, ["temple-kato", spec, f"--theta={theta}", "--k", "1", "--window", "8:16"]
+    )
+    assert code == 0 and data["valid"] is True and data["k"] == 1
+    assert data["r_min"] < 0.2
+
+
 def test_temple_kato_too_many_modes_exits_1(tmp_path, capsys):
     spec = write_spec(tmp_path, "gen_circle.json", GEN_CIRCLE)
     code, data = run_json(

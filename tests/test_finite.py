@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from helpers import count_in_disk, dense_near_anchors
 from walkindex.errors import (
     CutOutOfRange,
     DimensionMismatch,
@@ -13,9 +15,9 @@ from walkindex.errors import (
     TooShort,
 )
 from walkindex.finite import (
+    EIGH_RESOLUTION,
     _radius_for_mass,
     certify_boundary_modes,
-    count_in_disk,
     crossover_sweep,
     join_crossover,
     localization_profile,
@@ -230,7 +232,7 @@ def test_window_outside_lattice_refused(split_a, split_b, window):
 def test_nonpositive_mode_count_refused_before_eigensolve(split_a, split_b, monkeypatch, k):
     # k = -1 used to certify one mode through the [:-1] slice
     circle = join_crossover(split_a, split_b, 24, 24, "circle")
-    monkeypatch.setattr("walkindex.finite.eig_unitary", None)
+    monkeypatch.setattr("walkindex.finite.near_spectrum", None)
     with pytest.raises(NotEnoughModes, match=f"got k = {k}"):
         certify_boundary_modes(circle, range(18, 30), 1.0, k, select_radius=0.05)
 
@@ -439,6 +441,54 @@ def test_sweep_line_topology(split_a, split_b):
     assert rec.count_near_plus == 2
     assert rec.count_near_minus == 2
     assert rec.delta < -20
+
+
+@pytest.mark.parametrize(
+    "angles, sizes, topology",
+    [
+        ((SPLIT_A_ANGLES, SPLIT_B_ANGLES), [(10, 10), (20, 20), (1, 21)], "circle"),
+        ((SPLIT_A_ANGLES, SPLIT_B_ANGLES), [(16, 16)], "line"),
+        ((SPLIT_A_ANGLES, SPLIT_A_ANGLES), [(10, 10)], "circle"),
+        (((1.3, 0.2), (-1.3, 0.2)), [(6, 6), (24, 24)], "circle"),
+        (
+            (
+                (-1.1539442633140755, 0.45381585750015385),
+                (1.196500742480596, -0.3849940163793574),
+            ),
+            [(16, 16)],
+            "circle",
+        ),
+    ],
+)
+def test_sweep_matches_dense_eigenbasis_oracle(angles, sizes, topology):
+    left, right = (make_split_step(*a) for a in angles)
+    window = min(ti_gap_margin(left), ti_gap_margin(right)) / np.sqrt(2.0)
+    for rec in crossover_sweep(left, right, sizes, topology):
+        joined = join_crossover(left, right, rec.n_a, rec.n_b, topology)
+        values, vectors, old_delta = dense_near_anchors(joined.matrix, window)
+        assert rec.count_near_plus == int(np.sum(np.abs(values - 1.0) < window))
+        assert rec.count_near_minus == int(np.sum(np.abs(values + 1.0) < window))
+        # as multisets: at +-1 the phase order of a pair is rounding
+        gap = np.abs(np.array(rec.eigenvalues)[:, None] - values[None, :])
+        rows, cols = linear_sum_assignment(gap)
+        assert gap.shape[0] == gap.shape[1] and np.all(gap[rows, cols] <= 1e-12)
+        profiles = [localization_profile(v, joined.cells) for v in vectors.T]
+        interfaces = joined.meta.get("interfaces", (0,))
+        assert rec.max_localization_radius == _radius_for_mass(profiles, joined.cells, interfaces)
+        floor = 2 * np.log(joined.dim * EIGH_RESOLUTION) - np.log(2.0)
+        assert rec.delta >= floor - 1e-12
+        if old_delta > -26:
+            assert rec.delta == pytest.approx(old_delta, abs=1e-3)
+
+
+def test_sweep_delta_stops_at_the_eigh_floor():
+    # these interface modes decay within a cell: at 24+24 cells the smallest
+    # |Im lambda| is rounding, where log1p(-max |Re lambda|) read noise or
+    # -inf; delta reads log(s^2 / 2) at s = N eps instead
+    left, right = make_split_step(1.3, 0.2), make_split_step(-1.3, 0.2)
+    short, long = crossover_sweep(left, right, [(6, 6), (24, 24)], "circle")
+    assert -30 < short.delta < -20
+    assert long.delta == pytest.approx(2 * np.log(96 * EIGH_RESOLUTION) - np.log(2.0), abs=1e-12)
 
 
 def test_sweep_refuses_gapless_bulk():

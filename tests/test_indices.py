@@ -38,6 +38,7 @@ from walkindex.indices import (
     contract_perturbation,
     fredholm_index,
     index_matrix,
+    near_spectrum,
     relative_index,
     si_left_right,
     si_pm,
@@ -55,8 +56,9 @@ from walkindex.lattice import (
     half_spaces,
     split_by_weight,
 )
-from walkindex.operators import admissible_hamiltonian_projection, imaginary_part
-from walkindex.symmetry import IndexGroup, SymmetryClass, SymmetryRep
+from walkindex.finite import join_crossover
+from walkindex.operators import admissible_hamiltonian_projection, eig_unitary, imaginary_part
+from walkindex.symmetry import IndexGroup, SymmetryClass, SymmetryRep, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
     TIWalk,
@@ -177,6 +179,37 @@ def test_pm_eigenspaces_pick_target():
     minus, plus = _pm_eigenspaces(w, DEFAULT_TOL)
     assert plus.shape[1] == 2 and minus.shape[1] == 1
     assert np.linalg.norm(w @ plus - plus) < 1e-9
+
+
+def test_pm_eigenspaces_orthonormal_on_near_degenerate_pairs():
+    # eigh of Im W returns the two +-1 pairs of this circle join as vectors
+    # with an orthonormality defect of about 6e-10; used as they came, the
+    # +1 pair read an invariance residual of 7.7e-10 against the 1e-9 gate
+    left = make_split_step(-1.1539442633140755, 0.45381585750015385)
+    right = make_split_step(1.196500742480596, -0.3849940163793574)
+    m = join_crossover(left, right, 16, 16, "circle").matrix
+    for basis in _pm_eigenspaces(m, DEFAULT_TOL):
+        assert basis.shape[1] == 2
+        assert spectral_norm(basis.conj().T @ basis - np.eye(2)) <= 1e-12
+        assert spectral_norm(m @ basis - basis @ (basis.conj().T @ m @ basis)) <= 1e-12
+
+
+@pytest.mark.parametrize("anchor", [1.0, -1.0, np.exp(0.7j)])
+def test_near_spectrum_matches_dense_eigenbasis(anchor):
+    # eigenphases 0 to 0.3 away from +-anchor and the rest at chord distance
+    # above 1; every radius sits far from each of them, so the chord rule and
+    # the dense eigenbasis of eig_unitary select the same eigenpairs
+    phases = np.array([0.0, 1e-9, -1e-4, 0.05, np.pi - 1e-4, np.pi + 0.3, 1.2, -1.5, 2.0])
+    u = haar_unitary(rng(1600), phases.size)
+    w = u @ np.diag(anchor * np.exp(1j * phases)) @ u.conj().T
+    eig = eig_unitary(w)
+    for radius in (1e-3, 0.1, 0.4):
+        near, min_im = near_spectrum(w, anchor, radius=radius)
+        mask = (np.abs(eig.values - anchor) <= radius) | (np.abs(eig.values + anchor) <= radius)
+        np.testing.assert_allclose(near.values, eig.values[mask], rtol=0, atol=1e-12)
+        ref = eig.vectors[:, mask]
+        assert spectral_norm(near.vectors @ near.vectors.conj().T - ref @ ref.conj().T) <= 1e-12
+        assert min_im == pytest.approx(np.min(np.abs(np.sin(phases))), abs=1e-14)
 
 
 def test_si_pm_refuses_non_invariant_span():
@@ -395,6 +428,18 @@ def test_twiddle_rep_split_step_ring():
     ring = build_lattice(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 10, "circle")
     trep = twiddle_rep(ring)
     assert trep.validate().max_residual < 1e-10
+
+
+@pytest.mark.parametrize("cls", list(C), ids=lambda c: c.value)
+def test_twiddle_rep_satisfies_the_class_relations(cls):
+    # twiddle_rep does not validate the companion rep it returns; its
+    # relations follow from the rep's and the walk's, and validate is the oracle
+    gen = rng(1601)
+    for _ in range(3):
+        rep = random_rep(cls, gen, p=2, q=1)
+        trep = twiddle_rep(random_admissible_walk(rep, gen), rep)
+        assert trep.cls is cls
+        assert trep.validate().max_residual < 1e-10
 
 
 def test_relative_index_identity_perturbation():

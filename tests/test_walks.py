@@ -11,6 +11,9 @@ from helpers import (
     SIGMA_X,
     berry_per_momentum,
     bloch_per_momentum,
+    conjugate_ti,
+    direct_sum_ti,
+    forget_ti,
     gap_margin_per_momentum,
     haar_unitary,
     rng,
@@ -37,10 +40,7 @@ from walkindex.walks import (
     berry_phase,
     build_lattice,
     builtin_walk,
-    conjugate_ti,
-    direct_sum_ti,
     factor_matrices,
-    forget_ti,
     make_doubled,
     make_generating_example,
     make_shift,

@@ -162,7 +162,7 @@ def near_spectrum(
     span within ``max(tol.eig, INVARIANCE_FLOOR d)`` (``EigenFailure``), and
     the eigenpairs are those of the compression of ``W`` onto them.
     """
-    s, vecs = np.linalg.eigh(imaginary_part(np.conj(anchor) * m))
+    s, vecs = np.linalg.eigh(imaginary_part(m if anchor == 1 else np.conj(anchor) * m))
     if radius is None:
         keep = _kernel_cluster(s, tol, ceiling)
     else:

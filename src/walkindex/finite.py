@@ -125,10 +125,10 @@ def certify_boundary_modes(
     ``theta`` (the rule of ``si_pm``), both by
     :func:`~walkindex.indices.near_spectrum`.  The ``k_expected`` most
     localized in the window are truncated to its cells, renormalized, and
-    certified against ``big`` itself.  The certificate is therefore driven entirely by the
-    decay of the modes: a window containing their localization region gives
-    small ``eps1``/``eps2`` and a tight radius, a distant window gives a
-    vacuous one.  The same truncated vectors certify any larger system that
+    certified against ``big`` itself.  The certificate is therefore driven
+    entirely by the decay of the modes: a window containing their
+    localization region gives small ``eps1``/``eps2`` and a tight radius, a
+    distant window gives a vacuous one.  The same truncated vectors certify any larger system that
     contains the window unchanged.  An empty window, or one naming a cell
     outside ``[0, n_cells)``, is refused with ``CutOutOfRange``, and a
     ``k_expected`` below 1 with ``NotEnoughModes``.

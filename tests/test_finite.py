@@ -446,7 +446,7 @@ def test_sweep_line_topology(split_a, split_b):
 @pytest.mark.parametrize(
     "angles, sizes, topology",
     [
-        ((SPLIT_A_ANGLES, SPLIT_B_ANGLES), [(10, 10), (20, 20), (1, 21)], "circle"),
+        ((SPLIT_A_ANGLES, SPLIT_B_ANGLES), [(10, 10), (20, 20), (40, 40), (1, 21)], "circle"),
         ((SPLIT_A_ANGLES, SPLIT_B_ANGLES), [(16, 16)], "line"),
         ((SPLIT_A_ANGLES, SPLIT_A_ANGLES), [(10, 10)], "circle"),
         (((1.3, 0.2), (-1.3, 0.2)), [(6, 6), (24, 24)], "circle"),

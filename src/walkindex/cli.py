@@ -90,7 +90,7 @@ def cmd_index(args, tol: Tolerances) -> int:
     op = operator_from_spec(_load_spec(args.spec), tol)
     cut = args.cut if args.cut is not None else op.cells.n_cells // 2
     si_l, si_r = si_left_right(op, cut, tol=tol)
-    unitarity = unitarity_defect(op.matrix)
+    unitarity = unitarity_defect(op.matrix, tol.unit)
     report = check_admissible(op.matrix, op.local_rep, kind="walk", tol=tol, strict=False)
     out = {
         "si_left": index_value_to_json(si_l),
@@ -243,7 +243,7 @@ def cmd_validate(args, tol: Tolerances) -> int:
         }
     else:
         op: LatticeOperator = obj
-        unitarity = unitarity_defect(op.matrix)
+        unitarity = unitarity_defect(op.matrix, tol.unit)
         adm = (
             check_admissible(op.matrix, op.local_rep, kind="walk", tol=tol, strict=False).max_residual
             if op.local_rep is not None

@@ -65,7 +65,7 @@ from .operators import (
     check_unitary,
     polar_isometry,
 )
-from .symmetry import IndexValue, SymmetryClass, SymmetryRep, spectral_norm
+from .symmetry import IndexValue, SymmetryClass, SymmetryRep, screened_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -153,7 +153,7 @@ class TransferModes:
         return np.hstack([self.incoming, self.outgoing])
 
 
-def split_transfer_modes(pair: ProjectionPair, tol: Tolerances = DEFAULT_TOL) -> TransferModes:
+def split_transfer_modes(pair: ProjectionPair) -> TransferModes:
     """Eigenspaces of ``P - Q`` at +-1, with a dead-band guard.
 
     Eigenvalues in the dead band between ``TRANSFER_MEMBERSHIP`` and
@@ -288,11 +288,11 @@ class DecouplingResult:
     """Outcome of a gentle decoupling.
 
     ``generator`` is the admissible Hermitian ``K`` with ``exp(iK) = V``
-    (see :func:`~walkindex.indices.contract_perturbation`).  The walks
+    (:func:`~walkindex.indices.contract_perturbation`).  The walks
     ``exp(i(1-t)K) W`` form a norm-continuous admissible path from the
-    decoupled ``w_prime`` (``t = 0``) back to the original (``t = 1``); its
-    existence is what makes the decoupling gentle, so both half-space indices
-    are preserved.
+    decoupled ``w_prime`` (``t = 0``) back to the original (``t = 1``): the
+    decoupling is gentle, so both half-space indices are preserved.
+    ``commutator_norm`` bounds ``||[P, W']||`` (screened by ``10 tol.unit``).
     """
 
     v: np.ndarray
@@ -340,7 +340,7 @@ def gentle_decoupling(
         proj = arc_projection(op.cells, cut, second)
 
     pair = ProjectionPair.from_walk(m, proj)
-    modes = split_transfer_modes(pair, tol)
+    modes = split_transfer_modes(pair)
     counts = attribute_transfers(modes, op.cells, proj.cut_bonds(), op.band + 1)
     for bond, (n_in, n_out) in counts.items():
         if n_in != n_out:
@@ -362,7 +362,7 @@ def gentle_decoupling(
         raise DecouplingFailed(f"correction is not unitary: {exc}") from exc
     w2 = v @ m
     p = proj.matrix
-    commutator = spectral_norm(p @ w2 - w2 @ p)
+    commutator = screened_norm(p @ w2 - w2 @ p, 10 * tol.unit)
     if commutator > 10 * tol.unit:
         raise DecouplingFailed(f"residual coupling {commutator:.3e} after correction")
     report = check_admissible(w2, op.local_rep, kind="walk", tol=tol, strict=False)

@@ -69,6 +69,7 @@ from .symmetry import (
     SymmetryRep,
     balanced_hamiltonian,
     rep_index,
+    screened_norm,
     spectral_norm,
     times_runs,
     trace_runs,
@@ -684,8 +685,9 @@ def index_matrix(
     if not isinstance(w, LatticeOperator) or w.cells.topology != "line":
         raise IncompatibleCells("the index table needs a decoupled line segment")
     p = w.cells.index_mask(range(a, w.cells.n_cells)).astype(float)
-    comm = spectral_norm(w.matrix * p[None, :] - p[:, None] * w.matrix)
-    if comm > max(tol.band, DECOUPLED_FLOOR):
+    bound = max(tol.band, DECOUPLED_FLOOR)
+    comm = screened_norm(w.matrix * p[None, :] - p[:, None] * w.matrix, bound)
+    if comm > bound:
         raise NotDecoupled(
             f"walk does not commute with the half-space projection at {a}: "
             f"residual {comm:.3e}"

@@ -28,7 +28,6 @@ from .symmetry import (
     SymmetryRep,
     conjugate_runs,
     screened_norm,
-    spectral_norm,
     unitarity_defect,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -53,8 +52,8 @@ INVARIANCE_FLOOR = 1e-12
 
 
 def check_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "operator") -> float:
-    """Return the unitarity defect, raising ``NotUnitary`` above tolerance."""
-    defect = unitarity_defect(w)
+    """Unitarity defect screened by ``tol.unit``: a bound if it passes, else exact and raised."""
+    defect = unitarity_defect(w, tol.unit)
     if defect > tol.unit:
         raise NotUnitary(f"{what} has unitarity defect {defect:.3e} > {tol.unit}")
     return defect
@@ -65,7 +64,7 @@ class UnitaryEigen:
     """Spectral data of a unitary matrix.
 
     ``vectors`` has orthonormal columns, ``values[j]`` belongs to column ``j``,
-    sorted by phase in (-pi, pi].  ``residual = ||W V - V diag(values)||``.
+    sorted by phase in (-pi, pi].  ``residual`` bounds ``||W V - V diag(values)||``.
     """
 
     values: np.ndarray
@@ -97,10 +96,11 @@ def eig_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> UnitaryEigen:
     order = np.argsort(np.angle(values), kind="stable")
     values = values[order]
     v = v[:, order]
-    residual = spectral_norm(w @ v - v * values[None, :])
-    if residual > max(tol.eig, INVARIANCE_FLOOR * d):
+    bound = max(tol.eig, INVARIANCE_FLOOR * d)
+    residual = screened_norm(w @ v - v * values[None, :], bound)
+    if residual > bound:
         raise EigenFailure(f"eigendecomposition residual {residual:.3e}")
-    orth = unitarity_defect(v)
+    orth = unitarity_defect(v, tol.orth)
     if orth > tol.orth:
         raise EigenFailure(f"eigenbasis orthonormality defect {orth:.3e}")
     return UnitaryEigen(values, v, residual)
@@ -144,7 +144,7 @@ class AdmissibilityReport:
     ok: bool
 
 
-def _residual_norm(w: np.ndarray, runs: Runs, name: str, kind: str, bound: float | None) -> float:
+def _residual_norm(w: np.ndarray, runs: Runs, name: str, kind: str, bound: float) -> float:
     """Norm of the residual of one symmetry condition, screened by ``bound``.
 
     The residual is local here, so no N x N array outlives the call.
@@ -173,19 +173,17 @@ def check_admissible(
     Hamiltonian: right-hand sides ``-H, +H, -H``.
 
     ``rep`` is cell-local or dense (one run of one cell); the operators are
-    applied one run of equal cells at a time, never assembled.  A strict
-    check screens each residual against ``tol.adm`` with its Frobenius norm
-    (:func:`~walkindex.symmetry.screened_norm`): one that passes the screen
-    takes no SVD and is reported as that bound.  Every other residual, and
-    every residual of a ``strict=False`` report, is the spectral norm, so a
-    failing residual is always exact.
+    applied one run of equal cells at a time, never assembled.  Each residual
+    is screened against ``tol.adm`` (:func:`~walkindex.symmetry.screened_norm`):
+    one that passes takes no SVD and is reported as its Frobenius bound, any
+    other is the spectral norm.  A ``strict=False`` report is the same
+    measurement without the raise.
     """
     if kind not in ("walk", "hamiltonian"):
         raise ValueError(f"kind must be 'walk' or 'hamiltonian', got {kind!r}")
     w = np.asarray(w, dtype=complex)
     runs = rep.runs()
-    bound = tol.adm if strict else None
-    res = {name: _residual_norm(w, runs, name, kind, bound) for name in runs[0][2].ops}
+    res = {name: _residual_norm(w, runs, name, kind, tol.adm) for name in runs[0][2].ops}
     worst = max(res.values(), default=0.0)
     ok = worst <= tol.adm
     if strict and not ok:
@@ -235,9 +233,9 @@ def admissible_hamiltonian_projection(k: np.ndarray, rep: SymmetryRep) -> np.nda
 
 
 def check_normal(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Commutator defect ``||W W* - W* W||``, raising ``NotNormal`` above ``10 tol.unit``."""
+    """``||W W* - W* W||`` screened by ``10 tol.unit``: a bound if it passes, else exact and raised."""
     w = np.asarray(w, dtype=complex)
-    defect = spectral_norm(w @ w.conj().T - w.conj().T @ w)
+    defect = screened_norm(w @ w.conj().T - w.conj().T @ w, tol.unit * 10)
     if defect > tol.unit * 10:
         raise NotNormal(f"operator is not normal: defect {defect:.3e}")
     return defect

@@ -310,8 +310,8 @@ class SymmetryOperator:
 
 @dataclass(frozen=True)
 class RepReport:
-    """Residuals of the defining relations of a representation; one that passes
-    may be its Frobenius bound (:func:`screened_norm`) instead of its norm."""
+    """Residuals of the defining relations of a representation, each screened by
+    ``tol.adm`` (:func:`screened_norm`): a bound where it passes, else exact."""
 
     residuals: dict[str, float]
     max_residual: float
@@ -578,7 +578,7 @@ def fixed_point_basis(
     compression of ``sigma`` is plain complex conjugation.
     """
     defect = op.invariance_defect(basis)
-    if defect > 1e-6:
+    if defect > tol.adm:
         raise NotAdmissible(f"span not invariant: defect {defect:.3e}")
     vecs: list[np.ndarray] = []
     rem = basis.copy()
@@ -611,7 +611,7 @@ def kramers_pairs(
     if basis.shape[1] % 2:
         raise RelationViolation(f"Kramers pairing needs even dimension, got {basis.shape[1]}")
     defect = op.invariance_defect(basis)
-    if defect > 1e-6:
+    if defect > tol.adm:
         raise NotAdmissible(f"span not invariant: defect {defect:.3e}")
     vs: list[np.ndarray] = []
     ws: list[np.ndarray] = []
@@ -659,7 +659,7 @@ def chiral_sectors(
         herm = 1j * gamma  # Hermitian; +1 eigenspace of i*gamma is the -i sector
     herm = (herm + herm.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
-    if np.any(np.abs(np.abs(vals) - 1) > 1e-8):
+    if np.any(np.abs(np.abs(vals) - 1) > tol.adm):
         raise RelationViolation("chiral operator is not involutive")
     if sign == +1:
         plus = vecs[:, vals > 0]

@@ -1,11 +1,15 @@
 """Command line behavior: JSON shapes, exit codes, determinism."""
 
+import importlib
 import io
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import walkindex
+import walkindex.symmetry as symmetry_module
 from walkindex.cli import main
 from walkindex.lattice import LocalSymmetryRep
 from walkindex.serialize import (
@@ -334,6 +338,24 @@ def test_sweep_rejects_malformed_size(tmp_path, capsys):
 # -- temple-kato ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("theta", ["1+0j", "-1+0j"])
+def test_temple_kato_certifies_a_stored_join_as_its_spec(tmp_path, capsys, theta):
+    # an opposite-phase circle join read back from `join --out` (12 significant
+    # digits) certifies the same modes as the join built from its spec
+    left = write_spec(tmp_path, "a.json", SPLIT_A)
+    right = write_spec(tmp_path, "b.json", SPLIT_B)
+    geometry = {"n_left": 32, "n_right": 32, "topology": "circle"}
+    spec = write_spec(tmp_path, "join.json", {"type": "join", "left": SPLIT_A, "right": SPLIT_B, "geometry": geometry})
+    stored = str(tmp_path / "stored.json")
+    assert run(capsys, ["join", left, right, "--n-left", "32", "--n-right", "32", "--out", stored])[0] == 0
+    certificates = []
+    for source in (spec, stored):
+        code, data = run_json(capsys, ["temple-kato", source, f"--theta={theta}", "--k", "1", "--window", "28:36"])
+        assert code == 0, data
+        certificates.append((data["k"], data["valid"]))
+    assert certificates == [(1, True), (1, True)]
+
+
 def test_temple_kato_interface_certificate(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
@@ -595,3 +617,63 @@ def test_successive_calls_share_no_parser_state(tmp_path, capsys):
     capsys.readouterr()
     code, after = run_json(capsys, ["index", spec])
     assert code == 0 and after == plain
+
+
+# Passing runs of every command that gates a full-size matrix, and the SVDs
+# (square spectral norms of at least 32 rows) each one takes.
+ONE_RULE_RUNS = {
+    "index-circle": (["index", "circle96"], 0),
+    "index-decoupled-line": (["index", "segment32"], 0),
+    "index-stored-join": (["index", "stored"], 0),
+    "validate-stored-join": (["validate", "stored"], 0),
+    "decouple": (["decouple", "circle48", "--out-dir", "dec"], 0),
+    "join-line": (["join", "a", "b", "--n-left", "24", "--n-right", "24", "--topology", "line"], 0),
+    "sweep": (["sweep", "a", "b", "--size", "16,16", "--size", "24,24"], 0),
+    "temple-kato": (["temple-kato", "join32", "--theta", "1+0j", "--k", "1", "--window", "28:36"], 0),
+    # its unitarity fails, so the printed defect is the exact 64 x 64 norm
+    "index-compressed-line": (["index", "compressed32"], 1),
+}
+
+
+@pytest.mark.parametrize("argv, svds", list(ONE_RULE_RUNS.values()), ids=list(ONE_RULE_RUNS))
+def test_full_size_checks_take_an_svd_only_to_fail(tmp_path, capsys, monkeypatch, argv, svds):
+    # every gate and printed residual on an N x N matrix is a screened norm:
+    # the Frobenius bound passes it, and only a failing one is measured exactly
+    files = {
+        "a": write_spec(tmp_path, "a.json", SPLIT_A),
+        "b": write_spec(tmp_path, "b.json", SPLIT_B),
+        "circle96": write_spec(tmp_path, "c96.json", {**SPLIT_A, "geometry": {"n_cells": 96, "topology": "circle"}}),
+        "circle48": write_spec(tmp_path, "c48.json", {**SPLIT_A, "geometry": {"n_cells": 48, "topology": "circle"}}),
+        "segment32": write_spec(
+            tmp_path,
+            "seg.json",
+            {**SPLIT_A, "geometry": {"n_cells": 32, "topology": "line", "boundary": "decoupled_unitary"}},
+        ),
+        "compressed32": write_spec(
+            tmp_path, "line.json", {**SPLIT_A, "geometry": {"n_cells": 32, "topology": "line", "boundary": "compress"}}
+        ),
+        "join32": write_spec(
+            tmp_path,
+            "join.json",
+            {"type": "join", "left": SPLIT_A, "right": SPLIT_B,
+             "geometry": {"n_left": 32, "n_right": 32, "topology": "circle"}},
+        ),
+        "stored": str(tmp_path / "stored.json"),
+        "dec": str(tmp_path / "dec"),
+    }
+    join = ["join", files["a"], files["b"], "--n-left", "32", "--n-right", "32", "--out", files["stored"]]
+    assert run(capsys, join)[0] == 0
+    shapes = []
+    original = symmetry_module.spectral_norm
+
+    def counted(x):
+        shapes.append(x.shape)
+        return original(x)
+
+    for info in pkgutil.iter_modules(walkindex.__path__):
+        module = importlib.import_module(f"walkindex.{info.name}")
+        if getattr(module, "spectral_norm", None) is original:
+            monkeypatch.setattr(module, "spectral_norm", counted)
+    code, out = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 0, out
+    assert [s for s in shapes if s[0] == s[1] >= 32] == [(64, 64)] * svds

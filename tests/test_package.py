@@ -131,3 +131,30 @@ def test_no_duplicate_test_names():
     files = sorted((root / "tests").glob("*.py"))
     duplicates = [entry for path in files for entry in _duplicate_test_names(path)]
     assert duplicates == []
+
+
+def _unread_tol_parameters(path: Path) -> list[str]:
+    """Functions that take a ``tol`` parameter and never read it in their body."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        if "tol" not in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+            continue
+        read = any(
+            isinstance(n, ast.Name) and n.id == "tol" and isinstance(n.ctx, ast.Load)
+            for stmt in node.body
+            for n in ast.walk(stmt)
+        )
+        if not read:
+            unread.append(f"{path.name}:{node.lineno}: {node.name}")
+    return unread
+
+
+def test_every_tol_parameter_is_read():
+    # a caller who passes tolerances to a function that ignores them gets
+    # the function's literals, and nothing says so
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "walkindex").glob("*.py"))
+    assert [entry for path in files for entry in _unread_tol_parameters(path)] == []

@@ -46,6 +46,23 @@ def test_check_unitary_rejects_contraction():
         check_unitary(0.5 * np.eye(3))
 
 
+def test_screened_gates_pass_on_a_bound_and_refuse_with_the_exact_norm():
+    gen = rng(17)
+    u = haar_unitary(gen, 64)
+    tol = DEFAULT_TOL
+    for check, residual, bound in (
+        (check_unitary, lambda w: w.conj().T @ w - np.eye(64), tol.unit),
+        (check_normal, lambda w: w @ w.conj().T - w.conj().T @ w, 10 * tol.unit),
+    ):
+        assert spectral_norm(residual(u)) * (1 - 1e-9) <= check(u, tol=tol) <= bound
+        # many small defects: the Frobenius norm is four times the spectral norm
+        for w in (u * (1 + 2 * bound * (np.arange(64) < 16)), u + 2 * bound * np.triu(u, 1)):
+            exact = spectral_norm(residual(w))
+            assert bound < exact < np.linalg.norm(residual(w)) / 3
+            with pytest.raises((NotUnitary, NotNormal), match=f"{exact:.3e}"):
+                check(w, tol=tol)
+
+
 def test_eig_unitary_random_haar():
     gen = rng(1)
     for d in (2, 5, 16):

@@ -82,9 +82,9 @@ def _float_grid(obj: list) -> str | None:
 
 def _encode(obj) -> str:
     # matrices arrive as nested lists of float pairs: a rectangular grid of
-    # finite floats is formatted in one C-level "%" call ("%.12g" % x is
-    # format(x, ".12g"), so the text is unchanged); anything else, and the
-    # remaining exact types, are dispatched before the abstract-base-class checks
+    # finite floats takes one C-level "%" call ("%.12g" % x is format(x, ".12g"),
+    # so the text is unchanged); other exact types are tested before the slower
+    # abstract-base-class checks
     kind = type(obj)
     if kind is list and (text := _float_grid(obj)) is not None:
         return text

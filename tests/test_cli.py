@@ -10,13 +10,18 @@ import pytest
 
 import walkindex
 import walkindex.symmetry as symmetry_module
+from helpers import reference_dumps
 from walkindex.cli import main
+from walkindex.decoupling import gentle_decoupling
 from walkindex.lattice import LocalSymmetryRep
 from walkindex.serialize import (
     lattice_operator_from_json,
     lattice_operator_to_json,
     matrix_from_json,
+    matrix_to_json,
+    operator_from_spec,
     tiwalk_to_json,
+    walk_from_spec,
 )
 from walkindex.symmetry import IndexGroup, IndexValue
 from walkindex.walks import InvariantReport, build_lattice, make_split_step
@@ -207,6 +212,26 @@ def test_decouple_writes_artifacts(tmp_path, capsys):
     # Wprime.json is an explicit walk spec that every command reads back
     code, data = run_json(capsys, ["validate", str(out_dir / "Wprime.json")])
     assert code == 0 and data["ok"] is True and data["n_cells"] == 16
+
+
+def test_written_walks_are_the_reference_encoding_of_their_payloads(tmp_path, capsys):
+    spec = write_spec(tmp_path, "gen_circle.json", GEN_CIRCLE)
+    out_dir = tmp_path / "dec"
+    assert run(capsys, ["decouple", spec, "--cut", "8", "--out-dir", str(out_dir)])[0] == 0
+    result = gentle_decoupling(operator_from_spec(GEN_CIRCLE), 8)
+    v_text = reference_dumps({"matrix": matrix_to_json(result.v)}) + "\n"
+    assert (out_dir / "V.json").read_text(encoding="utf-8") == v_text
+    w_text = reference_dumps(lattice_operator_to_json(result.w_prime)) + "\n"
+    assert (out_dir / "Wprime.json").read_text(encoding="utf-8") == w_text
+    left = write_spec(tmp_path, "a.json", SPLIT_A)
+    right = write_spec(tmp_path, "b.json", SPLIT_B)
+    out = tmp_path / "line.json"
+    argv = ["join", left, right, "--n-left", "16", "--n-right", "16", "--topology", "line"]
+    assert run(capsys, argv + ["--out", str(out)])[0] == 0
+    geometry = {"n_left": 16, "n_right": 16, "topology": "line"}
+    joined = walk_from_spec({"type": "join", "left": SPLIT_A, "right": SPLIT_B, "geometry": geometry})
+    assert joined.cells.topology == "line"
+    assert out.read_text(encoding="utf-8") == reference_dumps(lattice_operator_to_json(joined)) + "\n"
 
 
 def test_index_and_decouple_never_assemble_the_dense_rep(tmp_path, capsys, monkeypatch):

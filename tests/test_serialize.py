@@ -1,11 +1,13 @@
 """Canonical JSON / CSV forms: determinism, round trips, spec parsing."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
 from helpers import dense_rep, reference_dumps, rng
+from walkindex import serialize
 from walkindex.errors import IncompatibleCells
 from walkindex.finite import SweepRecord, temple_kato
 from walkindex.lattice import CellStructure, LatticeOperator
@@ -143,6 +145,92 @@ def test_canonical_json_matrices_match_reference_encoder():
     m[0, :8] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, complex(-0.0, np.nan), 0.0]
     payload = {"matrix": matrix_to_json(m), "empty": [], "nested": [[], [[]]]}
     assert dumps_canonical(payload) == reference_dumps(payload)
+
+
+def _grid(*shape, seed: int = 11) -> list:
+    gen = rng(seed)
+    return (gen.normal(size=shape) * 10.0 ** gen.integers(-20, 20, size=shape)).tolist()
+
+
+def _with(grid: list, path: tuple, value) -> list:
+    """A deep copy of ``grid`` with the entry at ``path`` replaced (``...`` drops it)."""
+    out = copy.deepcopy(grid)
+    parent = out
+    for i in path[:-1]:
+        parent = parent[i]
+    if value is ...:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+# (payload, whether it is one rectangular grid of finite floats)
+GRID_CASES = {
+    "empty": ([], False),
+    "empty_row": ([[]], False),
+    "empty_rows": ([[], []], False),
+    "one_by_one": ([[0.5]], True),
+    "flat": (_grid(5), True),
+    "3x4x2": (_grid(3, 4, 2), True),
+    "depth4": (_grid(2, 3, 2, 2), True),
+    "matrix": (matrix_to_json(np.array(_grid(6, 6)) + 1j * np.array(_grid(6, 6, seed=12))), True),
+    "tiny_and_huge": (_with(_with(_with(_grid(3, 4, 2), (0, 0, 0), -0.0), (1, 2, 1), 5e-324),
+                            (2, 3, 0), 1e300), True),
+    "nan": (_with(_grid(3, 4, 2), (1, 1, 0), float("nan")), False),
+    "inf": (_with(_grid(3, 4, 2), (2, 3, 1), float("inf")), False),
+    "minus_inf": (_with(_grid(2, 3, 2, 2), (0, 0, 0, 0), float("-inf")), False),
+    "overflowing_sum": ([[1e308, 1e308], [-1e308, 5.0]], False),
+    "bool": (_with(_grid(3, 4, 2), (0, 1, 1), True), False),
+    "int": (_with(_grid(3, 4, 2), (2, 0, 0), 3), False),
+    "np_float64": (_with(_grid(3, 4, 2), (1, 3, 1), np.float64(2.5)), False),
+    "none": (_with(_grid(3, 4, 2), (0, 0, 1), None), False),
+    "str": (_with(_grid(3, 4, 2), (2, 2, 0), "x"), False),
+    "float_beside_lists": (_with(_grid(3, 4, 2), (1,), 0.25), False),
+    "ragged_depth1": (_with(_grid(3, 4, 2), (1, 0), ...), False),
+    "ragged_depth2": (_with(_grid(3, 4, 2), (2, 3, 1), ...), False),
+    "ragged_depth3": (_with(_grid(2, 3, 2, 2), (1, 2, 0, 1), ...), False),
+    "row_of_empties": (_with(_grid(3, 4, 2), (0,), []), False),
+    "tuple_pairs": ([(1.5, -2.0), (3.0, 4.25)], False),
+    "tuple_row": ([[0.5, 1.0], (0.5, 1.0)], False),
+}
+
+
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_float_grids_match_reference_encoder(name):
+    payload, one_call = GRID_CASES[name]
+    assert (serialize._float_grid(payload) is not None) == one_call
+    for wrapped in (payload, {"grid": payload, "rows": [payload, payload]}, (payload, 1.0)):
+        assert dumps_canonical(wrapped) == reference_dumps(wrapped)
+
+
+def test_payloads_are_plain_json_data():
+    # every *_to_json returns lists, dicts and scalars that compare equal after a
+    # JSON round trip; an operator's meta keeps the walk's own tuples, which come
+    # back as lists, so it is only dumped
+    bulk = {"type": "ti", "builtin": "split_step"}
+    join = walk_from_spec(
+        {
+            "type": "join",
+            "left": {**bulk, "coin_params": {"theta1": 0.9, "theta2": 0.2}},
+            "right": {**bulk, "coin_params": {"theta1": -0.9, "theta2": 0.2}},
+            "geometry": {"n_left": 4, "n_right": 4, "topology": "line"},
+        }
+    )
+    doubled = make_doubled("CII")
+    payloads = {
+        "circle": lattice_operator_to_json(build_lattice(make_split_step(1.1, 0.3), 6, "circle")),
+        "line_join": lattice_operator_to_json(join),
+        "decoupled_line": lattice_operator_to_json(
+            truncate_ti(make_generating_example(), 8, "decoupled_unitary")
+        ),
+        "tiwalk": tiwalk_to_json(make_split_step(1.1, 0.3)),
+        "tiwalk_doubled": tiwalk_to_json(doubled),
+        "rep": rep_to_json(doubled.cell_rep),
+    }
+    for name, payload in payloads.items():
+        json.dumps(payload.pop("meta", {}))
+        assert json.loads(json.dumps(payload)) == payload, name
 
 
 # -- matrices ------------------------------------------------------------------------

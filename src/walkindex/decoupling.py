@@ -23,7 +23,14 @@ projection pair ``(P, Q)``:
   rank, or a swap that is not admissible, is refused (``DecouplingFailed``)
   rather than replaced by another guess.
 
-``V`` therefore never has eigenvalue ``-1`` and contracts to the identity
+On ker(P - Q) the projections agree, so the alignment map is the identity
+there and the swap vanishes: ``V - 1`` lives in range(P - Q), a subspace of
+a few modes per cut bond that ``V`` and the companion representation both
+preserve (``W tau`` and ``W gamma`` swap ``P`` and ``Q``).  The contraction
+of ``V`` (:func:`~walkindex.indices.contract_perturbation`) therefore works
+on its compression to that range.
+
+``V`` never has eigenvalue ``-1`` and contracts to the identity
 through admissible unitaries: the decoupling is gentle, and every
 half-space index survives it unchanged.  A cut bond where the incoming
 and outgoing transfer counts differ (a pure shift, for example) admits no
@@ -139,11 +146,13 @@ class TransferModes:
     ``incoming`` spans states inside the region that the walk brought in
     from outside; ``outgoing`` spans the images, outside the region, of
     states that left it.  For a unitary walk on a closed lattice the two
-    dimensions agree globally.
+    dimensions agree globally.  ``support`` spans range(P - Q), the
+    eigenvectors of ``P - Q`` above ``tol.ker`` in magnitude.
     """
 
     incoming: np.ndarray
     outgoing: np.ndarray
+    support: np.ndarray
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -153,8 +162,8 @@ class TransferModes:
         return np.hstack([self.incoming, self.outgoing])
 
 
-def split_transfer_modes(pair: ProjectionPair) -> TransferModes:
-    """Eigenspaces of ``P - Q`` at +-1, with a dead-band guard.
+def split_transfer_modes(pair: ProjectionPair, tol: Tolerances = DEFAULT_TOL) -> TransferModes:
+    """Eigenspaces of ``P - Q`` at +-1 and its range, with a dead-band guard.
 
     Eigenvalues in the dead band between ``TRANSFER_MEMBERSHIP`` and
     ``TRANSFER_GUARD`` away from +-1 mean a mode is almost but not exactly
@@ -172,6 +181,7 @@ def split_transfer_modes(pair: ProjectionPair) -> TransferModes:
     return TransferModes(
         incoming=vecs[:, vals > 1.0 - TRANSFER_MEMBERSHIP],
         outgoing=vecs[:, vals < -1.0 + TRANSFER_MEMBERSHIP],
+        support=vecs[:, np.abs(vals) > tol.ker],
     )
 
 
@@ -324,8 +334,10 @@ def gentle_decoupling(
     Builds the canonical correction ``V`` (direct rotation plus transfer
     swap), returns ``W' = V W`` with ``[P, W'] = 0``, and certifies
     gentleness with the admissible generator of the contraction path and the
-    half-space indices before and after.  Each full-size matrix is checked
-    once: the walk (in ``twiddle_rep``), ``W'`` and the generator.  Raises
+    half-space indices before and after.  The generator is contracted on
+    range(P - Q) (the ``support`` of :func:`split_transfer_modes`), so the
+    one full-size ``eigh`` is that of ``P - Q``.  Each full-size matrix is
+    checked once: the walk (in ``twiddle_rep``), ``W'`` and the generator.  Raises
     ``Obstructed`` when a cut bond has a nonzero net transfer count.
     """
     if op.local_rep is None:
@@ -340,7 +352,7 @@ def gentle_decoupling(
         proj = arc_projection(op.cells, cut, second)
 
     pair = ProjectionPair.from_walk(m, proj)
-    modes = split_transfer_modes(pair)
+    modes = split_transfer_modes(pair, tol)
     counts = attribute_transfers(modes, op.cells, proj.cut_bonds(), op.band + 1)
     for bond, (n_in, n_out) in counts.items():
         if n_in != n_out:
@@ -371,7 +383,7 @@ def gentle_decoupling(
             f"decoupled walk violates admissibility: {report.max_residual:.3e}"
         )
 
-    generator = contract_perturbation(v, trep, tol)
+    generator = contract_perturbation(v, trep, tol, support=modes.support)
 
     w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep, dict(op.meta), tol)
     si_b = si_left_right(op, cut, second_cut=second, tol=tol)

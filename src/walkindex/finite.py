@@ -92,9 +92,14 @@ def temple_kato(
     bound.  ``valid`` is false when ``eps1 >= 1/k``, in which case no
     radius is certified and ``r_min`` is infinite.
     """
-    u = np.asarray(u, dtype=complex)
     check_normal(u, tol)
-    phi = _column_matrix(vectors)
+    return _temple_kato_bound(u, theta, _column_matrix(vectors))
+
+
+def _temple_kato_bound(u: np.ndarray, theta: complex, phi: np.ndarray) -> TempleKatoCertificate:
+    """The certificate of :func:`temple_kato` for a ``u`` the caller has
+    checked normal, or unitary (normal within ``2 tol.unit``)."""
+    u = np.asarray(u, dtype=complex)
     if phi.shape[0] != u.shape[0]:
         raise DimensionMismatch(
             f"vectors of dimension {phi.shape[0]} against operator of dimension {u.shape[0]}"
@@ -165,7 +170,7 @@ def certify_boundary_modes(
     norms = np.linalg.norm(phi, axis=0)
     if np.any(norms <= tol.ker):
         raise NotEnoughModes("a selected mode has no weight inside the window")
-    return temple_kato(big.matrix, theta, phi / norms, tol)
+    return _temple_kato_bound(big.matrix, theta, phi / norms)
 
 
 # -- crossover systems -------------------------------------------------------------

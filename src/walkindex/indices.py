@@ -258,7 +258,8 @@ def _drop_window(
             kept, dropped = outside, inside
         elif (
             inside.shape[1] != dropped.shape[1]
-            or spectral_norm(inside - dropped @ (dropped.conj().T @ inside)) > WINDOW_AGREEMENT
+            or screened_norm(inside - dropped @ (dropped.conj().T @ inside), WINDOW_AGREEMENT)
+            > WINDOW_AGREEMENT
         ):
             raise WindowAmbiguous(
                 f"attribution of {what} modes to the proxy ends depends on "
@@ -518,6 +519,7 @@ def contract_perturbation(
     v,
     trep: SymmetryRep,
     tol: Tolerances = DEFAULT_TOL,
+    support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Admissible Hermitian generator ``K`` with ``exp(iK) = V``.
 
@@ -531,20 +533,35 @@ def contract_perturbation(
     is checked once as a Hamiltonian for ``trep``; it is admissible exactly
     when ``V`` is, since the principal logarithm meets no eigenvalue at -1
     outside the balanced block.
+
+    ``support`` is an orthonormal basis ``S`` of a ``trep``-invariant
+    subspace off which ``V`` is the identity (default: the whole space).
+    The spectrum is that of the compression ``C = S* V S`` and
+    ``K = S K_C S*``; ``V - 1 - S(C - 1)S*`` must vanish within
+    ``max(tol.eig, INVARIANCE_FLOOR N)`` (``EigenFailure`` otherwise).
     """
-    eig = eig_unitary(v, tol)
+    v = np.asarray(v, dtype=complex)
+    n = v.shape[0]
+    s = np.eye(n, dtype=complex) if support is None else support
+    c = s.conj().T @ v @ s
+    bound = max(tol.eig, INVARIANCE_FLOOR * n)
+    off = screened_norm(v - np.eye(n) - s @ (c - np.eye(s.shape[1])) @ s.conj().T, bound)
+    if off > bound:
+        raise EigenFailure(f"perturbation differs from the identity off its support: {off:.3e}")
+    eig = eig_unitary(c, tol)
     at_minus = phase_window(eig, -1.0, tol=tol)
     rotating = eig.vectors[:, ~at_minus]
     k = rotating @ (np.angle(eig.values[~at_minus])[:, None] * rotating.conj().T)
     minus_basis = eig.vectors[:, at_minus]
     if minus_basis.shape[1]:
         try:
-            h_small = balanced_hamiltonian(trep.restrict(minus_basis, tol), tol)
+            h_small = balanced_hamiltonian(trep.restrict(s @ minus_basis, tol), tol)
         except Unbalanced as exc:
             raise Obstructed(
                 f"-1-eigenspace: {exc}; no admissible contraction exists"
             ) from exc
         k = k + np.pi * (minus_basis @ h_small @ minus_basis.conj().T)
+    k = s @ k @ s.conj().T
     k = (k + k.conj().T) / 2
     check_admissible(k, trep, kind="hamiltonian", tol=tol)
     return k

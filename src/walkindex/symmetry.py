@@ -464,12 +464,13 @@ def trace_runs(runs: Runs, name: str, x: np.ndarray | None = None) -> complex:
 
 def restrict_runs(cls: SymmetryClass, runs: Runs, basis: np.ndarray, tol: Tolerances) -> SymmetryRep:
     """Compression ``basis* sigma(basis)`` of each operator, applied once; a part
-    of ``sigma(basis)`` above ``tol.adm`` off the span raises ``NotAdmissible``."""
+    of ``sigma(basis)`` above ``tol.adm`` off the span (:func:`screened_norm`)
+    raises ``NotAdmissible``."""
     ops = {}
     for name, op in runs[0][2].ops.items():
         image = apply_runs(runs, name, basis)
         sub = basis.conj().T @ image
-        defect = spectral_norm(image - basis @ sub)
+        defect = screened_norm(image - basis @ sub, tol.adm)
         if defect > tol.adm:
             raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
         ops[name] = SymmetryOperator(sub, op.antiunitary)

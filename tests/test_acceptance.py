@@ -3,8 +3,9 @@
 Nine numbered checks; each prints a single [PASS] line (on the real stderr,
 past any capture) with its measured figures, and enforces its runtime budget
 where one is stated.  Check 5 has a companion fuzz of the +-1 eigenspace
-selection against a fixed-radius oracle, and check 6 one of the contraction
-generator itself.  All randomness is seeded, so the suite is deterministic.
+selection against a fixed-radius oracle, and check 6 two of the contraction
+generator itself: its admissibility, and its agreement with the whole-space
+route.  All randomness is seeded, so the suite is deterministic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from walkindex.decoupling import ProjectionPair, gentle_decoupling
 from walkindex.errors import Obstructed, WindowAmbiguous
 from walkindex.finite import crossover_sweep, temple_kato
 from walkindex.indices import (
+    contract_perturbation,
     relative_index,
     si_left_right,
     si_pm,
@@ -418,6 +420,18 @@ def test_06_contraction_generator_fuzz():
         assert np.linalg.norm(k - k.conj().T, 2) <= 1e-12
         check_admissible(k, twiddle_rep(op), kind="hamiltonian")
         assert np.linalg.norm(expm(1j * k) - res.v, 2) <= 1e-10
+
+
+def test_06_generator_matches_full_route_fuzz():
+    # gentle_decoupling contracts V on range(P - Q); the whole-space route agrees
+    gen = rng(20261021)
+    for t in range(10):
+        ti, (lo, hi) = FAMILIES[t % len(FAMILIES)]
+        n = int(gen.integers(lo, hi + 1))
+        op = conjugated_ring(ti, n, gen)
+        res = gentle_decoupling(op, int(gen.integers(0, n)))
+        full = contract_perturbation(res.v, twiddle_rep(op))
+        assert np.linalg.norm(res.generator - full, 2) <= 1e-12
 
 
 # -- 7: half-space index consistency ---------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import walkindex
 import walkindex.decoupling
-from helpers import contraction_path, identity_defects
+from helpers import contraction_path, haar_unitary, identity_defects, rng
 from walkindex.decoupling import (
     DecouplingResult,
     ProjectionPair,
@@ -26,14 +26,15 @@ from walkindex.decoupling import (
 from walkindex.errors import (
     CutOutOfRange,
     DecouplingFailed,
+    EigenFailure,
     IncompatibleCells,
     NotAdmissible,
     Obstructed,
 )
-from walkindex.indices import si_left_right
+from walkindex.indices import contract_perturbation, si_left_right, twiddle_rep
 from walkindex.lattice import LatticeOperator, arc_projection, half_space_projection
 from walkindex.operators import check_admissible, check_unitary
-from walkindex.symmetry import IndexGroup, IndexValue
+from walkindex.symmetry import IndexGroup, IndexValue, SymmetryClass, SymmetryRep
 from walkindex.walks import (
     build_lattice,
     make_doubled,
@@ -290,6 +291,123 @@ def test_gentle_decoupling_refuses_singular_swap_seed(monkeypatch):
     )
     with pytest.raises(DecouplingFailed, match="swap seed is singular"):
         gentle_decoupling(gen_ring(12), 0)
+
+
+# -- contraction on range(P - Q) ---------------------------------------------------
+
+# every walk the decoupling tests above cut, with its cut
+DECOUPLED_WALKS = {
+    "generating_12": lambda: (gen_ring(12), 0),
+    "generating_16": lambda: (gen_ring(16), 0),
+    "generating_inverse_14": lambda: (ring(make_generating_example(True), 14), 3),
+    "split_step_16": lambda: (ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16), 0),
+    "split_step_24": lambda: (ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 24), 0),
+    "trivial_8": lambda: (ring(make_trivial(), 8), 0),
+    "doubled_cii_10": lambda: (ring(make_doubled("CII"), 10), 0),
+    "doubled_diii_10": lambda: (ring(make_doubled("DIII"), 10), 0),
+    "decoupled_line_12": lambda: (truncate_ti(make_generating_example(), 12, "decoupled_unitary"), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOUPLED_WALKS))
+def test_generator_matches_full_route(name):
+    # the generator contracted on range(P - Q) is the one of the whole space
+    op, cut = DECOUPLED_WALKS[name]()
+    res = gentle_decoupling(op, cut)
+    full = contract_perturbation(res.v, twiddle_rep(op))
+    assert np.linalg.norm(res.generator - full, 2) <= 1e-12
+
+
+def test_support_spans_range_of_p_minus_q():
+    r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16)
+    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 8))
+    s = split_transfer_modes(pair).support
+    a = pair.odd_part()
+    assert s.shape[1] == np.linalg.matrix_rank(a, tol=1e-8)
+    assert np.linalg.norm(s.conj().T @ s - np.eye(s.shape[1])) <= 1e-12
+    assert np.linalg.norm(a - s @ (s.conj().T @ a @ s) @ s.conj().T, 2) <= 1e-12
+
+
+def test_obstructed_names_the_same_index_on_both_routes():
+    # -1 on a three-dimensional eigenspace where tr(gamma) = 1, in a random basis
+    u = haar_unitary(rng(2110), 6)
+    gamma = u @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]) @ u.conj().T
+    rep = SymmetryRep.from_matrices(SymmetryClass.AIII, 6, gamma=gamma)
+    v = u @ np.diag([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0]) @ u.conj().T
+    messages = []
+    for support in (None, u[:, :4]):
+        with pytest.raises(Obstructed, match="index 1 in Z") as info:
+            contract_perturbation(v, rep, support=support)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_perturbation_off_its_support_is_refused():
+    r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16)
+    trep = twiddle_rep(r)
+    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 8))
+    s = split_transfer_modes(pair).support
+    v = gentle_decoupling(r, 0).v
+    contract_perturbation(v, trep, support=s)
+    x = np.eye(r.dim)[:, 0] - s @ s.conj().T[:, 0]
+    x /= np.linalg.norm(x)
+    kicked = v @ (np.eye(r.dim) + (np.exp(1e-6j) - 1) * np.outer(x, x.conj()))
+    with pytest.raises(EigenFailure, match="off its support"):
+        contract_perturbation(kicked, trep, support=s)
+
+
+def test_gentle_decoupling_takes_one_full_size_eigh(monkeypatch):
+    # the eigh of P - Q in split_transfer_modes; V is contracted on its range
+    r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 24)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    gentle_decoupling(r, 0)
+    assert shapes.count((r.dim, r.dim)) == 1
+
+
+def test_passing_decoupling_takes_no_svd_in_thin_gates(monkeypatch):
+    # proxy-window agreement and restriction invariance pass on their screens
+    r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 24)
+    gates = {"_drop_window": walkindex.indices._drop_window, "restrict_runs": walkindex.symmetry.restrict_runs}
+    entered = dict.fromkeys(gates, 0)
+    inside = []
+    svds = []
+    for name, original in gates.items():
+
+        def tracking(*args, _original=original, _name=name, **kwargs):
+            entered[_name] += 1
+            inside.append(_name)
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        for module in vars(walkindex).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, tracking)
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counting_svd(a, *args, **kwargs):
+        if inside:
+            svds.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if inside and ord == 2:
+            svds.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    assert gentle_decoupling(r, 0).ok
+    assert entered["_drop_window"] and entered["restrict_runs"]
+    assert svds == []
 
 
 # -- segment extraction ------------------------------------------------------------

@@ -26,9 +26,14 @@ projection pair ``(P, Q)``:
 On ker(P - Q) the projections agree, so the alignment map is the identity
 there and the swap vanishes: ``V - 1`` lives in range(P - Q), a subspace of
 a few modes per cut bond that ``V`` and the companion representation both
-preserve (``W tau`` and ``W gamma`` swap ``P`` and ``Q``).  The contraction
-of ``V`` (:func:`~walkindex.indices.contract_perturbation`) therefore works
-on its compression to that range.
+preserve (``W tau`` and ``W gamma`` swap ``P`` and ``Q``).  For a unitary
+walk of band ``b`` a row of ``P - Q`` vanishes unless its cell lies within
+``b`` cells of a cut bond, so the whole construction runs on that window and
+on range(P - Q): ``P - Q`` is diagonalized on the window, the rotation, the
+swap and the contraction act on ``r x r`` compressions to its range ``S``,
+and ``V = 1 + S(U_r - 1)S*`` and ``W' = V W`` differ from ``1`` and ``W``
+only in the window rows.  A declared band that understates a hop across the
+cut leaves ``[P, W']`` nonzero, and the full-size commutator gate refuses it.
 
 ``V`` never has eigenvalue ``-1`` and contracts to the identity
 through admissible unitaries: the decoupling is gentle, and every
@@ -54,7 +59,7 @@ from .errors import (
     Obstructed,
     OddDimensionAII,
 )
-from .indices import contract_perturbation, si_left_right, twiddle_rep
+from .indices import contract_perturbation, si_left_right
 from .lattice import (
     CellProjection,
     CellStructure,
@@ -72,11 +77,10 @@ from .operators import (
     check_unitary,
     polar_isometry,
 )
-from .symmetry import IndexValue, SymmetryClass, SymmetryRep, screened_norm
+from .symmetry import IndexValue, SymmetryClass, SymmetryRep, restrict_runs, screened_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
-    "ProjectionPair",
     "TransferModes",
     "DecouplingResult",
     "split_transfer_modes",
@@ -98,78 +102,75 @@ _MIN_SEED_WEIGHT = 1e-6
 
 
 @dataclass(frozen=True)
-class ProjectionPair:
-    """A region projection ``P`` with its image ``Q = W P W*`` under a walk.
-
-    The pair encodes how much of the region the walk preserves.  The odd
-    part ``P - Q`` and even part ``1 - P - Q`` anticommute and their
-    squares sum to the identity, so the spectrum of the pair organizes
-    into aligned states, transfer modes and oblique rotation planes.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-
-    @classmethod
-    def from_walk(cls, w: np.ndarray, proj: CellProjection) -> "ProjectionPair":
-        w = np.asarray(w, dtype=complex)
-        p = proj.matrix.astype(complex)
-        return cls(p, w @ p @ w.conj().T)
-
-    @property
-    def dim(self) -> int:
-        return self.p.shape[0]
-
-    def odd_part(self) -> np.ndarray:
-        """``P - Q``: +1 on incoming transfers, -1 on outgoing ones."""
-        return self.p - self.q
-
-    def even_part(self) -> np.ndarray:
-        """``1 - P - Q``: +1 where both projections vanish, -1 where both hold."""
-        return np.eye(self.dim) - self.p - self.q
-
-    def alignment(self) -> np.ndarray:
-        """``(1-P)(1-Q) + PQ``: normal, carries ran Q to ran P, kills transfers.
-
-        Its spectrum lies on the circle of radius 1/2 around 1/2, and twice
-        the map minus the identity is the product of the two reflections
-        ``(1-2P)(1-2Q)``.
-        """
-        eye = np.eye(self.dim)
-        return (eye - self.p) @ (eye - self.q) + self.p @ self.q
-
-
-@dataclass(frozen=True)
 class TransferModes:
-    """Orthonormal bases of the fully transferred states of a projection pair.
+    """Orthonormal basis of range(P - Q), the transfer modes first.
 
-    ``incoming`` spans states inside the region that the walk brought in
-    from outside; ``outgoing`` spans the images, outside the region, of
-    states that left it.  For a unitary walk on a closed lattice the two
-    dimensions agree globally.  ``support`` spans range(P - Q), the
-    eigenvectors of ``P - Q`` above ``tol.ker`` in magnitude.
+    ``support`` spans the eigenvectors of ``P - Q`` above ``tol.ker`` in
+    magnitude and vanishes off the ``window`` rows.  Its first ``n_in``
+    columns are the incoming transfers (eigenvalue +1): states inside the
+    region that the walk brought in from outside.  The next ``n_out`` are the
+    outgoing ones (eigenvalue -1): images, outside the region, of states that
+    left it.  The rest are oblique.  For a unitary walk on a closed lattice
+    the two transfer counts agree globally.
     """
 
-    incoming: np.ndarray
-    outgoing: np.ndarray
     support: np.ndarray
+    n_in: int
+    n_out: int
+    window: np.ndarray
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.incoming.shape[1], self.outgoing.shape[1]
+        return self.n_in, self.n_out
+
+    @property
+    def incoming(self) -> np.ndarray:
+        return self.support[:, : self.n_in]
+
+    @property
+    def outgoing(self) -> np.ndarray:
+        return self.support[:, self.n_in : self.n_in + self.n_out]
 
     def basis(self) -> np.ndarray:
-        return np.hstack([self.incoming, self.outgoing])
+        return self.support[:, : self.n_in + self.n_out]
 
 
-def split_transfer_modes(pair: ProjectionPair, tol: Tolerances = DEFAULT_TOL) -> TransferModes:
+def _cut_window(proj: CellProjection, band: int) -> np.ndarray:
+    """Indices of the cells within ``band`` cells of a cut bond of ``proj``."""
+    cells = proj.cells
+    near = {i for bond in proj.cut_bonds() for i in cells_near_bond(cells, bond, band)}
+    return np.flatnonzero(cells.index_mask(near))
+
+
+def split_transfer_modes(
+    w: np.ndarray, proj: CellProjection, band: int, tol: Tolerances = DEFAULT_TOL
+) -> TransferModes:
     """Eigenspaces of ``P - Q`` at +-1 and its range, with a dead-band guard.
 
-    Eigenvalues in the dead band between ``TRANSFER_MEMBERSHIP`` and
-    ``TRANSFER_GUARD`` away from +-1 mean a mode is almost but not exactly
-    transferred; no clean swap exists there and the split is refused.
+    ``P`` is ``proj`` and ``Q = W P W*`` for the unitary walk ``w`` of band
+    ``band``.  ``P - Q`` vanishes off the window of cells within ``band`` of
+    a cut bond, so it is formed and diagonalized there, as
+    ``diag(p) - (W_w p) W_w*`` with ``W_w`` the window rows of ``w``.  That
+    holds exactly when ``[P, W]`` vanishes on the rows outside the window; a
+    declared band that understates a hop across the cut leaves a residual
+    coupling there above ``10 tol.unit``, and the split is refused.
+    Eigenvalues in the dead band
+    between ``TRANSFER_MEMBERSHIP`` and ``TRANSFER_GUARD`` away from +-1 mean
+    a mode is almost but not exactly transferred; no clean swap exists there
+    and the split is refused too.
     """
-    a = pair.odd_part()
+    window = _cut_window(proj, band)
+    p = proj.mask().astype(float)
+    outside = np.ones(len(p), dtype=bool)
+    outside[window] = False
+    leak = screened_norm((p[outside, None] - p[None, :]) * w[outside], 10 * tol.unit)
+    if leak > 10 * tol.unit:
+        raise DecouplingFailed(
+            f"residual coupling {leak:.3e} outside the cut window: "
+            f"the declared band {band} understates a hop across the cut"
+        )
+    rows = w[window]
+    a = np.diag(p[window]) - (rows * p) @ rows.conj().T
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
     edge = np.abs(np.abs(vals) - 1.0)
     risky = (edge > TRANSFER_MEMBERSHIP) & (edge < TRANSFER_GUARD)
@@ -178,11 +179,13 @@ def split_transfer_modes(pair: ProjectionPair, tol: Tolerances = DEFAULT_TOL) ->
         raise DecouplingFailed(
             f"transfer eigenvalue {worst:.3e} away from +-1; modes are not cleanly separated"
         )
-    return TransferModes(
-        incoming=vecs[:, vals > 1.0 - TRANSFER_MEMBERSHIP],
-        outgoing=vecs[:, vals < -1.0 + TRANSFER_MEMBERSHIP],
-        support=vecs[:, np.abs(vals) > tol.ker],
-    )
+    incoming = vals > 1.0 - TRANSFER_MEMBERSHIP
+    outgoing = vals < -1.0 + TRANSFER_MEMBERSHIP
+    oblique = (np.abs(vals) > tol.ker) & ~incoming & ~outgoing
+    order = np.concatenate([np.flatnonzero(x) for x in (incoming, outgoing, oblique)])
+    support = np.zeros((w.shape[0], order.size), dtype=complex)
+    support[window] = vecs[:, order]
+    return TransferModes(support, int(incoming.sum()), int(outgoing.sum()), window)
 
 
 def attribute_transfers(
@@ -220,29 +223,33 @@ def attribute_transfers(
 
 
 def direct_rotation(
-    pair: ProjectionPair,
-    tol: Tolerances = DEFAULT_TOL,
-    transfer_basis: np.ndarray | None = None,
+    w: np.ndarray, p: np.ndarray, modes: TransferModes, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
-    """Unitary polar factor of the alignment map, zero on the transfer modes.
+    """Unitary polar factor of the alignment map on range(P - Q), zero on the transfers.
 
-    The partial isometry carries ran Q onto ran P and ker Q onto ker P with
-    spectrum in the closed right half plane.  If ``transfer_basis`` is
-    given the alignment map is first compressed to its orthocomplement so
-    that almost-transferred leakage cannot produce spurious small singular
-    directions.
+    The alignment map ``X = (1-P)(1-Q) + PQ`` is the identity on ker(P - Q),
+    so the rotation is the polar factor of the ``r x r`` compression
+    ``S* X S`` to ``S = modes.support``, formed from ``PS`` and
+    ``QS = W(P(W* S))`` (``p`` is the diagonal of ``P``).  The rows and
+    columns of the transfer modes are zeroed first, so that
+    almost-transferred leakage cannot produce spurious small singular
+    directions.  Returned in the coordinates of ``S``, the factor carries
+    ran Q onto ran P and ker Q onto ker P; a spectrum outside the closed right
+    half plane is refused.
     """
-    x = pair.alignment()
-    if transfer_basis is not None and transfer_basis.shape[1]:
-        perp = np.eye(pair.dim) - transfer_basis @ transfer_basis.conj().T
-        x = perp @ x @ perp
-    v = polar_isometry(x, tol.ker)
-    re_min = float(np.min(np.linalg.eigvals(v).real)) if v.size else 0.0
+    s = modes.support
+    qs = w @ (p[:, None] * (w.conj().T @ s))
+    x = s.conj().T @ (s - p[:, None] * s - qs + 2 * p[:, None] * qs)
+    d = modes.n_in + modes.n_out
+    x[:d] = 0
+    x[:, :d] = 0
+    u = polar_isometry(x, tol.ker)
+    re_min = float(np.min(np.linalg.eigvals(u).real)) if u.size else 0.0
     if re_min < -10 * tol.unit:
         raise DecouplingFailed(
             f"direct rotation has eigenvalue with real part {re_min:.3e} < 0"
         )
-    return v
+    return u
 
 
 def _transfer_swap(
@@ -268,7 +275,7 @@ def _transfer_swap(
     if cls is SymmetryClass.AII and n_in % 2:
         raise OddDimensionAII(f"{n_in} transfer modes cannot form Kramers pairs")
     d = n_in + n_out
-    u_w = polar_isometry(modes.outgoing.conj().T @ m @ modes.incoming)
+    u_w = polar_isometry(modes.outgoing.conj().T @ m @ modes.incoming, tol.ker)
     g0 = -1j * u_w.conj().T
     k0 = np.zeros((d, d), dtype=complex)
     k0[:n_in, n_in:] = g0
@@ -280,7 +287,7 @@ def _transfer_swap(
             f"projected swap seed is singular: smallest singular value {svals[-1]:.3e} "
             f"<= {_MIN_SEED_WEIGHT:g} x max(1, {svals[0]:.3e})"
         )
-    u = polar_isometry(g1)
+    u = polar_isometry(g1, tol.ker)
     swap = np.zeros((d, d), dtype=complex)
     swap[:n_in, n_in:] = u
     swap[n_in:, :n_in] = u.conj().T
@@ -334,25 +341,28 @@ def gentle_decoupling(
     Builds the canonical correction ``V`` (direct rotation plus transfer
     swap), returns ``W' = V W`` with ``[P, W'] = 0``, and certifies
     gentleness with the admissible generator of the contraction path and the
-    half-space indices before and after.  The generator is contracted on
-    range(P - Q) (the ``support`` of :func:`split_transfer_modes`), so the
-    one full-size ``eigh`` is that of ``P - Q``.  Each full-size matrix is
-    checked once: the walk (in ``twiddle_rep``), ``W'`` and the generator.  Raises
-    ``Obstructed`` when a cut bond has a nonzero net transfer count.
+    half-space indices before and after.  Everything between the checks of
+    the walk and of ``W'`` works on the window of cells within ``op.band`` of
+    a cut bond and on the ``r x r`` compressions to range(P - Q) (the
+    ``support`` of :func:`split_transfer_modes`), against the companion rep
+    restricted there: ``V``, ``W'`` and the generator ``K`` are block updates
+    of that window, and no full-size ``eigh``, ``eigvals`` or SVD is taken.
+    The full-size checks are the walk's unitarity and admissibility,
+    ``W'``'s admissibility and ``||[P, W']||``.  Raises ``Obstructed`` when a
+    cut bond has a nonzero net transfer count.
     """
     if op.local_rep is None:
         raise NotAdmissible("operator carries no local symmetry representation")
     m = np.asarray(op.matrix, dtype=complex)
-    # twiddle_rep checks that the walk is unitary and admissible
-    trep = twiddle_rep(m, op.local_rep, tol)
+    check_unitary(m, tol, "walk")
+    check_admissible(m, op.local_rep, kind="walk", tol=tol)
     second = second_bond(op.cells, cut, second_cut)
     if second is None:
         proj = half_space_projection(op.cells, cut)
     else:
         proj = arc_projection(op.cells, cut, second)
 
-    pair = ProjectionPair.from_walk(m, proj)
-    modes = split_transfer_modes(pair, tol)
+    modes = split_transfer_modes(m, proj, op.band, tol)
     counts = attribute_transfers(modes, op.cells, proj.cut_bonds(), op.band + 1)
     for bond, (n_in, n_out) in counts.items():
         if n_in != n_out:
@@ -361,20 +371,31 @@ def gentle_decoupling(
                 "no local correction can close this cut"
             )
 
-    basis_d = modes.basis()
-    v = direct_rotation(pair, tol, transfer_basis=basis_d)
-    if basis_d.shape[1]:
-        trep_d = trep.restrict(basis_d, tol)
-        v01 = _transfer_swap(m, trep_d, modes, op.local_rep.cls, tol)
-        v = v + basis_d @ v01 @ basis_d.conj().T
-
+    s = modes.support
+    r = s.shape[1]
+    # the companion rep (eta, W tau, W gamma) restricted to range(P - Q)
+    trep = restrict_runs(op.local_rep.cls, op.local_rep.runs(), s, tol, walk=m)
+    p = proj.mask().astype(float)
+    u = direct_rotation(m, p, modes, tol)
+    d = modes.n_in + modes.n_out
+    if d:
+        trep_d = trep.restrict(np.eye(r)[:, :d], tol)
+        u[:d, :d] = _transfer_swap(m, trep_d, modes, op.local_rep.cls, tol)
     try:
-        check_unitary(v, tol, "decoupling correction")
+        check_unitary(u, tol, "decoupling correction")
     except NotUnitary as exc:
         raise DecouplingFailed(f"correction is not unitary: {exc}") from exc
-    w2 = v @ m
-    p = proj.matrix
-    commutator = screened_norm(p @ w2 - w2 @ p, 10 * tol.unit)
+
+    rows = modes.window
+    block = np.ix_(rows, rows)
+    s_w = s[rows]
+    step = s_w @ (u - np.eye(r)) @ s_w.conj().T
+    v = np.eye(m.shape[0], dtype=complex)
+    v[block] += step
+    w2 = m.copy()
+    w2[rows] += step @ m[rows]
+    # [P, W'] entrywise, over the whole matrix
+    commutator = screened_norm((p[:, None] - p[None, :]) * w2, 10 * tol.unit)
     if commutator > 10 * tol.unit:
         raise DecouplingFailed(f"residual coupling {commutator:.3e} after correction")
     report = check_admissible(w2, op.local_rep, kind="walk", tol=tol, strict=False)
@@ -383,7 +404,9 @@ def gentle_decoupling(
             f"decoupled walk violates admissibility: {report.max_residual:.3e}"
         )
 
-    generator = contract_perturbation(v, trep, tol, support=modes.support)
+    k_s = s_w @ contract_perturbation(u, trep, tol) @ s_w.conj().T
+    generator = np.zeros_like(v)
+    generator[block] = (k_s + k_s.conj().T) / 2
 
     w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep, dict(op.meta), tol)
     si_b = si_left_right(op, cut, second_cut=second, tol=tol)

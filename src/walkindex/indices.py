@@ -438,6 +438,8 @@ def twiddle_rep(
     ``VW`` is admissible for the original.  Each dense matrix is ``W M`` (or
     ``1 M`` for ``eta``), one column pass per run of cells.  It is not
     validated: its relations follow from ``rep``'s and the checks of ``W``.
+    Its restriction to a subspace needs none of these matrices:
+    :func:`~walkindex.symmetry.restrict_runs` with ``walk=W``.
     """
     m, r = _matrix_rep(w, rep)
     check_unitary(m, tol, "walk")
@@ -519,7 +521,6 @@ def contract_perturbation(
     v,
     trep: SymmetryRep,
     tol: Tolerances = DEFAULT_TOL,
-    support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Admissible Hermitian generator ``K`` with ``exp(iK) = V``.
 
@@ -534,34 +535,24 @@ def contract_perturbation(
     when ``V`` is, since the principal logarithm meets no eigenvalue at -1
     outside the balanced block.
 
-    ``support`` is an orthonormal basis ``S`` of a ``trep``-invariant
-    subspace off which ``V`` is the identity (default: the whole space).
-    The spectrum is that of the compression ``C = S* V S`` and
-    ``K = S K_C S*``; ``V - 1 - S(C - 1)S*`` must vanish within
-    ``max(tol.eig, INVARIANCE_FLOOR N)`` (``EigenFailure`` otherwise).
+    ``trep`` is the companion rep on the space of ``V``: the whole space, or
+    an invariant subspace off which the perturbation is the identity, as
+    :func:`~walkindex.decoupling.gentle_decoupling` passes the compression
+    to range(P - Q) and embeds the generator back.
     """
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    s = np.eye(n, dtype=complex) if support is None else support
-    c = s.conj().T @ v @ s
-    bound = max(tol.eig, INVARIANCE_FLOOR * n)
-    off = screened_norm(v - np.eye(n) - s @ (c - np.eye(s.shape[1])) @ s.conj().T, bound)
-    if off > bound:
-        raise EigenFailure(f"perturbation differs from the identity off its support: {off:.3e}")
-    eig = eig_unitary(c, tol)
+    eig = eig_unitary(np.asarray(v, dtype=complex), tol)
     at_minus = phase_window(eig, -1.0, tol=tol)
     rotating = eig.vectors[:, ~at_minus]
     k = rotating @ (np.angle(eig.values[~at_minus])[:, None] * rotating.conj().T)
     minus_basis = eig.vectors[:, at_minus]
     if minus_basis.shape[1]:
         try:
-            h_small = balanced_hamiltonian(trep.restrict(s @ minus_basis, tol), tol)
+            h_small = balanced_hamiltonian(trep.restrict(minus_basis, tol), tol)
         except Unbalanced as exc:
             raise Obstructed(
                 f"-1-eigenspace: {exc}; no admissible contraction exists"
             ) from exc
         k = k + np.pi * (minus_basis @ h_small @ minus_basis.conj().T)
-    k = s @ k @ s.conj().T
     k = (k + k.conj().T) / 2
     check_admissible(k, trep, kind="hamiltonian", tol=tol)
     return k

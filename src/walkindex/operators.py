@@ -106,7 +106,7 @@ def eig_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> UnitaryEigen:
     return UnitaryEigen(values, v, residual)
 
 
-def kernel_basis(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def kernel_basis(m: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the (numerical) kernel via singular vectors.
 
     Singular values at or below ``tol * max(1, s_max)`` count as zero.
@@ -120,7 +120,7 @@ def kernel_basis(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return vh.conj().T[:, small]
 
 
-def polar_isometry(x: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def polar_isometry(x: np.ndarray, tol: float) -> np.ndarray:
     """Isometric factor of the polar decomposition, zero on the kernel.
 
     For ``x = u s v*`` (SVD) returns ``u_r v_r*`` over singular values above

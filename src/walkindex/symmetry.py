@@ -462,13 +462,19 @@ def trace_runs(runs: Runs, name: str, x: np.ndarray | None = None) -> complex:
     return total
 
 
-def restrict_runs(cls: SymmetryClass, runs: Runs, basis: np.ndarray, tol: Tolerances) -> SymmetryRep:
+def restrict_runs(
+    cls: SymmetryClass, runs: Runs, basis: np.ndarray, tol: Tolerances, walk: np.ndarray | None = None
+) -> SymmetryRep:
     """Compression ``basis* sigma(basis)`` of each operator, applied once; a part
     of ``sigma(basis)`` above ``tol.adm`` off the span (:func:`screened_norm`)
-    raises ``NotAdmissible``."""
+    raises ``NotAdmissible``.  With a ``walk`` ``W`` the operators are those of
+    the companion rep, ``eta``, ``W tau`` and ``W gamma``: ``W`` times the image
+    by runs for the operators whose walk condition takes the adjoint."""
     ops = {}
     for name, op in runs[0][2].ops.items():
         image = apply_runs(runs, name, basis)
+        if walk is not None and ADMISSIBILITY[name][0]:
+            image = walk @ image
         sub = basis.conj().T @ image
         defect = screened_norm(image - basis @ sub, tol.adm)
         if defect > tol.adm:

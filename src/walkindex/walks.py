@@ -268,7 +268,7 @@ def make_doubled(variant: str, inverse: bool = False) -> TIWalk:
     rep = SymmetryRep(
         cls, {"eta": eta_op, "tau": tau_op, "gamma": gamma_op}, 4
     )
-    rep.validate()
+    rep.validate(DEFAULT_TOL)
     return TIWalk(f"doubled_{variant.lower()}", cls, 4, blocks, rep, factors, {"inverse": float(inverse)})
 
 
@@ -467,8 +467,8 @@ def _berry_once(ti: TIWalk, n: int, tol: Tolerances) -> tuple[IndexValue, float,
     else:
         frames = _band_frames(ti, np.pi * np.arange(n + 1) / n, tol)
         tau = ti.cell_rep.ops["tau"]
-        frames[0] = _kramers_frame(tau, frames[0])
-        frames[-1] = _kramers_frame(tau, frames[-1])
+        frames[0] = _kramers_frame(tau, frames[0], tol)
+        frames[-1] = _kramers_frame(tau, frames[-1], tol)
     overlaps = np.linalg.det(frames[:-1].conj().swapaxes(-1, -2) @ frames[1:])
     size = np.abs(overlaps)
     if np.min(size) < 0.3:
@@ -490,14 +490,14 @@ def _berry_once(ti: TIWalk, n: int, tol: Tolerances) -> tuple[IndexValue, float,
     return value, value.value + (raw - nearest), residual
 
 
-def _kramers_frame(tau: SymmetryOperator, basis: np.ndarray) -> np.ndarray:
+def _kramers_frame(tau: SymmetryOperator, basis: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Reorder a band frame into Kramers pairs (v, tau v).
 
     The compressed time reversal squares to -1 on the band space, so such a
     frame exists and is unique up to a determinant-one change of frame.
     """
     sub = tau.restrict(basis)
-    v, w = kramers_pairs(sub, np.eye(basis.shape[1], dtype=complex))
+    v, w = kramers_pairs(sub, np.eye(basis.shape[1], dtype=complex), tol)
     cols = []
     for j in range(v.shape[1]):
         cols.extend([v[:, j], w[:, j]])

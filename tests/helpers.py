@@ -17,15 +17,19 @@ window and the batched gap margin replaced are kept as
 cells replaced as ``dense_rep`` and ``dense_restrict``; the per-momentum
 loops that the batched momentum grids replaced are ``bloch_per_momentum``,
 ``validate_per_momentum``, ``winding_per_momentum`` and
-``berry_per_momentum`` (band frames from ``eig_unitary``).  The walk
-constructions ``conjugate_ti``, ``direct_sum_ti`` and ``forget_ti`` and the
-projection-pair check ``identity_defects`` are used by the tests only.
+``berry_per_momentum`` (band frames from ``eig_unitary``).  The full-size
+decoupling that the route on the cut window replaced is ``dense_decoupling``,
+with its dense ``ProjectionPair`` and whole alignment polar factor
+``dense_rotation``.  The walk constructions ``conjugate_ti``,
+``direct_sum_ti`` and ``forget_ti`` and the projection-pair check
+``identity_defects`` are used by the tests only.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,18 +39,34 @@ from walkindex.errors import (
     Gapless,
     NonIntegerInvariant,
     NotAdmissible,
+    Obstructed,
     RankJump,
     RelationViolation,
     SingularBlock,
     WindowAmbiguous,
 )
-from walkindex.indices import WINDOW_AGREEMENT, _proxy_members
-from walkindex.lattice import CellStructure, LatticeOperator, split_by_weight
+from walkindex.decoupling import (
+    TRANSFER_MEMBERSHIP,
+    TransferModes,
+    _transfer_swap,
+    attribute_transfers,
+)
+from walkindex.indices import WINDOW_AGREEMENT, _proxy_members, contract_perturbation, twiddle_rep
+from walkindex.lattice import (
+    CellProjection,
+    CellStructure,
+    LatticeOperator,
+    arc_projection,
+    half_space_projection,
+    second_bond,
+    split_by_weight,
+)
 from walkindex.operators import (
     admissible_hamiltonian_projection,
     check_unitary,
     eig_unitary,
     phase_window,
+    polar_isometry,
 )
 from walkindex.symmetry import (
     ADMISSIBILITY,
@@ -226,8 +246,90 @@ def forget_ti(ti: TIWalk, target: SymmetryClass, tol: Tolerances = DEFAULT_TOL) 
     return TIWalk(f"{ti.name}->{target.value}", target, ti.cell_dim, ti.blocks, rep, ti.factors, dict(ti.params))
 
 
-def identity_defects(pair) -> dict[str, float]:
-    """Residuals of the algebraic identities a ``decoupling.ProjectionPair`` must satisfy."""
+@dataclass(frozen=True)
+class ProjectionPair:
+    """A region projection ``P`` with its image ``Q = W P W*`` under a walk, both dense.
+
+    The pair encodes how much of the region the walk preserves.  The odd
+    part ``P - Q`` and even part ``1 - P - Q`` anticommute and their
+    squares sum to the identity, so the spectrum of the pair organizes
+    into aligned states, transfer modes and oblique rotation planes.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+
+    @classmethod
+    def from_walk(cls, w: np.ndarray, proj: CellProjection) -> "ProjectionPair":
+        w = np.asarray(w, dtype=complex)
+        p = proj.matrix.astype(complex)
+        return cls(p, w @ p @ w.conj().T)
+
+    @property
+    def dim(self) -> int:
+        return self.p.shape[0]
+
+    def odd_part(self) -> np.ndarray:
+        """``P - Q``: +1 on incoming transfers, -1 on outgoing ones."""
+        return self.p - self.q
+
+    def even_part(self) -> np.ndarray:
+        """``1 - P - Q``: +1 where both projections vanish, -1 where both hold."""
+        return np.eye(self.dim) - self.p - self.q
+
+    def alignment(self) -> np.ndarray:
+        """``(1-P)(1-Q) + PQ``: normal, carries ran Q to ran P, kills transfers.
+
+        Its spectrum lies on the circle of radius 1/2 around 1/2, and twice
+        the map minus the identity is the product of the two reflections
+        ``(1-2P)(1-2Q)``.
+        """
+        eye = np.eye(self.dim)
+        return (eye - self.p) @ (eye - self.q) + self.p @ self.q
+
+
+def dense_rotation(pair: ProjectionPair, transfer_basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Polar factor of the whole alignment map, compressed off ``transfer_basis`` first."""
+    perp = np.eye(pair.dim) - transfer_basis @ transfer_basis.conj().T
+    return polar_isometry(perp @ pair.alignment() @ perp, tol.ker)
+
+
+def dense_decoupling(
+    op: LatticeOperator, cut: int, second_cut: int | None = None, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[int, int]]]:
+    """``(V, W', K, transfer counts)`` of ``gentle_decoupling`` by full-size matrices.
+
+    The route the window route replaced: dense ``P`` and ``Q``, one ``eigh``
+    of the whole ``P - Q``, the polar factor of the whole alignment map
+    (:func:`dense_rotation`) plus the transfer swap, and the whole-space
+    ``contract_perturbation`` of ``V`` against the dense companion rep.
+    """
+    m = np.asarray(op.matrix, dtype=complex)
+    second = second_bond(op.cells, cut, second_cut)
+    proj = half_space_projection(op.cells, cut) if second is None else arc_projection(op.cells, cut, second)
+    pair = ProjectionPair.from_walk(m, proj)
+    vals, vecs = np.linalg.eigh(pair.odd_part())
+    incoming = vecs[:, vals > 1.0 - TRANSFER_MEMBERSHIP]
+    outgoing = vecs[:, vals < -1.0 + TRANSFER_MEMBERSHIP]
+    basis = np.hstack([incoming, outgoing])
+    modes = TransferModes(basis, incoming.shape[1], outgoing.shape[1], np.arange(op.dim))
+    counts = attribute_transfers(modes, op.cells, proj.cut_bonds(), op.band + 1)
+    for bond, (n_in, n_out) in counts.items():
+        if n_in != n_out:
+            raise Obstructed(
+                f"net transfer count {n_in - n_out} at bond {bond}; "
+                "no local correction can close this cut"
+            )
+    trep = twiddle_rep(m, op.local_rep, tol)
+    v = dense_rotation(pair, basis, tol)
+    if basis.shape[1]:
+        swap = _transfer_swap(m, trep.restrict(basis, tol), modes, op.local_rep.cls, tol)
+        v = v + basis @ swap @ basis.conj().T
+    return v, v @ m, contract_perturbation(v, trep, tol), counts
+
+
+def identity_defects(pair: ProjectionPair) -> dict[str, float]:
+    """Residuals of the algebraic identities a :class:`ProjectionPair` must satisfy."""
     a, b, x = pair.odd_part(), pair.even_part(), pair.alignment()
     eye = np.eye(pair.dim)
     pq = pair.p @ pair.q
@@ -480,8 +582,8 @@ def berry_per_momentum(ti: TIWalk, n_k: int = 256, tol: Tolerances = DEFAULT_TOL
             bases.append(bases[0])
         else:
             tau = ti.cell_rep.ops["tau"]
-            bases[0] = _kramers_frame(tau, bases[0])
-            bases[-1] = _kramers_frame(tau, bases[-1])
+            bases[0] = _kramers_frame(tau, bases[0], tol)
+            bases[-1] = _kramers_frame(tau, bases[-1], tol)
         overlaps = [np.linalg.det(b0.conj().T @ b1) for b0, b1 in zip(bases[:-1], bases[1:])]
         if min(abs(d) for d in overlaps) >= 0.3:
             prod = 1.0 + 0j

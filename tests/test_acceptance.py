@@ -20,6 +20,7 @@ from scipy.linalg import block_diag, expm
 
 from helpers import (
     ALL_CLASSES,
+    ProjectionPair,
     contraction_path,
     count_in_disk,
     dense_rep,
@@ -32,7 +33,7 @@ from helpers import (
     window_eigenspaces,
 )
 from walkindex.cli import main
-from walkindex.decoupling import ProjectionPair, gentle_decoupling
+from walkindex.decoupling import gentle_decoupling
 from walkindex.errors import Obstructed, WindowAmbiguous
 from walkindex.finite import crossover_sweep, temple_kato
 from walkindex.indices import (

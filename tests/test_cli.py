@@ -285,6 +285,22 @@ def test_decouple_pure_shift_obstructed(tmp_path, capsys):
     assert code == 5 and data["error"] == "Obstructed"
 
 
+def test_decouple_refuses_a_band_that_understates_a_hop_across_the_cut(tmp_path, capsys):
+    # the decoupling works on the cells within the declared band of each cut
+    # bond; a stored walk that hops across the cut from farther out is refused
+    # by the commutator with the region, never decoupled
+    stored = lattice_operator_to_json(build_lattice(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16, "circle"))
+    assert stored["band"] == 1
+    stored["band"] = 0
+    spec = write_spec(tmp_path, "understated.json", stored)
+    out_dir = tmp_path / "x"
+    code, data = run_json(capsys, ["decouple", spec, "--cut", "3", "--out-dir", str(out_dir)])
+    assert code == 5 and data["error"] == "DecouplingFailed"
+    assert "residual coupling 7.730e-01" in data["message"]
+    assert "declared band 0 understates a hop across the cut" in data["message"]
+    assert not out_dir.exists()
+
+
 # -- join / sweep --------------------------------------------------------------------
 
 

@@ -8,15 +8,26 @@ bare shift is obstructed at every bond.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import walkindex
 import walkindex.decoupling
-from helpers import contraction_path, haar_unitary, identity_defects, rng
+from helpers import (
+    ProjectionPair,
+    contraction_path,
+    dense_decoupling,
+    dense_rotation,
+    forget_ti,
+    haar_unitary,
+    identity_defects,
+    rng,
+)
 from walkindex.decoupling import (
     DecouplingResult,
-    ProjectionPair,
     attribute_transfers,
     decouple_segment,
     direct_rotation,
@@ -26,16 +37,31 @@ from walkindex.decoupling import (
 from walkindex.errors import (
     CutOutOfRange,
     DecouplingFailed,
-    EigenFailure,
     IncompatibleCells,
     NotAdmissible,
     Obstructed,
+    WalkIndexError,
 )
 from walkindex.indices import contract_perturbation, si_left_right, twiddle_rep
-from walkindex.lattice import LatticeOperator, arc_projection, half_space_projection
+from walkindex.lattice import (
+    CellStructure,
+    LatticeOperator,
+    LocalSymmetryRep,
+    arc_projection,
+    half_space_projection,
+    second_bond,
+)
 from walkindex.operators import check_admissible, check_unitary
-from walkindex.symmetry import IndexGroup, IndexValue, SymmetryClass, SymmetryRep
+from walkindex.symmetry import (
+    IndexGroup,
+    IndexValue,
+    SymmetryClass,
+    SymmetryOperator,
+    SymmetryRep,
+    block_diagonal,
+)
 from walkindex.walks import (
+    TIWalk,
     build_lattice,
     make_doubled,
     make_generating_example,
@@ -99,11 +125,11 @@ def test_projection_pair_line_half_space():
 
 def test_split_transfer_modes_generating():
     r = gen_ring(12)
-    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 6))
-    modes = split_transfer_modes(pair)
+    proj = arc_projection(r.cells, 0, 6)
+    modes = split_transfer_modes(r.matrix, proj, r.band)
     assert modes.dims == (2, 2)
     # incoming states lie inside the region, outgoing states outside
-    p = pair.p
+    p = proj.matrix
     assert np.linalg.norm(p @ modes.incoming - modes.incoming) <= 1e-9
     assert np.linalg.norm(p @ modes.outgoing) <= 1e-9
 
@@ -114,23 +140,21 @@ def test_split_transfer_modes_refuses_dead_band():
     theta = np.arcsin(1.0 - 1e-4)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]], dtype=complex)
-    p = np.diag([1.0, 0.0]).astype(complex)
-    pair = ProjectionPair(p, rot @ p @ rot.conj().T)
-    with pytest.raises(DecouplingFailed):
-        split_transfer_modes(pair)
+    proj = half_space_projection(CellStructure((1, 1)), 1, side="lt")
+    assert np.allclose(proj.matrix, np.diag([1.0, 0.0]))
+    with pytest.raises(DecouplingFailed, match="not cleanly separated"):
+        split_transfer_modes(rot, proj, 1)
 
 
 def test_attribute_transfers_generating():
     r = gen_ring(12)
-    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 6))
-    modes = split_transfer_modes(pair)
+    modes = split_transfer_modes(r.matrix, arc_projection(r.cells, 0, 6), r.band)
     assert attribute_transfers(modes, r.cells, (0, 6), 2) == {0: (1, 1), 6: (1, 1)}
 
 
 def test_attribute_transfers_needs_matching_windows():
     r = gen_ring(12)
-    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 6))
-    modes = split_transfer_modes(pair)
+    modes = split_transfer_modes(r.matrix, arc_projection(r.cells, 0, 6), r.band)
     with pytest.raises(DecouplingFailed):
         attribute_transfers(modes, r.cells, (3,), 1)
 
@@ -138,29 +162,48 @@ def test_attribute_transfers_needs_matching_windows():
 # -- direct rotation ---------------------------------------------------------------
 
 
+def rotation_on_whole_space(r, a, b):
+    """``direct_rotation`` of the arc ``[a, b)`` embedded as ``1 + S(U - 1)S*``, with its modes."""
+    proj = arc_projection(r.cells, a, b)
+    modes = split_transfer_modes(r.matrix, proj, r.band)
+    u = direct_rotation(r.matrix, proj.mask().astype(float), modes)
+    s = modes.support
+    assert u.shape == (s.shape[1], s.shape[1])
+    return np.eye(r.dim) + s @ (u - np.eye(s.shape[1])) @ s.conj().T, modes
+
+
 def test_direct_rotation_identity_for_coin_walk():
     # a coin-only walk preserves every region, so the alignment map is the
-    # identity and no rotation is needed
+    # identity and no rotation is needed (a declared band of 1 gives the
+    # rotation a nonempty window to work on)
     r = ring(make_trivial(), 8)
-    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 4))
-    assert np.linalg.norm(direct_rotation(pair) - np.eye(pair.dim)) <= 1e-10
+    v, _ = rotation_on_whole_space(LatticeOperator(r.matrix, r.cells, 1, r.local_rep), 0, 4)
+    assert np.linalg.norm(v - np.eye(v.shape[0])) <= 1e-10
 
 
 def test_direct_rotation_vanishes_on_transfers():
-    r = gen_ring(12)
-    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 6))
-    modes = split_transfer_modes(pair)
-    v = direct_rotation(pair, transfer_basis=modes.basis())
+    v, modes = rotation_on_whole_space(gen_ring(12), 0, 6)
+    assert modes.dims == (2, 2)
     assert np.linalg.norm(v @ modes.basis()) <= 1e-10
     assert np.linalg.norm(v.conj().T @ modes.basis()) <= 1e-10
 
 
 def test_direct_rotation_spectrum_in_right_half_plane():
-    r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16)
-    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 8))
-    v = direct_rotation(pair)
+    v, _ = rotation_on_whole_space(ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16), 0, 8)
     check_unitary(v)
     assert float(np.min(np.linalg.eigvals(v).real)) >= -1e-9
+
+
+@pytest.mark.parametrize("name", ["generating_12", "split_step_16", "doubled_cii_10", "decoupled_line_12"])
+def test_direct_rotation_is_the_whole_alignment_polar_factor(name):
+    # the r x r factor on range(P - Q), embedded, is the polar factor of the
+    # whole alignment map compressed off the transfer modes
+    op, cut = DECOUPLED_WALKS[name]()
+    n = op.cells.n_cells
+    b = (cut + n // 2) % n if op.cells.topology == "circle" else n
+    v, modes = rotation_on_whole_space(op, cut, b)
+    pair = ProjectionPair.from_walk(op.matrix, arc_projection(op.cells, cut, b))
+    assert np.linalg.norm(v - dense_rotation(pair, modes.basis()), 2) <= 1e-12
 
 
 # -- gentle decoupling -------------------------------------------------------------
@@ -192,7 +235,9 @@ def test_gentle_decoupling_path_is_admissible_homotopy():
 
 
 def test_gentle_decoupling_checks_each_matrix_once(monkeypatch):
-    # the walk (in twiddle_rep), the decoupled walk and the generator
+    # at full size the walk's unitarity and admissibility and the decoupled
+    # walk's admissibility; the correction and the generator are checked on
+    # range(P - Q)
     r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 24)
     calls = {"check_admissible": [], "check_unitary": []}
     for name, seen in calls.items():
@@ -207,8 +252,10 @@ def test_gentle_decoupling_checks_each_matrix_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     gentle_decoupling(r, 0)
     full = {name: sum(shape == (r.dim, r.dim) for shape in seen) for name, seen in calls.items()}
-    assert full["check_admissible"] == 3
-    assert full["check_unitary"] <= 3
+    assert full["check_admissible"] == 2
+    assert full["check_unitary"] <= 1
+    r_dim = {shape for seen in calls.values() for shape in seen if shape != (r.dim, r.dim)}
+    assert r_dim and all(max(shape) < r.dim for shape in r_dim)
 
 
 def test_gentle_decoupling_trivial_needs_no_correction():
@@ -320,55 +367,228 @@ def test_generator_matches_full_route(name):
 
 def test_support_spans_range_of_p_minus_q():
     r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16)
-    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 8))
-    s = split_transfer_modes(pair).support
-    a = pair.odd_part()
+    proj = arc_projection(r.cells, 0, 8)
+    modes = split_transfer_modes(r.matrix, proj, r.band)
+    s = modes.support
+    a = ProjectionPair.from_walk(r.matrix, proj).odd_part()
     assert s.shape[1] == np.linalg.matrix_rank(a, tol=1e-8)
     assert np.linalg.norm(s.conj().T @ s - np.eye(s.shape[1])) <= 1e-12
     assert np.linalg.norm(a - s @ (s.conj().T @ a @ s) @ s.conj().T, 2) <= 1e-12
+    # exact zeros off the cells within one band of the two cut bonds
+    assert sorted(set(modes.window // 2)) == [0, 7, 8, 15]
+    off = np.setdiff1d(np.arange(r.dim), modes.window)
+    assert not np.any(s[off])
 
 
 def test_obstructed_names_the_same_index_on_both_routes():
-    # -1 on a three-dimensional eigenspace where tr(gamma) = 1, in a random basis
+    # -1 on a three-dimensional eigenspace where tr(gamma) = 1, in a random basis;
+    # V is the identity off the first four columns of u
     u = haar_unitary(rng(2110), 6)
     gamma = u @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]) @ u.conj().T
     rep = SymmetryRep.from_matrices(SymmetryClass.AIII, 6, gamma=gamma)
     v = u @ np.diag([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0]) @ u.conj().T
+    s = u[:, :4]
     messages = []
-    for support in (None, u[:, :4]):
+    for v_s, rep_s in ((v, rep), (s.conj().T @ v @ s, rep.restrict(s))):
         with pytest.raises(Obstructed, match="index 1 in Z") as info:
-            contract_perturbation(v, rep, support=support)
+            contract_perturbation(v_s, rep_s)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
 
-def test_perturbation_off_its_support_is_refused():
-    r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16)
-    trep = twiddle_rep(r)
-    pair = ProjectionPair.from_walk(r.matrix, arc_projection(r.cells, 0, 8))
-    s = split_transfer_modes(pair).support
-    v = gentle_decoupling(r, 0).v
-    contract_perturbation(v, trep, support=s)
-    x = np.eye(r.dim)[:, 0] - s @ s.conj().T[:, 0]
-    x /= np.linalg.norm(x)
-    kicked = v @ (np.eye(r.dim) + (np.exp(1e-6j) - 1) * np.outer(x, x.conj()))
-    with pytest.raises(EigenFailure, match="off its support"):
-        contract_perturbation(kicked, trep, support=s)
-
-
-def test_gentle_decoupling_takes_one_full_size_eigh(monkeypatch):
-    # the eigh of P - Q in split_transfer_modes; V is contracted on its range
+def test_passing_decoupling_takes_no_full_size_factorization(monkeypatch):
+    # P - Q is diagonalized on the cut window; the rotation, its gate and the
+    # contraction work on range(P - Q)
     r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 24)
-    shapes = []
-    eigh = np.linalg.eigh
+    shapes = {"eigh": [], "eigvals": [], "svd": []}
+    for name, seen in shapes.items():
+        original = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        def counting(a, *args, _original=original, _seen=seen, **kwargs):
+            _seen.append(np.shape(a))
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    gentle_decoupling(r, 0)
-    assert shapes.count((r.dim, r.dim)) == 1
+        monkeypatch.setattr(np.linalg, name, counting)
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes["svd"].append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    assert gentle_decoupling(r, 0).ok
+    assert shapes["eigh"] and shapes["eigvals"] and shapes["svd"]
+    for name, seen in shapes.items():
+        assert (r.dim, r.dim) not in seen, name
+
+
+# -- the full-size route as the oracle ----------------------------------------------
+
+
+def full_size_answer(op, cut, second_cut=None):
+    """``dense_decoupling`` with the measured band of its W' and the half-space
+    indices before and after, taken in the order ``gentle_decoupling`` takes them."""
+    v, w2, k, counts = dense_decoupling(op, cut, second_cut)
+    w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep)
+    si_before = si_left_right(op, cut, second_cut=second_cut)
+    si_after = si_left_right(w2_op, cut, second_cut=second_cut)
+    return v, w2, k, counts, w2_op.band, (si_before, si_after)
+
+
+def assert_matches(res, answer):
+    """V, W' and K within 1e-12 of the full-size answer; equal counts, band and indices."""
+    v, w2, k, counts, band, si = answer
+    assert np.linalg.norm(res.v - v, 2) <= 1e-12
+    assert np.linalg.norm(res.w_prime.matrix - w2, 2) <= 1e-12
+    assert np.linalg.norm(res.generator - k, 2) <= 1e-12
+    assert res.transfer_counts == counts
+    assert res.w_prime.band == band
+    assert (res.si_before, res.si_after) == si
+
+
+def with_band(op, band):
+    return LatticeOperator(op.matrix, op.cells, band, op.local_rep, dict(op.meta))
+
+
+# beyond DECOUPLED_WALKS: a second cut, the segment geometry of truncate_ti
+# (a 4-cell pad), the same with one more declared band so that the two cut
+# windows merge across the pad, and a ring that the window covers
+ORACLE_WALKS = {
+    **{name: lambda make=make: (*make(), None) for name, make in DECOUPLED_WALKS.items()},
+    "generating_second_cut": lambda: (gen_ring(16), 2, 7),
+    "split_step_pad": lambda: (ring(make_split_step(-5 * np.pi / 16, 2 * np.pi / 16), 16), 0, 12),
+    "doubled_cii_merged_pad": lambda: (with_band(ring(make_doubled("CII"), 16), 2), 0, 12),
+    "doubled_diii_covered": lambda: (with_band(ring(make_doubled("DIII"), 8), 2), 1, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WALKS))
+def test_decoupling_matches_the_full_size_route(name):
+    op, cut, second_cut = ORACLE_WALKS[name]()
+    res = gentle_decoupling(op, cut, second_cut=second_cut)
+    assert res.ok
+    assert_matches(res, full_size_answer(op, cut, second_cut))
+
+
+@pytest.mark.parametrize(
+    "name,cells",
+    [
+        ("doubled_cii_merged_pad", [0, 1, 10, 11, 12, 13, 14, 15]),
+        ("doubled_diii_covered", list(range(8))),
+    ],
+)
+def test_cut_windows_merge_and_cover_short_rings(name, cells):
+    op, cut, second_cut = ORACLE_WALKS[name]()
+    proj = arc_projection(op.cells, cut, second_bond(op.cells, cut, second_cut))
+    modes = split_transfer_modes(op.matrix, proj, op.band)
+    assert sorted(set(modes.window // 4)) == cells
+
+
+def doubled_ci() -> TIWalk:
+    """Two copies of the generating walk in class CI: a symplectic particle-hole
+    pairs the copies, time reversal acts on each, and gamma squares to -1."""
+    base = make_generating_example()
+    e = base.cell_rep.ops["eta"].matrix
+    zero = np.zeros((2, 2))
+    eta = SymmetryOperator(np.block([[zero, -e], [e, zero]]).astype(complex), True)
+    tau = SymmetryOperator(block_diagonal([base.cell_rep.ops["tau"].matrix] * 2), True)
+    rep = SymmetryRep(SymmetryClass.CI, {"eta": eta, "tau": tau, "gamma": eta.compose(tau)}, 4)
+    rep.validate()
+    blocks = {j: block_diagonal((b, b)) for j, b in base.blocks.items()}
+    return TIWalk("doubled_ci", SymmetryClass.CI, 4, blocks, rep, None, {})
+
+
+C = SymmetryClass
+SPLIT_A = (9 * np.pi / 32, 7 * np.pi / 32)
+SPLIT_B = (-5 * np.pi / 16, 2 * np.pi / 16)
+# one walk of each of the ten classes: builtins, the doubled walks and weaker
+# classes of them by forget_rep
+TEN_CLASS_WALKS = {
+    C.BDI: lambda: make_generating_example(),
+    C.AIII: lambda: forget_ti(make_split_step(*SPLIT_A), C.AIII),
+    C.D: lambda: forget_ti(make_generating_example(True), C.D),
+    C.AI: lambda: forget_ti(make_split_step(*SPLIT_B), C.AI),
+    C.A: lambda: forget_ti(make_generating_example(), C.A),
+    C.CII: lambda: make_doubled("CII", True),
+    C.C: lambda: forget_ti(make_doubled("CII"), C.C),
+    C.AII: lambda: forget_ti(make_doubled("DIII"), C.AII),
+    C.DIII: lambda: make_doubled("DIII"),
+    C.CI: doubled_ci,
+}
+
+
+def conjugated(op: LatticeOperator, gen, band: int) -> LatticeOperator:
+    """The walk in a random cell-local basis, with a declared band."""
+    us = [haar_unitary(gen, d) for d in op.cells.cell_dims]
+    v = block_diag(*us)
+    per_cell = tuple(r.conjugated(u) for r, u in zip(op.local_rep.per_cell, us))
+    rep = LocalSymmetryRep(op.local_rep.cls, per_cell)
+    return LatticeOperator(v @ op.matrix @ v.conj().T, op.cells, band, rep, dict(op.meta))
+
+
+def fuzz_case(ti, geometry: str, gen):
+    """``(op, cut, second_cut)`` of one geometry: a circle cut at a random bond
+    and its antipode or a random second bond, a line cut, the segment
+    geometry of ``truncate_ti`` (4-cell pad) with the declared band or one
+    more (merged windows), or a ring of 8 cells that the window covers."""
+    n = int(gen.integers(10, 15))
+    if geometry == "line":
+        seg = truncate_ti(ti, n, "decoupled_unitary")
+        return conjugated(seg, gen, seg.band), int(gen.integers(4, n - 3)), None
+    if geometry == "covered":
+        return conjugated(ring(ti, 8), gen, 2), int(gen.integers(0, 8)), None
+    r = ring(ti, n + 4)
+    if geometry in ("pad", "merged_pad"):
+        return conjugated(r, gen, r.band + (geometry == "merged_pad")), 0, n
+    cut = int(gen.integers(0, n + 4))
+    second = None if geometry == "circle" else (cut + int(gen.integers(5, n))) % (n + 4)
+    return conjugated(r, gen, r.band), cut, second
+
+
+def test_decoupling_matches_the_full_size_route_fuzz():
+    # every class on every geometry; transfer modes on the generating and
+    # doubled walks, rotation only on the split-step walks.  A refusal must
+    # be the full-size route's too, with the same message
+    gen = rng(20261022)
+    geometries = ("circle", "second_cut", "line", "pad", "merged_pad", "covered")
+    answered = transfers = 0
+    for t in range(30):
+        cls = list(TEN_CLASS_WALKS)[t % 10]
+        ti = TEN_CLASS_WALKS[cls]()
+        assert ti.cls is cls
+        op, cut, second_cut = fuzz_case(ti, geometries[t % len(geometries)], gen)
+        try:
+            res = gentle_decoupling(op, cut, second_cut=second_cut)
+        except WalkIndexError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                full_size_answer(op, cut, second_cut)
+            continue
+        assert_matches(res, full_size_answer(op, cut, second_cut))
+        answered += 1
+        transfers += sum(n_in for n_in, _ in res.transfer_counts.values())
+    assert answered >= 25 and transfers > 0
+
+
+@pytest.mark.parametrize("power,band", [(1, 0), (2, 1), (3, 1), (3, 2)])
+def test_understated_band_is_refused_not_decoupled(power, band):
+    # W^power hops `power` cells; declared as `band`, part of P - Q lies
+    # outside the cut window, and [P, W] there is the refusal's residual
+    r = ring(make_split_step(*SPLIT_A), 16)
+    op = LatticeOperator(np.linalg.matrix_power(r.matrix, power), r.cells, band, r.local_rep)
+    for cut, second_cut in ((0, None), (3, 9)):
+        with pytest.raises(DecouplingFailed, match=f"declared band {band} understates a hop across the cut"):
+            gentle_decoupling(op, cut, second_cut=second_cut)
+
+
+def test_obstructed_shift_is_refused_alike_on_both_routes():
+    r = ring(make_shift(), 10)
+    messages = []
+    for route in (gentle_decoupling, dense_decoupling):
+        with pytest.raises(Obstructed) as info:
+            route(r, 0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_passing_decoupling_takes_no_svd_in_thin_gates(monkeypatch):

@@ -125,7 +125,7 @@ def test_polar_isometry_properties():
     u = haar_unitary(gen, 5)
     v = haar_unitary(gen, 5)
     x = u @ np.diag([2.0, 1.0, 0.5, 0.0, 0.0]) @ v.conj().T
-    iso = polar_isometry(x)
+    iso = polar_isometry(x, DEFAULT_TOL.ker)
     # partial isometry vanishing exactly on ker(x); x = iso * sqrt(x* x)
     assert np.linalg.norm(iso @ iso.conj().T @ iso - iso) < 1e-12
     kern = kernel_basis(x, 1e-10)

@@ -158,3 +158,66 @@ def test_every_tol_parameter_is_read():
     root = Path(__file__).resolve().parents[1]
     files = sorted((root / "src" / "walkindex").glob("*.py"))
     assert [entry for path in files for entry in _unread_tol_parameters(path)] == []
+
+
+def _tol_positions(trees) -> dict[str, set]:
+    """Where each package function takes ``tol``: its positional index (after
+    ``self``), ``"kw"`` if keyword-only, ``None`` if it takes none; by name."""
+    found: dict[str, set] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            if "tol" in positional:
+                where = positional.index("tol")
+            else:
+                where = "kw" if "tol" in {a.arg for a in node.args.kwonlyargs} else None
+            found.setdefault(node.name, set()).add(where)
+    return found
+
+
+def _calls_without_threshold(paths: list[Path]) -> list[str]:
+    """Calls of a package function that takes ``tol`` which pass none, so the
+    callee's default threshold wins over the caller's tolerances.  A name that
+    some package function also uses without a ``tol`` is ambiguous and skipped."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    positions = _tol_positions(trees.values())
+    missing = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            where = positions.get(name, {None})
+            if None in where:
+                continue
+            if any(k.arg in ("tol", None) for k in node.keywords):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                continue
+            if any(isinstance(w, int) and len(node.args) > w for w in where):
+                continue
+            missing.append(f"{path.name}:{node.lineno}: {name}")
+    return missing
+
+
+def test_every_call_passes_a_threshold():
+    # a call that leaves out tol gets the callee's default, and a --tol-* flag
+    # set by the caller never reaches that gate
+    root = Path(__file__).resolve().parents[1]
+    assert _calls_without_threshold(sorted((root / "src" / "walkindex").glob("*.py"))) == []
+
+
+def test_a_call_without_a_threshold_is_found(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "def polar(x, tol):\n    return x\n\n"
+        "def gate(x, tol=1e-8):\n    return x\n\n"
+        "def caller(x, tol):\n    return polar(x, tol) + polar(x, tol=tol) + gate(x)\n",
+        encoding="utf-8",
+    )
+    assert _calls_without_threshold([source]) == ["module.py:8: gate"]

@@ -26,14 +26,11 @@ projection pair ``(P, Q)``:
 On ker(P - Q) the projections agree, so the alignment map is the identity
 there and the swap vanishes: ``V - 1`` lives in range(P - Q), a subspace of
 a few modes per cut bond that ``V`` and the companion representation both
-preserve (``W tau`` and ``W gamma`` swap ``P`` and ``Q``).  For a unitary
-walk of band ``b`` a row of ``P - Q`` vanishes unless its cell lies within
-``b`` cells of a cut bond, so the whole construction runs on that window and
-on range(P - Q): ``P - Q`` is diagonalized on the window, the rotation, the
-swap and the contraction act on ``r x r`` compressions to its range ``S``,
-and ``V = 1 + S(U_r - 1)S*`` and ``W' = V W`` differ from ``1`` and ``W``
-only in the window rows.  A declared band that understates a hop across the
-cut leaves ``[P, W']`` nonzero, and the full-size commutator gate refuses it.
+preserve (``W tau`` and ``W gamma`` swap ``P`` and ``Q``).  For a walk of
+band ``b``, ``P - Q`` vanishes off the cells within ``b`` of a cut bond, so
+it is diagonalized on that window, the rotation, swap and contraction act on
+``r x r`` compressions to its range ``S``, and ``V = 1 + S(U_r - 1)S*`` and
+``W' = V W`` differ from ``1`` and ``W`` only in the window rows.
 
 ``V`` never has eigenvalue ``-1`` and contracts to the identity
 through admissible unitaries: the decoupling is gentle, and every
@@ -106,40 +103,28 @@ class TransferModes:
     """Orthonormal basis of range(P - Q), the transfer modes first.
 
     ``support`` spans the eigenvectors of ``P - Q`` above ``tol.ker`` in
-    magnitude and vanishes off the ``window`` rows.  Its first ``n_in``
+    magnitude and vanishes off the ``window`` rows.  Its first ``dims[0]``
     columns are the incoming transfers (eigenvalue +1): states inside the
-    region that the walk brought in from outside.  The next ``n_out`` are the
-    outgoing ones (eigenvalue -1): images, outside the region, of states that
-    left it.  The rest are oblique.  For a unitary walk on a closed lattice
-    the two transfer counts agree globally.
+    region that the walk brought in from outside.  The next ``dims[1]`` are
+    the outgoing ones (eigenvalue -1): images, outside the region, of states
+    that left it.  The rest are oblique.  For a unitary walk on a closed
+    lattice the two transfer counts agree globally.
     """
 
     support: np.ndarray
-    n_in: int
-    n_out: int
+    dims: tuple[int, int]
     window: np.ndarray
 
     @property
-    def dims(self) -> tuple[int, int]:
-        return self.n_in, self.n_out
-
-    @property
     def incoming(self) -> np.ndarray:
-        return self.support[:, : self.n_in]
+        return self.support[:, : self.dims[0]]
 
     @property
     def outgoing(self) -> np.ndarray:
-        return self.support[:, self.n_in : self.n_in + self.n_out]
+        return self.support[:, self.dims[0] : sum(self.dims)]
 
     def basis(self) -> np.ndarray:
-        return self.support[:, : self.n_in + self.n_out]
-
-
-def _cut_window(proj: CellProjection, band: int) -> np.ndarray:
-    """Indices of the cells within ``band`` cells of a cut bond of ``proj``."""
-    cells = proj.cells
-    near = {i for bond in proj.cut_bonds() for i in cells_near_bond(cells, bond, band)}
-    return np.flatnonzero(cells.index_mask(near))
+        return self.support[:, : sum(self.dims)]
 
 
 def split_transfer_modes(
@@ -147,22 +132,20 @@ def split_transfer_modes(
 ) -> TransferModes:
     """Eigenspaces of ``P - Q`` at +-1 and its range, with a dead-band guard.
 
-    ``P`` is ``proj`` and ``Q = W P W*`` for the unitary walk ``w`` of band
-    ``band``.  ``P - Q`` vanishes off the window of cells within ``band`` of
-    a cut bond, so it is formed and diagonalized there, as
-    ``diag(p) - (W_w p) W_w*`` with ``W_w`` the window rows of ``w``.  That
-    holds exactly when ``[P, W]`` vanishes on the rows outside the window; a
-    declared band that understates a hop across the cut leaves a residual
-    coupling there above ``10 tol.unit``, and the split is refused.
-    Eigenvalues in the dead band
-    between ``TRANSFER_MEMBERSHIP`` and ``TRANSFER_GUARD`` away from +-1 mean
-    a mode is almost but not exactly transferred; no clean swap exists there
-    and the split is refused too.
+    ``P`` is ``proj`` and ``Q = W P W*`` for the unitary walk ``w``.
+    ``P - Q`` is formed and diagonalized on the window of cells within
+    ``band`` of a cut bond, as ``diag(p) - (W_w p) W_w*`` from the window
+    rows ``W_w``.  It vanishes off the window exactly when ``[P, W]`` does on
+    the other rows; a residual coupling there above ``10 tol.unit`` (a band
+    that understates a hop across the cut) is refused.  So are eigenvalues
+    in the dead band between ``TRANSFER_MEMBERSHIP`` and ``TRANSFER_GUARD``
+    away from +-1: such a mode is almost but not exactly transferred, and no
+    clean swap exists.
     """
-    window = _cut_window(proj, band)
+    near = {i for bond in proj.cut_bonds() for i in cells_near_bond(proj.cells, bond, band)}
+    window = np.flatnonzero(proj.cells.index_mask(near))
     p = proj.mask().astype(float)
-    outside = np.ones(len(p), dtype=bool)
-    outside[window] = False
+    outside = np.setdiff1d(np.arange(len(p)), window)
     leak = screened_norm((p[outside, None] - p[None, :]) * w[outside], 10 * tol.unit)
     if leak > 10 * tol.unit:
         raise DecouplingFailed(
@@ -185,7 +168,7 @@ def split_transfer_modes(
     order = np.concatenate([np.flatnonzero(x) for x in (incoming, outgoing, oblique)])
     support = np.zeros((w.shape[0], order.size), dtype=complex)
     support[window] = vecs[:, order]
-    return TransferModes(support, int(incoming.sum()), int(outgoing.sum()), window)
+    return TransferModes(support, (int(incoming.sum()), int(outgoing.sum())), window)
 
 
 def attribute_transfers(
@@ -214,7 +197,7 @@ def attribute_transfers(
             here.append(inside.shape[1])
             totals[which] += inside.shape[1]
         counts[b] = (here[0], here[1])
-    if totals != [modes.incoming.shape[1], modes.outgoing.shape[1]]:
+    if totals != list(modes.dims):
         raise DecouplingFailed(
             f"transfer modes attributed to bonds {totals} do not match totals "
             f"{modes.dims}; windows overlap or a mode is delocalized"
@@ -228,19 +211,17 @@ def direct_rotation(
     """Unitary polar factor of the alignment map on range(P - Q), zero on the transfers.
 
     The alignment map ``X = (1-P)(1-Q) + PQ`` is the identity on ker(P - Q),
-    so the rotation is the polar factor of the ``r x r`` compression
-    ``S* X S`` to ``S = modes.support``, formed from ``PS`` and
-    ``QS = W(P(W* S))`` (``p`` is the diagonal of ``P``).  The rows and
-    columns of the transfer modes are zeroed first, so that
+    so this is the polar factor of ``S* X S`` (``S = modes.support``, in its
+    coordinates), from ``PS`` and ``QS = W(P(W* S))`` with ``p`` the diagonal
+    of ``P``.  The transfer rows and columns are zeroed first, so that
     almost-transferred leakage cannot produce spurious small singular
-    directions.  Returned in the coordinates of ``S``, the factor carries
-    ran Q onto ran P and ker Q onto ker P; a spectrum outside the closed right
-    half plane is refused.
+    directions.  It carries ran Q onto ran P and ker Q onto ker P; a
+    spectrum outside the closed right half plane is refused.
     """
     s = modes.support
     qs = w @ (p[:, None] * (w.conj().T @ s))
     x = s.conj().T @ (s - p[:, None] * s - qs + 2 * p[:, None] * qs)
-    d = modes.n_in + modes.n_out
+    d = sum(modes.dims)
     x[:d] = 0
     x[:, :d] = 0
     u = polar_isometry(x, tol.ker)
@@ -341,15 +322,14 @@ def gentle_decoupling(
     Builds the canonical correction ``V`` (direct rotation plus transfer
     swap), returns ``W' = V W`` with ``[P, W'] = 0``, and certifies
     gentleness with the admissible generator of the contraction path and the
-    half-space indices before and after.  Everything between the checks of
-    the walk and of ``W'`` works on the window of cells within ``op.band`` of
-    a cut bond and on the ``r x r`` compressions to range(P - Q) (the
-    ``support`` of :func:`split_transfer_modes`), against the companion rep
-    restricted there: ``V``, ``W'`` and the generator ``K`` are block updates
-    of that window, and no full-size ``eigh``, ``eigvals`` or SVD is taken.
-    The full-size checks are the walk's unitarity and admissibility,
-    ``W'``'s admissibility and ``||[P, W']||``.  Raises ``Obstructed`` when a
-    cut bond has a nonzero net transfer count.
+    half-space indices before and after.  The work is on ``r x r``
+    compressions to range(P - Q) (the ``support`` of
+    :func:`split_transfer_modes`) against the companion rep restricted there,
+    and ``V``, ``W'`` and ``K`` are block updates of the cut window: no
+    full-size ``eigh``, ``eigvals`` or SVD.  At full size it checks the
+    walk's unitarity and admissibility, ``W'``'s admissibility and
+    ``||[P, W']||``.  Raises ``Obstructed`` when a cut bond has a nonzero net
+    transfer count.
     """
     if op.local_rep is None:
         raise NotAdmissible("operator carries no local symmetry representation")
@@ -377,7 +357,7 @@ def gentle_decoupling(
     trep = restrict_runs(op.local_rep.cls, op.local_rep.runs(), s, tol, walk=m)
     p = proj.mask().astype(float)
     u = direct_rotation(m, p, modes, tol)
-    d = modes.n_in + modes.n_out
+    d = sum(modes.dims)
     if d:
         trep_d = trep.restrict(np.eye(r)[:, :d], tol)
         u[:d, :d] = _transfer_swap(m, trep_d, modes, op.local_rep.cls, tol)

@@ -517,11 +517,7 @@ def verify_locpert(
     return PerturbationReport(rel, m_before, m_after, p_before, p_after)
 
 
-def contract_perturbation(
-    v,
-    trep: SymmetryRep,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def contract_perturbation(v, trep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Admissible Hermitian generator ``K`` with ``exp(iK) = V``.
 
     ``t -> exp(i(1-t)K)`` is then a norm-continuous path of admissible

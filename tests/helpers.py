@@ -312,7 +312,7 @@ def dense_decoupling(
     incoming = vecs[:, vals > 1.0 - TRANSFER_MEMBERSHIP]
     outgoing = vecs[:, vals < -1.0 + TRANSFER_MEMBERSHIP]
     basis = np.hstack([incoming, outgoing])
-    modes = TransferModes(basis, incoming.shape[1], outgoing.shape[1], np.arange(op.dim))
+    modes = TransferModes(basis, (incoming.shape[1], outgoing.shape[1]), np.arange(op.dim))
     counts = attribute_transfers(modes, op.cells, proj.cut_bonds(), op.band + 1)
     for bond, (n_in, n_out) in counts.items():
         if n_in != n_out:

@@ -18,7 +18,6 @@ proxy for the infinite-volume index statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +36,16 @@ from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
 from .operators import check_admissible, check_normal, check_unitary
 from .symmetry import block_diagonal
 from .tolerances import DEFAULT_TOL, Tolerances
-from .walks import ShiftFactor, TIWalk, factor_matrices, skeletons_match, ti_gap_margin, truncate_ti
+from .walks import (
+    CoinFactor,
+    TIWalk,
+    factor_matrices,
+    place_blocks,
+    segment_pad,
+    skeletons_match,
+    ti_gap_margin,
+    truncate_ti,
+)
 
 __all__ = [
     "TempleKatoCertificate",
@@ -176,33 +184,6 @@ def certify_boundary_modes(
 # -- crossover systems -------------------------------------------------------------
 
 
-def _join_factors(left: TIWalk, right: TIWalk, side: Sequence[int]) -> list:
-    """Per-factor inputs with the coin of ``left`` or ``right`` chosen per cell."""
-    seq: list = []
-    for fl, fr in zip(left.factors, right.factors):
-        if isinstance(fl, ShiftFactor):
-            seq.append(fl)
-        else:
-            coins = [(fl if s == 0 else fr).matrix for s in side]
-            seq.append(coins)
-    return seq
-
-
-def _assemble_join(
-    left: TIWalk,
-    right: TIWalk,
-    side: Sequence[int],
-    topology: str,
-    tol: Tolerances,
-) -> LatticeOperator:
-    n = len(side)
-    cells = CellStructure.uniform(n, left.cell_dim, topology)
-    mats = factor_matrices(_join_factors(left, right, side), cells)
-    w = reduce(lambda acc, m: m @ acc, mats, np.eye(cells.total_dim, dtype=complex))
-    local = LocalSymmetryRep.uniform(left.cell_rep, n)
-    return LatticeOperator.with_measured_band(w, cells, local, tol=tol)
-
-
 def join_crossover(
     left: TIWalk,
     right: TIWalk,
@@ -248,11 +229,18 @@ def join_crossover(
             if n <= 2 * band:
                 raise TooShort(f"circle of {n} cells aliases hopping range {band}")
             side = [0] * n_left + [1] * n_right
-            op = _assemble_join(left, right, side, "circle", tol)
         else:
-            pad = max(2 * band + 2, 4)
+            pad = segment_pad(band)
             side = [0] * n_left + [1] * (n_right + pad) + [0] * pad
-            op = _assemble_join(left, right, side, "circle", tol)
+        # per-cell coins of the side each cell lies on; a line is decoupled out of a circle
+        factors = [
+            np.stack([fl.matrix, fr.matrix])[side] if isinstance(fl, CoinFactor) else fl
+            for fl, fr in zip(left.factors, right.factors)
+        ]
+        cells = CellStructure.uniform(len(side), left.cell_dim, "circle")
+        w = place_blocks(factor_matrices(factors, cells), cells)
+        local = LocalSymmetryRep.uniform(left.cell_rep, len(side))
+        op = LatticeOperator.with_measured_band(w, cells, local, tol=tol)
         check_unitary(op.matrix, tol, "crossover join")
         admissible = True
         try:

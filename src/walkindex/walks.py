@@ -7,6 +7,8 @@ symbol ``exp(-ik)`` and right half-space Fredholm index +1.
 
 Walks built from shift/coin factor sequences remember them, which allows
 position-dependent coins (crossovers between walks of the same family).
+A walk on a finite lattice, or a coin-level join of two, is its factor
+product's cell blocks (``factor_matrices``) placed (``place_blocks``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .errors import (
     EigenFailure,
     Gapless,
+    IncompatibleCells,
     NonIntegerInvariant,
     NotChiral,
     NotUnitary,
@@ -51,7 +54,6 @@ __all__ = [
     "ShiftFactor",
     "CoinFactor",
     "TIWalk",
-    "blocks_from_factors",
     "make_generating_example",
     "make_trivial",
     "make_split_step",
@@ -65,7 +67,9 @@ __all__ = [
     "ti_gap_margin",
     "build_lattice",
     "truncate_ti",
+    "segment_pad",
     "factor_matrices",
+    "place_blocks",
     "skeletons_match",
 ]
 
@@ -74,6 +78,14 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 MAX_MOMENTUM_SAMPLES = 8192
+# A product of unit-norm factors whose paths to one offset cancel leaves
+# rounding of order 1e-16 per entry there; an offset whose blocks, over all
+# cells, have no larger Frobenius norm than this is such a cancellation.
+PRODUCT_CUT = 1e-14
+# Cell reps of one family are built from the same exact matrices, so walks
+# that share a skeleton have reps equal up to rounding; a larger difference is
+# another rep, and a coin-level join would then have no single cell rep.
+SKELETON_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,27 +106,10 @@ class CoinFactor:
 Factor = ShiftFactor | CoinFactor
 
 
-def _factor_blocks(factor: Factor, cell_dim: int) -> dict[int, np.ndarray]:
-    if isinstance(factor, CoinFactor):
-        return {0: np.asarray(factor.matrix, dtype=complex)}
-    sel = np.zeros((cell_dim, cell_dim), dtype=complex)
-    for c in factor.components:
-        sel[c, c] = 1.0
-    return {factor.step: sel, 0: np.eye(cell_dim, dtype=complex) - sel}
-
-
-def blocks_from_factors(factors: Sequence[Factor], cell_dim: int) -> dict[int, np.ndarray]:
-    """Hopping blocks of the product, first factor applied first."""
-    cur: dict[int, np.ndarray] = {0: np.eye(cell_dim, dtype=complex)}
-    for f in factors:
-        fb = _factor_blocks(f, cell_dim)
-        new: dict[int, np.ndarray] = {}
-        for j2, b2 in fb.items():
-            for j1, b1 in cur.items():
-                j = j1 + j2
-                new[j] = new.get(j, 0) + b2 @ b1
-        cur = new
-    return {j: b for j, b in cur.items() if np.linalg.norm(b) > 1e-14}
+def _one_cell_blocks(factors: Sequence[Factor], cell_dim: int) -> dict[int, np.ndarray]:
+    """Hopping blocks of a translation-invariant factor product: the one-cell case."""
+    cells = CellStructure.uniform(1, cell_dim, "circle")
+    return {j: b[0] for j, b in factor_matrices(factors, cells).items()}
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def make_generating_example(inverse: bool = False) -> TIWalk:
         "generating",
         SymmetryClass.BDI,
         2,
-        blocks_from_factors(factors, 2),
+        _one_cell_blocks(factors, 2),
         rep,
         factors,
         {"inverse": float(inverse)},
@@ -186,7 +181,7 @@ def make_trivial() -> TIWalk:
         SymmetryClass.BDI, 2, eta=PAULI_Z, tau=np.eye(2), gamma=PAULI_Z
     )
     return TIWalk(
-        "trivial", SymmetryClass.BDI, 2, blocks_from_factors(factors, 2), rep, factors, {}
+        "trivial", SymmetryClass.BDI, 2, _one_cell_blocks(factors, 2), rep, factors, {}
     )
 
 
@@ -218,7 +213,7 @@ def make_split_step(theta1: float, theta2: float) -> TIWalk:
         "split_step",
         SymmetryClass.BDI,
         2,
-        blocks_from_factors(factors, 2),
+        _one_cell_blocks(factors, 2),
         rep,
         factors,
         {"theta1": theta1, "theta2": theta2},
@@ -244,10 +239,10 @@ def make_doubled(variant: str, inverse: bool = False) -> TIWalk:
     e = PAULI_Z  # base eta matrix
     zero = np.zeros((2, 2))
     if variant == "CII":
-        blocks = {j: block_diagonal((b, b)) for j, b in base.blocks.items()}
+        factors = tuple(_double_factor(f) for f in base.factors)
+        blocks = _one_cell_blocks(factors, 4)
         gamma = block_diagonal((PAULI_Z, PAULI_Z))
         eta = np.block([[zero, -e], [e, zero]])
-        factors = tuple(_double_factor(f) for f in base.factors)
         cls = SymmetryClass.CII
     elif variant == "DIII":
         blocks_inv = {-j: b.conj().T for j, b in base.blocks.items()}
@@ -527,38 +522,58 @@ def ti_gap_margin(ti: TIWalk, tol: Tolerances = DEFAULT_TOL, strict: bool = True
 # -- finite realizations -----------------------------------------------------------
 
 def factor_matrices(
-    factors: Sequence[Factor | Sequence[np.ndarray]],
+    factors: Sequence[Factor | np.ndarray],
     cells: CellStructure,
-) -> list[np.ndarray]:
-    """Position-space matrices of factors on a circle of cells.
+) -> dict[int, np.ndarray]:
+    """Hopping blocks of a factor product on a circle of equal cells.
 
-    A factor may be a ``ShiftFactor``, a ``CoinFactor`` (same coin in every
-    cell), or a sequence of per-cell coin matrices.
+    The first factor acts first.  A factor is a ``ShiftFactor``, a
+    ``CoinFactor`` (the same coin in every cell) or an ``(n, d, d)`` stack of
+    per-cell coins.  ``out[j][x]`` maps cell ``x`` to cell ``x + j``; a coin
+    acts where the path has arrived, at cell ``(x + j) mod n``.  Offsets are
+    not wrapped here (see :func:`place_blocks`), so a translation-invariant
+    walk is the one-cell case.  Offsets below ``PRODUCT_CUT`` are dropped.
     """
     n = cells.n_cells
-    d = cells.total_dim
-    out = []
+    d = cells.cell_dims[0]
+    if set(cells.cell_dims) != {d}:
+        raise IncompatibleCells("a factor product needs equal cells")
+    x = np.arange(n)
+    cur: dict[int, np.ndarray] = {0: np.broadcast_to(np.eye(d, dtype=complex), (n, d, d))}
     for f in factors:
-        m = np.zeros((d, d), dtype=complex)
         if isinstance(f, ShiftFactor):
             if cells.topology != "circle":
                 raise TooShort("shift factors need a circle; decouple afterwards for segments")
-            for x in range(n):
-                tgt = (x + f.step) % n
-                src_sl = cells.cell_slice(x)
-                tgt_sl = cells.cell_slice(tgt)
-                for c in range(cells.cell_dims[x]):
-                    if c in f.components:
-                        m[tgt_sl.start + c, src_sl.start + c] = 1.0
-                    else:
-                        m[src_sl.start + c, src_sl.start + c] = 1.0
+            sel = np.zeros((d, d), dtype=complex)
+            sel[f.components, f.components] = 1.0
+            parts = {f.step: sel, 0: np.eye(d, dtype=complex) - sel}
         else:
-            coins = [f.matrix] * n if isinstance(f, CoinFactor) else list(f)
-            for x in range(n):
-                sl = cells.cell_slice(x)
-                m[sl, sl] = coins[x]
-        out.append(m)
-    return out
+            parts = {0: f.matrix if isinstance(f, CoinFactor) else np.asarray(f)}
+        new: dict[int, np.ndarray] = {}
+        for j2, b2 in parts.items():
+            for j1, b1 in cur.items():
+                here = b2 if b2.ndim == 2 else b2[(x + j1) % n]
+                new[j1 + j2] = new.get(j1 + j2, 0) + here @ b1
+        cur = new
+    return {j: b for j, b in cur.items() if np.linalg.norm(b) > PRODUCT_CUT}
+
+
+def place_blocks(blocks: Mapping[int, np.ndarray], cells: CellStructure) -> np.ndarray:
+    """The matrix of hopping blocks on equal cells.
+
+    ``blocks[j]`` is one block or an ``(n, d, d)`` stack by source cell, and
+    maps cell ``x`` to ``x + j``: wrapped on a circle, dropped past the ends
+    of a line.  A circle longer than twice the band takes each entry once.
+    """
+    n = cells.n_cells
+    d = cells.cell_dims[0]
+    w = np.zeros((n * d, n * d), dtype=complex)
+    by_cell = w.reshape(n, d, n, d)
+    x = np.arange(n)
+    for j, b in blocks.items():
+        src = x if cells.topology == "circle" else x[(x + j >= 0) & (x + j < n)]
+        by_cell[(src + j) % n, :, src, :] += b if b.ndim == 2 else b[src]
+    return w
 
 
 def build_lattice(
@@ -579,16 +594,7 @@ def build_lattice(
     if topology == "line" and n_cells < band + 1:
         raise TooShort(f"segment of {n_cells} cells is shorter than the hopping range {band}")
     cells = CellStructure.uniform(n_cells, ti.cell_dim, topology)
-    d = cells.total_dim
-    w = np.zeros((d, d), dtype=complex)
-    for j, b in ti.blocks.items():
-        for x in range(n_cells):
-            y = x + j
-            if topology == "circle":
-                y %= n_cells
-            elif not 0 <= y < n_cells:
-                continue
-            w[cells.cell_slice(y), cells.cell_slice(x)] += b
+    w = place_blocks(ti.blocks, cells)
     local_rep = LocalSymmetryRep.uniform(ti.cell_rep, n_cells)
     meta = {"ti_name": ti.name, "params": dict(ti.params), "class": ti.cls.value}
     op = LatticeOperator(w, cells, band, local_rep, meta)
@@ -619,9 +625,13 @@ def truncate_ti(
         raise ValueError(f"boundary must be 'compress' or 'decoupled_unitary', got {boundary!r}")
     from .decoupling import decouple_segment  # deferred: decoupling sits above walks
 
-    pad = max(2 * ti.band + 2, 4)
-    ring = build_lattice(ti, n_cells + pad, "circle", tol)
+    ring = build_lattice(ti, n_cells + segment_pad(ti.band), "circle", tol)
     return decouple_segment(ring, n_cells, tol)
+
+
+def segment_pad(band: int) -> int:
+    """Cells a padded circle adds beyond a segment that is decoupled out of it."""
+    return max(2 * band + 2, 4)
 
 
 def skeletons_match(a: TIWalk, b: TIWalk) -> bool:
@@ -642,6 +652,6 @@ def skeletons_match(a: TIWalk, b: TIWalk) -> bool:
         return False
     for name in a.cell_rep.ops:
         oa, ob = a.cell_rep.ops[name], b.cell_rep.ops[name]
-        if oa.antiunitary != ob.antiunitary or not np.allclose(oa.matrix, ob.matrix, atol=1e-12):
+        if oa.antiunitary != ob.antiunitary or not np.allclose(oa.matrix, ob.matrix, atol=SKELETON_ATOL):
             return False
     return True

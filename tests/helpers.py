@@ -17,7 +17,9 @@ window and the batched gap margin replaced are kept as
 cells replaced as ``dense_rep`` and ``dense_restrict``; the per-momentum
 loops that the batched momentum grids replaced are ``bloch_per_momentum``,
 ``validate_per_momentum``, ``winding_per_momentum`` and
-``berry_per_momentum`` (band frames from ``eig_unitary``).  The full-size
+``berry_per_momentum`` (band frames from ``eig_unitary``).  The dense
+factor product that the blockwise product and placement of cell blocks
+replaced is ``dense_factor_product``.  The full-size
 decoupling that the route on the cut window replaced is ``dense_decoupling``,
 with its dense ``ProjectionPair`` and whole alignment polar factor
 ``dense_rotation``.  The walk constructions ``conjugate_ti``,
@@ -30,6 +32,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -81,7 +84,14 @@ from walkindex.symmetry import (
     unitarity_defect,
 )
 from walkindex.tolerances import DEFAULT_TOL, Tolerances
-from walkindex.walks import MAX_MOMENTUM_SAMPLES, InvariantReport, TIWalk, _kramers_frame
+from walkindex.walks import (
+    MAX_MOMENTUM_SAMPLES,
+    CoinFactor,
+    InvariantReport,
+    ShiftFactor,
+    TIWalk,
+    _kramers_frame,
+)
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -244,6 +254,33 @@ def forget_ti(ti: TIWalk, target: SymmetryClass, tol: Tolerances = DEFAULT_TOL) 
     """Reinterpret the walk in a weaker symmetry class."""
     rep = forget_rep(ti.cell_rep, target, tol)
     return TIWalk(f"{ti.name}->{target.value}", target, ti.cell_dim, ti.blocks, rep, ti.factors, dict(ti.params))
+
+
+def dense_factor_product(factors: Sequence, cells: CellStructure) -> np.ndarray:
+    """A factor product as N x N factor matrices, each times the running product.
+
+    A factor is a ``ShiftFactor`` (circles only), a ``CoinFactor`` or a
+    sequence of per-cell coins.
+    """
+    n = cells.n_cells
+    mats = []
+    for f in factors:
+        m = np.zeros((cells.total_dim, cells.total_dim), dtype=complex)
+        if isinstance(f, ShiftFactor):
+            for x in range(n):
+                src = cells.cell_slice(x).start
+                tgt = cells.cell_slice((x + f.step) % n).start
+                for c in range(cells.cell_dims[x]):
+                    if c in f.components:
+                        m[tgt + c, src + c] = 1.0
+                    else:
+                        m[src + c, src + c] = 1.0
+        else:
+            coins = [f.matrix] * n if isinstance(f, CoinFactor) else list(f)
+            for x in range(n):
+                m[cells.cell_slice(x), cells.cell_slice(x)] = coins[x]
+        mats.append(m)
+    return reduce(lambda acc, m: m @ acc, mats, np.eye(cells.total_dim, dtype=complex))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,11 @@
 """Temple-Kato certificates, crossover joins, and size sweeps."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -290,6 +296,78 @@ def test_identical_bulks_circle_is_pure_bulk():
     bulk = build_lattice(gen, 12, "circle")
     assert np.allclose(joined.matrix, bulk.matrix, atol=1e-12)
     assert joined.meta["interfaces"] == (0, 6)
+
+
+def test_uniform_profile_join_is_the_ti_walk():
+    gen = np.random.default_rng(23)
+    walks = [make_split_step(*gen.uniform(-np.pi, np.pi, 2)) for _ in range(20)]
+    walks += [make_generating_example(), make_generating_example(True), make_doubled("CII")]
+    for w in walks:
+        a, b = (int(v) for v in gen.integers(2, 24, 2))
+        joined = join_crossover(w, w, a, b, "circle")
+        assert joined.meta["interfaces"] == (0, a)
+        assert np.array_equal(joined.matrix, build_lattice(w, a + b, "circle").matrix)
+
+
+# Records the matrix of every coin-level join (circle, and the padded circle
+# of a line join) and compares it with the dense factor product of its
+# side-chosen coins.  A threaded zgemm can split a cell's rows between
+# threads and round them differently, so the dense route is bit-reproducible
+# only on one BLAS thread: the comparison runs in a fresh interpreter.
+_JOIN_ORACLE = """
+import json, numpy as np
+import walkindex.finite as finite
+from walkindex.errors import WalkIndexError
+from helpers import dense_factor_product, rng
+from walkindex.lattice import CellStructure
+from walkindex.walks import CoinFactor, make_doubled, make_generating_example, make_split_step, segment_pad
+
+built = []
+place = finite.place_blocks
+def recording(blocks, cells):
+    built.append(place(blocks, cells))
+    return built[-1]
+finite.place_blocks = recording
+
+gen = rng(29)
+pairs = [(make_split_step(*gen.uniform(-np.pi, np.pi, 2)), make_split_step(*gen.uniform(-np.pi, np.pi, 2)))
+         for _ in range(50)]
+g, g_inv = make_generating_example(), make_generating_example(True)
+pairs += [(g, g), (g, g_inv), (g_inv, g), (make_doubled("CII"), make_doubled("CII", True))]
+compared, mismatches = 0, []
+for i, (left, right) in enumerate(pairs):
+    a, b = (int(v) for v in gen.integers(3, 40, 2))
+    pad = segment_pad(max(left.band, right.band))
+    for topology, side in (("circle", [0] * a + [1] * b),
+                           ("line", [0] * a + [1] * (b + pad) + [0] * pad)):
+        built.clear()
+        try:  # the product is built before any gate can refuse the join
+            finite.join_crossover(left, right, a, b, topology)
+        except WalkIndexError:
+            pass
+        coins = [f if not isinstance(f, CoinFactor) else [(f, r)[s].matrix for s in side]
+                 for f, r in zip(left.factors, right.factors)]
+        expect = dense_factor_product(coins, CellStructure.uniform(len(side), left.cell_dim, "circle"))
+        compared += 1
+        if len(built) != 1 or not np.array_equal(built[0], expect):
+            mismatches.append([i, topology, a, b])
+print(json.dumps({"compared": compared, "mismatches": mismatches}))
+"""
+
+
+def test_coin_level_join_equals_dense_factor_product():
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _JOIN_ORACLE], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["compared"] == 108
+    assert result["mismatches"] == []
 
 
 def test_identical_bulks_spectrum_is_bloch_union():

@@ -12,6 +12,7 @@ from helpers import (
     berry_per_momentum,
     bloch_per_momentum,
     conjugate_ti,
+    dense_factor_product,
     direct_sum_ti,
     forget_ti,
     gap_margin_per_momentum,
@@ -23,6 +24,7 @@ from helpers import (
 from walkindex.errors import (
     EigenFailure,
     Gapless,
+    IncompatibleCells,
     NotChiral,
     NotUnitary,
     RankJump,
@@ -391,12 +393,16 @@ def test_build_lattice_circle_is_unitary():
 
 
 def test_build_lattice_matches_factor_product():
-    w = make_split_step(*THETA_B)
-    ring = build_lattice(w, 10, "circle")
-    prod = np.eye(ring.dim, dtype=complex)
-    for m in factor_matrices(w.factors, ring.cells):
-        prod = m @ prod
-    assert np.allclose(prod, ring.matrix)
+    # the circle is the dense factor product; the line drops its wrapped corners.
+    # At 10 cells the dense product is too small for BLAS to split it between
+    # threads, which would round some entries differently.
+    for w in (make_split_step(*THETA_B), make_generating_example(), make_doubled("CII")):
+        ring = build_lattice(w, 10, "circle")
+        dense = dense_factor_product(w.factors, ring.cells)
+        assert np.array_equal(ring.matrix, dense)
+        cell = np.arange(ring.dim) // w.cell_dim
+        near = np.abs(cell[:, None] - cell[None, :]) <= w.band
+        assert np.array_equal(build_lattice(w, 10, "line").matrix, np.where(near, dense, 0))
 
 
 def test_factor_matrices_need_circle():
@@ -406,6 +412,13 @@ def test_factor_matrices_need_circle():
         factor_matrices(
             make_generating_example().factors, CellStructure.uniform(6, 2, "line")
         )
+
+
+def test_factor_matrices_need_equal_cells():
+    from walkindex.lattice import CellStructure
+
+    with pytest.raises(IncompatibleCells):
+        factor_matrices(make_trivial().factors, CellStructure((2, 2, 4), "circle"))
 
 
 def test_build_lattice_too_short():

@@ -32,7 +32,6 @@ from .serialize import (
     tiwalk_from_json,
     walk_from_spec,
 )
-from .symmetry import unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import TIWalk, berry_phase, ti_gap_margin, validate_ti, winding_number
 
@@ -86,19 +85,27 @@ def _tol_json(tol: Tolerances) -> dict:
 # -- commands -----------------------------------------------------------------------
 
 
+def _gate_residuals(op: LatticeOperator, tol: Tolerances) -> tuple[float, float | None]:
+    """The operator's recorded unitarity defect and worst admissibility residual
+    (None without a rep), each its bound where it passes, else exact."""
+    unitarity = op.unitarity.screened(tol.unit)
+    if op.local_rep is None:
+        return unitarity, None
+    return unitarity, check_admissible(op, tol=tol, strict=False).max_residual
+
+
 def cmd_index(args, tol: Tolerances) -> int:
     op = operator_from_spec(_load_spec(args.spec), tol)
     cut = args.cut if args.cut is not None else op.cells.n_cells // 2
     si_l, si_r = si_left_right(op, cut, tol=tol)
-    unitarity = unitarity_defect(op.matrix, tol.unit)
-    report = check_admissible(op.matrix, op.local_rep, kind="walk", tol=tol, strict=False)
+    unitarity, admissibility = _gate_residuals(op, tol)
     out = {
         "si_left": index_value_to_json(si_l),
         "si_right": index_value_to_json(si_r),
         "si_minus": None,
         "si_plus": None,
         "cut": cut,
-        "residuals": {"unitarity": unitarity, "admissibility": report.max_residual},
+        "residuals": {"unitarity": unitarity, "admissibility": admissibility},
         "tolerances": _tol_json(tol),
     }
     if unitarity <= tol.unit:
@@ -243,12 +250,7 @@ def cmd_validate(args, tol: Tolerances) -> int:
         }
     else:
         op: LatticeOperator = obj
-        unitarity = unitarity_defect(op.matrix, tol.unit)
-        adm = (
-            check_admissible(op.matrix, op.local_rep, kind="walk", tol=tol, strict=False).max_residual
-            if op.local_rep is not None
-            else None
-        )
+        unitarity, adm = _gate_residuals(op, tol)
         out = {
             "ok": bool(unitarity <= tol.unit and (adm is None or adm <= tol.adm)),
             "kind": "operator",

@@ -65,6 +65,7 @@ from .lattice import (
     cells_near_bond,
     compress,
     half_space_projection,
+    measured_band,
     second_bond,
     split_by_weight,
 )
@@ -334,8 +335,8 @@ def gentle_decoupling(
     if op.local_rep is None:
         raise NotAdmissible("operator carries no local symmetry representation")
     m = np.asarray(op.matrix, dtype=complex)
-    check_unitary(m, tol, "walk")
-    check_admissible(m, op.local_rep, kind="walk", tol=tol)
+    check_unitary(op, tol, "walk")
+    check_admissible(op, tol=tol)
     second = second_bond(op.cells, cut, second_cut)
     if second is None:
         proj = half_space_projection(op.cells, cut)
@@ -378,7 +379,8 @@ def gentle_decoupling(
     commutator = screened_norm((p[:, None] - p[None, :]) * w2, 10 * tol.unit)
     if commutator > 10 * tol.unit:
         raise DecouplingFailed(f"residual coupling {commutator:.3e} after correction")
-    report = check_admissible(w2, op.local_rep, kind="walk", tol=tol, strict=False)
+    w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep, dict(op.meta), tol)
+    report = check_admissible(w2_op, tol=tol, strict=False)
     if not report.ok:
         raise DecouplingFailed(
             f"decoupled walk violates admissibility: {report.max_residual:.3e}"
@@ -388,7 +390,6 @@ def gentle_decoupling(
     generator = np.zeros_like(v)
     generator[block] = (k_s + k_s.conj().T) / 2
 
-    w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep, dict(op.meta), tol)
     si_b = si_left_right(op, cut, second_cut=second, tol=tol)
     si_a = si_left_right(w2_op, cut, second_cut=second, tol=tol)
     return DecouplingResult(
@@ -436,4 +437,5 @@ def decouple_segment(
         "transfer_counts": result.transfer_counts,
         "parent_cells": seg.meta.get("parent_cells"),
     }
-    return LatticeOperator.with_measured_band(seg.matrix, cells, seg.local_rep, meta, tol)
+    # the relabelled segment keeps its parent, W', for the admissibility bound
+    return replace(seg, cells=cells, meta=meta, band=measured_band(seg, tol))

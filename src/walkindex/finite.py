@@ -154,7 +154,7 @@ def certify_boundary_modes(
         raise CutOutOfRange("the cell window is empty")
     if min(cells) < 0 or max(cells) >= n:
         raise CutOutOfRange(f"window cells {min(cells)}..{max(cells)} outside [0, {n})")
-    check_unitary(big.matrix, tol)
+    check_unitary(big, tol)
     anchor = theta / abs(theta) if theta else 1.0
     if select_radius is None:
         near, _ = near_spectrum(big.matrix, anchor, tol)
@@ -241,10 +241,10 @@ def join_crossover(
         w = place_blocks(factor_matrices(factors, cells), cells)
         local = LocalSymmetryRep.uniform(left.cell_rep, len(side))
         op = LatticeOperator.with_measured_band(w, cells, local, tol=tol)
-        check_unitary(op.matrix, tol, "crossover join")
+        check_unitary(op, tol, "crossover join")
         admissible = True
         try:
-            check_admissible(op.matrix, op.local_rep, kind="walk", tol=tol)
+            check_admissible(op, tol=tol)
         except NotAdmissible:
             admissible = False
         if admissible:

@@ -299,8 +299,8 @@ def si_pm(
     ``det W = (-1)^{si_minus}`` in class D, both within ``tol.idx``.
     """
     m, r = _matrix_rep(w, rep)
-    check_unitary(m, tol)
-    check_admissible(m, r, kind="walk", tol=tol)
+    check_unitary(w, tol)
+    check_admissible(w, r, tol=tol)
     minus, plus = _pm_eigenspaces(m, tol, ceiling)
     si_minus = _restricted_index(r, minus, tol)
     si_plus = _restricted_index(r, plus, tol)
@@ -341,7 +341,7 @@ def si_total(
     truncation are still counted.
     """
     m, r = _matrix_rep(w, rep)
-    check_admissible(m, r, kind="walk", tol=tol)
+    check_admissible(w, r, tol=tol)
     ker = _essential_kernel(imaginary_part(m), tol)
     if isinstance(w, LatticeOperator) and w.cells.proxy_ends and ker.shape[1]:
         ker = _drop_window(ker, w.cells, w.band, "kernel")
@@ -442,8 +442,8 @@ def twiddle_rep(
     :func:`~walkindex.symmetry.restrict_runs` with ``walk=W``.
     """
     m, r = _matrix_rep(w, rep)
-    check_unitary(m, tol, "walk")
-    check_admissible(m, r, kind="walk", tol=tol)
+    check_unitary(w, tol, "walk")
+    check_admissible(w, r, tol=tol)
     runs = r.runs()
     ops = {}
     for name, op in runs[0][2].ops.items():
@@ -467,9 +467,9 @@ def relative_index(
     """
     m, r = _matrix_rep(w, rep)
     mp, _ = _matrix_rep(w_prime, rep if rep is not None else r)
-    check_unitary(mp, tol)
-    check_admissible(mp, r, kind="walk", tol=tol)
-    trep = twiddle_rep(m, r, tol)
+    check_unitary(w_prime, tol)
+    check_admissible(w_prime, r, tol=tol)
+    trep = twiddle_rep(w, r, tol)
     v = mp @ m.conj().T
     check_unitary(v, tol)
     minus, _ = _pm_eigenspaces(v, tol)
@@ -620,8 +620,8 @@ def verify_bulk_boundary(
     expected = sir_right - sir_left
 
     m, r = _matrix_rep(joined, None)
-    check_unitary(m, tol)
-    check_admissible(m, r, kind="walk", tol=tol)
+    check_unitary(joined, tol)
+    check_admissible(joined, tol=tol)
     basis = np.hstack(_pm_eigenspaces(m, tol))
     basis = _drop_window(basis, joined.cells, joined.band, "protected")
     measured = _restricted_index(r, basis, tol)
@@ -698,7 +698,7 @@ def index_matrix(
         )
     entries: dict[str, IndexValue] = {}
     for side, piece in zip(("left", "right"), half_spaces(w, a)):
-        check_unitary(piece.matrix, tol)
+        check_unitary(piece, tol)
         if piece.local_rep is None:
             raise NotAdmissible("the index table needs a cell-local representation")
         for name, basis in zip(("minus", "plus"), _pm_eigenspaces(piece.matrix, tol)):

@@ -9,25 +9,44 @@ Finite segments serve as desk-scale proxies for half-infinite systems: their
 artificial outer boundaries are marked as ``proxy_ends`` so that index
 computations can exclude modes created by the truncation rather than by the
 cut under study.
+
+An operator's gates, its unitarity defect ``||W* W - 1||`` and the residuals
+of its symmetry conditions, are measured once, from its cell band
+(:class:`CellBand`), and kept on the operator as :class:`Gate` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CutOutOfRange, IncompatibleCells
-from .symmetry import SymmetryClass, SymmetryRep, restrict_runs, spectral_norm
+from .errors import CutOutOfRange, IncompatibleCells, NotAdmissible
+from .symmetry import (
+    ADMISSIBILITY,
+    ADMISSIBILITY_SCREEN_SLACK,
+    Runs,
+    SymmetryClass,
+    SymmetryRep,
+    apply_runs,
+    frobenius_bound,
+    restrict_runs,
+    spectral_norm,
+    times_runs,
+)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
     "CellStructure",
     "LocalSymmetryRep",
     "LatticeOperator",
+    "CellBand",
+    "Gate",
+    "measure_unitarity",
+    "measure_admissibility",
     "CellProjection",
     "half_space_projection",
     "arc_projection",
@@ -147,15 +166,22 @@ class LocalSymmetryRep:
         return restrict_runs(self.cls, self.runs(), basis, tol)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LatticeOperator:
-    """A matrix together with its cell structure and declared bandwidth."""
+    """A matrix together with its cell structure and declared bandwidth.
+
+    The matrix (the array passed in) is made read-only, so the gate records
+    measured from it (:attr:`unitarity`, :attr:`admissibility`) cannot go
+    stale.  A whole-cell compression keeps the operator it was cut from as
+    ``compressed_from`` and inherits its admissibility bound.
+    """
 
     matrix: np.ndarray
     cells: CellStructure
     band: int
     local_rep: LocalSymmetryRep | None = None
     meta: dict = field(default_factory=dict)
+    compressed_from: "LatticeOperator | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.band < 0:
@@ -165,6 +191,7 @@ class LatticeOperator:
             raise IncompatibleCells(f"matrix shape {self.matrix.shape} != cell total {(d, d)}")
         if self.local_rep is not None and self.local_rep.total_dim != d:
             raise IncompatibleCells("local representation does not match cell dimensions")
+        self.matrix.flags.writeable = False
 
     @classmethod
     def with_measured_band(
@@ -177,8 +204,7 @@ class LatticeOperator:
     ) -> "LatticeOperator":
         """An operator whose declared band is its measured bandwidth."""
         op = cls(matrix, cells, 0, local_rep, {} if meta is None else meta)
-        op.band = measured_band(op, tol)
-        return op
+        return replace(op, band=measured_band(op, tol))
 
     @property
     def dim(self) -> int:
@@ -187,6 +213,36 @@ class LatticeOperator:
     def block(self, i: int, j: int) -> np.ndarray:
         """The (cell i <- cell j) block."""
         return self.matrix[self.cells.cell_slice(i), self.cells.cell_slice(j)]
+
+    @cached_property
+    def cell_band(self) -> "CellBand":
+        """The blocks within the declared band, read once for both gates."""
+        return CellBand(self.matrix, self.cells, self.band)
+
+    @cached_property
+    def unitarity(self) -> "Gate":
+        """``||W* W - 1||``, measured on first use."""
+        return measure_unitarity(self.cell_band)
+
+    @cached_property
+    def admissibility(self) -> dict[str, "Gate"]:
+        """Walk residuals of each symmetry condition of ``local_rep``, measured on
+        first use.  A compression reads its parent's bound and is measured
+        itself only where that bound does not pass."""
+        if self.local_rep is None:
+            raise NotAdmissible("no symmetry representation supplied or attached")
+        parent = self.compressed_from
+        if parent is None or parent.local_rep is None:
+            return measure_admissibility(self.cell_band, self.local_rep.runs(), "walk")
+        # the deferred measurement holds the parts, not the operator, which holds it
+        matrix, cells, band, local = self.matrix, self.cells, self.band, self.local_rep
+        own = _once(lambda: measure_admissibility(CellBand(matrix, cells, band), local.runs(), "walk"))
+        # sigma is cell-local, so it commutes with the whole-cell compression P:
+        # the residual here is P R P for the parent's R, and ||P R P|| <= ||R||
+        return {
+            name: Gate(gate.bound, lambda t, name=name: own()[name].screened(t))
+            for name, gate in parent.admissibility.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -345,17 +401,19 @@ def compress(op: LatticeOperator, proj: CellProjection) -> LatticeOperator:
         "end_bonds": {"left": left_bond, "right": right_bond},
         "parent_cells": tuple(run),
     }
-    return LatticeOperator(sub, cells, op.band, local_rep, meta)
+    return LatticeOperator(sub, cells, op.band, local_rep, meta, compressed_from=op)
 
 
-def _cell_block_reduce(
-    ufunc: np.ufunc, x: np.ndarray, owner: np.ndarray, n_cells: int
-) -> np.ndarray:
-    """``ufunc`` reduced over each cell-pair block of ``x``; ``owner`` maps indices to cells."""
-    rows = np.zeros((n_cells, x.shape[1]))
-    ufunc.at(rows, owner, x)
-    out = np.zeros((n_cells, n_cells))
-    ufunc.at(out.T, owner, rows.T)
+def _cell_block_reduce(ufunc: np.ufunc, x: np.ndarray, cells: CellStructure) -> np.ndarray:
+    """``ufunc`` reduced over each cell-pair block of ``x``, by ``reduceat`` over
+    the cell offsets; a block of a zero-dimensional cell is 0."""
+    n = cells.n_cells
+    live = np.array(cells.cell_dims) > 0
+    out = np.zeros((n, n))
+    if live.any():
+        starts = np.array(cells.offsets[:-1])[live]
+        rows = ufunc.reduceat(x, starts, axis=0)
+        out[np.ix_(live, live)] = ufunc.reduceat(rows, starts, axis=1)
     return out
 
 
@@ -380,10 +438,10 @@ def measured_band(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> int:
     n = cells.n_cells
     owner = np.repeat(np.arange(n), cells.cell_dims)
     a = np.abs(op.matrix)
-    big = _cell_block_reduce(np.maximum, a, owner, n)
+    big = _cell_block_reduce(np.maximum, a, cells)
     # squares of entries scaled by their block maximum cannot underflow to a false zero
     scale = np.where(big > 0, big, 1.0)[owner][:, owner]
-    frob = big * np.sqrt(_cell_block_reduce(np.add, (a / scale) ** 2, owner, n))
+    frob = big * np.sqrt(_cell_block_reduce(np.add, (a / scale) ** 2, cells))
     cell = np.arange(n)
     dist = np.abs(cell[:, None] - cell[None, :])
     if cells.topology == "circle":
@@ -396,6 +454,265 @@ def measured_band(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> int:
         if spectral_norm(op.block(i, j)) > tol.band:
             return int(dist[i, j])
     return band
+
+
+# -- gates measured from the cell band -------------------------------------------
+
+# The exact unitarity defect is taken on the cells whose residual rows exceed
+# END_CELL_SLACK times the largest row; it stands when the Weyl allowance for
+# the rest is at most END_CELL_SLACK times it, else the whole matrix decides.
+END_CELL_SLACK = 1e-12
+
+def _once(compute: Callable[[], object]) -> Callable[[], object]:
+    """``compute``, run on the first call only."""
+    done: list = []
+
+    def value():
+        if not done:
+            done.append(compute())
+        return done[0]
+
+    return value
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One residual norm of an operator, measured once.
+
+    ``bound`` is an upper bound on the spectral norm and ``norm(t)`` the norm
+    itself, exact enough to compare with ``t``; it is computed on first need.
+    """
+
+    bound: float
+    norm: Callable[[float], float]
+
+    def screened(self, threshold: float) -> float:
+        """The bound if it passes ``threshold`` less ``ADMISSIBILITY_SCREEN_SLACK``
+        (so rounding cannot change the verdict), else the norm."""
+        if self.bound <= threshold * (1 - ADMISSIBILITY_SCREEN_SLACK):
+            return self.bound
+        return self.norm(threshold)
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """Cell indices of the band screens for n cells of band b on a circle or a line."""
+
+    partner: np.ndarray  # (2b+1, n): the cell x + j of the block (x, x + j), wrapped
+    outside: np.ndarray  # (2b+1, n): x + j past the ends of a line
+    window: np.ndarray  # (n, 2b+1, 4b+1): block (x + i, x + k) among the blocks, else -1
+    reach: np.ndarray  # (n, 4b+1): the cell x + k, wrapped; -1 past the ends of a line
+    source: np.ndarray  # (2b+1, n): the cell y - j of the block (y - j, y), wrapped
+    edge: np.ndarray  # the 2b cells whose band wraps or is clipped
+    edge_far: np.ndarray  # (2b, n): cells more than b from an edge cell
+
+
+@lru_cache(maxsize=64)
+def _band_layout(n: int, b: int, circle: bool) -> _BandLayout:
+    x = np.arange(n)
+    j = np.arange(-b, b + 1)[:, None]
+    i, k = np.arange(-b, b + 1), np.arange(-2 * b, 2 * b + 1)
+    rows = x[:, None] + i
+    hop = k - i[:, None]
+    live = (np.abs(hop) <= b) & ((rows >= 0) & (rows < n) | circle)[:, :, None]
+    window = np.where(live, (np.clip(hop, -b, b) + b) * n + (rows % n)[:, :, None], -1)
+    reach = x[:, None] + k
+    reach = np.where((reach >= 0) & (reach < n) | circle, reach % n, -1)
+    edge = np.concatenate([x[:b], x[n - b :]])
+    dist = np.abs(edge[:, None] - x)
+    if circle:
+        dist = np.minimum(dist, n - dist)
+    layout = _BandLayout(
+        (x + j) % n, (not circle) & ((x + j < 0) | (x + j >= n)), window, reach, (x - j) % n, edge, dist > b
+    )
+    for a in vars(layout).values():
+        a.flags.writeable = False
+    return layout
+
+
+def _offband_norm(m: np.ndarray, cb: "CellBand") -> float:
+    """Frobenius norm of the entries of ``m`` between cells more than ``b`` apart.
+
+    Row r of a cell x with b <= x < n - b has its band in columns
+    [(x - b)d, (x + b + 1)d).  In the row-major matrix the entries from the end
+    of that band to the start of the next row's band are all outside the band,
+    and for fixed r they start (N + 1)d entries apart from cell to cell: one
+    strided view per r holds them.  The 2b edge cells' rows, whose band wraps
+    on a circle and is clipped on a line, are summed by cell.
+    """
+    n, d, b = cb.n_cells, cb.cell_dim, cb.band
+    big = n * d
+    flat = np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float)
+    total = 0.0
+    for r in range(d):
+        # the last row of a cell reaches into the next cell's row
+        stop = n - b - (r == d - 1)
+        if stop <= b:
+            continue
+        start = (b * d + r) * big + (2 * b + 1) * d
+        length = big - (2 * b + 1) * d + (d if r == d - 1 else 0)
+        runs = np.lib.stride_tricks.as_strided(
+            flat[2 * start :], (stop - b, 2 * length), ((big + 1) * d * flat.strides[0] * 2, flat.strides[0]),
+            writeable=False,
+        )
+        total += float(np.einsum("ij,ij->", runs, runs))
+    layout = _band_layout(n, b, cb.circle)
+    rows = m.reshape(n, d, n, d)[layout.edge]
+    mass = np.einsum("xrys,xrys->xy", rows.real, rows.real) + np.einsum("xrys,xrys->xy", rows.imag, rows.imag)
+    # padded as frobenius_bound is, against squares lost to underflow
+    return float(np.sqrt(total + mass[layout.edge_far].sum() + m.size * np.finfo(float).tiny))
+
+
+class CellBand:
+    """A matrix read as the blocks between cells at most ``band`` apart.
+
+    ``blocks[b + j, x]`` is the block (cell x <- cell x + j) for |j| <= b,
+    wrapped on a circle and zero past the ends of a line.  ``offband`` is the
+    Frobenius norm of every entry outside these blocks: zero for a walk built
+    with its band, not for a measured or stored matrix.  Mixed or
+    zero-dimensional cells, a circle of at most 4b cells and a plain matrix
+    (``cells`` None) are one cell holding the whole matrix, at band 0.
+    """
+
+    def __init__(self, matrix: np.ndarray, cells: CellStructure | None = None, band: int = 0):
+        self.matrix = matrix
+        dims = () if cells is None else cells.cell_dims
+        d = dims[0] if dims else 0
+        if d == 0 or dims.count(d) != len(dims) or len(dims) <= 4 * band:
+            n, d, band, circle = 1, matrix.shape[0], 0, True
+        else:
+            n, circle = len(dims), cells.topology == "circle"
+        self.n_cells, self.cell_dim, self.band, self.circle = n, d, band, circle
+        self.layout = _band_layout(n, band, circle)
+        if n == 1:
+            self.blocks, self.offband = matrix[None, None], 0.0
+            return
+        self.blocks = matrix.reshape(n, d, n, d)[np.arange(n), :, self.layout.partner, :]
+        self.blocks[self.layout.outside] = 0
+        self.offband = _offband_norm(matrix, self)
+
+    def one_cell(self) -> "CellBand":
+        """The whole matrix as one cell."""
+        return self if self.n_cells == 1 else CellBand(self.matrix)
+
+
+def measure_unitarity(cb: CellBand) -> Gate:
+    """``||W* W - 1||`` from the cell band.
+
+    Rows of cells x-b..x+b and columns of cells x-2b..x+2b around each cell x
+    form one ``(n, (2b+1)d, (4b+1)d)`` stack, and one batched product gives
+    the row blocks of ``W_b* W_b`` at offsets -2b..2b for the in-band part
+    ``W_b`` of ``W``.  With ``F = ||W_b* W_b - 1||_F`` and ``e`` the off-band
+    norm, ``||W* W - 1|| <= F + 2 sqrt(1 + F) e + e^2``: the bound.  The norm
+    is the largest ``|eigvalsh|`` of the Hermitian residual on the cells it
+    reaches (the b end cells of a compressed line), with the Frobenius norm of
+    the rest and the off-band term as a Weyl allowance; where that allowance
+    is not small, or the threshold lies within it, the whole matrix as one
+    cell decides.
+    """
+    n, d, b = cb.n_cells, cb.cell_dim, cb.band
+    layout = cb.layout
+    if n == 1:  # the window of the one cell is the cell
+        s = cb.blocks[0]
+    else:
+        blocks = np.concatenate([cb.blocks.reshape((2 * b + 1) * n, d, d), np.zeros((1, d, d), dtype=cb.blocks.dtype)])
+        s = blocks[layout.window].transpose(0, 1, 3, 2, 4).reshape(n, (2 * b + 1) * d, (4 * b + 1) * d)
+    c = slice(2 * b * d, (2 * b + 1) * d)
+    p = s[:, :, c].conj().swapaxes(1, 2) @ s
+    p[:, :, c] -= np.eye(d)
+    frob = frobenius_bound(p)
+    e = cb.offband
+    weyl = 2 * np.sqrt(1 + frob) * e + e * e
+
+    def end_cells() -> tuple[float, float]:
+        p4 = p.reshape(n, d, 4 * b + 1, d)
+        mass = np.einsum("xrks,xrks->xk", p4.real, p4.real) + np.einsum("xrks,xrks->xk", p4.imag, p4.imag)
+        row = mass.sum(axis=1)
+        reached = np.flatnonzero(row > END_CELL_SLACK**2 * row.max(initial=0.0))
+        pos = np.full(n + 1, -1)
+        pos[reached] = np.arange(reached.size)
+        pick = (pos[layout.reach] >= 0) & (pos[:n, None] >= 0)
+        xs, ks = np.nonzero(pick)
+        h = np.zeros((reached.size, d, reached.size, d), dtype=p.dtype)
+        h[pos[xs], :, pos[layout.reach[xs, ks]], :] = p4[xs, :, ks, :]
+        h = h.reshape(reached.size * d, reached.size * d)
+        value = float(np.max(np.abs(np.linalg.eigvalsh((h + h.conj().T) / 2)), initial=0.0))
+        return value, float(np.sqrt(mass[~pick].sum())) + weyl
+
+    end_cells = _once(end_cells)
+    whole = _once(lambda: measure_unitarity(cb.one_cell()).norm(0.0))
+
+    def norm(threshold: float) -> float:
+        value, allowance = end_cells()
+        if allowance == 0 or allowance <= END_CELL_SLACK * value and abs(value - threshold) > allowance:
+            return value
+        return whole()
+
+    return Gate(frob + weyl, norm)
+
+
+def _cell_groups(cb: CellBand, runs: Runs) -> list[tuple[int, int, Runs]]:
+    """``(first cell, count, runs)``: each run of equal band cells acts as one
+    cell rep, so that a pass over it is one product; one cell carries every run."""
+    if cb.n_cells == 1:
+        return [(0, 1, runs)]
+    return [(start // cb.cell_dim, count, [(0, 1, cell)]) for start, count, cell in runs]
+
+
+def _admissibility_residual(
+    cb: CellBand, groups: list[tuple[int, int, Runs]], name: str, kind: str
+) -> np.ndarray:
+    """The residual of one symmetry condition on the in-band blocks: ``[j, y]``
+    is the block (y - j <- y), from one pass of each run over the rows and one
+    over the columns.  As one cell it is the residual matrix itself."""
+    n, d, b = cb.n_cells, cb.cell_dim, cb.band
+    width = 2 * b + 1
+    left = np.empty(cb.blocks.shape, dtype=complex)
+    for first, count, group in groups:
+        rows = cb.blocks[:, first : first + count].transpose(2, 0, 1, 3).reshape(d, width * count * d)
+        part = apply_runs(group, name, rows).reshape(d, width, count, d)
+        left[:, first : first + count] = part.transpose(1, 2, 0, 3)
+    j = np.arange(width)[:, None]
+    moved = left[j, cb.layout.source]
+    r = np.empty(moved.shape, dtype=complex)
+    for first, count, group in groups:
+        cols = moved[:, first : first + count].reshape(width * count * d, d)
+        r[:, first : first + count] = times_runs(cols, group, name, adjoint=True).reshape(width, count, d, d)
+    adjoint, sign = ADMISSIBILITY[name]
+    if kind == "walk" and adjoint:
+        target = cb.blocks[::-1].conj().swapaxes(-1, -2)
+    else:
+        target = cb.blocks[j, cb.layout.source]
+    if kind == "walk" or sign > 0:
+        r -= target
+    else:
+        r += target
+    return r
+
+
+def measure_admissibility(cb: CellBand, runs: Runs, kind: str = "walk") -> dict[str, Gate]:
+    """Residuals of the symmetry conditions of a walk or Hamiltonian from the cell band.
+
+    ``runs`` are the rep's runs of cells (a dense rep is one run of one
+    cell); cells of another dimension than the band's make it one cell.
+    Each bound is the Frobenius norm on the in-band blocks plus twice the
+    off-band norm (``sigma`` is unitary and cell-local).  The norm is the
+    spectral norm of the whole residual.
+    """
+    if any(cell.dim != cb.cell_dim for _, _, cell in runs):
+        cb = cb.one_cell()
+    groups = _cell_groups(cb, runs)
+    gates = {}
+    for name in runs[0][2].ops:
+        bound = frobenius_bound(_admissibility_residual(cb, groups, name, kind)) + 2 * cb.offband
+
+        def whole(name=name):
+            one = cb.one_cell()
+            return spectral_norm(_admissibility_residual(one, _cell_groups(one, runs), name, kind)[0, 0])
+
+        whole = _once(whole)
+        gates[name] = Gate(bound, lambda t, whole=whole: whole())
+    return gates
 
 
 def cells_near_bond(cells: CellStructure, bond: int, radius: int) -> tuple[int, ...]:

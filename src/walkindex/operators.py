@@ -21,15 +21,14 @@ from .errors import (
     NotUnitary,
     WindowAmbiguous,
 )
-from .lattice import LocalSymmetryRep
-from .symmetry import (
-    ADMISSIBILITY,
-    Runs,
-    SymmetryRep,
-    conjugate_runs,
-    screened_norm,
-    unitarity_defect,
+from .lattice import (
+    CellBand,
+    LatticeOperator,
+    LocalSymmetryRep,
+    measure_admissibility,
+    measure_unitarity,
 )
+from .symmetry import ADMISSIBILITY, SymmetryRep, screened_norm, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -51,9 +50,19 @@ __all__ = [
 INVARIANCE_FLOOR = 1e-12
 
 
-def check_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "operator") -> float:
-    """Unitarity defect screened by ``tol.unit``: a bound if it passes, else exact and raised."""
-    defect = unitarity_defect(w, tol.unit)
+def check_unitary(
+    w: np.ndarray | LatticeOperator, tol: Tolerances = DEFAULT_TOL, what: str = "operator"
+) -> float:
+    """Unitarity defect screened by ``tol.unit``: a bound if it passes, else exact and raised.
+
+    An operator's defect is its :attr:`~walkindex.lattice.LatticeOperator.unitarity`
+    record, measured once; a plain matrix is measured on each call, as one cell.
+    """
+    if isinstance(w, LatticeOperator):
+        gate = w.unitarity
+    else:
+        gate = measure_unitarity(CellBand(np.asarray(w, dtype=complex)))
+    defect = gate.screened(tol.unit)
     if defect > tol.unit:
         raise NotUnitary(f"{what} has unitarity defect {defect:.3e} > {tol.unit}")
     return defect
@@ -144,25 +153,9 @@ class AdmissibilityReport:
     ok: bool
 
 
-def _residual_norm(w: np.ndarray, runs: Runs, name: str, kind: str, bound: float) -> float:
-    """Norm of the residual of one symmetry condition, screened by ``bound``.
-
-    The residual is local here, so no N x N array outlives the call.
-    """
-    adjoint, sign = ADMISSIBILITY[name]
-    r = conjugate_runs(runs, name, w)
-    if kind == "walk":
-        r -= w.conj().T if adjoint else w
-    elif sign > 0:
-        r -= w
-    else:
-        r += w
-    return screened_norm(r, bound)
-
-
 def check_admissible(
-    w: np.ndarray,
-    rep: SymmetryRep | LocalSymmetryRep,
+    w: np.ndarray | LatticeOperator,
+    rep: SymmetryRep | LocalSymmetryRep | None = None,
     kind: str = "walk",
     tol: Tolerances = DEFAULT_TOL,
     strict: bool = True,
@@ -172,18 +165,26 @@ def check_admissible(
     Walk: ``eta W eta^-1 = W``, ``tau W tau^-1 = W*``, ``gamma W gamma^-1 = W*``.
     Hamiltonian: right-hand sides ``-H, +H, -H``.
 
-    ``rep`` is cell-local or dense (one run of one cell); the operators are
-    applied one run of equal cells at a time, never assembled.  Each residual
-    is screened against ``tol.adm`` (:func:`~walkindex.symmetry.screened_norm`):
-    one that passes takes no SVD and is reported as its Frobenius bound, any
-    other is the spectral norm.  A ``strict=False`` report is the same
+    ``rep`` is cell-local or dense (one run of one cell), and defaults to an
+    operator's ``local_rep``.  A walk with its own rep reads the operator's
+    :attr:`~walkindex.lattice.LatticeOperator.admissibility` record, measured
+    once; anything else is measured on the call, an operator from its cell
+    band and a plain matrix as one cell
+    (:func:`~walkindex.lattice.measure_admissibility`).  Each residual is
+    screened against ``tol.adm``: one that passes is reported as its bound,
+    any other is the spectral norm.  A ``strict=False`` report is the same
     measurement without the raise.
     """
     if kind not in ("walk", "hamiltonian"):
         raise ValueError(f"kind must be 'walk' or 'hamiltonian', got {kind!r}")
-    w = np.asarray(w, dtype=complex)
-    runs = rep.runs()
-    res = {name: _residual_norm(w, runs, name, kind, tol.adm) for name in runs[0][2].ops}
+    if isinstance(w, LatticeOperator) and kind == "walk" and (rep is None or rep is w.local_rep):
+        gates = w.admissibility
+    elif rep is None:
+        raise NotAdmissible("no symmetry representation supplied or attached")
+    else:
+        band = w.cell_band if isinstance(w, LatticeOperator) else CellBand(np.asarray(w, dtype=complex))
+        gates = measure_admissibility(band, rep.runs(), kind)
+    res = {name: gate.screened(tol.adm) for name, gate in gates.items()}
     worst = max(res.values(), default=0.0)
     ok = worst <= tol.adm
     if strict and not ok:

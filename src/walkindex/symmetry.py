@@ -60,11 +60,11 @@ __all__ = [
     "ADMISSIBILITY",
     "ADMISSIBILITY_SCREEN_SLACK",
     "spectral_norm",
+    "frobenius_bound",
     "screened_norm",
     "unitarity_defect",
     "apply_runs",
     "times_runs",
-    "conjugate_runs",
     "trace_runs",
     "restrict_runs",
     "block_diagonal",
@@ -225,14 +225,19 @@ def spectral_norm(x: np.ndarray) -> float | np.ndarray:
 ADMISSIBILITY_SCREEN_SLACK = 1e-6
 
 
+def frobenius_bound(x: np.ndarray) -> float:
+    """``||x||_F``, an upper bound on the spectral norm."""
+    # a real or imaginary part whose square underflows loses less than tiny
+    # from the sum, so the padding keeps this above ||x||_F
+    return float(np.sqrt(np.vdot(x, x).real + 2 * x.size * np.finfo(float).tiny))
+
+
 def screened_norm(x: np.ndarray, bound: float | None = None) -> float | np.ndarray:
     """:func:`spectral_norm`, except that a residual whose Frobenius norm (an
     upper bound) is at most ``bound`` less ``ADMISSIBILITY_SCREEN_SLACK``
     returns that bound and takes no SVD; a failing residual is always exact."""
     if bound is not None:
-        # a real or imaginary part whose square underflows loses less than
-        # tiny from the sum, so the padding keeps this above ||x||_F
-        frob = float(np.sqrt(np.vdot(x, x).real + 2 * x.size * np.finfo(float).tiny))
+        frob = frobenius_bound(x)
         if frob <= bound * (1 - ADMISSIBILITY_SCREEN_SLACK):
             return frob
     return spectral_norm(x)
@@ -443,11 +448,6 @@ def times_runs(x: np.ndarray, runs: Runs, name: str, adjoint: bool = False) -> n
             out=out[:, start:stop].reshape(n, count, d).transpose(1, 0, 2),
         )
     return out
-
-
-def conjugate_runs(runs: Runs, name: str, x: np.ndarray) -> np.ndarray:
-    """Operator conjugation ``sigma X sigma^-1``: a row pass, then a column pass."""
-    return times_runs(apply_runs(runs, name, x), runs, name, adjoint=True)
 
 
 def trace_runs(runs: Runs, name: str, x: np.ndarray | None = None) -> complex:

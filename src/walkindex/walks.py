@@ -599,8 +599,8 @@ def build_lattice(
     meta = {"ti_name": ti.name, "params": dict(ti.params), "class": ti.cls.value}
     op = LatticeOperator(w, cells, band, local_rep, meta)
     if topology == "circle":
-        check_unitary(w, tol, what="circle realization")
-        check_admissible(w, local_rep, kind="walk", tol=tol)
+        check_unitary(op, tol, what="circle realization")
+        check_admissible(op, tol=tol)
     return op
 
 

@@ -38,6 +38,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import expm
 
+import walkindex.lattice
+import walkindex.operators
+
 from walkindex.errors import (
     Gapless,
     NonIntegerInvariant,
@@ -76,6 +79,7 @@ from walkindex.symmetry import (
     IndexGroup,
     IndexValue,
     SymmetryClass,
+    SymmetryOperator,
     SymmetryRep,
     block_diagonal,
     chiral_sectors,
@@ -91,6 +95,9 @@ from walkindex.walks import (
     ShiftFactor,
     TIWalk,
     _kramers_frame,
+    make_doubled,
+    make_generating_example,
+    make_split_step,
 )
 
 SIGMA_0 = np.eye(2, dtype=complex)
@@ -402,6 +409,54 @@ ALL_CLASSES = list(SymmetryClass)
 CHIRAL_PLUS = [SymmetryClass.AIII, SymmetryClass.BDI, SymmetryClass.CII]
 
 
+def doubled_ci() -> TIWalk:
+    """Two copies of the generating walk in class CI: a symplectic particle-hole
+    pairs the copies, time reversal acts on each, and gamma squares to -1.
+    No builtin walk, nor a weaker class of one, is of class CI."""
+    base = make_generating_example()
+    e = base.cell_rep.ops["eta"].matrix
+    zero = np.zeros((2, 2))
+    eta = SymmetryOperator(np.block([[zero, -e], [e, zero]]).astype(complex), True)
+    tau = SymmetryOperator(block_diagonal([base.cell_rep.ops["tau"].matrix] * 2), True)
+    rep = SymmetryRep(SymmetryClass.CI, {"eta": eta, "tau": tau, "gamma": eta.compose(tau)}, 4)
+    rep.validate()
+    blocks = {j: block_diagonal((b, b)) for j, b in base.blocks.items()}
+    return TIWalk("doubled_ci", SymmetryClass.CI, 4, blocks, rep, None, {})
+
+
+_C = SymmetryClass
+# one walk of each of the ten classes: builtins, the doubled walks, weaker
+# classes of them by forget_rep, and the doubled CI walk
+TEN_CLASS_WALKS = {
+    _C.BDI: lambda: make_generating_example(),
+    _C.AIII: lambda: forget_ti(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), _C.AIII),
+    _C.D: lambda: forget_ti(make_generating_example(True), _C.D),
+    _C.AI: lambda: forget_ti(make_split_step(-5 * np.pi / 16, 2 * np.pi / 16), _C.AI),
+    _C.A: lambda: forget_ti(make_generating_example(), _C.A),
+    _C.CII: lambda: make_doubled("CII", True),
+    _C.C: lambda: forget_ti(make_doubled("CII"), _C.C),
+    _C.AII: lambda: forget_ti(make_doubled("DIII"), _C.AII),
+    _C.DIII: lambda: make_doubled("DIII"),
+    _C.CI: doubled_ci,
+}
+
+
+def record_gate_measurements(monkeypatch) -> dict[str, list[np.ndarray]]:
+    """The matrix of every unitarity and admissibility measurement from now on, by gate."""
+    seen: dict[str, list[np.ndarray]] = {"unitarity": [], "admissibility": []}
+    for gate, matrices in seen.items():
+        name = f"measure_{gate}"
+        original = getattr(walkindex.lattice, name)
+
+        def recording(band, *args, _original=original, _matrices=matrices, **kwargs):
+            _matrices.append(band.matrix)
+            return _original(band, *args, **kwargs)
+
+        for module in (walkindex.lattice, walkindex.operators):
+            monkeypatch.setattr(module, name, recording)
+    return seen
+
+
 # -- reference oracles ------------------------------------------------------------
 
 
@@ -460,6 +515,21 @@ def reference_dumps(obj) -> str:
     if isinstance(obj, Sequence):
         return "[" + ",".join(reference_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dense_unitarity(w: np.ndarray) -> float:
+    """``||W* W - 1||`` by one N x N product and its SVD."""
+    return spectral_norm(w.conj().T @ w - np.eye(len(w)))
+
+
+def cell_block_reduce_at(ufunc: np.ufunc, x: np.ndarray, cells: CellStructure) -> np.ndarray:
+    """``ufunc`` over each cell-pair block of ``x`` by two unbuffered ``ufunc.at`` passes."""
+    owner = np.repeat(np.arange(cells.n_cells), cells.cell_dims)
+    rows = np.zeros((cells.n_cells, x.shape[1]))
+    ufunc.at(rows, owner, x)
+    out = np.zeros((cells.n_cells, cells.n_cells))
+    ufunc.at(out.T, owner, rows.T)
+    return out
 
 
 def dense_admissibility(w: np.ndarray, rep: SymmetryRep, kind: str = "walk") -> dict[str, float]:

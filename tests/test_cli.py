@@ -10,7 +10,7 @@ import pytest
 
 import walkindex
 import walkindex.symmetry as symmetry_module
-from helpers import reference_dumps
+from helpers import record_gate_measurements, reference_dumps
 from walkindex.cli import main
 from walkindex.decoupling import gentle_decoupling
 from walkindex.lattice import LocalSymmetryRep
@@ -24,6 +24,7 @@ from walkindex.serialize import (
     walk_from_spec,
 )
 from walkindex.symmetry import IndexGroup, IndexValue
+from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import InvariantReport, build_lattice, make_split_step
 
 GEN = {"type": "ti", "builtin": "generating"}
@@ -671,8 +672,9 @@ ONE_RULE_RUNS = {
     "join-line": (["join", "a", "b", "--n-left", "24", "--n-right", "24", "--topology", "line"], 0),
     "sweep": (["sweep", "a", "b", "--size", "16,16", "--size", "24,24"], 0),
     "temple-kato": (["temple-kato", "join32", "--theta", "1+0j", "--k", "1", "--window", "28:36"], 0),
-    # its unitarity fails, so the printed defect is the exact 64 x 64 norm
-    "index-compressed-line": (["index", "compressed32"], 1),
+    # its unitarity fails, so the printed defect is the exact norm, from an
+    # eigvalsh on the end cells that the defect reaches and no SVD
+    "index-compressed-line": (["index", "compressed32"], 0),
 }
 
 
@@ -718,3 +720,20 @@ def test_full_size_checks_take_an_svd_only_to_fail(tmp_path, capsys, monkeypatch
     code, out = run(capsys, [files.get(arg, arg) for arg in argv])
     assert code == 0, out
     assert [s for s in shapes if s[0] == s[1] >= 32] == [(64, 64)] * svds
+
+
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_index_measures_each_operator_once(tmp_path, capsys, monkeypatch, topology):
+    # the walk's unitarity and admissibility are measured once, where it
+    # enters; si_pm, si_total on the half-space pieces and the printed
+    # residuals read the records, and the pieces inherit the admissibility bound
+    spec = write_spec(tmp_path, "w.json", {**SPLIT_A, "geometry": {"n_cells": 64, "topology": topology}})
+    seen = record_gate_measurements(monkeypatch)
+    code, out = run(capsys, ["index", spec])
+    assert code == 0, out
+    residuals = json.loads(out)["residuals"]
+    assert residuals["admissibility"] <= DEFAULT_TOL.adm
+    assert (residuals["unitarity"] <= DEFAULT_TOL.unit) == (topology == "circle")
+    for gate, matrices in seen.items():
+        # the rest are the k x k compressions near +-1 that eig_unitary checks
+        assert [m.shape for m in matrices if len(m) >= 64] == [(128, 128)], gate

@@ -17,13 +17,14 @@ from scipy.linalg import block_diag
 import walkindex
 import walkindex.decoupling
 from helpers import (
+    TEN_CLASS_WALKS,
     ProjectionPair,
     contraction_path,
     dense_decoupling,
     dense_rotation,
-    forget_ti,
     haar_unitary,
     identity_defects,
+    record_gate_measurements,
     rng,
 )
 from walkindex.decoupling import (
@@ -56,12 +57,9 @@ from walkindex.symmetry import (
     IndexGroup,
     IndexValue,
     SymmetryClass,
-    SymmetryOperator,
     SymmetryRep,
-    block_diagonal,
 )
 from walkindex.walks import (
-    TIWalk,
     build_lattice,
     make_doubled,
     make_generating_example,
@@ -236,26 +234,18 @@ def test_gentle_decoupling_path_is_admissible_homotopy():
 
 def test_gentle_decoupling_checks_each_matrix_once(monkeypatch):
     # at full size the walk's unitarity and admissibility and the decoupled
-    # walk's admissibility; the correction and the generator are checked on
-    # range(P - Q)
+    # walk's admissibility, each measured once; the half-space pieces inherit
+    # their parent's admissibility bound, and the correction and the
+    # generator are measured on range(P - Q)
+    seen = record_gate_measurements(monkeypatch)
     r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 24)
-    calls = {"check_admissible": [], "check_unitary": []}
-    for name, seen in calls.items():
-        original = getattr(walkindex.operators, name)
-
-        def counting(m, *args, _original=original, _seen=seen, **kwargs):
-            _seen.append(np.shape(m))
-            return _original(m, *args, **kwargs)
-
-        for module in vars(walkindex).values():
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
-    gentle_decoupling(r, 0)
-    full = {name: sum(shape == (r.dim, r.dim) for shape in seen) for name, seen in calls.items()}
-    assert full["check_admissible"] == 2
-    assert full["check_unitary"] <= 1
-    r_dim = {shape for seen in calls.values() for shape in seen if shape != (r.dim, r.dim)}
-    assert r_dim and all(max(shape) < r.dim for shape in r_dim)
+    res = gentle_decoupling(r, 0)
+    full = {gate: [m for m in ms if m.shape == (r.dim, r.dim)] for gate, ms in seen.items()}
+    assert [m is r.matrix for m in full["unitarity"]] == [True]
+    assert [m is r.matrix for m in full["admissibility"]] == [True, False]
+    assert full["admissibility"][1] is res.w_prime.matrix
+    small = [m.shape for ms in seen.values() for m in ms if m.shape != (r.dim, r.dim)]
+    assert small and all(max(shape) < r.dim // 2 for shape in small)
 
 
 def test_gentle_decoupling_trivial_needs_no_correction():
@@ -485,37 +475,7 @@ def test_cut_windows_merge_and_cover_short_rings(name, cells):
     assert sorted(set(modes.window // 4)) == cells
 
 
-def doubled_ci() -> TIWalk:
-    """Two copies of the generating walk in class CI: a symplectic particle-hole
-    pairs the copies, time reversal acts on each, and gamma squares to -1."""
-    base = make_generating_example()
-    e = base.cell_rep.ops["eta"].matrix
-    zero = np.zeros((2, 2))
-    eta = SymmetryOperator(np.block([[zero, -e], [e, zero]]).astype(complex), True)
-    tau = SymmetryOperator(block_diagonal([base.cell_rep.ops["tau"].matrix] * 2), True)
-    rep = SymmetryRep(SymmetryClass.CI, {"eta": eta, "tau": tau, "gamma": eta.compose(tau)}, 4)
-    rep.validate()
-    blocks = {j: block_diagonal((b, b)) for j, b in base.blocks.items()}
-    return TIWalk("doubled_ci", SymmetryClass.CI, 4, blocks, rep, None, {})
-
-
-C = SymmetryClass
 SPLIT_A = (9 * np.pi / 32, 7 * np.pi / 32)
-SPLIT_B = (-5 * np.pi / 16, 2 * np.pi / 16)
-# one walk of each of the ten classes: builtins, the doubled walks and weaker
-# classes of them by forget_rep
-TEN_CLASS_WALKS = {
-    C.BDI: lambda: make_generating_example(),
-    C.AIII: lambda: forget_ti(make_split_step(*SPLIT_A), C.AIII),
-    C.D: lambda: forget_ti(make_generating_example(True), C.D),
-    C.AI: lambda: forget_ti(make_split_step(*SPLIT_B), C.AI),
-    C.A: lambda: forget_ti(make_generating_example(), C.A),
-    C.CII: lambda: make_doubled("CII", True),
-    C.C: lambda: forget_ti(make_doubled("CII"), C.C),
-    C.AII: lambda: forget_ti(make_doubled("DIII"), C.AII),
-    C.DIII: lambda: make_doubled("DIII"),
-    C.CI: doubled_ci,
-}
 
 
 def conjugated(op: LatticeOperator, gen, band: int) -> LatticeOperator:

@@ -6,7 +6,19 @@ import numpy as np
 import pytest
 
 import walkindex.lattice as lattice_module
-from helpers import haar_unitary, locality_profile, normal_form_rep, profile_band, rng
+from helpers import (
+    TEN_CLASS_WALKS,
+    cell_block_reduce_at,
+    dense_admissibility,
+    dense_unitarity,
+    haar_unitary,
+    locality_profile,
+    normal_form_rep,
+    profile_band,
+    random_admissible_walk,
+    record_gate_measurements,
+    rng,
+)
 from walkindex.errors import CutOutOfRange, IncompatibleCells
 from walkindex.lattice import (
     CellProjection,
@@ -21,7 +33,8 @@ from walkindex.lattice import (
     measured_band,
     split_by_weight,
 )
-from walkindex.symmetry import SymmetryClass, spectral_norm
+from walkindex.operators import check_admissible, check_unitary
+from walkindex.symmetry import SymmetryClass, SymmetryOperator, SymmetryRep, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import build_lattice, make_split_step
 
@@ -382,3 +395,140 @@ def test_local_rep_runs_group_consecutive_shared_cell_reps():
     assert local.runs() == [(0, 2, a), (4, 3, b), (13, 1, a_copy), (15, 1, a)]
     assert LocalSymmetryRep.uniform(a, 5).runs() == [(0, 5, a)]
     assert local.restrict_cells([2, 3]).runs() == [(0, 2, b)]
+
+
+def test_cell_block_reduce_matches_ufunc_at_on_mixed_cells():
+    gen = rng(2404)
+    for dims in ((2, 0, 3, 1, 0, 2), (0, 1), (3, 3, 3), (0, 2, 0)):
+        cells = CellStructure(dims, "line")
+        x = np.abs(gen.normal(size=(cells.total_dim, cells.total_dim)))
+        for ufunc in (np.add, np.maximum):
+            got = lattice_module._cell_block_reduce(ufunc, x, cells)
+            assert np.array_equal(got, cell_block_reduce_at(ufunc, x, cells))
+
+
+def test_lattice_operator_matrix_is_read_only():
+    op = build_lattice(make_split_step(1.2, 0.4), 8, "circle")
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 0
+    with pytest.raises(AttributeError):
+        op.band = 2
+    # pieces and relabelled operators share the read-only matrix or copy it
+    left, right = half_spaces(op, 4)
+    assert not left.matrix.flags.writeable and left.compressed_from is op
+
+
+def _zero_dim_rep(cls: SymmetryClass) -> SymmetryRep:
+    rep = normal_form_rep(cls)
+    ops = {name: SymmetryOperator(np.zeros((0, 0), dtype=complex), op.antiunitary) for name, op in rep.ops.items()}
+    return SymmetryRep(cls, ops, 0)
+
+
+def _with_cells(op: LatticeOperator, gen) -> LatticeOperator:
+    """The walk in a random cell-local basis."""
+    us = [haar_unitary(gen, d) for d in op.cells.cell_dims]
+    v = np.zeros((op.dim, op.dim), dtype=complex)
+    for i, u in enumerate(us):
+        v[op.cells.cell_slice(i), op.cells.cell_slice(i)] = u
+    per_cell = tuple(r.conjugated(u) for r, u in zip(op.local_rep.per_cell, us))
+    rep = LocalSymmetryRep(op.local_rep.cls, per_cell)
+    return LatticeOperator(v @ op.matrix @ v.conj().T, op.cells, op.band, rep)
+
+
+def gate_fuzz_cases(cls, ti, gen):
+    """Operators of one class: a circle, a line, a short circle (n <= 4b),
+    mixed and zero-dimensional cells, off-band mass (a circle's matrix on a
+    line has it in the corners) and an understated band."""
+    b = ti.band
+    n = int(gen.integers(4 * b + 1, 4 * b + 9))
+    ring = _with_cells(build_lattice(ti, n, "circle"), gen)
+    yield "circle", ring
+    yield "line", _with_cells(build_lattice(ti, n, "line"), gen)
+    yield "short circle", _with_cells(build_lattice(ti, int(gen.integers(2 * b + 1, 4 * b + 1)), "circle"), gen)
+    # an admissible walk on cells of mixed and zero dimension, with band 1
+    cell = ti.cell_rep
+    per_cell = (cell, _zero_dim_rep(cls), cell, cell, _zero_dim_rep(cls), cell)
+    local = LocalSymmetryRep(cls, per_cell)
+    cells = CellStructure(tuple(r.dim for r in per_cell), "line")
+    w = random_admissible_walk(local.assembled(), gen, scale=0.5)
+    yield "mixed cells", LatticeOperator(w, cells, 1, local)
+    # entries between cells more than b apart, at rounding size and above every gate
+    x = np.arange(n)
+    dist = np.abs(x[:, None] - x[None, :])
+    far = np.kron(np.minimum(dist, n - dist) > b, np.ones((ti.cell_dim, ti.cell_dim)))
+    noise = (gen.normal(size=far.shape) + 1j * gen.normal(size=far.shape)) * far
+    for scale in (1e-14, 1e-11, 1e-6, 1e-2):
+        yield f"off-band {scale:g}", LatticeOperator(ring.matrix + scale * noise, ring.cells, b, ring.local_rep)
+    yield "off-band corners", LatticeOperator(ring.matrix, CellStructure(ring.cells.cell_dims), b, ring.local_rep)
+    if b:
+        yield "understated band", LatticeOperator(ring.matrix, ring.cells, b - 1, ring.local_rep)
+
+
+def _near(exact: float) -> list[float]:
+    """Thresholds just either side of a norm, clear of its rounding (about eps ||W||)."""
+    gap = max(1e-6 * exact, 1e-13)
+    return [exact - gap, exact + gap] if exact > 1e-12 else []
+
+
+def _check_gate(gate, exact: float, thresholds) -> None:
+    assert gate.bound >= exact
+    for t in thresholds:
+        value = gate.screened(t)
+        assert (value <= t) == (exact <= t)
+        if value != gate.bound:  # measured: the norm itself
+            assert value == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+
+def test_gates_match_the_dense_oracle_fuzz():
+    # verdicts are the dense ones, a bound is never below the dense norm, and
+    # a measured norm is the dense SVD's within 1e-14 relative
+    gen = rng(2024)
+    tol = DEFAULT_TOL
+    seen = set()
+    for cls, make in TEN_CLASS_WALKS.items():
+        ti = make()
+        for what, op in gate_fuzz_cases(cls, ti, gen):
+            seen.add(what.split()[0])
+            exact = dense_unitarity(op.matrix)
+            _check_gate(op.unitarity, exact, [tol.unit, *_near(exact)])
+            if exact <= tol.unit:
+                assert check_unitary(op.matrix, tol) <= tol.unit
+            oracle = dense_admissibility(op.matrix, op.local_rep.assembled())
+            assert list(op.admissibility) == list(oracle)
+            for name, gate in op.admissibility.items():
+                _check_gate(gate, oracle[name], [tol.adm, *_near(oracle[name])])
+            worst = max(oracle.values(), default=0.0)
+            for w in (op, op.matrix):
+                assert check_admissible(w, op.local_rep, strict=False).ok == (worst <= tol.adm)
+    assert seen == {"circle", "line", "short", "mixed", "off-band", "understated"}
+
+
+def test_compressed_pieces_inherit_the_admissibility_bound(monkeypatch):
+    gen = rng(7)
+    ring = _with_cells(build_lattice(make_split_step(1.2, 0.4), 24, "circle"), gen)
+    seen = record_gate_measurements(monkeypatch)
+    for piece in half_spaces(ring, 5) + half_spaces(ring, 3, 17):
+        for name, gate in piece.admissibility.items():
+            assert gate.bound == ring.admissibility[name].bound
+        assert check_admissible(piece).ok
+    assert [m is ring.matrix for m in seen["admissibility"]] == [True]
+    # a parent that fails leaves the verdict to the piece's own measurement
+    broken = LatticeOperator(ring.matrix + 1e-3 * np.eye(ring.dim), ring.cells, ring.band, ring.local_rep)
+    for piece in half_spaces(broken, 5):
+        oracle = dense_admissibility(piece.matrix, piece.local_rep.assembled())
+        report = check_admissible(piece, strict=False)
+        assert report.ok == (max(oracle.values()) <= DEFAULT_TOL.adm)
+
+
+def test_compressed_line_defect_is_exact_from_its_end_cells(monkeypatch):
+    # the defect of a compressed line reaches the b cells at each end: an
+    # eigvalsh there, no SVD, and the dense SVD's value
+    line = build_lattice(make_split_step(1.2, 0.4), 192, "line")
+    svds = []
+    monkeypatch.setattr(lattice_module, "spectral_norm", lambda x: svds.append(x.shape) or spectral_norm(x))
+    eigs = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigs.append(h.shape) or original(h))
+    value = line.unitarity.screened(DEFAULT_TOL.unit)
+    assert eigs == [(4, 4)] and svds == []
+    assert value == pytest.approx(dense_unitarity(line.matrix), rel=1e-14)

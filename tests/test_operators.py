@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import walkindex.symmetry as symmetry_module
+import walkindex.lattice as lattice_module
 from helpers import (
     ALL_CLASSES,
     cell_layouts,
@@ -209,7 +209,8 @@ def test_cell_local_screened_check_matches_dense_oracle(cls, monkeypatch):
         taken.append(spectral_norm(x))
         return taken[-1]
 
-    monkeypatch.setattr(symmetry_module, "spectral_norm", counted)
+    # the gate's Frobenius screen and the SVD it falls back on live in lattice
+    monkeypatch.setattr(lattice_module, "spectral_norm", counted)
     straddled = 0
     for exact in (True, False):
         for layout, per_cell in cell_layouts(cls, gen, "phase" if exact else "haar").items():
@@ -268,8 +269,8 @@ def test_strict_check_of_split_step_circle_takes_no_svd(monkeypatch):
         calls.append(x.shape)
         return spectral_norm(x)
 
-    # the screen, and the SVD it falls back on, live in symmetry
-    monkeypatch.setattr(symmetry_module, "spectral_norm", counted)
+    # the screen, and the SVD it falls back on, live in lattice
+    monkeypatch.setattr(lattice_module, "spectral_norm", counted)
     assert check_admissible(ring.matrix, ring.local_rep).ok
     # a report (strict=False) is the same screened measurement without the raise
     report = check_admissible(ring.matrix, ring.local_rep, strict=False)

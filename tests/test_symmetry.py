@@ -35,15 +35,16 @@ from walkindex.symmetry import (
     SymmetryClass,
     SymmetryOperator,
     SymmetryRep,
+    apply_runs,
     balanced_hamiltonian,
     chiral_sectors,
-    conjugate_runs,
     fixed_point_basis,
     forget_index,
     forget_legal,
     forget_rep,
     kramers_pairs,
     rep_index,
+    times_runs,
     trace_runs,
 )
 from walkindex.tolerances import DEFAULT_TOL
@@ -459,7 +460,9 @@ def test_action_by_runs_matches_the_dense_rep(cls):
             assert len(runs) == {"uniform": 1, "two_runs": 2, "mixed_dims": 3}[layout]
             x = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
             for name, op in dense.ops.items():
-                _assert_same(conjugate_runs(runs, name, x), op.conjugate(x), exact)
+                # the conjugation sigma X sigma^-1: a row pass, then a column pass
+                conjugated = times_runs(apply_runs(runs, name, x), runs, name, adjoint=True)
+                _assert_same(conjugated, op.conjugate(x), exact)
 
             basis = _cells_basis(local, gen)
             oracle = dense_restrict(dense, basis)

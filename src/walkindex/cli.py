@@ -1,7 +1,9 @@
 """Command line front end.
 
-JSON goes to stdout (canonical form: sorted keys, 12-significant-digit
-floats), diagnostics to stderr.  Exit codes: 0 ok, 1 usage, 2
+Reports go to stdout as canonical JSON (sorted keys, 12-significant-digit
+floats), diagnostics to stderr.  Stored operators (``join``, ``decouple``'s
+``V.json`` and ``Wprime.json``) are their cell-band blocks with ``repr``
+floats (``serialize.dumps_operator``).  Exit codes: 0 ok, 1 usage, 2
 admissibility/unitarity, 3 spectral gap, 4 non-integer invariant, 5 index
 obstruction.
 """
@@ -24,9 +26,8 @@ from .operators import check_admissible
 from .serialize import (
     certificate_to_json,
     dumps_canonical,
+    dumps_operator,
     index_value_to_json,
-    lattice_operator_to_json,
-    matrix_to_json,
     operator_from_spec,
     sweep_csv,
     tiwalk_from_json,
@@ -155,17 +156,16 @@ def cmd_decouple(args, tol: Tolerances) -> int:
         "si_preserved": result.si_preserved,
         "ok": result.ok,
     }
+    v = LatticeOperator.with_measured_band(result.v, op.cells, tol=tol)
+    files = {
+        "V.json": dumps_operator(v, tol),
+        "Wprime.json": dumps_operator(result.w_prime, tol),
+        "path_report.json": dumps_canonical(path_report),
+    }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "V.json").write_text(
-        dumps_canonical({"matrix": matrix_to_json(result.v)}) + "\n", encoding="utf-8"
-    )
-    (out_dir / "Wprime.json").write_text(
-        dumps_canonical(lattice_operator_to_json(result.w_prime)) + "\n", encoding="utf-8"
-    )
-    (out_dir / "path_report.json").write_text(
-        dumps_canonical(path_report) + "\n", encoding="utf-8"
-    )
+    for name, text in files.items():
+        (out_dir / name).write_text(text + "\n", encoding="utf-8")
     _emit(
         {
             "ok": result.ok,
@@ -189,12 +189,12 @@ def cmd_join(args, tol: Tolerances) -> int:
         },
     }
     joined = walk_from_spec(spec, tol)
-    payload = lattice_operator_to_json(joined)
+    text = dumps_operator(joined, tol) + "\n"
     if args.out:
-        Path(args.out).write_text(dumps_canonical(payload) + "\n", encoding="utf-8")
-        _emit({"out": args.out, "n_cells": joined.cells.n_cells, "meta": payload["meta"]})
+        Path(args.out).write_text(text, encoding="utf-8")
+        _emit({"out": args.out, "n_cells": joined.cells.n_cells, "meta": joined.meta})
     else:
-        _emit(payload)
+        sys.stdout.write(text)
     return 0
 
 

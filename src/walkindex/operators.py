@@ -48,6 +48,11 @@ __all__ = [
 # Eigen and invariance residuals of a d x d matrix pass up to
 # max(tol.eig, INVARIANCE_FLOOR * d): rounding grows like d eps ||W||.
 INVARIANCE_FLOOR = 1e-12
+# eig_unitary refines eigenvectors within each cluster of eigenvalues of Re W
+# whose neighbours lie at most CLUSTER_GAP apart (+-theta pairs share cos theta).
+CLUSTER_GAP = 1e-8
+# phase_window takes a target t with ||t| - 1| <= UNIT_CIRCLE_SLACK.
+UNIT_CIRCLE_SLACK = 1e-9
 
 
 def check_unitary(
@@ -90,10 +95,9 @@ def eig_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> UnitaryEigen:
     im = (w - w.conj().T) / 2j
     a, v = np.linalg.eigh(re)
     # Refine within clusters of the real part; +-theta pairs share cos(theta).
-    cluster_tol = 1e-8
     start = 0
     for stop in range(1, d + 1):
-        if stop == d or a[stop] - a[stop - 1] > cluster_tol:
+        if stop == d or a[stop] - a[stop - 1] > CLUSTER_GAP:
             if stop - start > 1:
                 block = v[:, start:stop]
                 sub = block.conj().T @ im @ block
@@ -204,7 +208,7 @@ def phase_window(
     of the window edge, where membership is numerically undecidable.
     """
     t = complex(target)
-    if abs(abs(t) - 1) > 1e-9:
+    if abs(abs(t) - 1) > UNIT_CIRCLE_SLACK:
         raise ValueError(f"target {t} is not on the unit circle")
     delta = np.abs(np.angle(eig.values * np.conj(t)))
     edge = np.abs(delta - tol.exact)

@@ -1,12 +1,15 @@
 """Canonical JSON and CSV forms for walks, operators, and reports.
 
-The JSON emitter is deterministic: keys are sorted, floats are printed at 12
-significant digits, complex numbers become ``[re, im]`` pairs, and matrices
-become nested lists of such pairs.  Identical inputs therefore produce
-byte-identical output.  Non-finite floats have no JSON representation and
-are emitted as the strings ``"inf"``, ``"-inf"``, ``"nan"``.  A rectangular
-grid of finite floats, such as a matrix, is formatted in one ``%`` call; its
-text is the same as entry by entry.
+Reports use the canonical emitter: keys are sorted, floats are printed at
+12 significant digits, complex numbers become ``[re, im]`` pairs, and
+matrices become nested lists of such pairs.  Identical inputs therefore
+produce byte-identical output.  Non-finite floats have no JSON
+representation and are emitted as the strings ``"inf"``, ``"-inf"``,
+``"nan"``.
+
+Stored operators (:func:`dumps_operator`) are their cell-band blocks with
+``repr`` floats, which read back bit for bit, and their cell reps once per
+run of cells.
 """
 
 from __future__ import annotations
@@ -14,17 +17,16 @@ from __future__ import annotations
 import enum
 import json
 import math
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import RelationViolation
+from .errors import IncompatibleCells, RelationViolation
 from .finite import SweepRecord, TempleKatoCertificate, join_crossover
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
 from .symmetry import IndexValue, SymmetryClass, SymmetryRep
 from .tolerances import DEFAULT_TOL, Tolerances
-from .walks import CoinFactor, ShiftFactor, TIWalk, build_lattice, builtin_walk, truncate_ti
+from .walks import CoinFactor, ShiftFactor, TIWalk, build_lattice, builtin_walk, place_blocks, truncate_ti
 
 __all__ = [
     "dumps_canonical",
@@ -36,6 +38,7 @@ __all__ = [
     "cells_from_json",
     "lattice_operator_to_json",
     "lattice_operator_from_json",
+    "dumps_operator",
     "tiwalk_to_json",
     "tiwalk_from_json",
     "walk_from_spec",
@@ -58,36 +61,9 @@ def _float_text(x: float) -> str:
     return text
 
 
-def _float_grid(obj: list) -> str | None:
-    """The text of a rectangular nest of exact lists of finite floats, else None."""
-    dims = []
-    level = [obj]
-    while True:
-        lengths = set(map(len, level))
-        if len(lengths) != 1:
-            return None
-        dims.append(lengths.pop())
-        level = list(chain.from_iterable(level))
-        kinds = set(map(type, level))
-        if kinds != {list}:
-            break
-    # a float sum is finite only if every term is; an overflow merely falls back
-    if kinds != {float} or not math.isfinite(sum(level)):
-        return None
-    template = "%.12g"
-    for n in reversed(dims):
-        template = "[" + ",".join([template] * n) + "]"
-    return template % tuple(level)
-
-
 def _encode(obj) -> str:
-    # matrices arrive as nested lists of float pairs: a rectangular grid of
-    # finite floats takes one C-level "%" call ("%.12g" % x is format(x, ".12g"),
-    # so the text is unchanged); other exact types are tested before the slower
-    # abstract-base-class checks
+    # exact types are tested before the slower abstract-base-class checks
     kind = type(obj)
-    if kind is list and (text := _float_grid(obj)) is not None:
-        return text
     if kind is float:
         return _float_text(obj)
     if kind is list or kind is tuple:
@@ -130,10 +106,11 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
+    """The complex array of nested ``[re, im]`` pairs, each float as read."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError("matrix entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def rep_to_json(rep: SymmetryRep) -> dict:
@@ -154,11 +131,16 @@ def rep_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> SymmetryRep:
     except (KeyError, ValueError) as exc:
         raise ValueError(f"unknown symmetry class in rep: {exc}") from exc
     ops = data.get("operators", {})
-    mats = {name: matrix_from_json(entry["matrix"]) for name, entry in ops.items()}
+    dim = int(data["dim"])
+    # the operators of a zero-dimensional cell are written as []
+    mats = {
+        name: matrix_from_json(entry["matrix"]) if dim else np.zeros((0, 0), dtype=complex)
+        for name, entry in ops.items()
+    }
     unknown = set(mats) - {"eta", "tau", "gamma"}
     if unknown:
         raise ValueError(f"unknown symmetry operators {sorted(unknown)}")
-    rep = SymmetryRep.from_matrices(cls, int(data["dim"]), **mats)
+    rep = SymmetryRep.from_matrices(cls, dim, **mats)
     for name, entry in ops.items():
         if "antiunitary" in entry and bool(entry["antiunitary"]) != rep.ops[name].antiunitary:
             raise ValueError(f"operator {name} has the wrong antiunitarity flag")
@@ -187,46 +169,124 @@ def cells_from_json(data: Mapping) -> CellStructure:
     )
 
 
-def lattice_operator_to_json(op: LatticeOperator) -> dict:
-    """An ``explicit`` walk spec: readable back by :func:`walk_from_spec`."""
+def _plain(obj):
+    """``obj`` as JSON data: string keys, lists for tuples and arrays, Python scalars."""
+    if isinstance(obj, Mapping):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, enum.Enum):
+        return _plain(obj.value)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj
+
+
+def lattice_operator_to_json(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """An ``explicit`` walk spec of the operator's cell band, readable back by
+    :func:`walk_from_spec`.
+
+    ``blocks[j]`` is the ``(n, d, d)`` stack of the blocks (cell x + j <- cell
+    x) for |j| <= band, as :func:`~walkindex.walks.place_blocks` reads it;
+    mixed or zero-dimensional cells, and a lattice of at most 4 band cells,
+    are one block holding the whole matrix (:class:`~walkindex.lattice.CellBand`).
+    Everything outside the band is dropped and its Frobenius norm written as
+    ``offband``; a norm above ``tol.band`` raises ``IncompatibleCells``.  The
+    cell reps are written once per run of cells, as ``[cell count, rep]``.
+    """
+    cb = op.cell_band
+    if cb.offband > tol.band:
+        raise IncompatibleCells(
+            f"declared band {op.band} drops off-band entries of norm {cb.offband:.3e} > {tol.band}"
+        )
+    # blocks[b + i, x] is (x <- x + i); (y + j <- y) is the one at i = -j, x = y + j
+    rows = np.arange(2 * cb.band + 1)[:, None]
+    stacks = cb.blocks[rows, cb.layout.source]
     out = {
         "type": "explicit",
-        "matrix": matrix_to_json(op.matrix),
         "cells": cells_to_json(op.cells),
         "band": op.band,
-        "meta": dict(op.meta),
+        "blocks": {str(cb.band - k): matrix_to_json(stack) for k, stack in enumerate(stacks)},
+        "offband": cb.offband,
+        "meta": _plain(op.meta),
     }
     if op.local_rep is not None:
         out["local_rep"] = {
             "class": op.local_rep.cls.value,
-            "per_cell": [rep_to_json(r) for r in op.local_rep.per_cell],
+            "runs": [[count, rep_to_json(rep)] for _, count, rep in op.local_rep.runs()],
         }
     return out
 
 
+def dumps_operator(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> str:
+    """The text of :func:`lattice_operator_to_json`: compact, sorted keys, and
+    ``repr`` floats, so every stored entry reads back bit for bit."""
+    payload = lattice_operator_to_json(op, tol)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _matrix_from_blocks(data: Mapping, cells: CellStructure) -> np.ndarray:
+    """The matrix of stored block stacks (see :func:`lattice_operator_to_json`)."""
+    stacks = {int(j): matrix_from_json(stack) for j, stack in data.items()}
+    total = cells.total_dim
+    if stacks.keys() == {0} and stacks[0].shape == (1, total, total):
+        return stacks[0][0]
+    uniform = len(set(cells.cell_dims)) == 1
+    shape = (cells.n_cells, cells.cell_dims[0], cells.cell_dims[0])
+    for j, stack in stacks.items():
+        if not uniform or stack.shape != shape:
+            want = f"{shape} stacks or " if uniform else ""
+            raise IncompatibleCells(
+                f"blocks at offset {j} have shape {stack.shape}; "
+                f"these cells take {want}one {(1, total, total)} block"
+            )
+    return place_blocks(stacks, cells)
+
+
+def _local_rep_from_json(data: Mapping, cells: CellStructure, tol: Tolerances) -> LocalSymmetryRep:
+    """Cell reps from ``[cell count, rep]`` runs, each rep read and validated once."""
+    cls = SymmetryClass(data["class"])
+    n = cells.n_cells
+    runs = data["runs"]
+    per_cell: list[SymmetryRep] = []
+    for k, (count, entry) in enumerate(runs):
+        first, count = len(per_cell), int(count)
+        if count < 1 or first + count > n:
+            raise IncompatibleCells(
+                f"local_rep run {k} of {count} cells from cell {first} does not fit in {n} cells"
+            )
+        rep = rep_from_json(entry, tol)
+        dims = sorted(set(cells.cell_dims[first : first + count]))
+        if dims != [rep.dim]:
+            raise IncompatibleCells(
+                f"local_rep run {k} (cells {first}..{first + count - 1}) has rep dim {rep.dim}, "
+                f"its cells dim {dims}"
+            )
+        if rep.cls is not cls:
+            raise RelationViolation(
+                f"local_rep class {cls.value} disagrees with per-cell class(es) "
+                f"{[rep.cls.value]} of run {k}"
+            )
+        per_cell += [rep] * count
+    if len(per_cell) != n:
+        raise IncompatibleCells(
+            f"local_rep runs cover {len(per_cell)} of {n} cells: run {len(runs) - 1} "
+            f"ends at cell {len(per_cell) - 1}"
+        )
+    return LocalSymmetryRep(cls, tuple(per_cell))
+
+
 def lattice_operator_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> LatticeOperator:
-    """Read a stored operator; its per-cell reps must be valid and of the declared class."""
+    """Read a stored operator; its run reps must be valid, of the declared class,
+    and fit their cells.  Every stored offset is placed, whatever the declared band."""
     cells = cells_from_json(data["cells"])
     local = None
     if data.get("local_rep") is not None:
-        entry = data["local_rep"]
-        # stored lattices repeat one cell rep; read and validate each distinct entry once
-        distinct: dict[str, SymmetryRep] = {}
-        per_cell = []
-        for r in entry["per_cell"]:
-            key = json.dumps(r, sort_keys=True)
-            if key not in distinct:
-                distinct[key] = rep_from_json(r, tol)
-            per_cell.append(distinct[key])
-        cls = SymmetryClass(entry["class"])
-        other = sorted({r.cls.value for r in distinct.values()} - {cls.value})
-        if other:
-            raise RelationViolation(
-                f"local_rep class {cls.value} disagrees with per-cell class(es) {other}"
-            )
-        local = LocalSymmetryRep(cls, tuple(per_cell))
+        local = _local_rep_from_json(data["local_rep"], cells, tol)
     return LatticeOperator(
-        matrix_from_json(data["matrix"]),
+        _matrix_from_blocks(data["blocks"], cells),
         cells,
         int(data["band"]),
         local,

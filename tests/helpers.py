@@ -62,6 +62,7 @@ from walkindex.lattice import (
     CellProjection,
     CellStructure,
     LatticeOperator,
+    LocalSymmetryRep,
     arc_projection,
     half_space_projection,
     second_bond,
@@ -441,6 +442,33 @@ TEN_CLASS_WALKS = {
 }
 
 
+def zero_dim_rep(cls: SymmetryClass) -> SymmetryRep:
+    """A rep of class ``cls`` on a zero-dimensional cell."""
+    rep = normal_form_rep(cls)
+    ops = {name: SymmetryOperator(np.zeros((0, 0), dtype=complex), op.antiunitary) for name, op in rep.ops.items()}
+    return SymmetryRep(cls, ops, 0)
+
+
+def with_cell_bases(op: LatticeOperator, gen: np.random.Generator) -> LatticeOperator:
+    """The walk in a random basis of each cell: every cell has a rep of its own."""
+    us = [haar_unitary(gen, d) for d in op.cells.cell_dims]
+    v = np.zeros((op.dim, op.dim), dtype=complex)
+    for i, u in enumerate(us):
+        v[op.cells.cell_slice(i), op.cells.cell_slice(i)] = u
+    per_cell = tuple(r.conjugated(u) for r, u in zip(op.local_rep.per_cell, us))
+    rep = LocalSymmetryRep(op.local_rep.cls, per_cell)
+    return LatticeOperator(v @ op.matrix @ v.conj().T, op.cells, op.band, rep)
+
+
+def mixed_cell_walk(cls: SymmetryClass, cell: SymmetryRep, gen: np.random.Generator) -> LatticeOperator:
+    """An admissible walk of band 1 on a line of cells of mixed and zero dimension."""
+    per_cell = (cell, zero_dim_rep(cls), cell, cell, zero_dim_rep(cls), cell)
+    local = LocalSymmetryRep(cls, per_cell)
+    cells = CellStructure(tuple(r.dim for r in per_cell), "line")
+    w = random_admissible_walk(local.assembled(), gen, scale=0.5)
+    return LatticeOperator(w, cells, 1, local)
+
+
 def record_gate_measurements(monkeypatch) -> dict[str, list[np.ndarray]]:
     """The matrix of every unitarity and admissibility measurement from now on, by gate."""
     seen: dict[str, list[np.ndarray]] = {"unitarity": [], "admissibility": []}
@@ -484,6 +512,22 @@ def profile_band(op: LatticeOperator, band_tol: float) -> int:
     """The band read off :func:`locality_profile`: largest |offset| above ``band_tol``."""
     live = [abs(d) for d, v in locality_profile(op).items() if v > band_tol]
     return max(live) if live else 0
+
+
+def dense_offband(op: LatticeOperator) -> float:
+    """Frobenius norm of the entries a stored operator drops: those between cells
+    more than ``op.band`` apart, by one N x N mask.  Mixed or zero-dimensional
+    cells and a lattice of at most 4 band cells are stored whole and drop none."""
+    cells = op.cells
+    n, dims = cells.n_cells, set(cells.cell_dims)
+    if len(dims) != 1 or 0 in dims or n <= 4 * op.band:
+        return 0.0
+    x = np.arange(n)
+    dist = np.abs(x[:, None] - x[None, :])
+    if cells.topology == "circle":
+        dist = np.minimum(dist, n - dist)
+    far = np.kron(dist > op.band, np.ones((dims.pop(),) * 2, dtype=bool))
+    return float(np.linalg.norm(op.matrix[far]))
 
 
 def _reference_float(x: float) -> str:

@@ -10,16 +10,15 @@ import pytest
 
 import walkindex
 import walkindex.symmetry as symmetry_module
-from helpers import record_gate_measurements, reference_dumps
+from helpers import dense_offband, record_gate_measurements
 from walkindex.cli import main
 from walkindex.decoupling import gentle_decoupling
-from walkindex.lattice import LocalSymmetryRep
+from walkindex.lattice import LatticeOperator, LocalSymmetryRep, measured_band
 from walkindex.serialize import (
     lattice_operator_from_json,
     lattice_operator_to_json,
-    matrix_from_json,
-    matrix_to_json,
     operator_from_spec,
+    rep_to_json,
     tiwalk_to_json,
     walk_from_spec,
 )
@@ -199,7 +198,7 @@ def test_decouple_writes_artifacts(tmp_path, capsys):
         capsys, ["decouple", spec, "--cut", "8", "--out-dir", str(out_dir)]
     )
     assert code == 0 and data["ok"] is True and data["si_preserved"] is True
-    v = matrix_from_json(json.loads((out_dir / "V.json").read_text())["matrix"])
+    v = lattice_operator_from_json(json.loads((out_dir / "V.json").read_text())).matrix
     assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) < 1e-9
     w_prime = lattice_operator_from_json(json.loads((out_dir / "Wprime.json").read_text()))
     assert w_prime.cells.n_cells == 16
@@ -215,15 +214,32 @@ def test_decouple_writes_artifacts(tmp_path, capsys):
     assert code == 0 and data["ok"] is True and data["n_cells"] == 16
 
 
+def _reads_back_within_its_band(path, op: LatticeOperator) -> None:
+    """The file is the stdlib JSON of the operator's payload, its in-band
+    entries read back bit for bit, and the rest is the recorded off-band norm."""
+    text = path.read_text(encoding="utf-8")
+    payload = lattice_operator_to_json(op)
+    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    back = lattice_operator_from_json(json.loads(text))
+    assert back.band == op.band and back.cells == op.cells
+    assert np.array_equal(back.cell_band.blocks, op.cell_band.blocks)
+    dropped = np.linalg.norm(op.matrix - back.matrix)
+    # the norm is padded against squares lost to underflow
+    assert payload["offband"] == pytest.approx(dense_offband(op), rel=1e-12, abs=1e-140)
+    assert payload["offband"] == pytest.approx(dropped, rel=1e-12, abs=1e-140)
+    # written again, it is the same but for what was dropped
+    assert {**lattice_operator_to_json(back), "offband": 0} == {**payload, "offband": 0}
+
+
 def test_written_walks_are_the_reference_encoding_of_their_payloads(tmp_path, capsys):
     spec = write_spec(tmp_path, "gen_circle.json", GEN_CIRCLE)
     out_dir = tmp_path / "dec"
     assert run(capsys, ["decouple", spec, "--cut", "8", "--out-dir", str(out_dir)])[0] == 0
     result = gentle_decoupling(operator_from_spec(GEN_CIRCLE), 8)
-    v_text = reference_dumps({"matrix": matrix_to_json(result.v)}) + "\n"
-    assert (out_dir / "V.json").read_text(encoding="utf-8") == v_text
-    w_text = reference_dumps(lattice_operator_to_json(result.w_prime)) + "\n"
-    assert (out_dir / "Wprime.json").read_text(encoding="utf-8") == w_text
+    v = LatticeOperator.with_measured_band(result.v, result.w_prime.cells)
+    assert v.band == measured_band(v) == 1
+    _reads_back_within_its_band(out_dir / "V.json", v)
+    _reads_back_within_its_band(out_dir / "Wprime.json", result.w_prime)
     left = write_spec(tmp_path, "a.json", SPLIT_A)
     right = write_spec(tmp_path, "b.json", SPLIT_B)
     out = tmp_path / "line.json"
@@ -232,7 +248,9 @@ def test_written_walks_are_the_reference_encoding_of_their_payloads(tmp_path, ca
     geometry = {"n_left": 16, "n_right": 16, "topology": "line"}
     joined = walk_from_spec({"type": "join", "left": SPLIT_A, "right": SPLIT_B, "geometry": geometry})
     assert joined.cells.topology == "line"
-    assert out.read_text(encoding="utf-8") == reference_dumps(lattice_operator_to_json(joined)) + "\n"
+    # a line join is cut out of a decoupled circle: rounding lies off its band
+    assert joined.cell_band.offband > 1e-17
+    _reads_back_within_its_band(out, joined)
 
 
 def test_index_and_decouple_never_assemble_the_dense_rep(tmp_path, capsys, monkeypatch):
@@ -331,6 +349,43 @@ def test_join_to_file(tmp_path, capsys):
     code, data = run_json(capsys, ["index", str(out)])
     assert code == 0 and data["residuals"]["unitarity"] <= 1e-10
     assert data["si_minus"]["value"] + data["si_plus"]["value"] == 0
+
+
+def test_circle_join_files_read_back_bit_for_bit(tmp_path, capsys):
+    # a circle join has exact zeros off its band: nothing is dropped
+    left = write_spec(tmp_path, "a.json", SPLIT_A)
+    right = write_spec(tmp_path, "b.json", SPLIT_B)
+    for n in (2, 16, 256):
+        out = tmp_path / f"join{n}.json"
+        argv = ["join", left, right, "--n-left", str(n), "--n-right", str(n), "--out", str(out)]
+        assert run(capsys, argv)[0] == 0
+        geometry = {"n_left": n, "n_right": n, "topology": "circle"}
+        joined = walk_from_spec({"type": "join", "left": SPLIT_A, "right": SPLIT_B, "geometry": geometry})
+        back = lattice_operator_from_json(json.loads(out.read_text(encoding="utf-8")))
+        assert np.array_equal(back.matrix, joined.matrix) and back.band == joined.band == 1
+        assert dense_offband(joined) == 0.0
+    # 512 cells: three offsets of 512 blocks of 2 x 2, where a dense grid took 6.5 MB
+    assert out.stat().st_size < 200_000
+
+
+def test_validate_reads_a_stored_join_as_its_spec(tmp_path, capsys):
+    # the file is exact, so its gate residuals are those of the join it stores
+    join = {
+        "type": "join",
+        "left": {**SPLIT_A, "coin_params": {"theta1": 0.9, "theta2": 0.3}},
+        "right": {**SPLIT_A, "coin_params": {"theta1": -0.9, "theta2": 0.3}},
+        "geometry": {"n_left": 32, "n_right": 32, "topology": "circle"},
+    }
+    spec = write_spec(tmp_path, "join.json", join)
+    out = tmp_path / "stored.json"
+    argv = ["join", write_spec(tmp_path, "a.json", join["left"]), write_spec(tmp_path, "b.json", join["right"]),
+            "--n-left", "32", "--n-right", "32", "--out", str(out)]
+    assert run(capsys, argv)[0] == 0
+    code, from_spec = run(capsys, ["validate", spec])
+    assert code == 0
+    code, from_file = run(capsys, ["validate", str(out)])
+    assert code == 0 and from_file == from_spec
+    assert json.loads(from_file)["unitarity"] < 1e-13
 
 
 def test_join_incompatible_exits_1(tmp_path, capsys):
@@ -551,7 +606,12 @@ def test_broken_rep_is_refused_when_read(tmp_path, capsys):
     ti = tiwalk_to_json(walk)
     _negate_gamma(ti["rep"])
     stored = lattice_operator_to_json(build_lattice(walk, 8, "circle"))
-    _negate_gamma(stored["local_rep"]["per_cell"][3])
+    # the one run of 8 cells split around cell 3, whose rep alone is broken
+    ((count, rep),) = stored["local_rep"]["runs"]
+    assert count == 8
+    broken = json.loads(json.dumps(rep))
+    _negate_gamma(broken)
+    stored["local_rep"]["runs"] = [[3, rep], [1, broken], [4, rep]]
     # valid BDI cell reps under a declared class they do not have
     relabelled = lattice_operator_to_json(build_lattice(make_split_step(1.2, 0.4), 8, "circle"))
     relabelled["local_rep"]["class"] = "AIII"
@@ -574,6 +634,26 @@ def test_broken_rep_is_refused_when_read(tmp_path, capsys):
         code, data = run_json(capsys, argv)
         assert code == 2 and data["error"] == "RelationViolation", argv
         assert message in data["message"]
+
+
+def test_runs_that_do_not_fit_their_cells_are_refused_when_read(tmp_path, capsys):
+    op = build_lattice(make_split_step(1.2, 0.4), 8, "circle")
+    ((_, rep),) = lattice_operator_to_json(op)["local_rep"]["runs"]
+    wide = rep_to_json(op.local_rep.per_cell[0].direct_sum(op.local_rep.per_cell[0]))
+    cases = {
+        "short": ([[3, rep], [4, rep]], "local_rep runs cover 7 of 8 cells: run 1 ends at cell 6"),
+        "long": ([[3, rep], [6, rep]], "local_rep run 1 of 6 cells from cell 3 does not fit in 8 cells"),
+        "empty run": ([[0, rep], [8, rep]], "local_rep run 0 of 0 cells from cell 0"),
+        "wide rep": ([[5, rep], [3, wide]], "local_rep run 1 (cells 5..7) has rep dim 4, its cells dim [2]"),
+    }
+    for name, (runs, message) in cases.items():
+        stored = lattice_operator_to_json(op)
+        stored["local_rep"]["runs"] = runs
+        spec = write_spec(tmp_path, "runs.json", stored)
+        for command in ("validate", "index"):
+            code, data = run_json(capsys, [command, spec])
+            assert code == 1 and data["error"] == "IncompatibleCells", (name, command)
+            assert message in data["message"], name
 
 
 # -- plumbing ------------------------------------------------------------------------

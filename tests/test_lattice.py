@@ -13,11 +13,12 @@ from helpers import (
     dense_unitarity,
     haar_unitary,
     locality_profile,
+    mixed_cell_walk,
     normal_form_rep,
     profile_band,
-    random_admissible_walk,
     record_gate_measurements,
     rng,
+    with_cell_bases,
 )
 from walkindex.errors import CutOutOfRange, IncompatibleCells
 from walkindex.lattice import (
@@ -34,7 +35,7 @@ from walkindex.lattice import (
     split_by_weight,
 )
 from walkindex.operators import check_admissible, check_unitary
-from walkindex.symmetry import SymmetryClass, SymmetryOperator, SymmetryRep, spectral_norm
+from walkindex.symmetry import SymmetryClass, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import build_lattice, make_split_step
 
@@ -418,40 +419,17 @@ def test_lattice_operator_matrix_is_read_only():
     assert not left.matrix.flags.writeable and left.compressed_from is op
 
 
-def _zero_dim_rep(cls: SymmetryClass) -> SymmetryRep:
-    rep = normal_form_rep(cls)
-    ops = {name: SymmetryOperator(np.zeros((0, 0), dtype=complex), op.antiunitary) for name, op in rep.ops.items()}
-    return SymmetryRep(cls, ops, 0)
-
-
-def _with_cells(op: LatticeOperator, gen) -> LatticeOperator:
-    """The walk in a random cell-local basis."""
-    us = [haar_unitary(gen, d) for d in op.cells.cell_dims]
-    v = np.zeros((op.dim, op.dim), dtype=complex)
-    for i, u in enumerate(us):
-        v[op.cells.cell_slice(i), op.cells.cell_slice(i)] = u
-    per_cell = tuple(r.conjugated(u) for r, u in zip(op.local_rep.per_cell, us))
-    rep = LocalSymmetryRep(op.local_rep.cls, per_cell)
-    return LatticeOperator(v @ op.matrix @ v.conj().T, op.cells, op.band, rep)
-
-
 def gate_fuzz_cases(cls, ti, gen):
     """Operators of one class: a circle, a line, a short circle (n <= 4b),
     mixed and zero-dimensional cells, off-band mass (a circle's matrix on a
     line has it in the corners) and an understated band."""
     b = ti.band
     n = int(gen.integers(4 * b + 1, 4 * b + 9))
-    ring = _with_cells(build_lattice(ti, n, "circle"), gen)
+    ring = with_cell_bases(build_lattice(ti, n, "circle"), gen)
     yield "circle", ring
-    yield "line", _with_cells(build_lattice(ti, n, "line"), gen)
-    yield "short circle", _with_cells(build_lattice(ti, int(gen.integers(2 * b + 1, 4 * b + 1)), "circle"), gen)
-    # an admissible walk on cells of mixed and zero dimension, with band 1
-    cell = ti.cell_rep
-    per_cell = (cell, _zero_dim_rep(cls), cell, cell, _zero_dim_rep(cls), cell)
-    local = LocalSymmetryRep(cls, per_cell)
-    cells = CellStructure(tuple(r.dim for r in per_cell), "line")
-    w = random_admissible_walk(local.assembled(), gen, scale=0.5)
-    yield "mixed cells", LatticeOperator(w, cells, 1, local)
+    yield "line", with_cell_bases(build_lattice(ti, n, "line"), gen)
+    yield "short circle", with_cell_bases(build_lattice(ti, int(gen.integers(2 * b + 1, 4 * b + 1)), "circle"), gen)
+    yield "mixed cells", mixed_cell_walk(cls, ti.cell_rep, gen)
     # entries between cells more than b apart, at rounding size and above every gate
     x = np.arange(n)
     dist = np.abs(x[:, None] - x[None, :])
@@ -505,7 +483,7 @@ def test_gates_match_the_dense_oracle_fuzz():
 
 def test_compressed_pieces_inherit_the_admissibility_bound(monkeypatch):
     gen = rng(7)
-    ring = _with_cells(build_lattice(make_split_step(1.2, 0.4), 24, "circle"), gen)
+    ring = with_cell_bases(build_lattice(make_split_step(1.2, 0.4), 24, "circle"), gen)
     seen = record_gate_measurements(monkeypatch)
     for piece in half_spaces(ring, 5) + half_spaces(ring, 3, 17):
         for name, gate in piece.admissibility.items():

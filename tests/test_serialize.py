@@ -6,8 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from helpers import dense_rep, reference_dumps, rng
-from walkindex import serialize
+from helpers import (
+    TEN_CLASS_WALKS,
+    dense_offband,
+    dense_rep,
+    mixed_cell_walk,
+    reference_dumps,
+    rng,
+    with_cell_bases,
+)
 from walkindex.errors import IncompatibleCells
 from walkindex.finite import SweepRecord, temple_kato
 from walkindex.lattice import CellStructure, LatticeOperator
@@ -17,6 +24,7 @@ from walkindex.serialize import (
     cells_to_json,
     certificate_to_json,
     dumps_canonical,
+    dumps_operator,
     index_value_to_json,
     lattice_operator_from_json,
     lattice_operator_to_json,
@@ -34,6 +42,7 @@ from walkindex.symmetry import SymmetryClass, SymmetryRep
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
     build_lattice,
+    builtin_walk,
     make_doubled,
     make_generating_example,
     make_shift,
@@ -165,49 +174,47 @@ def _with(grid: list, path: tuple, value) -> list:
     return out
 
 
-# (payload, whether it is one rectangular grid of finite floats)
+# rectangular grids of floats and the nests next to them
 GRID_CASES = {
-    "empty": ([], False),
-    "empty_row": ([[]], False),
-    "empty_rows": ([[], []], False),
-    "one_by_one": ([[0.5]], True),
-    "flat": (_grid(5), True),
-    "3x4x2": (_grid(3, 4, 2), True),
-    "depth4": (_grid(2, 3, 2, 2), True),
-    "matrix": (matrix_to_json(np.array(_grid(6, 6)) + 1j * np.array(_grid(6, 6, seed=12))), True),
-    "tiny_and_huge": (_with(_with(_with(_grid(3, 4, 2), (0, 0, 0), -0.0), (1, 2, 1), 5e-324),
-                            (2, 3, 0), 1e300), True),
-    "nan": (_with(_grid(3, 4, 2), (1, 1, 0), float("nan")), False),
-    "inf": (_with(_grid(3, 4, 2), (2, 3, 1), float("inf")), False),
-    "minus_inf": (_with(_grid(2, 3, 2, 2), (0, 0, 0, 0), float("-inf")), False),
-    "overflowing_sum": ([[1e308, 1e308], [-1e308, 5.0]], False),
-    "bool": (_with(_grid(3, 4, 2), (0, 1, 1), True), False),
-    "int": (_with(_grid(3, 4, 2), (2, 0, 0), 3), False),
-    "np_float64": (_with(_grid(3, 4, 2), (1, 3, 1), np.float64(2.5)), False),
-    "none": (_with(_grid(3, 4, 2), (0, 0, 1), None), False),
-    "str": (_with(_grid(3, 4, 2), (2, 2, 0), "x"), False),
-    "float_beside_lists": (_with(_grid(3, 4, 2), (1,), 0.25), False),
-    "ragged_depth1": (_with(_grid(3, 4, 2), (1, 0), ...), False),
-    "ragged_depth2": (_with(_grid(3, 4, 2), (2, 3, 1), ...), False),
-    "ragged_depth3": (_with(_grid(2, 3, 2, 2), (1, 2, 0, 1), ...), False),
-    "row_of_empties": (_with(_grid(3, 4, 2), (0,), []), False),
-    "tuple_pairs": ([(1.5, -2.0), (3.0, 4.25)], False),
-    "tuple_row": ([[0.5, 1.0], (0.5, 1.0)], False),
+    "empty": [],
+    "empty_row": [[]],
+    "empty_rows": [[], []],
+    "one_by_one": [[0.5]],
+    "flat": _grid(5),
+    "3x4x2": _grid(3, 4, 2),
+    "depth4": _grid(2, 3, 2, 2),
+    "matrix": matrix_to_json(np.array(_grid(6, 6)) + 1j * np.array(_grid(6, 6, seed=12))),
+    "tiny_and_huge": _with(_with(_with(_grid(3, 4, 2), (0, 0, 0), -0.0), (1, 2, 1), 5e-324),
+                           (2, 3, 0), 1e300),
+    "nan": _with(_grid(3, 4, 2), (1, 1, 0), float("nan")),
+    "inf": _with(_grid(3, 4, 2), (2, 3, 1), float("inf")),
+    "minus_inf": _with(_grid(2, 3, 2, 2), (0, 0, 0, 0), float("-inf")),
+    "overflowing_sum": [[1e308, 1e308], [-1e308, 5.0]],
+    "bool": _with(_grid(3, 4, 2), (0, 1, 1), True),
+    "int": _with(_grid(3, 4, 2), (2, 0, 0), 3),
+    "np_float64": _with(_grid(3, 4, 2), (1, 3, 1), np.float64(2.5)),
+    "none": _with(_grid(3, 4, 2), (0, 0, 1), None),
+    "str": _with(_grid(3, 4, 2), (2, 2, 0), "x"),
+    "float_beside_lists": _with(_grid(3, 4, 2), (1,), 0.25),
+    "ragged_depth1": _with(_grid(3, 4, 2), (1, 0), ...),
+    "ragged_depth2": _with(_grid(3, 4, 2), (2, 3, 1), ...),
+    "ragged_depth3": _with(_grid(2, 3, 2, 2), (1, 2, 0, 1), ...),
+    "row_of_empties": _with(_grid(3, 4, 2), (0,), []),
+    "tuple_pairs": [(1.5, -2.0), (3.0, 4.25)],
+    "tuple_row": [[0.5, 1.0], (0.5, 1.0)],
 }
 
 
 @pytest.mark.parametrize("name", GRID_CASES)
 def test_float_grids_match_reference_encoder(name):
-    payload, one_call = GRID_CASES[name]
-    assert (serialize._float_grid(payload) is not None) == one_call
+    payload = GRID_CASES[name]
     for wrapped in (payload, {"grid": payload, "rows": [payload, payload]}, (payload, 1.0)):
         assert dumps_canonical(wrapped) == reference_dumps(wrapped)
 
 
 def test_payloads_are_plain_json_data():
     # every *_to_json returns lists, dicts and scalars that compare equal after a
-    # JSON round trip; an operator's meta keeps the walk's own tuples, which come
-    # back as lists, so it is only dumped
+    # JSON round trip, an operator's meta included
     bulk = {"type": "ti", "builtin": "split_step"}
     join = walk_from_spec(
         {
@@ -229,7 +236,6 @@ def test_payloads_are_plain_json_data():
         "rep": rep_to_json(doubled.cell_rep),
     }
     for name, payload in payloads.items():
-        json.dumps(payload.pop("meta", {}))
         assert json.loads(json.dumps(payload)) == payload, name
 
 
@@ -302,13 +308,16 @@ def test_cells_round_trip():
         assert cells_from_json(cells_to_json(cells)) == cells
 
 
+def _stored(op: LatticeOperator) -> LatticeOperator:
+    """The operator written by :func:`dumps_operator` and read back."""
+    return lattice_operator_from_json(json.loads(dumps_operator(op)))
+
+
 def test_lattice_operator_round_trip():
     op = build_lattice(make_generating_example(), 8)
     op.meta["note"] = {"cut": (3, np.int64(5))}
-    back = lattice_operator_from_json(
-        json.loads(dumps_canonical(lattice_operator_to_json(op)))
-    )
-    assert np.max(np.abs(back.matrix - op.matrix)) < 1e-11
+    back = _stored(op)
+    assert np.array_equal(back.matrix, op.matrix)
     assert back.cells == op.cells
     assert back.band == op.band
     assert back.meta["note"] == {"cut": [3, 5]}
@@ -322,6 +331,110 @@ def test_lattice_operator_round_trip_without_rep():
     back = lattice_operator_from_json(lattice_operator_to_json(op))
     assert back.local_rep is None
     assert np.array_equal(back.matrix, op.matrix)
+
+
+BUILTIN_SPECS = {
+    "generating": {},
+    "generating_inverse": {"inverse": True},
+    "trivial": {},
+    "shift": {},
+    "split_step": {"theta1": 1.1, "theta2": -0.3},
+    "doubled_cii": {"inverse": True},
+    "doubled_diii": {},
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_every_builtin_lattice_reads_back_bit_for_bit(name):
+    ti = builtin_walk(name.removesuffix("_inverse"), **BUILTIN_SPECS[name])
+    for n, topology in ((9, "circle"), (9, "line"), (3, "circle")):
+        op = build_lattice(ti, n, topology)
+        back = _stored(op)
+        assert np.array_equal(back.matrix, op.matrix), (n, topology)
+        assert back.cells == op.cells and back.band == op.band
+        assert dense_offband(op) == 0.0
+        assert dumps_operator(back) == dumps_operator(op)
+
+
+def stored_fuzz_cases(cls, ti, gen):
+    """Operators of one class: circles and lines in one run of cell reps or
+    in a run per cell, a short circle (n <= 4b), a squared walk (band 2b),
+    mixed and zero-dimensional cells, and rounding-size entries off the band."""
+    b = ti.band
+    n = int(gen.integers(4 * b + 1, 4 * b + 9))
+    ring = build_lattice(ti, n, "circle")
+    yield "circle", ring
+    yield "circle by cell", with_cell_bases(ring, gen)
+    yield "line by cell", with_cell_bases(build_lattice(ti, n, "line"), gen)
+    yield "short circle", with_cell_bases(build_lattice(ti, int(gen.integers(2 * b + 1, 4 * b + 1)), "circle"), gen)
+    long_ring = build_lattice(ti, int(gen.integers(8 * b + 1, 8 * b + 9)), "circle")
+    yield "squared", LatticeOperator(long_ring.matrix @ long_ring.matrix, long_ring.cells, 2 * b, long_ring.local_rep)
+    yield "mixed cells", mixed_cell_walk(cls, ti.cell_rep, gen)
+    x = np.arange(n)
+    dist = np.abs(x[:, None] - x[None, :])
+    far = np.kron(np.minimum(dist, n - dist) > b, np.ones((ti.cell_dim, ti.cell_dim)))
+    noise = (gen.normal(size=far.shape) + 1j * gen.normal(size=far.shape)) * far
+    yield "off-band", LatticeOperator(ring.matrix + 1e-16 * noise, ring.cells, b, ring.local_rep)
+
+
+def test_stored_operators_match_the_dense_oracle_fuzz():
+    # within the band every entry reads back bit for bit; off it the file holds
+    # zeros and records the norm of what it dropped
+    gen = rng(2026)
+    seen = set()
+    for cls, make in TEN_CLASS_WALKS.items():
+        ti = make()
+        for what, op in stored_fuzz_cases(cls, ti, gen):
+            seen.add(what)
+            payload = lattice_operator_to_json(op)
+            back = _stored(op)
+            kept = back.matrix != 0
+            assert np.array_equal(back.matrix[kept], op.matrix[kept]), (cls, what)
+            assert np.array_equal(back.cell_band.blocks, op.cell_band.blocks), (cls, what)
+            oracle = dense_offband(op)
+            assert payload["offband"] == pytest.approx(oracle, rel=1e-12, abs=1e-140), (cls, what)
+            assert np.linalg.norm(op.matrix - back.matrix) == pytest.approx(oracle, rel=1e-12), (cls, what)
+            assert (oracle > 0) == (what == "off-band"), (cls, what)
+            assert back.cells == op.cells and back.band == op.band
+            assert [(count, rep.cls) for _, count, rep in back.local_rep.runs()] == [
+                (count, rep.cls) for _, count, rep in op.local_rep.runs()
+            ]
+            for (_, _, a), (_, _, b) in zip(back.local_rep.runs(), op.local_rep.runs()):
+                assert all(np.array_equal(a.ops[k].matrix, b.ops[k].matrix) for k in b.ops)
+    assert len(seen) == 7
+
+
+def test_writer_refuses_off_band_entries_above_tol_band():
+    ring = build_lattice(make_split_step(1.1, 0.3), 9, "circle")
+    m = ring.matrix.copy()
+    m[0, 8] = 1e-11
+    op = LatticeOperator(m, ring.cells, 1, ring.local_rep)
+    with pytest.raises(IncompatibleCells, match="declared band 1 drops off-band entries of norm 1.000e-11"):
+        dumps_operator(op)
+    assert json.loads(dumps_operator(op, DEFAULT_TOL.with_(band=1e-10)))["offband"] == pytest.approx(1e-11)
+
+
+def test_reader_refuses_blocks_that_do_not_fit_the_cells():
+    data = json.loads(dumps_operator(build_lattice(make_split_step(1.1, 0.3), 9, "circle")))
+    data["blocks"]["1"] = data["blocks"]["1"][:-1]
+    with pytest.raises(IncompatibleCells, match=r"offset 1 have shape \(8, 2, 2\); these cells take \(9, 2, 2\)"):
+        lattice_operator_from_json(data)
+    data["cells"]["cell_dims"][0] = 4
+    del data["local_rep"]
+    with pytest.raises(IncompatibleCells, match=r"these cells take one \(1, 20, 20\) block"):
+        lattice_operator_from_json(data)
+
+
+def test_stored_operators_are_exact_json():
+    ring = build_lattice(make_split_step(np.pi / 7, 0.3), 9, "circle")
+    text = dumps_operator(ring)
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    # the meta keeps every digit too
+    assert json.loads(text)["meta"]["params"]["theta1"] == np.pi / 7
+    m = ring.matrix.copy()
+    m[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps_operator(LatticeOperator(m, ring.cells, 1))
 
 
 # -- walk specs ----------------------------------------------------------------------
@@ -407,9 +520,9 @@ def test_operator_from_spec_geometries():
 
 def test_operator_from_spec_passes_explicit_through():
     op = build_lattice(make_generating_example(), 5)
-    data = json.loads(dumps_canonical(lattice_operator_to_json(op)))
+    data = json.loads(dumps_operator(op))
     back = operator_from_spec({"type": "explicit", **data})
-    assert np.max(np.abs(back.matrix - op.matrix)) < 1e-11
+    assert np.array_equal(back.matrix, op.matrix)
 
 
 def test_operator_from_spec_rejects_missing_or_bad_geometry():

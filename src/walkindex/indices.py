@@ -22,7 +22,9 @@ lying under an absolute ceiling.  Symmetry makes this safe: every admissible
 symmetry pairs the +e and -e eigenspaces of the imaginary part, a magnitude
 sort can never split such a pair, and a fully included balanced pair
 contributes zero to the index.  Every spectrum near +-1, here and in the
-finite-size sweeps and certificates, comes from :func:`near_spectrum`.
+finite-size sweeps and certificates, comes from :func:`near_spectrum`; a
+kernel search first tries :func:`_gap_certified`, a Cholesky in place of the
+``eigh`` where the cluster is empty.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from .errors import (
     WindowAmbiguous,
 )
 from .lattice import (
+    AMBIGUOUS_WEIGHTS,
+    SPLIT_THRESHOLD,
     CellStructure,
     LatticeOperator,
     LocalSymmetryRep,
@@ -68,6 +72,7 @@ from .symmetry import (
     SymmetryOperator,
     SymmetryRep,
     balanced_hamiltonian,
+    frobenius_bound,
     rep_index,
     screened_norm,
     spectral_norm,
@@ -104,6 +109,10 @@ CHIRAL_UNITARY = (SymmetryClass.AIII, SymmetryClass.BDI, SymmetryClass.CII)
 ESSENTIAL_KERNEL_CEILING = 0.1
 ESSENTIAL_KERNEL_RATIO = 5.0
 
+# _gap_certified's allowance for the rounding of H H and of its Cholesky, in
+# units of (N + 1) eps max(1, ||H||_F^2).
+GAP_CERTIFICATE_SLACK = 4.0
+
 # Proxy-window radii agree when the projections onto their dropped subspaces
 # differ by at most this in spectral norm.
 WINDOW_AGREEMENT = 1e-8
@@ -137,10 +146,30 @@ def _kernel_cluster(vals: np.ndarray, tol: Tolerances, ceiling: float) -> np.nda
     return order[:count]
 
 
+def _gap_certified(h: np.ndarray, tol: Tolerances, ceiling: float) -> bool:
+    """True when ``H H - (c^2 + delta)`` has a Cholesky factor, ``delta``
+    covering its rounding: every eigenvalue of ``h`` then has ``|s| > c =
+    max(ceiling, tol.ker max(1, ||H||_F))`` and :func:`_kernel_cluster` keeps
+    nothing.  False decides nothing; the caller's ``eigh`` does."""
+    n = h.shape[0]
+    frob = frobenius_bound(h)
+    c = max(ceiling, tol.ker * max(1.0, frob))
+    delta = GAP_CERTIFICATE_SLACK * (n + 1) * np.finfo(float).eps * max(1.0, frob**2)
+    a = h @ h
+    a.flat[:: n + 1] -= c * c + delta
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _essential_kernel(
     h: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
 ) -> np.ndarray:
     """Eigenvectors of a Hermitian matrix converging to its half-space kernel."""
+    if _gap_certified(h, tol, ceiling):
+        return np.zeros((h.shape[0], 0), dtype=h.dtype)
     vals, vecs = np.linalg.eigh(h)
     return vecs[:, _kernel_cluster(vals, tol, ceiling)]
 
@@ -185,6 +214,8 @@ def _pm_eigenspaces(
     m: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bases of the -1 and +1 eigenspaces: :func:`near_spectrum` split by ``Re lambda``."""
+    if _gap_certified(imaginary_part(m), tol, ceiling):
+        return (np.zeros((m.shape[0], 0), dtype=complex),) * 2
     near, _ = near_spectrum(m, 1.0, tol, ceiling=ceiling)
     minus = near.values.real < 0
     return near.vectors[:, minus], near.vectors[:, ~minus]
@@ -234,42 +265,48 @@ def _drop_window(
     put, while a subspace straddling some window edge changes the split
     between radii and is refused rather than cut.
 
-    Radii agree when their dropped subspaces differ by at most
-    ``WINDOW_AGREEMENT``.  The dropped part is kept as an orthonormal basis:
-    bases ``A`` and ``B`` of equal rank span subspaces with
-    ``||P_A - P_B|| = ||B - A A* B||``, and a rank change disagrees.
-    """
+    One batched ``eigh`` takes every radius's weight operator, a prefix sum
+    of the cell Gram blocks ``B_x* B_x`` from each proxy end.  The basis is
+    orthonormal, so radii agree when their dropped eigenvectors ``U``, ``V``
+    have ``||U - V V* U|| <= WINDOW_AGREEMENT`` (``screened_norm``, of all
+    radii side by side before each one), and a rank change disagrees.  The
+    kept columns are ``split_by_weight``'s at the first unambiguous radius."""
     if basis.shape[1] == 0 or not cells.proxy_ends:
         return basis
-    n = cells.n_cells
+    n, k = cells.n_cells, basis.shape[1]
     r_lo = band + 1
     # with proxies at both ends the windows must never tile the whole piece,
     # or modes legitimately living in the middle would be absorbed
     # a piece too short to scan is tried at the band radius alone
     r_hi = max(r_lo, (n - 1) // 2 if len(cells.proxy_ends) == 2 else (n + 1) // 2)
-    kept: np.ndarray | None = None
-    dropped: np.ndarray | None = None
-    for r in range(r_lo, r_hi + 1):
-        members = _proxy_members(cells, r)
-        inside, outside, _, n_amb = split_by_weight(basis, cells, members)
-        if n_amb:
-            continue
-        if dropped is None:
-            kept, dropped = outside, inside
-        elif (
-            inside.shape[1] != dropped.shape[1]
-            or screened_norm(inside - dropped @ (dropped.conj().T @ inside), WINDOW_AGREEMENT)
-            > WINDOW_AGREEMENT
-        ):
-            raise WindowAmbiguous(
-                f"attribution of {what} modes to the proxy ends depends on "
-                f"the window radius (radii {r_lo}..{r_hi})"
-            )
-    if kept is None:
+    radii = np.arange(r_lo, r_hi + 1)
+    # weight of the cells before x, and of the cells from x on
+    gram = np.zeros((basis.shape[0] + 2, k, k), dtype=basis.dtype)
+    gram[1:-1] = basis.conj()[:, :, None] * basis[:, None, :]
+    at = list(cells.offsets)
+    before, after = np.cumsum(gram, axis=0)[at], np.cumsum(gram[::-1], axis=0)[::-1][1:][at]
+    lo_cut = np.minimum(radii, n) if "left" in cells.proxy_ends else np.zeros_like(radii)
+    hi_cut = np.maximum(lo_cut, n - radii) if "right" in cells.proxy_ends else np.full_like(radii, n)
+    vals, vecs = np.linalg.eigh(before[lo_cut] + after[hi_cut])
+    clear = ~np.any((vals > AMBIGUOUS_WEIGHTS[0]) & (vals < AMBIGUOUS_WEIGHTS[1]), axis=1)
+    if not clear.any():
         raise WindowAmbiguous(
             f"{what} modes straddle every proxy window (radii {r_lo}..{r_hi})"
         )
-    return kept
+    ranks = np.sum(vals[clear] >= SPLIT_THRESHOLD, axis=1)
+    # eigh sorts ascending, so the dropped eigenvectors are the last columns
+    dropped = vecs[clear][:, :, k - ranks[0] :]
+    diff = dropped[1:] - dropped[0] @ (dropped[0].conj().T @ dropped[1:])
+    # side by side, the differences have a norm at least each one's
+    if np.any(ranks != ranks[0]) or (
+        screened_norm(diff.swapaxes(0, 1).reshape(k, -1), WINDOW_AGREEMENT) > WINDOW_AGREEMENT
+        and any(screened_norm(d, WINDOW_AGREEMENT) > WINDOW_AGREEMENT for d in diff)
+    ):
+        raise WindowAmbiguous(
+            f"attribution of {what} modes to the proxy ends depends on "
+            f"the window radius (radii {r_lo}..{r_hi})"
+        )
+    return split_by_weight(basis, cells, _proxy_members(cells, int(radii[clear][0])))[1]
 
 
 def _restricted_index(

@@ -574,6 +574,15 @@ def forget_rep(rep: SymmetryRep, target: SymmetryClass, tol: Tolerances = DEFAUL
 
 # -- bases adapted to antiunitary structure ----------------------------------
 
+# fixed_point_basis takes i(v - sigma v) where |v + sigma v| is below this (squares sum to 4)
+FIXED_POINT_NORM_FLOOR = 0.7
+# fixed_point_basis refuses a basis that sigma moves by more than this
+FIXED_POINT_CHECK = 1e-6
+# kramers_pairs refuses |<v, sigma v>| above this
+KRAMERS_OVERLAP = 1e-6
+# _verify_balanced accepts residuals up to max(tol.adm, BALANCED_FLOOR)
+BALANCED_FLOOR = 1e-7
+
 def fixed_point_basis(
     op: SymmetryOperator,
     basis: np.ndarray,
@@ -592,14 +601,14 @@ def fixed_point_basis(
     while rem.shape[1] > 0:
         v = rem[:, 0]
         w = v + op.apply(v)
-        if np.linalg.norm(w) < 0.7:
+        if np.linalg.norm(w) < FIXED_POINT_NORM_FLOOR:
             # v is close to anti-fixed; rotate by i first.
             w = 1j * (v - op.apply(v))
         w = w / np.linalg.norm(w)
         vecs.append(w)
         rem = _project_out(rem, w[:, None])
     out = np.column_stack(vecs) if vecs else np.zeros((basis.shape[0], 0), dtype=complex)
-    if spectral_norm(op.apply(out) - out) > 1e-6:
+    if spectral_norm(op.apply(out) - out) > FIXED_POINT_CHECK:
         raise RelationViolation("fixed-point basis construction failed; is sigma^2 = +1?")
     return out
 
@@ -627,7 +636,7 @@ def kramers_pairs(
         v = rem[:, 0]
         w = op.apply(v)
         overlap = abs(np.vdot(v, w))
-        if overlap > 1e-6:
+        if overlap > KRAMERS_OVERLAP:
             raise RelationViolation(f"Kramers orthogonality violated: |<v, sigma v>| = {overlap:.3e}")
         w = w - v * np.vdot(v, w)
         w = w / np.linalg.norm(w)
@@ -750,6 +759,6 @@ def _verify_balanced(rep: SymmetryRep, h: np.ndarray, tol: Tolerances) -> None:
         _, sign = ADMISSIBILITY[name]
         checks[f"admissible:{name}"] = spectral_norm(op.conjugate(h) - sign * h)
     worst = max(checks.values())
-    if worst > max(tol.adm, 1e-7):
+    if worst > max(tol.adm, BALANCED_FLOOR):
         key = max(checks, key=checks.get)
         raise DecouplingFailed(f"balanced generator failed check {key}: {checks[key]:.3e}")

@@ -78,6 +78,10 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 MAX_MOMENTUM_SAMPLES = 8192
+# ti_gap_margin doubles its grid until the margin moves by at most this fraction.
+GAP_MARGIN_STEP = 0.01
+# _berry_once refines its grid while a neighbouring band-frame overlap has |det| below this.
+BERRY_OVERLAP_FLOOR = 0.3
 # A product of unit-norm factors whose paths to one offset cancel leaves
 # rounding of order 1e-16 per entry there; an offset whose blocks, over all
 # cells, have no larger Frobenius norm than this is such a cancellation.
@@ -466,7 +470,7 @@ def _berry_once(ti: TIWalk, n: int, tol: Tolerances) -> tuple[IndexValue, float,
         frames[-1] = _kramers_frame(tau, frames[-1], tol)
     overlaps = np.linalg.det(frames[:-1].conj().swapaxes(-1, -2) @ frames[1:])
     size = np.abs(overlaps)
-    if np.min(size) < 0.3:
+    if np.min(size) < BERRY_OVERLAP_FLOOR:
         raise _Refine
     phase = float(np.angle(np.prod(overlaps / size)))
     if ti.cls is SymmetryClass.D:
@@ -510,7 +514,7 @@ def ti_gap_margin(ti: TIWalk, tol: Tolerances = DEFAULT_TOL, strict: bool = True
     while True:
         vals = np.linalg.eigvals(ti.bloch_stack(-np.pi + 2 * np.pi * np.arange(n) / n))
         margin = min(float(np.min(np.abs(vals - 1))), float(np.min(np.abs(vals + 1))))
-        if prev is not None and (abs(margin - prev) <= 0.01 * max(prev, 1e-12) or n >= MAX_MOMENTUM_SAMPLES):
+        if prev is not None and (abs(margin - prev) <= GAP_MARGIN_STEP * max(prev, 1e-12) or n >= MAX_MOMENTUM_SAMPLES):
             break
         prev = margin
         n *= 2

@@ -57,7 +57,13 @@ from walkindex.decoupling import (
     _transfer_swap,
     attribute_transfers,
 )
-from walkindex.indices import WINDOW_AGREEMENT, _proxy_members, contract_perturbation, twiddle_rep
+from walkindex.indices import (
+    WINDOW_AGREEMENT,
+    _kernel_cluster,
+    _proxy_members,
+    contract_perturbation,
+    twiddle_rep,
+)
 from walkindex.lattice import (
     CellProjection,
     CellStructure,
@@ -610,6 +616,15 @@ def pm_one_gap(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
         rest = dist[dist > tol.exact]
         margins.append(float(rest.min()) if rest.size else 2.0)
     return min(margins)
+
+
+def dense_kernel_cluster(h: np.ndarray, ceiling: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Positions of the essential kernel of a Hermitian matrix, from all its eigenvalues.
+
+    The oracle of ``indices._gap_certified``: the kernel search it screens,
+    ``_kernel_cluster`` on the ``eigvalsh`` values, with no screen.
+    """
+    return _kernel_cluster(np.linalg.eigvalsh(h), tol, ceiling)
 
 
 def drop_window_projectors(

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import walkindex.indices
+
 from helpers import (
+    TEN_CLASS_WALKS,
     contraction_path,
+    dense_kernel_cluster,
     dense_rep,
     drop_window_projectors,
     haar_unitary,
+    mixed_cell_walk,
     normal_form_rep,
     pm_one_gap,
     random_admissible_walk,
     random_rep,
     rng,
 )
+from test_acceptance import FAMILIES
 from walkindex.errors import (
     EigenFailure,
     IncompatibleCells,
@@ -33,6 +41,7 @@ from walkindex.indices import (
     WINDOW_AGREEMENT,
     _drop_window,
     _essential_kernel,
+    _gap_certified,
     _pm_eigenspaces,
     bulk_right_index,
     contract_perturbation,
@@ -56,9 +65,10 @@ from walkindex.lattice import (
     half_spaces,
     split_by_weight,
 )
+from walkindex.cli import main
 from walkindex.finite import join_crossover
 from walkindex.operators import admissible_hamiltonian_projection, eig_unitary, imaginary_part
-from walkindex.symmetry import IndexGroup, SymmetryClass, SymmetryRep, spectral_norm
+from walkindex.symmetry import IndexGroup, SymmetryClass, SymmetryRep, screened_norm, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
     TIWalk,
@@ -831,3 +841,130 @@ def test_drop_window_equal_rank_near_misses_match_projector_oracle():
     assert not _assert_same_window(rank_change, cells, 0)
     with pytest.raises(WindowAmbiguous, match="depends on the window radius"):
         _drop_window(rank_change, cells, 0, "kernel")
+
+
+def test_drop_window_scans_every_radius_in_one_batched_eigh(monkeypatch):
+    # a 96-cell arc with a mode at its cut and one at its proxy end: one eigh
+    # of the (radii, k, k) stack and the k x k eigh of one split_by_weight
+    ring = build_lattice(make_split_step(0.9, 0.3), 192, "circle")
+    piece = half_spaces(ring, 0)[1]
+    ker = _essential_kernel(imaginary_part(piece.matrix), DEFAULT_TOL)
+    k = ker.shape[1]
+    assert piece.cells.n_cells == 96 and k == 2
+    shapes, splits, screens = [], [], []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
+    monkeypatch.setattr(
+        walkindex.indices, "split_by_weight", lambda *a: splits.append(a) or split_by_weight(*a)
+    )
+    monkeypatch.setattr(
+        walkindex.indices, "screened_norm", lambda x, b: screens.append(x.shape) or screened_norm(x, b)
+    )
+    kept = _drop_window(ker, piece.cells, piece.band, "kernel")
+    assert shapes == [(48 - piece.band, k, k), (k, k)]
+    assert len(splits) == 1
+    # the radii that agree are compared side by side, in one screen
+    assert screens == [(k, 47 - piece.band)]
+    assert kept.shape[1] == 1
+    assert np.array_equal(kept, drop_window_projectors(ker, piece.cells, piece.band, "kernel"))
+
+
+# -- the gap certificate against the dense kernel oracle -------------------------------
+
+
+CERTIFICATE_CEILINGS = (ESSENTIAL_KERNEL_CEILING, 1e-3, 1e-10)  # the last is below tol.ker
+
+
+def _certificate_cases(cls, ti, gen):
+    """Hermitian parts that the kernel searches of one class meet."""
+    n = max(12, 6 * ti.band)
+    ring = build_lattice(ti, n, "circle")
+    yield "circle", imaginary_part(ring.matrix)
+    yield "line", imaginary_part(truncate_ti(ti, n, "compress").matrix)
+    yield "segment", imaginary_part(truncate_ti(ti, n, "decoupled_unitary").matrix)
+    for piece in half_spaces(ring, int(gen.integers(0, n))):
+        yield "piece", imaginary_part(piece.matrix)
+    yield "mixed cells", imaginary_part(mixed_cell_walk(cls, ti.cell_rep, gen).matrix)
+    yield "no rows", np.zeros((0, 0), dtype=complex)
+
+
+def test_gap_certificate_agrees_with_the_dense_oracle_fuzz():
+    # wherever the certificate clears a matrix, the dense cluster is empty,
+    # and the kernel search answers as the oracle either way
+    gen = rng(2727)
+    verdicts = {True: 0, False: 0}
+    seen = set()
+    for cls, make in TEN_CLASS_WALKS.items():
+        ti = make()
+        for what, h in _certificate_cases(cls, ti, gen):
+            seen.add(what)
+            for ceiling in CERTIFICATE_CEILINGS:
+                want = dense_kernel_cluster(h, ceiling).size
+                certified = _gap_certified(h, DEFAULT_TOL, ceiling)
+                verdicts[certified] += 1
+                assert not certified or want == 0, (cls, what, ceiling)
+                assert _essential_kernel(h, DEFAULT_TOL, ceiling).shape == (h.shape[0], want)
+    assert seen == {"circle", "line", "segment", "piece", "mixed cells", "no rows"}
+    assert min(verdicts.values()) >= 50
+
+
+@pytest.mark.parametrize(
+    "ceiling, tol",
+    [(ceiling, DEFAULT_TOL) for ceiling in CERTIFICATE_CEILINGS] + [(1e-10, DEFAULT_TOL.with_(ker=1e-4))],
+    ids=["0.1", "1e-3", "1e-10", "1e-10-ker-1e-4"],
+)
+def test_gap_certificate_knife_edges(ceiling, tol):
+    # one |s| at c (1 -+ 1e-6), c = max(ceiling, tol.ker ||H||_F), the rest in
+    # [0.6, 1]: below c the certificate never clears.  Above c the cluster is
+    # empty, and the certificate clears wherever c^2 outweighs its rounding
+    # allowance, as it does at the ceilings 0.1 and 1e-3
+    gen = rng(2728)
+    for n in (4, 16, 48):
+        for side in (-1, 1):
+            s = gen.uniform(0.6, 1.0, n) * gen.choice([-1.0, 1.0], n)
+            knife = 1 + side * 1e-6
+            # ||H||_F^2 = rest + (c knife)^2, with c = tol.ker ||H||_F unless the ceiling is larger
+            rest = np.sum(s[1:] ** 2)
+            c = max(ceiling, tol.ker * np.sqrt(rest / (1 - (tol.ker * knife) ** 2)))
+            s[0] = np.sign(s[0]) * c * knife
+            u = haar_unitary(gen, n)
+            h = (u * s) @ u.conj().T
+            h = (h + h.conj().T) / 2
+            certified = _gap_certified(h, tol, ceiling)
+            assert certified <= (side > 0), n
+            if side > 0:
+                assert dense_kernel_cluster(h, ceiling, tol).size == 0
+            if ceiling >= 1e-3:
+                assert certified == (side > 0), n
+                assert dense_kernel_cluster(h, ceiling, tol).size == (side < 0)
+
+
+@pytest.mark.parametrize("ti, sizes", FAMILIES, ids=[ti.name for ti, _ in FAMILIES])
+def test_gap_certificate_clears_every_gapped_family_circle(ti, sizes):
+    # the speed-up rests on this: a translation-invariant circle has no
+    # spectrum near +-1, and the certificate must say so without an eigh
+    lo, hi = sizes
+    for n in range(lo, hi + 1):
+        h = imaginary_part(build_lattice(ti, n, "circle").matrix)
+        for ceiling in CERTIFICATE_CEILINGS:
+            assert _gap_certified(h, DEFAULT_TOL, ceiling), (n, ceiling)
+
+
+def test_index_of_a_gapped_circle_takes_no_full_size_eigh(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "circle.json"
+    spec.write_text(json.dumps({
+        "type": "ti",
+        "builtin": "split_step",
+        "coin_params": {"theta1": 0.9, "theta2": 0.3},
+        "geometry": {"n_cells": 64, "topology": "circle"},
+    }))
+    eighs, choleskys = [], []
+    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: choleskys.append(np.shape(a)) or cholesky(a))
+    assert main(["index", str(spec)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["si_minus"]["value"], data["si_plus"]["value"]) == (0, 0)
+    assert (data["si_left"]["value"], data["si_right"]["value"]) == (-1, 1)
+    assert (128, 128) in choleskys
+    assert all(shape[-1] < 128 for shape in eighs)

@@ -27,11 +27,49 @@ print(json.dumps({"scipy": "scipy" in sys.modules, "stale": stale}))
 """
 
 
-def _probe() -> dict:
+# Runs each CLI command once on tiny builtin specs in a fresh interpreter, then
+# reports every exit code and whether any scipy module was loaded.
+_CLI_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from walkindex.cli import main
+work = Path(sys.argv[1])
+def spec(name, data):
+    (work / name).write_text(json.dumps(data))
+    return str(work / name)
+# the test-suite pair (9 pi/32, 7 pi/32) | (-5 pi/16, pi/8), which a line join resolves
+split_a = {"type": "ti", "builtin": "split_step",
+           "coin_params": {"theta1": 0.8835729338221293, "theta2": 0.6872233929727672}}
+split_b = {**split_a, "coin_params": {"theta1": -0.9817477042468103, "theta2": 0.39269908169872414}}
+a, b = spec("a.json", split_a), spec("b.json", split_b)
+circle = spec("circle.json", {**split_a, "geometry": {"n_cells": 16, "topology": "circle"}})
+join = spec("join.json", {"type": "join", "left": split_a, "right": split_b,
+                          "geometry": {"n_left": 24, "n_right": 24, "topology": "circle"}})
+diii = spec("diii.json", {"type": "ti", "builtin": "doubled", "coin_params": {"variant": "DIII"}})
+commands = {
+    "index": ["index", circle],
+    "validate": ["validate", circle],
+    "decouple": ["decouple", circle, "--out-dir", str(work / "dec")],
+    "join": ["join", a, b, "--n-left", "16", "--n-right", "16", "--topology", "line",
+             "--out", str(work / "line.json")],
+    "sweep": ["sweep", a, b, "--size", "8,8"],
+    "temple-kato": ["temple-kato", join, "--theta", "1+0j", "--k", "1", "--window", "20:28"],
+    "winding": ["winding", a],
+    "berry": ["berry", diii],
+}
+codes = {}
+for name, argv in commands.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = main(argv)
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _probe(script: str = _PROBE, *args: str) -> dict:
     src = str(Path(walkindex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -42,6 +80,17 @@ def test_fresh_import_loads_no_scipy_and_exports_resolve():
     result = _probe()
     assert result["scipy"] is False
     assert result["stale"] == []
+
+
+def test_every_cli_command_runs_without_scipy(tmp_path):
+    # a lazy import on a command path would not show in a fresh import, yet it
+    # doubles the start-up time and the memory of the process that reaches it
+    result = _probe(_CLI_PROBE, str(tmp_path))
+    assert result["codes"] == {
+        name: 0
+        for name in ("index", "validate", "decouple", "join", "sweep", "temple-kato", "winding", "berry")
+    }
+    assert result["scipy"] == []
 
 
 def _traced_names() -> dict:

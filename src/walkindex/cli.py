@@ -156,7 +156,7 @@ def cmd_decouple(args, tol: Tolerances) -> int:
         "si_preserved": result.si_preserved,
         "ok": result.ok,
     }
-    v = LatticeOperator.with_measured_band(result.v, op.cells, tol=tol)
+    v = LatticeOperator.from_matrix(result.v, op.cells, tol=tol)
     files = {
         "V.json": dumps_operator(v, tol),
         "Wprime.json": dumps_operator(result.w_prime, tol),

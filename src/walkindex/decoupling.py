@@ -379,7 +379,7 @@ def gentle_decoupling(
     commutator = screened_norm((p[:, None] - p[None, :]) * w2, 10 * tol.unit)
     if commutator > 10 * tol.unit:
         raise DecouplingFailed(f"residual coupling {commutator:.3e} after correction")
-    w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep, dict(op.meta), tol)
+    w2_op = LatticeOperator.from_matrix(w2, op.cells, None, op.local_rep, dict(op.meta), tol)
     report = check_admissible(w2_op, tol=tol, strict=False)
     if not report.ok:
         raise DecouplingFailed(

@@ -17,7 +17,7 @@ proxy for the infinite-volume index statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +32,13 @@ from .errors import (
     TooShort,
 )
 from .indices import near_spectrum
-from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
+from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep, assemble_blocks, measured_band
 from .operators import check_admissible, check_normal, check_unitary
-from .symmetry import block_diagonal
 from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import (
     CoinFactor,
     TIWalk,
     factor_matrices,
-    place_blocks,
     segment_pad,
     skeletons_match,
     ti_gap_margin,
@@ -238,9 +236,8 @@ def join_crossover(
             for fl, fr in zip(left.factors, right.factors)
         ]
         cells = CellStructure.uniform(len(side), left.cell_dim, "circle")
-        w = place_blocks(factor_matrices(factors, cells), cells)
         local = LocalSymmetryRep.uniform(left.cell_rep, len(side))
-        op = LatticeOperator.with_measured_band(w, cells, local, tol=tol)
+        op = _with_measured_band(factor_matrices(factors, cells), cells, local, {}, tol)
         check_unitary(op, tol, "crossover join")
         admissible = True
         try:
@@ -257,7 +254,6 @@ def join_crossover(
 
     left_seg = truncate_ti(left, n_left, "decoupled_unitary", tol)
     right_seg = truncate_ti(right, n_right, "decoupled_unitary", tol)
-    w = block_diagonal((left_seg.matrix, right_seg.matrix))
     cells = CellStructure(
         left_seg.cells.cell_dims + right_seg.cells.cell_dims,
         topology,
@@ -273,7 +269,18 @@ def join_crossover(
         "boundary": "decoupled_unitary",
         "interface_style": "decoupled",
     }
-    return LatticeOperator.with_measured_band(w, cells, local, meta, tol)
+    # the direct sum of the two segments: each one's stacks on its own cells
+    parts = [(j, 0, stack) for j, stack in left_seg.blocks.items()]
+    parts += [(j, n_left, stack) for j, stack in right_seg.blocks.items()]
+    return _with_measured_band(assemble_blocks(cells, parts), cells, local, meta, tol)
+
+
+def _with_measured_band(
+    blocks: dict[int, np.ndarray], cells: CellStructure, local: LocalSymmetryRep, meta: dict, tol: Tolerances
+) -> LatticeOperator:
+    """The operator of these stacks whose declared band is its measured bandwidth."""
+    op = LatticeOperator(blocks, cells, 0, local, meta)
+    return replace(op, band=measured_band(op, tol))
 
 
 # -- sweeps ------------------------------------------------------------------------

@@ -5,6 +5,12 @@ internal dimensions.  Operators carry their cell structure, a declared
 bandwidth (largest cell-to-cell hopping range), and optionally a cell-local
 symmetry representation.
 
+An operator is its cell blocks: one ``(n, d, d)`` stack per hopping offset,
+as a stored file holds them.  Built walks, compressions and read files are
+made and cut as stacks; the dense matrix is placed from them
+(:func:`place_blocks`) only when an eigensolver or an oracle reads it, and
+:meth:`LatticeOperator.from_matrix` is the one way in from a dense matrix.
+
 Finite segments serve as desk-scale proxies for half-infinite systems: their
 artificial outer boundaries are marked as ``proxy_ends`` so that index
 computations can exclude modes created by the truncation rather than by the
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +51,9 @@ __all__ = [
     "LatticeOperator",
     "CellBand",
     "Gate",
+    "assemble_blocks",
+    "matrix_blocks",
+    "place_blocks",
     "measure_unitarity",
     "measure_admissibility",
     "CellProjection",
@@ -115,6 +124,21 @@ class CellStructure:
             mask[self.cell_slice(i)] = True
         return mask
 
+    @cached_property
+    def one_block(self) -> bool:
+        """Whether the cells are mixed or zero-dimensional, so that an operator
+        on them is stored as one block holding its whole matrix."""
+        d = self.cell_dims[0] if self.cell_dims else 0
+        return d == 0 or self.cell_dims.count(d) != self.n_cells
+
+    def stored_offset(self, j):
+        """A hopping offset (or an array of them) as stacks are keyed: wrapped on
+        a circle to ``-(n-1)//2 .. n//2``, unchanged on a line."""
+        if self.topology == "line":
+            return j
+        half = (self.n_cells - 1) // 2
+        return (j + half) % self.n_cells - half
+
     def bond_distance(self, cell: int, bond: int) -> int:
         """Distance in cells from a cell to the bond between cells b-1 and b."""
         n = self.n_cells
@@ -168,15 +192,22 @@ class LocalSymmetryRep:
 
 @dataclass(frozen=True, eq=False)
 class LatticeOperator:
-    """A matrix together with its cell structure and declared bandwidth.
+    """An operator stored as its cell blocks, with its cell structure and declared bandwidth.
 
-    The matrix (the array passed in) is made read-only, so the gate records
-    measured from it (:attr:`unitarity`, :attr:`admissibility`) cannot go
-    stale.  A whole-cell compression keeps the operator it was cut from as
-    ``compressed_from`` and inherits its admissibility bound.
+    ``blocks[j]`` is the ``(n, d, d)`` stack of the blocks (cell x + j <- cell
+    x) on n equal cells of dimension d > 0, keyed by
+    :meth:`CellStructure.stored_offset`; on a line a block whose cell x + j
+    lies past the ends is zero, and an offset without a nonzero entry may be
+    absent.  On mixed or zero-dimensional cells the operator is one block,
+    ``blocks[0]`` of shape ``(1, N, N)``.  The stacks hold no ``-0.0`` (placing
+    adds them into ``+0.0``) and are made read-only, so the gate records
+    measured from them (:attr:`unitarity`, :attr:`admissibility`) cannot go
+    stale.  :attr:`matrix` is placed from them on first read.  A whole-cell
+    compression keeps the operator it was cut from as ``compressed_from`` and
+    inherits its admissibility bound.
     """
 
-    matrix: np.ndarray
+    blocks: Mapping[int, np.ndarray]
     cells: CellStructure
     band: int
     local_rep: LocalSymmetryRep | None = None
@@ -186,29 +217,43 @@ class LatticeOperator:
     def __post_init__(self) -> None:
         if self.band < 0:
             raise IncompatibleCells(f"declared band {self.band} is negative")
-        d = self.cells.total_dim
-        if self.matrix.shape != (d, d):
-            raise IncompatibleCells(f"matrix shape {self.matrix.shape} != cell total {(d, d)}")
-        if self.local_rep is not None and self.local_rep.total_dim != d:
+        cells, total = self.cells, self.cells.total_dim
+        if self.local_rep is not None and self.local_rep.total_dim != total:
             raise IncompatibleCells("local representation does not match cell dimensions")
-        self.matrix.flags.writeable = False
+        want = (1, total, total) if cells.one_block else (cells.n_cells,) + (cells.cell_dims[0],) * 2
+        for j, stack in self.blocks.items():
+            if stack.shape != want:
+                raise IncompatibleCells(f"blocks at offset {j} have shape {stack.shape}, not {want}")
+            stack.flags.writeable = False
 
     @classmethod
-    def with_measured_band(
+    def from_matrix(
         cls,
         matrix: np.ndarray,
         cells: CellStructure,
+        band: int | None = None,
         local_rep: LocalSymmetryRep | None = None,
         meta: dict | None = None,
         tol: Tolerances = DEFAULT_TOL,
     ) -> "LatticeOperator":
-        """An operator whose declared band is its measured bandwidth."""
-        op = cls(matrix, cells, 0, local_rep, {} if meta is None else meta)
-        return replace(op, band=measured_band(op, tol))
+        """The operator of a dense matrix, keeping every offset with a nonzero
+        entry (:func:`matrix_blocks`), so :attr:`matrix` gives it back bit for
+        bit (a ``-0.0`` as ``+0.0``).  A ``band`` of None is the measured one."""
+        d = cells.total_dim
+        if np.shape(matrix) != (d, d):
+            raise IncompatibleCells(f"matrix shape {np.shape(matrix)} != cell total {(d, d)}")
+        meta = {} if meta is None else meta
+        op = cls(matrix_blocks(matrix, cells), cells, band or 0, local_rep, meta)
+        return op if band is not None else replace(op, band=measured_band(op, tol))
 
     @property
     def dim(self) -> int:
         return self.cells.total_dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only, placed from the blocks on first read."""
+        return self.cell_band.matrix
 
     def block(self, i: int, j: int) -> np.ndarray:
         """The (cell i <- cell j) block."""
@@ -217,7 +262,7 @@ class LatticeOperator:
     @cached_property
     def cell_band(self) -> "CellBand":
         """The blocks within the declared band, read once for both gates."""
-        return CellBand(self.matrix, self.cells, self.band)
+        return CellBand(self.blocks, self.cells, self.band)
 
     @cached_property
     def unitarity(self) -> "Gate":
@@ -235,14 +280,67 @@ class LatticeOperator:
         if parent is None or parent.local_rep is None:
             return measure_admissibility(self.cell_band, self.local_rep.runs(), "walk")
         # the deferred measurement holds the parts, not the operator, which holds it
-        matrix, cells, band, local = self.matrix, self.cells, self.band, self.local_rep
-        own = _once(lambda: measure_admissibility(CellBand(matrix, cells, band), local.runs(), "walk"))
+        blocks, cells, band, local = self.blocks, self.cells, self.band, self.local_rep
+        own = _once(lambda: measure_admissibility(CellBand(blocks, cells, band), local.runs(), "walk"))
         # sigma is cell-local, so it commutes with the whole-cell compression P:
         # the residual here is P R P for the parent's R, and ||P R P|| <= ||R||
         return {
             name: Gate(gate.bound, lambda t, name=name: own()[name].screened(t))
             for name, gate in parent.admissibility.items()
         }
+
+
+def matrix_blocks(matrix: np.ndarray, cells: CellStructure) -> dict[int, np.ndarray]:
+    """The blocks of a dense matrix as :class:`LatticeOperator` stores them: a
+    stack for every offset with a nonzero entry, or one block on mixed cells."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if cells.one_block:
+        return {0: matrix[None] + 0.0}
+    n, d = cells.n_cells, cells.cell_dims[0]
+    by_cell = matrix.reshape(n, d, n, d)
+    target, source = np.nonzero((by_cell != 0).any(axis=(1, 3)))
+    offsets = np.unique(cells.stored_offset(target - source))
+    target = offsets[:, None] + np.arange(n)
+    inside = (target >= 0) & (target < n) | (cells.topology == "circle")
+    # adding into +0.0, as placing does, leaves no -0.0
+    stacks = np.where(inside[:, :, None, None], by_cell[target % n, :, np.arange(n), :] + 0.0, 0)
+    return dict(zip(offsets.tolist(), stacks))
+
+
+def assemble_blocks(
+    cells: CellStructure, parts: Iterable[tuple[int, int, np.ndarray]]
+) -> dict[int, np.ndarray]:
+    """The stacks of an operator on equal cells from ``(offset, first cell,
+    stack)`` parts: offsets are wrapped on a circle, hops past the ends of a
+    line are cleared, and parts that meet are added into +0.0 in their order,
+    as placing them would add them."""
+    n, d = cells.n_cells, cells.cell_dims[0]
+    out: dict[int, np.ndarray] = {}
+    for j, first, stack in parts:
+        total = out.setdefault(int(cells.stored_offset(j)), np.zeros((n, d, d), dtype=complex))
+        total[first : first + len(stack)] += stack
+    if cells.topology == "line":
+        x = np.arange(n)
+        for j, total in out.items():
+            total[(x + j < 0) | (x + j >= n)] = 0
+    return out
+
+
+def place_blocks(blocks: Mapping[int, np.ndarray], cells: CellStructure) -> np.ndarray:
+    """The matrix of an operator's blocks (see :class:`LatticeOperator`): one
+    block is the matrix, and each stack is added into a zero matrix."""
+    n = cells.n_cells
+    if cells.one_block or n == 1:
+        return blocks[0][0] if 0 in blocks else np.zeros((cells.total_dim,) * 2, dtype=complex)
+    d = cells.cell_dims[0]
+    # a spare cell row takes the blocks of hops past the ends of a line, which are zero
+    w = np.zeros(((n + 1) * d, n * d), dtype=complex)
+    if blocks:
+        x = np.arange(n)
+        target, stacks = np.array(list(blocks))[:, None] + x, np.array(list(blocks.values()))
+        row = target % n if cells.topology == "circle" else np.where((target >= 0) & (target < n), target, n)
+        w.reshape(n + 1, d, n, d)[row, :, x, :] += stacks
+    return w[: n * d]
 
 
 @dataclass(frozen=True)
@@ -379,8 +477,6 @@ def compress(op: LatticeOperator, proj: CellProjection) -> LatticeOperator:
     if set(run) != member_set:
         raise IncompatibleCells("projection is not a contiguous run of cells")
 
-    order = np.concatenate([np.arange(op.dim)[op.cells.cell_slice(i)] for i in run])
-    sub = op.matrix[np.ix_(order, order)]
     left_bond = run[0] if not (op.cells.topology == "line" and run[0] == 0) else None
     stop = (run[-1] + 1) % n if op.cells.topology == "circle" else run[-1] + 1
     right_bond = stop if not (op.cells.topology == "line" and stop == n) else None
@@ -401,7 +497,29 @@ def compress(op: LatticeOperator, proj: CellProjection) -> LatticeOperator:
         "end_bonds": {"left": left_bond, "right": right_bond},
         "parent_cells": tuple(run),
     }
-    return LatticeOperator(sub, cells, op.band, local_rep, meta, compressed_from=op)
+    return LatticeOperator(_run_blocks(op, run, cells), cells, op.band, local_rep, meta, compressed_from=op)
+
+
+def _run_blocks(op: LatticeOperator, run: list[int], cells: CellStructure) -> dict[int, np.ndarray]:
+    """The blocks of ``op`` among the cells ``run``, as blocks of the line ``cells``.
+
+    A parent offset ``c`` reaches the line as ``c`` or, on a circle, as
+    ``c -+ n``: each parent block lands once, where both of its cells are in
+    the run."""
+    if op.cells.one_block or cells.one_block:
+        order = np.concatenate([np.arange(op.dim)[op.cells.cell_slice(i)] for i in run])
+        return matrix_blocks(op.matrix[np.ix_(order, order)], cells)
+    n, m = op.cells.n_cells, len(run)
+    shifts = (-n, 0, n) if op.cells.topology == "circle" else (0,)
+    j = (np.array(list(op.blocks), dtype=int)[:, None] + shifts).ravel()
+    parent = np.repeat(np.arange(len(op.blocks)), len(shifts))
+    near = np.abs(j) < m
+    j, parent = j[near, None], parent[near]
+    pieces = np.array(list(op.blocks.values()))[parent[:, None], np.array(run)]
+    x = np.arange(m)
+    pieces[(x + j < 0) | (x + j >= m)] = 0
+    live = pieces.any(axis=(1, 2, 3))
+    return dict(zip(j[live, 0].tolist(), pieces[live]))
 
 
 def _cell_block_reduce(ufunc: np.ufunc, x: np.ndarray, cells: CellStructure) -> np.ndarray:
@@ -432,27 +550,38 @@ def measured_band(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> int:
     blocks in between, or with a bound within ``BAND_SCREEN_SLACK`` of
     ``tol.band``, get a :func:`spectral_norm`, taken by decreasing |offset| and
     only beyond the band the screen already certified, so the verdict is the
-    SVD one.
+    SVD one.  The blocks are read from the stacks, offset by offset; one
+    block on mixed cells is read cell pair by cell pair.
     """
     cells = op.cells
     n = cells.n_cells
-    owner = np.repeat(np.arange(n), cells.cell_dims)
-    a = np.abs(op.matrix)
-    big = _cell_block_reduce(np.maximum, a, cells)
-    # squares of entries scaled by their block maximum cannot underflow to a false zero
-    scale = np.where(big > 0, big, 1.0)[owner][:, owner]
-    frob = big * np.sqrt(_cell_block_reduce(np.add, (a / scale) ** 2, cells))
-    cell = np.arange(n)
-    dist = np.abs(cell[:, None] - cell[None, :])
-    if cells.topology == "circle":
-        dist = np.minimum(dist, n - dist)
+    if cells.one_block:
+        owner = np.repeat(np.arange(n), cells.cell_dims)
+        a = np.abs(op.matrix)
+        big = _cell_block_reduce(np.maximum, a, cells)
+        # squares of entries scaled by their block maximum cannot underflow to a false zero
+        scale = np.where(big > 0, big, 1.0)[owner][:, owner]
+        frob = big * np.sqrt(_cell_block_reduce(np.add, (a / scale) ** 2, cells))
+        cell = np.arange(n)
+        dist = np.abs(cell[:, None] - cell[None, :])
+        if cells.topology == "circle":
+            dist = np.minimum(dist, n - dist)
+        block = lambda k: op.block(*divmod(int(k), n))
+    else:  # scaled by block maxima as above
+        offsets = list(op.blocks)
+        a = np.abs(np.array(list(op.blocks.values()))).reshape(len(offsets), n, cells.cell_dims[0] ** 2)
+        big = a.max(axis=2, initial=0.0)
+        frob = big * np.sqrt(((a / np.where(big > 0, big, 1.0)[:, :, None]) ** 2).sum(axis=2))
+        dist = np.repeat(np.abs(offsets), n).reshape(big.shape)
+        block = lambda k: op.blocks[offsets[k // n]][k % n]
+    dist, big, frob = dist.ravel(), big.ravel(), frob.ravel()
     live = big > tol.band * (1 + BAND_SCREEN_SLACK)
     band = int(dist[live].max(initial=0))
     # a nan bound is not dead either: the SVD decides it
     unsure = ~live & ~(frob <= tol.band * (1 - BAND_SCREEN_SLACK)) & (dist > band)
-    for i, j in sorted(zip(*np.nonzero(unsure)), key=lambda ij: -dist[ij]):
-        if spectral_norm(op.block(i, j)) > tol.band:
-            return int(dist[i, j])
+    for k in sorted(np.flatnonzero(unsure), key=lambda k: -dist[k]):
+        if spectral_norm(block(k)) > tol.band:
+            return int(dist[k])
     return band
 
 
@@ -498,13 +627,9 @@ class Gate:
 class _BandLayout:
     """Cell indices of the band screens for n cells of band b on a circle or a line."""
 
-    partner: np.ndarray  # (2b+1, n): the cell x + j of the block (x, x + j), wrapped
-    outside: np.ndarray  # (2b+1, n): x + j past the ends of a line
     window: np.ndarray  # (n, 2b+1, 4b+1): block (x + i, x + k) among the blocks, else -1
     reach: np.ndarray  # (n, 4b+1): the cell x + k, wrapped; -1 past the ends of a line
     source: np.ndarray  # (2b+1, n): the cell y - j of the block (y - j, y), wrapped
-    edge: np.ndarray  # the 2b cells whose band wraps or is clipped
-    edge_far: np.ndarray  # (2b, n): cells more than b from an edge cell
 
 
 @lru_cache(maxsize=64)
@@ -518,82 +643,127 @@ def _band_layout(n: int, b: int, circle: bool) -> _BandLayout:
     window = np.where(live, (np.clip(hop, -b, b) + b) * n + (rows % n)[:, :, None], -1)
     reach = x[:, None] + k
     reach = np.where((reach >= 0) & (reach < n) | circle, reach % n, -1)
-    edge = np.concatenate([x[:b], x[n - b :]])
-    dist = np.abs(edge[:, None] - x)
-    if circle:
-        dist = np.minimum(dist, n - dist)
-    layout = _BandLayout(
-        (x + j) % n, (not circle) & ((x + j < 0) | (x + j >= n)), window, reach, (x - j) % n, edge, dist > b
-    )
+    layout = _BandLayout(window, reach, (x - j) % n)
     for a in vars(layout).values():
         a.flags.writeable = False
     return layout
 
 
-def _offband_norm(m: np.ndarray, cb: "CellBand") -> float:
-    """Frobenius norm of the entries of ``m`` between cells more than ``b`` apart.
+def _far_norm(stacks: Mapping[int, np.ndarray], n: int, d: int, b: int, circle: bool) -> float:
+    """Frobenius norm of the stacks at offsets beyond ``b``, with the squares
+    summed as in the placed matrix, so that it keeps its bits whichever way
+    an operator was built.
 
     Row r of a cell x with b <= x < n - b has its band in columns
-    [(x - b)d, (x + b + 1)d).  In the row-major matrix the entries from the end
-    of that band to the start of the next row's band are all outside the band,
-    and for fixed r they start (N + 1)d entries apart from cell to cell: one
-    strided view per r holds them.  The 2b edge cells' rows, whose band wraps
-    on a circle and is clipped on a line, are summed by cell.
+    [(x - b)d, (x + b + 1)d).  In the row-major matrix the entries from the
+    end of that band to the start of the next row's band form one run, summed
+    by one ``einsum``; the runs add up by x, then by r.  Only the runs of
+    rows that hold an entry beyond the band are formed (the others add zero).
+    The 2b edge cells' rows, whose band wraps on a circle and is clipped on
+    a line, are summed by cell pair.
     """
-    n, d, b = cb.n_cells, cb.cell_dim, cb.band
+    far = {j: s for j, s in stacks.items() if abs(j) > b}
     big = n * d
-    flat = np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float)
-    total = 0.0
-    for r in range(d):
-        # the last row of a cell reaches into the next cell's row
-        stop = n - b - (r == d - 1)
-        if stop <= b:
-            continue
-        start = (b * d + r) * big + (2 * b + 1) * d
-        length = big - (2 * b + 1) * d + (d if r == d - 1 else 0)
-        runs = np.lib.stride_tricks.as_strided(
-            flat[2 * start :], (stop - b, 2 * length), ((big + 1) * d * flat.strides[0] * 2, flat.strides[0]),
-            writeable=False,
-        )
-        total += float(np.einsum("ij,ij->", runs, runs))
-    layout = _band_layout(n, b, cb.circle)
-    rows = m.reshape(n, d, n, d)[layout.edge]
-    mass = np.einsum("xrys,xrys->xy", rows.real, rows.real) + np.einsum("xrys,xrys->xy", rows.imag, rows.imag)
     # padded as frobenius_bound is, against squares lost to underflow
-    return float(np.sqrt(total + mass[layout.edge_far].sum() + m.size * np.finfo(float).tiny))
+    pad = big * big * np.finfo(float).tiny
+    if not far:
+        return float(np.sqrt(pad))
+
+    offsets, stacked = np.array(list(far)), np.array(list(far.values()))
+
+    def rows(cells: np.ndarray) -> np.ndarray:
+        """``(len(cells), d, n, d)``: the entries of these cells' rows beyond the band."""
+        out = np.zeros((len(cells), d, n, d), dtype=complex)
+        src = cells - offsets[:, None]
+        k, c = np.nonzero((src >= 0) & (src < n) | circle)
+        out[c, :, src[k, c] % n, :] = stacked[k, src[k, c] % n]
+        return out
+
+    k, src = np.nonzero(stacked.any(axis=(2, 3)))
+    hit = np.zeros(n + 1, dtype=bool)
+    hit[(src + offsets[k]) % n] = True
+    # a run starts in a row of cell x and ends in the next row, of x or x + 1
+    xs = np.flatnonzero(hit[b : n - b] | hit[b + 1 : n - b + 1]) + b
+    edge = np.concatenate([np.arange(b), np.arange(n - b, n)])
+    here, after, edges = np.split(rows(np.concatenate([xs, xs + 1, edge])), [len(xs), 2 * len(xs)])
+    # the rows of each cell x, then the first row of cell x + 1 and a spare entry
+    ends = np.zeros((len(xs), (d + 1) * big + 1), dtype=complex)
+    ends[:, : d * big] = here.reshape(len(xs), d * big)
+    ends[:, d * big : -1] = after[:, 0].reshape(len(xs), big)
+    # run (x, r) starts after the band of row r of cell x; the run of a cell's last row
+    # reaches into the next cell's first row, d entries further, and cell n - b - 1 has none
+    length = big - 2 * b * d
+    last = xs[xs < n - b - 1]
+    starts = [r * big + (xs + b + 1) * d for r in range(d - 1)] + [(d - 1) * big + (last + b + 1) * d]
+    owners = [np.arange(len(xs))] * (d - 1) + [np.arange(len(last))]
+    # one run per row, the rows a spare entry apart: einsum sums each run on its own
+    runs = ends[np.concatenate(owners)[:, None], np.concatenate(starts)[:, None] + np.arange(length + 1)]
+    runs = runs.view(float)
+    total, first = 0.0, 0
+    for r, owner in enumerate(owners):
+        part = runs[first : first + len(owner), : 2 * (length - (d if r < d - 1 else 0))]
+        total += float(np.einsum("ij,ij->", part, part))
+        first += len(owner)
+    mass = np.einsum("xrys,xrys->xy", edges.real, edges.real) + np.einsum("xrys,xrys->xy", edges.imag, edges.imag)
+    dist = np.abs(edge[:, None] - np.arange(n))
+    if circle:
+        dist = np.minimum(dist, n - dist)
+    return float(np.sqrt(total + mass[dist > b].sum() + pad))
 
 
 class CellBand:
-    """A matrix read as the blocks between cells at most ``band`` apart.
+    """An operator's blocks read as those between cells at most ``band`` apart.
 
     ``blocks[b + j, x]`` is the block (cell x <- cell x + j) for |j| <= b,
-    wrapped on a circle and zero past the ends of a line.  ``offband`` is the
-    Frobenius norm of every entry outside these blocks: zero for a walk built
-    with its band, not for a measured or stored matrix.  Mixed or
-    zero-dimensional cells, a circle of at most 4b cells and a plain matrix
-    (``cells`` None) are one cell holding the whole matrix, at band 0.
+    wrapped on a circle and zero past the ends of a line: one index step from
+    the stacks of :class:`LatticeOperator`.  ``offband`` is the Frobenius norm
+    of the stacks beyond the band: zero (up to its underflow padding) for a
+    walk built with its band, not for a measured or stored matrix.  Mixed or
+    zero-dimensional cells, a lattice of at most 4b cells and a plain matrix
+    (:meth:`whole`) are one cell holding the whole matrix, at band 0.
+    ``matrix`` is the dense matrix, placed on first read.
     """
 
-    def __init__(self, matrix: np.ndarray, cells: CellStructure | None = None, band: int = 0):
-        self.matrix = matrix
-        dims = () if cells is None else cells.cell_dims
-        d = dims[0] if dims else 0
-        if d == 0 or dims.count(d) != len(dims) or len(dims) <= 4 * band:
-            n, d, band, circle = 1, matrix.shape[0], 0, True
+    def __init__(self, stacks: Mapping[int, np.ndarray], cells: CellStructure, band: int = 0):
+        self.stacks, self.cells = stacks, cells
+        n = cells.n_cells
+        if cells.one_block or n <= 4 * band:
+            n, d, band, circle = 1, cells.total_dim, 0, True
         else:
-            n, circle = len(dims), cells.topology == "circle"
+            d, circle = cells.cell_dims[0], cells.topology == "circle"
         self.n_cells, self.cell_dim, self.band, self.circle = n, d, band, circle
         self.layout = _band_layout(n, band, circle)
+
+    @classmethod
+    def whole(cls, matrix: np.ndarray) -> "CellBand":
+        """A plain matrix as one cell."""
+        return cls({0: matrix[None]}, CellStructure((len(matrix),)))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = place_blocks(self.stacks, self.cells)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        n, d, b = self.n_cells, self.cell_dim, self.band
         if n == 1:
-            self.blocks, self.offband = matrix[None, None], 0.0
-            return
-        self.blocks = matrix.reshape(n, d, n, d)[np.arange(n), :, self.layout.partner, :]
-        self.blocks[self.layout.outside] = 0
-        self.offband = _offband_norm(matrix, self)
+            return self.matrix[None, None]
+        zero = np.zeros((n, d, d), dtype=complex)
+        stacks = np.array([self.stacks.get(j, zero) for j in range(-b, b + 1)])
+        # stacks[b + j, y] is (y + j <- y); the row of cell x at hop i is the one at j = -i, y = x + i
+        return stacks[np.arange(2 * b, -1, -1)[:, None], self.layout.source[::-1]]
+
+    @cached_property
+    def offband(self) -> float:
+        if self.n_cells == 1:
+            return 0.0
+        return _far_norm(self.stacks, self.n_cells, self.cell_dim, self.band, self.circle)
 
     def one_cell(self) -> "CellBand":
         """The whole matrix as one cell."""
-        return self if self.n_cells == 1 else CellBand(self.matrix)
+        return self if self.n_cells == 1 else CellBand.whole(self.matrix)
 
 
 def measure_unitarity(cb: CellBand) -> Gate:

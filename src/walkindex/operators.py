@@ -66,7 +66,7 @@ def check_unitary(
     if isinstance(w, LatticeOperator):
         gate = w.unitarity
     else:
-        gate = measure_unitarity(CellBand(np.asarray(w, dtype=complex)))
+        gate = measure_unitarity(CellBand.whole(np.asarray(w, dtype=complex)))
     defect = gate.screened(tol.unit)
     if defect > tol.unit:
         raise NotUnitary(f"{what} has unitarity defect {defect:.3e} > {tol.unit}")
@@ -186,7 +186,7 @@ def check_admissible(
     elif rep is None:
         raise NotAdmissible("no symmetry representation supplied or attached")
     else:
-        band = w.cell_band if isinstance(w, LatticeOperator) else CellBand(np.asarray(w, dtype=complex))
+        band = w.cell_band if isinstance(w, LatticeOperator) else CellBand.whole(np.asarray(w, dtype=complex))
         gates = measure_admissibility(band, rep.runs(), kind)
     res = {name: gate.screened(tol.adm) for name, gate in gates.items()}
     worst = max(res.values(), default=0.0)

@@ -7,9 +7,10 @@ produce byte-identical output.  Non-finite floats have no JSON
 representation and are emitted as the strings ``"inf"``, ``"-inf"``,
 ``"nan"``.
 
-Stored operators (:func:`dumps_operator`) are their cell-band blocks with
-``repr`` floats, which read back bit for bit, and their cell reps once per
-run of cells.
+Stored operators (:func:`dumps_operator`) are the block stacks they hold
+in memory within their band, with ``repr`` floats, which read back bit for
+bit, and their cell reps once per run of cells.  Reading one builds the
+stacks without placing its matrix.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 
 from .errors import IncompatibleCells, RelationViolation
 from .finite import SweepRecord, TempleKatoCertificate, join_crossover
-from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
+from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep, assemble_blocks, matrix_blocks
 from .symmetry import IndexValue, SymmetryClass, SymmetryRep
 from .tolerances import DEFAULT_TOL, Tolerances
-from .walks import CoinFactor, ShiftFactor, TIWalk, build_lattice, builtin_walk, place_blocks, truncate_ti
+from .walks import CoinFactor, ShiftFactor, TIWalk, build_lattice, builtin_walk, truncate_ti
 
 __all__ = [
     "dumps_canonical",
@@ -188,10 +189,11 @@ def lattice_operator_to_json(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL)
     """An ``explicit`` walk spec of the operator's cell band, readable back by
     :func:`walk_from_spec`.
 
-    ``blocks[j]`` is the ``(n, d, d)`` stack of the blocks (cell x + j <- cell
-    x) for |j| <= band, as :func:`~walkindex.walks.place_blocks` reads it;
-    mixed or zero-dimensional cells, and a lattice of at most 4 band cells,
-    are one block holding the whole matrix (:class:`~walkindex.lattice.CellBand`).
+    ``blocks[j]`` is the operator's ``(n, d, d)`` stack of the blocks (cell
+    x + j <- cell x) for |j| <= band (see
+    :class:`~walkindex.lattice.LatticeOperator`); mixed or zero-dimensional
+    cells, and a lattice of at most 4 band cells, are one block holding the
+    whole matrix (:class:`~walkindex.lattice.CellBand`).
     Everything outside the band is dropped and its Frobenius norm written as
     ``offband``; a norm above ``tol.band`` raises ``IncompatibleCells``.  The
     cell reps are written once per run of cells, as ``[cell count, rep]``.
@@ -201,14 +203,16 @@ def lattice_operator_to_json(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL)
         raise IncompatibleCells(
             f"declared band {op.band} drops off-band entries of norm {cb.offband:.3e} > {tol.band}"
         )
-    # blocks[b + i, x] is (x <- x + i); (y + j <- y) is the one at i = -j, x = y + j
-    rows = np.arange(2 * cb.band + 1)[:, None]
-    stacks = cb.blocks[rows, cb.layout.source]
+    if cb.n_cells == 1:
+        stacks = {0: cb.blocks[0]}
+    else:
+        zero = np.zeros((cb.n_cells, cb.cell_dim, cb.cell_dim), dtype=complex)
+        stacks = {j: op.blocks.get(j, zero) for j in range(-op.band, op.band + 1)}
     out = {
         "type": "explicit",
         "cells": cells_to_json(op.cells),
         "band": op.band,
-        "blocks": {str(cb.band - k): matrix_to_json(stack) for k, stack in enumerate(stacks)},
+        "blocks": {str(j): matrix_to_json(stack) for j, stack in stacks.items()},
         "offband": cb.offband,
         "meta": _plain(op.meta),
     }
@@ -227,12 +231,14 @@ def dumps_operator(op: LatticeOperator, tol: Tolerances = DEFAULT_TOL) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _matrix_from_blocks(data: Mapping, cells: CellStructure) -> np.ndarray:
-    """The matrix of stored block stacks (see :func:`lattice_operator_to_json`)."""
+def _blocks_from_json(data: Mapping, cells: CellStructure) -> dict[int, np.ndarray]:
+    """The stacks of a stored operator (see :func:`lattice_operator_to_json`) as
+    a :class:`~walkindex.lattice.LatticeOperator` holds them; one stored block
+    is split by offset."""
     stacks = {int(j): matrix_from_json(stack) for j, stack in data.items()}
     total = cells.total_dim
     if stacks.keys() == {0} and stacks[0].shape == (1, total, total):
-        return stacks[0][0]
+        return matrix_blocks(stacks[0][0], cells)
     uniform = len(set(cells.cell_dims)) == 1
     shape = (cells.n_cells, cells.cell_dims[0], cells.cell_dims[0])
     for j, stack in stacks.items():
@@ -242,7 +248,9 @@ def _matrix_from_blocks(data: Mapping, cells: CellStructure) -> np.ndarray:
                 f"blocks at offset {j} have shape {stack.shape}; "
                 f"these cells take {want}one {(1, total, total)} block"
             )
-    return place_blocks(stacks, cells)
+    if cells.one_block:  # zero-dimensional cells
+        return {0: np.zeros((1, 0, 0), dtype=complex)}
+    return assemble_blocks(cells, ((j, 0, stack) for j, stack in stacks.items()))
 
 
 def _local_rep_from_json(data: Mapping, cells: CellStructure, tol: Tolerances) -> LocalSymmetryRep:
@@ -280,13 +288,13 @@ def _local_rep_from_json(data: Mapping, cells: CellStructure, tol: Tolerances) -
 
 def lattice_operator_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> LatticeOperator:
     """Read a stored operator; its run reps must be valid, of the declared class,
-    and fit their cells.  Every stored offset is placed, whatever the declared band."""
+    and fit their cells.  Every stored offset is kept, whatever the declared band."""
     cells = cells_from_json(data["cells"])
     local = None
     if data.get("local_rep") is not None:
         local = _local_rep_from_json(data["local_rep"], cells, tol)
     return LatticeOperator(
-        _matrix_from_blocks(data["blocks"], cells),
+        _blocks_from_json(data["blocks"], cells),
         cells,
         int(data["band"]),
         local,

@@ -7,8 +7,10 @@ symbol ``exp(-ik)`` and right half-space Fredholm index +1.
 
 Walks built from shift/coin factor sequences remember them, which allows
 position-dependent coins (crossovers between walks of the same family).
-A walk on a finite lattice, or a coin-level join of two, is its factor
-product's cell blocks (``factor_matrices``) placed (``place_blocks``).
+A walk on a finite lattice is its hopping blocks, stacked cell by cell into
+the ``(n, d, d)`` stacks a :class:`~walkindex.lattice.LatticeOperator`
+stores; a coin-level join of two is its factor product's cell blocks
+(``factor_matrices``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     SingularBlock,
     TooShort,
 )
-from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep
+from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep, assemble_blocks
 from .operators import INVARIANCE_FLOOR, check_admissible, check_unitary, imaginary_part
 from .symmetry import (
     ADMISSIBILITY,
@@ -69,7 +71,6 @@ __all__ = [
     "truncate_ti",
     "segment_pad",
     "factor_matrices",
-    "place_blocks",
     "skeletons_match",
 ]
 
@@ -535,8 +536,8 @@ def factor_matrices(
     ``CoinFactor`` (the same coin in every cell) or an ``(n, d, d)`` stack of
     per-cell coins.  ``out[j][x]`` maps cell ``x`` to cell ``x + j``; a coin
     acts where the path has arrived, at cell ``(x + j) mod n``.  Offsets are
-    not wrapped here (see :func:`place_blocks`), so a translation-invariant
-    walk is the one-cell case.  Offsets below ``PRODUCT_CUT`` are dropped.
+    not wrapped here, so a translation-invariant walk is the one-cell case.
+    Offsets below ``PRODUCT_CUT`` are dropped.
     """
     n = cells.n_cells
     d = cells.cell_dims[0]
@@ -562,24 +563,6 @@ def factor_matrices(
     return {j: b for j, b in cur.items() if np.linalg.norm(b) > PRODUCT_CUT}
 
 
-def place_blocks(blocks: Mapping[int, np.ndarray], cells: CellStructure) -> np.ndarray:
-    """The matrix of hopping blocks on equal cells.
-
-    ``blocks[j]`` is one block or an ``(n, d, d)`` stack by source cell, and
-    maps cell ``x`` to ``x + j``: wrapped on a circle, dropped past the ends
-    of a line.  A circle longer than twice the band takes each entry once.
-    """
-    n = cells.n_cells
-    d = cells.cell_dims[0]
-    w = np.zeros((n * d, n * d), dtype=complex)
-    by_cell = w.reshape(n, d, n, d)
-    x = np.arange(n)
-    for j, b in blocks.items():
-        src = x if cells.topology == "circle" else x[(x + j >= 0) & (x + j < n)]
-        by_cell[(src + j) % n, :, src, :] += b if b.ndim == 2 else b[src]
-    return w
-
-
 def build_lattice(
     ti: TIWalk,
     n_cells: int,
@@ -598,10 +581,11 @@ def build_lattice(
     if topology == "line" and n_cells < band + 1:
         raise TooShort(f"segment of {n_cells} cells is shorter than the hopping range {band}")
     cells = CellStructure.uniform(n_cells, ti.cell_dim, topology)
-    w = place_blocks(ti.blocks, cells)
+    shape = (n_cells, ti.cell_dim, ti.cell_dim)
+    blocks = assemble_blocks(cells, ((j, 0, np.broadcast_to(b, shape)) for j, b in ti.blocks.items()))
     local_rep = LocalSymmetryRep.uniform(ti.cell_rep, n_cells)
     meta = {"ti_name": ti.name, "params": dict(ti.params), "class": ti.cls.value}
-    op = LatticeOperator(w, cells, band, local_rep, meta)
+    op = LatticeOperator(blocks, cells, band, local_rep, meta)
     if topology == "circle":
         check_unitary(op, tol, what="circle realization")
         check_admissible(op, tol=tol)

@@ -19,7 +19,11 @@ loops that the batched momentum grids replaced are ``bloch_per_momentum``,
 ``validate_per_momentum``, ``winding_per_momentum`` and
 ``berry_per_momentum`` (band frames from ``eig_unitary``).  The dense
 factor product that the blockwise product and placement of cell blocks
-replaced is ``dense_factor_product``.  The full-size
+replaced is ``dense_factor_product``, and ``placed_ti`` places a walk's
+blocks by Kronecker products.  ``dense_view`` is the dense matrix an
+operator was made from (``record_dense_inputs``) or cut from, the oracle of
+the stacks an operator holds (``check_stacks``), with ``strided_offband``,
+the off-band norm summed over the placed matrix.  The full-size
 decoupling that the route on the cut window replaced is ``dense_decoupling``,
 with its dense ``ProjectionPair`` and whole alignment polar factor
 ``dense_rotation``.  The walk constructions ``conjugate_ti``,
@@ -36,6 +40,7 @@ from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 import walkindex.lattice
@@ -49,6 +54,7 @@ from walkindex.errors import (
     RankJump,
     RelationViolation,
     SingularBlock,
+    WalkIndexError,
     WindowAmbiguous,
 )
 from walkindex.decoupling import (
@@ -56,7 +62,9 @@ from walkindex.decoupling import (
     TransferModes,
     _transfer_swap,
     attribute_transfers,
+    gentle_decoupling,
 )
+from walkindex.finite import join_crossover
 from walkindex.indices import (
     WINDOW_AGREEMENT,
     _kernel_cluster,
@@ -71,6 +79,8 @@ from walkindex.lattice import (
     LocalSymmetryRep,
     arc_projection,
     half_space_projection,
+    half_spaces,
+    measured_band,
     second_bond,
     split_by_weight,
 )
@@ -102,6 +112,7 @@ from walkindex.walks import (
     ShiftFactor,
     TIWalk,
     _kramers_frame,
+    build_lattice,
     make_doubled,
     make_generating_example,
     make_split_step,
@@ -463,7 +474,7 @@ def with_cell_bases(op: LatticeOperator, gen: np.random.Generator) -> LatticeOpe
         v[op.cells.cell_slice(i), op.cells.cell_slice(i)] = u
     per_cell = tuple(r.conjugated(u) for r, u in zip(op.local_rep.per_cell, us))
     rep = LocalSymmetryRep(op.local_rep.cls, per_cell)
-    return LatticeOperator(v @ op.matrix @ v.conj().T, op.cells, op.band, rep)
+    return LatticeOperator.from_matrix(v @ op.matrix @ v.conj().T, op.cells, op.band, rep)
 
 
 def mixed_cell_walk(cls: SymmetryClass, cell: SymmetryRep, gen: np.random.Generator) -> LatticeOperator:
@@ -472,7 +483,126 @@ def mixed_cell_walk(cls: SymmetryClass, cell: SymmetryRep, gen: np.random.Genera
     local = LocalSymmetryRep(cls, per_cell)
     cells = CellStructure(tuple(r.dim for r in per_cell), "line")
     w = random_admissible_walk(local.assembled(), gen, scale=0.5)
-    return LatticeOperator(w, cells, 1, local)
+    return LatticeOperator.from_matrix(w, cells, 1, local)
+
+
+def record_dense_inputs(monkeypatch) -> dict[int, tuple[LatticeOperator, np.ndarray]]:
+    """``(operator, matrix)`` of every ``LatticeOperator.from_matrix`` call from
+    now on, by the id of the operator returned (which the entry keeps alive)."""
+    inputs: dict[int, tuple[LatticeOperator, np.ndarray]] = {}
+    original = LatticeOperator.from_matrix.__func__
+
+    def recording(cls, matrix, *args, **kwargs):
+        op = original(cls, matrix, *args, **kwargs)
+        inputs[id(op)] = (op, np.array(matrix, dtype=complex))
+        return op
+
+    monkeypatch.setattr(LatticeOperator, "from_matrix", classmethod(recording))
+    return inputs
+
+
+def dense_view(op: LatticeOperator, inputs: Mapping[int, tuple[LatticeOperator, np.ndarray]]) -> np.ndarray:
+    """The dense oracle of ``op.matrix``: the matrix recorded for it in ``inputs``,
+    else its parent's oracle compressed to its cells by ``np.ix_``."""
+    if id(op) in inputs:
+        return inputs[id(op)][1]
+    parent = op.compressed_from
+    order = np.concatenate([np.arange(parent.dim)[parent.cells.cell_slice(i)] for i in op.meta["parent_cells"]])
+    return dense_view(parent, inputs)[np.ix_(order, order)]
+
+
+def placed_ti(ti: TIWalk, cells: CellStructure) -> np.ndarray:
+    """A walk's blocks on a circle or a line of equal cells, one Kronecker
+    product of a 0/1 shift and a block per offset."""
+    n = cells.n_cells
+    w = np.zeros((cells.total_dim,) * 2, dtype=complex)
+    for j, b in ti.blocks.items():
+        shift = np.zeros((n, n))
+        for x in range(n):
+            if cells.topology == "circle" or 0 <= x + j < n:
+                shift[(x + j) % n, x] = 1.0
+        w += np.kron(shift, b)
+    return w
+
+
+# the names stack_fuzz_cases gives over the ten classes
+STACK_CASES = {
+    "built circle", "built line", "piece", "short circle", "squared", "W'", "V",
+    "circle join", "line join", "circle block join", "line block join",
+}
+
+
+def stack_fuzz_cases(cls: SymmetryClass, ti: TIWalk, gen: np.random.Generator, inputs):
+    """``(name, operator)`` of the ways an operator is made: built circles and
+    lines (whose factor product, or else block placement, enters ``inputs``),
+    their compressed pieces, a circle of at most 4b cells, a squared walk of
+    band 2b, a decoupling's W' and V, a coin-level circle join and a line join
+    of the walk with itself, and the block-diagonal join of two decoupled
+    segments (walks without factors).  ``inputs`` is from
+    :func:`record_dense_inputs`; a case that refuses is left out."""
+    b = ti.band
+
+    def built(n: int, topology: str) -> LatticeOperator:
+        op = build_lattice(ti, n, topology)
+        circle = CellStructure.uniform(n, ti.cell_dim, "circle")
+        if ti.factors is None:
+            dense = placed_ti(ti, op.cells)
+        else:
+            dense = dense_factor_product(ti.factors, circle)
+            if topology == "line":
+                cell = np.arange(op.dim) // ti.cell_dim
+                dense = np.where(np.abs(cell[:, None] - cell[None, :]) <= b, dense, 0)
+        inputs[id(op)] = (op, dense)
+        return op
+
+    n = int(gen.integers(4 * b + 2, 11))
+    ring, line = built(n, "circle"), built(n, "line")
+    yield "built circle", ring
+    yield "built line", line
+    cut = int(gen.integers(1, n))
+    for piece in half_spaces(ring, cut) + half_spaces(line, cut):
+        yield "piece", piece
+    yield "short circle", built(int(gen.integers(2 * b + 1, 4 * b + 1)), "circle")
+    yield "squared", LatticeOperator.from_matrix(ring.matrix @ ring.matrix, ring.cells, 2 * b, ring.local_rep)
+    try:
+        res = gentle_decoupling(ring, 0)
+    except WalkIndexError:
+        pass
+    else:
+        yield "W'", res.w_prime
+        yield "V", LatticeOperator.from_matrix(res.v, ring.cells)
+    a, c = (int(v) for v in gen.integers(3, 6, size=2))
+    for topology in ("circle", "line"):
+        try:
+            joined = join_crossover(ti, ti, a, c, topology)
+        except WalkIndexError:
+            continue
+        if ti.factors is not None and topology == "circle":
+            inputs[id(joined)] = (joined, dense_factor_product(ti.factors, joined.cells))
+            yield "circle join", joined
+        elif ti.factors is not None:
+            yield "line join", joined
+        else:
+            # the last two decouplings were the two segments', each cut from cell 0 of its ring
+            corners = [m[: k * ti.cell_dim, : k * ti.cell_dim] for (_, m), k in zip(list(inputs.values())[-2:], (a, c))]
+            inputs[id(joined)] = (joined, block_diagonal(corners))
+            yield f"{topology} block join", joined
+
+
+def check_stacks(op: LatticeOperator, dense: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
+    """An operator's stacks against the dense oracle: ``.matrix`` is ``dense``
+    bit for bit, the stacks of ``from_matrix(op.matrix)`` are its own, the
+    off-band norm is the dense one (up to its underflow padding) and, bit for
+    bit, the strided sum over the placed matrix, and the measured band is the
+    SVD profile's."""
+    assert np.array_equal(op.matrix, dense)
+    again = LatticeOperator.from_matrix(op.matrix, op.cells, op.band).blocks
+    assert set(again) <= set(op.blocks)
+    for j, stack in op.blocks.items():
+        assert np.array_equal(again.get(j, np.zeros_like(stack)), stack), j
+    assert op.cell_band.offband == pytest.approx(dense_offband(op), rel=1e-12, abs=1e-140)
+    assert op.cell_band.offband == strided_offband(op)
+    assert measured_band(op, tol) == profile_band(op, tol.band)
 
 
 def record_gate_measurements(monkeypatch) -> dict[str, list[np.ndarray]]:
@@ -534,6 +664,42 @@ def dense_offband(op: LatticeOperator) -> float:
         dist = np.minimum(dist, n - dist)
     far = np.kron(dist > op.band, np.ones((dims.pop(),) * 2, dtype=bool))
     return float(np.linalg.norm(op.matrix[far]))
+
+
+def strided_offband(op: LatticeOperator) -> float:
+    """The off-band norm of :class:`~walkindex.lattice.CellBand`, summed over the
+    placed matrix: for each row r of the cells b <= x < n - b one ``einsum``
+    over a strided view that holds, per cell, the run from the end of the
+    row's band to the start of the next row's, and the 2b edge cells by cell
+    pair; padded by sqrt(N^2 tiny).  Mixed or zero-dimensional cells and a
+    lattice of at most 4 band cells are one cell, with none."""
+    cells, b = op.cells, op.band
+    n = cells.n_cells
+    if cells.one_block or n <= 4 * b:
+        return 0.0
+    d = cells.cell_dims[0]
+    big = n * d
+    flat = np.ascontiguousarray(op.matrix).reshape(-1).view(float)
+    total = 0.0
+    for r in range(d):
+        stop = n - b - (r == d - 1)
+        if stop <= b:
+            continue
+        start = (b * d + r) * big + (2 * b + 1) * d
+        length = big - (2 * b + 1) * d + (d if r == d - 1 else 0)
+        runs = np.lib.stride_tricks.as_strided(
+            flat[2 * start :], (stop - b, 2 * length), ((big + 1) * d * flat.strides[0] * 2, flat.strides[0]),
+            writeable=False,
+        )
+        total += float(np.einsum("ij,ij->", runs, runs))
+    x = np.arange(n)
+    edge = np.concatenate([x[:b], x[n - b :]])
+    dist = np.abs(edge[:, None] - x)
+    if cells.topology == "circle":
+        dist = np.minimum(dist, n - dist)
+    rows = op.matrix.reshape(n, d, n, d)[edge]
+    mass = np.einsum("xrys,xrys->xy", rows.real, rows.real) + np.einsum("xrys,xrys->xy", rows.imag, rows.imag)
+    return float(np.sqrt(total + mass[dist > b].sum() + op.matrix.size * np.finfo(float).tiny))
 
 
 def _reference_float(x: float) -> str:

@@ -106,7 +106,7 @@ def conjugated_ring(ti, n, gen) -> LatticeOperator:
     us = [haar_unitary(gen, d) for d in ring.cells.cell_dims]
     v = block_diag(*us)
     per_cell = tuple(r.conjugated(u) for r, u in zip(ring.local_rep.per_cell, us))
-    return LatticeOperator(
+    return LatticeOperator.from_matrix(
         v @ ring.matrix @ v.conj().T,
         ring.cells,
         ring.band,
@@ -120,7 +120,7 @@ def conjugated_line(ti, n, gen) -> LatticeOperator:
     us = [haar_unitary(gen, d) for d in seg.cells.cell_dims]
     v = block_diag(*us)
     per_cell = tuple(r.conjugated(u) for r, u in zip(seg.local_rep.per_cell, us))
-    return LatticeOperator(
+    return LatticeOperator.from_matrix(
         v @ seg.matrix @ v.conj().T,
         seg.cells,
         seg.band,
@@ -473,7 +473,7 @@ def test_07_half_space_index_consistency_laws():
             a = int(gen.integers(0, n))
             d = int(gen.integers(2, n // 4))
             refl, _ = local_reflection(ring, (a + d) % n)
-            pert = LatticeOperator(refl @ ring.matrix, ring.cells, 2, ring.local_rep)
+            pert = LatticeOperator.from_matrix(refl @ ring.matrix, ring.cells, 2, ring.local_rep)
             before = si_left_right(ring, a, second_cut=(a + n // 2) % n)
             after = si_left_right(pert, a, second_cut=(a + n // 2) % n)
             assert before == after

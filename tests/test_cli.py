@@ -236,7 +236,7 @@ def test_written_walks_are_the_reference_encoding_of_their_payloads(tmp_path, ca
     out_dir = tmp_path / "dec"
     assert run(capsys, ["decouple", spec, "--cut", "8", "--out-dir", str(out_dir)])[0] == 0
     result = gentle_decoupling(operator_from_spec(GEN_CIRCLE), 8)
-    v = LatticeOperator.with_measured_band(result.v, result.w_prime.cells)
+    v = LatticeOperator.from_matrix(result.v, result.w_prime.cells)
     assert v.band == measured_band(v) == 1
     _reads_back_within_its_band(out_dir / "V.json", v)
     _reads_back_within_its_band(out_dir / "Wprime.json", result.w_prime)
@@ -583,6 +583,119 @@ def test_validate_finite_operator(tmp_path, capsys):
     code, data = run_json(capsys, ["validate", spec])
     assert code == 0 and data["ok"] is True and data["kind"] == "operator"
     assert data["n_cells"] == 10 and data["unitarity"] <= 1e-10
+
+
+# exit code, stdout and stderr of validate, index and decouple on a 16+16
+# line join of SPLIT_A | SPLIT_B stored with its band edited from 1 to 0
+# ("edited") and stored with 1e-16 noise in stacks at offsets +-2 ("noisy"),
+# recorded while the reader still placed the stored stacks into a matrix
+EDITED_JOIN_RECORDS = {
+    'validate edited.json': (
+        0,
+        (
+            '{"admissibility":1.7038940989e-16,"band":0,"kind":"operator","n_cells":32,"ok":true,"top'
+            'ology":"line","unitarity":3.72591559384e-16}\n'
+        ),
+        '',
+    ),
+    'index edited.json': (
+        0,
+        (
+            '{"cut":16,"residuals":{"admissibility":1.7038940989e-16,"unitarity":3.72591559384e-16},"'
+            'si_left":{"group":"Z","value":-1},"si_minus":{"group":"Z","value":0},"si_plus":{"group":'
+            '"Z","value":0},"si_right":{"group":"Z","value":-1},"tolerances":{"adm":1e-08,"band":1e-1'
+            '2,"det":1e-08,"eig":1e-09,"exact":1e-07,"gap":1e-06,"idx":1e-06,"integer_residual":0.01,'
+            '"ker":1e-08,"orth":1e-09,"unit":1e-10}}\n'
+        ),
+        '',
+    ),
+    'decouple edited.json': (
+        5,
+        (
+            '{"error":"DecouplingFailed","message":"residual coupling 7.730e-01 outside the cut windo'
+            'w: the declared band 0 understates a hop across the cut"}\n'
+        ),
+        (
+            'error: residual coupling 7.730e-01 outside the cut window: the declared band 0 understat'
+            'es a hop across the cut\n'
+        ),
+    ),
+    'validate noisy.json': (
+        0,
+        (
+            '{"admissibility":4.89338094647e-15,"band":1,"kind":"operator","n_cells":32,"ok":true,"to'
+            'pology":"line","unitarity":5.97541238556e-15}\n'
+        ),
+        '',
+    ),
+    'index noisy.json': (
+        0,
+        (
+            '{"cut":16,"residuals":{"admissibility":4.89338094647e-15,"unitarity":5.97541238556e-15},'
+            '"si_left":{"group":"Z","value":-1},"si_minus":{"group":"Z","value":0},"si_plus":{"group"'
+            ':"Z","value":0},"si_right":{"group":"Z","value":-1},"tolerances":{"adm":1e-08,"band":1e-'
+            '12,"det":1e-08,"eig":1e-09,"exact":1e-07,"gap":1e-06,"idx":1e-06,"integer_residual":0.01'
+            ',"ker":1e-08,"orth":1e-09,"unit":1e-10}}\n'
+        ),
+        '',
+    ),
+    'decouple noisy.json': (
+        0,
+        '{"commutator_norm":7.93785543216e-16,"ok":true,"out_dir":"out","si_preserved":true}\n',
+        '',
+    ),
+}
+
+
+def test_files_with_stacks_beyond_their_band_keep_their_outputs(tmp_path, capsys, monkeypatch):
+    # such a file's off-band norm is read from its stacks, once
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, "a.json", SPLIT_A)
+    write_spec(tmp_path, "b.json", SPLIT_B)
+    argv = ["join", "a.json", "b.json", "--n-left", "16", "--n-right", "16", "--topology", "line"]
+    assert run(capsys, argv + ["--out", "join.json"])[0] == 0
+    stored = json.loads((tmp_path / "join.json").read_text())
+    gen = np.random.default_rng(28)
+    noise = {str(j): (1e-16 * gen.normal(size=(32, 2, 2, 2))).tolist() for j in (2, -2)}
+    files = {"edited.json": {**stored, "band": 0}, "noisy.json": {**stored, "blocks": {**stored["blocks"], **noise}}}
+    for name, data in files.items():
+        write_spec(tmp_path, name, data)
+        for argv in (["validate", name], ["index", name], ["decouple", name, "--cut", "16", "--out-dir", "out"]):
+            code = main(argv)
+            printed = capsys.readouterr()
+            assert (code, printed.out, printed.err) == EDITED_JOIN_RECORDS[f"{argv[0]} {name}"], argv
+
+
+def test_index_and_validate_reach_the_gates_without_a_dense_entry_point(tmp_path, capsys, monkeypatch):
+    # the benchmark's index_scan refuses any measured_band call: built walks,
+    # compressed lines and stored joins are stacks from the start
+    join = str(tmp_path / "join.json")
+    argv = ["join", write_spec(tmp_path, "a.json", SPLIT_A), write_spec(tmp_path, "b.json", SPLIT_B)]
+    assert run(capsys, argv + ["--n-left", "16", "--n-right", "16", "--out", join])[0] == 0
+    calls = []
+    original = walkindex.lattice.measured_band
+
+    def counted(*args, **kwargs):
+        calls.append("measured_band")
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(walkindex.__path__):
+        module = importlib.import_module(f"walkindex.{info.name}")
+        if getattr(module, "measured_band", None) is original:
+            monkeypatch.setattr(module, "measured_band", counted)
+    dense = LatticeOperator.from_matrix.__func__
+
+    def from_matrix(cls, *args, **kwargs):
+        calls.append("from_matrix")
+        return dense(cls, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeOperator, "from_matrix", classmethod(from_matrix))
+    circle = write_spec(tmp_path, "circle.json", {**SPLIT_A, "geometry": {"n_cells": 64, "topology": "circle"}})
+    line = write_spec(tmp_path, "line.json", {**SPLIT_A, "geometry": {"n_cells": 64, "topology": "line"}})
+    for argv in (["index", circle], ["index", line], ["index", join], ["validate", join]):
+        code, out = run(capsys, argv)
+        assert code == 0, out
+    assert calls == []
 
 
 def test_negative_declared_band_exits_1(tmp_path, capsys):

@@ -175,7 +175,7 @@ def test_direct_rotation_identity_for_coin_walk():
     # identity and no rotation is needed (a declared band of 1 gives the
     # rotation a nonempty window to work on)
     r = ring(make_trivial(), 8)
-    v, _ = rotation_on_whole_space(LatticeOperator(r.matrix, r.cells, 1, r.local_rep), 0, 4)
+    v, _ = rotation_on_whole_space(LatticeOperator.from_matrix(r.matrix, r.cells, 1, r.local_rep), 0, 4)
     assert np.linalg.norm(v - np.eye(v.shape[0])) <= 1e-10
 
 
@@ -301,7 +301,7 @@ def test_gentle_decoupling_argument_errors():
     r = gen_ring(12)
     with pytest.raises(CutOutOfRange):
         gentle_decoupling(r, 3, second_cut=3)
-    bare = LatticeOperator(r.matrix, r.cells, r.band, None)
+    bare = LatticeOperator.from_matrix(r.matrix, r.cells, r.band, None)
     with pytest.raises(NotAdmissible):
         gentle_decoupling(bare, 0)
 
@@ -420,7 +420,7 @@ def full_size_answer(op, cut, second_cut=None):
     """``dense_decoupling`` with the measured band of its W' and the half-space
     indices before and after, taken in the order ``gentle_decoupling`` takes them."""
     v, w2, k, counts = dense_decoupling(op, cut, second_cut)
-    w2_op = LatticeOperator.with_measured_band(w2, op.cells, op.local_rep)
+    w2_op = LatticeOperator.from_matrix(w2, op.cells, local_rep=op.local_rep)
     si_before = si_left_right(op, cut, second_cut=second_cut)
     si_after = si_left_right(w2_op, cut, second_cut=second_cut)
     return v, w2, k, counts, w2_op.band, (si_before, si_after)
@@ -438,7 +438,7 @@ def assert_matches(res, answer):
 
 
 def with_band(op, band):
-    return LatticeOperator(op.matrix, op.cells, band, op.local_rep, dict(op.meta))
+    return LatticeOperator.from_matrix(op.matrix, op.cells, band, op.local_rep, dict(op.meta))
 
 
 # beyond DECOUPLED_WALKS: a second cut, the segment geometry of truncate_ti
@@ -484,7 +484,7 @@ def conjugated(op: LatticeOperator, gen, band: int) -> LatticeOperator:
     v = block_diag(*us)
     per_cell = tuple(r.conjugated(u) for r, u in zip(op.local_rep.per_cell, us))
     rep = LocalSymmetryRep(op.local_rep.cls, per_cell)
-    return LatticeOperator(v @ op.matrix @ v.conj().T, op.cells, band, rep, dict(op.meta))
+    return LatticeOperator.from_matrix(v @ op.matrix @ v.conj().T, op.cells, band, rep, dict(op.meta))
 
 
 def fuzz_case(ti, geometry: str, gen):
@@ -535,7 +535,7 @@ def test_understated_band_is_refused_not_decoupled(power, band):
     # W^power hops `power` cells; declared as `band`, part of P - Q lies
     # outside the cut window, and [P, W] there is the refusal's residual
     r = ring(make_split_step(*SPLIT_A), 16)
-    op = LatticeOperator(np.linalg.matrix_power(r.matrix, power), r.cells, band, r.local_rep)
+    op = LatticeOperator.from_matrix(np.linalg.matrix_power(r.matrix, power), r.cells, band, r.local_rep)
     for cut, second_cut in ((0, None), (3, 9)):
         with pytest.raises(DecouplingFailed, match=f"declared band {band} understates a hop across the cut"):
             gentle_decoupling(op, cut, second_cut=second_cut)

@@ -309,25 +309,27 @@ def test_uniform_profile_join_is_the_ti_walk():
         assert np.array_equal(joined.matrix, build_lattice(w, a + b, "circle").matrix)
 
 
-# Records the matrix of every coin-level join (circle, and the padded circle
-# of a line join) and compares it with the dense factor product of its
-# side-chosen coins.  A threaded zgemm can split a cell's rows between
-# threads and round them differently, so the dense route is bit-reproducible
-# only on one BLAS thread: the comparison runs in a fresh interpreter.
+# Records the stacks of every coin-level join (circle, and the padded circle
+# of a line join), places them, and compares the matrix with the dense factor
+# product of its side-chosen coins.  A threaded zgemm can split a cell's rows
+# between threads and round them differently, so the dense route is
+# bit-reproducible only on one BLAS thread: the comparison runs in a fresh
+# interpreter.
 _JOIN_ORACLE = """
 import json, numpy as np
 import walkindex.finite as finite
 from walkindex.errors import WalkIndexError
 from helpers import dense_factor_product, rng
-from walkindex.lattice import CellStructure
+from walkindex.lattice import CellStructure, place_blocks
 from walkindex.walks import CoinFactor, make_doubled, make_generating_example, make_split_step, segment_pad
 
 built = []
-place = finite.place_blocks
-def recording(blocks, cells):
-    built.append(place(blocks, cells))
-    return built[-1]
-finite.place_blocks = recording
+stacks = finite.factor_matrices
+def recording(factors, cells):
+    blocks = stacks(factors, cells)
+    built.append(place_blocks(blocks, cells))
+    return blocks
+finite.factor_matrices = recording
 
 gen = rng(29)
 pairs = [(make_split_step(*gen.uniform(-np.pi, np.pi, 2)), make_split_step(*gen.uniform(-np.pi, np.pi, 2)))

@@ -100,7 +100,7 @@ def decoupled_generating_segment(n: int) -> LatticeOperator:
     m = seg.matrix.copy()
     m[0, 0] += 1.0
     m[2 * n - 1, 2 * n - 1] += 1.0
-    return LatticeOperator(m, seg.cells, seg.band, seg.local_rep, dict(seg.meta))
+    return LatticeOperator.from_matrix(m, seg.cells, seg.band, seg.local_rep, dict(seg.meta))
 
 
 def local_reflection(ring: LatticeOperator, cell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +177,9 @@ def test_unitarity_is_checked_before_admissibility(entry):
     phase = np.exp(0.3j) * np.eye(seg.dim)
     call = CHECKED_ENTRY_POINTS[entry]
     with pytest.raises(NotUnitary):
-        call(LatticeOperator(1.5 * phase, seg.cells, 0, seg.local_rep))
+        call(LatticeOperator.from_matrix(1.5 * phase, seg.cells, 0, seg.local_rep))
     with pytest.raises(NotAdmissible):
-        call(LatticeOperator(phase, seg.cells, 0, seg.local_rep))
+        call(LatticeOperator.from_matrix(phase, seg.cells, 0, seg.local_rep))
 
 
 def test_pm_eigenspaces_pick_target():
@@ -329,7 +329,7 @@ def test_si_left_right_cut_too_close():
 def test_si_left_right_stable_under_distant_perturbation():
     ring = generating_ring(20)
     refl, _ = local_reflection(ring, 8)
-    perturbed = LatticeOperator(refl @ ring.matrix, ring.cells, 2, ring.local_rep)
+    perturbed = LatticeOperator.from_matrix(refl @ ring.matrix, ring.cells, 2, ring.local_rep)
     assert int(relative_index(ring, refl @ ring.matrix)) == 1
     before = tuple(int(x) for x in si_left_right(ring, 4, second_cut=14))
     after = tuple(int(x) for x in si_left_right(perturbed, 4, second_cut=14))
@@ -341,7 +341,7 @@ def test_si_left_right_mid_piece_perturbation_is_ambiguous():
     # apart from a slowly decaying far-end mode, so attribution must refuse
     ring = generating_ring(20)
     refl, _ = local_reflection(ring, 9)
-    perturbed = LatticeOperator(refl @ ring.matrix, ring.cells, 2, ring.local_rep)
+    perturbed = LatticeOperator.from_matrix(refl @ ring.matrix, ring.cells, 2, ring.local_rep)
     with pytest.raises(WindowAmbiguous):
         si_left_right(perturbed, 4, second_cut=14)
 
@@ -598,7 +598,7 @@ def join_blockdiag(left_m: np.ndarray, right_m: np.ndarray, cell_rep) -> Lattice
     m[: left_m.shape[0], : left_m.shape[0]] = left_m
     m[left_m.shape[0] :, left_m.shape[0] :] = right_m
     cells = CellStructure.uniform(n, 2, "line")
-    return LatticeOperator(m, cells, 1, LocalSymmetryRep.uniform(cell_rep, n))
+    return LatticeOperator.from_matrix(m, cells, 1, LocalSymmetryRep.uniform(cell_rep, n))
 
 
 def test_verify_bulk_boundary_trivial_vs_generating():
@@ -679,7 +679,7 @@ def test_index_matrix_decoupled_generating():
 
 def test_index_matrix_trivial_walk():
     m = truncate_ti(make_trivial(), 12, "compress").matrix
-    joined = LatticeOperator(
+    joined = LatticeOperator.from_matrix(
         m,
         CellStructure.uniform(12, 2, "line"),
         0,

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import walkindex.lattice as lattice_module
 from helpers import (
+    STACK_CASES,
     TEN_CLASS_WALKS,
     cell_block_reduce_at,
+    check_stacks,
     dense_admissibility,
     dense_unitarity,
+    dense_view,
     haar_unitary,
     locality_profile,
     mixed_cell_walk,
     normal_form_rep,
     profile_band,
+    record_dense_inputs,
     record_gate_measurements,
     rng,
+    stack_fuzz_cases,
     with_cell_bases,
 )
 from walkindex.errors import CutOutOfRange, IncompatibleCells
@@ -37,6 +45,7 @@ from walkindex.lattice import (
 from walkindex.operators import check_admissible, check_unitary
 from walkindex.symmetry import SymmetryClass, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
+from walkindex.serialize import dumps_operator, lattice_operator_from_json, lattice_operator_to_json
 from walkindex.walks import build_lattice, make_split_step
 
 
@@ -115,21 +124,21 @@ def test_local_rep_assembled_and_restrict():
 def test_lattice_operator_validates_shape():
     cells = CellStructure.uniform(3, 2)
     with pytest.raises(IncompatibleCells):
-        LatticeOperator(np.eye(5), cells, band=1)
+        LatticeOperator.from_matrix(np.eye(5), cells, band=1)
     rep = normal_form_rep(SymmetryClass.D, p=2)
     local = LocalSymmetryRep.uniform(rep, 2)
     with pytest.raises(IncompatibleCells):
-        LatticeOperator(np.eye(6), cells, band=1, local_rep=local)
+        LatticeOperator.from_matrix(np.eye(6), cells, band=1, local_rep=local)
 
 
 def test_lattice_operator_refuses_negative_band():
     with pytest.raises(IncompatibleCells, match="band -1 is negative"):
-        LatticeOperator(np.eye(6), CellStructure.uniform(3, 2), band=-1)
+        LatticeOperator.from_matrix(np.eye(6), CellStructure.uniform(3, 2), band=-1)
 
 
 def test_lattice_operator_blocks():
     cells = CellStructure.uniform(4, 1, topology="circle")
-    op = LatticeOperator(shift_matrix(4, 1), cells, band=1)
+    op = LatticeOperator.from_matrix(shift_matrix(4, 1), cells, band=1)
     assert op.block(1, 0) == pytest.approx(np.array([[1.0]]))
     assert op.block(0, 0) == pytest.approx(np.array([[0.0]]))
     assert op.block(0, 3) == pytest.approx(np.array([[1.0]]))
@@ -179,7 +188,7 @@ def test_arc_projection_rejects_improper():
 
 def test_compress_line_marks_cut_and_proxy_ends():
     cells = CellStructure.uniform(6, 1)
-    op = LatticeOperator(shift_matrix(6, 1, "line"), cells, band=1)
+    op = LatticeOperator.from_matrix(shift_matrix(6, 1, "line"), cells, band=1)
     right = compress(op, half_space_projection(cells, 2, side="geq"))
     assert right.cells.n_cells == 4
     assert right.cells.x_min == 2
@@ -193,7 +202,7 @@ def test_compress_line_marks_cut_and_proxy_ends():
 
 def test_compress_circle_arc_has_two_cut_ends():
     cells = CellStructure.uniform(8, 1, topology="circle")
-    op = LatticeOperator(shift_matrix(8, 1), cells, band=1)
+    op = LatticeOperator.from_matrix(shift_matrix(8, 1), cells, band=1)
     sub = compress(op, arc_projection(cells, 6, 2))
     assert sub.cells.topology == "line"
     assert sub.cells.n_cells == 4
@@ -207,14 +216,14 @@ def test_compress_circle_arc_has_two_cut_ends():
 
 def test_half_spaces_line_and_circle():
     cells = CellStructure.uniform(6, 1)
-    line = LatticeOperator(shift_matrix(6, 1, "line"), cells, band=1)
+    line = LatticeOperator.from_matrix(shift_matrix(6, 1, "line"), cells, band=1)
     left, right = half_spaces(line, 2)
     assert (left.cells.n_cells, right.cells.n_cells) == (2, 4)
     assert left.cells.proxy_ends == frozenset({"left"})
     assert right.cells.proxy_ends == frozenset({"right"})
     with pytest.raises(CutOutOfRange):
         half_spaces(line, 2, second_cut=4)
-    ring = LatticeOperator(shift_matrix(8, 1), CellStructure.uniform(8, 1, "circle"), band=1)
+    ring = LatticeOperator.from_matrix(shift_matrix(8, 1), CellStructure.uniform(8, 1, "circle"), band=1)
     # default second bond is the antipode; the ends there become proxy ends
     left, right = half_spaces(ring, 2)
     assert left.meta["parent_cells"] == (6, 7, 0, 1)
@@ -231,7 +240,7 @@ def test_compress_matrix_entries_match_parent():
     gen = rng(7)
     cells = CellStructure((2, 1, 2, 1), "line")
     m = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
-    op = LatticeOperator(m, cells, band=1)
+    op = LatticeOperator.from_matrix(m, cells, band=1)
     sub = compress(op, arc_projection(cells, 1, 3))
     assert sub.cells.cell_dims == (1, 2)
     assert np.allclose(sub.matrix, m[2:5, 2:5])
@@ -239,7 +248,7 @@ def test_compress_matrix_entries_match_parent():
 
 def test_compress_rejects_non_contiguous():
     cells = CellStructure.uniform(5, 1)
-    op = LatticeOperator(np.eye(5, dtype=complex), cells, band=0)
+    op = LatticeOperator.from_matrix(np.eye(5, dtype=complex), cells, band=0)
     with pytest.raises(IncompatibleCells):
         compress(op, CellProjection(cells, (0, 2)))
     with pytest.raises(IncompatibleCells):
@@ -250,7 +259,7 @@ def test_compress_rejects_non_contiguous():
 
 def test_locality_profile_of_shift():
     cells = CellStructure.uniform(6, 1, topology="circle")
-    op = LatticeOperator(shift_matrix(6, -1), cells, band=1)
+    op = LatticeOperator.from_matrix(shift_matrix(6, -1), cells, band=1)
     profile = locality_profile(op)
     assert profile[-1] == pytest.approx(1.0)
     assert profile[0] == pytest.approx(0.0)
@@ -260,7 +269,7 @@ def test_locality_profile_of_shift():
 
 def test_measured_band_identity_is_zero():
     cells = CellStructure.uniform(4, 2)
-    op = LatticeOperator(np.eye(8, dtype=complex), cells, band=1)
+    op = LatticeOperator.from_matrix(np.eye(8, dtype=complex), cells, band=1)
     assert measured_band(op) == 0
 
 
@@ -299,7 +308,7 @@ def test_measured_band_matches_svd_oracle(seed):
             m[cells.cell_slice(i), cells.cell_slice(j)] = _random_block(
                 gen, cells.cell_dims[i], cells.cell_dims[j], norm
             )
-    op = LatticeOperator(m, cells, band=0)
+    op = LatticeOperator.from_matrix(m, cells, band=0)
     tol = DEFAULT_TOL.with_(band=band_tol)
     assert measured_band(op, tol) == profile_band(op, band_tol)
 
@@ -318,7 +327,7 @@ def test_measured_band_settles_screen_gap_by_svd(topology, factor):
     gap_block = factor * band_tol * hadamard
     for i in range(8 - 3):
         m[cells.cell_slice(i + 3), cells.cell_slice(i)] = gap_block
-    op = LatticeOperator(m, cells, band=0)
+    op = LatticeOperator.from_matrix(m, cells, band=0)
     assert np.abs(gap_block).max() <= band_tol < np.linalg.norm(gap_block)
     tol = DEFAULT_TOL.with_(band=band_tol)
     expected = 3 if factor > 1 else 1
@@ -419,6 +428,38 @@ def test_lattice_operator_matrix_is_read_only():
     assert not left.matrix.flags.writeable and left.compressed_from is op
 
 
+def _negative_zeros(op) -> int:
+    floats = np.concatenate([s.reshape(-1).view(float) for s in op.blocks.values()])
+    return int(np.sum(np.signbit(floats[floats == 0])))
+
+
+def _signed_zeros(x):
+    """Every zero of nested lists or of a complex array, real part or
+    imaginary, as -0.0."""
+    if isinstance(x, list):
+        return [_signed_zeros(v) for v in x]
+    if isinstance(x, np.ndarray):
+        parts = x.astype(complex).view(float)
+        return np.where(parts == 0, -0.0, parts).view(complex)
+    return -0.0 if x == 0 else x
+
+
+def test_stacks_hold_no_negative_zero():
+    # placing a stack adds it into +0.0, so a stack that kept -0.0 would be
+    # written as "-0.0" where its matrix holds 0.0
+    ti = make_split_step(1.2, 0.4)
+    signed = replace(ti, blocks={j: _signed_zeros(b) for j, b in ti.blocks.items()})
+    ring = build_lattice(signed, 8, "circle")
+    m = _signed_zeros(ring.matrix)
+    stored = lattice_operator_to_json(ring)
+    stored["blocks"] = {j: _signed_zeros(stack) for j, stack in stored["blocks"].items()}
+    assert "-0.0" in json.dumps(stored)
+    ops = [ring, build_lattice(signed, 8, "line"), LatticeOperator.from_matrix(m, ring.cells)]
+    ops.append(lattice_operator_from_json(stored))
+    assert [_negative_zeros(op) for op in ops] == [0, 0, 0, 0]
+    assert "-0.0" not in dumps_operator(ops[-1])
+
+
 def gate_fuzz_cases(cls, ti, gen):
     """Operators of one class: a circle, a line, a short circle (n <= 4b),
     mixed and zero-dimensional cells, off-band mass (a circle's matrix on a
@@ -436,10 +477,10 @@ def gate_fuzz_cases(cls, ti, gen):
     far = np.kron(np.minimum(dist, n - dist) > b, np.ones((ti.cell_dim, ti.cell_dim)))
     noise = (gen.normal(size=far.shape) + 1j * gen.normal(size=far.shape)) * far
     for scale in (1e-14, 1e-11, 1e-6, 1e-2):
-        yield f"off-band {scale:g}", LatticeOperator(ring.matrix + scale * noise, ring.cells, b, ring.local_rep)
-    yield "off-band corners", LatticeOperator(ring.matrix, CellStructure(ring.cells.cell_dims), b, ring.local_rep)
+        yield f"off-band {scale:g}", LatticeOperator.from_matrix(ring.matrix + scale * noise, ring.cells, b, ring.local_rep)
+    yield "off-band corners", LatticeOperator.from_matrix(ring.matrix, CellStructure(ring.cells.cell_dims), b, ring.local_rep)
     if b:
-        yield "understated band", LatticeOperator(ring.matrix, ring.cells, b - 1, ring.local_rep)
+        yield "understated band", LatticeOperator.from_matrix(ring.matrix, ring.cells, b - 1, ring.local_rep)
 
 
 def _near(exact: float) -> list[float]:
@@ -457,28 +498,45 @@ def _check_gate(gate, exact: float, thresholds) -> None:
             assert value == pytest.approx(exact, rel=1e-14, abs=1e-15)
 
 
-def test_gates_match_the_dense_oracle_fuzz():
+def _check_gates(op, tol) -> None:
+    exact = dense_unitarity(op.matrix)
+    _check_gate(op.unitarity, exact, [tol.unit, *_near(exact)])
+    if exact <= tol.unit:
+        assert check_unitary(op.matrix, tol) <= tol.unit
+    if op.local_rep is None:
+        return
+    oracle = dense_admissibility(op.matrix, op.local_rep.assembled())
+    assert list(op.admissibility) == list(oracle)
+    for name, gate in op.admissibility.items():
+        _check_gate(gate, oracle[name], [tol.adm, *_near(oracle[name])])
+    worst = max(oracle.values(), default=0.0)
+    for w in (op, op.matrix):
+        assert check_admissible(w, op.local_rep, strict=False).ok == (worst <= tol.adm)
+
+
+def test_gates_match_the_dense_oracle_fuzz(monkeypatch):
     # verdicts are the dense ones, a bound is never below the dense norm, and
-    # a measured norm is the dense SVD's within 1e-14 relative
+    # a measured norm is the dense SVD's within 1e-14 relative; every
+    # operator's stacks hold its dense oracle (check_stacks), also for the
+    # ways an operator is built, cut, decoupled and joined
     gen = rng(2024)
+    more = rng(2028)
     tol = DEFAULT_TOL
+    inputs = record_dense_inputs(monkeypatch)
     seen = set()
+    made = set()
     for cls, make in TEN_CLASS_WALKS.items():
         ti = make()
         for what, op in gate_fuzz_cases(cls, ti, gen):
             seen.add(what.split()[0])
-            exact = dense_unitarity(op.matrix)
-            _check_gate(op.unitarity, exact, [tol.unit, *_near(exact)])
-            if exact <= tol.unit:
-                assert check_unitary(op.matrix, tol) <= tol.unit
-            oracle = dense_admissibility(op.matrix, op.local_rep.assembled())
-            assert list(op.admissibility) == list(oracle)
-            for name, gate in op.admissibility.items():
-                _check_gate(gate, oracle[name], [tol.adm, *_near(oracle[name])])
-            worst = max(oracle.values(), default=0.0)
-            for w in (op, op.matrix):
-                assert check_admissible(w, op.local_rep, strict=False).ok == (worst <= tol.adm)
+            _check_gates(op, tol)
+            check_stacks(op, dense_view(op, inputs), tol)
+        for what, op in stack_fuzz_cases(cls, ti, more, inputs):
+            made.add(what)
+            _check_gates(op, tol)
+            check_stacks(op, dense_view(op, inputs), tol)
     assert seen == {"circle", "line", "short", "mixed", "off-band", "understated"}
+    assert made == STACK_CASES
 
 
 def test_compressed_pieces_inherit_the_admissibility_bound(monkeypatch):
@@ -491,7 +549,7 @@ def test_compressed_pieces_inherit_the_admissibility_bound(monkeypatch):
         assert check_admissible(piece).ok
     assert [m is ring.matrix for m in seen["admissibility"]] == [True]
     # a parent that fails leaves the verdict to the piece's own measurement
-    broken = LatticeOperator(ring.matrix + 1e-3 * np.eye(ring.dim), ring.cells, ring.band, ring.local_rep)
+    broken = LatticeOperator.from_matrix(ring.matrix + 1e-3 * np.eye(ring.dim), ring.cells, ring.band, ring.local_rep)
     for piece in half_spaces(broken, 5):
         oracle = dense_admissibility(piece.matrix, piece.local_rep.assembled())
         report = check_admissible(piece, strict=False)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -124,6 +125,22 @@ def test_benchmark_traced_names_resolve():
             if not found:
                 missing.append(f"{layer}.{qualname}")
     assert missing == []
+
+
+def test_layer_microbench_runs(monkeypatch):
+    # the microbench reads a ring's matrix and calls measured_band on it; at
+    # 12+12 cells its line join refuses (WindowAmbiguous), so 32 and 40
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if not (bench / "microbench.py").is_file():
+        pytest.skip("no layer microbench in this checkout")
+    monkeypatch.syspath_prepend(str(bench))
+    microbench = importlib.import_module("microbench")
+    monkeypatch.setattr(microbench, "SIZES", (32, 40))
+    monkeypatch.setattr(microbench, "DECOUPLING_SIZES", (32, 40))
+    values = microbench.run()
+    expected = {f"layer.{op}.{key}" for op in microbench.OPS for key in ("s_n32", "s_n40", "exp")}
+    assert set(values) == expected
+    assert all(math.isfinite(v) for v in values.values())
 
 
 def _unused_imports(path: Path) -> list[str]:

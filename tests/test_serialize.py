@@ -8,11 +8,16 @@ import pytest
 
 from helpers import (
     TEN_CLASS_WALKS,
+    check_stacks,
     dense_offband,
     dense_rep,
+    dense_view,
     mixed_cell_walk,
+    placed_ti,
+    record_dense_inputs,
     reference_dumps,
     rng,
+    stack_fuzz_cases,
     with_cell_bases,
 )
 from walkindex.errors import IncompatibleCells
@@ -327,7 +332,7 @@ def test_lattice_operator_round_trip():
 
 def test_lattice_operator_round_trip_without_rep():
     op = build_lattice(make_generating_example(), 6)
-    op = LatticeOperator(op.matrix, op.cells, op.band, None, {})
+    op = LatticeOperator.from_matrix(op.matrix, op.cells, op.band, None, {})
     back = lattice_operator_from_json(lattice_operator_to_json(op))
     assert back.local_rep is None
     assert np.array_equal(back.matrix, op.matrix)
@@ -368,24 +373,50 @@ def stored_fuzz_cases(cls, ti, gen):
     yield "line by cell", with_cell_bases(build_lattice(ti, n, "line"), gen)
     yield "short circle", with_cell_bases(build_lattice(ti, int(gen.integers(2 * b + 1, 4 * b + 1)), "circle"), gen)
     long_ring = build_lattice(ti, int(gen.integers(8 * b + 1, 8 * b + 9)), "circle")
-    yield "squared", LatticeOperator(long_ring.matrix @ long_ring.matrix, long_ring.cells, 2 * b, long_ring.local_rep)
+    yield "squared", LatticeOperator.from_matrix(long_ring.matrix @ long_ring.matrix, long_ring.cells, 2 * b, long_ring.local_rep)
     yield "mixed cells", mixed_cell_walk(cls, ti.cell_rep, gen)
     x = np.arange(n)
     dist = np.abs(x[:, None] - x[None, :])
     far = np.kron(np.minimum(dist, n - dist) > b, np.ones((ti.cell_dim, ti.cell_dim)))
     noise = (gen.normal(size=far.shape) + 1j * gen.normal(size=far.shape)) * far
-    yield "off-band", LatticeOperator(ring.matrix + 1e-16 * noise, ring.cells, b, ring.local_rep)
+    yield "off-band", LatticeOperator.from_matrix(ring.matrix + 1e-16 * noise, ring.cells, b, ring.local_rep)
 
 
-def test_stored_operators_match_the_dense_oracle_fuzz():
+def _kept(op: LatticeOperator, dense: np.ndarray) -> np.ndarray:
+    """The dense oracle of a stored operator: ``dense`` within the band, or
+    whole where the file holds one block."""
+    cells = op.cells
+    n = cells.n_cells
+    if cells.one_block or n <= 4 * op.band:
+        return dense
+    x = np.arange(n)
+    dist = np.abs(x[:, None] - x[None, :])
+    if cells.topology == "circle":
+        dist = np.minimum(dist, n - dist)
+    return np.where(np.kron(dist <= op.band, np.ones((cells.cell_dims[0],) * 2)) > 0, dense, 0)
+
+
+def test_stored_operators_match_the_dense_oracle_fuzz(monkeypatch):
     # within the band every entry reads back bit for bit; off it the file holds
-    # zeros and records the norm of what it dropped
+    # zeros and records the norm of what it dropped.  Each operator and its
+    # read-back hold their dense oracles (check_stacks), also for the ways an
+    # operator is built, cut, decoupled and joined
     gen = rng(2026)
+    more = rng(2030)
+    inputs = record_dense_inputs(monkeypatch)
+    for cls, make in TEN_CLASS_WALKS.items():
+        for what, op in stack_fuzz_cases(cls, make(), more, inputs):
+            dense = dense_view(op, inputs)
+            check_stacks(op, dense)
+            check_stacks(_stored(op), _kept(op, dense))
     seen = set()
     for cls, make in TEN_CLASS_WALKS.items():
         ti = make()
         for what, op in stored_fuzz_cases(cls, ti, gen):
             seen.add(what)
+            dense = placed_ti(ti, op.cells) if what == "circle" else dense_view(op, inputs)
+            check_stacks(op, dense)
+            check_stacks(_stored(op), _kept(op, dense))
             payload = lattice_operator_to_json(op)
             back = _stored(op)
             kept = back.matrix != 0
@@ -408,7 +439,7 @@ def test_writer_refuses_off_band_entries_above_tol_band():
     ring = build_lattice(make_split_step(1.1, 0.3), 9, "circle")
     m = ring.matrix.copy()
     m[0, 8] = 1e-11
-    op = LatticeOperator(m, ring.cells, 1, ring.local_rep)
+    op = LatticeOperator.from_matrix(m, ring.cells, 1, ring.local_rep)
     with pytest.raises(IncompatibleCells, match="declared band 1 drops off-band entries of norm 1.000e-11"):
         dumps_operator(op)
     assert json.loads(dumps_operator(op, DEFAULT_TOL.with_(band=1e-10)))["offband"] == pytest.approx(1e-11)
@@ -434,7 +465,7 @@ def test_stored_operators_are_exact_json():
     m = ring.matrix.copy()
     m[0, 0] = np.nan
     with pytest.raises(ValueError, match="not JSON compliant"):
-        dumps_operator(LatticeOperator(m, ring.cells, 1))
+        dumps_operator(LatticeOperator.from_matrix(m, ring.cells, 1))
 
 
 # -- walk specs ----------------------------------------------------------------------

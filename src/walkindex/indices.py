@@ -22,9 +22,17 @@ lying under an absolute ceiling.  Symmetry makes this safe: every admissible
 symmetry pairs the +e and -e eigenspaces of the imaginary part, a magnitude
 sort can never split such a pair, and a fully included balanced pair
 contributes zero to the index.  Every spectrum near +-1, here and in the
-finite-size sweeps and certificates, comes from :func:`near_spectrum`; a
-kernel search first tries :func:`_gap_certified`, a Cholesky in place of the
-``eigh`` where the cluster is empty.
+finite-size sweeps and certificates, comes from :func:`near_spectrum`.
+
+For a rep with ``gamma`` (the chiral classes AIII, BDI, CII, CI and DIII)
+the Hermitian operator anticommutes with ``gamma``: in the cell frame of
+``gamma`` it is off-diagonal, and its cluster comes from the singular values
+of the off-diagonal block, a matrix of half the size (:func:`_chiral_cluster`;
+the chiral index as ``dim ker C - dim ker C*``).  The other classes, anchors
+other than +-1, operators under ``CHIRAL_MIN_ROWS`` rows and operators whose
+``gamma``-even part exceeds ``CHIRAL_EVEN_FLOOR`` take one ``eigh``, and a
+kernel search there first tries :func:`_gap_certified`, a Cholesky in place
+of the ``eigh`` where the cluster is empty.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from .operators import (
 from .symmetry import (
     ADMISSIBILITY,
     IndexValue,
+    Runs,
     SymmetryClass,
     SymmetryOperator,
     SymmetryRep,
@@ -108,6 +117,22 @@ CHIRAL_UNITARY = (SymmetryClass.AIII, SymmetryClass.BDI, SymmetryClass.CII)
 # eigenvalue above it is at least the ratio times larger.
 ESSENTIAL_KERNEL_CEILING = 0.1
 ESSENTIAL_KERNEL_RATIO = 5.0
+
+# The chiral route (_chiral_cluster) answers only while the Frobenius norm e of
+# the gamma-even blocks of H is at most this floor; every eigenvalue of H then
+# lies within e of the +-singular values it reads, and e widens its certified
+# radius.  Above the floor the dense eigh decides.
+CHIRAL_EVEN_FLOOR = 1e-10
+
+# Below these many rows the dense route is the faster one: its certificate and
+# eigh cost fewer numpy calls than the chiral route's frame products and SVD.
+# Timed per kernel search inside the benchmark's jobs (BLAS on 1 thread): a
+# search with boundary modes likely took 223 us dense and 257 us chiral at 32
+# rows, 469 us and 374 us at 48; one on a closed operator, where the chiral
+# route starts with a values-only SVD against the dense Cholesky certificate,
+# 259 and 425 us at 64 rows, 1112 and 1128 us at 128, 3682 and 2944 us at 192.
+CHIRAL_MIN_ROWS = 48
+CHIRAL_CERTIFICATE_MIN_ROWS = 128
 
 # _gap_certified's allowance for the rounding of H H and of its Cholesky, in
 # units of (N + 1) eps max(1, ||H||_F^2).
@@ -164,10 +189,132 @@ def _gap_certified(h: np.ndarray, tol: Tolerances, ceiling: float) -> bool:
     return True
 
 
+def _chord_reach(radius: float) -> float:
+    """The largest ``|Im lambda|`` of a unit ``lambda`` within chord ``radius`` of +-1."""
+    return radius * np.sqrt(1.0 - radius**2 / 4) if radius < np.sqrt(2.0) else np.inf
+
+
+def _gamma_runs(
+    rep: SymmetryRep | LocalSymmetryRep, rows: int, likely_empty: bool = False
+) -> Runs | None:
+    """The runs of a rep with ``gamma``, which the chiral route reads, for an
+    operator of at least ``CHIRAL_MIN_ROWS`` rows (``CHIRAL_CERTIFICATE_MIN_ROWS``
+    where an empty cluster is likely); else None, the dense route."""
+    if rows < (CHIRAL_CERTIFICATE_MIN_ROWS if likely_empty else CHIRAL_MIN_ROWS):
+        return None
+    runs = rep.runs()
+    return runs if "gamma" in runs[0][2].ops else None
+
+
+def _chiral_blocks(runs: Runs) -> tuple[list, int]:
+    """The frame of :func:`_chiral_cluster`, one entry per run and side of
+    ``gamma``: (rows of the operator, cell count, cell dimension, the side's
+    columns of the cell's chiral frame, rows in the frame).  The frame puts
+    every + row first; also returned is their number ``n+``."""
+    n_p = sum(count * cell.chiral_frame[1] for _, count, cell in runs)
+    blocks = []
+    at = [0, n_p]
+    for start, count, cell in runs:
+        basis, n_plus = cell.chiral_frame
+        for side, cols in enumerate((basis[:, :n_plus], basis[:, n_plus:])):
+            if cols.shape[1]:
+                width = count * cols.shape[1]
+                src = slice(start, start + count * cell.dim)
+                blocks.append((src, count, cell.dim, cols, slice(at[side], at[side] + width)))
+                at[side] += width
+    return blocks, n_p
+
+
+def _chiral_cluster(
+    h: np.ndarray,
+    runs: Runs,
+    tol: Tolerances,
+    ceiling: float,
+    radius: float | None = None,
+    likely_empty: bool = False,
+) -> tuple[np.ndarray, float] | None:
+    """The cluster of a Hermitian ``h`` that anticommutes with ``gamma``, from the
+    singular values of its off-diagonal block: kept basis and smallest ``|s|``.
+
+    In each cell's :attr:`~walkindex.symmetry.SymmetryRep.chiral_frame`, ``h``
+    is ``[[E+, C], [C*, E-]]`` with ``C`` of ``n+`` rows and ``n-`` columns;
+    ``e = ||E+ (+) E-||_F`` is rounding for an admissible walk.  The
+    eigenvalues of the off-diagonal part are ``+-sigma`` for each singular
+    value of ``C`` and ``|n+ - n-|`` exact zeros, and those of ``h`` lie
+    within ``e`` of them.  These magnitudes go through
+    :func:`_kernel_cluster` under ``ceiling`` or, with a chord ``radius``,
+    ``sigma <= r sqrt(1 - r^2/4) + e``, a set holding every eigenvalue of
+    ``h`` that the radius reaches.  A kept pair ``sigma`` contributes its left
+    singular vector on the + side and its right one on the - side, which
+    span the eigenvectors of ``+-sigma``.  With ``likely_empty`` and ``n+ =
+    n-``, a values-only SVD first shows every ``sigma > max(ceiling, tol.ker
+    max(1, sigma_max + e)) + e``, where the cluster is empty, and no vectors
+    are computed.  None when ``e > CHIRAL_EVEN_FLOOR``: the caller's dense
+    route decides."""
+    n = h.shape[0]
+    blocks, n_p = _chiral_blocks(runs)
+    # H in the frame: B* H B for the block-diagonal B of the cell bases, one
+    # batched product per run and side on the rows and one on the columns
+    rows = np.empty_like(h)
+    hf = np.empty_like(h)
+    for src, count, d, cols, dst in blocks:
+        out = rows[dst].reshape(count, cols.shape[1], n)
+        np.matmul(cols.conj().T, h[src].reshape(count, d, n), out=out)
+    for src, count, d, cols, dst in blocks:
+        out = hf[:, dst].reshape(n, count, cols.shape[1])
+        np.matmul(rows[:, src].reshape(n, count, d), cols, out=out)
+    even = np.hypot(frobenius_bound(hf[:n_p, :n_p]), frobenius_bound(hf[n_p:, n_p:]))
+    if even > CHIRAL_EVEN_FLOOR:
+        return None
+    c = hf[:n_p, n_p:]
+    n_m = n - n_p
+    zeros = abs(n_p - n_m)
+    if likely_empty and not zeros:
+        s = np.linalg.svd(c, compute_uv=False)
+        if s[-1] > max(ceiling, tol.ker * max(1.0, s[0] + even)) + even:
+            return np.zeros((n, 0), dtype=h.dtype), float(s[-1])
+    u, s, vh = np.linalg.svd(c)
+    r = s.size
+    smallest = 0.0 if zeros else float(s[-1])
+    if radius is None:
+        # a pair +-sigma is never split, so the cluster is the zeros and the
+        # k smallest sigma
+        k = (_kernel_cluster(np.concatenate([np.zeros(zeros), s, s]), tol, ceiling).size - zeros) // 2
+    else:
+        k = int(np.count_nonzero(s <= _chord_reach(radius) + even))
+    if not (k or zeros):
+        return np.zeros((n, 0), dtype=h.dtype), smallest
+    # kept: the left singular vectors of the k smallest sigma on the + side,
+    # their right ones on the - side, and the null vectors of C* or C
+    plus, minus = u[:, r - k :], vh[r - k :].conj().T
+    width = plus.shape[1] + minus.shape[1]
+    frame = np.zeros((n, width), dtype=h.dtype)
+    frame[:n_p, : plus.shape[1]] = plus
+    frame[n_p:, plus.shape[1] :] = minus
+    kept = np.zeros_like(frame)
+    for src, count, d, cols, dst in blocks:
+        part = cols @ frame[dst].reshape(count, cols.shape[1], width)
+        kept[src] += part.reshape(count * d, width)
+    return kept, smallest
+
+
 def _essential_kernel(
-    h: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
+    h: np.ndarray,
+    tol: Tolerances,
+    ceiling: float = ESSENTIAL_KERNEL_CEILING,
+    rep: SymmetryRep | LocalSymmetryRep | None = None,
+    likely_empty: bool = False,
 ) -> np.ndarray:
-    """Eigenvectors of a Hermitian matrix converging to its half-space kernel."""
+    """Eigenvectors of a Hermitian matrix converging to its half-space kernel.
+
+    With a ``rep`` whose ``gamma`` anticommutes with ``h``, the chiral route
+    (:func:`_chiral_cluster`, see :func:`_gamma_runs`); else, or where it
+    declines, the gap certificate and one ``eigh``."""
+    runs = None if rep is None else _gamma_runs(rep, len(h), likely_empty)
+    if runs is not None:
+        found = _chiral_cluster(h, runs, tol, ceiling, likely_empty=likely_empty)
+        if found is not None:
+            return found[0]
     if _gap_certified(h, tol, ceiling):
         return np.zeros((h.shape[0], 0), dtype=h.dtype)
     vals, vecs = np.linalg.eigh(h)
@@ -180,25 +327,41 @@ def near_spectrum(
     tol: Tolerances = DEFAULT_TOL,
     radius: float | None = None,
     ceiling: float = ESSENTIAL_KERNEL_CEILING,
+    rep: SymmetryRep | LocalSymmetryRep | None = None,
 ) -> tuple[UnitaryEigen, float]:
     """Eigenpairs of a unitary ``W`` near ``+-anchor``, and the smallest ``|s|``.
 
-    One ``eigh`` of ``Im(conj(anchor) W)``, a function of ``W`` that is
-    ``s = Im(conj(anchor) lambda)`` on the eigenvectors of ``lambda``.  Kept is
-    the essential kernel of ``s`` under ``ceiling`` or, for a chord ``radius``
-    r < sqrt 2, ``|s| <= r sqrt(1 - r^2/4)``: the ``lambda`` within r of
-    ``+-anchor``.  One QR makes the kept columns orthonormal (``eigh`` may
-    return near-degenerate ones that are not); ``W`` must map them into their
-    span within ``max(tol.eig, INVARIANCE_FLOOR d)`` (``EigenFailure``), and
-    the eigenpairs are those of the compression of ``W`` onto them.
+    The spectrum of ``Im(conj(anchor) W)``, a function of ``W`` that is ``s =
+    Im(conj(anchor) lambda)`` on the eigenvectors of ``lambda``.  Kept is the
+    essential kernel of ``s`` under ``ceiling`` or, for a chord ``radius`` r
+    < sqrt 2, ``|s| <= r sqrt(1 - r^2/4)``: the ``lambda`` within r of
+    ``+-anchor``.  At anchor +-1 with a ``rep`` that has ``gamma``, the
+    chiral route reads the ``s`` off the half-size off-diagonal block
+    (:func:`_chiral_cluster`); otherwise, or where it declines, one ``eigh``.
+    Then :func:`_eigenpairs_on` the kept columns.
     """
-    s, vecs = np.linalg.eigh(imaginary_part(m if anchor == 1 else np.conj(anchor) * m))
-    if radius is None:
-        keep = _kernel_cluster(s, tol, ceiling)
-    else:
-        reach = radius * np.sqrt(1.0 - radius**2 / 4) if radius < np.sqrt(2.0) else np.inf
-        keep = np.abs(s) <= reach
-    q, _ = np.linalg.qr(vecs[:, keep])
+    h = imaginary_part(m if anchor == 1 else np.conj(anchor) * m)
+    runs = _gamma_runs(rep, len(m)) if rep is not None and anchor in (1, -1) else None
+    found = None if runs is None else _chiral_cluster(h, runs, tol, ceiling, radius)
+    if found is None:
+        s, vecs = np.linalg.eigh(h)
+        if radius is None:
+            keep = _kernel_cluster(s, tol, ceiling)
+        else:
+            keep = np.abs(s) <= _chord_reach(radius)
+        found = vecs[:, keep], float(np.min(np.abs(s), initial=np.inf))
+    basis, smallest = found
+    return _eigenpairs_on(m, basis, tol), smallest
+
+
+def _eigenpairs_on(m: np.ndarray, basis: np.ndarray, tol: Tolerances) -> UnitaryEigen:
+    """Eigenpairs of a unitary ``W`` on the span of ``basis``, nearly invariant.
+
+    One QR makes the columns orthonormal (``eigh`` may return near-degenerate
+    ones that are not); ``W`` must map them into their span within
+    ``max(tol.eig, INVARIANCE_FLOOR d)`` (``EigenFailure``), and the
+    eigenpairs are those of the compression of ``W`` onto them."""
+    q, _ = np.linalg.qr(basis)
     image = m @ q
     c = q.conj().T @ image
     residual = spectral_norm(image - q @ c)
@@ -206,17 +369,22 @@ def near_spectrum(
         raise EigenFailure(f"near-anchor invariance residual {residual:.3e}")
     eig = eig_unitary(c, tol)
     # ||W Q u - Q u D|| <= ||W Q - Q C|| + ||C u - u D||
-    near = UnitaryEigen(eig.values, q @ eig.vectors, residual + eig.residual)
-    return near, float(np.min(np.abs(s), initial=np.inf))
+    return UnitaryEigen(eig.values, q @ eig.vectors, residual + eig.residual)
 
 
 def _pm_eigenspaces(
-    m: np.ndarray, tol: Tolerances, ceiling: float = ESSENTIAL_KERNEL_CEILING
+    m: np.ndarray,
+    tol: Tolerances,
+    ceiling: float = ESSENTIAL_KERNEL_CEILING,
+    rep: SymmetryRep | LocalSymmetryRep | None = None,
+    likely_empty: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bases of the -1 and +1 eigenspaces: :func:`near_spectrum` split by ``Re lambda``."""
-    if _gap_certified(imaginary_part(m), tol, ceiling):
+    """Bases of the -1 and +1 eigenspaces: the eigenpairs (:func:`_eigenpairs_on`)
+    on the :func:`_essential_kernel` of ``Im W``, split by ``Re lambda``."""
+    basis = _essential_kernel(imaginary_part(m), tol, ceiling, rep, likely_empty)
+    if not basis.shape[1]:
         return (np.zeros((m.shape[0], 0), dtype=complex),) * 2
-    near, _ = near_spectrum(m, 1.0, tol, ceiling=ceiling)
+    near = _eigenpairs_on(m, basis, tol)
     minus = near.values.real < 0
     return near.vectors[:, minus], near.vectors[:, ~minus]
 
@@ -234,6 +402,11 @@ def _matrix_rep(
     if r is None:
         raise NotAdmissible("no symmetry representation supplied or attached")
     return m, r
+
+
+def _has_proxy_ends(w) -> bool:
+    """Whether ``w`` is a piece with proxy ends, where boundary modes are likely."""
+    return isinstance(w, LatticeOperator) and bool(w.cells.proxy_ends)
 
 
 def _proxy_members(cells: CellStructure, radius: int) -> tuple[int, ...]:
@@ -338,7 +511,7 @@ def si_pm(
     m, r = _matrix_rep(w, rep)
     check_unitary(w, tol)
     check_admissible(w, r, tol=tol)
-    minus, plus = _pm_eigenspaces(m, tol, ceiling)
+    minus, plus = _pm_eigenspaces(m, tol, ceiling, r, not _has_proxy_ends(w))
     si_minus = _restricted_index(r, minus, tol)
     si_plus = _restricted_index(r, plus, tol)
     if r.cls in CHIRAL_UNITARY:
@@ -379,8 +552,9 @@ def si_total(
     """
     m, r = _matrix_rep(w, rep)
     check_admissible(w, r, tol=tol)
-    ker = _essential_kernel(imaginary_part(m), tol)
-    if isinstance(w, LatticeOperator) and w.cells.proxy_ends and ker.shape[1]:
+    open_ends = _has_proxy_ends(w)
+    ker = _essential_kernel(imaginary_part(m), tol, rep=r, likely_empty=not open_ends)
+    if open_ends and ker.shape[1]:
         ker = _drop_window(ker, w.cells, w.band, "kernel")
     return _restricted_index(r, ker, tol)
 
@@ -659,7 +833,7 @@ def verify_bulk_boundary(
     m, r = _matrix_rep(joined, None)
     check_unitary(joined, tol)
     check_admissible(joined, tol=tol)
-    basis = np.hstack(_pm_eigenspaces(m, tol))
+    basis = np.hstack(_pm_eigenspaces(m, tol, rep=r))
     basis = _drop_window(basis, joined.cells, joined.band, "protected")
     measured = _restricted_index(r, basis, tol)
     return BulkBoundaryReport(sir_left, sir_right, expected, measured, basis.shape[1])
@@ -738,7 +912,8 @@ def index_matrix(
         check_unitary(piece, tol)
         if piece.local_rep is None:
             raise NotAdmissible("the index table needs a cell-local representation")
-        for name, basis in zip(("minus", "plus"), _pm_eigenspaces(piece.matrix, tol)):
+        pm = _pm_eigenspaces(piece.matrix, tol, rep=piece.local_rep)
+        for name, basis in zip(("minus", "plus"), pm):
             basis = _drop_window(basis, piece.cells, w.band, f"{side} {name}")
             entries[f"si_{name}_{side}"] = _restricted_index(piece.local_rep, basis, tol)
     return IndexMatrix(**entries)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -387,6 +388,18 @@ class SymmetryRep:
     def runs(self) -> list[tuple[int, int, "SymmetryRep"]]:
         """The rep as one run of one cell (see :func:`apply_runs`)."""
         return [(0, 1, self)]
+
+    @cached_property
+    def chiral_frame(self) -> tuple[np.ndarray, int]:
+        """``(basis, n_plus)``: a unitary whose first ``n_plus`` columns span the +1
+        eigenspace of ``gamma`` (of ``i gamma`` where ``gamma^2 = -1``) and the
+        rest its -1 eigenspace.  An operator that anticommutes with ``gamma`` is
+        off-diagonal in this frame.  Computed once per rep."""
+        g = self.ops["gamma"].matrix
+        if self.cls.squares["gamma"] < 0:
+            g = 1j * g
+        vals, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+        return vecs[:, ::-1], int(np.sum(vals > 0))
 
     def restrict(self, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> "SymmetryRep":
         """Restriction to an invariant subspace given by orthonormal columns."""

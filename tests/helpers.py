@@ -6,8 +6,9 @@ exactly.  ``locality_profile``, ``reference_dumps`` and ``contraction_path``
 are the plain implementations that the fast band measurement, the canonical
 JSON encoder and the contraction generator are compared against;
 ``dense_near_anchors`` (``eig_unitary`` of the whole walk) is the oracle of
-the one-``eigh`` spectra near +-1 and ``count_in_disk`` (``eigvals``) of the
-Temple-Kato counts;
+the spectra near +-1, ``dense_near_spectrum`` and ``dense_kernel_basis`` (one
+``eigh`` of the whole ``Im W``) of the chiral route that halves them, and
+``count_in_disk`` (``eigvals``) of the Temple-Kato counts;
 ``window_eigenspaces`` is the fixed-radius +-1 selection that the
 essential-gap cluster of ``si_pm`` is compared against.  The dense routes
 that the cell-local, screened admissibility check, the thin-basis proxy
@@ -66,6 +67,7 @@ from walkindex.decoupling import (
 )
 from walkindex.finite import join_crossover
 from walkindex.indices import (
+    ESSENTIAL_KERNEL_CEILING,
     WINDOW_AGREEMENT,
     _kernel_cluster,
     _proxy_members,
@@ -85,9 +87,11 @@ from walkindex.lattice import (
     split_by_weight,
 )
 from walkindex.operators import (
+    UnitaryEigen,
     admissible_hamiltonian_projection,
     check_unitary,
     eig_unitary,
+    imaginary_part,
     phase_window,
     polar_isometry,
 )
@@ -787,10 +791,42 @@ def pm_one_gap(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
 def dense_kernel_cluster(h: np.ndarray, ceiling: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Positions of the essential kernel of a Hermitian matrix, from all its eigenvalues.
 
-    The oracle of ``indices._gap_certified``: the kernel search it screens,
-    ``_kernel_cluster`` on the ``eigvalsh`` values, with no screen.
+    The oracle of ``indices._gap_certified`` and of the chiral route: the
+    kernel search they screen or halve, ``_kernel_cluster`` on the
+    ``eigvalsh`` values, with no screen.
     """
     return _kernel_cluster(np.linalg.eigvalsh(h), tol, ceiling)
+
+
+def dense_kernel_basis(h: np.ndarray, ceiling: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvectors of the essential kernel of a Hermitian matrix, from one ``eigh``."""
+    vals, vecs = np.linalg.eigh(h)
+    return vecs[:, _kernel_cluster(vals, tol, ceiling)]
+
+
+def dense_near_spectrum(
+    m: np.ndarray,
+    anchor: complex = 1.0,
+    tol: Tolerances = DEFAULT_TOL,
+    radius: float | None = None,
+    ceiling: float = ESSENTIAL_KERNEL_CEILING,
+) -> tuple[UnitaryEigen, float]:
+    """``near_spectrum`` by one ``eigh`` of the whole ``Im(conj(anchor) W)``: the
+    route every class took before the chiral one, kept as its oracle."""
+    s, vecs = np.linalg.eigh(imaginary_part(m if anchor == 1 else np.conj(anchor) * m))
+    if radius is None:
+        keep = _kernel_cluster(s, tol, ceiling)
+    else:
+        reach = radius * np.sqrt(1.0 - radius**2 / 4) if radius < np.sqrt(2.0) else np.inf
+        keep = np.abs(s) <= reach
+    q, _ = np.linalg.qr(vecs[:, keep])
+    image = m @ q
+    c = q.conj().T @ image
+    residual = spectral_norm(image - q @ c)
+    assert residual <= max(tol.eig, 1e-12 * m.shape[0]), residual
+    eig = eig_unitary(c, tol)
+    near = UnitaryEigen(eig.values, q @ eig.vectors, residual + eig.residual)
+    return near, float(np.min(np.abs(s), initial=np.inf))
 
 
 def drop_window_projectors(

@@ -11,9 +11,14 @@ from scipy.linalg import expm
 import walkindex.indices
 
 from helpers import (
+    CHIRAL_PLUS,
     TEN_CLASS_WALKS,
+    cell_layouts,
+    conjugate_ti,
     contraction_path,
+    dense_kernel_basis,
     dense_kernel_cluster,
+    dense_near_spectrum,
     dense_rep,
     drop_window_projectors,
     haar_unitary,
@@ -23,6 +28,7 @@ from helpers import (
     random_admissible_walk,
     random_rep,
     rng,
+    with_cell_bases,
 )
 from test_acceptance import FAMILIES
 from walkindex.errors import (
@@ -37,8 +43,13 @@ from walkindex.errors import (
     WindowAmbiguous,
 )
 from walkindex.indices import (
+    CHIRAL_CERTIFICATE_MIN_ROWS,
+    CHIRAL_EVEN_FLOOR,
+    CHIRAL_MIN_ROWS,
     ESSENTIAL_KERNEL_CEILING,
     WINDOW_AGREEMENT,
+    _chiral_cluster,
+    _chord_reach,
     _drop_window,
     _essential_kernel,
     _gap_certified,
@@ -67,8 +78,21 @@ from walkindex.lattice import (
 )
 from walkindex.cli import main
 from walkindex.finite import join_crossover
-from walkindex.operators import admissible_hamiltonian_projection, eig_unitary, imaginary_part
-from walkindex.symmetry import IndexGroup, SymmetryClass, SymmetryRep, screened_norm, spectral_norm
+from walkindex.operators import (
+    admissible_hamiltonian_projection,
+    check_admissible,
+    eig_unitary,
+    imaginary_part,
+)
+from walkindex.symmetry import (
+    IndexGroup,
+    SymmetryClass,
+    SymmetryRep,
+    block_diagonal,
+    screened_norm,
+    spectral_norm,
+    trace_runs,
+)
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
     TIWalk,
@@ -958,13 +982,308 @@ def test_index_of_a_gapped_circle_takes_no_full_size_eigh(tmp_path, monkeypatch,
         "coin_params": {"theta1": 0.9, "theta2": 0.3},
         "geometry": {"n_cells": 64, "topology": "circle"},
     }))
-    eighs, choleskys = [], []
-    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+    # the chiral route: si_pm of the 128-row circle is one values-only SVD of
+    # its 64 x 64 off-diagonal block, with no eigh and no Cholesky at full size
+    eighs, choleskys, svds = [], [], []
+    eigh, cholesky, svd = np.linalg.eigh, np.linalg.cholesky, np.linalg.svd
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: choleskys.append(np.shape(a)) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(np.shape(a)) or svd(a, **kw))
     assert main(["index", str(spec)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert (data["si_minus"]["value"], data["si_plus"]["value"]) == (0, 0)
     assert (data["si_left"]["value"], data["si_right"]["value"]) == (-1, 1)
-    assert (128, 128) in choleskys
-    assert all(shape[-1] < 128 for shape in eighs)
+    assert all(shape[-1] < 128 for shape in eighs + choleskys)
+    assert svds.count((64, 64)) == 1
+    assert all(shape[-1] < 64 for shape in svds if shape != (64, 64))
+
+
+# -- the chiral route against the dense oracle ------------------------------------------
+
+CHIRAL_CLASSES = (C.AIII, C.BDI, C.CII, C.DIII, C.CI)
+# the circle join whose +-1 pairs zheevd returns as non-orthonormal vectors
+ZHEEVD_PAIR = (
+    make_split_step(-1.1539442633140755, 0.45381585750015385),
+    make_split_step(1.196500742480596, -0.3849940163793574),
+)
+
+
+def _chiral_route_cases(cls, gen):
+    """(what, operator) of the walks and pieces the chiral route meets in one class."""
+    ti = TEN_CLASS_WALKS[cls]()
+    n = max(12, 6 * ti.band)
+    ring = build_lattice(ti, n, "circle")
+    yield "circle", ring
+    yield "line", truncate_ti(ti, n, "compress")
+    yield "segment", truncate_ti(ti, n, "decoupled_unitary")
+    for piece in half_spaces(ring, int(gen.integers(0, n))):
+        yield "piece", piece
+    yield "cell bases", with_cell_bases(ring, gen)
+    other = conjugate_ti(ti, haar_unitary(gen, ti.cell_dim))
+    yield "join", join_crossover(ti, other, n // 2, n // 2, "line")
+    # gamma with nonzero trace on cells of mixed and zero dimension
+    yield "mixed cells", mixed_cell_walk(cls, normal_form_rep(cls, 2, 1), gen)
+    if cls is C.BDI:
+        yield "zheevd join", join_crossover(*ZHEEVD_PAIR, 16, 16, "circle")
+
+
+def _projector_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Distance of the projectors onto two spans; ``eigh`` may return a
+    near-degenerate pair as columns that are not orthonormal, so one QR first."""
+    a, b = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    return spectral_norm(a @ a.conj().T - b @ b.conj().T)
+
+
+def _separated(mags: np.ndarray, count: int) -> bool:
+    """Whether the ``count`` smallest of the magnitudes are set apart from the rest."""
+    mags = np.sort(mags)
+    return count in (0, mags.size) or mags[count] - mags[count - 1] >= 1e-4
+
+
+def _same_values(got: np.ndarray, want: np.ndarray, atol: float) -> None:
+    assert got.size == want.size
+    if got.size:
+        assert np.max(np.min(np.abs(got[:, None] - want[None, :]), axis=1)) <= atol
+        assert np.max(np.min(np.abs(want[:, None] - got[None, :]), axis=1)) <= atol
+
+
+def test_chiral_route_matches_the_dense_oracle_fuzz(monkeypatch):
+    # every chiral class: the kernel searches of si_pm/si_total at every
+    # ceiling, with and without the values-only certificate, and near_spectrum
+    # at +-1 in both modes, against one eigh of the whole Im W; the route is
+    # taken at every size
+    _route_at_every_size(monkeypatch)
+    gen = rng(2929)
+    seen, runs_seen, clusters, unbalanced = set(), set(), 0, 0
+    for cls in CHIRAL_CLASSES:
+        for what, op in _chiral_route_cases(cls, gen):
+            seen.add(what)
+            m = op.matrix
+            h = imaginary_part(m)
+            runs = op.local_rep.runs()
+            runs_seen.add(min(len(runs), 2))
+            assert _chiral_cluster(h, runs, DEFAULT_TOL, ESSENTIAL_KERNEL_CEILING) is not None, (cls, what)
+            gamma_trace = trace_runs(runs, "gamma").real if op.local_rep.cls in CHIRAL_PLUS else 0.0
+            unbalanced += abs(gamma_trace) > 0.5
+            mags = np.abs(np.linalg.eigvalsh(h))
+            for ceiling in CERTIFICATE_CEILINGS:
+                want = dense_kernel_basis(h, ceiling)
+                clusters += bool(want.shape[1])
+                for likely_empty in (False, True):
+                    got = _essential_kernel(h, DEFAULT_TOL, ceiling, op.local_rep, likely_empty)
+                    assert got.shape == want.shape, (cls, what, ceiling, likely_empty)
+                    if _separated(mags, want.shape[1]):
+                        assert _projector_distance(got, want) <= 1e-10, (cls, what, ceiling)
+            if op.unitarity.screened(DEFAULT_TOL.unit) > DEFAULT_TOL.unit:
+                continue
+            for anchor in (1.0, -1.0):
+                for radius in (None, 0.05, 0.5):
+                    near, smallest = near_spectrum(m, anchor, radius=radius, rep=op.local_rep)
+                    ref, ref_smallest = dense_near_spectrum(m, anchor, radius=radius)
+                    _same_values(near.values, ref.values, DEFAULT_TOL.eig)
+                    assert smallest == pytest.approx(ref_smallest, abs=DEFAULT_TOL.eig)
+                    reach = np.inf if radius is None else _chord_reach(radius)
+                    if radius is None or not np.any(np.abs(mags - reach) < 1e-4):
+                        assert _projector_distance(near.vectors, ref.vectors) <= 1e-10, (cls, what, radius)
+    assert seen == {"circle", "line", "segment", "piece", "cell bases", "join", "mixed cells", "zheevd join"}
+    assert runs_seen == {1, 2}
+    assert clusters >= 40 and unbalanced >= 3
+
+
+def test_chiral_route_on_the_near_degenerate_zheevd_pairs():
+    # the pairs that eigh returns with an orthonormality defect of 6e-10 come
+    # out of the chiral route orthonormal and W-invariant
+    op = join_crossover(*ZHEEVD_PAIR, 16, 16, "circle")
+    m = op.matrix
+    assert m.shape[0] >= CHIRAL_MIN_ROWS
+    for basis in _pm_eigenspaces(m, DEFAULT_TOL, rep=op.local_rep):
+        assert basis.shape[1] == 2
+        assert spectral_norm(basis.conj().T @ basis - np.eye(2)) <= 1e-12
+        assert spectral_norm(m @ basis - basis @ (basis.conj().T @ m @ basis)) <= 1e-12
+
+
+def _chiral_frame_matrix(runs) -> tuple[np.ndarray, int]:
+    """The dense unitary whose columns are every cell's + frame vectors, then its - ones."""
+    cols = ([], [])
+    n = sum(count * cell.dim for _, count, cell in runs)
+    for start, count, cell in runs:
+        basis, n_plus = cell.chiral_frame
+        for c in range(count):
+            at = start + c * cell.dim
+            for side, part in enumerate((basis[:, :n_plus], basis[:, n_plus:])):
+                for v in part.T:
+                    col = np.zeros(n, dtype=complex)
+                    col[at : at + cell.dim] = v
+                    cols[side].append(col)
+    return np.stack(cols[0] + cols[1], axis=1), len(cols[0])
+
+
+def _chiral_hermitian(runs, sigma, gen, delta: float = 0.0):
+    """A Hermitian ``h`` anticommuting with gamma whose off-diagonal block has the
+    singular values ``sigma`` (``min(n+, n-)`` of them), plus the gamma-even
+    ``-delta (u u* (+) v v*)`` on the pair of ``sigma[0]``, which moves its
+    eigenvalues to ``+-sigma[0] - delta`` and has Frobenius norm ``delta sqrt 2``."""
+    frame, n_p = _chiral_frame_matrix(runs)
+    n = frame.shape[0]
+    u, v = haar_unitary(gen, n_p), haar_unitary(gen, n - n_p)
+    r = len(sigma)
+    hf = np.zeros((n, n), dtype=complex)
+    hf[:n_p, n_p:] = (u[:, :r] * sigma) @ v[:, :r].conj().T
+    hf[n_p:, :n_p] = hf[:n_p, n_p:].conj().T
+    hf[:n_p, :n_p] -= delta * np.outer(u[:, 0], u[:, 0].conj())
+    hf[n_p:, n_p:] -= delta * np.outer(v[:, 0], v[:, 0].conj())
+    h = frame @ hf @ frame.conj().T
+    return (h + h.conj().T) / 2
+
+
+def _knife_reps(gen):
+    for cls in CHIRAL_CLASSES:
+        for cells in cell_layouts(cls, gen, "haar").values():
+            yield LocalSymmetryRep(cls, cells)
+
+
+def _route_at_every_size(monkeypatch):
+    monkeypatch.setattr(walkindex.indices, "CHIRAL_MIN_ROWS", 0)
+    monkeypatch.setattr(walkindex.indices, "CHIRAL_CERTIFICATE_MIN_ROWS", 0)
+
+
+@pytest.mark.parametrize(
+    "ceiling, tol",
+    [(ceiling, DEFAULT_TOL) for ceiling in CERTIFICATE_CEILINGS] + [(1e-10, DEFAULT_TOL.with_(ker=1e-4))],
+    ids=["0.1", "1e-3", "1e-10", "1e-10-ker-1e-4"],
+)
+def test_chiral_route_knife_edges(ceiling, tol, monkeypatch):
+    # one sigma at c (1 -+ 1e-6), c = max(ceiling, tol.ker), the rest in
+    # [0.6, 1], on one run, two runs and mixed cell dimensions (where
+    # n+ != n- adds exact zeros): below c the pair is in the cluster, above
+    # it is not, as in the dense oracle
+    _route_at_every_size(monkeypatch)
+    gen = rng(2930)
+    c = max(ceiling, tol.ker)
+    cases = 0
+    for rep in _knife_reps(gen):
+        runs = rep.runs()
+        n_p = sum(count * cell.chiral_frame[1] for _, count, cell in runs)
+        n = sum(count * cell.dim for _, count, cell in runs)
+        zeros = abs(n - 2 * n_p)
+        for side in (-1, 1):
+            sigma = gen.uniform(0.6, 1.0, min(n_p, n - n_p))
+            sigma[0] = c * (1 + side * 1e-6)
+            h = _chiral_hermitian(runs, sigma, gen)
+            want = dense_kernel_cluster(h, ceiling, tol).size
+            assert want == zeros + 2 * (side < 0)
+            for likely_empty in (False, True):
+                assert _essential_kernel(h, tol, ceiling, rep, likely_empty).shape[1] == want
+            cases += 1
+    assert cases == 2 * 3 * len(CHIRAL_CLASSES)
+
+
+def test_chiral_radius_keeps_every_eigenvalue_within_reach():
+    # a gamma-even part of norm e below the floor moves one eigenvalue of a
+    # pair from sigma = reach + delta/2 to reach - delta/2: the dense route
+    # keeps it, and so must the chiral route, whose radius is widened by e
+    gen = rng(2931)
+    radius = 0.2
+    reach = _chord_reach(radius)
+    delta = 0.5 * CHIRAL_EVEN_FLOOR
+    for runs in (rep.runs() for rep in _knife_reps(gen)):
+        n_p = sum(count * cell.chiral_frame[1] for _, count, cell in runs)
+        n = sum(count * cell.dim for _, count, cell in runs)
+        sigma = gen.uniform(0.6, 1.0, min(n_p, n - n_p))
+        sigma[0] = reach + delta / 2
+        h = _chiral_hermitian(runs, sigma, gen, delta)
+        vals, vecs = np.linalg.eigh(h)
+        inside = vecs[:, np.abs(vals) <= reach]
+        assert inside.shape[1] == abs(n - 2 * n_p) + 1
+        kept, _ = _chiral_cluster(h, runs, DEFAULT_TOL, ESSENTIAL_KERNEL_CEILING, radius=radius)
+        assert kept.shape[1] == inside.shape[1] + 1
+        assert spectral_norm(inside - kept @ (kept.conj().T @ inside)) <= 1e-9
+
+
+def test_chiral_certificate_clears_only_what_the_dense_spectrum_clears(monkeypatch):
+    # the values-only SVD returns an empty cluster without vectors only when
+    # every sigma exceeds c + e, so that every eigenvalue of h exceeds c; at
+    # sigma = c + delta/2 with a gamma-even part moving one eigenvalue to
+    # c - delta/2 it must go on to the full SVD
+    calls = []
+    svd = np.linalg.svd
+    def recording(a, **kw):
+        calls.append(kw.get("compute_uv", True))
+        return svd(a, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    gen = rng(2932)
+    ceiling = ESSENTIAL_KERNEL_CEILING
+    for runs in (rep.runs() for rep in _knife_reps(gen)):
+        n_p = sum(count * cell.chiral_frame[1] for _, count, cell in runs)
+        n = sum(count * cell.dim for _, count, cell in runs)
+        if n != 2 * n_p:
+            continue
+        for delta, certified in ((0.0, True), (0.5 * CHIRAL_EVEN_FLOOR, False)):
+            sigma = gen.uniform(0.6, 1.0, n_p)
+            sigma[0] = ceiling * (1 + 1e-6) if delta == 0 else ceiling + delta / 2
+            h = _chiral_hermitian(runs, sigma, gen, delta)
+            assert (np.min(np.abs(np.linalg.eigvalsh(h))) > ceiling) == certified
+            calls.clear()
+            kept, _ = _chiral_cluster(h, runs, DEFAULT_TOL, ceiling, likely_empty=True)
+            assert kept.shape[1] == 0
+            assert calls == ([False] if certified else [False, True])
+
+
+def test_even_part_above_the_floor_takes_the_dense_route(monkeypatch):
+    # an admissible walk whose gamma-even part of Im W is above the floor:
+    # the chiral route declines, one eigh of the whole matrix answers, and the
+    # answers are the oracle's
+    gen = rng(2933)
+    ring = build_lattice(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 48, "circle")
+    assert ring.dim // 2 >= CHIRAL_MIN_ROWS
+    cells = gen.normal(size=(48, 2, 2)) + 1j * gen.normal(size=(48, 2, 2))
+    k = block_diagonal([(a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2) for a in cells])
+    w = ring.matrix @ expm(2e-9j * k)
+    op = LatticeOperator.from_matrix(w, ring.cells, ring.band, ring.local_rep)
+    check_admissible(op)
+    h = imaginary_part(w)
+    runs = op.local_rep.runs()
+    frame, n_p = _chiral_frame_matrix(runs)
+    hf = frame.conj().T @ h @ frame
+    assert np.hypot(np.linalg.norm(hf[:n_p, :n_p]), np.linalg.norm(hf[n_p:, n_p:])) > CHIRAL_EVEN_FLOOR
+    assert _chiral_cluster(h, runs, DEFAULT_TOL, ESSENTIAL_KERNEL_CEILING) is None
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
+    for piece in half_spaces(op, 0):
+        hp = imaginary_part(piece.matrix)
+        assert hp.shape[0] >= CHIRAL_MIN_ROWS
+        got = _essential_kernel(hp, DEFAULT_TOL, rep=piece.local_rep)
+        assert np.array_equal(got, dense_kernel_basis(hp, ESSENTIAL_KERNEL_CEILING))
+        assert eighs[-2:] == [hp.shape, hp.shape]
+    for radius in (None, 0.3):
+        eighs.clear()
+        near, smallest = near_spectrum(w, radius=radius, rep=op.local_rep)
+        assert w.shape in eighs
+        ref, ref_smallest = dense_near_spectrum(w, radius=radius)
+        assert np.array_equal(near.values, ref.values) and smallest == ref_smallest
+    assert si_left_right(op, 0) == si_left_right(ring, 0)
+    assert si_pm(op) == si_pm(ring)
+
+
+def test_operators_below_the_row_floors_take_the_dense_route(monkeypatch):
+    # the chiral route starts at CHIRAL_MIN_ROWS rows for a piece with proxy
+    # ends and at CHIRAL_CERTIFICATE_MIN_ROWS for a closed operator; below,
+    # the certificate and one eigh answer, as for the classes without gamma
+    shapes = []
+    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(np.shape(a)) or cholesky(a))
+    ti = make_split_step(9 * np.pi / 32, 7 * np.pi / 32)
+    for rows, dense in ((CHIRAL_MIN_ROWS - 4, True), (CHIRAL_MIN_ROWS, False)):
+        shapes.clear()
+        piece = half_spaces(build_lattice(ti, rows, "circle"), 0)[1]
+        assert piece.dim == rows
+        assert int(si_total(piece)) == 1
+        assert ((rows, rows) in shapes) == dense
+    for rows, dense in ((CHIRAL_CERTIFICATE_MIN_ROWS - 4, True), (CHIRAL_CERTIFICATE_MIN_ROWS, False)):
+        shapes.clear()
+        ring = build_lattice(ti, rows // 2, "circle")
+        assert [int(v) for v in si_pm(ring)] == [0, 0]
+        assert ((rows, rows) in shapes) == dense

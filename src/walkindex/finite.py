@@ -349,10 +349,14 @@ def _radius_for_mass(
 
     ``profiles`` is one profile or a stack of them as rows; 0 for no rows.
     """
-    # radius r covers cells with bond distance < r, matching cells_near_bond
-    dist = np.array(
-        [min(cells.bond_distance(c, b) for b in interfaces) for c in range(cells.n_cells)]
-    )
+    # radius r covers cells with bond distance < r, matching cells_near_bond;
+    # the distance is CellStructure.bond_distance for every cell and bond at once
+    n = cells.n_cells
+    c, b = np.arange(n)[:, None], np.asarray(interfaces, dtype=int)[None, :]
+    if cells.topology == "circle":
+        dist = np.minimum((c - b) % n, (b - 1 - c) % n).min(axis=1)
+    else:
+        dist = np.where(c >= b, c - b, b - 1 - c).min(axis=1)
     top = int(dist.max()) + 1
     return max(
         (

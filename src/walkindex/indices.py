@@ -75,6 +75,7 @@ from .operators import (
 )
 from .symmetry import (
     ADMISSIBILITY,
+    FLOAT_EPS,
     IndexValue,
     Runs,
     SymmetryClass,
@@ -179,7 +180,7 @@ def _gap_certified(h: np.ndarray, tol: Tolerances, ceiling: float) -> bool:
     n = h.shape[0]
     frob = frobenius_bound(h)
     c = max(ceiling, tol.ker * max(1.0, frob))
-    delta = GAP_CERTIFICATE_SLACK * (n + 1) * np.finfo(float).eps * max(1.0, frob**2)
+    delta = GAP_CERTIFICATE_SLACK * (n + 1) * FLOAT_EPS * max(1.0, frob**2)
     a = h @ h
     a.flat[:: n + 1] -= c * c + delta
     try:

@@ -34,6 +34,7 @@ from .errors import CutOutOfRange, IncompatibleCells, NotAdmissible
 from .symmetry import (
     ADMISSIBILITY,
     ADMISSIBILITY_SCREEN_SLACK,
+    FLOAT_TINY,
     Runs,
     SymmetryClass,
     SymmetryRep,
@@ -665,7 +666,7 @@ def _far_norm(stacks: Mapping[int, np.ndarray], n: int, d: int, b: int, circle: 
     far = {j: s for j, s in stacks.items() if abs(j) > b}
     big = n * d
     # padded as frobenius_bound is, against squares lost to underflow
-    pad = big * big * np.finfo(float).tiny
+    pad = big * big * FLOAT_TINY
     if not far:
         return float(np.sqrt(pad))
 

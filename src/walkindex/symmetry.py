@@ -62,6 +62,7 @@ __all__ = [
     "ADMISSIBILITY_SCREEN_SLACK",
     "spectral_norm",
     "frobenius_bound",
+    "frobenius_bounds",
     "screened_norm",
     "unitarity_defect",
     "apply_runs",
@@ -225,23 +226,42 @@ def spectral_norm(x: np.ndarray) -> float | np.ndarray:
 # bound, so rounding in either norm cannot change the spectral-norm verdict
 ADMISSIBILITY_SCREEN_SLACK = 1e-6
 
+# the smallest normal double and the rounding unit
+FLOAT_TINY = float(np.finfo(float).tiny)
+FLOAT_EPS = float(np.finfo(float).eps)
+
 
 def frobenius_bound(x: np.ndarray) -> float:
     """``||x||_F``, an upper bound on the spectral norm."""
     # a real or imaginary part whose square underflows loses less than tiny
     # from the sum, so the padding keeps this above ||x||_F
-    return float(np.sqrt(np.vdot(x, x).real + 2 * x.size * np.finfo(float).tiny))
+    return float(np.sqrt(np.vdot(x, x).real + 2 * x.size * FLOAT_TINY))
+
+
+def frobenius_bounds(x: np.ndarray) -> np.ndarray:
+    """:func:`frobenius_bound` of each matrix of a stack, from one batched sum of squares."""
+    squares = (x.real**2 + x.imag**2).sum(axis=(-2, -1))
+    return np.sqrt(squares + 2 * x.shape[-2] * x.shape[-1] * FLOAT_TINY)
 
 
 def screened_norm(x: np.ndarray, bound: float | None = None) -> float | np.ndarray:
     """:func:`spectral_norm`, except that a residual whose Frobenius norm (an
     upper bound) is at most ``bound`` less ``ADMISSIBILITY_SCREEN_SLACK``
-    returns that bound and takes no SVD; a failing residual is always exact."""
-    if bound is not None:
+    returns that bound and takes no SVD; a failing residual is always exact.
+
+    A stack is screened matrix by matrix: an SVD is taken only of the
+    matrices whose bound does not pass."""
+    if bound is None:
+        return spectral_norm(x)
+    passing = bound * (1 - ADMISSIBILITY_SCREEN_SLACK)
+    if x.ndim == 2:
         frob = frobenius_bound(x)
-        if frob <= bound * (1 - ADMISSIBILITY_SCREEN_SLACK):
-            return frob
-    return spectral_norm(x)
+        return frob if frob <= passing else spectral_norm(x)
+    frobs = frobenius_bounds(x)
+    fail = ~(frobs <= passing)
+    if fail.any():
+        frobs[fail] = spectral_norm(x[fail])
+    return frobs
 
 
 def unitarity_defect(m: np.ndarray, bound: float | None = None) -> float | np.ndarray:
@@ -302,10 +322,11 @@ class SymmetryOperator:
         """Compression to the column span of an orthonormal ``basis``."""
         return SymmetryOperator(basis.conj().T @ self.apply(basis), self.antiunitary)
 
-    def invariance_defect(self, basis: np.ndarray) -> float:
-        """Norm of the part of ``sigma(basis)`` leaving the span."""
+    def invariance_defect(self, basis: np.ndarray, bound: float | None = None) -> float:
+        """Norm of the part of ``sigma(basis)`` leaving the span, screened by
+        ``bound`` (:func:`screened_norm`)."""
         image = self.apply(basis)
-        return spectral_norm(image - basis @ (basis.conj().T @ image))
+        return screened_norm(image - basis @ (basis.conj().T @ image), bound)
 
     def conjugated(self, u: np.ndarray) -> "SymmetryOperator":
         """The operator ``u sigma u^-1`` for unitary ``u``."""
@@ -606,7 +627,7 @@ def fixed_point_basis(
     Requires ``sigma^2 = +1`` and an invariant span.  In such a basis the
     compression of ``sigma`` is plain complex conjugation.
     """
-    defect = op.invariance_defect(basis)
+    defect = op.invariance_defect(basis, tol.adm)
     if defect > tol.adm:
         raise NotAdmissible(f"span not invariant: defect {defect:.3e}")
     vecs: list[np.ndarray] = []
@@ -639,7 +660,7 @@ def kramers_pairs(
     """
     if basis.shape[1] % 2:
         raise RelationViolation(f"Kramers pairing needs even dimension, got {basis.shape[1]}")
-    defect = op.invariance_defect(basis)
+    defect = op.invariance_defect(basis, tol.adm)
     if defect > tol.adm:
         raise NotAdmissible(f"span not invariant: defect {defect:.3e}")
     vs: list[np.ndarray] = []

@@ -36,6 +36,7 @@ from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep, assemble_
 from .operators import INVARIANCE_FLOOR, check_admissible, check_unitary, imaginary_part
 from .symmetry import (
     ADMISSIBILITY,
+    FLOAT_EPS,
     IndexGroup,
     IndexValue,
     SymmetryClass,
@@ -43,8 +44,9 @@ from .symmetry import (
     SymmetryRep,
     block_diagonal,
     chiral_sectors,
+    frobenius_bounds,
     kramers_pairs,
-    spectral_norm,
+    screened_norm,
     unitarity_defect,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -81,6 +83,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 MAX_MOMENTUM_SAMPLES = 8192
 # ti_gap_margin doubles its grid until the margin moves by at most this fraction.
 GAP_MARGIN_STEP = 0.01
+# Rounding units per cell dimension and hopping block that ti_gap_margin's
+# Hermitian screen adds to the unitarity bound for the Bloch sums, Re W(k)
+# and the backward errors of eigvalsh and eigvals (_gap_screen_slack).
+GAP_SCREEN_SLACK = 64.0
 # _berry_once refines its grid while a neighbouring band-frame overlap has |det| below this.
 BERRY_OVERLAP_FLOOR = 0.3
 # A product of unit-norm factors whose paths to one offset cancel leaves
@@ -303,14 +309,15 @@ def builtin_walk(name: str, /, **params) -> TIWalk:
 
 
 def _unitary_bloch_stack(
-    ti: TIWalk, ks: np.ndarray, tol: Tolerances
+    ti: TIWalk, ks: np.ndarray, tol: Tolerances, bound: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``bloch_stack(ks)`` and its unitarity defects, from one batched norm.
+    """``bloch_stack(ks)`` and its unitarity defects, screened by ``bound <= tol.unit``
+    (:func:`~walkindex.symmetry.screened_norm`): a bound where it passes, else exact.
 
     Raises ``NotUnitary`` naming the first momentum above ``tol.unit``.
     """
     w = ti.bloch_stack(ks)
-    defects = unitarity_defect(w)
+    defects = unitarity_defect(w, bound)
     bad = np.flatnonzero(defects > tol.unit)
     if bad.size:
         i = bad[0]
@@ -323,18 +330,23 @@ def validate_ti(ti: TIWalk, tol: Tolerances = DEFAULT_TOL) -> float:
 
     Antiunitary symmetries relate ``W(k)`` and ``W(-k)``:
     ``E conj(W(-k)) E* = W(k)``, ``T conj(W(-k)) T* = W(k)*``,
-    ``G W(k) G* = W(k)*``.  Each quantity is one batched product and norm
-    over the grid.  Returns the worst residual.
+    ``G W(k) G* = W(k)*``.  Each quantity is one batched product over the
+    grid, screened momentum by momentum
+    (:func:`~walkindex.symmetry.screened_norm`): the unitarity defects by
+    ``min(tol.unit, tol.adm)`` and the relations by ``tol.adm``.  Only a
+    momentum whose Frobenius bound does not pass takes an SVD, so the
+    verdicts are those of the exact norms.  Returns the worst residual: a
+    bound in [exact, ``tol.adm``] where every check passes, else exact.
     """
     ks = np.linspace(-np.pi, np.pi, 17)
-    wk, defects = _unitary_bloch_stack(ti, ks, tol)
+    wk, defects = _unitary_bloch_stack(ti, ks, tol, min(tol.unit, tol.adm))
     wmk = ti.bloch_stack(-ks)
     worst = float(defects.max())
     for name, op in ti.cell_rep.ops.items():
         adjoint, _ = ADMISSIBILITY[name]
         moved = op.conjugate(wmk if op.antiunitary else wk)
         target = wk.conj().swapaxes(-1, -2) if adjoint else wk
-        worst = max(worst, float(spectral_norm(moved - target).max()))
+        worst = max(worst, float(screened_norm(moved - target, tol.adm).max()))
     if worst > tol.adm:
         raise RelationViolation(f"momentum-space symmetry residual {worst:.3e}")
     return worst
@@ -437,8 +449,11 @@ def _band_frames(ti: TIWalk, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
     (``Gapless``), a band rank that changes over the grid (``RankJump``) and
     a frame that ``W(k)`` does not map into itself within
     ``max(tol.eig, INVARIANCE_FLOOR d)`` (``EigenFailure``); each names the momentum.
+    The unitarity defects and the frame residuals are screened by their
+    thresholds (:func:`~walkindex.symmetry.screened_norm`), so a momentum
+    takes an SVD only to fail.
     """
-    w, _ = _unitary_bloch_stack(ti, ks, tol)
+    w, _ = _unitary_bloch_stack(ti, ks, tol, tol.unit)
     im, vectors = np.linalg.eigh(imaginary_part(w))
     near = np.abs(im)
     low = np.flatnonzero(near.min(axis=1) < tol.gap)
@@ -453,9 +468,10 @@ def _band_frames(ti: TIWalk, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
         raise RankJump("upper band rank changes across the momentum grid")
     frames = vectors[:, :, ti.cell_dim - ranks[0] :]
     image = w @ frames
-    residual = spectral_norm(image - frames @ (frames.conj().swapaxes(-1, -2) @ image))
+    bound = max(tol.eig, INVARIANCE_FLOOR * ti.cell_dim)
+    residual = screened_norm(image - frames @ (frames.conj().swapaxes(-1, -2) @ image), bound)
     i = int(np.argmax(residual))
-    if residual[i] > max(tol.eig, INVARIANCE_FLOOR * ti.cell_dim):
+    if residual[i] > bound:
         raise EigenFailure(f"band frame invariance residual {residual[i]:.3e} at k={ks[i]:.4f}")
     return frames
 
@@ -509,19 +525,125 @@ def ti_gap_margin(ti: TIWalk, tol: Tolerances = DEFAULT_TOL, strict: bool = True
 
     The grid starts at 256 momenta and is doubled until the margin
     stabilizes to 1%; raises Gapless below ``tol.gap`` unless ``strict=False``.
+    The grids are nested: the 256 momenta are the even half of the first 512,
+    which are built at once, and each doubling builds only the new odd ones.
+
+    The margin is the minimum over the grid of ``eigvals(W(k))``'s distance
+    to +-1, read only at candidate momenta picked by a Hermitian screen.  For
+    a unitary ``W(k)`` with eigenvalues ``exp(i phi)`` the squared distance
+    to the nearer of +-1 is ``2 - 2 |cos phi|``, and ``Re W(k)`` has the
+    eigenvalues ``cos phi``; so ``s(k) = 2 - 2 max|eigvalsh(Re W(k))|`` is
+    the squared margin, for the grid in one batched ``eigvalsh``.  When
+    ``W(k)`` is not quite unitary the two part by at most ``e``
+    (:func:`_gap_screen_slack`), and every momentum whose eigvals margin
+    squared could be the grid minimum has ``s(k) <= min s + 2 e``.  Those
+    candidates take ``eigvals``; their minimum is the minimum over the whole
+    grid, bit for bit, since ``eigvals`` of one matrix does not depend on the
+    others in its batch.  A walk whose unitarity bound is 1 or more screens
+    nothing: every momentum is a candidate.
     """
-    n = 256
-    prev: float | None = None
+    width = 2 * _gap_screen_slack(ti)
+    n = 512
+    w = ti.bloch_stack(_momenta(n))
+    screen = _hermitian_screen(w, width)
+    exact = np.full(n, np.nan)
+
+    def grid_margin(part: slice) -> float:
+        """The eigvals margin over the momenta ``part`` of the current grid."""
+        s = screen[part]
+        idx = np.arange(n)[part][s <= s.min() + width]
+        todo = idx[np.isnan(exact[idx])]
+        if todo.size:
+            vals = np.linalg.eigvals(w[todo])
+            exact[todo] = np.minimum(np.abs(vals - 1).min(axis=1), np.abs(vals + 1).min(axis=1))
+        return float(exact[idx].min())
+
+    prev = grid_margin(slice(None, None, 2))  # the 256-momentum grid
     while True:
-        vals = np.linalg.eigvals(ti.bloch_stack(-np.pi + 2 * np.pi * np.arange(n) / n))
-        margin = min(float(np.min(np.abs(vals - 1))), float(np.min(np.abs(vals + 1))))
-        if prev is not None and (abs(margin - prev) <= GAP_MARGIN_STEP * max(prev, 1e-12) or n >= MAX_MOMENTUM_SAMPLES):
+        margin = grid_margin(slice(None))
+        if abs(margin - prev) <= GAP_MARGIN_STEP * max(prev, 1e-12) or n >= MAX_MOMENTUM_SAMPLES:
             break
         prev = margin
         n *= 2
+        odd = ti.bloch_stack(_momenta(n)[1::2])
+        w = _interleave(w, odd)
+        screen = _interleave(screen, _hermitian_screen(odd, width))
+        exact = _interleave(exact, np.full(len(odd), np.nan))
     if strict and margin < tol.gap:
         raise Gapless(f"essential gap margin {margin:.3e} below {tol.gap}")
     return margin
+
+
+def _momenta(n: int) -> np.ndarray:
+    """The grid ``-pi + 2 pi j / n``; its even half is the ``n / 2`` grid bit for bit."""
+    return -np.pi + 2 * np.pi * np.arange(n) / n
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The doubled grid's values: ``even`` at its even momenta, ``odd`` between them."""
+    out = np.empty((len(even) + len(odd), *even.shape[1:]), dtype=even.dtype)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
+def _hermitian_screen(w: np.ndarray, width: float) -> np.ndarray:
+    """``2 - 2 max|eigvalsh(Re W(k))|`` for each matrix of a stack; zeros when
+    ``width`` is infinite, where every momentum is a candidate anyway."""
+    if not np.isfinite(width):
+        return np.zeros(len(w))
+    vals = np.linalg.eigvalsh((w + w.conj().swapaxes(-1, -2)) / 2)
+    return 2 - 2 * np.abs(vals).max(axis=1)
+
+
+def _unitarity_bound(offsets: np.ndarray, stacked: np.ndarray) -> float:
+    """``delta = sum_m ||sum_j B_j* B_(j+m) - [m = 0] 1||_F`` of the ``(J, d, d)``
+    hopping blocks ``stacked`` at ``offsets``.
+
+    ``W(k)* W(k) - 1`` is the Fourier sum of these offset sums, so ``delta``
+    bounds its norm at every momentum, from ``J^2`` cell-size products.
+    """
+    d = stacked.shape[-1]
+    reach = int(np.abs(offsets).max(initial=0))
+    sums = np.zeros((4 * reach + 1, d, d), dtype=complex)
+    gram = stacked.conj().swapaxes(-1, -2)[:, None] @ stacked[None]  # B_a* B_b, at offset b - a
+    np.add.at(sums, (offsets[None, :] - offsets[:, None]).ravel() + 2 * reach, gram.reshape(-1, d, d))
+    sums[2 * reach] -= np.eye(d)
+    return float(frobenius_bounds(sums).sum())
+
+
+def _gap_screen_slack(ti: TIWalk) -> float:
+    """The bound ``e`` on ``|m(k)^2 - s(k)|`` for :func:`ti_gap_margin`; inf when
+    the unitarity bound is 1 or more (or not finite).
+
+    Let ``W`` be a computed ``W(k)`` and ``m`` its ``eigvals`` margin.  With
+    ``delta >= ||W* W - 1||`` (:func:`_unitarity_bound`) the polar factor
+    ``U`` of ``W`` is unitary and ``||W - U|| <= delta``, since every
+    singular value ``sigma`` has ``|sigma - 1| <= |sigma^2 - 1|``.  Let
+    ``eta = delta + r``, where ``r`` covers the rounding of the Bloch sum,
+    of ``Re W``, and the backward errors of ``eigvals`` and ``eigvalsh``:
+    ``r = GAP_SCREEN_SLACK (d + J) eps (1 + beta)^2`` for ``d x d`` cells,
+    ``J`` hopping blocks and ``beta = sum_j ||B_j||_F``.
+
+    - Bauer-Fike for the normal ``U``: every computed eigenvalue of ``W`` is
+      within ``eta`` of an eigenvalue of ``U``, and by continuity each
+      eigenvalue of ``U`` has one of ``W`` in its connected union of such
+      disks, within ``2 d eta``.  So ``|m - m_U| <= 2 d eta`` and, with
+      ``m_U <= sqrt 2``, ``|m^2 - m_U^2| <= 2 d eta (3 + 2 d eta)``.
+    - Weyl for the Hermitian ``Re W`` and ``Re U``: their eigenvalues differ
+      by at most ``eta``, so ``|s - m_U^2| <= 2 eta``.
+
+    Hence ``e = 2 d eta (3 + 2 d eta) + 2 eta``.
+    """
+    d = ti.cell_dim
+    offsets = np.array(list(ti.blocks), dtype=int)
+    stacked = np.array(list(ti.blocks.values()), dtype=complex).reshape(-1, d, d)
+    delta = _unitarity_bound(offsets, stacked)
+    if not delta < 1:
+        return np.inf
+    beta = float(frobenius_bounds(stacked).sum())
+    eta = delta + GAP_SCREEN_SLACK * (d + len(offsets)) * FLOAT_EPS * (1 + beta) ** 2
+    return 2 * d * eta * (3 + 2 * d * eta) + 2 * eta
 
 
 # -- finite realizations -----------------------------------------------------------

@@ -51,6 +51,7 @@ from walkindex.errors import (
     Gapless,
     NonIntegerInvariant,
     NotAdmissible,
+    NotUnitary,
     Obstructed,
     RankJump,
     RelationViolation,
@@ -105,6 +106,7 @@ from walkindex.symmetry import (
     block_diagonal,
     chiral_sectors,
     forget_rep,
+    screened_norm,
     spectral_norm,
     unitarity_defect,
 )
@@ -898,6 +900,26 @@ def validate_per_momentum(ti: TIWalk, tol: Tolerances = DEFAULT_TOL) -> float:
             adjoint, _ = ADMISSIBILITY[name]
             moved = op.conjugate(wmk if op.antiunitary else wk)
             worst = max(worst, spectral_norm(moved - (wk.conj().T if adjoint else wk)))
+    if worst > tol.adm:
+        raise RelationViolation(f"momentum-space symmetry residual {worst:.3e}")
+    return worst
+
+
+def validate_screened_per_momentum(ti: TIWalk, tol: Tolerances = DEFAULT_TOL) -> float:
+    """``walks.validate_ti`` one momentum at a time, each residual screened by the
+    batched rule of ``screened_norm`` applied to a one-matrix stack."""
+    worst = 0.0
+    for k in np.linspace(-np.pi, np.pi, 17):
+        wk = bloch_per_momentum(ti, k)
+        defect = unitarity_defect(wk[None], min(tol.unit, tol.adm))[0]
+        if defect > tol.unit:
+            raise NotUnitary(f"W({k:.3f}) has unitarity defect {defect:.3e} > {tol.unit}")
+        worst = max(worst, defect)
+        wmk = bloch_per_momentum(ti, -k)
+        for name, op in ti.cell_rep.ops.items():
+            adjoint, _ = ADMISSIBILITY[name]
+            moved = op.conjugate(wmk if op.antiunitary else wk)
+            worst = max(worst, screened_norm((moved - (wk.conj().T if adjoint else wk))[None], tol.adm)[0])
     if worst > tol.adm:
         raise RelationViolation(f"momentum-space symmetry residual {worst:.3e}")
     return worst

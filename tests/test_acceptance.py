@@ -81,10 +81,10 @@ FAMILIES = (
     (make_doubled("DIII"), (8, 15)),
 )
 
-# half-space indices (left, right) of each family on any cut of a circle
+# half-space indices (left, right) of each family on any cut of a circle; both
+# coin signs of the generating example are named "generating" and share them
 FAMILY_SI = {
     "generating": (-1, 1),
-    "generating_inverse": (1, -1),
     "split_step": None,  # sign depends on the angles; filled per instance below
     "trivial": (0, 0),
     "doubled_cii": (-2, 2),
@@ -436,6 +436,19 @@ def test_06_generator_matches_full_route_fuzz():
 
 
 # -- 7: half-space index consistency ---------------------------------------------------
+
+
+def test_07_inverse_generating_walk_has_the_generating_indices():
+    # negating a walk keeps the kernel of its imaginary part, so W^-1 = -W of
+    # the generating example has its indices (-1, +1), on a circle and on a
+    # decoupled line alike
+    inverse = make_generating_example(True)
+    assert inverse.name == "generating" and FAMILY_SI[inverse.name] == (-1, 1)
+    ring = build_lattice(inverse, 12, "circle")
+    line = truncate_ti(inverse, 12, "decoupled_unitary")
+    for op, cut in ((ring, 0), (ring, 5), (line, 6)):
+        left, right = si_left_right(op, cut)
+        assert (int(left), int(right)) == (-1, 1)
 
 
 def test_07_half_space_index_consistency_laws():

@@ -646,3 +646,29 @@ def test_radius_for_mass_takes_the_widest_of_stacked_profiles():
         each = [_radius_for_mass(p, cells, interfaces) for p in profiles]
         assert _radius_for_mass(profiles, cells, interfaces) == max(each)
         assert _radius_for_mass([], cells, interfaces) == 0
+
+
+def _radius_for_mass_loop(profiles, cells, interfaces, mass=0.9) -> int:
+    """``_radius_for_mass`` with the distance from one ``bond_distance`` call per cell and bond."""
+    dist = np.array([min(cells.bond_distance(c, b) for b in interfaces) for c in range(cells.n_cells)])
+    top = int(dist.max()) + 1
+    rows = np.reshape(profiles, (-1, cells.n_cells))
+    return max(
+        (next((r for r in range(1, top + 1) if float(np.sum(p[dist < r])) >= mass), top) for p in rows),
+        default=0,
+    )
+
+
+def test_radius_for_mass_matches_the_bond_distance_loop():
+    gen = np.random.default_rng(2302)
+    for topology in ("circle", "line"):
+        for n in (3, 8, 17, 48):
+            cells = CellStructure.uniform(n, 2, topology)
+            bonds = np.arange(n + (topology == "line"))
+            for _ in range(6):
+                interfaces = tuple(int(b) for b in gen.choice(bonds, size=int(gen.integers(1, 3)), replace=False))
+                profiles = gen.random((3, n)) ** 6
+                profiles /= profiles.sum(axis=1, keepdims=True)
+                for mass in (0.5, 0.9, 0.999):
+                    expect = _radius_for_mass_loop(profiles, cells, interfaces, mass)
+                    assert _radius_for_mass(profiles, cells, interfaces, mass) == expect

@@ -287,3 +287,32 @@ def test_a_call_without_a_threshold_is_found(tmp_path):
         encoding="utf-8",
     )
     assert _calls_without_threshold([source]) == ["module.py:8: gate"]
+
+
+def _finfo_in_function_bodies(path: Path) -> list[str]:
+    """``np.finfo`` calls inside a function or lambda, which build the object on every call."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "finfo":
+                    found.append(f"{path.name}:{call.lineno}: {getattr(node, 'name', 'lambda')}")
+    return found
+
+
+def test_no_function_body_calls_finfo():
+    # machine constants are module constants: np.finfo constructs its object
+    # each time, thousands of times per decoupling
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "walkindex").glob("*.py"))
+    assert [entry for path in files for entry in _finfo_in_function_bodies(path)] == []
+
+
+def test_a_finfo_call_in_a_function_is_found(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "import numpy as np\nTINY = np.finfo(float).tiny\n\n"
+        "def pad(x):\n    return x + np.finfo(float).eps\n",
+        encoding="utf-8",
+    )
+    assert _finfo_in_function_bodies(source) == ["module.py:5: pad"]

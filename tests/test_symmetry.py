@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import walkindex.symmetry as symmetry_module
 from helpers import (
     ALL_CLASSES,
     SIGMA_X,
@@ -44,6 +45,8 @@ from walkindex.symmetry import (
     forget_rep,
     kramers_pairs,
     rep_index,
+    screened_norm,
+    spectral_norm,
     times_runs,
     trace_runs,
 )
@@ -169,6 +172,39 @@ def test_restriction_to_invariant_subspace_keeps_action():
     sub = op.restrict(basis)
     assert sub.antiunitary and np.allclose(sub.matrix, np.eye(2))
     assert op.invariance_defect(basis) < 1e-14
+
+
+def test_screened_norm_screens_a_stack_matrix_by_matrix(monkeypatch):
+    # one Frobenius bound per matrix; an SVD only of the matrices it does not
+    # pass, whose values are then the exact norms bit for bit
+    gen = rng(6)
+    x = gen.normal(size=(9, 3, 3)) + 1j * gen.normal(size=(9, 3, 3))
+    x *= (10.0 ** gen.uniform(-10, -7, 9))[:, None, None]
+    bound = 1e-8
+    exact = spectral_norm(x)
+    svds = []
+    monkeypatch.setattr(symmetry_module, "spectral_norm", lambda m: svds.append(m.shape) or spectral_norm(m))
+    out = screened_norm(x, bound)
+    fails = out > bound * (1 - 1e-6)
+    assert 0 < np.count_nonzero(fails) < len(x) and svds == [(np.count_nonzero(fails), 3, 3)]
+    assert np.array_equal(out[fails], exact[fails])
+    assert np.all((exact[~fails] <= out[~fails]) & (out[~fails] <= bound))
+    assert np.array_equal(screened_norm(x[~fails], bound), out[~fails]) and len(svds) == 1
+    # a residual that is not a number never passes the screen
+    x[3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        screened_norm(x, bound)
+
+
+def test_invariance_defect_is_screened_by_its_bound():
+    gen = rng(7)
+    op = SymmetryOperator(np.eye(4), True)
+    basis = np.linalg.qr(gen.normal(size=(4, 2)) + 1j * gen.normal(size=(4, 2)))[0]
+    exact = op.invariance_defect(basis)
+    assert exact > 0.1
+    assert op.invariance_defect(basis, 1.0) == pytest.approx(exact, rel=1.5)
+    assert exact <= op.invariance_defect(basis, 1.0) <= 1.0
+    assert op.invariance_defect(basis, 0.1) == exact
 
 
 # -- representations ----------------------------------------------------------------

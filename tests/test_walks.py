@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import walkindex.symmetry as symmetry_module
+import walkindex.walks as walks_module
 from helpers import (
     SIGMA_X,
     berry_per_momentum,
@@ -19,6 +22,7 @@ from helpers import (
     haar_unitary,
     rng,
     validate_per_momentum,
+    validate_screened_per_momentum,
     winding_per_momentum,
 )
 from walkindex.errors import (
@@ -34,7 +38,7 @@ from walkindex.errors import (
 )
 from walkindex.lattice import measured_band
 from walkindex.serialize import tiwalk_from_json, tiwalk_to_json
-from walkindex.symmetry import SymmetryClass
+from walkindex.symmetry import SymmetryClass, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import (
     TIWalk,
@@ -487,6 +491,97 @@ def test_batched_gap_margin_is_bitwise_the_per_momentum_loop():
         assert ti_gap_margin(ti, strict=False) == gap_margin_per_momentum(ti)
 
 
+def _off_unitary(ti: TIWalk, eps: float, gen: np.random.Generator) -> TIWalk:
+    """An explicit walk: every hopping block moved by ``eps`` times a random matrix."""
+    d = ti.cell_dim
+    blocks = {j: b + eps * (gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))) for j, b in ti.blocks.items()}
+    return TIWalk(f"{ti.name}-off", ti.cls, d, blocks, ti.cell_rep)
+
+
+def _phased_shifts(phi1: float, phi2: float) -> TIWalk:
+    """Two shifts with phases: bands ``exp(i(phi - k))``, whose V-shaped gap minima
+    sit between grid momenta, so the grid refines."""
+    shift = make_shift()
+    return direct_sum_ti(*(TIWalk("phased", C.A, 1, {-1: np.exp(1j * phi) * np.eye(1)}, shift.cell_rep) for phi in (phi1, phi2)))
+
+
+def _eigvals_counted(monkeypatch) -> list[int]:
+    """Patch ``np.linalg.eigvals`` to record how many matrices each call gets."""
+    counts = []
+    original = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda w: counts.append(len(w)) or original(w))
+    return counts
+
+
+def test_screened_gap_margin_fuzz_is_bitwise_the_per_momentum_loop(monkeypatch):
+    # eigvals runs only at the momenta the Hermitian screen leaves as
+    # candidates; their minimum is the grid's, bit for bit
+    gen = rng(3000)
+    walks = []
+    for _ in range(8):  # within 1e-7 to 1e-3 of the gap edge |tan t2| = |tan t1|
+        t1 = gen.choice((-1, 1)) * gen.uniform(0.3, 1.2)
+        t2 = gen.choice((-1, 1)) * (abs(t1) + gen.choice((-1, 1)) * 10 ** gen.uniform(-7, -3))
+        walks.append(make_split_step(t1, t2))
+    walks += [make_split_step(t, s * t) for t, s in ((0.7, 1), (-1.1, -1), (np.pi / 4, -1))]  # gap closings
+    walks += [make_split_step(0, 0), make_shift(), make_trivial()]
+    walks += [conjugate_ti(make_doubled(v, inv), haar_unitary(gen, 4)) for v in ("CII", "DIII") for inv in (False, True)]
+    walks += [direct_sum_ti(make_split_step(*gen.uniform(-np.pi, np.pi, 2)), make_split_step(0.8, 0.8 + 1e-5))]
+    walks += [direct_sum_ti(make_generating_example(True), make_split_step(1.1, 0.3))]
+    walks += [_phased_shifts(*gen.uniform(-np.pi, np.pi, 2)) for _ in range(6)]
+    for ti in walks:
+        assert ti_gap_margin(ti, strict=False) == gap_margin_per_momentum(ti)
+    # pushed off unitarity, the unitarity bound widens the candidate set
+    counts = _eigvals_counted(monkeypatch)
+    solved = {}
+    for eps in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2):
+        for t1, t2 in ((1.1, 0.3), (0.6, 0.6 + 1e-4), tuple(gen.uniform(-np.pi, np.pi, 2))):
+            ti = _off_unitary(make_split_step(t1, t2), eps, gen)
+            counts.clear()
+            margin = ti_gap_margin(ti, strict=False)
+            solved[eps] = solved.get(eps, 0) + sum(counts)
+            assert margin == gap_margin_per_momentum(ti)
+    assert solved[1e-12] <= 12 and solved[1e-2] > 300
+
+
+def test_gap_margin_builds_each_momentum_once_and_solves_only_candidates(monkeypatch):
+    grids = []
+    original = TIWalk.bloch_stack
+    monkeypatch.setattr(TIWalk, "bloch_stack", lambda self, ks: grids.append(ks) or original(self, ks))
+    counts = _eigvals_counted(monkeypatch)
+    for ti, n in ((make_split_step(1.1, 0.3), 512), (_phased_shifts(-3.038, 0.67), 2048)):
+        grids.clear()
+        counts.clear()
+        ti_gap_margin(ti)
+        ks = np.concatenate(grids)
+        assert len(ks) == n
+        assert np.array_equal(np.sort(ks), -np.pi + 2 * np.pi * np.arange(n) / n)
+        # a gapped walk has its minimum at a momentum or two per grid
+        assert 1 <= sum(counts) <= 6
+    # flat bands tie at every momentum: all of them are candidates
+    counts.clear()
+    ti_gap_margin(make_generating_example())
+    assert sum(counts) == 512
+
+
+def test_momentum_checks_take_an_svd_only_to_fail(monkeypatch):
+    # validate, winding and berry screen their momentum stacks: the
+    # Frobenius bound passes them, and only a failing matrix is measured exactly
+    shapes = []
+    original = symmetry_module.spectral_norm
+    monkeypatch.setattr(symmetry_module, "spectral_norm", lambda x: shapes.append(x.shape) or original(x))
+    for ti, n_k in _chiral_oracle_walks():
+        validate_ti(ti)
+        winding_number(ti, n_k=n_k)
+    for ti, n_k in _phase_oracle_walks():
+        validate_ti(ti)
+        berry_phase(ti, n_k=n_k)
+    assert shapes == []
+    with pytest.raises(NotUnitary):
+        validate_ti(_swelling(make_trivial(), 1e-10 / 1.96))
+    # the momenta whose bound does not pass, k = 0 among them, and nothing else
+    assert len(shapes) == 1 and 1 <= shapes[0][0] < 17 and shapes[0][1:] == (2, 2)
+
+
 # -- batched momentum grids against the per-momentum loops -----------------------------
 
 
@@ -531,9 +626,56 @@ def test_bloch_stack_is_the_scalar_accumulation():
         assert np.array_equal(ti.bloch_stack(ks), np.stack([bloch_per_momentum(ti, k) for k in ks]))
 
 
-def test_batched_validate_is_bitwise_the_per_momentum_loop():
-    for ti, _ in _chiral_oracle_walks() + _phase_oracle_walks():
-        assert validate_ti(ti) == validate_per_momentum(ti)
+def _twisted(ti: TIWalk, eps: float, gen: np.random.Generator) -> TIWalk:
+    """``W(k) exp(i eps H)`` for a random Hermitian ``H``: unitary, and off its
+    symmetry relations by about ``eps`` at every momentum."""
+    h = gen.normal(size=(ti.cell_dim,) * 2) + 1j * gen.normal(size=(ti.cell_dim,) * 2)
+    v = expm(0.5j * eps * (h + h.conj().T))
+    return TIWalk(f"{ti.name}-twisted", ti.cls, ti.cell_dim, {j: b @ v for j, b in ti.blocks.items()}, ti.cell_rep)
+
+
+def _outcome(check, ti: TIWalk) -> tuple[str, str | float]:
+    try:
+        return "pass", check(ti)
+    except (NotUnitary, RelationViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_screened_validate_matches_the_per_momentum_oracle(monkeypatch):
+    # each residual is screened: a passing one is a bound in [exact, tol.adm],
+    # a failing one the exact norm, so verdicts and failure messages are the oracle's
+    broken = [_twisted(make_split_step(1.1, 0.3), 3e-9, rng(3)), _swelling(make_trivial(), 1e-10 / 1.96)]
+    for ti in [ti for ti, _ in _chiral_oracle_walks() + _phase_oracle_walks()] + broken:
+        verdict, value = _outcome(validate_ti, ti)
+        oracle = _outcome(validate_per_momentum, ti)
+        assert (verdict, value) == _outcome(validate_screened_per_momentum, ti)
+        if verdict == "pass":
+            assert oracle[0] == "pass" and oracle[1] <= value <= DEFAULT_TOL.adm
+        else:
+            assert (verdict, value) == oracle
+    assert [_outcome(validate_ti, ti)[0] for ti in broken] == ["RelationViolation", "NotUnitary"]
+    # matrix by matrix: a failing residual is bitwise the exact norm, a
+    # passing one lies between the exact norm and its threshold
+    seen = []
+    original = symmetry_module.screened_norm
+
+    def recording(x, bound=None):
+        out = original(x, bound)
+        seen.append((x, bound, out))
+        return out
+
+    for module in (symmetry_module, walks_module):
+        monkeypatch.setattr(module, "screened_norm", recording)
+    with pytest.raises(RelationViolation):
+        validate_ti(broken[0])
+    failing = 0
+    for x, bound, out in seen:
+        exact = np.array([spectral_norm(m) for m in x])
+        fails = out > bound
+        assert np.array_equal(out[fails], exact[fails])
+        assert np.all((exact[~fails] <= out[~fails]) & (out[~fails] <= bound))
+        failing += np.count_nonzero(fails)
+    assert 0 < failing < sum(len(out) for _, _, out in seen)
 
 
 def test_batched_winding_is_bitwise_the_per_momentum_loop():

@@ -34,6 +34,7 @@ from .errors import (
 from .indices import near_spectrum
 from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep, assemble_blocks, measured_band
 from .operators import check_admissible, check_normal, check_unitary
+from .symmetry import FLOAT_EPS
 from .tolerances import DEFAULT_TOL, Tolerances
 from .walks import (
     CoinFactor,
@@ -289,7 +290,7 @@ def _with_measured_band(
 
 # eigh finds each eigenvalue s of Im W (N x N, norm <= 1) to about N eps, so a
 # sweep reads the smallest |s| as at least N eps: delta >= 2 ln(N eps) - ln 2.
-EIGH_RESOLUTION = float(np.finfo(float).eps)
+EIGH_RESOLUTION = FLOAT_EPS
 
 
 @dataclass(frozen=True)

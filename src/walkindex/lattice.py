@@ -650,66 +650,16 @@ def _band_layout(n: int, b: int, circle: bool) -> _BandLayout:
     return layout
 
 
-def _far_norm(stacks: Mapping[int, np.ndarray], n: int, d: int, b: int, circle: bool) -> float:
-    """Frobenius norm of the stacks at offsets beyond ``b``, with the squares
-    summed as in the placed matrix, so that it keeps its bits whichever way
-    an operator was built.
-
-    Row r of a cell x with b <= x < n - b has its band in columns
-    [(x - b)d, (x + b + 1)d).  In the row-major matrix the entries from the
-    end of that band to the start of the next row's band form one run, summed
-    by one ``einsum``; the runs add up by x, then by r.  Only the runs of
-    rows that hold an entry beyond the band are formed (the others add zero).
-    The 2b edge cells' rows, whose band wraps on a circle and is clipped on
-    a line, are summed by cell pair.
-    """
-    far = {j: s for j, s in stacks.items() if abs(j) > b}
-    big = n * d
+def _far_norm(stacks: Mapping[int, np.ndarray], n: int, d: int, b: int) -> float:
+    """Frobenius norm of the stacks at offsets beyond ``b``: one sum of squares
+    per stack, added in offset order.  A zero stack adds exactly 0.0, so the
+    norm keeps its bits whichever way an operator was built or read back."""
+    total = 0.0
+    for j in sorted(stacks):
+        if abs(j) > b:
+            total += float(np.vdot(stacks[j], stacks[j]).real)
     # padded as frobenius_bound is, against squares lost to underflow
-    pad = big * big * FLOAT_TINY
-    if not far:
-        return float(np.sqrt(pad))
-
-    offsets, stacked = np.array(list(far)), np.array(list(far.values()))
-
-    def rows(cells: np.ndarray) -> np.ndarray:
-        """``(len(cells), d, n, d)``: the entries of these cells' rows beyond the band."""
-        out = np.zeros((len(cells), d, n, d), dtype=complex)
-        src = cells - offsets[:, None]
-        k, c = np.nonzero((src >= 0) & (src < n) | circle)
-        out[c, :, src[k, c] % n, :] = stacked[k, src[k, c] % n]
-        return out
-
-    k, src = np.nonzero(stacked.any(axis=(2, 3)))
-    hit = np.zeros(n + 1, dtype=bool)
-    hit[(src + offsets[k]) % n] = True
-    # a run starts in a row of cell x and ends in the next row, of x or x + 1
-    xs = np.flatnonzero(hit[b : n - b] | hit[b + 1 : n - b + 1]) + b
-    edge = np.concatenate([np.arange(b), np.arange(n - b, n)])
-    here, after, edges = np.split(rows(np.concatenate([xs, xs + 1, edge])), [len(xs), 2 * len(xs)])
-    # the rows of each cell x, then the first row of cell x + 1 and a spare entry
-    ends = np.zeros((len(xs), (d + 1) * big + 1), dtype=complex)
-    ends[:, : d * big] = here.reshape(len(xs), d * big)
-    ends[:, d * big : -1] = after[:, 0].reshape(len(xs), big)
-    # run (x, r) starts after the band of row r of cell x; the run of a cell's last row
-    # reaches into the next cell's first row, d entries further, and cell n - b - 1 has none
-    length = big - 2 * b * d
-    last = xs[xs < n - b - 1]
-    starts = [r * big + (xs + b + 1) * d for r in range(d - 1)] + [(d - 1) * big + (last + b + 1) * d]
-    owners = [np.arange(len(xs))] * (d - 1) + [np.arange(len(last))]
-    # one run per row, the rows a spare entry apart: einsum sums each run on its own
-    runs = ends[np.concatenate(owners)[:, None], np.concatenate(starts)[:, None] + np.arange(length + 1)]
-    runs = runs.view(float)
-    total, first = 0.0, 0
-    for r, owner in enumerate(owners):
-        part = runs[first : first + len(owner), : 2 * (length - (d if r < d - 1 else 0))]
-        total += float(np.einsum("ij,ij->", part, part))
-        first += len(owner)
-    mass = np.einsum("xrys,xrys->xy", edges.real, edges.real) + np.einsum("xrys,xrys->xy", edges.imag, edges.imag)
-    dist = np.abs(edge[:, None] - np.arange(n))
-    if circle:
-        dist = np.minimum(dist, n - dist)
-    return float(np.sqrt(total + mass[dist > b].sum() + pad))
+    return float(np.sqrt(total + (n * d) ** 2 * FLOAT_TINY))
 
 
 class CellBand:
@@ -732,7 +682,7 @@ class CellBand:
             n, d, band, circle = 1, cells.total_dim, 0, True
         else:
             d, circle = cells.cell_dims[0], cells.topology == "circle"
-        self.n_cells, self.cell_dim, self.band, self.circle = n, d, band, circle
+        self.n_cells, self.cell_dim, self.band = n, d, band
         self.layout = _band_layout(n, band, circle)
 
     @classmethod
@@ -760,7 +710,7 @@ class CellBand:
     def offband(self) -> float:
         if self.n_cells == 1:
             return 0.0
-        return _far_norm(self.stacks, self.n_cells, self.cell_dim, self.band, self.circle)
+        return _far_norm(self.stacks, self.n_cells, self.cell_dim, self.band)
 
     def one_cell(self) -> "CellBand":
         """The whole matrix as one cell."""

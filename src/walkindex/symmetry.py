@@ -68,6 +68,7 @@ __all__ = [
     "apply_runs",
     "times_runs",
     "trace_runs",
+    "compress_invariant",
     "restrict_runs",
     "block_diagonal",
     "rep_index",
@@ -318,16 +319,6 @@ class SymmetryOperator:
             return SymmetryOperator(self.matrix.T, True)
         return SymmetryOperator(self.matrix.conj().T, False)
 
-    def restrict(self, basis: np.ndarray) -> "SymmetryOperator":
-        """Compression to the column span of an orthonormal ``basis``."""
-        return SymmetryOperator(basis.conj().T @ self.apply(basis), self.antiunitary)
-
-    def invariance_defect(self, basis: np.ndarray, bound: float | None = None) -> float:
-        """Norm of the part of ``sigma(basis)`` leaving the span, screened by
-        ``bound`` (:func:`screened_norm`)."""
-        image = self.apply(basis)
-        return screened_norm(image - basis @ (basis.conj().T @ image), bound)
-
     def conjugated(self, u: np.ndarray) -> "SymmetryOperator":
         """The operator ``u sigma u^-1`` for unitary ``u``."""
         if self.antiunitary:
@@ -496,24 +487,30 @@ def trace_runs(runs: Runs, name: str, x: np.ndarray | None = None) -> complex:
     return total
 
 
+def compress_invariant(basis: np.ndarray, image: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
+    """Compression ``basis* image`` of the operator ``name`` whose image of the
+    orthonormal ``basis`` is ``image``; a part of ``image`` above ``tol.adm``
+    off the span (:func:`screened_norm`) raises ``NotAdmissible``."""
+    sub = basis.conj().T @ image
+    defect = screened_norm(image - basis @ sub, tol.adm)
+    if defect > tol.adm:
+        raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
+    return sub
+
+
 def restrict_runs(
     cls: SymmetryClass, runs: Runs, basis: np.ndarray, tol: Tolerances, walk: np.ndarray | None = None
 ) -> SymmetryRep:
-    """Compression ``basis* sigma(basis)`` of each operator, applied once; a part
-    of ``sigma(basis)`` above ``tol.adm`` off the span (:func:`screened_norm`)
-    raises ``NotAdmissible``.  With a ``walk`` ``W`` the operators are those of
-    the companion rep, ``eta``, ``W tau`` and ``W gamma``: ``W`` times the image
-    by runs for the operators whose walk condition takes the adjoint."""
+    """:func:`compress_invariant` of each operator, applied once by runs.  With
+    a ``walk`` ``W`` the operators are those of the companion rep, ``eta``,
+    ``W tau`` and ``W gamma``: ``W`` times the image by runs for the operators
+    whose walk condition takes the adjoint."""
     ops = {}
     for name, op in runs[0][2].ops.items():
         image = apply_runs(runs, name, basis)
         if walk is not None and ADMISSIBILITY[name][0]:
             image = walk @ image
-        sub = basis.conj().T @ image
-        defect = screened_norm(image - basis @ sub, tol.adm)
-        if defect > tol.adm:
-            raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
-        ops[name] = SymmetryOperator(sub, op.antiunitary)
+        ops[name] = SymmetryOperator(compress_invariant(basis, image, name, tol), op.antiunitary)
     return SymmetryRep(cls, ops, basis.shape[1])
 
 
@@ -627,9 +624,7 @@ def fixed_point_basis(
     Requires ``sigma^2 = +1`` and an invariant span.  In such a basis the
     compression of ``sigma`` is plain complex conjugation.
     """
-    defect = op.invariance_defect(basis, tol.adm)
-    if defect > tol.adm:
-        raise NotAdmissible(f"span not invariant: defect {defect:.3e}")
+    compress_invariant(basis, op.apply(basis), "sigma", tol)
     vecs: list[np.ndarray] = []
     rem = basis.copy()
     while rem.shape[1] > 0:
@@ -660,9 +655,7 @@ def kramers_pairs(
     """
     if basis.shape[1] % 2:
         raise RelationViolation(f"Kramers pairing needs even dimension, got {basis.shape[1]}")
-    defect = op.invariance_defect(basis, tol.adm)
-    if defect > tol.adm:
-        raise NotAdmissible(f"span not invariant: defect {defect:.3e}")
+    compress_invariant(basis, op.apply(basis), "sigma", tol)
     vs: list[np.ndarray] = []
     ws: list[np.ndarray] = []
     rem = basis.copy()

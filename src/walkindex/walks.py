@@ -512,7 +512,7 @@ def _kramers_frame(tau: SymmetryOperator, basis: np.ndarray, tol: Tolerances) ->
     The compressed time reversal squares to -1 on the band space, so such a
     frame exists and is unique up to a determinant-one change of frame.
     """
-    sub = tau.restrict(basis)
+    sub = SymmetryOperator(basis.conj().T @ tau.apply(basis), tau.antiunitary)
     v, w = kramers_pairs(sub, np.eye(basis.shape[1], dtype=complex), tol)
     cols = []
     for j in range(v.shape[1]):

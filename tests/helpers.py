@@ -23,8 +23,7 @@ factor product that the blockwise product and placement of cell blocks
 replaced is ``dense_factor_product``, and ``placed_ti`` places a walk's
 blocks by Kronecker products.  ``dense_view`` is the dense matrix an
 operator was made from (``record_dense_inputs``) or cut from, the oracle of
-the stacks an operator holds (``check_stacks``), with ``strided_offband``,
-the off-band norm summed over the placed matrix.  The full-size
+the stacks an operator holds (``check_stacks``).  The full-size
 decoupling that the route on the cut window replaced is ``dense_decoupling``,
 with its dense ``ProjectionPair`` and whole alignment polar factor
 ``dense_rotation``.  The walk constructions ``conjugate_ti``,
@@ -599,15 +598,15 @@ def check_stacks(op: LatticeOperator, dense: np.ndarray, tol: Tolerances = DEFAU
     """An operator's stacks against the dense oracle: ``.matrix`` is ``dense``
     bit for bit, the stacks of ``from_matrix(op.matrix)`` are its own, the
     off-band norm is the dense one (up to its underflow padding) and, bit for
-    bit, the strided sum over the placed matrix, and the measured band is the
-    SVD profile's."""
+    bit, that of ``from_matrix(op.matrix)``, and the measured band is the SVD
+    profile's."""
     assert np.array_equal(op.matrix, dense)
-    again = LatticeOperator.from_matrix(op.matrix, op.cells, op.band).blocks
-    assert set(again) <= set(op.blocks)
+    again = LatticeOperator.from_matrix(op.matrix, op.cells, op.band)
+    assert set(again.blocks) <= set(op.blocks)
     for j, stack in op.blocks.items():
-        assert np.array_equal(again.get(j, np.zeros_like(stack)), stack), j
+        assert np.array_equal(again.blocks.get(j, np.zeros_like(stack)), stack), j
     assert op.cell_band.offband == pytest.approx(dense_offband(op), rel=1e-12, abs=1e-140)
-    assert op.cell_band.offband == strided_offband(op)
+    assert op.cell_band.offband == again.cell_band.offband
     assert measured_band(op, tol) == profile_band(op, tol.band)
 
 
@@ -672,42 +671,6 @@ def dense_offband(op: LatticeOperator) -> float:
     return float(np.linalg.norm(op.matrix[far]))
 
 
-def strided_offband(op: LatticeOperator) -> float:
-    """The off-band norm of :class:`~walkindex.lattice.CellBand`, summed over the
-    placed matrix: for each row r of the cells b <= x < n - b one ``einsum``
-    over a strided view that holds, per cell, the run from the end of the
-    row's band to the start of the next row's, and the 2b edge cells by cell
-    pair; padded by sqrt(N^2 tiny).  Mixed or zero-dimensional cells and a
-    lattice of at most 4 band cells are one cell, with none."""
-    cells, b = op.cells, op.band
-    n = cells.n_cells
-    if cells.one_block or n <= 4 * b:
-        return 0.0
-    d = cells.cell_dims[0]
-    big = n * d
-    flat = np.ascontiguousarray(op.matrix).reshape(-1).view(float)
-    total = 0.0
-    for r in range(d):
-        stop = n - b - (r == d - 1)
-        if stop <= b:
-            continue
-        start = (b * d + r) * big + (2 * b + 1) * d
-        length = big - (2 * b + 1) * d + (d if r == d - 1 else 0)
-        runs = np.lib.stride_tricks.as_strided(
-            flat[2 * start :], (stop - b, 2 * length), ((big + 1) * d * flat.strides[0] * 2, flat.strides[0]),
-            writeable=False,
-        )
-        total += float(np.einsum("ij,ij->", runs, runs))
-    x = np.arange(n)
-    edge = np.concatenate([x[:b], x[n - b :]])
-    dist = np.abs(edge[:, None] - x)
-    if cells.topology == "circle":
-        dist = np.minimum(dist, n - dist)
-    rows = op.matrix.reshape(n, d, n, d)[edge]
-    mass = np.einsum("xrys,xrys->xy", rows.real, rows.real) + np.einsum("xrys,xrys->xy", rows.imag, rows.imag)
-    return float(np.sqrt(total + mass[dist > b].sum() + op.matrix.size * np.finfo(float).tiny))
-
-
 def _reference_float(x: float) -> str:
     if not np.isfinite(x):
         return json.dumps(str(x))
@@ -770,12 +733,14 @@ def dense_rep(op: LatticeOperator) -> SymmetryRep:
 
 
 def dense_restrict(rep: SymmetryRep, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SymmetryRep:
-    """Restriction by the dense operators: every invariance defect first, then the compressions."""
-    for name, op in rep.ops.items():
-        defect = op.invariance_defect(basis)
+    """Restriction by the dense operators: every invariance defect first, each
+    by one SVD, then the compressions."""
+    images = {name: op.matrix @ (basis.conj() if op.antiunitary else basis) for name, op in rep.ops.items()}
+    for name, image in images.items():
+        defect = np.linalg.norm(image - basis @ (basis.conj().T @ image), 2)
         if defect > tol.adm:
             raise NotAdmissible(f"subspace not invariant under {name}: defect {defect:.3e}")
-    ops = {name: op.restrict(basis) for name, op in rep.ops.items()}
+    ops = {name: SymmetryOperator(basis.conj().T @ images[name], op.antiunitary) for name, op in rep.ops.items()}
     return SymmetryRep(rep.cls, ops, basis.shape[1])
 
 

@@ -15,6 +15,7 @@ from helpers import (
     cell_block_reduce_at,
     check_stacks,
     dense_admissibility,
+    dense_offband,
     dense_unitarity,
     dense_view,
     haar_unitary,
@@ -28,6 +29,7 @@ from helpers import (
     stack_fuzz_cases,
     with_cell_bases,
 )
+from walkindex.decoupling import gentle_decoupling
 from walkindex.errors import CutOutOfRange, IncompatibleCells
 from walkindex.lattice import (
     CellProjection,
@@ -458,6 +460,31 @@ def test_stacks_hold_no_negative_zero():
     ops.append(lattice_operator_from_json(stored))
     assert [_negative_zeros(op) for op in ops] == [0, 0, 0, 0]
     assert "-0.0" not in dumps_operator(ops[-1])
+
+
+def test_offband_within_the_band_is_its_padding():
+    # no stack lies beyond the band: the norm is sqrt((N d)^2 tiny) exactly
+    for topology in ("circle", "line"):
+        op = build_lattice(make_split_step(1.1, 0.3), 9, topology)
+        assert op.band == 1 and set(op.blocks) <= {-1, 0, 1}
+        assert op.cell_band.offband == np.sqrt((9 * 2) ** 2 * np.finfo(float).tiny)
+
+
+def test_offband_of_a_read_back_operator_keeps_its_bits():
+    # a W' stored at band 6 and read back at band 1 holds its stacks in the
+    # file's string-sorted key order; summed by offset, its off-band norm is
+    # bit for bit that of from_matrix of its matrix (for these angles the sum
+    # in the file's order rounds differently)
+    ring = build_lattice(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 36, "circle")
+    w_prime = gentle_decoupling(ring, 0, 32).w_prime
+    data = json.loads(dumps_operator(replace(w_prime, band=6)))
+    data["band"] = 1
+    back = lattice_operator_from_json(data)
+    assert list(back.blocks) == [-1, -2, -3, -4, -5, -6, 0, 1, 2, 3, 4, 5, 6]
+    again = LatticeOperator.from_matrix(back.matrix, back.cells, back.band)
+    assert list(again.blocks) == sorted(back.blocks)
+    assert back.cell_band.offband == again.cell_band.offband
+    assert back.cell_band.offband == pytest.approx(dense_offband(back), rel=1e-12)
 
 
 def gate_fuzz_cases(cls, ti, gen):

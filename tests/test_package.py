@@ -143,6 +143,37 @@ def test_layer_microbench_runs(monkeypatch):
     assert all(math.isfinite(v) for v in values.values())
 
 
+@pytest.mark.parametrize("workload", ["index_scan", "decouple_join", "sweep_certify"])
+def test_benchmark_workload_passes_its_checks(workload, tmp_path, capsys, monkeypatch):
+    # one pass of a workload at seed 1 as the benchmark runs it: every pre-built
+    # join exits 0, every job's output matches its reference answer, and the
+    # momentum refinements of winding and berry jobs read from their output
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if not (bench / "jobs.py").is_file():
+        pytest.skip("no benchmark job lists in this checkout")
+    monkeypatch.syspath_prepend(str(bench))
+    jobs = importlib.import_module("jobs")
+    from walkindex.cli import main
+
+    def run(argv: list) -> tuple[int, str]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        return code, capsys.readouterr().out
+
+    job_list, prebuild = jobs.build(workload, 1, tmp_path)
+    for argv, path in prebuild:
+        assert run(argv)[0] == 0, argv
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["type"] = "explicit"  # as the benchmark's setup reads a pre-built join back
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    for job in job_list:
+        code, out = run(job.argv)
+        assert jobs.check(job, code, out) is None, job.argv
+        jobs.refinements(job, out)
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names an import binds that no code loads and ``__all__`` does not list."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -301,11 +332,18 @@ def _finfo_in_function_bodies(path: Path) -> list[str]:
 
 
 def test_no_function_body_calls_finfo():
-    # machine constants are module constants: np.finfo constructs its object
-    # each time, thousands of times per decoupling
+    # machine constants are module constants of symmetry.py, read once: np.finfo
+    # constructs its object each time, thousands of times per decoupling
     root = Path(__file__).resolve().parents[1]
     files = sorted((root / "src" / "walkindex").glob("*.py"))
     assert [entry for path in files for entry in _finfo_in_function_bodies(path)] == []
+    calling = {
+        path.name
+        for path in files
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "finfo"
+    }
+    assert calling == {"symmetry.py"}
 
 
 def test_a_finfo_call_in_a_function_is_found(tmp_path):

@@ -39,6 +39,7 @@ from walkindex.symmetry import (
     apply_runs,
     balanced_hamiltonian,
     chiral_sectors,
+    compress_invariant,
     fixed_point_basis,
     forget_index,
     forget_legal,
@@ -165,13 +166,12 @@ def test_conjugate_moves_operators_covariantly():
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
-def test_restriction_to_invariant_subspace_keeps_action():
-    gen = rng(5)
+def test_restriction_to_invariant_subspace_keeps_action(monkeypatch):
+    # an invariant span passes its Frobenius screen and takes no SVD
     op = SymmetryOperator(np.eye(4), True)  # plain conjugation
     basis = np.eye(4)[:, :2]
-    sub = op.restrict(basis)
-    assert sub.antiunitary and np.allclose(sub.matrix, np.eye(2))
-    assert op.invariance_defect(basis) < 1e-14
+    monkeypatch.setattr(symmetry_module, "spectral_norm", lambda m: pytest.fail("SVD of a passing span"))
+    assert np.array_equal(compress_invariant(basis, op.apply(basis), "sigma", DEFAULT_TOL), np.eye(2))
 
 
 def test_screened_norm_screens_a_stack_matrix_by_matrix(monkeypatch):
@@ -196,15 +196,23 @@ def test_screened_norm_screens_a_stack_matrix_by_matrix(monkeypatch):
         screened_norm(x, bound)
 
 
-def test_invariance_defect_is_screened_by_its_bound():
+def test_invariance_defect_is_screened_by_its_bound(monkeypatch):
+    # a defect whose Frobenius bound passes tol.adm takes no SVD; a failing
+    # one is refused with its exact norm, from one SVD
     gen = rng(7)
     op = SymmetryOperator(np.eye(4), True)
     basis = np.linalg.qr(gen.normal(size=(4, 2)) + 1j * gen.normal(size=(4, 2)))[0]
-    exact = op.invariance_defect(basis)
+    image = op.apply(basis)
+    exact = spectral_norm(image - basis @ (basis.conj().T @ image))
     assert exact > 0.1
-    assert op.invariance_defect(basis, 1.0) == pytest.approx(exact, rel=1.5)
-    assert exact <= op.invariance_defect(basis, 1.0) <= 1.0
-    assert op.invariance_defect(basis, 0.1) == exact
+    svds = []
+    monkeypatch.setattr(symmetry_module, "spectral_norm", lambda m: svds.append(m.shape) or spectral_norm(m))
+    sub = compress_invariant(basis, image, "sigma", DEFAULT_TOL.with_(adm=1.0))
+    assert np.array_equal(sub, basis.conj().T @ image) and svds == []
+    with pytest.raises(NotAdmissible) as refused:
+        compress_invariant(basis, image, "sigma", DEFAULT_TOL.with_(adm=0.1))
+    assert str(refused.value) == f"subspace not invariant under sigma: defect {exact:.3e}"
+    assert svds == [(4, 2)]
 
 
 # -- representations ----------------------------------------------------------------

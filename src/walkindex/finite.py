@@ -156,11 +156,11 @@ def certify_boundary_modes(
     check_unitary(big, tol)
     anchor = theta / abs(theta) if theta else 1.0
     if select_radius is None:
-        near, _ = near_spectrum(big.matrix, anchor, tol, rep=big.local_rep)
+        near, _ = near_spectrum(big, anchor, tol, rep=big.local_rep)
         eligible = np.flatnonzero((np.conj(anchor) * near.values).real > 0)
     else:  # |lambda - anchor| <= |lambda - theta| + ||theta| - 1|
         near, _ = near_spectrum(
-            big.matrix, anchor, tol, radius=select_radius + abs(abs(theta) - 1), rep=big.local_rep
+            big, anchor, tol, radius=select_radius + abs(abs(theta) - 1), rep=big.local_rep
         )
         eligible = np.flatnonzero(np.abs(near.values - theta) <= select_radius)
     if eligible.size < k_expected:
@@ -387,7 +387,7 @@ def crossover_sweep(
     records = []
     for n_a, n_b in sizes:
         joined = join_crossover(left, right, n_a, n_b, topology, tol)
-        near, min_im = near_spectrum(joined.matrix, 1.0, tol, radius=window, rep=joined.local_rep)
+        near, min_im = near_spectrum(joined, 1.0, tol, radius=window, rep=joined.local_rep)
         plus, minus = (np.abs(near.values - a) < window for a in (1.0, -1.0))
         idx = np.flatnonzero(plus | minus)
         s = min(max(min_im, EIGH_RESOLUTION * joined.dim), 1.0)

@@ -27,17 +27,20 @@ finite-size sweeps and certificates, comes from :func:`near_spectrum`.
 For a rep with ``gamma`` (the chiral classes AIII, BDI, CII, CI and DIII)
 the Hermitian operator anticommutes with ``gamma``: in the cell frame of
 ``gamma`` it is off-diagonal, and its cluster comes from the singular values
-of the off-diagonal block, a matrix of half the size (:func:`_chiral_cluster`;
-the chiral index as ``dim ker C - dim ker C*``).  The other classes, anchors
-other than +-1, operators under ``CHIRAL_MIN_ROWS`` rows and operators whose
-``gamma``-even part exceeds ``CHIRAL_EVEN_FLOOR`` take one ``eigh``, and a
-kernel search there first tries :func:`_gap_certified`, a Cholesky in place
-of the ``eigh`` where the cluster is empty.
+of the off-diagonal block ``C``, read from the operator's stacks with no N x
+N array (:func:`_chiral_block`; the chiral index as ``dim ker C - dim ker
+C*``), after a half-size Cholesky of ``C* C`` (:func:`_gap_certified`) has
+failed to show an empty cluster.  The other classes, anchors other than +-1,
+operators under ``CHIRAL_MIN_ROWS`` rows and operators whose ``gamma``-even
+part exceeds ``CHIRAL_EVEN_FLOOR`` take the dense route: that certificate on
+``H H``, then one ``eigh``.  Only that route, a non-empty cluster's
+eigenpairs and class D's determinant place the dense matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,11 +80,11 @@ from .symmetry import (
     ADMISSIBILITY,
     FLOAT_EPS,
     IndexValue,
-    Runs,
     SymmetryClass,
     SymmetryOperator,
     SymmetryRep,
     balanced_hamiltonian,
+    block_diagonal,
     frobenius_bound,
     rep_index,
     screened_norm,
@@ -119,24 +122,23 @@ CHIRAL_UNITARY = (SymmetryClass.AIII, SymmetryClass.BDI, SymmetryClass.CII)
 ESSENTIAL_KERNEL_CEILING = 0.1
 ESSENTIAL_KERNEL_RATIO = 5.0
 
-# The chiral route (_chiral_cluster) answers only while the Frobenius norm e of
+# The chiral route (_chiral_route) answers only while the Frobenius norm e of
 # the gamma-even blocks of H is at most this floor; every eigenvalue of H then
 # lies within e of the +-singular values it reads, and e widens its certified
 # radius.  Above the floor the dense eigh decides.
 CHIRAL_EVEN_FLOOR = 1e-10
 
-# Below these many rows the dense route is the faster one: its certificate and
+# Below this many rows the dense route is the faster one: its certificate and
 # eigh cost fewer numpy calls than the chiral route's frame products and SVD.
-# Timed per kernel search inside the benchmark's jobs (BLAS on 1 thread): a
+# Timed per kernel search inside the benchmark's jobs (BLAS on 1 thread), a
 # search with boundary modes likely took 223 us dense and 257 us chiral at 32
-# rows, 469 us and 374 us at 48; one on a closed operator, where the chiral
-# route starts with a values-only SVD against the dense Cholesky certificate,
-# 259 and 425 us at 64 rows, 1112 and 1128 us at 128, 3682 and 2944 us at 192.
+# rows, 469 us and 374 us at 48; the 24-row pieces of decouple ran 1-5% slower
+# on the chiral route.
 CHIRAL_MIN_ROWS = 48
-CHIRAL_CERTIFICATE_MIN_ROWS = 128
 
-# _gap_certified's allowance for the rounding of H H and of its Cholesky, in
-# units of (N + 1) eps max(1, ||H||_F^2).
+# _gap_certified's allowance for the rounding of X* X (H H, or C* C at half
+# size) and of its Cholesky, in units of (m + 1) eps max(1, ||X||_F^2) for X
+# of m columns.
 GAP_CERTIFICATE_SLACK = 4.0
 
 # Proxy-window radii agree when the projections onto their dropped subspaces
@@ -172,16 +174,21 @@ def _kernel_cluster(vals: np.ndarray, tol: Tolerances, ceiling: float) -> np.nda
     return order[:count]
 
 
-def _gap_certified(h: np.ndarray, tol: Tolerances, ceiling: float) -> bool:
-    """True when ``H H - (c^2 + delta)`` has a Cholesky factor, ``delta``
-    covering its rounding: every eigenvalue of ``h`` then has ``|s| > c =
-    max(ceiling, tol.ker max(1, ||H||_F))`` and :func:`_kernel_cluster` keeps
-    nothing.  False decides nothing; the caller's ``eigh`` does."""
-    n = h.shape[0]
-    frob = frobenius_bound(h)
-    c = max(ceiling, tol.ker * max(1.0, frob))
+def _gap_certified(x: np.ndarray, tol: Tolerances, ceiling: float, even: float | None = None) -> bool:
+    """True when ``X* X - (c^2 + delta)`` has a Cholesky factor, ``delta``
+    covering its rounding, so that :func:`_kernel_cluster` keeps nothing.
+    For a Hermitian ``H`` (``even`` None) that is ``H H``, and every ``|s| >
+    c = max(ceiling, tol.ker max(1, ||H||_F))``.  For the block ``C`` of
+    :func:`_chiral_block` with ``gamma``-even norm ``e``, every singular
+    value exceeds ``c = max(ceiling, tol.ker max(1, ||C||_F + e)) + e``, and
+    every eigenvalue of ``H``, within ``e`` of one, clears the ceiling and the
+    hard zeros.  False decides nothing; the caller's ``eigh`` or SVD does."""
+    n = x.shape[1]
+    frob = frobenius_bound(x)
+    e = 0.0 if even is None else even
+    c = max(ceiling, tol.ker * max(1.0, frob + e)) + e
     delta = GAP_CERTIFICATE_SLACK * (n + 1) * FLOAT_EPS * max(1.0, frob**2)
-    a = h @ h
+    a = x @ x if even is None else x.conj().T @ x
     a.flat[:: n + 1] -= c * c + delta
     try:
         np.linalg.cholesky(a)
@@ -195,85 +202,112 @@ def _chord_reach(radius: float) -> float:
     return radius * np.sqrt(1.0 - radius**2 / 4) if radius < np.sqrt(2.0) else np.inf
 
 
-def _gamma_runs(
-    rep: SymmetryRep | LocalSymmetryRep, rows: int, likely_empty: bool = False
-) -> Runs | None:
-    """The runs of a rep with ``gamma``, which the chiral route reads, for an
-    operator of at least ``CHIRAL_MIN_ROWS`` rows (``CHIRAL_CERTIFICATE_MIN_ROWS``
-    where an empty cluster is likely); else None, the dense route."""
-    if rows < (CHIRAL_CERTIFICATE_MIN_ROWS if likely_empty else CHIRAL_MIN_ROWS):
+def _one_cell(m: np.ndarray) -> LatticeOperator:
+    """A plain matrix as an operator on one cell."""
+    # adding into +0.0 leaves no -0.0, as in every stack
+    return LatticeOperator({0: np.asarray(m, dtype=complex)[None] + 0.0}, CellStructure((len(m),)), 0)
+
+
+def _operator_rep(
+    w, rep: SymmetryRep | LocalSymmetryRep | None
+) -> tuple[LatticeOperator, SymmetryRep | LocalSymmetryRep]:
+    """``w`` as an operator (a plain matrix as :func:`_one_cell`) and its rep:
+    ``rep``, else the cell-local one of ``w``."""
+    r = rep if rep is not None else getattr(w, "local_rep", None)
+    if r is None:
+        raise NotAdmissible("no symmetry representation supplied or attached")
+    return (w if isinstance(w, LatticeOperator) else _one_cell(w)), r
+
+
+def _per_cell(op: LatticeOperator, rep: SymmetryRep | LocalSymmetryRep) -> bool:
+    """Whether ``rep`` acts cell by cell on the stacks of ``op``."""
+    return not op.cells.one_block and tuple(r.dim for r in getattr(rep, "per_cell", ())) == op.cells.cell_dims
+
+
+def _chiral_block(
+    op: LatticeOperator, rep: SymmetryRep | LocalSymmetryRep, anchor: complex = 1.0
+) -> tuple[np.ndarray, float, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The off-diagonal block ``C`` of ``H = Im(conj(anchor) W)`` at anchor +-1
+    in the frame of ``gamma``, the norm of its ``gamma``-even blocks, and the
+    map from frame coordinates (``plus`` on the + side, then ``minus``) to
+    vectors of the operator, all from the stacks of ``W``.
+
+    H's stack at offset j is ``(B_j[x] - B_-j[x+j]*)/2i``, wrapped on a circle
+    and zero past the ends of a line; anchor -1 negates it.  Each cell's
+    :attr:`~walkindex.symmetry.SymmetryRep.chiral_frame` ``F`` moves the
+    stacks into the frame, ``F[x+j]* H_j[x] F[x]`` for every offset at once,
+    and their + rows and - columns are placed into ``C``, every + row of
+    every cell before the - ones.  An operator on mixed or zero-dimensional
+    cells, or with a rep that does not act cell by cell, is one cell whose
+    frame is the block diagonal of its cells' frames."""
+    cells, runs = op.cells, rep.runs()
+    if _per_cell(op, rep):
+        stacks, n, d = op.blocks, cells.n_cells, cells.cell_dims[0]
+        which = np.repeat(np.arange(len(runs)), [count for _, count, _ in runs])
+        frames = np.array([cell.chiral_frame[0] for _, _, cell in runs])[which]
+        n_plus = np.array([cell.chiral_frame[1] for _, _, cell in runs])[which]
+    else:  # one block is its own matrix, unplaced
+        stacks, n, d = {0: op.matrix[None]}, 1, op.dim
+        frame = [cell.chiral_frame for _, count, cell in runs for _ in range(count)]
+        sides = [block_diagonal([b[:, :p] for b, p in frame]), block_diagonal([b[:, p:] for b, p in frame])]
+        frames, n_plus = np.hstack(sides)[None], np.array([sides[0].shape[1]])
+    offsets = sorted({0} | set(stacks) | {int(cells.stored_offset(-j)) for j in stacks})
+    target = np.array(offsets)[:, None] + np.arange(n)
+    inside = (target >= 0) & (target < n) | (cells.topology == "circle")
+    target %= n
+    ahead = np.array([stacks.get(j, np.zeros((n, d, d), dtype=complex)) for j in offsets])
+    back = ahead[[offsets.index(cells.stored_offset(-j)) for j in offsets]][np.arange(len(offsets))[:, None], target]
+    back[~inside] = 0
+    h = (ahead - back.conj().swapaxes(-1, -2)) / 2j
+    g = frames.conj().swapaxes(-1, -2)[target] @ (h if anchor == 1 else -h) @ frames
+    # frame vector r of cell x is + for r < n_plus[x]; rows[x, r] is its row
+    # of C on the + side, and cols[x, r] its column on the - side, else -1
+    plus = np.arange(d) < n_plus[:, None]
+    rows = np.where(plus, np.cumsum(plus).reshape(n, d) - 1, -1)
+    cols = np.where(~plus, np.cumsum(~plus).reshape(n, d) - 1, -1)
+    off = inside[:, :, None, None] & plus[target][:, :, :, None] & ~plus[None, :, None, :]
+    even = inside[:, :, None, None] & (plus[target][:, :, :, None] == plus[None, :, None, :])
+    c = np.zeros((int(plus.sum()), n * d - int(plus.sum())), dtype=complex)
+    at = np.nonzero(off)
+    c[rows[target[at[0], at[1]], at[2]], cols[at[1], at[3]]] = g[off]
+
+    def kept(plus_side: np.ndarray, minus_side: np.ndarray) -> np.ndarray:
+        z = np.zeros((n, d, plus_side.shape[1] + minus_side.shape[1]), dtype=complex)
+        z[rows >= 0, : plus_side.shape[1]] = plus_side[rows[rows >= 0]]
+        z[cols >= 0, plus_side.shape[1] :] = minus_side[cols[cols >= 0]]
+        return (frames @ z).reshape(n * d, z.shape[2])
+
+    return c, frobenius_bound(g[even]), kept
+
+
+def _chiral_route(op: LatticeOperator, rep: SymmetryRep | LocalSymmetryRep | None, anchor: complex = 1.0):
+    """The :func:`_chiral_block` of ``op`` for a rep with ``gamma`` at anchor
+    +-1, of at least ``CHIRAL_MIN_ROWS`` rows and a ``gamma``-even norm at most
+    ``CHIRAL_EVEN_FLOOR``; else None, the dense route."""
+    if rep is None or anchor not in (1, -1) or op.dim < CHIRAL_MIN_ROWS or "gamma" not in rep.runs()[0][2].ops:
         return None
-    runs = rep.runs()
-    return runs if "gamma" in runs[0][2].ops else None
-
-
-def _chiral_blocks(runs: Runs) -> tuple[list, int]:
-    """The frame of :func:`_chiral_cluster`, one entry per run and side of
-    ``gamma``: (rows of the operator, cell count, cell dimension, the side's
-    columns of the cell's chiral frame, rows in the frame).  The frame puts
-    every + row first; also returned is their number ``n+``."""
-    n_p = sum(count * cell.chiral_frame[1] for _, count, cell in runs)
-    blocks = []
-    at = [0, n_p]
-    for start, count, cell in runs:
-        basis, n_plus = cell.chiral_frame
-        for side, cols in enumerate((basis[:, :n_plus], basis[:, n_plus:])):
-            if cols.shape[1]:
-                width = count * cols.shape[1]
-                src = slice(start, start + count * cell.dim)
-                blocks.append((src, count, cell.dim, cols, slice(at[side], at[side] + width)))
-                at[side] += width
-    return blocks, n_p
+    block = _chiral_block(op, rep, anchor)
+    return block if block[1] <= CHIRAL_EVEN_FLOOR else None
 
 
 def _chiral_cluster(
-    h: np.ndarray,
-    runs: Runs,
-    tol: Tolerances,
-    ceiling: float,
-    radius: float | None = None,
-    likely_empty: bool = False,
-) -> tuple[np.ndarray, float] | None:
-    """The cluster of a Hermitian ``h`` that anticommutes with ``gamma``, from the
-    singular values of its off-diagonal block: kept basis and smallest ``|s|``.
+    block: tuple, tol: Tolerances, ceiling: float, radius: float | None = None
+) -> tuple[np.ndarray, float]:
+    """The cluster of ``H`` from the singular values of its off-diagonal block
+    ``C`` (:func:`_chiral_block`): kept basis and smallest ``|s|``.
 
-    In each cell's :attr:`~walkindex.symmetry.SymmetryRep.chiral_frame`, ``h``
-    is ``[[E+, C], [C*, E-]]`` with ``C`` of ``n+`` rows and ``n-`` columns;
-    ``e = ||E+ (+) E-||_F`` is rounding for an admissible walk.  The
-    eigenvalues of the off-diagonal part are ``+-sigma`` for each singular
-    value of ``C`` and ``|n+ - n-|`` exact zeros, and those of ``h`` lie
-    within ``e`` of them.  These magnitudes go through
-    :func:`_kernel_cluster` under ``ceiling`` or, with a chord ``radius``,
-    ``sigma <= r sqrt(1 - r^2/4) + e``, a set holding every eigenvalue of
-    ``h`` that the radius reaches.  A kept pair ``sigma`` contributes its left
-    singular vector on the + side and its right one on the - side, which
-    span the eigenvectors of ``+-sigma``.  With ``likely_empty`` and ``n+ =
-    n-``, a values-only SVD first shows every ``sigma > max(ceiling, tol.ker
-    max(1, sigma_max + e)) + e``, where the cluster is empty, and no vectors
-    are computed.  None when ``e > CHIRAL_EVEN_FLOOR``: the caller's dense
-    route decides."""
-    n = h.shape[0]
-    blocks, n_p = _chiral_blocks(runs)
-    # H in the frame: B* H B for the block-diagonal B of the cell bases, one
-    # batched product per run and side on the rows and one on the columns
-    rows = np.empty_like(h)
-    hf = np.empty_like(h)
-    for src, count, d, cols, dst in blocks:
-        out = rows[dst].reshape(count, cols.shape[1], n)
-        np.matmul(cols.conj().T, h[src].reshape(count, d, n), out=out)
-    for src, count, d, cols, dst in blocks:
-        out = hf[:, dst].reshape(n, count, cols.shape[1])
-        np.matmul(rows[:, src].reshape(n, count, d), cols, out=out)
-    even = np.hypot(frobenius_bound(hf[:n_p, :n_p]), frobenius_bound(hf[n_p:, n_p:]))
-    if even > CHIRAL_EVEN_FLOOR:
-        return None
-    c = hf[:n_p, n_p:]
-    n_m = n - n_p
+    ``H`` is ``[[E+, C], [C*, E-]]`` in the frame, with ``e = ||E+ (+) E-||_F``
+    rounding for an admissible walk.  The eigenvalues of its off-diagonal
+    part are ``+-sigma`` for each singular value of ``C`` and ``|n+ - n-|``
+    exact zeros, and those of ``H`` lie within ``e`` of them.  These go
+    through :func:`_kernel_cluster` under ``ceiling`` or, with a chord
+    ``radius``, ``sigma <= r sqrt(1 - r^2/4) + e``, a set holding every
+    eigenvalue of ``H`` that the radius reaches.  A kept ``sigma`` contributes
+    its left singular vector on the + side and its right one on the - side,
+    which span the eigenvectors of ``+-sigma``."""
+    c, even, kept = block
+    n_p, n_m = c.shape
     zeros = abs(n_p - n_m)
-    if likely_empty and not zeros:
-        s = np.linalg.svd(c, compute_uv=False)
-        if s[-1] > max(ceiling, tol.ker * max(1.0, s[0] + even)) + even:
-            return np.zeros((n, 0), dtype=h.dtype), float(s[-1])
     u, s, vh = np.linalg.svd(c)
     r = s.size
     smallest = 0.0 if zeros else float(s[-1])
@@ -284,38 +318,31 @@ def _chiral_cluster(
     else:
         k = int(np.count_nonzero(s <= _chord_reach(radius) + even))
     if not (k or zeros):
-        return np.zeros((n, 0), dtype=h.dtype), smallest
+        return np.zeros((n_p + n_m, 0), dtype=complex), smallest
     # kept: the left singular vectors of the k smallest sigma on the + side,
     # their right ones on the - side, and the null vectors of C* or C
-    plus, minus = u[:, r - k :], vh[r - k :].conj().T
-    width = plus.shape[1] + minus.shape[1]
-    frame = np.zeros((n, width), dtype=h.dtype)
-    frame[:n_p, : plus.shape[1]] = plus
-    frame[n_p:, plus.shape[1] :] = minus
-    kept = np.zeros_like(frame)
-    for src, count, d, cols, dst in blocks:
-        part = cols @ frame[dst].reshape(count, cols.shape[1], width)
-        kept[src] += part.reshape(count * d, width)
-    return kept, smallest
+    return kept(u[:, r - k :], vh[r - k :].conj().T), smallest
 
 
 def _essential_kernel(
-    h: np.ndarray,
+    op: LatticeOperator,
     tol: Tolerances,
     ceiling: float = ESSENTIAL_KERNEL_CEILING,
     rep: SymmetryRep | LocalSymmetryRep | None = None,
-    likely_empty: bool = False,
 ) -> np.ndarray:
-    """Eigenvectors of a Hermitian matrix converging to its half-space kernel.
+    """Eigenvectors of ``Im W`` converging to its half-space kernel.
 
-    With a ``rep`` whose ``gamma`` anticommutes with ``h``, the chiral route
-    (:func:`_chiral_cluster`, see :func:`_gamma_runs`); else, or where it
-    declines, the gap certificate and one ``eigh``."""
-    runs = None if rep is None else _gamma_runs(rep, len(h), likely_empty)
-    if runs is not None:
-        found = _chiral_cluster(h, runs, tol, ceiling, likely_empty=likely_empty)
-        if found is not None:
-            return found[0]
+    The chiral route (:func:`_chiral_route`) where it answers: with ``n+ =
+    n-``, a Cholesky of ``C* C`` at half size first certifies an empty
+    cluster (:func:`_gap_certified`), else :func:`_chiral_cluster`.
+    Otherwise the certificate of ``Im W`` and one ``eigh``."""
+    block = _chiral_route(op, rep)
+    if block is not None:
+        c, even, _ = block
+        if c.shape[0] == c.shape[1] and _gap_certified(c, tol, ceiling, even):
+            return np.zeros((op.dim, 0), dtype=complex)
+        return _chiral_cluster(block, tol, ceiling)[0]
+    h = imaginary_part(op.matrix)
     if _gap_certified(h, tol, ceiling):
         return np.zeros((h.shape[0], 0), dtype=h.dtype)
     vals, vecs = np.linalg.eigh(h)
@@ -323,7 +350,7 @@ def _essential_kernel(
 
 
 def near_spectrum(
-    m: np.ndarray,
+    op: LatticeOperator,
     anchor: complex = 1.0,
     tol: Tolerances = DEFAULT_TOL,
     radius: float | None = None,
@@ -336,23 +363,25 @@ def near_spectrum(
     Im(conj(anchor) lambda)`` on the eigenvectors of ``lambda``.  Kept is the
     essential kernel of ``s`` under ``ceiling`` or, for a chord ``radius`` r
     < sqrt 2, ``|s| <= r sqrt(1 - r^2/4)``: the ``lambda`` within r of
-    ``+-anchor``.  At anchor +-1 with a ``rep`` that has ``gamma``, the
-    chiral route reads the ``s`` off the half-size off-diagonal block
-    (:func:`_chiral_cluster`); otherwise, or where it declines, one ``eigh``.
-    Then :func:`_eigenpairs_on` the kept columns.
+    ``+-anchor``.  Where the chiral route answers (:func:`_chiral_route`),
+    the ``s`` come off the half-size off-diagonal block
+    (:func:`_chiral_cluster`), with no certificate, as the exact smallest
+    ``|s|`` is returned; otherwise one ``eigh``.  Then
+    :func:`_eigenpairs_on` the kept columns.
     """
-    h = imaginary_part(m if anchor == 1 else np.conj(anchor) * m)
-    runs = _gamma_runs(rep, len(m)) if rep is not None and anchor in (1, -1) else None
-    found = None if runs is None else _chiral_cluster(h, runs, tol, ceiling, radius)
-    if found is None:
-        s, vecs = np.linalg.eigh(h)
+    block = _chiral_route(op, rep, anchor)
+    if block is not None:
+        found = _chiral_cluster(block, tol, ceiling, radius)
+    else:
+        m = op.matrix
+        s, vecs = np.linalg.eigh(imaginary_part(m if anchor == 1 else np.conj(anchor) * m))
         if radius is None:
             keep = _kernel_cluster(s, tol, ceiling)
         else:
             keep = np.abs(s) <= _chord_reach(radius)
         found = vecs[:, keep], float(np.min(np.abs(s), initial=np.inf))
     basis, smallest = found
-    return _eigenpairs_on(m, basis, tol), smallest
+    return _eigenpairs_on(op.matrix, basis, tol), smallest
 
 
 def _eigenpairs_on(m: np.ndarray, basis: np.ndarray, tol: Tolerances) -> UnitaryEigen:
@@ -374,40 +403,19 @@ def _eigenpairs_on(m: np.ndarray, basis: np.ndarray, tol: Tolerances) -> Unitary
 
 
 def _pm_eigenspaces(
-    m: np.ndarray,
+    op: LatticeOperator,
     tol: Tolerances,
     ceiling: float = ESSENTIAL_KERNEL_CEILING,
     rep: SymmetryRep | LocalSymmetryRep | None = None,
-    likely_empty: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bases of the -1 and +1 eigenspaces: the eigenpairs (:func:`_eigenpairs_on`)
     on the :func:`_essential_kernel` of ``Im W``, split by ``Re lambda``."""
-    basis = _essential_kernel(imaginary_part(m), tol, ceiling, rep, likely_empty)
+    basis = _essential_kernel(op, tol, ceiling, rep)
     if not basis.shape[1]:
-        return (np.zeros((m.shape[0], 0), dtype=complex),) * 2
-    near = _eigenpairs_on(m, basis, tol)
+        return (np.zeros((op.dim, 0), dtype=complex),) * 2
+    near = _eigenpairs_on(op.matrix, basis, tol)
     minus = near.values.real < 0
     return near.vectors[:, minus], near.vectors[:, ~minus]
-
-
-def _matrix_rep(
-    w, rep: SymmetryRep | LocalSymmetryRep | None
-) -> tuple[np.ndarray, SymmetryRep | LocalSymmetryRep]:
-    """The matrix of ``w`` and its rep: ``rep``, else the cell-local one of ``w``."""
-    if isinstance(w, LatticeOperator):
-        m = w.matrix
-        r = rep if rep is not None else w.local_rep
-    else:
-        m = np.asarray(w, dtype=complex)
-        r = rep
-    if r is None:
-        raise NotAdmissible("no symmetry representation supplied or attached")
-    return m, r
-
-
-def _has_proxy_ends(w) -> bool:
-    """Whether ``w`` is a piece with proxy ends, where boundary modes are likely."""
-    return isinstance(w, LatticeOperator) and bool(w.cells.proxy_ends)
 
 
 def _proxy_members(cells: CellStructure, radius: int) -> tuple[int, ...]:
@@ -506,19 +514,21 @@ def si_pm(
     ``ceiling`` (see :func:`_pm_eigenspaces`).  Cross-checked against the
     closed forms available per class: ``si_pm = tr(gamma (1 +- W))/2`` for
     the unitary chiral classes (``gamma`` being cell-local, ``tr(gamma W)``
-    reads only the diagonal cell blocks of ``W``) and the determinant parity
-    ``det W = (-1)^{si_minus}`` in class D, both within ``tol.idx``.
+    reads only the offset-0 stack of ``W``, its diagonal cell blocks) and
+    the determinant parity ``det W = (-1)^{si_minus}`` in class D, both
+    within ``tol.idx``.
     """
-    m, r = _matrix_rep(w, rep)
+    op, r = _operator_rep(w, rep)
     check_unitary(w, tol)
     check_admissible(w, r, tol=tol)
-    minus, plus = _pm_eigenspaces(m, tol, ceiling, r, not _has_proxy_ends(w))
+    minus, plus = _pm_eigenspaces(op, tol, ceiling, r)
     si_minus = _restricted_index(r, minus, tol)
     si_plus = _restricted_index(r, plus, tol)
     if r.cls in CHIRAL_UNITARY:
         runs = r.runs()
         trace_g = trace_runs(runs, "gamma")
-        trace_gw = trace_runs(runs, "gamma", m)
+        zero = np.zeros((op.cells.n_cells,) + op.cells.cell_dims[:1] * 2)
+        trace_gw = trace_runs(runs, "gamma", op.blocks.get(0, zero) if _per_cell(op, r) else op.matrix)
         for sign, got in ((-1.0, si_minus), (+1.0, si_plus)):
             t = (trace_g + sign * trace_gw) / 2
             if abs(t - int(got)) > tol.idx:
@@ -527,7 +537,7 @@ def si_pm(
                     f"tr(gamma(1{sign:+.0f}W))/2 = {t:.6g}"
                 )
     elif r.cls is SymmetryClass.D:
-        det = complex(np.linalg.det(m))
+        det = complex(np.linalg.det(op.matrix))
         if abs(det - (-1.0) ** int(si_minus)) > tol.idx:
             raise NonIntegerTrace(
                 f"det W = {det:.6g} disagrees with parity of si_minus = {int(si_minus)}"
@@ -551,12 +561,11 @@ def si_total(
     docstring), so boundary modes whose tails are clipped by a finite
     truncation are still counted.
     """
-    m, r = _matrix_rep(w, rep)
+    op, r = _operator_rep(w, rep)
     check_admissible(w, r, tol=tol)
-    open_ends = _has_proxy_ends(w)
-    ker = _essential_kernel(imaginary_part(m), tol, rep=r, likely_empty=not open_ends)
-    if open_ends and ker.shape[1]:
-        ker = _drop_window(ker, w.cells, w.band, "kernel")
+    ker = _essential_kernel(op, tol, rep=r)
+    if ker.shape[1]:
+        ker = _drop_window(ker, op.cells, op.band, "kernel")
     return _restricted_index(r, ker, tol)
 
 
@@ -653,7 +662,8 @@ def twiddle_rep(
     Its restriction to a subspace needs none of these matrices:
     :func:`~walkindex.symmetry.restrict_runs` with ``walk=W``.
     """
-    m, r = _matrix_rep(w, rep)
+    op, r = _operator_rep(w, rep)
+    m = op.matrix
     check_unitary(w, tol, "walk")
     check_admissible(w, r, tol=tol)
     runs = r.runs()
@@ -677,14 +687,14 @@ def relative_index(
     of ``V = W' W*``; zero exactly when the perturbation can be contracted
     back to the identity through admissible unitaries.
     """
-    m, r = _matrix_rep(w, rep)
-    mp, _ = _matrix_rep(w_prime, rep if rep is not None else r)
+    op, r = _operator_rep(w, rep)
+    op_prime, _ = _operator_rep(w_prime, r)
     check_unitary(w_prime, tol)
     check_admissible(w_prime, r, tol=tol)
     trep = twiddle_rep(w, r, tol)
-    v = mp @ m.conj().T
+    v = op_prime.matrix @ op.matrix.conj().T
     check_unitary(v, tol)
-    minus, _ = _pm_eigenspaces(v, tol)
+    minus, _ = _pm_eigenspaces(_one_cell(v), tol)
     return _restricted_index(trep, minus, tol)
 
 
@@ -722,7 +732,7 @@ def verify_locpert(
     The relative index of ``W -> W'`` equals ``si_minus(W') - si_minus(W)``
     and ``-(si_plus(W') - si_plus(W))``, as exact group identities.
     """
-    _, r = _matrix_rep(w, rep)
+    _, r = _operator_rep(w, rep)
     rel = relative_index(w, w_prime, r, tol)
     m_before, p_before = si_pm(w, r, tol=tol)
     m_after, p_after = si_pm(w_prime, r, tol=tol)
@@ -831,10 +841,10 @@ def verify_bulk_boundary(
     sir_right = bulk_right_index(right, tol)
     expected = sir_right - sir_left
 
-    m, r = _matrix_rep(joined, None)
+    _, r = _operator_rep(joined, None)
     check_unitary(joined, tol)
     check_admissible(joined, tol=tol)
-    basis = np.hstack(_pm_eigenspaces(m, tol, rep=r))
+    basis = np.hstack(_pm_eigenspaces(joined, tol, rep=r))
     basis = _drop_window(basis, joined.cells, joined.band, "protected")
     measured = _restricted_index(r, basis, tol)
     return BulkBoundaryReport(sir_left, sir_right, expected, measured, basis.shape[1])
@@ -913,7 +923,7 @@ def index_matrix(
         check_unitary(piece, tol)
         if piece.local_rep is None:
             raise NotAdmissible("the index table needs a cell-local representation")
-        pm = _pm_eigenspaces(piece.matrix, tol, rep=piece.local_rep)
+        pm = _pm_eigenspaces(piece, tol, rep=piece.local_rep)
         for name, basis in zip(("minus", "plus"), pm):
             basis = _drop_window(basis, piece.cells, w.band, f"{side} {name}")
             entries[f"si_{name}_{side}"] = _restricted_index(piece.local_rep, basis, tol)

@@ -364,11 +364,10 @@ class SymmetryRep:
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> RepReport:
         """Check shapes, unitarity, squares, commutation and gamma = eta tau.
 
-        Each residual is screened against ``tol.adm`` (:func:`screened_norm`);
-        a violation raises ``RelationViolation`` naming the worst relation
-        and its spectral norm.
+        The residuals are screened against ``tol.adm`` as one stack
+        (:func:`screened_norm`); a violation raises ``RelationViolation``
+        naming the worst relation and its spectral norm.
         """
-        res: dict[str, float] = {}
         expected = self.cls.ops_present
         if set(self.ops) != expected:
             raise RelationViolation(
@@ -379,18 +378,19 @@ class SymmetryRep:
                 raise RelationViolation(f"{name} has shape {op.matrix.shape}, expected {(self.dim, self.dim)}")
             if op.antiunitary != _ANTIUNITARY[name]:
                 raise RelationViolation(f"{name} has wrong antiunitary flag")
-            res[f"unitary:{name}"] = unitarity_defect(op.matrix, tol.adm)
-            sign = self.cls.squares[name]
-            res[f"square:{name}"] = screened_norm(op.square() - sign * np.eye(self.dim), tol.adm)
-        names = sorted(self.ops)
+        eye, ops = np.eye(self.dim), self.ops
+        residuals: dict[str, np.ndarray] = {}
+        for name, op in ops.items():
+            residuals[f"unitary:{name}"] = op.matrix.conj().T @ op.matrix - eye
+            residuals[f"square:{name}"] = op.square() - self.cls.squares[name] * eye
+        names = sorted(ops)
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                ab = self.ops[a].compose(self.ops[b]).matrix
-                ba = self.ops[b].compose(self.ops[a]).matrix
-                res[f"commute:{a},{b}"] = screened_norm(ab - ba, tol.adm)
-        if len(self.ops) == 3:
-            prod = self.ops["eta"].compose(self.ops["tau"]).matrix
-            res["product:eta tau = gamma"] = screened_norm(prod - self.ops["gamma"].matrix, tol.adm)
+                residuals[f"commute:{a},{b}"] = ops[a].compose(ops[b]).matrix - ops[b].compose(ops[a]).matrix
+        if len(ops) == 3:
+            residuals["product:eta tau = gamma"] = ops["eta"].compose(ops["tau"]).matrix - ops["gamma"].matrix
+        stack = np.array(list(residuals.values()))
+        res = dict(zip(residuals, screened_norm(stack, tol.adm).tolist() if residuals else []))
         worst = max(res.values(), default=0.0)
         if worst > tol.adm:
             key = max(res, key=res.get)
@@ -476,11 +476,14 @@ def times_runs(x: np.ndarray, runs: Runs, name: str, adjoint: bool = False) -> n
 
 
 def trace_runs(runs: Runs, name: str, x: np.ndarray | None = None) -> complex:
-    """``tr(M x)`` from the diagonal cell blocks of ``x``; ``tr M`` without ``x``."""
+    """``tr(M x)`` from the diagonal cell blocks of ``x``, a matrix or, on equal
+    cells, the ``(cells, d, d)`` stack of those blocks; ``tr M`` without ``x``."""
     total = 0j
     for start, stop, count, d, m in _run_blocks(runs, name):
         if x is None:
             total += count * complex(np.trace(m))
+        elif x.ndim == 3:
+            total += complex(np.einsum("ij,cji->", m, x[start // d : start // d + count]))
         else:
             blocks = x[start:stop, start:stop].reshape(count, d, count, d)
             total += complex(np.einsum("ij,cjci->", m, blocks))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import walkindex.indices
+import walkindex.lattice
 
 from helpers import (
     CHIRAL_PLUS,
@@ -43,16 +45,18 @@ from walkindex.errors import (
     WindowAmbiguous,
 )
 from walkindex.indices import (
-    CHIRAL_CERTIFICATE_MIN_ROWS,
     CHIRAL_EVEN_FLOOR,
     CHIRAL_MIN_ROWS,
     ESSENTIAL_KERNEL_CEILING,
     WINDOW_AGREEMENT,
+    _chiral_block,
     _chiral_cluster,
+    _chiral_route,
     _chord_reach,
     _drop_window,
     _essential_kernel,
     _gap_certified,
+    _one_cell,
     _pm_eigenspaces,
     bulk_right_index,
     contract_perturbation,
@@ -77,6 +81,7 @@ from walkindex.lattice import (
     split_by_weight,
 )
 from walkindex.cli import main
+from walkindex.decoupling import gentle_decoupling
 from walkindex.finite import join_crossover
 from walkindex.operators import (
     admissible_hamiltonian_projection,
@@ -210,7 +215,7 @@ def test_pm_eigenspaces_pick_target():
     gen = rng(14)
     u = haar_unitary(gen, 5)
     w = u @ np.diag([1.0, 1.0, -1.0, 1j, -1j]) @ u.conj().T
-    minus, plus = _pm_eigenspaces(w, DEFAULT_TOL)
+    minus, plus = _pm_eigenspaces(_one_cell(w), DEFAULT_TOL)
     assert plus.shape[1] == 2 and minus.shape[1] == 1
     assert np.linalg.norm(w @ plus - plus) < 1e-9
 
@@ -222,7 +227,7 @@ def test_pm_eigenspaces_orthonormal_on_near_degenerate_pairs():
     left = make_split_step(-1.1539442633140755, 0.45381585750015385)
     right = make_split_step(1.196500742480596, -0.3849940163793574)
     m = join_crossover(left, right, 16, 16, "circle").matrix
-    for basis in _pm_eigenspaces(m, DEFAULT_TOL):
+    for basis in _pm_eigenspaces(_one_cell(m), DEFAULT_TOL):
         assert basis.shape[1] == 2
         assert spectral_norm(basis.conj().T @ basis - np.eye(2)) <= 1e-12
         assert spectral_norm(m @ basis - basis @ (basis.conj().T @ m @ basis)) <= 1e-12
@@ -238,7 +243,7 @@ def test_near_spectrum_matches_dense_eigenbasis(anchor):
     w = u @ np.diag(anchor * np.exp(1j * phases)) @ u.conj().T
     eig = eig_unitary(w)
     for radius in (1e-3, 0.1, 0.4):
-        near, min_im = near_spectrum(w, anchor, radius=radius)
+        near, min_im = near_spectrum(_one_cell(w), anchor, radius=radius)
         mask = (np.abs(eig.values - anchor) <= radius) | (np.abs(eig.values + anchor) <= radius)
         np.testing.assert_allclose(near.values, eig.values[mask], rtol=0, atol=1e-12)
         ref = eig.vectors[:, mask]
@@ -802,7 +807,7 @@ def test_drop_window_matches_projector_oracle_on_family_segments(ti):
         ring = build_lattice(ti, n, "circle")
         pieces += list(half_spaces(ring, int(gen.integers(0, n))))
         for piece in pieces:
-            ker = _essential_kernel(imaginary_part(piece.matrix), DEFAULT_TOL)
+            ker = _essential_kernel(piece, DEFAULT_TOL)
             # a random rotation inside the span must not change the attribution
             rotated = ker @ haar_unitary(gen, ker.shape[1]) if ker.shape[1] else ker
             for basis in (ker, rotated):
@@ -872,7 +877,7 @@ def test_drop_window_scans_every_radius_in_one_batched_eigh(monkeypatch):
     # of the (radii, k, k) stack and the k x k eigh of one split_by_weight
     ring = build_lattice(make_split_step(0.9, 0.3), 192, "circle")
     piece = half_spaces(ring, 0)[1]
-    ker = _essential_kernel(imaginary_part(piece.matrix), DEFAULT_TOL)
+    ker = _essential_kernel(piece, DEFAULT_TOL)
     k = ker.shape[1]
     assert piece.cells.n_cells == 96 and k == 2
     shapes, splits, screens = [], [], []
@@ -900,16 +905,16 @@ CERTIFICATE_CEILINGS = (ESSENTIAL_KERNEL_CEILING, 1e-3, 1e-10)  # the last is be
 
 
 def _certificate_cases(cls, ti, gen):
-    """Hermitian parts that the kernel searches of one class meet."""
+    """Operators whose Hermitian parts the kernel searches of one class meet."""
     n = max(12, 6 * ti.band)
     ring = build_lattice(ti, n, "circle")
-    yield "circle", imaginary_part(ring.matrix)
-    yield "line", imaginary_part(truncate_ti(ti, n, "compress").matrix)
-    yield "segment", imaginary_part(truncate_ti(ti, n, "decoupled_unitary").matrix)
+    yield "circle", ring
+    yield "line", truncate_ti(ti, n, "compress")
+    yield "segment", truncate_ti(ti, n, "decoupled_unitary")
     for piece in half_spaces(ring, int(gen.integers(0, n))):
-        yield "piece", imaginary_part(piece.matrix)
-    yield "mixed cells", imaginary_part(mixed_cell_walk(cls, ti.cell_rep, gen).matrix)
-    yield "no rows", np.zeros((0, 0), dtype=complex)
+        yield "piece", piece
+    yield "mixed cells", mixed_cell_walk(cls, ti.cell_rep, gen)
+    yield "no rows", _one_cell(np.zeros((0, 0)))
 
 
 def test_gap_certificate_agrees_with_the_dense_oracle_fuzz():
@@ -920,14 +925,15 @@ def test_gap_certificate_agrees_with_the_dense_oracle_fuzz():
     seen = set()
     for cls, make in TEN_CLASS_WALKS.items():
         ti = make()
-        for what, h in _certificate_cases(cls, ti, gen):
+        for what, op in _certificate_cases(cls, ti, gen):
             seen.add(what)
+            h = imaginary_part(op.matrix)
             for ceiling in CERTIFICATE_CEILINGS:
                 want = dense_kernel_cluster(h, ceiling).size
                 certified = _gap_certified(h, DEFAULT_TOL, ceiling)
                 verdicts[certified] += 1
                 assert not certified or want == 0, (cls, what, ceiling)
-                assert _essential_kernel(h, DEFAULT_TOL, ceiling).shape == (h.shape[0], want)
+                assert _essential_kernel(op, DEFAULT_TOL, ceiling).shape == (h.shape[0], want)
     assert seen == {"circle", "line", "segment", "piece", "mixed cells", "no rows"}
     assert min(verdicts.values()) >= 50
 
@@ -982,8 +988,9 @@ def test_index_of_a_gapped_circle_takes_no_full_size_eigh(tmp_path, monkeypatch,
         "coin_params": {"theta1": 0.9, "theta2": 0.3},
         "geometry": {"n_cells": 64, "topology": "circle"},
     }))
-    # the chiral route: si_pm of the 128-row circle is one values-only SVD of
-    # its 64 x 64 off-diagonal block, with no eigh and no Cholesky at full size
+    # the chiral route: si_pm of the 128-row circle is one Cholesky of C* C for
+    # its 64 x 64 off-diagonal block C, with no SVD of it and no eigh or
+    # Cholesky at full size; each 64-row piece takes one 32 x 32 SVD
     eighs, choleskys, svds = [], [], []
     eigh, cholesky, svd = np.linalg.eigh, np.linalg.cholesky, np.linalg.svd
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
@@ -994,8 +1001,8 @@ def test_index_of_a_gapped_circle_takes_no_full_size_eigh(tmp_path, monkeypatch,
     assert (data["si_minus"]["value"], data["si_plus"]["value"]) == (0, 0)
     assert (data["si_left"]["value"], data["si_right"]["value"]) == (-1, 1)
     assert all(shape[-1] < 128 for shape in eighs + choleskys)
-    assert svds.count((64, 64)) == 1
-    assert all(shape[-1] < 64 for shape in svds if shape != (64, 64))
+    assert choleskys.count((64, 64)) == 1
+    assert all(shape[-1] < 64 for shape in svds)
 
 
 # -- the chiral route against the dense oracle ------------------------------------------
@@ -1049,9 +1056,8 @@ def _same_values(got: np.ndarray, want: np.ndarray, atol: float) -> None:
 
 def test_chiral_route_matches_the_dense_oracle_fuzz(monkeypatch):
     # every chiral class: the kernel searches of si_pm/si_total at every
-    # ceiling, with and without the values-only certificate, and near_spectrum
-    # at +-1 in both modes, against one eigh of the whole Im W; the route is
-    # taken at every size
+    # ceiling, certified or not, and near_spectrum at +-1 in both modes,
+    # against one eigh of the whole Im W; the route is taken at every size
     _route_at_every_size(monkeypatch)
     gen = rng(2929)
     seen, runs_seen, clusters, unbalanced = set(), set(), 0, 0
@@ -1062,26 +1068,26 @@ def test_chiral_route_matches_the_dense_oracle_fuzz(monkeypatch):
             h = imaginary_part(m)
             runs = op.local_rep.runs()
             runs_seen.add(min(len(runs), 2))
-            assert _chiral_cluster(h, runs, DEFAULT_TOL, ESSENTIAL_KERNEL_CEILING) is not None, (cls, what)
+            assert _chiral_route(op, op.local_rep) is not None, (cls, what)
             gamma_trace = trace_runs(runs, "gamma").real if op.local_rep.cls in CHIRAL_PLUS else 0.0
             unbalanced += abs(gamma_trace) > 0.5
             mags = np.abs(np.linalg.eigvalsh(h))
             for ceiling in CERTIFICATE_CEILINGS:
                 want = dense_kernel_basis(h, ceiling)
                 clusters += bool(want.shape[1])
-                for likely_empty in (False, True):
-                    got = _essential_kernel(h, DEFAULT_TOL, ceiling, op.local_rep, likely_empty)
-                    assert got.shape == want.shape, (cls, what, ceiling, likely_empty)
-                    if _separated(mags, want.shape[1]):
-                        assert _projector_distance(got, want) <= 1e-10, (cls, what, ceiling)
+                got = _essential_kernel(op, DEFAULT_TOL, ceiling, op.local_rep)
+                assert got.shape == want.shape, (cls, what, ceiling)
+                if _separated(mags, want.shape[1]):
+                    assert _projector_distance(got, want) <= 1e-10, (cls, what, ceiling)
             if op.unitarity.screened(DEFAULT_TOL.unit) > DEFAULT_TOL.unit:
                 continue
             for anchor in (1.0, -1.0):
                 for radius in (None, 0.05, 0.5):
-                    near, smallest = near_spectrum(m, anchor, radius=radius, rep=op.local_rep)
+                    near, smallest = near_spectrum(op, anchor, radius=radius, rep=op.local_rep)
                     ref, ref_smallest = dense_near_spectrum(m, anchor, radius=radius)
                     _same_values(near.values, ref.values, DEFAULT_TOL.eig)
-                    assert smallest == pytest.approx(ref_smallest, abs=DEFAULT_TOL.eig)
+                    # the exact smallest |s|, not a certificate's bound on it
+                    assert smallest == pytest.approx(ref_smallest, abs=1e-14), (cls, what, anchor, radius)
                     reach = np.inf if radius is None else _chord_reach(radius)
                     if radius is None or not np.any(np.abs(mags - reach) < 1e-4):
                         assert _projector_distance(near.vectors, ref.vectors) <= 1e-10, (cls, what, radius)
@@ -1096,7 +1102,7 @@ def test_chiral_route_on_the_near_degenerate_zheevd_pairs():
     op = join_crossover(*ZHEEVD_PAIR, 16, 16, "circle")
     m = op.matrix
     assert m.shape[0] >= CHIRAL_MIN_ROWS
-    for basis in _pm_eigenspaces(m, DEFAULT_TOL, rep=op.local_rep):
+    for basis in _pm_eigenspaces(op, DEFAULT_TOL, rep=op.local_rep):
         assert basis.shape[1] == 2
         assert spectral_norm(basis.conj().T @ basis - np.eye(2)) <= 1e-12
         assert spectral_norm(m @ basis - basis @ (basis.conj().T @ m @ basis)) <= 1e-12
@@ -1136,6 +1142,13 @@ def _chiral_hermitian(runs, sigma, gen, delta: float = 0.0):
     return (h + h.conj().T) / 2
 
 
+def _with_imaginary_part(h: np.ndarray, rep: LocalSymmetryRep) -> LatticeOperator:
+    """An operator on the cells of ``rep`` whose imaginary part is exactly the
+    Hermitian ``h``: ``i h``, whose stacks the chiral route reads."""
+    cells = CellStructure(tuple(r.dim for r in rep.per_cell), "line")
+    return LatticeOperator.from_matrix(1j * h, cells, cells.n_cells, rep)
+
+
 def _knife_reps(gen):
     for cls in CHIRAL_CLASSES:
         for cells in cell_layouts(cls, gen, "haar").values():
@@ -1144,7 +1157,6 @@ def _knife_reps(gen):
 
 def _route_at_every_size(monkeypatch):
     monkeypatch.setattr(walkindex.indices, "CHIRAL_MIN_ROWS", 0)
-    monkeypatch.setattr(walkindex.indices, "CHIRAL_CERTIFICATE_MIN_ROWS", 0)
 
 
 @pytest.mark.parametrize(
@@ -1172,10 +1184,68 @@ def test_chiral_route_knife_edges(ceiling, tol, monkeypatch):
             h = _chiral_hermitian(runs, sigma, gen)
             want = dense_kernel_cluster(h, ceiling, tol).size
             assert want == zeros + 2 * (side < 0)
-            for likely_empty in (False, True):
-                assert _essential_kernel(h, tol, ceiling, rep, likely_empty).shape[1] == want
+            assert _essential_kernel(_with_imaginary_part(h, rep), tol, ceiling, rep).shape[1] == want
             cases += 1
     assert cases == 2 * 3 * len(CHIRAL_CLASSES)
+
+
+@pytest.mark.parametrize(
+    "ceiling, tol",
+    [(ceiling, DEFAULT_TOL) for ceiling in CERTIFICATE_CEILINGS] + [(1e-10, DEFAULT_TOL.with_(ker=1e-4))],
+    ids=["0.1", "1e-3", "1e-10", "1e-10-ker-1e-4"],
+)
+def test_chiral_certificate_knife_edges(ceiling, tol, monkeypatch):
+    # sigma_min at c (1 -+ 1e-6) for the certificate's own c = max(ceiling,
+    # tol.ker max(1, ||C||_F + e)) + e, the rest in [0.6, 1], on the layouts
+    # with n+ = n-: below c the Cholesky of C* C - (c^2 + delta) never
+    # factors; above, the cluster is empty, and the certificate clears
+    # wherever c^2 outweighs its rounding allowance, as it does at the
+    # ceilings 0.1 and 1e-3.  Either way the search answers as the dense oracle
+    _route_at_every_size(monkeypatch)
+    gen = rng(2934)
+    outcomes = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    cases = 0
+    for rep in _knife_reps(gen):
+        runs = rep.runs()
+        n_p = sum(count * cell.chiral_frame[1] for _, count, cell in runs)
+        if sum(count * cell.dim for _, count, cell in runs) != 2 * n_p:
+            continue
+        for side in (-1, 1):
+            sigma = gen.uniform(0.6, 1.0, n_p)
+            knife = 1 + side * 1e-6
+            # ||C||_F^2 = rest + (c knife)^2, with c = tol.ker ||C||_F unless the ceiling is larger
+            rest = np.sum(sigma[1:] ** 2)
+            c = max(ceiling, tol.ker * np.sqrt(rest / (1 - (tol.ker * knife) ** 2)))
+            sigma[0] = c * knife
+            h = _chiral_hermitian(runs, sigma, gen)
+            op = _with_imaginary_part(h, rep)
+            # the gamma-even rounding e moves the certificate's c by at most 2e
+            assert _chiral_block(op, rep)[1] <= 1e-15
+            outcomes.clear()
+            got = _essential_kernel(op, tol, ceiling, rep)
+            want = dense_kernel_basis(h, ceiling, tol)
+            assert got.shape == want.shape
+            if want.shape[1]:
+                assert _projector_distance(got, want) <= 1e-9
+            certified = outcomes == [True]
+            assert len(outcomes) == 1 and certified <= (side > 0)
+            if ceiling >= 1e-3:
+                assert certified == (side > 0)
+                assert want.shape[1] == 2 * (side < 0)
+            cases += 1
+    assert cases >= 2 * 2 * len(CHIRAL_CLASSES)
 
 
 def test_chiral_radius_keeps_every_eigenvalue_within_reach():
@@ -1186,7 +1256,8 @@ def test_chiral_radius_keeps_every_eigenvalue_within_reach():
     radius = 0.2
     reach = _chord_reach(radius)
     delta = 0.5 * CHIRAL_EVEN_FLOOR
-    for runs in (rep.runs() for rep in _knife_reps(gen)):
+    for rep in _knife_reps(gen):
+        runs = rep.runs()
         n_p = sum(count * cell.chiral_frame[1] for _, count, cell in runs)
         n = sum(count * cell.dim for _, count, cell in runs)
         sigma = gen.uniform(0.6, 1.0, min(n_p, n - n_p))
@@ -1195,26 +1266,39 @@ def test_chiral_radius_keeps_every_eigenvalue_within_reach():
         vals, vecs = np.linalg.eigh(h)
         inside = vecs[:, np.abs(vals) <= reach]
         assert inside.shape[1] == abs(n - 2 * n_p) + 1
-        kept, _ = _chiral_cluster(h, runs, DEFAULT_TOL, ESSENTIAL_KERNEL_CEILING, radius=radius)
+        block = _chiral_block(_with_imaginary_part(h, rep), rep)
+        kept, _ = _chiral_cluster(block, DEFAULT_TOL, ESSENTIAL_KERNEL_CEILING, radius=radius)
         assert kept.shape[1] == inside.shape[1] + 1
         assert spectral_norm(inside - kept @ (kept.conj().T @ inside)) <= 1e-9
 
 
 def test_chiral_certificate_clears_only_what_the_dense_spectrum_clears(monkeypatch):
-    # the values-only SVD returns an empty cluster without vectors only when
+    # the Cholesky of C* C - (c^2 + delta) factors, and no SVD runs, only when
     # every sigma exceeds c + e, so that every eigenvalue of h exceeds c; at
     # sigma = c + delta/2 with a gamma-even part moving one eigenvalue to
-    # c - delta/2 it must go on to the full SVD
+    # c - delta/2 it must fail and go on to the SVD with vectors
+    _route_at_every_size(monkeypatch)
     calls = []
-    svd = np.linalg.svd
-    def recording(a, **kw):
-        calls.append(kw.get("compute_uv", True))
-        return svd(a, **kw)
+    svd, cholesky = np.linalg.svd, np.linalg.cholesky
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    def recording(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            calls.append(("cholesky", False))
+            raise
+        calls.append(("cholesky", True))
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda a, **kw: calls.append(("svd", kw.get("compute_uv", True))) or svd(a, **kw)
+    )
     gen = rng(2932)
     ceiling = ESSENTIAL_KERNEL_CEILING
-    for runs in (rep.runs() for rep in _knife_reps(gen)):
+    cases = 0
+    for rep in _knife_reps(gen):
+        runs = rep.runs()
         n_p = sum(count * cell.chiral_frame[1] for _, count, cell in runs)
         n = sum(count * cell.dim for _, count, cell in runs)
         if n != 2 * n_p:
@@ -1225,9 +1309,11 @@ def test_chiral_certificate_clears_only_what_the_dense_spectrum_clears(monkeypat
             h = _chiral_hermitian(runs, sigma, gen, delta)
             assert (np.min(np.abs(np.linalg.eigvalsh(h))) > ceiling) == certified
             calls.clear()
-            kept, _ = _chiral_cluster(h, runs, DEFAULT_TOL, ceiling, likely_empty=True)
+            kept = _essential_kernel(_with_imaginary_part(h, rep), DEFAULT_TOL, ceiling, rep)
             assert kept.shape[1] == 0
-            assert calls == ([False] if certified else [False, True])
+            assert calls == ([("cholesky", True)] if certified else [("cholesky", False), ("svd", True)])
+            cases += 1
+    assert cases >= 2 * 2 * len(CHIRAL_CLASSES)
 
 
 def test_even_part_above_the_floor_takes_the_dense_route(monkeypatch):
@@ -1247,19 +1333,20 @@ def test_even_part_above_the_floor_takes_the_dense_route(monkeypatch):
     frame, n_p = _chiral_frame_matrix(runs)
     hf = frame.conj().T @ h @ frame
     assert np.hypot(np.linalg.norm(hf[:n_p, :n_p]), np.linalg.norm(hf[n_p:, n_p:])) > CHIRAL_EVEN_FLOOR
-    assert _chiral_cluster(h, runs, DEFAULT_TOL, ESSENTIAL_KERNEL_CEILING) is None
+    assert _chiral_block(op, op.local_rep)[1] > CHIRAL_EVEN_FLOOR
+    assert _chiral_route(op, op.local_rep) is None
     eighs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
     for piece in half_spaces(op, 0):
         hp = imaginary_part(piece.matrix)
         assert hp.shape[0] >= CHIRAL_MIN_ROWS
-        got = _essential_kernel(hp, DEFAULT_TOL, rep=piece.local_rep)
+        got = _essential_kernel(piece, DEFAULT_TOL, rep=piece.local_rep)
         assert np.array_equal(got, dense_kernel_basis(hp, ESSENTIAL_KERNEL_CEILING))
         assert eighs[-2:] == [hp.shape, hp.shape]
     for radius in (None, 0.3):
         eighs.clear()
-        near, smallest = near_spectrum(w, radius=radius, rep=op.local_rep)
+        near, smallest = near_spectrum(op, radius=radius, rep=op.local_rep)
         assert w.shape in eighs
         ref, ref_smallest = dense_near_spectrum(w, radius=radius)
         assert np.array_equal(near.values, ref.values) and smallest == ref_smallest
@@ -1268,9 +1355,8 @@ def test_even_part_above_the_floor_takes_the_dense_route(monkeypatch):
 
 
 def test_operators_below_the_row_floors_take_the_dense_route(monkeypatch):
-    # the chiral route starts at CHIRAL_MIN_ROWS rows for a piece with proxy
-    # ends and at CHIRAL_CERTIFICATE_MIN_ROWS for a closed operator; below,
-    # the certificate and one eigh answer, as for the classes without gamma
+    # the chiral route starts at CHIRAL_MIN_ROWS rows; below, the certificate
+    # and one eigh answer at full size, as for the classes without gamma
     shapes = []
     eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
@@ -1282,8 +1368,119 @@ def test_operators_below_the_row_floors_take_the_dense_route(monkeypatch):
         assert piece.dim == rows
         assert int(si_total(piece)) == 1
         assert ((rows, rows) in shapes) == dense
-    for rows, dense in ((CHIRAL_CERTIFICATE_MIN_ROWS - 4, True), (CHIRAL_CERTIFICATE_MIN_ROWS, False)):
         shapes.clear()
         ring = build_lattice(ti, rows // 2, "circle")
         assert [int(v) for v in si_pm(ring)] == [0, 0]
         assert ((rows, rows) in shapes) == dense
+        assert ((rows // 2, rows // 2) in shapes) == (not dense)
+
+
+# -- C from the stacks against the dense frame product -------------------------------
+
+
+def _dense_off_diagonal(op: LatticeOperator, rep, anchor: float) -> tuple[np.ndarray, float]:
+    """``C`` and the gamma-even norm of ``Im(anchor W)`` moved into the frame by
+    dense N x N products, the oracle of ``_chiral_block``."""
+    frame, n_p = _chiral_frame_matrix(rep.runs())
+    hf = frame.conj().T @ imaginary_part(anchor * op.matrix) @ frame
+    return hf[:n_p, n_p:], float(np.hypot(np.linalg.norm(hf[:n_p, :n_p]), np.linalg.norm(hf[n_p:, n_p:])))
+
+
+def _unequal_sides_operator(gen, cls, topology: str) -> LatticeOperator:
+    """A banded operator on equal cells whose reps have sectors (2, 1) and
+    (1, 2), two cells to one (not admissible: C only reads its stacks)."""
+    a, b = random_rep(cls, gen, 2, 1), random_rep(cls, gen, 1, 2)
+    n, d = 9, a.dim
+    rep = LocalSymmetryRep(cls, tuple(a if x % 3 else b for x in range(n)))
+    cells = CellStructure((d,) * n, topology, 0, frozenset() if topology == "circle" else frozenset({"left", "right"}))
+    cell = np.arange(d * n) // d
+    dist = np.abs(cell[:, None] - cell[None, :])
+    if topology == "circle":
+        dist = np.minimum(dist, n - dist)
+    m = (gen.normal(size=(d * n, d * n)) + 1j * gen.normal(size=(d * n, d * n))) * (dist <= 2)
+    return LatticeOperator.from_matrix(m, cells, 2, rep)
+
+
+def _stack_cases(cls, gen):
+    ti = TEN_CLASS_WALKS[cls]()
+    n = max(12, 6 * ti.band)
+    ring = build_lattice(ti, n, "circle")
+    yield "circle", ring
+    yield "line", truncate_ti(ti, n, "compress")
+    yield "short circle", build_lattice(ti, 2 * ti.band + 1, "circle")
+    yield "segment", truncate_ti(ti, n, "decoupled_unitary")
+    yield "piece", half_spaces(ring, int(gen.integers(0, n)))[1]
+    yield "cell bases", with_cell_bases(ring, gen)
+    yield "mixed cells", mixed_cell_walk(cls, normal_form_rep(cls, 2, 1), gen)
+    # an operator with no stacks at all
+    yield "zero", LatticeOperator.from_matrix(np.zeros((ring.dim,) * 2), ring.cells, ring.band, ring.local_rep)
+    if cls in CHIRAL_PLUS:
+        for topology in ("circle", "line"):
+            yield "n+ != n-", _unequal_sides_operator(gen, cls, topology)
+    if cls is C.BDI:
+        # W' of a segment's padded ring, with stacks at all 13 offsets -6..6
+        ring20 = build_lattice(make_split_step(0.9, 0.3), 20, "circle")
+        w_prime = gentle_decoupling(ring20, 0, second_cut=16).w_prime
+        assert sorted(w_prime.blocks) == list(range(-6, 7))
+        yield "W'", w_prime
+
+
+def test_chiral_block_from_the_stacks_is_the_dense_frame_product():
+    # every chiral class, on circles, lines, decoupled segments, pieces, cells
+    # with a rep of their own, mixed and zero-dimensional cells, equal cells
+    # with n+ != n-, and W' with 13 offsets, at anchor +1 and -1: C is the
+    # dense frame product's block within 1e-15 of its largest entry, and bit
+    # for bit wherever the cell frames are exact
+    gen = rng(2935)
+    seen, bitwise = set(), 0
+    for cls in CHIRAL_CLASSES:
+        for what, op in _stack_cases(cls, gen):
+            seen.add(what)
+            for anchor in (1.0, -1.0):
+                c, got_even, _ = _chiral_block(op, op.local_rep, anchor)
+                want, even = _dense_off_diagonal(op, op.local_rep, anchor)
+                assert c.shape == want.shape, (cls, what)
+                scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+                assert np.max(np.abs(c - want), initial=0.0) <= 1e-15 * scale, (cls, what, anchor)
+                assert abs(got_even - even) <= 1e-15 * max(1.0, even), (cls, what, anchor)
+                bitwise += np.array_equal(c, want)
+    assert seen == {"circle", "line", "short circle", "segment", "piece", "cell bases", "mixed cells", "zero", "n+ != n-", "W'"}
+    assert bitwise >= 20
+
+
+def test_chiral_block_of_a_plain_matrix_reads_it_as_one_cell():
+    # a plain matrix with a dense rep, and an operator with a rep that does not
+    # act cell by cell, are one cell with the block-diagonal frame
+    ring = build_lattice(make_split_step(0.9, 0.3), 12, "circle")
+    dense = dense_rep(ring)
+    for op, rep in ((_one_cell(ring.matrix), dense), (ring, dense), (_one_cell(ring.matrix), ring.local_rep)):
+        want, _ = _dense_off_diagonal(ring, rep, 1.0)
+        assert np.array_equal(_chiral_block(op, rep)[0], want)
+
+
+def test_index_on_a_circle_places_no_full_size_matrix(tmp_path, monkeypatch, capsys):
+    # index on a 96-cell split-step circle answers from the stacks: no matrix
+    # of its 192 rows is placed, and no array of N x N entries is made
+    spec = tmp_path / "circle.json"
+    spec.write_text(json.dumps({
+        "type": "ti",
+        "builtin": "split_step",
+        "coin_params": {"theta1": 0.9, "theta2": 0.3},
+        "geometry": {"n_cells": 96, "topology": "circle"},
+    }))
+    placed = []
+    place = walkindex.lattice.place_blocks
+    monkeypatch.setattr(walkindex.lattice, "place_blocks", lambda b, c: placed.append(c.total_dim) or place(b, c))
+    assert main(["index", str(spec)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["si_minus"]["value"], data["si_plus"]["value"]) == (0, 0)
+    assert (data["si_left"]["value"], data["si_right"]["value"]) == (-1, 1)
+    assert 192 not in placed
+    tracemalloc.start()
+    try:
+        assert main(["index", str(spec)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 192 * 192 * 16

@@ -354,3 +354,42 @@ def test_a_finfo_call_in_a_function_is_found(tmp_path):
         encoding="utf-8",
     )
     assert _finfo_in_function_bodies(source) == ["module.py:5: pad"]
+
+
+def _unread_constants(paths: list[Path]) -> list[str]:
+    """Module-level UPPER_CASE names assigned in ``paths`` that no code among
+    them reads, by name or as an attribute, and no ``__all__`` exports."""
+    assigned: dict[str, str] = {}
+    read: set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    assigned.setdefault(target.id, f"{path.name}:{node.lineno}: {target.id}")
+                elif isinstance(target, ast.Name) and target.id == "__all__":
+                    read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(entry for name, entry in assigned.items() if name not in read)
+
+
+def test_every_module_constant_is_read():
+    # a named threshold or floor that no code reads any more is a retired gate
+    # left behind: delete it with the code that read it
+    root = Path(__file__).resolve().parents[1]
+    assert _unread_constants(sorted((root / "src" / "walkindex").glob("*.py"))) == []
+
+
+def test_an_unread_constant_is_found(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "import numpy as np\n__all__ = ['PUBLIC']\nPUBLIC = 1\nFLOOR = 48\nRETIRED_FLOOR = 128\nSlack = 2\n\n"
+        "def gate(x, np=np):\n    return x >= FLOOR and np.SLACK\n",
+        encoding="utf-8",
+    )
+    assert _unread_constants([source]) == ["module.py:5: RETIRED_FLOOR"]

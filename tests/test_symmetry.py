@@ -245,6 +245,65 @@ def test_validate_catches_broken_product_rule():
         rep.validate()
 
 
+def _exact_relations(rep: SymmetryRep) -> dict[str, float]:
+    """The spectral norm of each relation residual, one SVD each, in the order
+    ``validate`` names them: the oracle of its screened stack."""
+    eye = np.eye(rep.dim)
+    res = {}
+    for name, op in rep.ops.items():
+        res[f"unitary:{name}"] = spectral_norm(op.matrix.conj().T @ op.matrix - eye)
+        res[f"square:{name}"] = spectral_norm(op.square() - rep.cls.squares[name] * eye)
+    names = sorted(rep.ops)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            res[f"commute:{a},{b}"] = spectral_norm(
+                rep.ops[a].compose(rep.ops[b]).matrix - rep.ops[b].compose(rep.ops[a]).matrix
+            )
+    if len(rep.ops) == 3:
+        res["product:eta tau = gamma"] = spectral_norm(
+            rep.ops["eta"].compose(rep.ops["tau"]).matrix - rep.ops["gamma"].matrix
+        )
+    return res
+
+
+def _broken_commutation() -> SymmetryRep:
+    # gamma = u sigma_z u* for a Haar u: unitary and squaring to 1, but off
+    # eta = sigma_z, so that [eta, gamma] is the largest residual
+    gen = rng(1)
+    haar_unitary(gen, 2)
+    u = haar_unitary(gen, 2)
+    return SymmetryRep.from_matrices(C.BDI, 2, eta=SIGMA_Z, tau=np.eye(2), gamma=u @ SIGMA_Z @ u.conj().T)
+
+
+BROKEN_RELATIONS = {
+    # gamma^2 = 1 exactly, gamma not unitary
+    "unitary": lambda: SymmetryRep.from_matrices(C.AIII, 2, gamma=np.array([[1, 0.1], [0, -1]])),
+    # a unitary eta with eta^2 = -1 presented as class D
+    "square": lambda: SymmetryRep.from_matrices(C.D, 2, eta=np.array([[0, -1], [1, 0]])),
+    "commute": _broken_commutation,
+    # every relation but gamma = eta tau holds
+    "product": lambda: SymmetryRep.from_matrices(C.BDI, 2, eta=SIGMA_Z, tau=np.eye(2), gamma=-SIGMA_Z),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_RELATIONS))
+def test_validate_names_each_broken_relation_by_its_exact_norm(kind):
+    # the residuals are screened as one stack; a broken relation of each kind
+    # is still reported as the worst one with its exact spectral norm, and a
+    # passing residual is its Frobenius bound
+    rep = BROKEN_RELATIONS[kind]()
+    exact = _exact_relations(rep)
+    worst = max(exact, key=exact.get)
+    assert worst.startswith(kind) and exact[worst] > DEFAULT_TOL.adm
+    with pytest.raises(RelationViolation) as info:
+        rep.validate()
+    assert str(info.value) == f"relation {worst} violated: residual {exact[worst]:.3e}"
+    report = rep.validate(DEFAULT_TOL.with_(adm=10.0))
+    assert list(report.residuals) == list(exact)
+    for key, value in report.residuals.items():
+        assert exact[key] <= value <= exact[key] * np.sqrt(rep.dim) + 1e-12
+
+
 @pytest.mark.parametrize(
     "cls,p,q,expected",
     [

@@ -128,13 +128,13 @@ ESSENTIAL_KERNEL_RATIO = 5.0
 # radius.  Above the floor the dense eigh decides.
 CHIRAL_EVEN_FLOOR = 1e-10
 
-# Below this many rows the dense route is the faster one: its certificate and
-# eigh cost fewer numpy calls than the chiral route's frame products and SVD.
-# Timed per kernel search inside the benchmark's jobs (BLAS on 1 thread), a
-# search with boundary modes likely took 223 us dense and 257 us chiral at 32
-# rows, 469 us and 374 us at 48; the 24-row pieces of decouple ran 1-5% slower
-# on the chiral route.
-CHIRAL_MIN_ROWS = 48
+# Below this many rows the dense route is the faster one: _chiral_block costs
+# about 150 us at any size.  In split-step index jobs (2 vCPUs, BLAS on 1
+# thread) the two pieces' si_total took 1.83 ms dense and 1.82 ms chiral at 48
+# rows with boundary modes, 0.44 and 0.68 ms without; 2.45 and 2.15, 0.61 and
+# 0.76 ms at 64; si_pm on a circle crosses at 96 rows.  Passes over index_scan
+# and decouple_join tie at floors 48 and 64, and are slower at 32 or 80-128.
+CHIRAL_MIN_ROWS = 64
 
 # _gap_certified's allowance for the rounding of X* X (H H, or C* C at half
 # size) and of its Cholesky, in units of (m + 1) eps max(1, ||X||_F^2) for X
@@ -174,24 +174,22 @@ def _kernel_cluster(vals: np.ndarray, tol: Tolerances, ceiling: float) -> np.nda
     return order[:count]
 
 
-def _gap_certified(x: np.ndarray, tol: Tolerances, ceiling: float, even: float | None = None) -> bool:
-    """True when ``X* X - (c^2 + delta)`` has a Cholesky factor, ``delta``
-    covering its rounding, so that :func:`_kernel_cluster` keeps nothing.
-    For a Hermitian ``H`` (``even`` None) that is ``H H``, and every ``|s| >
-    c = max(ceiling, tol.ker max(1, ||H||_F))``.  For the block ``C`` of
-    :func:`_chiral_block` with ``gamma``-even norm ``e``, every singular
-    value exceeds ``c = max(ceiling, tol.ker max(1, ||C||_F + e)) + e``, and
-    every eigenvalue of ``H``, within ``e`` of one, clears the ceiling and the
-    hard zeros.  False decides nothing; the caller's ``eigh`` or SVD does."""
-    n = x.shape[1]
-    frob = frobenius_bound(x)
-    e = 0.0 if even is None else even
-    c = max(ceiling, tol.ker * max(1.0, frob + e)) + e
+def _gap_certified(gram: np.ndarray, frob: float, tol: Tolerances, ceiling: float, even: float = 0.0) -> bool:
+    """True when ``gram - (c^2 + delta)`` has a Cholesky factor, ``delta``
+    covering its rounding, for ``gram = X* X`` (shifted in place) and ``frob =
+    ||X||_F``, so that :func:`_kernel_cluster` keeps nothing.  For a Hermitian
+    ``H``, ``X* X = H H`` and every ``|s| > c = max(ceiling, tol.ker max(1,
+    ||H||_F))``.  For the block ``C`` of :func:`_chiral_block` with
+    ``gamma``-even norm ``e``, every singular value exceeds ``c = max(ceiling,
+    tol.ker max(1, ||C||_F + e)) + e``, and every eigenvalue of ``H``, within
+    ``e`` of one, clears the ceiling and the hard zeros.  False decides
+    nothing; the caller's ``eigh`` or SVD does."""
+    n = gram.shape[0]
+    c = max(ceiling, tol.ker * max(1.0, frob + even)) + even
     delta = GAP_CERTIFICATE_SLACK * (n + 1) * FLOAT_EPS * max(1.0, frob**2)
-    a = x @ x if even is None else x.conj().T @ x
-    a.flat[:: n + 1] -= c * c + delta
+    gram.flat[:: n + 1] -= c * c + delta
     try:
-        np.linalg.cholesky(a)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -203,9 +201,11 @@ def _chord_reach(radius: float) -> float:
 
 
 def _one_cell(m: np.ndarray) -> LatticeOperator:
-    """A plain matrix as an operator on one cell."""
-    # adding into +0.0 leaves no -0.0, as in every stack
-    return LatticeOperator({0: np.asarray(m, dtype=complex)[None] + 0.0}, CellStructure((len(m),)), 0)
+    """A plain matrix as an operator on one cell: ``m`` as a complex array, copied only to clear a ``-0.0``."""
+    a = np.asarray(m, dtype=complex)
+    if any(np.any((part == 0) & np.signbit(part)) for part in (a.real, a.imag)):
+        a = a + 0.0  # adding into +0.0 leaves no -0.0, as in every stack
+    return LatticeOperator({0: a[None]}, CellStructure((len(a),)), 0)
 
 
 def _operator_rep(
@@ -339,11 +339,11 @@ def _essential_kernel(
     block = _chiral_route(op, rep)
     if block is not None:
         c, even, _ = block
-        if c.shape[0] == c.shape[1] and _gap_certified(c, tol, ceiling, even):
+        if c.shape[0] == c.shape[1] and _gap_certified(c.conj().T @ c, frobenius_bound(c), tol, ceiling, even):
             return np.zeros((op.dim, 0), dtype=complex)
         return _chiral_cluster(block, tol, ceiling)[0]
     h = imaginary_part(op.matrix)
-    if _gap_certified(h, tol, ceiling):
+    if _gap_certified(h @ h, frobenius_bound(h), tol, ceiling):
         return np.zeros((h.shape[0], 0), dtype=h.dtype)
     vals, vecs = np.linalg.eigh(h)
     return vecs[:, _kernel_cluster(vals, tol, ceiling)]

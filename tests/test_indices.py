@@ -94,6 +94,7 @@ from walkindex.symmetry import (
     SymmetryClass,
     SymmetryRep,
     block_diagonal,
+    frobenius_bound,
     screened_norm,
     spectral_norm,
     trace_runs,
@@ -930,7 +931,7 @@ def test_gap_certificate_agrees_with_the_dense_oracle_fuzz():
             h = imaginary_part(op.matrix)
             for ceiling in CERTIFICATE_CEILINGS:
                 want = dense_kernel_cluster(h, ceiling).size
-                certified = _gap_certified(h, DEFAULT_TOL, ceiling)
+                certified = _gap_certified(h @ h, frobenius_bound(h), DEFAULT_TOL, ceiling)
                 verdicts[certified] += 1
                 assert not certified or want == 0, (cls, what, ceiling)
                 assert _essential_kernel(op, DEFAULT_TOL, ceiling).shape == (h.shape[0], want)
@@ -960,7 +961,7 @@ def test_gap_certificate_knife_edges(ceiling, tol):
             u = haar_unitary(gen, n)
             h = (u * s) @ u.conj().T
             h = (h + h.conj().T) / 2
-            certified = _gap_certified(h, tol, ceiling)
+            certified = _gap_certified(h @ h, frobenius_bound(h), tol, ceiling)
             assert certified <= (side > 0), n
             if side > 0:
                 assert dense_kernel_cluster(h, ceiling, tol).size == 0
@@ -977,7 +978,7 @@ def test_gap_certificate_clears_every_gapped_family_circle(ti, sizes):
     for n in range(lo, hi + 1):
         h = imaginary_part(build_lattice(ti, n, "circle").matrix)
         for ceiling in CERTIFICATE_CEILINGS:
-            assert _gap_certified(h, DEFAULT_TOL, ceiling), (n, ceiling)
+            assert _gap_certified(h @ h, frobenius_bound(h), DEFAULT_TOL, ceiling), (n, ceiling)
 
 
 def test_index_of_a_gapped_circle_takes_no_full_size_eigh(tmp_path, monkeypatch, capsys):
@@ -1321,9 +1322,11 @@ def test_even_part_above_the_floor_takes_the_dense_route(monkeypatch):
     # the chiral route declines, one eigh of the whole matrix answers, and the
     # answers are the oracle's
     gen = rng(2933)
-    ring = build_lattice(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 48, "circle")
+    # pieces of half the circle's CHIRAL_MIN_ROWS cells have CHIRAL_MIN_ROWS rows
+    n = CHIRAL_MIN_ROWS
+    ring = build_lattice(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), n, "circle")
     assert ring.dim // 2 >= CHIRAL_MIN_ROWS
-    cells = gen.normal(size=(48, 2, 2)) + 1j * gen.normal(size=(48, 2, 2))
+    cells = gen.normal(size=(n, 2, 2)) + 1j * gen.normal(size=(n, 2, 2))
     k = block_diagonal([(a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2) for a in cells])
     w = ring.matrix @ expm(2e-9j * k)
     op = LatticeOperator.from_matrix(w, ring.cells, ring.band, ring.local_rep)
@@ -1456,6 +1459,24 @@ def test_chiral_block_of_a_plain_matrix_reads_it_as_one_cell():
     for op, rep in ((_one_cell(ring.matrix), dense), (ring, dense), (_one_cell(ring.matrix), ring.local_rep)):
         want, _ = _dense_off_diagonal(ring, rep, 1.0)
         assert np.array_equal(_chiral_block(op, rep)[0], want)
+
+
+def test_one_cell_holds_the_matrix_itself_unless_it_has_a_negative_zero():
+    # a complex matrix without -0.0 is the stack, with no N x N copy; a -0.0
+    # in either part is cleared by a copy, as in every stack; a real matrix
+    # becomes complex
+    m = build_lattice(make_split_step(0.9, 0.3), 12, "circle").matrix
+    assert np.shares_memory(_one_cell(m).blocks[0], m)
+    assert m[0, 10] == 0
+    for part in ("real", "imag"):
+        signed = np.array(m)
+        getattr(signed, part)[0, 10] = -0.0
+        assert np.signbit(getattr(signed, part)[0, 10])
+        stack = _one_cell(signed).blocks[0]
+        assert not np.shares_memory(stack, signed) and np.array_equal(stack[0], signed)
+        assert not np.any(np.signbit(stack.view(float)[stack.view(float) == 0]))
+    real = _one_cell(np.eye(3)).blocks[0]
+    assert real.dtype == complex and np.array_equal(real[0], np.eye(3))
 
 
 def test_index_on_a_circle_places_no_full_size_matrix(tmp_path, monkeypatch, capsys):

@@ -274,7 +274,7 @@ def _transfer_swap(
     swap[:n_in, n_in:] = u
     swap[n_in:, :n_in] = u.conj().T
     v01 = 1j * swap
-    report = check_admissible(v01, trep_d, kind="walk", tol=tol, strict=False)
+    report = check_admissible(LatticeOperator.one_cell(v01), trep_d, kind="walk", tol=tol, strict=False)
     if not report.ok:
         raise DecouplingFailed(
             f"transfer swap is not admissible: residual {report.max_residual:.3e} > {tol.adm:g}"
@@ -363,7 +363,7 @@ def gentle_decoupling(
         trep_d = trep.restrict(np.eye(r)[:, :d], tol)
         u[:d, :d] = _transfer_swap(m, trep_d, modes, op.local_rep.cls, tol)
     try:
-        check_unitary(u, tol, "decoupling correction")
+        check_unitary(LatticeOperator.one_cell(u), tol, "decoupling correction")
     except NotUnitary as exc:
         raise DecouplingFailed(f"correction is not unitary: {exc}") from exc
 

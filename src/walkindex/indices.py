@@ -200,23 +200,12 @@ def _chord_reach(radius: float) -> float:
     return radius * np.sqrt(1.0 - radius**2 / 4) if radius < np.sqrt(2.0) else np.inf
 
 
-def _one_cell(m: np.ndarray) -> LatticeOperator:
-    """A plain matrix as an operator on one cell: ``m`` as a complex array, copied only to clear a ``-0.0``."""
-    a = np.asarray(m, dtype=complex)
-    if any(np.any((part == 0) & np.signbit(part)) for part in (a.real, a.imag)):
-        a = a + 0.0  # adding into +0.0 leaves no -0.0, as in every stack
-    return LatticeOperator({0: a[None]}, CellStructure((len(a),)), 0)
-
-
-def _operator_rep(
-    w, rep: SymmetryRep | LocalSymmetryRep | None
-) -> tuple[LatticeOperator, SymmetryRep | LocalSymmetryRep]:
-    """``w`` as an operator (a plain matrix as :func:`_one_cell`) and its rep:
-    ``rep``, else the cell-local one of ``w``."""
-    r = rep if rep is not None else getattr(w, "local_rep", None)
+def _rep_of(op: LatticeOperator, rep: SymmetryRep | LocalSymmetryRep | None) -> SymmetryRep | LocalSymmetryRep:
+    """``rep``, else the cell-local rep of ``op``."""
+    r = op.local_rep if rep is None else rep
     if r is None:
         raise NotAdmissible("no symmetry representation supplied or attached")
-    return (w if isinstance(w, LatticeOperator) else _one_cell(w)), r
+    return r
 
 
 def _per_cell(op: LatticeOperator, rep: SymmetryRep | LocalSymmetryRep) -> bool:
@@ -238,8 +227,9 @@ def _chiral_block(
     stacks into the frame, ``F[x+j]* H_j[x] F[x]`` for every offset at once,
     and their + rows and - columns are placed into ``C``, every + row of
     every cell before the - ones.  An operator on mixed or zero-dimensional
-    cells, or with a rep that does not act cell by cell, is one cell whose
-    frame is the block diagonal of its cells' frames."""
+    cells, or with a rep that does not act cell by cell (as a cell-local rep
+    on a :meth:`~walkindex.lattice.LatticeOperator.one_cell` operator), is
+    one cell whose frame is the block diagonal of its cells' frames."""
     cells, runs = op.cells, rep.runs()
     if _per_cell(op, rep):
         stacks, n, d = op.blocks, cells.n_cells, cells.cell_dims[0]
@@ -503,7 +493,7 @@ def _restricted_index(
 
 
 def si_pm(
-    w,
+    w: LatticeOperator,
     rep: SymmetryRep | LocalSymmetryRep | None = None,
     ceiling: float = ESSENTIAL_KERNEL_CEILING,
     tol: Tolerances = DEFAULT_TOL,
@@ -518,17 +508,17 @@ def si_pm(
     the determinant parity ``det W = (-1)^{si_minus}`` in class D, both
     within ``tol.idx``.
     """
-    op, r = _operator_rep(w, rep)
+    r = _rep_of(w, rep)
     check_unitary(w, tol)
     check_admissible(w, r, tol=tol)
-    minus, plus = _pm_eigenspaces(op, tol, ceiling, r)
+    minus, plus = _pm_eigenspaces(w, tol, ceiling, r)
     si_minus = _restricted_index(r, minus, tol)
     si_plus = _restricted_index(r, plus, tol)
     if r.cls in CHIRAL_UNITARY:
         runs = r.runs()
         trace_g = trace_runs(runs, "gamma")
-        zero = np.zeros((op.cells.n_cells,) + op.cells.cell_dims[:1] * 2)
-        trace_gw = trace_runs(runs, "gamma", op.blocks.get(0, zero) if _per_cell(op, r) else op.matrix)
+        zero = np.zeros((w.cells.n_cells,) + w.cells.cell_dims[:1] * 2)
+        trace_gw = trace_runs(runs, "gamma", w.blocks.get(0, zero) if _per_cell(w, r) else w.matrix)
         for sign, got in ((-1.0, si_minus), (+1.0, si_plus)):
             t = (trace_g + sign * trace_gw) / 2
             if abs(t - int(got)) > tol.idx:
@@ -537,7 +527,7 @@ def si_pm(
                     f"tr(gamma(1{sign:+.0f}W))/2 = {t:.6g}"
                 )
     elif r.cls is SymmetryClass.D:
-        det = complex(np.linalg.det(op.matrix))
+        det = complex(np.linalg.det(w.matrix))
         if abs(det - (-1.0) ** int(si_minus)) > tol.idx:
             raise NonIntegerTrace(
                 f"det W = {det:.6g} disagrees with parity of si_minus = {int(si_minus)}"
@@ -546,26 +536,25 @@ def si_pm(
 
 
 def si_total(
-    w,
+    w: LatticeOperator,
     rep: SymmetryRep | LocalSymmetryRep | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IndexValue:
     """Symmetry index of an essentially unitary operator.
 
     The index of the representation restricted to the kernel of the imaginary
-    part.  For a ``LatticeOperator`` with proxy ends, kernel modes living in
-    the proxy windows are truncation artifacts and are excluded; a plain
-    matrix has no proxy ends, so every kernel mode counts.
+    part.  Kernel modes living in the proxy windows of the operator's proxy
+    ends are truncation artifacts and are excluded.
 
     The kernel is detected by the essential-gap rule (see the module
     docstring), so boundary modes whose tails are clipped by a finite
     truncation are still counted.
     """
-    op, r = _operator_rep(w, rep)
+    r = _rep_of(w, rep)
     check_admissible(w, r, tol=tol)
-    ker = _essential_kernel(op, tol, rep=r)
+    ker = _essential_kernel(w, tol, rep=r)
     if ker.shape[1]:
-        ker = _drop_window(ker, op.cells, op.band, "kernel")
+        ker = _drop_window(ker, w.cells, w.band, "kernel")
     return _restricted_index(r, ker, tol)
 
 
@@ -583,8 +572,6 @@ def si_left_right(
     cut (default: antipodal) makes the pieces finite.  A line takes no
     second cut.
     """
-    if not isinstance(w, LatticeOperator):
-        raise IncompatibleCells("half-space indices need a cell-structured operator")
     left, right = half_spaces(w, a, second_cut)
     for piece in (left, right):
         if piece.cells.n_cells < w.band + 2:
@@ -624,7 +611,7 @@ def fredholm_index(
     cells within ``2 * band`` of the cut (all its nonzero diagonal lives
     there for banded unitary ``W``).
     """
-    if not isinstance(w, LatticeOperator) or w.cells.topology != "line":
+    if w.cells.topology != "line":
         raise IncompatibleCells("the Fredholm index needs a line segment")
     _, piece = half_spaces(w, a)
     dims = []
@@ -649,7 +636,7 @@ def fredholm_index(
 
 
 def twiddle_rep(
-    w, rep: SymmetryRep | LocalSymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL
+    w: LatticeOperator, rep: SymmetryRep | LocalSymmetryRep | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> SymmetryRep:
     """The companion representation with the walk folded into the operators.
 
@@ -662,8 +649,8 @@ def twiddle_rep(
     Its restriction to a subspace needs none of these matrices:
     :func:`~walkindex.symmetry.restrict_runs` with ``walk=W``.
     """
-    op, r = _operator_rep(w, rep)
-    m = op.matrix
+    r = _rep_of(w, rep)
+    m = w.matrix
     check_unitary(w, tol, "walk")
     check_admissible(w, r, tol=tol)
     runs = r.runs()
@@ -676,8 +663,8 @@ def twiddle_rep(
 
 
 def relative_index(
-    w,
-    w_prime,
+    w: LatticeOperator,
+    w_prime: LatticeOperator,
     rep: SymmetryRep | LocalSymmetryRep | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IndexValue:
@@ -687,14 +674,13 @@ def relative_index(
     of ``V = W' W*``; zero exactly when the perturbation can be contracted
     back to the identity through admissible unitaries.
     """
-    op, r = _operator_rep(w, rep)
-    op_prime, _ = _operator_rep(w_prime, r)
+    r = _rep_of(w, rep)
     check_unitary(w_prime, tol)
     check_admissible(w_prime, r, tol=tol)
     trep = twiddle_rep(w, r, tol)
-    v = op_prime.matrix @ op.matrix.conj().T
+    v = LatticeOperator.one_cell(w_prime.matrix @ w.matrix.conj().T)
     check_unitary(v, tol)
-    minus, _ = _pm_eigenspaces(_one_cell(v), tol)
+    minus, _ = _pm_eigenspaces(v, tol)
     return _restricted_index(trep, minus, tol)
 
 
@@ -722,8 +708,8 @@ class PerturbationReport:
 
 
 def verify_locpert(
-    w,
-    w_prime,
+    w: LatticeOperator,
+    w_prime: LatticeOperator,
     rep: SymmetryRep | LocalSymmetryRep | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> PerturbationReport:
@@ -732,7 +718,7 @@ def verify_locpert(
     The relative index of ``W -> W'`` equals ``si_minus(W') - si_minus(W)``
     and ``-(si_plus(W') - si_plus(W))``, as exact group identities.
     """
-    _, r = _operator_rep(w, rep)
+    r = _rep_of(w, rep)
     rel = relative_index(w, w_prime, r, tol)
     m_before, p_before = si_pm(w, r, tol=tol)
     m_after, p_after = si_pm(w_prime, r, tol=tol)
@@ -772,7 +758,7 @@ def contract_perturbation(v, trep: SymmetryRep, tol: Tolerances = DEFAULT_TOL) -
             ) from exc
         k = k + np.pi * (minus_basis @ h_small @ minus_basis.conj().T)
     k = (k + k.conj().T) / 2
-    check_admissible(k, trep, kind="hamiltonian", tol=tol)
+    check_admissible(LatticeOperator.one_cell(k), trep, kind="hamiltonian", tol=tol)
     return k
 
 
@@ -841,7 +827,7 @@ def verify_bulk_boundary(
     sir_right = bulk_right_index(right, tol)
     expected = sir_right - sir_left
 
-    _, r = _operator_rep(joined, None)
+    r = _rep_of(joined, None)
     check_unitary(joined, tol)
     check_admissible(joined, tol=tol)
     basis = np.hstack(_pm_eigenspaces(joined, tol, rep=r))
@@ -908,7 +894,7 @@ def index_matrix(
     to each block.  Within each block, +-1 eigenmodes in the far proxy
     window are excluded, so the entries are the cut's own contributions.
     """
-    if not isinstance(w, LatticeOperator) or w.cells.topology != "line":
+    if w.cells.topology != "line":
         raise IncompatibleCells("the index table needs a decoupled line segment")
     p = w.cells.index_mask(range(a, w.cells.n_cells)).astype(float)
     bound = max(tol.band, DECOUPLED_FLOOR)

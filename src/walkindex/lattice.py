@@ -8,8 +8,9 @@ symmetry representation.
 An operator is its cell blocks: one ``(n, d, d)`` stack per hopping offset,
 as a stored file holds them.  Built walks, compressions and read files are
 made and cut as stacks; the dense matrix is placed from them
-(:func:`place_blocks`) only when an eigensolver or an oracle reads it, and
-:meth:`LatticeOperator.from_matrix` is the one way in from a dense matrix.
+(:func:`place_blocks`) only when an eigensolver or an oracle reads it.  A
+dense matrix enters on its cells by :meth:`LatticeOperator.from_matrix`, and
+a plain matrix as one cell by :meth:`LatticeOperator.one_cell`.
 
 Finite segments serve as desk-scale proxies for half-infinite systems: their
 artificial outer boundaries are marked as ``proxy_ends`` so that index
@@ -246,6 +247,13 @@ class LatticeOperator:
         meta = {} if meta is None else meta
         op = cls(matrix_blocks(matrix, cells), cells, band or 0, local_rep, meta)
         return op if band is not None else replace(op, band=measured_band(op, tol))
+
+    @classmethod
+    def one_cell(cls, matrix: np.ndarray) -> "LatticeOperator":
+        """A plain matrix as an operator on one cell at band 0.  Its stack is a
+        complex copy added into ``+0.0``, so the caller's array never aliases it."""
+        stack = np.asarray(matrix, dtype=complex)[None] + 0.0
+        return cls({0: stack}, CellStructure((stack.shape[1],)), 0)
 
     @property
     def dim(self) -> int:
@@ -670,8 +678,8 @@ class CellBand:
     the stacks of :class:`LatticeOperator`.  ``offband`` is the Frobenius norm
     of the stacks beyond the band: zero (up to its underflow padding) for a
     walk built with its band, not for a measured or stored matrix.  Mixed or
-    zero-dimensional cells, a lattice of at most 4b cells and a plain matrix
-    (:meth:`whole`) are one cell holding the whole matrix, at band 0.
+    zero-dimensional cells and a lattice of at most 4b cells are one cell
+    holding the whole matrix, at band 0.
     ``matrix`` is the dense matrix, placed on first read.
     """
 
@@ -684,11 +692,6 @@ class CellBand:
             d, circle = cells.cell_dims[0], cells.topology == "circle"
         self.n_cells, self.cell_dim, self.band = n, d, band
         self.layout = _band_layout(n, band, circle)
-
-    @classmethod
-    def whole(cls, matrix: np.ndarray) -> "CellBand":
-        """A plain matrix as one cell."""
-        return cls({0: matrix[None]}, CellStructure((len(matrix),)))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -714,7 +717,7 @@ class CellBand:
 
     def one_cell(self) -> "CellBand":
         """The whole matrix as one cell."""
-        return self if self.n_cells == 1 else CellBand.whole(self.matrix)
+        return self if self.n_cells == 1 else CellBand({0: self.matrix[None]}, CellStructure((len(self.matrix),)))
 
 
 def measure_unitarity(cb: CellBand) -> Gate:

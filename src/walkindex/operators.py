@@ -21,13 +21,7 @@ from .errors import (
     NotUnitary,
     WindowAmbiguous,
 )
-from .lattice import (
-    CellBand,
-    LatticeOperator,
-    LocalSymmetryRep,
-    measure_admissibility,
-    measure_unitarity,
-)
+from .lattice import LatticeOperator, LocalSymmetryRep, measure_admissibility
 from .symmetry import ADMISSIBILITY, SymmetryRep, screened_norm, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -55,19 +49,13 @@ CLUSTER_GAP = 1e-8
 UNIT_CIRCLE_SLACK = 1e-9
 
 
-def check_unitary(
-    w: np.ndarray | LatticeOperator, tol: Tolerances = DEFAULT_TOL, what: str = "operator"
-) -> float:
+def check_unitary(w: LatticeOperator, tol: Tolerances = DEFAULT_TOL, what: str = "operator") -> float:
     """Unitarity defect screened by ``tol.unit``: a bound if it passes, else exact and raised.
 
-    An operator's defect is its :attr:`~walkindex.lattice.LatticeOperator.unitarity`
-    record, measured once; a plain matrix is measured on each call, as one cell.
+    The defect is the operator's
+    :attr:`~walkindex.lattice.LatticeOperator.unitarity` record, measured once.
     """
-    if isinstance(w, LatticeOperator):
-        gate = w.unitarity
-    else:
-        gate = measure_unitarity(CellBand.whole(np.asarray(w, dtype=complex)))
-    defect = gate.screened(tol.unit)
+    defect = w.unitarity.screened(tol.unit)
     if defect > tol.unit:
         raise NotUnitary(f"{what} has unitarity defect {defect:.3e} > {tol.unit}")
     return defect
@@ -89,7 +77,7 @@ class UnitaryEigen:
 def eig_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> UnitaryEigen:
     """Orthonormal eigendecomposition of a unitary matrix."""
     w = np.asarray(w, dtype=complex)
-    check_unitary(w, tol)
+    check_unitary(LatticeOperator.one_cell(w), tol)
     d = w.shape[0]
     re = (w + w.conj().T) / 2
     im = (w - w.conj().T) / 2j
@@ -158,7 +146,7 @@ class AdmissibilityReport:
 
 
 def check_admissible(
-    w: np.ndarray | LatticeOperator,
+    w: LatticeOperator,
     rep: SymmetryRep | LocalSymmetryRep | None = None,
     kind: str = "walk",
     tol: Tolerances = DEFAULT_TOL,
@@ -172,8 +160,7 @@ def check_admissible(
     ``rep`` is cell-local or dense (one run of one cell), and defaults to an
     operator's ``local_rep``.  A walk with its own rep reads the operator's
     :attr:`~walkindex.lattice.LatticeOperator.admissibility` record, measured
-    once; anything else is measured on the call, an operator from its cell
-    band and a plain matrix as one cell
+    once; anything else is measured on the call from the operator's cell band
     (:func:`~walkindex.lattice.measure_admissibility`).  Each residual is
     screened against ``tol.adm``: one that passes is reported as its bound,
     any other is the spectral norm.  A ``strict=False`` report is the same
@@ -181,13 +168,12 @@ def check_admissible(
     """
     if kind not in ("walk", "hamiltonian"):
         raise ValueError(f"kind must be 'walk' or 'hamiltonian', got {kind!r}")
-    if isinstance(w, LatticeOperator) and kind == "walk" and (rep is None or rep is w.local_rep):
+    if kind == "walk" and (rep is None or rep is w.local_rep):
         gates = w.admissibility
     elif rep is None:
         raise NotAdmissible("no symmetry representation supplied or attached")
     else:
-        band = w.cell_band if isinstance(w, LatticeOperator) else CellBand.whole(np.asarray(w, dtype=complex))
-        gates = measure_admissibility(band, rep.runs(), kind)
+        gates = measure_admissibility(w.cell_band, rep.runs(), kind)
     res = {name: gate.screened(tol.adm) for name, gate in gates.items()}
     worst = max(res.values(), default=0.0)
     ok = worst <= tol.adm

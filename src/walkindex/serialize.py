@@ -162,8 +162,11 @@ def cells_to_json(cells: CellStructure) -> dict:
 
 
 def cells_from_json(data: Mapping) -> CellStructure:
+    dims = tuple(data["cell_dims"])
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 0 for d in dims):
+        raise IncompatibleCells(f"cell dimensions must be integers >= 0, got {list(dims)}")
     return CellStructure(
-        tuple(int(d) for d in data["cell_dims"]),
+        tuple(int(d) for d in dims),
         str(data.get("topology", "line")),
         int(data.get("x_min", 0)),
         frozenset(data.get("proxy_ends", ())),

@@ -6,7 +6,7 @@ so scales are O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,11 @@ class Tolerances:
     det: float = 1e-8
     gap: float = 1e-6
     integer_residual: float = 1e-2
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not getattr(self, f.name) >= 0:  # false for nan too
+                raise ValueError(f"tolerance {f.name} must be a number >= 0, got {getattr(self, f.name)!r}")
 
     def with_(self, **kwargs: float) -> "Tolerances":
         """Return a copy with selected fields replaced."""

@@ -96,6 +96,9 @@ def _passed(n: int, msg: str) -> None:
     print(f"[PASS] {n}/9 {msg}", file=sys.__stderr__)
 
 
+one = LatticeOperator.one_cell  # a plain matrix as an operator on one cell
+
+
 def conjugated_ring(ti, n, gen) -> LatticeOperator:
     """The walk on a circle in a random cell-local basis.
 
@@ -265,19 +268,19 @@ def test_05_relative_index_identities_fuzz():
             rep = random_rep(cls, gen, int(gen.integers(1, 21)), int(gen.integers(1, 21)))
         assert rep.dim <= 40
         w = random_admissible_walk(rep, gen)
-        trep = twiddle_rep(w, rep)
+        trep = twiddle_rep(one(w), rep)
         z = gen.normal(size=(rep.dim, rep.dim)) + 1j * gen.normal(size=(rep.dim, rep.dim))
         v = expm(1j * admissible_hamiltonian_projection(z, trep))
-        report = verify_locpert(w, v @ w, rep)
+        report = verify_locpert(one(w), one(v @ w), rep)
         assert report.ok
         if done % 5 == 0:
             # chain rule through a second perturbation
-            trep2 = twiddle_rep(v @ w, rep)
+            trep2 = twiddle_rep(one(v @ w), rep)
             z2 = gen.normal(size=(rep.dim, rep.dim)) + 1j * gen.normal(size=(rep.dim, rep.dim))
             v2 = expm(1j * admissible_hamiltonian_projection(z2, trep2))
-            total = relative_index(w, v2 @ v @ w, rep)
-            first = relative_index(w, v @ w, rep)
-            second = relative_index(v @ w, v2 @ v @ w, rep)
+            total = relative_index(one(w), one(v2 @ v @ w), rep)
+            first = relative_index(one(w), one(v @ w), rep)
+            second = relative_index(one(v @ w), one(v2 @ v @ w), rep)
             assert total == first + second
         done += 1
 
@@ -288,7 +291,7 @@ def test_05_relative_index_identities_fuzz():
         q = int(gen.integers(1, 21))
         rep = random_rep(C.AIII, gen, p, q)
         w = random_admissible_walk(rep, gen)
-        gt = twiddle_rep(w, rep).ops["gamma"].matrix
+        gt = twiddle_rep(one(w), rep).ops["gamma"].matrix
         vals, vecs = np.linalg.eigh((gt + gt.conj().T) / 2)
         sign = 1 if t % 2 == 0 else -1
         sector = vecs[:, vals > 0] if sign == 1 else vecs[:, vals < 0]
@@ -299,7 +302,7 @@ def test_05_relative_index_identities_fuzz():
         v = (sector @ coeff).reshape(-1, 1)
         v /= np.linalg.norm(v)
         refl = np.eye(rep.dim) - 2 * v @ v.conj().T
-        report = verify_locpert(w, refl @ w, rep)
+        report = verify_locpert(one(w), one(refl @ w), rep)
         assert report.ok
         assert int(report.relative) == sign
         done += 1
@@ -313,15 +316,15 @@ def test_05_relative_index_identities_fuzz():
         r1, v1 = local_reflection(ring, c1)
         r2, v2 = local_reflection(ring, c2)
         assert abs(v1.conj().T @ v2)[0, 0] < 1e-8  # disjoint supports
-        report = verify_locpert(ring, r1 @ ring.matrix)
+        report = verify_locpert(ring, one(r1 @ ring.matrix))
         assert report.ok and int(report.relative) == 1
         # chain rule
-        total = relative_index(ring, r2 @ r1 @ ring.matrix)
-        first = relative_index(ring, r1 @ ring.matrix)
-        second = relative_index(r1 @ ring.matrix, r2 @ r1 @ ring.matrix, ring.local_rep)
+        total = relative_index(ring, one(r2 @ r1 @ ring.matrix))
+        first = relative_index(ring, one(r1 @ ring.matrix))
+        second = relative_index(one(r1 @ ring.matrix), one(r2 @ r1 @ ring.matrix), ring.local_rep)
         assert total == first + second
         # additivity of perturbations with distant supports
-        assert int(total) == int(first) + int(relative_index(ring, r2 @ ring.matrix)) == 2
+        assert int(total) == int(first) + int(relative_index(ring, one(r2 @ ring.matrix))) == 2
         done += 1
 
     elapsed = time.perf_counter() - t0
@@ -342,7 +345,7 @@ def test_05_eigen_cluster_matches_window_oracle():
 
     def compare(w, rep):
         nonlocal answered, refused
-        got = si_pm(w, rep)
+        got = si_pm(one(w), rep)
         for window in (DEFAULT_TOL.exact, 1e-3):
             try:
                 spaces = window_eigenspaces(w, window)
@@ -390,7 +393,7 @@ def test_06_gentle_decoupling_suite():
         for v_t in contraction_path(res.generator, 8):
             sample = v_t @ op.matrix
             unit = float(np.linalg.norm(sample.conj().T @ sample - eye, 2))
-            adm = check_admissible(sample, rep, kind="walk", strict=False).max_residual
+            adm = check_admissible(one(sample), rep, kind="walk", strict=False).max_residual
             worst_unit = max(worst_unit, unit)
             worst_adm = max(worst_adm, adm)
             assert unit <= 1e-8 and adm <= 1e-8
@@ -419,7 +422,7 @@ def test_06_contraction_generator_fuzz():
         res = gentle_decoupling(op, int(gen.integers(0, n)))
         k = res.generator
         assert np.linalg.norm(k - k.conj().T, 2) <= 1e-12
-        check_admissible(k, twiddle_rep(op), kind="hamiltonian")
+        check_admissible(one(k), twiddle_rep(op), kind="hamiltonian")
         assert np.linalg.norm(expm(1j * k) - res.v, 2) <= 1e-10
 
 

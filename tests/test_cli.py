@@ -23,7 +23,7 @@ from walkindex.serialize import (
     walk_from_spec,
 )
 from walkindex.symmetry import IndexGroup, IndexValue
-from walkindex.tolerances import DEFAULT_TOL
+from walkindex.tolerances import DEFAULT_TOL, Tolerances
 from walkindex.walks import InvariantReport, build_lattice, make_split_step
 
 GEN = {"type": "ti", "builtin": "generating"}
@@ -812,6 +812,52 @@ def test_tolerance_precedence(tmp_path, capsys):
     )
     assert data["tolerances"]["idx"] == 1e-04
     assert "subspace" not in data["tolerances"]
+
+
+@pytest.mark.parametrize(
+    "override",
+    [["--tol-unit", "nan"], ["config", "unit"], ["--tol-unit", "-1"], ["--tol-adm", "nan"], ["config", "adm"]],
+    ids=["flag nan", "config nan", "flag negative", "adm flag nan", "adm config nan"],
+)
+def test_a_nan_or_negative_tolerance_exits_1(tmp_path, capsys, override):
+    # every gate compares against its threshold, and against nan each
+    # comparison is false: decouple of a compressed line (unitarity defect
+    # 0.91) reported ok, and a nan tol.adm refused a residual of 3e-17
+    line = {**SPLIT_A, "coin_params": {"theta1": 0.9, "theta2": 0.3}}
+    spec = write_spec(tmp_path, "line.json", {**line, "geometry": {"n_cells": 16, "topology": "line"}})
+    argv = ["decouple", spec, "--cut", "8", "--out-dir", str(tmp_path / "out")]
+    code, data = run_json(capsys, argv)
+    assert code == 2 and data["error"] == "NotUnitary"
+    name = override[1] if override[0] == "config" else override[0].removeprefix("--tol-")
+    if override[0] == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"tolerances": {{"{name}": NaN}}}}', encoding="utf-8")
+        override = ["--config", str(cfg)]
+    for command in (argv, ["index", spec]):
+        code, data = run_json(capsys, command + override)
+        assert code == 1 and data["error"] == "ValueError", data
+        assert data["message"].startswith(f"tolerance {name} must be a number >= 0")
+
+
+def test_tolerances_refuse_nan_and_negative_values():
+    with pytest.raises(ValueError, match="tolerance unit must be a number >= 0, got nan"):
+        Tolerances(unit=float("nan"))
+    with pytest.raises(ValueError, match="tolerance ker must be"):
+        DEFAULT_TOL.with_(ker=-1e-8)
+    assert Tolerances(gap=0.0).gap == 0.0
+
+
+@pytest.mark.parametrize("dims", [[2, -2, 2], [2, 2.5, 2], [2, True, 2]])
+def test_cell_dimensions_that_are_not_nonnegative_integers_are_refused(tmp_path, capsys, dims):
+    # [2, -2, 2] summed to two rows, so validate passed it and index refused
+    # it for a block shape; 2.5 was truncated to 2
+    stored = lattice_operator_to_json(LatticeOperator.one_cell(np.eye(2)))
+    stored["cells"]["cell_dims"] = dims
+    spec = write_spec(tmp_path, "explicit.json", stored)
+    for command in ("validate", "index"):
+        code, data = run_json(capsys, [command, spec])
+        assert code == 1 and data["error"] == "IncompatibleCells", data
+        assert data["message"] == f"cell dimensions must be integers >= 0, got {dims}"
 
 
 def test_tol_subspace_flag_is_gone(tmp_path):

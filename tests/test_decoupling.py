@@ -188,7 +188,7 @@ def test_direct_rotation_vanishes_on_transfers():
 
 def test_direct_rotation_spectrum_in_right_half_plane():
     v, _ = rotation_on_whole_space(ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16), 0, 8)
-    check_unitary(v)
+    check_unitary(LatticeOperator.one_cell(v))
     assert float(np.min(np.linalg.eigvals(v).real)) >= -1e-9
 
 
@@ -228,8 +228,9 @@ def test_gentle_decoupling_path_is_admissible_homotopy():
     assert np.linalg.norm(path[0] - res.w_prime.matrix) <= 1e-12
     assert np.linalg.norm(path[-1] - r.matrix) <= 1e-12
     for sample in path:
-        check_unitary(sample)
-        assert check_admissible(sample, rep, kind="walk", strict=False).max_residual <= 1e-8
+        op = LatticeOperator.one_cell(sample)
+        check_unitary(op)
+        assert check_admissible(op, rep, kind="walk", strict=False).max_residual <= 1e-8
 
 
 def test_gentle_decoupling_checks_each_matrix_once(monkeypatch):
@@ -652,6 +653,6 @@ def test_decoupled_segment_admissible():
     seg = truncate_ti(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 14, "decoupled_unitary")
     rep = seg.local_rep
     assert rep is not None
-    assert check_admissible(seg.matrix, rep, kind="walk", strict=False).max_residual <= 1e-8
+    assert check_admissible(LatticeOperator.one_cell(seg.matrix), rep, kind="walk", strict=False).max_residual <= 1e-8
     dim = seg.matrix.shape[0]
     assert np.linalg.norm(seg.matrix @ seg.matrix.conj().T - np.eye(dim)) <= 1e-10

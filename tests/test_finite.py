@@ -29,7 +29,7 @@ from walkindex.finite import (
     localization_profile,
     temple_kato,
 )
-from walkindex.lattice import CellStructure
+from walkindex.lattice import CellStructure, LatticeOperator
 from walkindex.operators import check_admissible, check_unitary, eig_unitary
 from walkindex.walks import (
     build_lattice,
@@ -384,8 +384,8 @@ def test_identical_bulks_spectrum_is_bloch_union():
 
 def test_split_step_circle_join_has_protected_modes(split_a, split_b):
     joined = join_crossover(split_a, split_b, 30, 30, "circle")
-    check_unitary(joined.matrix, what="join")
-    report = check_admissible(joined.matrix, joined.local_rep, kind="walk")
+    check_unitary(LatticeOperator.one_cell(joined.matrix), what="join")
+    report = check_admissible(LatticeOperator.one_cell(joined.matrix), joined.local_rep, kind="walk")
     assert max(report.residuals.values()) <= 1e-8
     re = np.abs(np.linalg.eigvals(joined.matrix).real)
     assert int(np.sum(re > 1 - 1e-3)) == 4  # one near +-1 pair per interface
@@ -397,8 +397,8 @@ def test_line_join_is_unitary_admissible_with_one_interface(line_join_80):
     assert line_join_80.cells.topology == "line"
     assert line_join_80.meta["interfaces"] == (40,)
     assert line_join_80.meta["boundary"] == "decoupled_unitary"
-    check_unitary(line_join_80.matrix, what="line join")
-    report = check_admissible(line_join_80.matrix, line_join_80.local_rep, kind="walk")
+    check_unitary(LatticeOperator.one_cell(line_join_80.matrix), what="line join")
+    report = check_admissible(LatticeOperator.one_cell(line_join_80.matrix), line_join_80.local_rep, kind="walk")
     assert max(report.residuals.values()) <= 1e-8
     vals = np.linalg.eigvals(line_join_80.matrix)
     assert int(np.sum(np.abs(vals - 1) <= 1e-9)) == 2
@@ -433,8 +433,8 @@ def test_sign_flipped_coin_pair_falls_back_to_decoupled_glue():
     inv = make_generating_example(inverse=True)
     joined = join_crossover(gen, inv, 8, 8, "line")
     assert joined.meta["interface_style"] == "decoupled"
-    check_unitary(joined.matrix, what="fallback join")
-    report = check_admissible(joined.matrix, joined.local_rep, kind="walk")
+    check_unitary(LatticeOperator.one_cell(joined.matrix), what="fallback join")
+    report = check_admissible(LatticeOperator.one_cell(joined.matrix), joined.local_rep, kind="walk")
     assert max(report.residuals.values()) <= 1e-8
     eig = eig_unitary(joined.matrix)
     pinned = np.flatnonzero(np.abs(eig.values - 1) <= 1e-9)
@@ -451,8 +451,8 @@ def test_different_skeletons_fall_back(split_a):
     gen = make_generating_example()
     joined = join_crossover(gen, make_trivial(), 8, 8, "line")
     assert joined.meta["interface_style"] == "decoupled"
-    check_unitary(joined.matrix, what="fallback join")
-    report = check_admissible(joined.matrix, joined.local_rep, kind="walk")
+    check_unitary(LatticeOperator.one_cell(joined.matrix), what="fallback join")
+    report = check_admissible(LatticeOperator.one_cell(joined.matrix), joined.local_rep, kind="walk")
     assert max(report.residuals.values()) <= 1e-8
     vals = np.linalg.eigvals(joined.matrix)
     assert int(np.sum(np.abs(vals - 1) <= 1e-9)) == 2
@@ -463,7 +463,7 @@ def test_circle_fallback_is_unitary():
     inv = make_generating_example(inverse=True)
     joined = join_crossover(gen, inv, 6, 6, "circle")
     assert joined.cells.topology == "circle"
-    check_unitary(joined.matrix, what="circle fallback")
+    check_unitary(LatticeOperator.one_cell(joined.matrix), what="circle fallback")
     vals = np.linalg.eigvals(joined.matrix)
     assert int(np.sum(np.abs(vals - 1) <= 1e-9)) == 4  # two decoupled arcs
 

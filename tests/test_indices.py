@@ -56,7 +56,6 @@ from walkindex.indices import (
     _drop_window,
     _essential_kernel,
     _gap_certified,
-    _one_cell,
     _pm_eigenspaces,
     bulk_right_index,
     contract_perturbation,
@@ -115,6 +114,9 @@ from walkindex.walks import (
 C = SymmetryClass
 
 
+one = LatticeOperator.one_cell  # a plain matrix as an operator on one cell
+
+
 def generating_ring(n: int = 12) -> LatticeOperator:
     return build_lattice(make_generating_example(), n, "circle")
 
@@ -151,13 +153,13 @@ def local_reflection(ring: LatticeOperator, cell: int) -> tuple[np.ndarray, np.n
 
 def test_si_pm_balanced_minus_one():
     rep = make_generating_example().cell_rep
-    minus, plus = si_pm(-np.eye(2, dtype=complex), rep)
+    minus, plus = si_pm(one(-np.eye(2)), rep)
     assert int(minus) == 0 and int(plus) == 0
 
 
 def test_si_pm_diagonal_chiral():
     rep = SymmetryRep.from_matrices(C.AIII, 2, gamma=np.diag([1.0, -1.0]))
-    minus, plus = si_pm(np.diag([-1.0 + 0j, 1.0]), rep)
+    minus, plus = si_pm(one(np.diag([-1.0 + 0j, 1.0])), rep)
     assert int(minus) == 1 and int(plus) == -1
 
 
@@ -166,7 +168,7 @@ def test_si_pm_class_d_det_parity():
     c, s = np.cos(theta), np.sin(theta)
     w = np.array([[c, -s, 0], [s, c, 0], [0, 0, -1]], dtype=complex)
     rep = SymmetryRep.from_matrices(C.D, 3, eta=np.eye(3))
-    minus, plus = si_pm(w, rep)
+    minus, plus = si_pm(one(w), rep)
     assert int(minus) == 1 and int(plus) == 0
     assert minus.group is IndexGroup.Z2
 
@@ -216,7 +218,7 @@ def test_pm_eigenspaces_pick_target():
     gen = rng(14)
     u = haar_unitary(gen, 5)
     w = u @ np.diag([1.0, 1.0, -1.0, 1j, -1j]) @ u.conj().T
-    minus, plus = _pm_eigenspaces(_one_cell(w), DEFAULT_TOL)
+    minus, plus = _pm_eigenspaces(one(w), DEFAULT_TOL)
     assert plus.shape[1] == 2 and minus.shape[1] == 1
     assert np.linalg.norm(w @ plus - plus) < 1e-9
 
@@ -228,7 +230,7 @@ def test_pm_eigenspaces_orthonormal_on_near_degenerate_pairs():
     left = make_split_step(-1.1539442633140755, 0.45381585750015385)
     right = make_split_step(1.196500742480596, -0.3849940163793574)
     m = join_crossover(left, right, 16, 16, "circle").matrix
-    for basis in _pm_eigenspaces(_one_cell(m), DEFAULT_TOL):
+    for basis in _pm_eigenspaces(one(m), DEFAULT_TOL):
         assert basis.shape[1] == 2
         assert spectral_norm(basis.conj().T @ basis - np.eye(2)) <= 1e-12
         assert spectral_norm(m @ basis - basis @ (basis.conj().T @ m @ basis)) <= 1e-12
@@ -244,7 +246,7 @@ def test_near_spectrum_matches_dense_eigenbasis(anchor):
     w = u @ np.diag(anchor * np.exp(1j * phases)) @ u.conj().T
     eig = eig_unitary(w)
     for radius in (1e-3, 0.1, 0.4):
-        near, min_im = near_spectrum(_one_cell(w), anchor, radius=radius)
+        near, min_im = near_spectrum(one(w), anchor, radius=radius)
         mask = (np.abs(eig.values - anchor) <= radius) | (np.abs(eig.values + anchor) <= radius)
         np.testing.assert_allclose(near.values, eig.values[mask], rtol=0, atol=1e-12)
         ref = eig.vectors[:, mask]
@@ -259,7 +261,7 @@ def test_si_pm_refuses_non_invariant_span():
     w[0, 1] = 0.01
     loose = DEFAULT_TOL.with_(unit=0.1)
     with pytest.raises(EigenFailure, match="invariance residual"):
-        si_pm(w, SymmetryRep.from_matrices(C.A, 3), tol=loose)
+        si_pm(one(w), SymmetryRep.from_matrices(C.A, 3), tol=loose)
 
 
 def test_si_pm_window_guard():
@@ -269,7 +271,7 @@ def test_si_pm_window_guard():
     w = np.diag([np.exp(1j * eps), np.exp(-1j * eps)])
     rep = SymmetryRep.from_matrices(C.AIII, 2, gamma=np.array([[0, 1], [1, 0]], dtype=complex))
     for ceiling in (1e-7, 1e-3, ESSENTIAL_KERNEL_CEILING):
-        minus, plus = si_pm(w, rep, ceiling=ceiling)
+        minus, plus = si_pm(one(w), rep, ceiling=ceiling)
         assert (int(minus), int(plus)) == (0, 0)
 
 
@@ -278,7 +280,7 @@ def test_si_pm_class_d_parity_reads_tol_idx():
     # must reach the parity gate
     gen = rng(31)
     rep = random_rep(C.D, gen, p=6)
-    w = random_admissible_walk(rep, gen)
+    w = one(random_admissible_walk(rep, gen))
     si_pm(w, rep)
     with pytest.raises(NonIntegerTrace, match="det W"):
         si_pm(w, rep, tol=DEFAULT_TOL.with_(idx=1e-18))
@@ -286,7 +288,7 @@ def test_si_pm_class_d_parity_reads_tol_idx():
 
 def test_si_total_gapped_coin_is_zero():
     rep = SymmetryRep.from_matrices(C.A, 2)
-    assert int(si_total(1j * np.eye(2), rep)) == 0
+    assert int(si_total(one(1j * np.eye(2)), rep)) == 0
 
 
 def test_si_total_equals_si_pm_sum_random():
@@ -294,7 +296,7 @@ def test_si_total_equals_si_pm_sum_random():
     for cls in (C.AIII, C.BDI, C.D, C.CII, C.DIII):
         for _ in range(5):
             rep = random_rep(cls, gen, p=2, q=2)
-            w = random_admissible_walk(rep, gen)
+            w = one(random_admissible_walk(rep, gen))
             minus, plus = si_pm(w, rep)
             assert int(si_total(w, rep)) == int(minus + plus)
 
@@ -303,8 +305,8 @@ def test_si_total_one_sided_compression():
     seg = truncate_ti(make_generating_example(), 12, "compress")
     right = compress(seg, half_space_projection(seg.cells, 4, side="geq"))
     assert int(si_total(right)) == 1
-    # a plain matrix has no proxy ends: the far-end mode cancels the cut mode
-    assert int(si_total(right.matrix, right.local_rep)) == 0
+    # one cell has no proxy ends: the far-end mode cancels the cut mode
+    assert int(si_total(one(right.matrix), right.local_rep)) == 0
 
 
 def test_si_left_right_generating_segment():
@@ -360,7 +362,7 @@ def test_si_left_right_stable_under_distant_perturbation():
     ring = generating_ring(20)
     refl, _ = local_reflection(ring, 8)
     perturbed = LatticeOperator.from_matrix(refl @ ring.matrix, ring.cells, 2, ring.local_rep)
-    assert int(relative_index(ring, refl @ ring.matrix)) == 1
+    assert int(relative_index(ring, one(refl @ ring.matrix))) == 1
     before = tuple(int(x) for x in si_left_right(ring, 4, second_cut=14))
     after = tuple(int(x) for x in si_left_right(perturbed, 4, second_cut=14))
     assert before == after == (-1, 1)
@@ -383,16 +385,16 @@ def test_si_pm_homotopy_stability():
     rep = ring.local_rep
     refl, _ = local_reflection(ring, 0)
     wp = refl @ ring.matrix
-    assert [int(x) for x in si_pm(wp, rep)] == [1, -1]
+    assert [int(x) for x in si_pm(one(wp), rep)] == [1, -1]
     gen = rng(11)
-    trep = twiddle_rep(wp, rep)
+    trep = twiddle_rep(one(wp), rep)
     z = gen.normal(size=(20, 20)) + 1j * gen.normal(size=(20, 20))
     k = admissible_hamiltonian_projection(z, trep)
     margin = pm_one_gap(wp)
     d = 1  # anchored eigenspace dimension per phase
     eps = margin / (2 * (2 * d + 1)) / np.linalg.norm(k, 2) * 0.9
     w1 = expm(1j * eps * k) @ wp
-    assert [int(x) for x in si_pm(w1, rep)] == [1, -1]
+    assert [int(x) for x in si_pm(one(w1), rep)] == [1, -1]
     vals = np.linalg.eigvals(w1)
     assert np.min(np.abs(vals + 1)) < 1e-12
     assert np.min(np.abs(vals - 1)) < 1e-12
@@ -447,7 +449,7 @@ def test_fredholm_needs_line():
 
 def test_twiddle_rep_identity_walk():
     rep = normal_form_rep(C.BDI, 2, 2)
-    trep = twiddle_rep(np.eye(4, dtype=complex), rep)
+    trep = twiddle_rep(one(np.eye(4)), rep)
     for name in rep.ops:
         assert np.allclose(trep.ops[name].matrix, rep.ops[name].matrix)
 
@@ -477,26 +479,26 @@ def test_twiddle_rep_satisfies_the_class_relations(cls):
     gen = rng(1601)
     for _ in range(3):
         rep = random_rep(cls, gen, p=2, q=1)
-        trep = twiddle_rep(random_admissible_walk(rep, gen), rep)
+        trep = twiddle_rep(one(random_admissible_walk(rep, gen)), rep)
         assert trep.cls is cls
         assert trep.validate().max_residual < 1e-10
 
 
 def test_relative_index_identity_perturbation():
     ring = generating_ring(10)
-    assert int(relative_index(ring, ring.matrix.copy())) == 0
+    assert int(relative_index(ring, one(ring.matrix))) == 0
 
 
 def test_relative_index_rank_one_reflection():
     ring = generating_ring(12)
     refl, _ = local_reflection(ring, 4)
-    assert int(relative_index(ring, refl @ ring.matrix)) == 1
+    assert int(relative_index(ring, one(refl @ ring.matrix))) == 1
 
 
 def test_verify_locpert_reflection():
     ring = generating_ring(12)
     refl, _ = local_reflection(ring, 4)
-    report = verify_locpert(ring, refl @ ring.matrix)
+    report = verify_locpert(ring, one(refl @ ring.matrix))
     assert report.ok
     assert int(report.relative) == 1
     assert (int(report.si_minus_before), int(report.si_minus_after)) == (0, 1)
@@ -508,8 +510,8 @@ def test_relative_index_chain_rule():
     rep = ring.local_rep
     r1, _ = local_reflection(ring, 2)
     r2, _ = local_reflection(ring, 9)
-    w1 = r1 @ ring.matrix
-    w2 = r2 @ w1
+    w1 = one(r1 @ ring.matrix)
+    w2 = one(r2 @ w1.matrix)
     total = relative_index(ring, w2)
     assert int(total) == int(relative_index(ring, w1) + relative_index(w1, w2, rep))
 
@@ -519,10 +521,10 @@ def test_relative_index_distant_additivity():
     r1, v1 = local_reflection(ring, 2)
     r2, v2 = local_reflection(ring, 9)
     assert abs(v1.conj().T @ v2)[0, 0] < 1e-12  # disjoint supports
-    separate = int(relative_index(ring, r1 @ ring.matrix)) + int(
-        relative_index(ring, r2 @ ring.matrix)
+    separate = int(relative_index(ring, one(r1 @ ring.matrix))) + int(
+        relative_index(ring, one(r2 @ ring.matrix))
     )
-    assert int(relative_index(ring, r1 @ r2 @ ring.matrix)) == separate == 2
+    assert int(relative_index(ring, one(r1 @ r2 @ ring.matrix))) == separate == 2
 
 
 def test_relative_index_fuzz_locpert():
@@ -532,11 +534,11 @@ def test_relative_index_fuzz_locpert():
         cls = [C.AIII, C.BDI, C.D, C.CII][trials % 4]
         rep = random_rep(cls, gen, p=2, q=2)
         w = random_admissible_walk(rep, gen)
-        trep = twiddle_rep(w, rep)
+        trep = twiddle_rep(one(w), rep)
         z = gen.normal(size=(rep.dim, rep.dim)) + 1j * gen.normal(size=(rep.dim, rep.dim))
         v = expm(1j * admissible_hamiltonian_projection(z, trep))
         try:
-            report = verify_locpert(w, v @ w, rep)
+            report = verify_locpert(one(w), one(v @ w), rep)
         except WindowAmbiguous:
             continue
         assert report.ok
@@ -915,7 +917,7 @@ def _certificate_cases(cls, ti, gen):
     for piece in half_spaces(ring, int(gen.integers(0, n))):
         yield "piece", piece
     yield "mixed cells", mixed_cell_walk(cls, ti.cell_rep, gen)
-    yield "no rows", _one_cell(np.zeros((0, 0)))
+    yield "no rows", one(np.zeros((0, 0)))
 
 
 def test_gap_certificate_agrees_with_the_dense_oracle_fuzz():
@@ -1456,27 +1458,10 @@ def test_chiral_block_of_a_plain_matrix_reads_it_as_one_cell():
     # act cell by cell, are one cell with the block-diagonal frame
     ring = build_lattice(make_split_step(0.9, 0.3), 12, "circle")
     dense = dense_rep(ring)
-    for op, rep in ((_one_cell(ring.matrix), dense), (ring, dense), (_one_cell(ring.matrix), ring.local_rep)):
+    cell = one(ring.matrix)
+    for op, rep in ((cell, dense), (ring, dense), (cell, ring.local_rep)):
         want, _ = _dense_off_diagonal(ring, rep, 1.0)
         assert np.array_equal(_chiral_block(op, rep)[0], want)
-
-
-def test_one_cell_holds_the_matrix_itself_unless_it_has_a_negative_zero():
-    # a complex matrix without -0.0 is the stack, with no N x N copy; a -0.0
-    # in either part is cleared by a copy, as in every stack; a real matrix
-    # becomes complex
-    m = build_lattice(make_split_step(0.9, 0.3), 12, "circle").matrix
-    assert np.shares_memory(_one_cell(m).blocks[0], m)
-    assert m[0, 10] == 0
-    for part in ("real", "imag"):
-        signed = np.array(m)
-        getattr(signed, part)[0, 10] = -0.0
-        assert np.signbit(getattr(signed, part)[0, 10])
-        stack = _one_cell(signed).blocks[0]
-        assert not np.shares_memory(stack, signed) and np.array_equal(stack[0], signed)
-        assert not np.any(np.signbit(stack.view(float)[stack.view(float) == 0]))
-    real = _one_cell(np.eye(3)).blocks[0]
-    assert real.dtype == complex and np.array_equal(real[0], np.eye(3))
 
 
 def test_index_on_a_circle_places_no_full_size_matrix(tmp_path, monkeypatch, capsys):

@@ -146,6 +146,28 @@ def test_lattice_operator_blocks():
     assert op.block(0, 3) == pytest.approx(np.array([[1.0]]))
 
 
+def test_one_cell_copies_the_matrix_into_a_stack_without_negative_zeros():
+    # a plain matrix is one cell at band 0; its stack is a read-only complex
+    # copy with every -0.0 cleared, so writing into the input afterwards
+    # changes neither the operator's matrix nor its gate records
+    m = np.array(build_lattice(make_split_step(0.9, 0.3), 12, "circle").matrix)
+    assert m[0, 10] == 0 and m[0, 11] == 0
+    m.real[0, 10] = m.imag[0, 11] = -0.0
+    original = m.copy()
+    op = LatticeOperator.one_cell(m)
+    stack = op.blocks[0]
+    assert (op.cells, op.band, list(op.blocks)) == (CellStructure((24,)), 0, [0])
+    assert not np.shares_memory(stack, m) and not stack.flags.writeable
+    assert np.array_equal(stack[0], m)
+    parts = stack.view(float)
+    assert not np.any(np.signbit(parts[parts == 0]))
+    real = LatticeOperator.one_cell(np.eye(3)).blocks[0]
+    assert real.dtype == complex and np.array_equal(real[0], np.eye(3))
+    m *= 2
+    assert np.array_equal(op.matrix, original)
+    assert op.unitarity.bound == LatticeOperator.one_cell(original).unitarity.bound <= DEFAULT_TOL.unit
+
+
 def test_projection_matrix_and_complement():
     cells = CellStructure((1, 2, 1), "line")
     proj = CellProjection(cells, (1,))
@@ -529,7 +551,7 @@ def _check_gates(op, tol) -> None:
     exact = dense_unitarity(op.matrix)
     _check_gate(op.unitarity, exact, [tol.unit, *_near(exact)])
     if exact <= tol.unit:
-        assert check_unitary(op.matrix, tol) <= tol.unit
+        assert check_unitary(LatticeOperator.one_cell(op.matrix), tol) <= tol.unit
     if op.local_rep is None:
         return
     oracle = dense_admissibility(op.matrix, op.local_rep.assembled())
@@ -537,7 +559,7 @@ def _check_gates(op, tol) -> None:
     for name, gate in op.admissibility.items():
         _check_gate(gate, oracle[name], [tol.adm, *_near(oracle[name])])
     worst = max(oracle.values(), default=0.0)
-    for w in (op, op.matrix):
+    for w in (op, LatticeOperator.one_cell(op.matrix)):
         assert check_admissible(w, op.local_rep, strict=False).ok == (worst <= tol.adm)
 
 

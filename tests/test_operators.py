@@ -33,7 +33,7 @@ from walkindex.operators import (
     phase_window,
     polar_isometry,
 )
-from walkindex.lattice import LocalSymmetryRep
+from walkindex.lattice import LatticeOperator, LocalSymmetryRep
 from walkindex.symmetry import SymmetryClass, spectral_norm
 from walkindex.tolerances import DEFAULT_TOL
 from walkindex.walks import build_lattice, make_split_step
@@ -43,7 +43,7 @@ C = SymmetryClass
 
 def test_check_unitary_rejects_contraction():
     with pytest.raises(NotUnitary):
-        check_unitary(0.5 * np.eye(3))
+        check_unitary(LatticeOperator.one_cell(0.5 * np.eye(3)))
 
 
 def test_screened_gates_pass_on_a_bound_and_refuse_with_the_exact_norm():
@@ -51,7 +51,11 @@ def test_screened_gates_pass_on_a_bound_and_refuse_with_the_exact_norm():
     u = haar_unitary(gen, 64)
     tol = DEFAULT_TOL
     for check, residual, bound in (
-        (check_unitary, lambda w: w.conj().T @ w - np.eye(64), tol.unit),
+        (
+            lambda w, tol: check_unitary(LatticeOperator.one_cell(w), tol),
+            lambda w: w.conj().T @ w - np.eye(64),
+            tol.unit,
+        ),
         (check_normal, lambda w: w @ w.conj().T - w.conj().T @ w, 10 * tol.unit),
     ):
         assert spectral_norm(residual(u)) * (1 - 1e-9) <= check(u, tol=tol) <= bound
@@ -145,7 +149,7 @@ def test_imaginary_part_is_hermitian():
 def test_random_admissible_walks_pass_check(cls):
     gen = rng(20 + ALL_CLASSES.index(cls))
     rep = random_rep(cls, gen, p=2, q=2)
-    w = random_admissible_walk(rep, gen)
+    w = LatticeOperator.one_cell(random_admissible_walk(rep, gen))
     check_unitary(w)
     report = check_admissible(w, rep, kind="walk")
     assert report.max_residual < 1e-10
@@ -154,7 +158,7 @@ def test_random_admissible_walks_pass_check(cls):
 def test_check_admissible_rejects_generic_unitary():
     gen = rng(8)
     rep = random_rep(C.BDI, gen, p=2, q=2)
-    w = haar_unitary(gen, 4)
+    w = LatticeOperator.one_cell(haar_unitary(gen, 4))
     with pytest.raises(NotAdmissible):
         check_admissible(w, rep, kind="walk")
 
@@ -166,7 +170,7 @@ def test_admissible_projection_is_idempotent_and_admissible():
     h = admissible_hamiltonian_projection(k, rep)
     h2 = admissible_hamiltonian_projection(h, rep)
     assert np.linalg.norm(h - h2) < 1e-12
-    check_admissible(h, rep, kind="hamiltonian")
+    check_admissible(LatticeOperator.one_cell(h), rep, kind="hamiltonian")
 
 
 def test_phase_window_defaults_to_tol_exact():
@@ -226,8 +230,9 @@ def test_cell_local_screened_check_matches_dense_oracle(cls, monkeypatch):
                 unit = max(dense_admissibility(e, dense, kind).values(), default=1.0)
                 # R(W + sE) = R(W) + s R(E): the worst spectral norm lands at factor * tol.adm
                 for factor in (0.0, 1e-3, 1 - 1e-3, 1 + 1e-3, 10.0):
-                    w = base + factor * tol.adm / unit * e
-                    oracle = dense_admissibility(w, dense, kind)
+                    m = base + factor * tol.adm / unit * e
+                    oracle = dense_admissibility(m, dense, kind)
+                    w = LatticeOperator.one_cell(m)
                     worst = max(oracle.values(), default=0.0)
                     ok = worst <= tol.adm
                     for rep in (local, dense):
@@ -271,8 +276,9 @@ def test_strict_check_of_split_step_circle_takes_no_svd(monkeypatch):
 
     # the screen, and the SVD it falls back on, live in lattice
     monkeypatch.setattr(lattice_module, "spectral_norm", counted)
-    assert check_admissible(ring.matrix, ring.local_rep).ok
+    w = LatticeOperator.one_cell(ring.matrix)
+    assert check_admissible(w, ring.local_rep).ok
     # a report (strict=False) is the same screened measurement without the raise
-    report = check_admissible(ring.matrix, ring.local_rep, strict=False)
+    report = check_admissible(w, ring.local_rep, strict=False)
     assert report.ok and len(report.residuals) == 3
     assert calls == []

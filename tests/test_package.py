@@ -320,6 +320,39 @@ def test_a_call_without_a_threshold_is_found(tmp_path):
     assert _calls_without_threshold([source]) == ["module.py:8: gate"]
 
 
+def _operator_type_checks(path: Path) -> list[str]:
+    """``isinstance`` calls whose class, or one of a tuple of classes, is ``LatticeOperator``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2):
+            continue
+        classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        if any(getattr(c, "id", getattr(c, "attr", None)) == "LatticeOperator" for c in classes):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_reader_asks_whether_an_input_is_an_operator():
+    # index and gate functions take operators, and a plain matrix enters as
+    # LatticeOperator.one_cell; a type fork would bring back a second input
+    # type. The spec reader alone tells an operator from a translation-invariant walk
+    root = Path(__file__).resolve().parents[1]
+    files = [path for path in sorted((root / "src" / "walkindex").glob("*.py")) if path.name != "serialize.py"]
+    assert [entry for path in files for entry in _operator_type_checks(path)] == []
+
+
+def test_an_operator_type_check_is_found(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "def gate(w):\n"
+        "    if isinstance(w, dict):\n        return w\n"
+        "    if isinstance(w, LatticeOperator):\n        return w\n"
+        "    return isinstance(w, (np.ndarray, lattice.LatticeOperator))\n",
+        encoding="utf-8",
+    )
+    assert _operator_type_checks(source) == ["module.py:4", "module.py:6"]
+
+
 def _finfo_in_function_bodies(path: Path) -> list[str]:
     """``np.finfo`` calls inside a function or lambda, which build the object on every call."""
     found = []

@@ -27,7 +27,7 @@ from walkindex.errors import (
     Unbalanced,
 )
 from walkindex.indices import twiddle_rep
-from walkindex.lattice import LocalSymmetryRep
+from walkindex.lattice import LatticeOperator, LocalSymmetryRep
 from walkindex.operators import check_admissible, check_unitary
 from walkindex.symmetry import (
     ADMISSIBILITY,
@@ -504,10 +504,10 @@ def test_balanced_hamiltonian_every_class(cls):
     d = rep.dim
     assert np.linalg.norm(h - h.conj().T) < 1e-10
     assert np.linalg.norm(h @ h - np.eye(d)) < 1e-10
-    check_admissible(h, rep, kind="hamiltonian")
+    check_admissible(LatticeOperator.one_cell(h), rep, kind="hamiltonian")
     g = 1j * h
-    check_unitary(g)
-    check_admissible(g, rep, kind="walk")
+    check_unitary(LatticeOperator.one_cell(g))
+    check_admissible(LatticeOperator.one_cell(g), rep, kind="walk")
     vals = np.linalg.eigvals(g)
     assert np.min(np.abs(vals - 1)) > 1.0  # spectrum is {+i, -i}
     assert np.min(np.abs(vals + 1)) > 1.0
@@ -590,7 +590,7 @@ def test_action_by_runs_matches_the_dense_rep(cls):
                         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
             w = random_admissible_walk(dense, gen)
-            trep = twiddle_rep(w, local)
+            trep = twiddle_rep(LatticeOperator.one_cell(w), local)
             assert (trep.cls, trep.dim, list(trep.ops)) == (cls, n, list(dense.ops))
             for name, op in dense.ops.items():
                 want = w @ op.matrix if ADMISSIBILITY[name][0] else op.matrix

@@ -21,7 +21,7 @@ from .decoupling import gentle_decoupling
 from .errors import WalkIndexError
 from .finite import certify_boundary_modes, crossover_sweep
 from .indices import ESSENTIAL_KERNEL_CEILING, si_left_right, si_pm
-from .lattice import LatticeOperator
+from .lattice import LatticeOperator, measured_band
 from .operators import check_admissible
 from .serialize import (
     certificate_to_json,
@@ -156,9 +156,8 @@ def cmd_decouple(args, tol: Tolerances) -> int:
         "si_preserved": result.si_preserved,
         "ok": result.ok,
     }
-    v = LatticeOperator.from_matrix(result.v, op.cells, tol=tol)
     files = {
-        "V.json": dumps_operator(v, tol),
+        "V.json": dumps_operator(dataclasses.replace(result.v, band=measured_band(result.v, tol)), tol),
         "Wprime.json": dumps_operator(result.w_prime, tol),
         "path_report.json": dumps_canonical(path_report),
     }

@@ -28,9 +28,11 @@ there and the swap vanishes: ``V - 1`` lives in range(P - Q), a subspace of
 a few modes per cut bond that ``V`` and the companion representation both
 preserve (``W tau`` and ``W gamma`` swap ``P`` and ``Q``).  For a walk of
 band ``b``, ``P - Q`` vanishes off the cells within ``b`` of a cut bond, so
-it is diagonalized on that window, the rotation, swap and contraction act on
+it is diagonalized on that window, read from the walk's stacks, with the
+windows of far cuts apart; the rotation, swap and contraction act on
 ``r x r`` compressions to its range ``S``, and ``V = 1 + S(U_r - 1)S*`` and
-``W' = V W`` differ from ``1`` and ``W`` only in the window rows.
+``W' = V W`` differ from ``1`` and ``W`` only in the window rows, as blocks
+added into stacks.
 
 ``V`` never has eigenvalue ``-1`` and contracts to the identity
 through admissible unitaries: the decoupling is gentle, and every
@@ -43,6 +45,8 @@ compression index across that bond.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,8 +68,10 @@ from .lattice import (
     arc_projection,
     cells_near_bond,
     compress,
+    gather_blocks,
     half_space_projection,
     measured_band,
+    scatter_blocks,
     second_bond,
     split_by_weight,
 )
@@ -75,7 +81,14 @@ from .operators import (
     check_unitary,
     polar_isometry,
 )
-from .symmetry import IndexValue, SymmetryClass, SymmetryRep, restrict_runs, screened_norm
+from .symmetry import (
+    IndexValue,
+    SymmetryClass,
+    SymmetryRep,
+    restrict_runs,
+    screened_squares,
+    spectral_norm,
+)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -101,20 +114,42 @@ _MIN_SEED_WEIGHT = 1e-6
 
 @dataclass(frozen=True)
 class TransferModes:
-    """Orthonormal basis of range(P - Q), the transfer modes first.
+    """Orthonormal basis of range(P - Q) on one window group, the transfer modes first.
 
+    The window of a cut bond is the cells within ``band`` of it.  Bonds whose
+    windows lie within ``2 band`` cells of each other form one group, since
+    ``P - Q`` couples their cells; it has no entry between two groups.
     ``support`` spans the eigenvectors of ``P - Q`` above ``tol.ker`` in
-    magnitude and vanishes off the ``window`` rows.  Its first ``dims[0]``
-    columns are the incoming transfers (eigenvalue +1): states inside the
-    region that the walk brought in from outside.  The next ``dims[1]`` are
-    the outgoing ones (eigenvalue -1): images, outside the region, of states
-    that left it.  The rest are oblique.  For a unitary walk on a closed
-    lattice the two transfer counts agree globally.
+    magnitude, on the group's ``rows`` (the indices of its ``window`` cells
+    among the ``cells``).  Its first ``dims[0]`` columns are the incoming
+    transfers (eigenvalue +1): states inside the region that the walk brought
+    in from outside.  The next ``dims[1]`` are the outgoing ones (eigenvalue
+    -1): images, outside the region, of states that left it.  The rest are
+    oblique.  For a unitary walk on a closed lattice the two transfer counts
+    agree globally.
+
+    ``walk`` is ``W`` on the ``reach`` cells, those one stored hop from the
+    window, read from the stacks, and ``p`` is the diagonal of ``P`` there;
+    ``at`` places the window rows among the reach rows.  They hold all that
+    the group's ``r x r`` algebra reads of the walk.
     """
 
     support: np.ndarray
     dims: tuple[int, int]
+    bonds: tuple[int, ...]
     window: np.ndarray
+    reach: np.ndarray
+    walk: np.ndarray
+    p: np.ndarray
+    cells: CellStructure
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.flatnonzero(self.cells.index_mask(self.window))
+
+    @cached_property
+    def at(self) -> np.ndarray:
+        return np.searchsorted(np.flatnonzero(self.cells.index_mask(self.reach)), self.rows)
 
     @property
     def incoming(self) -> np.ndarray:
@@ -127,101 +162,195 @@ class TransferModes:
     def basis(self) -> np.ndarray:
         return self.support[:, : sum(self.dims)]
 
+    @property
+    def window_rows(self) -> np.ndarray:
+        """``W_w``: the window rows of ``W`` on the reach columns."""
+        return self.walk[self.at]
+
+
+def _window_groups(proj: CellProjection, band: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """``(bonds, window cells)`` of each window group of the cut bonds: windows
+    at most ``2 band`` cells apart (wrapped on a circle) are one group."""
+    cells = proj.cells
+    groups: list[tuple[tuple[int, ...], np.ndarray]] = []
+    for bond in proj.cut_bonds():
+        bonds, window = (bond,), np.array(cells_near_bond(cells, bond, band), dtype=int)
+        merge = []
+        for _, other in groups:
+            gap = np.abs(other[:, None] - window[None, :])
+            if cells.topology == "circle":
+                gap = np.minimum(gap, cells.n_cells - gap)
+            merge.append(gap.min(initial=2 * band + 1) <= 2 * band)
+        for (more, other), joined in zip(groups, merge):
+            if joined:
+                bonds, window = more + bonds, np.union1d(other, window)
+        groups = [g for g, joined in zip(groups, merge) if not joined] + [(bonds, window)]
+    return groups
+
+
+def _reach(op: LatticeOperator, window: np.ndarray) -> np.ndarray:
+    """The cells one stored hop (either way) from the window cells, and those."""
+    cells = op.cells
+    if cells.one_block:
+        return np.arange(cells.n_cells)
+    hops = np.array(list(op.blocks) + [0], dtype=int)
+    near = (window[:, None] + np.concatenate([hops, -hops])).ravel()
+    if cells.topology == "circle":
+        return np.unique(near % cells.n_cells)
+    return np.unique(near[(near >= 0) & (near < cells.n_cells)])
+
+
+def _crossing(
+    op: LatticeOperator, inside: np.ndarray, skip: np.ndarray
+) -> tuple[float, Callable[[], float]]:
+    """The blocks of ``op`` that hop across the cut into a cell outside
+    ``skip`` (``inside`` and ``skip`` are masks over the cells): the sum of
+    their squares, and the spectral norm of ``[P, op]`` on them, taken on
+    call.  One block on mixed cells is its whole matrix, masked."""
+    cells = op.cells
+    if cells.one_block:
+        side, skip_rows = (np.repeat(mask, cells.cell_dims) for mask in (inside, skip))
+        whole = op.blocks[0][0] if 0 in op.blocks else np.zeros((op.dim,) * 2, dtype=complex)
+        blocks = np.where((side[:, None] != side[None, :]) & ~skip_rows[:, None], whole, 0)[None]
+        targets = sources = np.zeros(1, dtype=int)
+    else:
+        n, d = cells.n_cells, cells.cell_dims[0]
+        stacks = np.array([*op.blocks.values()]).reshape(-1, n, d, d)
+        t = np.array([*op.blocks], dtype=int)[:, None] + np.arange(n)
+        live = (t >= 0) & (t < n) | (cells.topology == "circle")
+        t %= n
+        live &= (inside[t] != inside[None, :]) & ~skip[t]
+        hop, sources = np.nonzero(live)
+        targets, blocks = t[hop, sources], stacks[hop, sources]
+
+    def exact() -> float:
+        # [P, op] is +-op on these blocks, the sign fixed by the row: the norm is theirs
+        rows, at_row = np.unique(targets, return_inverse=True)
+        cols, at_col = np.unique(sources, return_inverse=True)
+        d = blocks.shape[1]
+        placed = np.zeros((rows.size, d, cols.size, d), dtype=complex)
+        placed[at_row, :, at_col, :] = blocks
+        return spectral_norm(placed.reshape(rows.size * d, cols.size * d))
+
+    return float(np.vdot(blocks, blocks).real), exact
+
+
+def _inside(proj: CellProjection) -> np.ndarray:
+    """The projection's cells, as a mask over the cells."""
+    inside = np.zeros(proj.cells.n_cells, dtype=bool)
+    inside[list(proj.members)] = True
+    return inside
+
 
 def split_transfer_modes(
-    w: np.ndarray, proj: CellProjection, band: int, tol: Tolerances = DEFAULT_TOL
-) -> TransferModes:
-    """Eigenspaces of ``P - Q`` at +-1 and its range, with a dead-band guard.
+    op: LatticeOperator, proj: CellProjection, tol: Tolerances = DEFAULT_TOL
+) -> tuple[tuple[TransferModes, ...], float]:
+    """Eigenspaces of ``P - Q`` at +-1 and its range on each window group,
+    with a dead-band guard, and the squares of ``[P, W]`` off the windows.
 
-    ``P`` is ``proj`` and ``Q = W P W*`` for the unitary walk ``w``.
-    ``P - Q`` is formed and diagonalized on the window of cells within
-    ``band`` of a cut bond, as ``diag(p) - (W_w p) W_w*`` from the window
-    rows ``W_w``.  It vanishes off the window exactly when ``[P, W]`` does on
-    the other rows; a residual coupling there above ``10 tol.unit`` (a band
-    that understates a hop across the cut) is refused.  So are eigenvalues
-    in the dead band between ``TRANSFER_MEMBERSHIP`` and ``TRANSFER_GUARD``
-    away from +-1: such a mode is almost but not exactly transferred, and no
-    clean swap exists.
+    ``P`` is ``proj`` and ``Q = W P W*`` for the unitary walk ``op`` of
+    declared band ``b``.  ``P - Q`` is formed and diagonalized on the window
+    of each group (:class:`TransferModes`), as ``diag(p) - (W_w p) W_w*``
+    from the window rows ``W_w`` read from the stacks.  It vanishes off the
+    windows exactly when ``[P, W]`` does on the other rows; the blocks there
+    that hop across the cut must sum below ``10 tol.unit`` in Frobenius norm
+    (else their exact norm decides), or the band understates a hop across
+    the cut and the cut is refused.  So are eigenvalues in the dead band
+    between ``TRANSFER_MEMBERSHIP`` and ``TRANSFER_GUARD`` away from +-1:
+    such a mode is almost but not exactly transferred, and no clean swap
+    exists.
     """
-    near = {i for bond in proj.cut_bonds() for i in cells_near_bond(proj.cells, bond, band)}
-    window = np.flatnonzero(proj.cells.index_mask(near))
-    p = proj.mask().astype(float)
-    outside = np.setdiff1d(np.arange(len(p)), window)
-    leak = screened_norm((p[outside, None] - p[None, :]) * w[outside], 10 * tol.unit)
+    cells = op.cells
+    groups = _window_groups(proj, op.band)
+    inside = _inside(proj)
+    near = np.zeros(cells.n_cells, dtype=bool)
+    for _, window in groups:
+        near[window] = True
+    squares, exact = _crossing(op, inside, near)
+    leak = screened_squares(squares, op.dim**2, 10 * tol.unit, exact)
     if leak > 10 * tol.unit:
         raise DecouplingFailed(
             f"residual coupling {leak:.3e} outside the cut window: "
-            f"the declared band {band} understates a hop across the cut"
+            f"the declared band {op.band} understates a hop across the cut"
         )
-    rows = w[window]
-    a = np.diag(p[window]) - (rows * p) @ rows.conj().T
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    edge = np.abs(np.abs(vals) - 1.0)
+    p = proj.mask().astype(float)
+    solved = []
+    for bonds, window in groups:
+        reach = _reach(op, window)
+        p_reach = p[cells.index_mask(reach)]
+        walk = gather_blocks(op, reach, reach)
+        # the group before its modes are known
+        group = TransferModes(np.zeros((0, 0)), (0, 0), bonds, window, reach, walk, p_reach, cells)
+        w_rows = group.window_rows
+        a = np.diag(p_reach[group.at]) - (w_rows * p_reach) @ w_rows.conj().T
+        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+        solved.append((vals, vecs, group))
+    edge = np.abs(np.abs(np.concatenate([vals for vals, _, _ in solved] + [[]])) - 1.0)
     risky = (edge > TRANSFER_MEMBERSHIP) & (edge < TRANSFER_GUARD)
     if np.any(risky):
         worst = float(np.min(edge[risky]))
         raise DecouplingFailed(
             f"transfer eigenvalue {worst:.3e} away from +-1; modes are not cleanly separated"
         )
-    incoming = vals > 1.0 - TRANSFER_MEMBERSHIP
-    outgoing = vals < -1.0 + TRANSFER_MEMBERSHIP
-    oblique = (np.abs(vals) > tol.ker) & ~incoming & ~outgoing
-    order = np.concatenate([np.flatnonzero(x) for x in (incoming, outgoing, oblique)])
-    support = np.zeros((w.shape[0], order.size), dtype=complex)
-    support[window] = vecs[:, order]
-    return TransferModes(support, (int(incoming.sum()), int(outgoing.sum())), window)
+    out = []
+    for vals, vecs, group in solved:
+        incoming = vals > 1.0 - TRANSFER_MEMBERSHIP
+        outgoing = vals < -1.0 + TRANSFER_MEMBERSHIP
+        oblique = (np.abs(vals) > tol.ker) & ~incoming & ~outgoing
+        order = np.concatenate([np.flatnonzero(x) for x in (incoming, outgoing, oblique)])
+        out.append(replace(group, support=vecs[:, order], dims=(int(incoming.sum()), int(outgoing.sum()))))
+    return tuple(out), squares
 
 
 def attribute_transfers(
-    modes: TransferModes,
-    cells: CellStructure,
-    bonds: tuple[int, ...],
-    radius: int,
+    groups: Sequence[TransferModes], cells: CellStructure, radius: int
 ) -> dict[int, tuple[int, int]]:
     """Per-bond (incoming, outgoing) transfer counts.
 
-    Every transfer mode must sit cleanly within ``radius`` cells of exactly
-    one cut bond; modes that straddle bonds or fall outside every window
-    make the attribution ambiguous.
+    Every transfer mode of a group must sit cleanly within ``radius`` cells
+    of exactly one of its bonds; modes that straddle bonds or fall outside
+    every window make the attribution ambiguous.
     """
     counts: dict[int, tuple[int, int]] = {}
     totals = [0, 0]
-    for b in bonds:
-        near = cells_near_bond(cells, b, radius)
-        here = []
-        for which, basis in enumerate((modes.incoming, modes.outgoing)):
-            inside, _, _, n_amb = split_by_weight(basis, cells, near)
-            if n_amb:
-                raise DecouplingFailed(
-                    f"{n_amb} transfer modes straddle the window at bond {b}"
-                )
-            here.append(inside.shape[1])
-            totals[which] += inside.shape[1]
-        counts[b] = (here[0], here[1])
-    if totals != list(modes.dims):
+    for modes in groups:
+        for b in modes.bonds:
+            near = cells_near_bond(cells, b, radius)
+            here = []
+            for which, basis in enumerate((modes.incoming, modes.outgoing)):
+                inside, _, _, n_amb = split_by_weight(basis, cells, near, modes.rows)
+                if n_amb:
+                    raise DecouplingFailed(
+                        f"{n_amb} transfer modes straddle the window at bond {b}"
+                    )
+                here.append(inside.shape[1])
+                totals[which] += inside.shape[1]
+            counts[b] = (here[0], here[1])
+    dims = tuple(int(sum(m.dims[k] for m in groups)) for k in (0, 1))
+    if totals != list(dims):
         raise DecouplingFailed(
             f"transfer modes attributed to bonds {totals} do not match totals "
-            f"{modes.dims}; windows overlap or a mode is delocalized"
+            f"{dims}; windows overlap or a mode is delocalized"
         )
     return counts
 
 
-def direct_rotation(
-    w: np.ndarray, p: np.ndarray, modes: TransferModes, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def direct_rotation(modes: TransferModes, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unitary polar factor of the alignment map on range(P - Q), zero on the transfers.
 
     The alignment map ``X = (1-P)(1-Q) + PQ`` is the identity on ker(P - Q),
     so this is the polar factor of ``S* X S`` (``S = modes.support``, in its
-    coordinates), from ``PS`` and ``QS = W(P(W* S))`` with ``p`` the diagonal
-    of ``P``.  The transfer rows and columns are zeroed first, so that
-    almost-transferred leakage cannot produce spurious small singular
-    directions.  It carries ran Q onto ran P and ker Q onto ker P; a
-    spectrum outside the closed right half plane is refused.
+    coordinates), from ``PS`` and ``QS = W_w(p (W_w* S))`` on the window rows,
+    with ``p`` the diagonal of ``P`` on the reach.  The transfer rows and
+    columns are zeroed first, so that almost-transferred leakage cannot
+    produce spurious small singular directions.  It carries ran Q onto ran P
+    and ker Q onto ker P; a spectrum outside the closed right half plane is
+    refused.
     """
-    s = modes.support
+    s, w, p = modes.support, modes.window_rows, modes.p
+    p_w = p[modes.at, None]
     qs = w @ (p[:, None] * (w.conj().T @ s))
-    x = s.conj().T @ (s - p[:, None] * s - qs + 2 * p[:, None] * qs)
+    x = s.conj().T @ (s - p_w * s - qs + 2 * p_w * qs)
     d = sum(modes.dims)
     x[:d] = 0
     x[:, :d] = 0
@@ -235,7 +364,6 @@ def direct_rotation(
 
 
 def _transfer_swap(
-    m: np.ndarray,
     trep_d: SymmetryRep,
     modes: TransferModes,
     cls: SymmetryClass,
@@ -257,6 +385,7 @@ def _transfer_swap(
     if cls is SymmetryClass.AII and n_in % 2:
         raise OddDimensionAII(f"{n_in} transfer modes cannot form Kramers pairs")
     d = n_in + n_out
+    m = modes.window_rows[:, modes.at]
     u_w = polar_isometry(modes.outgoing.conj().T @ m @ modes.incoming, tol.ker)
     g0 = -1j * u_w.conj().T
     k0 = np.zeros((d, d), dtype=complex)
@@ -286,17 +415,19 @@ def _transfer_swap(
 class DecouplingResult:
     """Outcome of a gentle decoupling.
 
-    ``generator`` is the admissible Hermitian ``K`` with ``exp(iK) = V``
-    (:func:`~walkindex.indices.contract_perturbation`).  The walks
+    ``v`` is the correction ``V`` and ``generator`` the admissible Hermitian
+    ``K`` with ``exp(iK) = V`` (:func:`~walkindex.indices.contract_perturbation`),
+    both operators on the walk's cells, declared at the largest offset of
+    their stacks: ``V`` is the identity and ``K`` zero off the window blocks.  The walks
     ``exp(i(1-t)K) W`` form a norm-continuous admissible path from the
     decoupled ``w_prime`` (``t = 0``) back to the original (``t = 1``): the
     decoupling is gentle, so both half-space indices are preserved.
     ``commutator_norm`` bounds ``||[P, W']||`` (screened by ``10 tol.unit``).
     """
 
-    v: np.ndarray
+    v: LatticeOperator
     w_prime: LatticeOperator
-    generator: np.ndarray
+    generator: LatticeOperator
     commutator_norm: float
     transfer_counts: dict[int, tuple[int, int]]
     si_before: tuple[IndexValue, IndexValue]
@@ -323,28 +454,31 @@ def gentle_decoupling(
     Builds the canonical correction ``V`` (direct rotation plus transfer
     swap), returns ``W' = V W`` with ``[P, W'] = 0``, and certifies
     gentleness with the admissible generator of the contraction path and the
-    half-space indices before and after.  The work is on ``r x r``
-    compressions to range(P - Q) (the ``support`` of
-    :func:`split_transfer_modes`) against the companion rep restricted there,
-    and ``V``, ``W'`` and ``K`` are block updates of the cut window: no
-    full-size ``eigh``, ``eigvals`` or SVD.  At full size it checks the
-    walk's unitarity and admissibility, ``W'``'s admissibility and
-    ``||[P, W']||``.  Raises ``Obstructed`` when a cut bond has a nonzero net
-    transfer count.
+    half-space indices before and after.  Each window group
+    (:func:`split_transfer_modes`) is solved on its own: the rotation, swap
+    and contraction act on ``r x r`` compressions to its range(P - Q)
+    against the companion rep restricted there, read through the group's
+    reach rows.  ``V``, ``K`` and ``W'`` are the walk's stacks (or the
+    identity, or none) plus the window blocks of each group, so no block
+    couples two groups and no matrix of the whole walk is placed.  From the
+    stacks it checks the walk's unitarity and admissibility and ``W'``'s
+    admissibility; ``||[P, W']||`` is the leak off the windows together with
+    the window rows of ``W'``.  Raises ``Obstructed`` when a cut bond has a
+    nonzero net transfer count.
     """
     if op.local_rep is None:
         raise NotAdmissible("operator carries no local symmetry representation")
-    m = np.asarray(op.matrix, dtype=complex)
     check_unitary(op, tol, "walk")
     check_admissible(op, tol=tol)
-    second = second_bond(op.cells, cut, second_cut)
+    cells, cls = op.cells, op.local_rep.cls
+    second = second_bond(cells, cut, second_cut)
     if second is None:
-        proj = half_space_projection(op.cells, cut)
+        proj = half_space_projection(cells, cut)
     else:
-        proj = arc_projection(op.cells, cut, second)
+        proj = arc_projection(cells, cut, second)
 
-    modes = split_transfer_modes(m, proj, op.band, tol)
-    counts = attribute_transfers(modes, op.cells, proj.cut_bonds(), op.band + 1)
+    groups, squares = split_transfer_modes(op, proj, tol)
+    counts = attribute_transfers(groups, cells, op.band + 1)
     for bond, (n_in, n_out) in counts.items():
         if n_in != n_out:
             raise Obstructed(
@@ -352,55 +486,68 @@ def gentle_decoupling(
                 "no local correction can close this cut"
             )
 
-    s = modes.support
-    r = s.shape[1]
-    # the companion rep (eta, W tau, W gamma) restricted to range(P - Q)
-    trep = restrict_runs(op.local_rep.cls, op.local_rep.runs(), s, tol, walk=m)
-    p = proj.mask().astype(float)
-    u = direct_rotation(m, p, modes, tol)
-    d = sum(modes.dims)
-    if d:
-        trep_d = trep.restrict(np.eye(r)[:, :d], tol)
-        u[:d, :d] = _transfer_swap(m, trep_d, modes, op.local_rep.cls, tol)
-    try:
-        check_unitary(LatticeOperator.one_cell(u), tol, "decoupling correction")
-    except NotUnitary as exc:
-        raise DecouplingFailed(f"correction is not unitary: {exc}") from exc
-
-    rows = modes.window
-    block = np.ix_(rows, rows)
-    s_w = s[rows]
-    step = s_w @ (u - np.eye(r)) @ s_w.conj().T
-    v = np.eye(m.shape[0], dtype=complex)
-    v[block] += step
-    w2 = m.copy()
-    w2[rows] += step @ m[rows]
-    # [P, W'] entrywise, over the whole matrix
-    commutator = screened_norm((p[:, None] - p[None, :]) * w2, 10 * tol.unit)
+    w2_blocks = {j: stack.copy() for j, stack in op.blocks.items()}
+    solved = []
+    for modes in groups:
+        s_w, w_rows = modes.support, modes.window_rows
+        r = s_w.shape[1]
+        if r:
+            # the companion rep (eta, W tau, W gamma) restricted to range(P - Q), on the reach rows
+            basis = np.zeros((len(modes.walk), r), dtype=complex)
+            basis[modes.at] = s_w
+            runs = op.local_rep.restrict_cells(modes.reach).runs()
+            trep = restrict_runs(cls, runs, basis, tol, walk=modes.walk)
+            u = direct_rotation(modes, tol)
+            d = sum(modes.dims)
+            if d:
+                u[:d, :d] = _transfer_swap(trep.restrict(np.eye(r)[:, :d], tol), modes, cls, tol)
+            try:
+                check_unitary(LatticeOperator.one_cell(u), tol, "decoupling correction")
+            except NotUnitary as exc:
+                raise DecouplingFailed(f"correction is not unitary: {exc}") from exc
+            step = s_w @ (u - np.eye(r)) @ s_w.conj().T
+            update = step @ w_rows
+            scatter_blocks(cells, modes.window, modes.reach, [(w2_blocks, update)])
+            w_rows = w_rows + update
+            solved.append((modes, u, trep, step))
+        # [P, W'] on the window rows
+        coupling = (modes.p[modes.at, None] - modes.p[None, :]) * w_rows
+        squares += float(np.vdot(coupling, coupling).real)
+    w2_op = LatticeOperator.from_blocks(w2_blocks, cells, None, op.local_rep, dict(op.meta), tol)
+    inside = _inside(proj)
+    exact = lambda: _crossing(w2_op, inside, np.zeros_like(inside))[1]()
+    commutator = screened_squares(squares, op.dim**2, 10 * tol.unit, exact)
     if commutator > 10 * tol.unit:
         raise DecouplingFailed(f"residual coupling {commutator:.3e} after correction")
-    w2_op = LatticeOperator.from_matrix(w2, op.cells, None, op.local_rep, dict(op.meta), tol)
     report = check_admissible(w2_op, tol=tol, strict=False)
     if not report.ok:
         raise DecouplingFailed(
             f"decoupled walk violates admissibility: {report.max_residual:.3e}"
         )
 
-    k_s = s_w @ contract_perturbation(u, trep, tol) @ s_w.conj().T
-    generator = np.zeros_like(v)
-    generator[block] = (k_s + k_s.conj().T) / 2
+    v_blocks, k_blocks = _identity(cells), {}
+    for modes, u, trep, step in solved:
+        k_s = modes.support @ contract_perturbation(u, trep, tol) @ modes.support.conj().T
+        scatter_blocks(cells, modes.window, modes.window, [(v_blocks, step), (k_blocks, (k_s + k_s.conj().T) / 2)])
 
     si_b = si_left_right(op, cut, second_cut=second, tol=tol)
     si_a = si_left_right(w2_op, cut, second_cut=second, tol=tol)
     return DecouplingResult(
-        v=v,
+        v=LatticeOperator.from_blocks(v_blocks, cells, max(map(abs, v_blocks)), tol=tol),
         w_prime=w2_op,
-        generator=generator,
+        generator=LatticeOperator.from_blocks(k_blocks, cells, max(map(abs, k_blocks), default=0), tol=tol),
         commutator_norm=commutator,
         transfer_counts=counts,
         si_before=si_b,
         si_after=si_a,
     )
+
+
+def _identity(cells: CellStructure) -> dict[int, np.ndarray]:
+    """Writable stacks of the identity on the cells."""
+    if cells.one_block:
+        return {0: np.eye(cells.total_dim, dtype=complex)[None]}
+    return {0: np.tile(np.eye(cells.cell_dims[0], dtype=complex), (cells.n_cells, 1, 1))}
 
 
 def decouple_segment(

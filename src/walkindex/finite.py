@@ -17,7 +17,7 @@ proxy for the infinite-volume index statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     TooShort,
 )
 from .indices import near_spectrum
-from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep, assemble_blocks, measured_band
+from .lattice import CellStructure, LatticeOperator, LocalSymmetryRep, assemble_blocks
 from .operators import check_admissible, check_normal, check_unitary
 from .symmetry import FLOAT_EPS
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -240,7 +240,7 @@ def join_crossover(
         ]
         cells = CellStructure.uniform(len(side), left.cell_dim, "circle")
         local = LocalSymmetryRep.uniform(left.cell_rep, len(side))
-        op = _with_measured_band(factor_matrices(factors, cells), cells, local, {}, tol)
+        op = LatticeOperator.from_blocks(factor_matrices(factors, cells), cells, None, local, {}, tol)
         check_unitary(op, tol, "crossover join")
         admissible = True
         try:
@@ -275,15 +275,7 @@ def join_crossover(
     # the direct sum of the two segments: each one's stacks on its own cells
     parts = [(j, 0, stack) for j, stack in left_seg.blocks.items()]
     parts += [(j, n_left, stack) for j, stack in right_seg.blocks.items()]
-    return _with_measured_band(assemble_blocks(cells, parts), cells, local, meta, tol)
-
-
-def _with_measured_band(
-    blocks: dict[int, np.ndarray], cells: CellStructure, local: LocalSymmetryRep, meta: dict, tol: Tolerances
-) -> LatticeOperator:
-    """The operator of these stacks whose declared band is its measured bandwidth."""
-    op = LatticeOperator(blocks, cells, 0, local, meta)
-    return replace(op, band=measured_band(op, tol))
+    return LatticeOperator.from_blocks(assemble_blocks(cells, parts), cells, None, local, meta, tol)
 
 
 # -- sweeps ------------------------------------------------------------------------

@@ -56,6 +56,8 @@ __all__ = [
     "assemble_blocks",
     "matrix_blocks",
     "place_blocks",
+    "gather_blocks",
+    "scatter_blocks",
     "measure_unitarity",
     "measure_admissibility",
     "CellProjection",
@@ -244,8 +246,20 @@ class LatticeOperator:
         d = cells.total_dim
         if np.shape(matrix) != (d, d):
             raise IncompatibleCells(f"matrix shape {np.shape(matrix)} != cell total {(d, d)}")
-        meta = {} if meta is None else meta
-        op = cls(matrix_blocks(matrix, cells), cells, band or 0, local_rep, meta)
+        return cls.from_blocks(matrix_blocks(matrix, cells), cells, band, local_rep, meta, tol)
+
+    @classmethod
+    def from_blocks(
+        cls,
+        blocks: Mapping[int, np.ndarray],
+        cells: CellStructure,
+        band: int | None = None,
+        local_rep: LocalSymmetryRep | None = None,
+        meta: dict | None = None,
+        tol: Tolerances = DEFAULT_TOL,
+    ) -> "LatticeOperator":
+        """The operator of these stacks; a ``band`` of None is the measured one."""
+        op = cls(blocks, cells, band or 0, local_rep, {} if meta is None else meta)
         return op if band is not None else replace(op, band=measured_band(op, tol))
 
     @classmethod
@@ -352,6 +366,53 @@ def place_blocks(blocks: Mapping[int, np.ndarray], cells: CellStructure) -> np.n
     return w[: n * d]
 
 
+def gather_blocks(op: LatticeOperator, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The dense submatrix of ``op`` on the rows of the cells ``rows`` and the
+    columns of the cells ``cols`` (each an ascending array of cell indices),
+    read from the stacks: no matrix of the whole lattice is placed."""
+    cells = op.cells
+    if cells.one_block:
+        whole = op.blocks[0][0] if 0 in op.blocks else np.zeros((op.dim,) * 2, dtype=complex)
+        return whole[np.ix_(np.flatnonzero(cells.index_mask(rows)), np.flatnonzero(cells.index_mask(cols)))]
+    n, d = cells.n_cells, cells.cell_dims[0]
+    out = np.zeros((len(rows), d, len(cols), d), dtype=complex)
+    if op.blocks:
+        pos = np.full(n, -1)
+        pos[rows] = np.arange(len(rows))
+        target = np.fromiter(op.blocks, int, len(op.blocks))[:, None] + cols
+        at = np.where((target >= 0) & (target < n) | (cells.topology == "circle"), pos[target % n], -1)
+        hop, col = np.nonzero(at >= 0)
+        out[at[hop, col], :, col, :] = np.stack([stack[cols] for stack in op.blocks.values()])[hop, col]
+    return out.reshape(len(rows) * d, len(cols) * d)
+
+
+def scatter_blocks(
+    cells: CellStructure,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    adds: Iterable[tuple[dict[int, np.ndarray], np.ndarray]],
+) -> None:
+    """Add each dense block (rows of the cells ``rows`` <- columns of the
+    cells ``cols``, as :func:`gather_blocks` reads it) into its writable
+    stacks in place, each cell pair at its stored offset; a missing stack
+    starts at +0.0, so no ``-0.0`` enters."""
+    if cells.one_block:
+        at = np.ix_(np.flatnonzero(cells.index_mask(rows)), np.flatnonzero(cells.index_mask(cols)))
+        for stacks, block in adds:
+            stacks.setdefault(0, np.zeros((1, cells.total_dim, cells.total_dim), dtype=complex))[0][at] += block
+        return
+    n, d = cells.n_cells, cells.cell_dims[0]
+    # a window holds few cells: a loop over its cell pairs is the cheapest placement
+    offsets = cells.stored_offset(rows[:, None] - cols[None, :]).tolist()
+    for stacks, block in adds:
+        parts = block.reshape(len(rows), d, len(cols), d)
+        for a, line in enumerate(offsets):
+            for c, (col, j) in enumerate(zip(cols.tolist(), line)):
+                if j not in stacks:
+                    stacks[j] = np.zeros((n, d, d), dtype=complex)
+                stacks[j][col] += parts[a, :, c, :]
+
+
 @dataclass(frozen=True)
 class CellProjection:
     """Projection onto a set of whole cells."""
@@ -374,12 +435,10 @@ class CellProjection:
         n = self.cells.n_cells
         inside = np.zeros(n, dtype=bool)
         inside[list(self.members)] = True
-        bonds = []
-        rng = range(n) if self.cells.topology == "circle" else range(1, n)
-        for b in rng:
-            if inside[b] != inside[(b - 1) % n]:
-                bonds.append(b)
-        return tuple(bonds)
+        flips = np.flatnonzero(inside[1:] != inside[:-1]) + 1
+        if self.cells.topology == "circle" and inside[0] != inside[-1]:
+            flips = np.concatenate([[0], flips])
+        return tuple(flips.tolist())
 
 
 def half_space_projection(cells: CellStructure, cut: int, side: str = "geq") -> CellProjection:
@@ -840,14 +899,19 @@ def measure_admissibility(cb: CellBand, runs: Runs, kind: str = "walk") -> dict[
 
 
 def cells_near_bond(cells: CellStructure, bond: int, radius: int) -> tuple[int, ...]:
-    """Cells within ``radius`` cells of the bond (radius cells on each side)."""
-    return tuple(i for i in range(cells.n_cells) if cells.bond_distance(i, bond) < radius)
+    """Cells within ``radius`` cells of the bond (radius cells on each side), ascending."""
+    n = cells.n_cells
+    near = np.arange(bond - radius, bond + radius)
+    if cells.topology == "circle":
+        return tuple(np.unique(near % n).tolist()) if n else ()
+    return tuple(near[(near >= 0) & (near < n)].tolist())
 
 
 def split_by_weight(
     basis: np.ndarray,
     cells: CellStructure,
     members: Iterable[int],
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Split a subspace by weight inside a cell region.
 
@@ -855,11 +919,14 @@ def split_by_weight(
     splits at ``SPLIT_THRESHOLD``.  Returns (inside, outside, weights, n_ambiguous);
     the rotated basis columns are eigenvectors of the weight operator, so for
     cell-local symmetries the two parts remain symmetry invariant whenever the
-    weights are exactly 0/1.
+    weights are exactly 0/1.  A ``basis`` that holds only some ``rows`` of the
+    space (zero on the others) names them.
     """
     if basis.shape[1] == 0:
         return basis, basis, np.zeros(0), 0
     mask = cells.index_mask(members).astype(float)
+    if rows is not None:
+        mask = mask[rows]
     w_op = basis.conj().T @ (mask[:, None] * basis)
     w_op = (w_op + w_op.conj().T) / 2
     vals, u = np.linalg.eigh(w_op)

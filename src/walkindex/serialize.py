@@ -132,7 +132,7 @@ def rep_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> SymmetryRep:
     except (KeyError, ValueError) as exc:
         raise ValueError(f"unknown symmetry class in rep: {exc}") from exc
     ops = data.get("operators", {})
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "rep dim")
     # the operators of a zero-dimensional cell are written as []
     mats = {
         name: matrix_from_json(entry["matrix"]) if dim else np.zeros((0, 0), dtype=complex)
@@ -161,6 +161,14 @@ def cells_to_json(cells: CellStructure) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    """An integer field of a spec or a stored operator; a bool, a float (even
+    an integral one) or any other type is refused (exit 1), not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def cells_from_json(data: Mapping) -> CellStructure:
     dims = tuple(data["cell_dims"])
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 0 for d in dims):
@@ -168,7 +176,7 @@ def cells_from_json(data: Mapping) -> CellStructure:
     return CellStructure(
         tuple(int(d) for d in dims),
         str(data.get("topology", "line")),
-        int(data.get("x_min", 0)),
+        _integer(data.get("x_min", 0), "x_min"),
         frozenset(data.get("proxy_ends", ())),
     )
 
@@ -263,7 +271,7 @@ def _local_rep_from_json(data: Mapping, cells: CellStructure, tol: Tolerances) -
     runs = data["runs"]
     per_cell: list[SymmetryRep] = []
     for k, (count, entry) in enumerate(runs):
-        first, count = len(per_cell), int(count)
+        first, count = len(per_cell), _integer(count, f"local_rep run {k} count")
         if count < 1 or first + count > n:
             raise IncompatibleCells(
                 f"local_rep run {k} of {count} cells from cell {first} does not fit in {n} cells"
@@ -299,7 +307,7 @@ def lattice_operator_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> 
     return LatticeOperator(
         _blocks_from_json(data["blocks"], cells),
         cells,
-        int(data["band"]),
+        _integer(data["band"], "band"),
         local,
         dict(data.get("meta", {})),
     )
@@ -316,7 +324,8 @@ def _factor_to_json(f) -> dict:
 
 def _factor_from_json(data: Mapping):
     if data["kind"] == "shift":
-        return ShiftFactor(tuple(int(c) for c in data["components"]), int(data["step"]))
+        components = tuple(_integer(c, "shift component") for c in data["components"])
+        return ShiftFactor(components, _integer(data["step"], "shift step"))
     if data["kind"] == "coin":
         return CoinFactor(matrix_from_json(data["matrix"]))
     raise ValueError(f"unknown factor kind {data['kind']!r}")
@@ -352,7 +361,7 @@ def tiwalk_from_json(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> TIWalk:
     return TIWalk(
         str(data.get("name", "explicit_ti")),
         rep.cls,
-        int(data.get("cell_dim", rep.dim)),
+        _integer(data.get("cell_dim", rep.dim), "cell_dim"),
         blocks,
         rep,
         factors,
@@ -381,8 +390,8 @@ def walk_from_spec(data: Mapping, tol: Tolerances = DEFAULT_TOL):
         return join_crossover(
             left,
             right,
-            int(geometry["n_left"]),
-            int(geometry["n_right"]),
+            _integer(geometry["n_left"], "geometry.n_left"),
+            _integer(geometry["n_right"], "geometry.n_right"),
             str(geometry.get("topology", "circle")),
             tol,
         )
@@ -402,7 +411,7 @@ def operator_from_spec(data: Mapping, tol: Tolerances = DEFAULT_TOL) -> LatticeO
     geometry = data.get("geometry")
     if not geometry or "n_cells" not in geometry:
         raise ValueError("a ti spec needs geometry.n_cells to become a finite operator")
-    n = int(geometry["n_cells"])
+    n = _integer(geometry["n_cells"], "geometry.n_cells")
     topology = str(geometry.get("topology", "line"))
     if topology == "circle":
         return build_lattice(obj, n, "circle", tol)

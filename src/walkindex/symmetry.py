@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,6 +64,7 @@ __all__ = [
     "frobenius_bound",
     "frobenius_bounds",
     "screened_norm",
+    "screened_squares",
     "unitarity_defect",
     "apply_runs",
     "times_runs",
@@ -232,17 +233,29 @@ FLOAT_TINY = float(np.finfo(float).tiny)
 FLOAT_EPS = float(np.finfo(float).eps)
 
 
-def frobenius_bound(x: np.ndarray) -> float:
-    """``||x||_F``, an upper bound on the spectral norm."""
+def _padded_root(squares, size: int):
+    """``sqrt(squares)`` for the sum of squares of ``size`` complex entries."""
     # a real or imaginary part whose square underflows loses less than tiny
     # from the sum, so the padding keeps this above ||x||_F
-    return float(np.sqrt(np.vdot(x, x).real + 2 * x.size * FLOAT_TINY))
+    return np.sqrt(squares + 2 * size * FLOAT_TINY)
+
+
+def frobenius_bound(x: np.ndarray) -> float:
+    """``||x||_F``, an upper bound on the spectral norm."""
+    return float(_padded_root(np.vdot(x, x).real, x.size))
 
 
 def frobenius_bounds(x: np.ndarray) -> np.ndarray:
     """:func:`frobenius_bound` of each matrix of a stack, from one batched sum of squares."""
-    squares = (x.real**2 + x.imag**2).sum(axis=(-2, -1))
-    return np.sqrt(squares + 2 * x.shape[-2] * x.shape[-1] * FLOAT_TINY)
+    return _padded_root((x.real**2 + x.imag**2).sum(axis=(-2, -1)), x.shape[-2] * x.shape[-1])
+
+
+def screened_squares(squares: float, size: int, bound: float, exact: Callable[[], float]) -> float:
+    """:func:`screened_norm` of a matrix of ``size`` entries known by the sum
+    of their squares: its padded Frobenius norm where that passes ``bound``
+    less ``ADMISSIBILITY_SCREEN_SLACK``, else ``exact()``."""
+    frob = float(_padded_root(squares, size))
+    return frob if frob <= bound * (1 - ADMISSIBILITY_SCREEN_SLACK) else exact()
 
 
 def screened_norm(x: np.ndarray, bound: float | None = None) -> float | np.ndarray:
@@ -254,12 +267,10 @@ def screened_norm(x: np.ndarray, bound: float | None = None) -> float | np.ndarr
     matrices whose bound does not pass."""
     if bound is None:
         return spectral_norm(x)
-    passing = bound * (1 - ADMISSIBILITY_SCREEN_SLACK)
     if x.ndim == 2:
-        frob = frobenius_bound(x)
-        return frob if frob <= passing else spectral_norm(x)
+        return screened_squares(np.vdot(x, x).real, x.size, bound, lambda: spectral_norm(x))
     frobs = frobenius_bounds(x)
-    fail = ~(frobs <= passing)
+    fail = ~(frobs <= bound * (1 - ADMISSIBILITY_SCREEN_SLACK))
     if fail.any():
         frobs[fail] = spectral_norm(x[fail])
     return frobs

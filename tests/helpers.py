@@ -43,6 +43,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import walkindex.decoupling
 import walkindex.lattice
 import walkindex.operators
 
@@ -83,6 +84,8 @@ from walkindex.lattice import (
     half_space_projection,
     half_spaces,
     measured_band,
+    place_blocks,
+    scatter_blocks,
     second_bond,
     split_by_weight,
 )
@@ -379,8 +382,13 @@ def dense_decoupling(
     incoming = vecs[:, vals > 1.0 - TRANSFER_MEMBERSHIP]
     outgoing = vecs[:, vals < -1.0 + TRANSFER_MEMBERSHIP]
     basis = np.hstack([incoming, outgoing])
-    modes = TransferModes(basis, (incoming.shape[1], outgoing.shape[1]), np.arange(op.dim))
-    counts = attribute_transfers(modes, op.cells, proj.cut_bonds(), op.band + 1)
+    # one group of every bond, whose window and reach are the whole lattice
+    every_cell = np.arange(op.cells.n_cells)
+    modes = TransferModes(
+        basis, (incoming.shape[1], outgoing.shape[1]), proj.cut_bonds(),
+        every_cell, every_cell, m, proj.mask().astype(float), op.cells,
+    )
+    counts = attribute_transfers((modes,), op.cells, op.band + 1)
     for bond, (n_in, n_out) in counts.items():
         if n_in != n_out:
             raise Obstructed(
@@ -390,7 +398,7 @@ def dense_decoupling(
     trep = twiddle_rep(LatticeOperator.one_cell(m), op.local_rep, tol)
     v = dense_rotation(pair, basis, tol)
     if basis.shape[1]:
-        swap = _transfer_swap(m, trep.restrict(basis, tol), modes, op.local_rep.cls, tol)
+        swap = _transfer_swap(trep.restrict(basis, tol), modes, op.local_rep.cls, tol)
         v = v + basis @ swap @ basis.conj().T
     return v, v @ m, contract_perturbation(v, trep, tol), counts
 
@@ -493,16 +501,37 @@ def mixed_cell_walk(cls: SymmetryClass, cell: SymmetryRep, gen: np.random.Genera
 
 def record_dense_inputs(monkeypatch) -> dict[int, tuple[LatticeOperator, np.ndarray]]:
     """``(operator, matrix)`` of every ``LatticeOperator.from_matrix`` call from
-    now on, by the id of the operator returned (which the entry keeps alive)."""
+    now on, by the id of the operator returned (which the entry keeps alive).
+    An operator that ``from_blocks`` makes of stacks that a decoupling added
+    window blocks into (V, W' and K) enters with its first stacks placed and
+    each window block added by ``np.ix_``."""
     inputs: dict[int, tuple[LatticeOperator, np.ndarray]] = {}
-    original = LatticeOperator.from_matrix.__func__
+    scattered: dict[int, tuple[dict, np.ndarray]] = {}
+    from_matrix, from_blocks = LatticeOperator.from_matrix.__func__, LatticeOperator.from_blocks.__func__
 
     def recording(cls, matrix, *args, **kwargs):
-        op = original(cls, matrix, *args, **kwargs)
+        op = from_matrix(cls, matrix, *args, **kwargs)
         inputs[id(op)] = (op, np.array(matrix, dtype=complex))
         return op
 
+    def scattering(cells, rows, cols, adds):
+        at = np.ix_(*(np.flatnonzero(cells.index_mask(c)) for c in (rows, cols)))
+        for stacks, block in adds:
+            if id(stacks) not in scattered:
+                first = {j: stack.copy() for j, stack in stacks.items()}
+                scattered[id(stacks)] = (stacks, np.array(place_blocks(first, cells)))
+            scattered[id(stacks)][1][at] += block
+        return scatter_blocks(cells, rows, cols, adds)
+
+    def made(cls, blocks, *args, **kwargs):
+        op = from_blocks(cls, blocks, *args, **kwargs)
+        if id(blocks) in scattered:
+            inputs[id(op)] = (op, scattered.pop(id(blocks))[1])
+        return op
+
     monkeypatch.setattr(LatticeOperator, "from_matrix", classmethod(recording))
+    monkeypatch.setattr(LatticeOperator, "from_blocks", classmethod(made))
+    monkeypatch.setattr(walkindex.decoupling, "scatter_blocks", scattering)
     return inputs
 
 
@@ -575,7 +604,7 @@ def stack_fuzz_cases(cls: SymmetryClass, ti: TIWalk, gen: np.random.Generator, i
         pass
     else:
         yield "W'", res.w_prime
-        yield "V", LatticeOperator.from_matrix(res.v, ring.cells)
+        yield "V", res.v
     a, c = (int(v) for v in gen.integers(3, 6, size=2))
     for topology in ("circle", "line"):
         try:
@@ -588,8 +617,10 @@ def stack_fuzz_cases(cls: SymmetryClass, ti: TIWalk, gen: np.random.Generator, i
         elif ti.factors is not None:
             yield "line join", joined
         else:
-            # the last two decouplings were the two segments', each cut from cell 0 of its ring
-            corners = [m[: k * ti.cell_dim, : k * ti.cell_dim] for (_, m), k in zip(list(inputs.values())[-2:], (a, c))]
+            # the last two decoupled walks (V and K carry no rep) were the two
+            # segments' W', each cut from cell 0 of its ring
+            walks = [m for op, m in inputs.values() if op.local_rep is not None][-2:]
+            corners = [m[: k * ti.cell_dim, : k * ti.cell_dim] for m, k in zip(walks, (a, c))]
             inputs[id(joined)] = (joined, block_diagonal(corners))
             yield f"{topology} block join", joined
 

@@ -385,12 +385,12 @@ def test_06_gentle_decoupling_suite():
         res = gentle_decoupling(op, cut)
         worst_comm = max(worst_comm, res.commutator_norm)
         assert res.commutator_norm <= 1e-9
-        re_floor = float(np.min(np.linalg.eigvals(res.v).real))
+        re_floor = float(np.min(np.linalg.eigvals(res.v.matrix).real))
         min_re = min(min_re, re_floor)
         assert re_floor >= -1e-9
         rep = op.local_rep
         eye = np.eye(op.dim)
-        for v_t in contraction_path(res.generator, 8):
+        for v_t in contraction_path(res.generator.matrix, 8):
             sample = v_t @ op.matrix
             unit = float(np.linalg.norm(sample.conj().T @ sample - eye, 2))
             adm = check_admissible(one(sample), rep, kind="walk", strict=False).max_residual
@@ -420,10 +420,10 @@ def test_06_contraction_generator_fuzz():
         n = int(gen.integers(lo, hi + 1))
         op = conjugated_ring(ti, n, gen)
         res = gentle_decoupling(op, int(gen.integers(0, n)))
-        k = res.generator
+        k = res.generator.matrix
         assert np.linalg.norm(k - k.conj().T, 2) <= 1e-12
         check_admissible(one(k), twiddle_rep(op), kind="hamiltonian")
-        assert np.linalg.norm(expm(1j * k) - res.v, 2) <= 1e-10
+        assert np.linalg.norm(expm(1j * k) - res.v.matrix, 2) <= 1e-10
 
 
 def test_06_generator_matches_full_route_fuzz():
@@ -434,8 +434,8 @@ def test_06_generator_matches_full_route_fuzz():
         n = int(gen.integers(lo, hi + 1))
         op = conjugated_ring(ti, n, gen)
         res = gentle_decoupling(op, int(gen.integers(0, n)))
-        full = contract_perturbation(res.v, twiddle_rep(op))
-        assert np.linalg.norm(res.generator - full, 2) <= 1e-12
+        full = contract_perturbation(res.v.matrix, twiddle_rep(op))
+        assert np.linalg.norm(res.generator.matrix - full, 2) <= 1e-12
 
 
 # -- 7: half-space index consistency ---------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import walkindex
+import walkindex.lattice
 import walkindex.symmetry as symmetry_module
 from helpers import dense_offband, record_gate_measurements
 from walkindex.cli import main
@@ -236,8 +237,12 @@ def test_written_walks_are_the_reference_encoding_of_their_payloads(tmp_path, ca
     out_dir = tmp_path / "dec"
     assert run(capsys, ["decouple", spec, "--cut", "8", "--out-dir", str(out_dir)])[0] == 0
     result = gentle_decoupling(operator_from_spec(GEN_CIRCLE), 8)
-    v = LatticeOperator.from_matrix(result.v, result.w_prime.cells)
+    v = result.v
     assert v.band == measured_band(v) == 1
+    # each cut's window is two cells: V holds stacks within them, W' within
+    # its band plus their reach (3 band - 1 = 2)
+    assert sorted(v.blocks) == [-1, 0, 1]
+    assert result.w_prime.band == 1 and sorted(result.w_prime.blocks) == [-2, -1, 0, 1, 2]
     _reads_back_within_its_band(out_dir / "V.json", v)
     _reads_back_within_its_band(out_dir / "Wprime.json", result.w_prime)
     left = write_spec(tmp_path, "a.json", SPLIT_A)
@@ -248,9 +253,37 @@ def test_written_walks_are_the_reference_encoding_of_their_payloads(tmp_path, ca
     geometry = {"n_left": 16, "n_right": 16, "topology": "line"}
     joined = walk_from_spec({"type": "join", "left": SPLIT_A, "right": SPLIT_B, "geometry": geometry})
     assert joined.cells.topology == "line"
-    # a line join is cut out of a decoupled circle: rounding lies off its band
-    assert joined.cell_band.offband > 1e-17
+    # a line join is cut out of a decoupled circle whose two cuts are solved
+    # apart: no stack lies off its band, and its off-band norm is the padding
+    assert joined.band == 1 and sorted(joined.blocks) == [-1, 0, 1]
+    assert joined.cell_band.offband == np.sqrt((32 * 2) ** 2 * np.finfo(float).tiny)
     _reads_back_within_its_band(out, joined)
+
+
+@pytest.mark.parametrize(
+    "argv,spec,ring_cells",
+    [
+        (["decouple", "{spec}", "--cut", "3", "--out-dir", "{tmp}/dec"], {**SPLIT_A, "geometry": {"n_cells": 32, "topology": "circle"}}, 32),
+        (["index", "{spec}"], {**SPLIT_A, "geometry": {"n_cells": 24, "topology": "line", "boundary": "decoupled_unitary"}}, 28),
+        (["join", "{spec}", "{spec}", "--n-left", "16", "--n-right", "16", "--topology", "line"], SPLIT_A, 40),
+    ],
+    ids=["decouple", "decoupled_unitary index", "line join"],
+)
+def test_decoupling_places_no_matrix_of_the_walk(tmp_path, capsys, monkeypatch, argv, spec, ring_cells):
+    # the decoupled walk (the circle, or the padded ring a segment or a line
+    # join is cut from) is read from its stacks only; the half-space pieces of
+    # the index certificate have fewer cells and may be placed
+    original = walkindex.lattice.place_blocks
+
+    def guarded(blocks, cells):
+        assert cells.n_cells != ring_cells, "the decoupled walk was placed"
+        return original(blocks, cells)
+
+    monkeypatch.setattr(walkindex.lattice, "place_blocks", guarded)
+    path = write_spec(tmp_path, "spec.json", spec)
+    assert main([a.format(spec=path, tmp=tmp_path) for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert '"ok":false' not in out
 
 
 def test_index_and_decouple_never_assemble_the_dense_rep(tmp_path, capsys, monkeypatch):
@@ -588,20 +621,22 @@ def test_validate_finite_operator(tmp_path, capsys):
 # exit code, stdout and stderr of validate, index and decouple on a 16+16
 # line join of SPLIT_A | SPLIT_B stored with its band edited from 1 to 0
 # ("edited") and stored with 1e-16 noise in stacks at offsets +-2 ("noisy"),
-# recorded while the reader still placed the stored stacks into a matrix
+# recorded while the reader still placed the stored stacks into a matrix; the
+# residuals were recorded again when the join's cuts came to be solved apart,
+# and the code before that change gave the same outputs on the same files
 EDITED_JOIN_RECORDS = {
     'validate edited.json': (
         0,
         (
-            '{"admissibility":1.7038940989e-16,"band":0,"kind":"operator","n_cells":32,"ok":true,"top'
-            'ology":"line","unitarity":3.72591559384e-16}\n'
+            '{"admissibility":2.65969904294e-16,"band":0,"kind":"operator","n_cells":32,"ok":true,"top'
+            'ology":"line","unitarity":3.26888620734e-16}\n'
         ),
         '',
     ),
     'index edited.json': (
         0,
         (
-            '{"cut":16,"residuals":{"admissibility":1.7038940989e-16,"unitarity":3.72591559384e-16},"'
+            '{"cut":16,"residuals":{"admissibility":2.65969904294e-16,"unitarity":3.26888620734e-16},"'
             'si_left":{"group":"Z","value":-1},"si_minus":{"group":"Z","value":0},"si_plus":{"group":'
             '"Z","value":0},"si_right":{"group":"Z","value":-1},"tolerances":{"adm":1e-08,"band":1e-1'
             '2,"det":1e-08,"eig":1e-09,"exact":1e-07,"gap":1e-06,"idx":1e-06,"integer_residual":0.01,'
@@ -623,15 +658,15 @@ EDITED_JOIN_RECORDS = {
     'validate noisy.json': (
         0,
         (
-            '{"admissibility":4.89338094647e-15,"band":1,"kind":"operator","n_cells":32,"ok":true,"to'
-            'pology":"line","unitarity":5.97541238556e-15}\n'
+            '{"admissibility":4.98164590106e-15,"band":1,"kind":"operator","n_cells":32,"ok":true,"to'
+            'pology":"line","unitarity":5.93901810613e-15}\n'
         ),
         '',
     ),
     'index noisy.json': (
         0,
         (
-            '{"cut":16,"residuals":{"admissibility":4.89338094647e-15,"unitarity":5.97541238556e-15},'
+            '{"cut":16,"residuals":{"admissibility":4.98164590106e-15,"unitarity":5.93901810613e-15},'
             '"si_left":{"group":"Z","value":-1},"si_minus":{"group":"Z","value":0},"si_plus":{"group"'
             ':"Z","value":0},"si_right":{"group":"Z","value":-1},"tolerances":{"adm":1e-08,"band":1e-'
             '12,"det":1e-08,"eig":1e-09,"exact":1e-07,"gap":1e-06,"idx":1e-06,"integer_residual":0.01'
@@ -858,6 +893,52 @@ def test_cell_dimensions_that_are_not_nonnegative_integers_are_refused(tmp_path,
         code, data = run_json(capsys, [command, spec])
         assert code == 1 and data["error"] == "IncompatibleCells", data
         assert data["message"] == f"cell dimensions must be integers >= 0, got {dims}"
+
+
+def _with(data: dict, path: tuple, value) -> dict:
+    """A deep copy of ``data`` with the entry at ``path`` replaced."""
+    out = json.loads(json.dumps(data))
+    inner = out
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return out
+
+
+def _spec_fields():
+    """``(name, spec, path, commands)`` of each integer field a spec or a
+    stored operator holds, with the commands that read it."""
+    stored = lattice_operator_to_json(build_lattice(make_split_step(1.2, 0.4), 12, "line"))
+    join = {"type": "join", "left": SPLIT_A, "right": SPLIT_B, "geometry": {"n_left": 8, "n_right": 8}}
+    factored = {**tiwalk_to_json(make_split_step(1.2, 0.4)), "geometry": {"n_cells": 12, "topology": "circle"}}
+    step = next(k for k, f in enumerate(factored["factors"]) if f["kind"] == "shift")
+    both = ("validate", "index")
+    return [
+        ("band", stored, ("band",), both),
+        ("x_min", stored, ("cells", "x_min"), both),
+        ("geometry.n_cells", GEN_CIRCLE, ("geometry", "n_cells"), ("index",)),
+        ("geometry.n_left", join, ("geometry", "n_left"), both),
+        ("geometry.n_right", join, ("geometry", "n_right"), both),
+        ("shift step", factored, ("factors", step, "step"), both),
+        ("shift component", factored, ("factors", step, "components", 0), both),
+        ("cell_dim", factored, ("cell_dim",), both),
+        ("rep dim", stored, ("local_rep", "runs", 0, 1, "dim"), both),
+        ("local_rep run 0 count", stored, ("local_rep", "runs", 0, 0), both),
+    ]
+
+
+@pytest.mark.parametrize("name,spec,path,commands", _spec_fields(), ids=[f[0] for f in _spec_fields()])
+@pytest.mark.parametrize("value", [1.7, 2.0, True, "2"])
+def test_integer_fields_that_are_not_integers_are_refused(tmp_path, capsys, name, spec, path, commands, value):
+    # int() truncated them: "n_cells": 16.7 ran on 16 cells, and a stored
+    # join with "band": 1.7 and "x_min": 2.5 passed validate
+    good = write_spec(tmp_path, "good.json", spec)
+    assert [run_json(capsys, [command, good])[0] for command in commands] == [0] * len(commands)
+    bad = write_spec(tmp_path, "bad.json", _with(spec, path, value))
+    for command in commands:
+        code, data = run_json(capsys, [command, bad])
+        assert code == 1 and data["error"] == "ValueError", data
+        assert data["message"] == f"{name} must be an integer, got {value!r}"
 
 
 def test_tol_subspace_flag_is_gone(tmp_path):

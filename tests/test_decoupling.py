@@ -9,6 +9,7 @@ bare shift is obstructed at every bond.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from helpers import (
     identity_defects,
     record_gate_measurements,
     rng,
+    zero_dim_rep,
 )
 from walkindex.decoupling import (
     DecouplingResult,
@@ -49,6 +51,7 @@ from walkindex.lattice import (
     LatticeOperator,
     LocalSymmetryRep,
     arc_projection,
+    cells_near_bond,
     half_space_projection,
     second_bond,
 )
@@ -121,15 +124,31 @@ def test_projection_pair_line_half_space():
 # -- transfer modes ----------------------------------------------------------------
 
 
+def embedded(r, groups, columns=lambda modes: modes.support):
+    """The columns of every window group placed on the rows of the whole space."""
+    parts = []
+    for modes in groups:
+        cols = columns(modes)
+        part = np.zeros((r.dim, cols.shape[1]), dtype=complex)
+        part[modes.rows] = cols
+        parts.append(part)
+    return np.hstack(parts)
+
+
 def test_split_transfer_modes_generating():
     r = gen_ring(12)
     proj = arc_projection(r.cells, 0, 6)
-    modes = split_transfer_modes(r.matrix, proj, r.band)
-    assert modes.dims == (2, 2)
+    groups, leak = split_transfer_modes(r, proj)
+    # one group per cut bond, each window of the two cells next to it
+    assert [m.dims for m in groups] == [(1, 1), (1, 1)]
+    assert [m.bonds for m in groups] == [(0,), (6,)]
+    assert [list(m.window) for m in groups] == [[0, 11], [5, 6]]
+    assert leak == 0.0
     # incoming states lie inside the region, outgoing states outside
     p = proj.matrix
-    assert np.linalg.norm(p @ modes.incoming - modes.incoming) <= 1e-9
-    assert np.linalg.norm(p @ modes.outgoing) <= 1e-9
+    incoming, outgoing = (embedded(r, groups, lambda m, k=k: getattr(m, k)) for k in ("incoming", "outgoing"))
+    assert np.linalg.norm(p @ incoming - incoming) <= 1e-9
+    assert np.linalg.norm(p @ outgoing) <= 1e-9
 
 
 def test_split_transfer_modes_refuses_dead_band():
@@ -141,33 +160,44 @@ def test_split_transfer_modes_refuses_dead_band():
     proj = half_space_projection(CellStructure((1, 1)), 1, side="lt")
     assert np.allclose(proj.matrix, np.diag([1.0, 0.0]))
     with pytest.raises(DecouplingFailed, match="not cleanly separated"):
-        split_transfer_modes(rot, proj, 1)
+        split_transfer_modes(LatticeOperator.from_matrix(rot, proj.cells, 1), proj)
+    # the same rotation at the second cut of a ring, whose first window is
+    # clean: each window group is guarded, and the message names the worst
+    ring = np.eye(8, dtype=complex)
+    ring[3:5, 3:5] = rot
+    arc = arc_projection(CellStructure.uniform(8, 1, "circle"), 0, 4)
+    edge = 1 - np.linalg.eigvalsh(np.diag([1.0, 0.0]) - rot @ np.diag([1.0, 0.0]) @ rot.conj().T).max()
+    with pytest.raises(DecouplingFailed, match=f"transfer eigenvalue {edge:.3e} away from"):
+        split_transfer_modes(LatticeOperator.from_matrix(ring, arc.cells, 1), arc)
 
 
 def test_attribute_transfers_generating():
     r = gen_ring(12)
-    modes = split_transfer_modes(r.matrix, arc_projection(r.cells, 0, 6), r.band)
-    assert attribute_transfers(modes, r.cells, (0, 6), 2) == {0: (1, 1), 6: (1, 1)}
+    groups, _ = split_transfer_modes(r, arc_projection(r.cells, 0, 6))
+    assert attribute_transfers(groups, r.cells, 2) == {0: (1, 1), 6: (1, 1)}
 
 
 def test_attribute_transfers_needs_matching_windows():
     r = gen_ring(12)
-    modes = split_transfer_modes(r.matrix, arc_projection(r.cells, 0, 6), r.band)
+    groups, _ = split_transfer_modes(r, arc_projection(r.cells, 0, 6))
     with pytest.raises(DecouplingFailed):
-        attribute_transfers(modes, r.cells, (3,), 1)
+        attribute_transfers([replace(m, bonds=(3,)) for m in groups], r.cells, 1)
 
 
 # -- direct rotation ---------------------------------------------------------------
 
 
 def rotation_on_whole_space(r, a, b):
-    """``direct_rotation`` of the arc ``[a, b)`` embedded as ``1 + S(U - 1)S*``, with its modes."""
-    proj = arc_projection(r.cells, a, b)
-    modes = split_transfer_modes(r.matrix, proj, r.band)
-    u = direct_rotation(r.matrix, proj.mask().astype(float), modes)
-    s = modes.support
-    assert u.shape == (s.shape[1], s.shape[1])
-    return np.eye(r.dim) + s @ (u - np.eye(s.shape[1])) @ s.conj().T, modes
+    """``direct_rotation`` of each window group of the arc ``[a, b)`` embedded
+    as ``1 + S(U - 1)S*``, with the groups."""
+    groups, _ = split_transfer_modes(r, arc_projection(r.cells, a, b))
+    v = np.eye(r.dim, dtype=complex)
+    for modes in groups:
+        u = direct_rotation(modes)
+        s = embedded(r, [modes])
+        assert u.shape == (s.shape[1], s.shape[1])
+        v += s @ (u - np.eye(s.shape[1])) @ s.conj().T
+    return v, groups
 
 
 def test_direct_rotation_identity_for_coin_walk():
@@ -180,10 +210,12 @@ def test_direct_rotation_identity_for_coin_walk():
 
 
 def test_direct_rotation_vanishes_on_transfers():
-    v, modes = rotation_on_whole_space(gen_ring(12), 0, 6)
-    assert modes.dims == (2, 2)
-    assert np.linalg.norm(v @ modes.basis()) <= 1e-10
-    assert np.linalg.norm(v.conj().T @ modes.basis()) <= 1e-10
+    r = gen_ring(12)
+    v, groups = rotation_on_whole_space(r, 0, 6)
+    assert tuple(map(sum, zip(*(m.dims for m in groups)))) == (2, 2)
+    basis = embedded(r, groups, lambda m: m.basis())
+    assert np.linalg.norm(v @ basis) <= 1e-10
+    assert np.linalg.norm(v.conj().T @ basis) <= 1e-10
 
 
 def test_direct_rotation_spectrum_in_right_half_plane():
@@ -199,9 +231,10 @@ def test_direct_rotation_is_the_whole_alignment_polar_factor(name):
     op, cut = DECOUPLED_WALKS[name]()
     n = op.cells.n_cells
     b = (cut + n // 2) % n if op.cells.topology == "circle" else n
-    v, modes = rotation_on_whole_space(op, cut, b)
+    v, groups = rotation_on_whole_space(op, cut, b)
+    basis = embedded(op, groups, lambda m: m.basis())
     pair = ProjectionPair.from_walk(op.matrix, arc_projection(op.cells, cut, b))
-    assert np.linalg.norm(v - dense_rotation(pair, modes.basis()), 2) <= 1e-12
+    assert np.linalg.norm(v - dense_rotation(pair, basis), 2) <= 1e-12
 
 
 # -- gentle decoupling -------------------------------------------------------------
@@ -216,14 +249,14 @@ def test_gentle_decoupling_generating_ring():
     assert [int(x) for x in res.si_before] == [-1, 1]
     assert [int(x) for x in res.si_after] == [-1, 1]
     # gentle: no correction eigenvalue reaches -1; the swap sits at +-i
-    assert float(np.min(np.linalg.eigvals(res.v).real)) >= -1e-9
+    assert float(np.min(np.linalg.eigvals(res.v.matrix).real)) >= -1e-9
 
 
 def test_gentle_decoupling_path_is_admissible_homotopy():
     r = gen_ring(12)
     rep = r.local_rep
     res = gentle_decoupling(r, 0)
-    path = [sample @ r.matrix for sample in contraction_path(res.generator, 8)]
+    path = [sample @ r.matrix for sample in contraction_path(res.generator.matrix, 8)]
     assert len(path) == 9
     assert np.linalg.norm(path[0] - res.w_prime.matrix) <= 1e-12
     assert np.linalg.norm(path[-1] - r.matrix) <= 1e-12
@@ -253,7 +286,7 @@ def test_gentle_decoupling_trivial_needs_no_correction():
     r = ring(make_trivial(), 8)
     res = gentle_decoupling(r, 0)
     assert res.ok
-    assert np.linalg.norm(res.v - np.eye(r.dim)) <= 1e-10
+    assert np.linalg.norm(res.v.matrix - np.eye(r.dim)) <= 1e-10
     assert np.linalg.norm(res.w_prime.matrix - r.matrix) <= 1e-10
 
 
@@ -266,7 +299,7 @@ def test_gentle_decoupling_split_step_is_rotation_only():
     assert res.transfer_counts == {0: (0, 0), 8: (0, 0)}
     assert [int(x) for x in res.si_before] == [-1, 1]
     assert [int(x) for x in res.si_after] == [-1, 1]
-    assert float(np.min(np.linalg.eigvals(res.v).real)) >= 0.6
+    assert float(np.min(np.linalg.eigvals(res.v.matrix).real)) >= 0.6
 
 
 @pytest.mark.parametrize(
@@ -352,22 +385,23 @@ def test_generator_matches_full_route(name):
     # the generator contracted on range(P - Q) is the one of the whole space
     op, cut = DECOUPLED_WALKS[name]()
     res = gentle_decoupling(op, cut)
-    full = contract_perturbation(res.v, twiddle_rep(op))
-    assert np.linalg.norm(res.generator - full, 2) <= 1e-12
+    full = contract_perturbation(res.v.matrix, twiddle_rep(op))
+    assert np.linalg.norm(res.generator.matrix - full, 2) <= 1e-12
 
 
 def test_support_spans_range_of_p_minus_q():
     r = ring(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 16)
     proj = arc_projection(r.cells, 0, 8)
-    modes = split_transfer_modes(r.matrix, proj, r.band)
-    s = modes.support
+    groups, _ = split_transfer_modes(r, proj)
+    s = embedded(r, groups)
     a = ProjectionPair.from_walk(r.matrix, proj).odd_part()
     assert s.shape[1] == np.linalg.matrix_rank(a, tol=1e-8)
     assert np.linalg.norm(s.conj().T @ s - np.eye(s.shape[1])) <= 1e-12
     assert np.linalg.norm(a - s @ (s.conj().T @ a @ s) @ s.conj().T, 2) <= 1e-12
     # exact zeros off the cells within one band of the two cut bonds
-    assert sorted(set(modes.window // 2)) == [0, 7, 8, 15]
-    off = np.setdiff1d(np.arange(r.dim), modes.window)
+    assert [list(m.window) for m in groups] == [[0, 15], [7, 8]]
+    assert [sorted(set(m.rows // 2)) for m in groups] == [[0, 15], [7, 8]]
+    off = np.setdiff1d(np.arange(r.dim), np.concatenate([m.rows for m in groups]))
     assert not np.any(s[off])
 
 
@@ -427,15 +461,44 @@ def full_size_answer(op, cut, second_cut=None):
     return v, w2, k, counts, w2_op.band, (si_before, si_after)
 
 
-def assert_matches(res, answer):
-    """V, W' and K within 1e-12 of the full-size answer; equal counts, band and indices."""
+def assert_matches(res, answer, op, cut, second_cut=None):
+    """V, W' and K within 1e-12 of the full-size answer; equal counts, band and
+    indices; and the blocks of V, W' and K only where the window groups reach."""
     v, w2, k, counts, band, si = answer
-    assert np.linalg.norm(res.v - v, 2) <= 1e-12
+    assert np.linalg.norm(res.v.matrix - v, 2) <= 1e-12
     assert np.linalg.norm(res.w_prime.matrix - w2, 2) <= 1e-12
-    assert np.linalg.norm(res.generator - k, 2) <= 1e-12
+    assert np.linalg.norm(res.generator.matrix - k, 2) <= 1e-12
     assert res.transfer_counts == counts
     assert res.w_prime.band == band
     assert (res.si_before, res.si_after) == si
+    assert_window_blocks(res, op, cut, second_cut)
+
+
+def assert_window_blocks(res, op, cut, second_cut=None):
+    """``V - 1`` and ``K`` have blocks only between the window cells of one
+    group, and ``W' - W`` only from the reach cells of a group into its window
+    cells; each stack of V, K and W' lies at the offset of such a block, or
+    at 0 (V) or an offset of W (W'), so none couples two groups."""
+    cells = op.cells
+    second = second_bond(cells, cut, second_cut)
+    proj = half_space_projection(cells, cut) if second is None else arc_projection(cells, cut, second)
+    groups, _ = split_transfer_modes(op, proj)
+    n, d = cells.n_cells, cells.cell_dims[0]
+    square, rows = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    for modes in groups:
+        square[np.ix_(modes.window, modes.window)] = True
+        rows[np.ix_(modes.window, modes.reach)] = True
+    changes = {
+        "V": (res.v, res.v.matrix - np.eye(op.dim), square, {0}),
+        "K": (res.generator, res.generator.matrix, square, set()),
+        "W'": (res.w_prime, res.w_prime.matrix - op.matrix, rows, set(op.blocks)),
+    }
+    x = np.arange(n)
+    for name, (made, change, allowed, kept) in changes.items():
+        live = np.abs(change).reshape(n, d, n, d).max(axis=(1, 3)) > 0
+        assert not np.any(live & ~allowed), name
+        reached = set(cells.stored_offset(x[:, None] - x[None, :])[allowed].tolist())
+        assert set(made.blocks) <= kept | reached, name
 
 
 def with_band(op, band):
@@ -459,7 +522,7 @@ def test_decoupling_matches_the_full_size_route(name):
     op, cut, second_cut = ORACLE_WALKS[name]()
     res = gentle_decoupling(op, cut, second_cut=second_cut)
     assert res.ok
-    assert_matches(res, full_size_answer(op, cut, second_cut))
+    assert_matches(res, full_size_answer(op, cut, second_cut), op, cut, second_cut)
 
 
 @pytest.mark.parametrize(
@@ -472,8 +535,45 @@ def test_decoupling_matches_the_full_size_route(name):
 def test_cut_windows_merge_and_cover_short_rings(name, cells):
     op, cut, second_cut = ORACLE_WALKS[name]()
     proj = arc_projection(op.cells, cut, second_bond(op.cells, cut, second_cut))
-    modes = split_transfer_modes(op.matrix, proj, op.band)
-    assert sorted(set(modes.window // 4)) == cells
+    groups, _ = split_transfer_modes(op, proj)
+    assert [m.bonds for m in groups] == [proj.cut_bonds()]
+    assert list(groups[0].window) == cells
+    assert sorted(set(groups[0].rows // 4)) == cells
+
+
+def test_far_cuts_leave_no_coupling_between_their_windows():
+    # the two cuts of a split-step ring have oblique modes of equal weight; an
+    # eigh over both windows mixed them and left couplings of about 3e-16
+    # between the windows in V - 1 and K, and stacks at 10 offsets in W'
+    r = ring(make_split_step(0.9, 0.3), 24)
+    res = gentle_decoupling(r, 0, second_cut=12)
+    a, b = [23, 0], [11, 12]
+    for name, change in (("V", res.v.matrix - np.eye(r.dim)), ("K", res.generator.matrix)):
+        blocks = np.abs(change).reshape(24, 2, 24, 2).max(axis=(1, 3))
+        assert blocks[np.ix_(a, a)].any() and blocks[np.ix_(b, b)].any(), name
+        assert not blocks[np.ix_(a, b)].any() and not blocks[np.ix_(b, a)].any(), name
+    assert sorted(res.w_prime.blocks) == [-2, -1, 0, 1, 2]
+    assert_window_blocks(res, r, 0, 12)
+
+
+def test_mixed_cells_decouple_as_one_block():
+    # a zero-dimensional cell in a window makes the cells mixed, so the walk
+    # is one block: the windows, the leak and the window updates read it
+    r = gen_ring(24)
+    per_cell = list(r.local_rep.per_cell)
+    per_cell.insert(1, zero_dim_rep(r.local_rep.cls))
+    cells = CellStructure(tuple(rep.dim for rep in per_cell), "circle")
+    op = LatticeOperator.from_matrix(r.matrix, cells, 2, LocalSymmetryRep(r.local_rep.cls, tuple(per_cell)))
+    assert cells.one_block
+    res = gentle_decoupling(op, 0, second_cut=13)
+    assert res.ok and res.transfer_counts == {0: (1, 1), 13: (1, 1)}
+    v, w2, k, counts, band, si = full_size_answer(op, 0, 13)
+    assert np.linalg.norm(res.v.matrix - v, 2) <= 1e-12
+    assert np.linalg.norm(res.w_prime.matrix - w2, 2) <= 1e-12
+    assert np.linalg.norm(res.generator.matrix - k, 2) <= 1e-12
+    assert (res.transfer_counts, res.w_prime.band, (res.si_before, res.si_after)) == (counts, band, si)
+    with pytest.raises(DecouplingFailed, match="declared band 0 understates"):
+        gentle_decoupling(replace(op, band=0), 0, second_cut=13)
 
 
 SPLIT_A = (9 * np.pi / 32, 7 * np.pi / 32)
@@ -525,7 +625,7 @@ def test_decoupling_matches_the_full_size_route_fuzz():
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 full_size_answer(op, cut, second_cut)
             continue
-        assert_matches(res, full_size_answer(op, cut, second_cut))
+        assert_matches(res, full_size_answer(op, cut, second_cut), op, cut, second_cut)
         answered += 1
         transfers += sum(n_in for n_in, _ in res.transfer_counts.values())
     assert answered >= 25 and transfers > 0
@@ -535,11 +635,32 @@ def test_decoupling_matches_the_full_size_route_fuzz():
 def test_understated_band_is_refused_not_decoupled(power, band):
     # W^power hops `power` cells; declared as `band`, part of P - Q lies
     # outside the cut window, and [P, W] there is the refusal's residual
+    # (its spectral norm on the rows off the windows, as the full matrix gives it)
     r = ring(make_split_step(*SPLIT_A), 16)
-    op = LatticeOperator.from_matrix(np.linalg.matrix_power(r.matrix, power), r.cells, band, r.local_rep)
+    m = np.linalg.matrix_power(r.matrix, power)
+    op = LatticeOperator.from_matrix(m, r.cells, band, r.local_rep)
     for cut, second_cut in ((0, None), (3, 9)):
-        with pytest.raises(DecouplingFailed, match=f"declared band {band} understates a hop across the cut"):
+        proj = arc_projection(r.cells, cut, second_bond(r.cells, cut, second_cut))
+        near = [i for bond in proj.cut_bonds() for i in cells_near_bond(r.cells, bond, band)]
+        outside = ~r.cells.index_mask(near)
+        p = proj.mask().astype(float)
+        leak = np.linalg.norm((p[outside, None] - p[None, :]) * m[outside], 2)
+        message = f"residual coupling {leak:.3e} outside the cut window: the declared band {band} understates"
+        with pytest.raises(DecouplingFailed, match=re.escape(message)):
             gentle_decoupling(op, cut, second_cut=second_cut)
+
+
+def test_a_correction_that_leaves_a_coupling_is_refused_with_its_exact_norm(monkeypatch):
+    # with the rotation replaced by the identity W' is W, and the refusal
+    # names the spectral norm of [P, W], read from W's blocks across the cut
+    r = ring(make_split_step(*SPLIT_A), 16)
+    monkeypatch.setattr(
+        walkindex.decoupling, "direct_rotation", lambda modes, tol: np.eye(modes.support.shape[1], dtype=complex)
+    )
+    p = arc_projection(r.cells, 0, 8).mask().astype(float)
+    want = np.linalg.norm((p[:, None] - p[None, :]) * r.matrix, 2)
+    with pytest.raises(DecouplingFailed, match=re.escape(f"residual coupling {want:.3e} after correction")):
+        gentle_decoupling(r, 0)
 
 
 def test_obstructed_shift_is_refused_alike_on_both_routes():
@@ -647,6 +768,17 @@ def test_truncate_ti_decoupled_matches_segment_extraction():
     assert np.linalg.norm(seg.matrix @ seg.matrix.conj().T - np.eye(dim)) <= 1e-12
     sl, sr = si_left_right(seg, 6)
     assert (int(sl), int(sr)) == (-1, 1)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_decoupled_segments_hold_no_stack_beyond_their_band(n):
+    # the two cuts of the padded ring are solved apart, so nothing couples the
+    # segment's two ends: its stacks lie within its band and its off-band norm
+    # is the padding
+    for ti in (make_split_step(0.9, 0.3), make_generating_example(), make_doubled("CII")):
+        seg = truncate_ti(ti, n, "decoupled_unitary")
+        assert seg.band == 1 and sorted(seg.blocks) == [-1, 0, 1]
+        assert seg.cell_band.offband == np.sqrt((n * ti.cell_dim) ** 2 * np.finfo(float).tiny)
 
 
 def test_decoupled_segment_admissible():

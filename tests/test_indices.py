@@ -18,6 +18,7 @@ from helpers import (
     cell_layouts,
     conjugate_ti,
     contraction_path,
+    dense_decoupling,
     dense_kernel_basis,
     dense_kernel_cluster,
     dense_near_spectrum,
@@ -1423,17 +1424,21 @@ def _stack_cases(cls, gen):
         for topology in ("circle", "line"):
             yield "n+ != n-", _unequal_sides_operator(gen, cls, topology)
     if cls is C.BDI:
-        # W' of a segment's padded ring, with stacks at all 13 offsets -6..6
+        # W' of a segment's padded ring, with stacks within its window reach -2..2,
+        # and the full-size route's W', with rounding at all 20 offsets -9..10
         ring20 = build_lattice(make_split_step(0.9, 0.3), 20, "circle")
         w_prime = gentle_decoupling(ring20, 0, second_cut=16).w_prime
-        assert sorted(w_prime.blocks) == list(range(-6, 7))
+        assert sorted(w_prime.blocks) == list(range(-2, 3))
         yield "W'", w_prime
+        dense = LatticeOperator.from_matrix(dense_decoupling(ring20, 0, 16)[1], ring20.cells, 1, ring20.local_rep)
+        assert sorted(dense.blocks) == list(range(-9, 11))
+        yield "dense W'", dense
 
 
 def test_chiral_block_from_the_stacks_is_the_dense_frame_product():
     # every chiral class, on circles, lines, decoupled segments, pieces, cells
     # with a rep of their own, mixed and zero-dimensional cells, equal cells
-    # with n+ != n-, and W' with 13 offsets, at anchor +1 and -1: C is the
+    # with n+ != n-, and W' with 5 and with 20 offsets, at anchor +1 and -1: C is the
     # dense frame product's block within 1e-15 of its largest entry, and bit
     # for bit wherever the cell frames are exact
     gen = rng(2935)
@@ -1449,7 +1454,7 @@ def test_chiral_block_from_the_stacks_is_the_dense_frame_product():
                 assert np.max(np.abs(c - want), initial=0.0) <= 1e-15 * scale, (cls, what, anchor)
                 assert abs(got_even - even) <= 1e-15 * max(1.0, even), (cls, what, anchor)
                 bitwise += np.array_equal(c, want)
-    assert seen == {"circle", "line", "short circle", "segment", "piece", "cell bases", "mixed cells", "zero", "n+ != n-", "W'"}
+    assert seen == {"circle", "line", "short circle", "segment", "piece", "cell bases", "mixed cells", "zero", "n+ != n-", "W'", "dense W'"}
     assert bitwise >= 20
 
 

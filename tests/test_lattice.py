@@ -15,6 +15,7 @@ from helpers import (
     cell_block_reduce_at,
     check_stacks,
     dense_admissibility,
+    dense_decoupling,
     dense_offband,
     dense_unitarity,
     dense_view,
@@ -29,7 +30,6 @@ from helpers import (
     stack_fuzz_cases,
     with_cell_bases,
 )
-from walkindex.decoupling import gentle_decoupling
 from walkindex.errors import CutOutOfRange, IncompatibleCells
 from walkindex.lattice import (
     CellProjection,
@@ -376,6 +376,15 @@ def test_cells_near_bond_radius():
     assert cells_near_bond(cells, 4, 1) == (3, 4)
     assert cells_near_bond(cells, 4, 2) == (2, 3, 4, 5)
     assert cells_near_bond(cells, 0, 1) == (0, 7)
+    # the cells whose bond_distance is below the radius, on lines and circles
+    # of every size, also where the radius covers the whole circle
+    for topology in ("line", "circle"):
+        for n in range(1, 9):
+            cells = CellStructure.uniform(n, 1, topology=topology)
+            for bond in range(n) if topology == "circle" else range(1, n):
+                for radius in range(0, n + 2):
+                    want = tuple(i for i in range(n) if cells.bond_distance(i, bond) < radius)
+                    assert cells_near_bond(cells, bond, radius) == want, (topology, n, bond, radius)
 
 
 def test_split_by_weight_clean_separation():
@@ -493,16 +502,24 @@ def test_offband_within_the_band_is_its_padding():
 
 
 def test_offband_of_a_read_back_operator_keeps_its_bits():
-    # a W' stored at band 6 and read back at band 1 holds its stacks in the
-    # file's string-sorted key order; summed by offset, its off-band norm is
-    # bit for bit that of from_matrix of its matrix (for these angles the sum
-    # in the file's order rounds differently)
+    # a W' of the full-size route, with rounding-size entries of scales
+    # 1e-17..1e-13 at offsets 2..6, stored at band 6 and read back at band 1
+    # holds its stacks in the file's string-sorted key order; summed by
+    # offset, its off-band norm is bit for bit that of from_matrix of its
+    # matrix (for this seed the sum in the file's order rounds differently)
     ring = build_lattice(make_split_step(9 * np.pi / 32, 7 * np.pi / 32), 36, "circle")
-    w_prime = gentle_decoupling(ring, 0, 32).w_prime
-    data = json.loads(dumps_operator(replace(w_prime, band=6)))
+    w_prime = LatticeOperator.from_matrix(dense_decoupling(ring, 0, 32)[1], ring.cells, 1, ring.local_rep)
+    gen = rng(11)
+    blocks = dict(w_prime.blocks)
+    for j in [*range(-6, -1), *range(2, 7)]:
+        scale = 10.0 ** gen.uniform(-17, -13)
+        blocks[j] = blocks[j] + scale * (gen.normal(size=blocks[j].shape) + 1j * gen.normal(size=blocks[j].shape))
+    data = json.loads(dumps_operator(LatticeOperator(blocks, ring.cells, 6, ring.local_rep)))
     data["band"] = 1
     back = lattice_operator_from_json(data)
     assert list(back.blocks) == [-1, -2, -3, -4, -5, -6, 0, 1, 2, 3, 4, 5, 6]
+    in_file_order = sum(float(np.vdot(s, s).real) for j, s in back.blocks.items() if abs(j) > 1)
+    assert np.sqrt(in_file_order + 72**2 * np.finfo(float).tiny) != back.cell_band.offband
     again = LatticeOperator.from_matrix(back.matrix, back.cells, back.band)
     assert list(again.blocks) == sorted(back.blocks)
     assert back.cell_band.offband == again.cell_band.offband

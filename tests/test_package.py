@@ -426,3 +426,12 @@ def test_an_unread_constant_is_found(tmp_path):
         encoding="utf-8",
     )
     assert _unread_constants([source]) == ["module.py:5: RETIRED_FLOOR"]
+
+
+def test_decoupling_reads_no_dense_matrix():
+    # the decoupling works from the stacks and the window rows it gathers from
+    # them; reading .matrix would place the whole walk
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "src" / "walkindex" / "decoupling.py").read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert reads == []

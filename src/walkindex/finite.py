@@ -155,13 +155,12 @@ def certify_boundary_modes(
         raise CutOutOfRange(f"window cells {min(cells)}..{max(cells)} outside [0, {n})")
     check_unitary(big, tol)
     anchor = theta / abs(theta) if theta else 1.0
+    # |lambda - anchor| <= |lambda - theta| + ||theta| - 1|
+    radius = None if select_radius is None else select_radius + abs(abs(theta) - 1)
+    near, _ = near_spectrum(big, anchor, tol, radius=radius, rep=big.local_rep)
     if select_radius is None:
-        near, _ = near_spectrum(big, anchor, tol, rep=big.local_rep)
         eligible = np.flatnonzero((np.conj(anchor) * near.values).real > 0)
-    else:  # |lambda - anchor| <= |lambda - theta| + ||theta| - 1|
-        near, _ = near_spectrum(
-            big, anchor, tol, radius=select_radius + abs(abs(theta) - 1), rep=big.local_rep
-        )
+    else:
         eligible = np.flatnonzero(np.abs(near.values - theta) <= select_radius)
     if eligible.size < k_expected:
         rule = "in the essential cluster" if select_radius is None else f"within {select_radius:.2e}"

@@ -22,19 +22,21 @@ lying under an absolute ceiling.  Symmetry makes this safe: every admissible
 symmetry pairs the +e and -e eigenspaces of the imaginary part, a magnitude
 sort can never split such a pair, and a fully included balanced pair
 contributes zero to the index.  Every spectrum near +-1, here and in the
-finite-size sweeps and certificates, comes from :func:`near_spectrum`.
+finite-size sweeps and certificates, comes from one solver,
+:func:`_near_basis`, which chooses the route and the certificate.
 
 For a rep with ``gamma`` (the chiral classes AIII, BDI, CII, CI and DIII)
 the Hermitian operator anticommutes with ``gamma``: in the cell frame of
 ``gamma`` it is off-diagonal, and its cluster comes from the singular values
 of the off-diagonal block ``C``, read from the operator's stacks with no N x
 N array (:func:`_chiral_block`; the chiral index as ``dim ker C - dim ker
-C*``), after a half-size Cholesky of ``C* C`` (:func:`_gap_certified`) has
-failed to show an empty cluster.  The other classes, anchors other than +-1,
-operators under ``CHIRAL_MIN_ROWS`` rows and operators whose ``gamma``-even
-part exceeds ``CHIRAL_EVEN_FLOOR`` take the dense route: that certificate on
-``H H``, then one ``eigh``.  Only that route, a non-empty cluster's
-eigenpairs and class D's determinant place the dense matrix.
+C*``).  The other classes, anchors other than +-1, operators under
+``CHIRAL_MIN_ROWS`` rows and operators whose ``gamma``-even part exceeds
+``CHIRAL_EVEN_FLOOR`` take the dense route, one ``eigh``.  A kernel search
+that needs no exact smallest ``|s|`` (not :func:`near_spectrum`) first tries
+a Cholesky of ``C* C`` at half size or of ``H H`` (:func:`_gap_certified`).
+Only the dense route, a non-empty cluster's eigenpairs and class D's
+determinant place the dense matrix.
 """
 
 from __future__ import annotations
@@ -280,63 +282,70 @@ def _chiral_route(op: LatticeOperator, rep: SymmetryRep | LocalSymmetryRep | Non
     return block if block[1] <= CHIRAL_EVEN_FLOOR else None
 
 
-def _chiral_cluster(
-    block: tuple, tol: Tolerances, ceiling: float, radius: float | None = None
-) -> tuple[np.ndarray, float]:
-    """The cluster of ``H`` from the singular values of its off-diagonal block
-    ``C`` (:func:`_chiral_block`): kept basis and smallest ``|s|``.
+@dataclass(frozen=True)
+class _NearRecord:
+    """How :func:`_near_basis` answered: by the ``"chiral"`` or the
+    ``"dense"`` route, and whether the gap certificate decided."""
 
-    ``H`` is ``[[E+, C], [C*, E-]]`` in the frame, with ``e = ||E+ (+) E-||_F``
-    rounding for an admissible walk.  The eigenvalues of its off-diagonal
-    part are ``+-sigma`` for each singular value of ``C`` and ``|n+ - n-|``
-    exact zeros, and those of ``H`` lie within ``e`` of them.  These go
-    through :func:`_kernel_cluster` under ``ceiling`` or, with a chord
-    ``radius``, ``sigma <= r sqrt(1 - r^2/4) + e``, a set holding every
-    eigenvalue of ``H`` that the radius reaches.  A kept ``sigma`` contributes
-    its left singular vector on the + side and its right one on the - side,
-    which span the eigenvectors of ``+-sigma``."""
-    c, even, kept = block
-    n_p, n_m = c.shape
-    zeros = abs(n_p - n_m)
+    route: str
+    certified: bool
+
+
+def _near_basis(
+    op: LatticeOperator,
+    rep: SymmetryRep | LocalSymmetryRep | None,
+    tol: Tolerances,
+    anchor: complex = 1.0,
+    ceiling: float = ESSENTIAL_KERNEL_CEILING,
+    radius: float | None = None,
+    want_smallest: bool = False,
+) -> tuple[np.ndarray, float | None, _NearRecord]:
+    """Eigenvectors of ``H = Im(conj(anchor) W)`` near 0, the smallest ``|s|``
+    and the record: the one solver behind every spectrum near +-1.
+
+    Kept is the essential kernel of ``H`` under ``ceiling`` or, for a chord
+    ``radius`` r < sqrt 2, ``|s| <= r sqrt(1 - r^2/4)``: the ``lambda`` within
+    r of ``+-anchor``.  Where :func:`_chiral_route` answers, ``H`` is ``[[E+,
+    C], [C*, E-]]`` in the frame, with ``e = ||E+ (+) E-||_F`` rounding for an
+    admissible walk: its eigenvalues lie within ``e`` of ``+-sigma`` for each
+    singular value of ``C`` and of ``|n+ - n-|`` exact zeros.  These go
+    through :func:`_kernel_cluster`, or a radius keeps ``sigma <= r sqrt(1 -
+    r^2/4) + e``, a set holding every eigenvalue that it reaches; a kept
+    ``sigma`` contributes its left singular vector on the + side and its
+    right one on the - side, which span the eigenvectors of ``+-sigma``.
+    Otherwise one ``eigh`` of ``H``.  A ceiling cluster whose smallest
+    ``|s|`` is not wanted first goes to :func:`_gap_certified`, on ``C* C``
+    at half size where ``n+ = n-``, else on ``H H`` on the dense route; where
+    it clears, the basis is empty and the smallest ``|s|`` None."""
+    block = _chiral_route(op, rep, anchor)
+    # the certificate's X (H, or C where n+ = n-); X* X is formed only if it runs
+    if block is None:
+        m = op.matrix
+        h = imaginary_part(m if anchor == 1 else np.conj(anchor) * m)
+        x, gram, even = h, lambda: h @ h, 0.0
+    else:
+        c, even, kept = block
+        x, gram = (c, lambda: c.conj().T @ c) if c.shape[0] == c.shape[1] else (None, None)
+    certified = radius is None and not want_smallest and x is not None
+    certified = certified and _gap_certified(gram(), frobenius_bound(x), tol, ceiling, even)
+    record = _NearRecord("dense" if block is None else "chiral", certified)
+    if certified:
+        return np.zeros((op.dim, 0), dtype=complex), None, record
+    if block is None:
+        s, vecs = np.linalg.eigh(h)
+        keep = _kernel_cluster(s, tol, ceiling) if radius is None else np.abs(s) <= _chord_reach(radius)
+        return vecs[:, keep], float(np.min(np.abs(s), initial=np.inf)), record
+    zeros = abs(c.shape[0] - c.shape[1])
     u, s, vh = np.linalg.svd(c)
-    r = s.size
-    smallest = 0.0 if zeros else float(s[-1])
     if radius is None:
         # a pair +-sigma is never split, so the cluster is the zeros and the
         # k smallest sigma
         k = (_kernel_cluster(np.concatenate([np.zeros(zeros), s, s]), tol, ceiling).size - zeros) // 2
     else:
         k = int(np.count_nonzero(s <= _chord_reach(radius) + even))
-    if not (k or zeros):
-        return np.zeros((n_p + n_m, 0), dtype=complex), smallest
     # kept: the left singular vectors of the k smallest sigma on the + side,
     # their right ones on the - side, and the null vectors of C* or C
-    return kept(u[:, r - k :], vh[r - k :].conj().T), smallest
-
-
-def _essential_kernel(
-    op: LatticeOperator,
-    tol: Tolerances,
-    ceiling: float = ESSENTIAL_KERNEL_CEILING,
-    rep: SymmetryRep | LocalSymmetryRep | None = None,
-) -> np.ndarray:
-    """Eigenvectors of ``Im W`` converging to its half-space kernel.
-
-    The chiral route (:func:`_chiral_route`) where it answers: with ``n+ =
-    n-``, a Cholesky of ``C* C`` at half size first certifies an empty
-    cluster (:func:`_gap_certified`), else :func:`_chiral_cluster`.
-    Otherwise the certificate of ``Im W`` and one ``eigh``."""
-    block = _chiral_route(op, rep)
-    if block is not None:
-        c, even, _ = block
-        if c.shape[0] == c.shape[1] and _gap_certified(c.conj().T @ c, frobenius_bound(c), tol, ceiling, even):
-            return np.zeros((op.dim, 0), dtype=complex)
-        return _chiral_cluster(block, tol, ceiling)[0]
-    h = imaginary_part(op.matrix)
-    if _gap_certified(h @ h, frobenius_bound(h), tol, ceiling):
-        return np.zeros((h.shape[0], 0), dtype=h.dtype)
-    vals, vecs = np.linalg.eigh(h)
-    return vecs[:, _kernel_cluster(vals, tol, ceiling)]
+    return kept(u[:, s.size - k :], vh[s.size - k :].conj().T), 0.0 if zeros else float(s[-1]), record
 
 
 def near_spectrum(
@@ -350,37 +359,26 @@ def near_spectrum(
     """Eigenpairs of a unitary ``W`` near ``+-anchor``, and the smallest ``|s|``.
 
     The spectrum of ``Im(conj(anchor) W)``, a function of ``W`` that is ``s =
-    Im(conj(anchor) lambda)`` on the eigenvectors of ``lambda``.  Kept is the
-    essential kernel of ``s`` under ``ceiling`` or, for a chord ``radius`` r
-    < sqrt 2, ``|s| <= r sqrt(1 - r^2/4)``: the ``lambda`` within r of
-    ``+-anchor``.  Where the chiral route answers (:func:`_chiral_route`),
-    the ``s`` come off the half-size off-diagonal block
-    (:func:`_chiral_cluster`), with no certificate, as the exact smallest
-    ``|s|`` is returned; otherwise one ``eigh``.  Then
-    :func:`_eigenpairs_on` the kept columns.
+    Im(conj(anchor) lambda)`` on the eigenvectors of ``lambda``: the
+    :func:`_near_basis` of its essential kernel under ``ceiling`` or of a
+    chord ``radius``, with no certificate, as the exact smallest ``|s|`` is
+    returned; then :func:`_eigenpairs_on` the kept columns.
     """
-    block = _chiral_route(op, rep, anchor)
-    if block is not None:
-        found = _chiral_cluster(block, tol, ceiling, radius)
-    else:
-        m = op.matrix
-        s, vecs = np.linalg.eigh(imaginary_part(m if anchor == 1 else np.conj(anchor) * m))
-        if radius is None:
-            keep = _kernel_cluster(s, tol, ceiling)
-        else:
-            keep = np.abs(s) <= _chord_reach(radius)
-        found = vecs[:, keep], float(np.min(np.abs(s), initial=np.inf))
-    basis, smallest = found
-    return _eigenpairs_on(op.matrix, basis, tol), smallest
+    basis, smallest, _ = _near_basis(op, rep, tol, anchor, ceiling, radius, want_smallest=True)
+    return _eigenpairs_on(op, basis, tol), smallest
 
 
-def _eigenpairs_on(m: np.ndarray, basis: np.ndarray, tol: Tolerances) -> UnitaryEigen:
+def _eigenpairs_on(op: LatticeOperator, basis: np.ndarray, tol: Tolerances) -> UnitaryEigen:
     """Eigenpairs of a unitary ``W`` on the span of ``basis``, nearly invariant.
 
     One QR makes the columns orthonormal (``eigh`` may return near-degenerate
     ones that are not); ``W`` must map them into their span within
     ``max(tol.eig, INVARIANCE_FLOOR d)`` (``EigenFailure``), and the
-    eigenpairs are those of the compression of ``W`` onto them."""
+    eigenpairs are those of the compression of ``W`` onto them.  An empty
+    basis has none, and places no matrix."""
+    if not basis.shape[1]:
+        return UnitaryEigen(np.zeros(0, dtype=complex), basis, 0.0)
+    m = op.matrix
     q, _ = np.linalg.qr(basis)
     image = m @ q
     c = q.conj().T @ image
@@ -399,11 +397,8 @@ def _pm_eigenspaces(
     rep: SymmetryRep | LocalSymmetryRep | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bases of the -1 and +1 eigenspaces: the eigenpairs (:func:`_eigenpairs_on`)
-    on the :func:`_essential_kernel` of ``Im W``, split by ``Re lambda``."""
-    basis = _essential_kernel(op, tol, ceiling, rep)
-    if not basis.shape[1]:
-        return (np.zeros((op.dim, 0), dtype=complex),) * 2
-    near = _eigenpairs_on(op.matrix, basis, tol)
+    on the :func:`_near_basis` of ``Im W`` under ``ceiling``, split by ``Re lambda``."""
+    near = _eigenpairs_on(op, _near_basis(op, rep, tol, ceiling=ceiling)[0], tol)
     minus = near.values.real < 0
     return near.vectors[:, minus], near.vectors[:, ~minus]
 
@@ -552,9 +547,7 @@ def si_total(
     """
     r = _rep_of(w, rep)
     check_admissible(w, r, tol=tol)
-    ker = _essential_kernel(w, tol, rep=r)
-    if ker.shape[1]:
-        ker = _drop_window(ker, w.cells, w.band, "kernel")
+    ker = _drop_window(_near_basis(w, r, tol)[0], w.cells, w.band, "kernel")
     return _restricted_index(r, ker, tol)
 
 

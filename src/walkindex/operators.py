@@ -77,7 +77,9 @@ class UnitaryEigen:
 def eig_unitary(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> UnitaryEigen:
     """Orthonormal eigendecomposition of a unitary matrix."""
     w = np.asarray(w, dtype=complex)
-    check_unitary(LatticeOperator.one_cell(w), tol)
+    defect = unitarity_defect(w, tol.unit)
+    if defect > tol.unit:
+        raise NotUnitary(f"operator has unitarity defect {defect:.3e} > {tol.unit}")
     d = w.shape[0]
     re = (w + w.conj().T) / 2
     im = (w - w.conj().T) / 2j

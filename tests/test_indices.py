@@ -51,12 +51,11 @@ from walkindex.indices import (
     ESSENTIAL_KERNEL_CEILING,
     WINDOW_AGREEMENT,
     _chiral_block,
-    _chiral_cluster,
-    _chiral_route,
     _chord_reach,
     _drop_window,
-    _essential_kernel,
     _gap_certified,
+    _NearRecord,
+    _near_basis,
     _pm_eigenspaces,
     bulk_right_index,
     contract_perturbation,
@@ -811,7 +810,7 @@ def test_drop_window_matches_projector_oracle_on_family_segments(ti):
         ring = build_lattice(ti, n, "circle")
         pieces += list(half_spaces(ring, int(gen.integers(0, n))))
         for piece in pieces:
-            ker = _essential_kernel(piece, DEFAULT_TOL)
+            ker, _, _ = _near_basis(piece, None, DEFAULT_TOL)
             # a random rotation inside the span must not change the attribution
             rotated = ker @ haar_unitary(gen, ker.shape[1]) if ker.shape[1] else ker
             for basis in (ker, rotated):
@@ -881,7 +880,7 @@ def test_drop_window_scans_every_radius_in_one_batched_eigh(monkeypatch):
     # of the (radii, k, k) stack and the k x k eigh of one split_by_weight
     ring = build_lattice(make_split_step(0.9, 0.3), 192, "circle")
     piece = half_spaces(ring, 0)[1]
-    ker = _essential_kernel(piece, DEFAULT_TOL)
+    ker, _, _ = _near_basis(piece, None, DEFAULT_TOL)
     k = ker.shape[1]
     assert piece.cells.n_cells == 96 and k == 2
     shapes, splits, screens = [], [], []
@@ -937,7 +936,7 @@ def test_gap_certificate_agrees_with_the_dense_oracle_fuzz():
                 certified = _gap_certified(h @ h, frobenius_bound(h), DEFAULT_TOL, ceiling)
                 verdicts[certified] += 1
                 assert not certified or want == 0, (cls, what, ceiling)
-                assert _essential_kernel(op, DEFAULT_TOL, ceiling).shape == (h.shape[0], want)
+                assert _near_basis(op, None, DEFAULT_TOL, ceiling=ceiling)[0].shape == (h.shape[0], want)
     assert seen == {"circle", "line", "segment", "piece", "mixed cells", "no rows"}
     assert min(verdicts.values()) >= 50
 
@@ -1072,14 +1071,14 @@ def test_chiral_route_matches_the_dense_oracle_fuzz(monkeypatch):
             h = imaginary_part(m)
             runs = op.local_rep.runs()
             runs_seen.add(min(len(runs), 2))
-            assert _chiral_route(op, op.local_rep) is not None, (cls, what)
             gamma_trace = trace_runs(runs, "gamma").real if op.local_rep.cls in CHIRAL_PLUS else 0.0
             unbalanced += abs(gamma_trace) > 0.5
             mags = np.abs(np.linalg.eigvalsh(h))
             for ceiling in CERTIFICATE_CEILINGS:
                 want = dense_kernel_basis(h, ceiling)
                 clusters += bool(want.shape[1])
-                got = _essential_kernel(op, DEFAULT_TOL, ceiling, op.local_rep)
+                got, _, record = _near_basis(op, op.local_rep, DEFAULT_TOL, ceiling=ceiling)
+                assert record.route == "chiral", (cls, what)
                 assert got.shape == want.shape, (cls, what, ceiling)
                 if _separated(mags, want.shape[1]):
                     assert _projector_distance(got, want) <= 1e-10, (cls, what, ceiling)
@@ -1188,7 +1187,8 @@ def test_chiral_route_knife_edges(ceiling, tol, monkeypatch):
             h = _chiral_hermitian(runs, sigma, gen)
             want = dense_kernel_cluster(h, ceiling, tol).size
             assert want == zeros + 2 * (side < 0)
-            assert _essential_kernel(_with_imaginary_part(h, rep), tol, ceiling, rep).shape[1] == want
+            got, _, record = _near_basis(_with_imaginary_part(h, rep), rep, tol, ceiling=ceiling)
+            assert record.route == "chiral" and got.shape[1] == want
             cases += 1
     assert cases == 2 * 3 * len(CHIRAL_CLASSES)
 
@@ -1238,13 +1238,14 @@ def test_chiral_certificate_knife_edges(ceiling, tol, monkeypatch):
             # the gamma-even rounding e moves the certificate's c by at most 2e
             assert _chiral_block(op, rep)[1] <= 1e-15
             outcomes.clear()
-            got = _essential_kernel(op, tol, ceiling, rep)
+            got, _, record = _near_basis(op, rep, tol, ceiling=ceiling)
             want = dense_kernel_basis(h, ceiling, tol)
             assert got.shape == want.shape
             if want.shape[1]:
                 assert _projector_distance(got, want) <= 1e-9
             certified = outcomes == [True]
             assert len(outcomes) == 1 and certified <= (side > 0)
+            assert record == _NearRecord("chiral", certified)
             if ceiling >= 1e-3:
                 assert certified == (side > 0)
                 assert want.shape[1] == 2 * (side < 0)
@@ -1252,10 +1253,11 @@ def test_chiral_certificate_knife_edges(ceiling, tol, monkeypatch):
     assert cases >= 2 * 2 * len(CHIRAL_CLASSES)
 
 
-def test_chiral_radius_keeps_every_eigenvalue_within_reach():
+def test_chiral_radius_keeps_every_eigenvalue_within_reach(monkeypatch):
     # a gamma-even part of norm e below the floor moves one eigenvalue of a
     # pair from sigma = reach + delta/2 to reach - delta/2: the dense route
     # keeps it, and so must the chiral route, whose radius is widened by e
+    _route_at_every_size(monkeypatch)
     gen = rng(2931)
     radius = 0.2
     reach = _chord_reach(radius)
@@ -1270,8 +1272,8 @@ def test_chiral_radius_keeps_every_eigenvalue_within_reach():
         vals, vecs = np.linalg.eigh(h)
         inside = vecs[:, np.abs(vals) <= reach]
         assert inside.shape[1] == abs(n - 2 * n_p) + 1
-        block = _chiral_block(_with_imaginary_part(h, rep), rep)
-        kept, _ = _chiral_cluster(block, DEFAULT_TOL, ESSENTIAL_KERNEL_CEILING, radius=radius)
+        kept, _, record = _near_basis(_with_imaginary_part(h, rep), rep, DEFAULT_TOL, radius=radius)
+        assert record.route == "chiral"
         assert kept.shape[1] == inside.shape[1] + 1
         assert spectral_norm(inside - kept @ (kept.conj().T @ inside)) <= 1e-9
 
@@ -1313,8 +1315,8 @@ def test_chiral_certificate_clears_only_what_the_dense_spectrum_clears(monkeypat
             h = _chiral_hermitian(runs, sigma, gen, delta)
             assert (np.min(np.abs(np.linalg.eigvalsh(h))) > ceiling) == certified
             calls.clear()
-            kept = _essential_kernel(_with_imaginary_part(h, rep), DEFAULT_TOL, ceiling, rep)
-            assert kept.shape[1] == 0
+            kept, _, record = _near_basis(_with_imaginary_part(h, rep), rep, DEFAULT_TOL, ceiling=ceiling)
+            assert kept.shape[1] == 0 and record == _NearRecord("chiral", certified)
             assert calls == ([("cholesky", True)] if certified else [("cholesky", False), ("svd", True)])
             cases += 1
     assert cases >= 2 * 2 * len(CHIRAL_CLASSES)
@@ -1340,14 +1342,15 @@ def test_even_part_above_the_floor_takes_the_dense_route(monkeypatch):
     hf = frame.conj().T @ h @ frame
     assert np.hypot(np.linalg.norm(hf[:n_p, :n_p]), np.linalg.norm(hf[n_p:, n_p:])) > CHIRAL_EVEN_FLOOR
     assert _chiral_block(op, op.local_rep)[1] > CHIRAL_EVEN_FLOOR
-    assert _chiral_route(op, op.local_rep) is None
+    assert _near_basis(op, op.local_rep, DEFAULT_TOL)[2].route == "dense"
     eighs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
     for piece in half_spaces(op, 0):
         hp = imaginary_part(piece.matrix)
         assert hp.shape[0] >= CHIRAL_MIN_ROWS
-        got = _essential_kernel(piece, DEFAULT_TOL, rep=piece.local_rep)
+        got, _, record = _near_basis(piece, piece.local_rep, DEFAULT_TOL)
+        assert record == _NearRecord("dense", False)
         assert np.array_equal(got, dense_kernel_basis(hp, ESSENTIAL_KERNEL_CEILING))
         assert eighs[-2:] == [hp.shape, hp.shape]
     for radius in (None, 0.3):
@@ -1379,6 +1382,29 @@ def test_operators_below_the_row_floors_take_the_dense_route(monkeypatch):
         assert [int(v) for v in si_pm(ring)] == [0, 0]
         assert ((rows, rows) in shapes) == dense
         assert ((rows // 2, rows // 2) in shapes) == (not dense)
+
+
+def test_near_basis_records_its_route_and_certificate():
+    # one walk on each outcome of the solver: circles of CHIRAL_MIN_ROWS rows
+    # and fewer are certified empty at half and at full size, and the pieces
+    # of circles twice as long keep their cut's mode by an SVD of C or an eigh
+    ti = make_split_step(9 * np.pi / 32, 7 * np.pi / 32)
+    for rows, route in ((CHIRAL_MIN_ROWS, "chiral"), (CHIRAL_MIN_ROWS - 4, "dense")):
+        ring = build_lattice(ti, rows // 2, "circle")
+        piece = half_spaces(build_lattice(ti, rows, "circle"), 0)[1]
+        assert ring.dim == piece.dim == rows
+        basis, smallest, record = _near_basis(ring, ring.local_rep, DEFAULT_TOL)
+        assert record == _NearRecord(route, True)
+        assert basis.shape == (rows, 0) and smallest is None
+        basis, smallest, record = _near_basis(piece, piece.local_rep, DEFAULT_TOL)
+        assert record == _NearRecord(route, False)
+        assert basis.shape[1] and smallest < ESSENTIAL_KERNEL_CEILING
+        # the exact smallest |s|, or a radius, is never certified
+        for radius, want in ((None, True), (0.05, False)):
+            basis, smallest, record = _near_basis(ring, ring.local_rep, DEFAULT_TOL, radius=radius, want_smallest=want)
+            assert record == _NearRecord(route, False)
+            assert basis.shape == (rows, 0)
+            assert smallest == pytest.approx(dense_near_spectrum(ring.matrix, radius=radius)[1], abs=1e-14)
 
 
 # -- C from the stacks against the dense frame product -------------------------------

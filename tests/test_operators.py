@@ -17,6 +17,7 @@ from helpers import (
     rng,
 )
 from walkindex.errors import (
+    EigenFailure,
     NotAdmissible,
     NotNormal,
     NotUnitary,
@@ -65,6 +66,41 @@ def test_screened_gates_pass_on_a_bound_and_refuse_with_the_exact_norm():
             assert bound < exact < np.linalg.norm(residual(w)) / 3
             with pytest.raises((NotUnitary, NotNormal), match=f"{exact:.3e}"):
                 check(w, tol=tol)
+
+
+def test_eig_unitary_gates_its_input_as_check_unitary_does():
+    # r x r inputs with defects on both sides of tol.unit, a few of them set
+    # by scaled columns (at 16 and 64 rows the Frobenius norm is over twice
+    # the spectral one, so the exact norm decides) and the rest by random
+    # perturbations: eig_unitary
+    # passes or refuses, with the same message, as the one-cell gate.  Past
+    # the gate, a non-normal input may still fail the eigen residual
+    def refusal(call) -> str | None:
+        try:
+            call()
+        except NotUnitary as exc:
+            return str(exc)
+        except EigenFailure:
+            pass
+        return None
+
+    gen = rng(18)
+    tol = DEFAULT_TOL
+    verdicts = {True: 0, False: 0}
+    for r in (1, 2, 4, 16, 64):
+        u = haar_unitary(gen, r)
+        cases = [u]
+        for ratio in (0.5, 1 - 1e-3, 1 + 1e-3, 2.0):
+            x = gen.uniform(-1, 1, r) * (np.arange(r) < max(1, r // 4))
+            x[0] = 1.0
+            cases.append(u * np.sqrt(1 + ratio * tol.unit * x))
+        for eps in (1e-12, 1e-10, 1e-9, 1e-6):
+            cases.append(u + eps * (gen.normal(size=(r, r)) + 1j * gen.normal(size=(r, r))))
+        for w in cases:
+            want = refusal(lambda: check_unitary(LatticeOperator.one_cell(w), tol))
+            assert refusal(lambda: eig_unitary(w, tol)) == want, r
+            verdicts[want is None] += 1
+    assert min(verdicts.values()) >= 15
 
 
 def test_eig_unitary_random_haar():

@@ -145,9 +145,12 @@ def test_layer_microbench_runs(monkeypatch):
 
 @pytest.mark.parametrize("workload", ["index_scan", "decouple_join", "sweep_certify"])
 def test_benchmark_workload_passes_its_checks(workload, tmp_path, capsys, monkeypatch):
-    # one pass of a workload at seed 1 as the benchmark runs it: every pre-built
-    # join exits 0, every job's output matches its reference answer, and the
-    # momentum refinements of winding and berry jobs read from their output
+    # two passes of a workload at seeds 1 and 2 in one process, as the
+    # benchmark's closed loop runs them: every pre-built join exits 0, every
+    # job's output matches its reference answer, the momentum refinements of
+    # winding and berry jobs read from their output, and the second pass
+    # prints what the first did, so no state a cache keeps changes an answer.
+    # Seed 1001 is held out
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     if not (bench / "jobs.py").is_file():
         pytest.skip("no benchmark job lists in this checkout")
@@ -162,16 +165,20 @@ def test_benchmark_workload_passes_its_checks(workload, tmp_path, capsys, monkey
             code = exc.code if isinstance(exc.code, int) else 1
         return code, capsys.readouterr().out
 
-    job_list, prebuild = jobs.build(workload, 1, tmp_path)
-    for argv, path in prebuild:
-        assert run(argv)[0] == 0, argv
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["type"] = "explicit"  # as the benchmark's setup reads a pre-built join back
-        path.write_text(json.dumps(payload), encoding="utf-8")
-    for job in job_list:
-        code, out = run(job.argv)
-        assert jobs.check(job, code, out) is None, job.argv
-        jobs.refinements(job, out)
+    for seed in (1, 2):
+        work = tmp_path / str(seed)
+        work.mkdir()
+        job_list, prebuild = jobs.build(workload, seed, work)
+        for argv, path in prebuild:
+            assert run(argv)[0] == 0, argv
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["type"] = "explicit"  # as the benchmark's setup reads a pre-built join back
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        first = [run(job.argv) for job in job_list]
+        for job, (code, out) in zip(job_list, first):
+            assert jobs.check(job, code, out) is None, (seed, job.argv)
+            jobs.refinements(job, out)
+        assert [run(job.argv) for job in job_list] == first, seed
 
 
 def _unused_imports(path: Path) -> list[str]:
